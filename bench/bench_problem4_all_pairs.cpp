@@ -211,8 +211,11 @@ BENCHMARK(BM_AllPairsNaive)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Telemetry covers the summary only: left on, its per-query bookkeeping
+  // would be timed inside the benchmark loops.
   start_telemetry();
   print_summary();
+  obs::set_enabled(false);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -12,6 +12,7 @@
 //       --condition="R1(U,L) & !R3'"
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -95,9 +96,7 @@ std::size_t diff_against_replay(const Execution& exec,
   return mismatches;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("trace_analysis",
                 "query causality relations on recorded distributed traces");
   cli.add_flag("generate", "generate a synthetic trace instead of loading");
@@ -438,4 +437,17 @@ int main(int argc, char** argv) {
                 records.size(), cli.get("flight").c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+// Bad input — a malformed --condition or --find, an unknown --x/--y label, a
+// malformed trace or interval file — is reported with exit status 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_analysis: %s\n", e.what());
+    return 1;
+  }
 }

@@ -117,8 +117,8 @@ bool definitely(const Timestamps& ts, const CutPredicate& predicate,
   const Execution& exec = ts.execution();
   VectorClock top_counts(exec.process_count());
   for (ProcessId p = 0; p < exec.process_count(); ++p) {
-    top_counts[p] = options.include_final_dummies ? exec.total_count(p)
-                                                  : exec.total_count(p) - 1;
+    top_counts.set(p, options.include_final_dummies ? exec.total_count(p)
+                                                    : exec.total_count(p) - 1);
   }
   bool top_reached_avoiding = false;
   walk(

@@ -21,11 +21,13 @@
 // to the classic "merge then overwrite own component" formulation (every
 // joined clock is causally before e, so its own component is at most
 // index(e)) and is exactly the discipline sublinear backends such as
-// TreeClock rely on. The backward pass writes sentinel components, so it
-// runs on every backend's dense paths. `Timestamps` remains the dense
-// VectorClock instantiation and is the default everywhere.
+// TreeClock rely on. The backward pass mirrors it — start from the process
+// successor's F, meet the receivers' F, pin the owner — and writes sentinel
+// components, so it runs on every backend's dense paths. `Timestamps`
+// remains the dense VectorClock instantiation and is the default everywhere.
 #pragma once
 
+#include <numeric>
 #include <vector>
 
 #include "model/clock.hpp"
@@ -114,25 +116,37 @@ BasicTimestamps<Clock>::BasicTimestamps(const Execution& exec) : exec_(&exec) {
     forward_[seq] = std::move(t);
   }
 
-  // Backward pass needs outgoing message adjacency.
-  std::vector<std::vector<std::uint32_t>> outgoing(order.size());
+  // Backward pass needs each event's message receivers: a CSR fan-out, the
+  // receivers of the event at seq being receivers[fanout[seq]..fanout[seq+1]).
+  std::vector<std::uint32_t> fanout(order.size() + 1, 0);
   for (const Message& m : exec.messages()) {
-    outgoing[exec.topological_index(m.source)].push_back(
-        exec.topological_index(m.target));
+    ++fanout[exec.topological_index(m.source) + 1];
+  }
+  std::partial_sum(fanout.begin(), fanout.end(), fanout.begin());
+  std::vector<std::uint32_t> receivers(exec.messages().size());
+  std::vector<std::uint32_t> cursor(fanout.begin(), fanout.end() - 1);
+  for (const Message& m : exec.messages()) {
+    receivers[cursor[exec.topological_index(m.source)]++] =
+        exec.topological_index(m.target);
   }
 
+  // Ceiling: e ≺ ⊤_i for every process i, so F(e)[i] <= index(⊤_i).
+  Clock ceiling(p_count, 0);
+  for (std::size_t i = 0; i < p_count; ++i) {
+    ceiling.set(i, exec.real_count(static_cast<ProcessId>(i)) + 1);
+  }
+
+  // The mirror of the forward pass: start from the process successor's F
+  // (the ceiling for a process's last event), then meet the F of every event
+  // that receives e's messages. Seeding from F(successor) instead of the
+  // ceiling is exact because no stored F exceeds the ceiling.
   for (std::size_t seq = order.size(); seq-- > 0;) {
     const EventId e = order[seq];
-    // Ceiling: e ≺ ⊤_i for every process i, so F(e)[i] <= index(⊤_i).
-    Clock f(p_count, 0);
-    for (std::size_t i = 0; i < p_count; ++i) {
-      f.set(i, exec.real_count(static_cast<ProcessId>(i)) + 1);
-    }
-    if (e.index < exec.real_count(e.process)) {
-      f.merge_min(future_[exec.topological_index({e.process, e.index + 1})]);
-    }
-    for (std::uint32_t dst_seq : outgoing[seq]) {
-      f.merge_min(future_[dst_seq]);
+    Clock f = e.index < exec.real_count(e.process)
+                  ? future_[exec.topological_index({e.process, e.index + 1})]
+                  : ceiling;
+    for (std::uint32_t k = fanout[seq]; k < fanout[seq + 1]; ++k) {
+      f.merge_min(future_[receivers[k]]);
     }
     f.set(e.process, e.index);  // e itself is the earliest event ⪰ e
     future_[seq] = std::move(f);

@@ -15,26 +15,6 @@ VectorClock::VectorClock(std::size_t size, ClockValue fill)
 VectorClock::VectorClock(std::vector<ClockValue> components)
     : components_(std::move(components)) {}
 
-ClockValue VectorClock::at(std::size_t i) const {
-  SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
-  return components_[i];
-}
-
-void VectorClock::set(std::size_t i, ClockValue v) {
-  SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
-  components_[i] = v;
-}
-
-void VectorClock::tick(std::size_t i) {
-  SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
-  ++components_[i];
-}
-
-ClockValue& VectorClock::operator[](std::size_t i) {
-  SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
-  return components_[i];
-}
-
 void VectorClock::merge_max(const VectorClock& other) {
   SYNCON_REQUIRE(size() == other.size(), "merging clocks of different size");
   for (std::size_t i = 0; i < components_.size(); ++i) {

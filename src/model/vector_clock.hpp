@@ -11,10 +11,8 @@
 //
 // Component access is the narrow read API: size() / at() for single
 // components, values() for a read-only span over the dense storage, set()
-// and tick() for writes. The legacy accessors — components() returning the
-// raw vector and the mutable operator[] returning a raw reference — are
-// deprecated (they force a backend to store a dense std::vector) and
-// forward to the new API; they will be removed next release.
+// and tick() for writes. The single-component accessors are inline: they sit
+// on the stamping sweep and the Theorem 19 probe, one call per component.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "model/types.hpp"
+#include "support/contracts.hpp"
 
 namespace syncon {
 
@@ -39,22 +38,26 @@ class VectorClock {
   std::size_t size() const { return components_.size(); }
 
   /// Component i (bounds-checked).
-  ClockValue at(std::size_t i) const;
+  ClockValue at(std::size_t i) const {
+    SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
+    return components_[i];
+  }
   /// Read-only view of the dense storage (dense backend only — not part of
   /// the clock concept, which promises only size()/at()).
   std::span<const ClockValue> values() const { return components_; }
   /// Writes component i (bounds-checked).
-  void set(std::size_t i, ClockValue v);
+  void set(std::size_t i, ClockValue v) {
+    SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
+    components_[i] = v;
+  }
   /// Advances component i by one (the "local event on process i" step).
-  void tick(std::size_t i);
+  void tick(std::size_t i) {
+    SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
+    ++components_[i];
+  }
 
   /// Read shorthand for at(i).
   ClockValue operator[](std::size_t i) const { return at(i); }
-
-  [[deprecated("use at()/values() — backends need not store a dense vector")]]
-  const std::vector<ClockValue>& components() const { return components_; }
-  [[deprecated("use set()/tick() instead of writing through a reference")]]
-  ClockValue& operator[](std::size_t i);
 
   /// this[i] = max(this[i], other[i]) for every i (Lemma 16, union of cuts).
   void merge_max(const VectorClock& other);

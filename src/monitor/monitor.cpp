@@ -115,8 +115,7 @@ SyncMonitor::find_pairs(const SyncCondition& condition,
   return out;
 }
 
-std::vector<RelationId> SyncMonitor::relations_between(Handle x,
-                                                       Handle y) const {
+RelationSet SyncMonitor::relations_between(Handle x, Handle y) const {
   return eval_->all_holding_pruned(x, y).holding;
 }
 

@@ -61,7 +61,7 @@ class SyncMonitor {
       const SyncCondition& condition, QueryCost* cost = nullptr) const;
 
   /// All relations of R holding for (x, y) (Problem 4 ii).
-  std::vector<RelationId> relations_between(Handle x, Handle y) const;
+  RelationSet relations_between(Handle x, Handle y) const;
 
   /// Problem 4(ii) over every ordered pair of registered intervals, sharded
   /// across the attached thread pool (serial when none). The result carries

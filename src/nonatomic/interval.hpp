@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,14 @@ const char* to_string(ProxyKind kind);
 
 class NonatomicEvent {
  public:
+  /// The event's component on one node: X ∩ E_process spans the indices
+  /// least..greatest.
+  struct NodeSpan {
+    ProcessId process;
+    EventIndex least;
+    EventIndex greatest;
+  };
+
   /// `events` must be non-empty, contain only real events of `exec`, and is
   /// deduplicated and sorted internally.
   NonatomicEvent(const Execution& exec, std::vector<EventId> events,
@@ -48,6 +57,10 @@ class NonatomicEvent {
   EventId least_on(ProcessId p) const;
   EventId greatest_on(ProcessId p) const;
 
+  /// One span per node of N_X, ascending by process — the per-node extremes
+  /// without a lookup per node.
+  std::span<const NodeSpan> spans() const { return spans_; }
+
   /// Defn 2 proxy: one event per node of N_X (least for Begin, greatest for
   /// End). Its node set equals N_X.
   NonatomicEvent proxy_per_node(ProxyKind kind) const;
@@ -58,12 +71,6 @@ class NonatomicEvent {
                                              const Timestamps& ts) const;
 
  private:
-  struct NodeSpan {
-    ProcessId process;
-    EventIndex least;
-    EventIndex greatest;
-  };
-
   const NodeSpan& span_of(ProcessId p) const;
 
   const Execution* exec_;

@@ -1,6 +1,6 @@
 #include "relations/evaluator.hpp"
 
-#include <array>
+#include <bit>
 #include <optional>
 
 #include "obs/metrics.hpp"
@@ -11,6 +11,9 @@
 namespace syncon {
 
 namespace {
+
+// Bit k of a pair's holding mask is kRelationIds[k] (RelationSet's layout).
+constexpr auto kRelationIds = all_relation_ids();
 
 std::uint64_t next_evaluator_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -107,7 +110,10 @@ const NonatomicEvent& RelationEvaluator::proxy(EventHandle h,
 
 const EventCuts& RelationEvaluator::proxy_cuts(EventHandle h,
                                                ProxyKind kind) const {
-  const Entry& e = entry(h);
+  return cuts_of(entry(h), kind);
+}
+
+const EventCuts& RelationEvaluator::cuts_of(const Entry& e, ProxyKind kind) {
   return kind == ProxyKind::Begin ? *e.begin_cuts : *e.end_cuts;
 }
 
@@ -137,16 +143,16 @@ void RelationEvaluator::reset_accumulated_cost() {
   tally_causality_checks_.store(0, std::memory_order_relaxed);
 }
 
-bool RelationEvaluator::holds_impl(const RelationId& r, EventHandle x,
-                                   EventHandle y, QueryCost& cost) const {
-  return evaluate_fast(r.relation, proxy_cuts(x, r.proxy_x),
-                       proxy_cuts(y, r.proxy_y), cost);
+bool RelationEvaluator::holds_impl(const RelationId& r, const Entry& x,
+                                   const Entry& y, QueryCost& cost) {
+  return evaluate_fast(r.relation, cuts_of(x, r.proxy_x),
+                       cuts_of(y, r.proxy_y), cost);
 }
 
 bool RelationEvaluator::holds(const RelationId& r, EventHandle x,
                               EventHandle y, QueryCost* cost) const {
   QueryCost local;
-  const bool value = holds_impl(r, x, y, local);
+  const bool value = holds_impl(r, entry(x), entry(y), local);
   deposit(local, cost);
   return value;
 }
@@ -210,11 +216,15 @@ RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding(
     EventHandle x, EventHandle y, QueryCost* cost) const {
   SYNCON_SPAN("relation/evaluate");
   const std::uint64_t t0 = obs::enabled() ? obs::now_us() : 0;
+  const Entry& ex = entry(x);
+  const Entry& ey = entry(y);
   AllRelationsResult result;
-  for (const RelationId& id : all_relation_ids()) {
+  std::uint32_t holding = 0;
+  for (std::size_t k = 0; k < kRelationIds.size(); ++k) {
     ++result.evaluated;
-    if (holds_impl(id, x, y, result.cost)) result.holding.push_back(id);
+    if (holds_impl(kRelationIds[k], ex, ey, result.cost)) holding |= 1u << k;
   }
+  result.holding = RelationSet(holding);
   deposit(result.cost, cost);
   if (obs::enabled()) record_evaluate_latency(obs::now_us() - t0);
   return result;
@@ -224,27 +234,28 @@ RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding_pruned(
     EventHandle x, EventHandle y, QueryCost* cost) const {
   SYNCON_SPAN("relation/evaluate");
   const std::uint64_t t0 = obs::enabled() ? obs::now_us() : 0;
-  const auto ids = all_relation_ids();
-  std::array<std::optional<bool>, 32> decided;
+  const Entry& ex = entry(x);
+  const Entry& ey = entry(y);
+  const ImplicationClosure& closure = implication_closure();
 
   AllRelationsResult result;
-  // Evaluate in declaration order (strong relations first: R1 block leads).
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (decided[i].has_value()) continue;
-    const bool value = holds_impl(ids[i], x, y, result.cost);
+  std::uint32_t holding = 0;
+  std::uint32_t undecided = RelationSet::all().mask();
+  // Evaluate the lowest undecided relation (declaration order: the strong R1
+  // block leads). A true verdict forces everything it implies true, a false
+  // one everything that would imply it false.
+  while (undecided != 0) {
+    const auto k = static_cast<std::size_t>(std::countr_zero(undecided));
     ++result.evaluated;
-    decided[i] = value;
-    // Propagate: a true relation forces everything it implies true; a false
-    // one forces everything that would imply it false.
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      if (decided[j].has_value()) continue;
-      if (value && implies(ids[i], ids[j])) decided[j] = true;
-      if (!value && implies(ids[j], ids[i])) decided[j] = false;
+    if (holds_impl(kRelationIds[k], ex, ey, result.cost)) {
+      const std::uint32_t implied = closure.implied_true[k].mask();
+      holding |= implied & undecided;
+      undecided &= ~implied;
+    } else {
+      undecided &= ~closure.implied_false[k].mask();
     }
   }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (*decided[i]) result.holding.push_back(ids[i]);
-  }
+  result.holding = RelationSet(holding);
   deposit(result.cost, cost);
   if (obs::enabled()) record_evaluate_latency(obs::now_us() - t0);
   return result;

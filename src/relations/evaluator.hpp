@@ -63,9 +63,10 @@ class RelationEvaluator {
   /// Handle to a registered nonatomic event.
   using Handle = EventHandle;
 
-  /// Result of an all-relations query (Problem 4 ii).
+  /// Result of an all-relations query (Problem 4 ii). A plain value: the
+  /// query allocates nothing.
   struct AllRelationsResult {
-    std::vector<RelationId> holding;
+    RelationSet holding;
     /// How many of the 32 relations were actually evaluated (the rest were
     /// decided by hierarchy propagation).
     std::size_t evaluated = 0;
@@ -122,7 +123,8 @@ class RelationEvaluator {
   /// *cost when given, else to the shared tally.
   AllRelationsResult all_holding(EventHandle x, EventHandle y,
                                  QueryCost* cost = nullptr) const;
-  /// Same, skipping relations decided by the implication lattice.
+  /// Same, skipping relations decided by the implication lattice: each
+  /// verdict settles its whole implication_closure() row at once.
   AllRelationsResult all_holding_pruned(EventHandle x, EventHandle y,
                                         QueryCost* cost = nullptr) const;
 
@@ -151,8 +153,9 @@ class RelationEvaluator {
   };
 
   const Entry& entry(EventHandle h) const;
-  bool holds_impl(const RelationId& r, EventHandle x, EventHandle y,
-                  QueryCost& cost) const;
+  static const EventCuts& cuts_of(const Entry& e, ProxyKind kind);
+  static bool holds_impl(const RelationId& r, const Entry& x, const Entry& y,
+                         QueryCost& cost);
   /// Routes a finished call's cost to the sink or the shared tally.
   void deposit(const QueryCost& cost, QueryCost* sink) const;
 

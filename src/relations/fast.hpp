@@ -54,12 +54,13 @@ bool violated_at(const Clock& down, const Clock& up,
 // Per-node conjunctive tests (R1/R2 via X's nodes): for every i ∈ N_X the
 // single-event cut x↑ of the per-node greatest x has surface index(x) at i,
 // so ¬≪(down, x↑) probed at {i} is one comparison: down[i] >= index(x)+1.
+// Walks X's node spans, which carry each node's greatest index.
 template <ClockRep Clock>
 bool all_x_tests_pass(const Clock& down, const NonatomicEvent& x,
                       ComparisonCounter& counter) {
-  for (const ProcessId i : x.node_set()) {
+  for (const NonatomicEvent::NodeSpan& s : x.spans()) {
     ++counter.integer_comparisons;
-    if (down.at(i) < x.greatest_on(i).index + 1) return false;
+    if (down.at(s.process) < s.greatest + 1) return false;
   }
   return true;
 }
@@ -70,9 +71,9 @@ bool all_x_tests_pass(const Clock& down, const NonatomicEvent& x,
 template <ClockRep Clock>
 bool all_y_tests_pass(const Clock& up, const NonatomicEvent& y,
                       ComparisonCounter& counter) {
-  for (const ProcessId j : y.node_set()) {
+  for (const NonatomicEvent::NodeSpan& s : y.spans()) {
     ++counter.integer_comparisons;
-    if (y.least_on(j).index + 1 < up.at(j)) return false;
+    if (s.least + 1 < up.at(s.process)) return false;
   }
   return true;
 }

@@ -62,4 +62,23 @@ std::vector<std::pair<RelationId, RelationId>> all_implications() {
   return edges;
 }
 
+const ImplicationClosure& implication_closure() {
+  static const ImplicationClosure closure = [] {
+    ImplicationClosure c;
+    const auto ids = all_relation_ids();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      std::uint32_t implied_true = 0;
+      std::uint32_t implied_false = 0;
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        if (implies(ids[k], ids[j])) implied_true |= 1u << j;
+        if (implies(ids[j], ids[k])) implied_false |= 1u << j;
+      }
+      c.implied_true[k] = RelationSet(implied_true);
+      c.implied_false[k] = RelationSet(implied_false);
+    }
+    return c;
+  }();
+  return closure;
+}
+
 }  // namespace syncon

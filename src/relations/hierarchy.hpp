@@ -12,6 +12,7 @@
 // tests/hierarchy_test.cpp verifies them against randomized executions.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "relations/relation.hpp"
@@ -28,5 +29,18 @@ bool implies(const RelationId& a, const RelationId& b);
 /// All ordered pairs (a, b), a != b, with implies(a, b) — the edges of the
 /// implication preorder on the 32-relation set.
 std::vector<std::pair<RelationId, RelationId>> all_implications();
+
+/// implies() as one pair of masks per relation, indexed by position in
+/// all_relation_ids(). When relation k holds, every member of
+/// implied_true[k] holds; when it fails, every member of implied_false[k]
+/// fails. Both contain k itself, and both are closed, since implies() is
+/// transitive: one lookup decides everything a verdict decides.
+struct ImplicationClosure {
+  std::array<RelationSet, 32> implied_true;   // {j : implies(k, j)}
+  std::array<RelationSet, 32> implied_false;  // {j : implies(j, k)}
+};
+
+/// The closure, computed once from implies() on first use.
+const ImplicationClosure& implication_closure();
 
 }  // namespace syncon

@@ -26,19 +26,6 @@ const char* to_string(Semantics s) {
   return s == Semantics::Strict ? "strict(≺)" : "weak(⪯)";
 }
 
-std::array<RelationId, 32> all_relation_ids() {
-  std::array<RelationId, 32> ids;
-  std::size_t k = 0;
-  for (const Relation r : kAllRelations) {
-    for (const ProxyKind px : {ProxyKind::Begin, ProxyKind::End}) {
-      for (const ProxyKind py : {ProxyKind::Begin, ProxyKind::End}) {
-        ids[k++] = RelationId{r, px, py};
-      }
-    }
-  }
-  return ids;
-}
-
 std::string to_string(const RelationId& id) {
   std::string s = to_string(id.relation);
   s += '(';

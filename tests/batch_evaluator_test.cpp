@@ -82,6 +82,22 @@ TEST(BatchEvaluatorTest, ParallelSweepIsBitIdenticalToSerial) {
   }
 }
 
+// Counted work of both sweeps, pinned on one seeded case: the evaluation
+// counts, comparison totals and holding totals the sweeps have always
+// produced here. A change to the sweep machinery must leave them alone.
+TEST(BatchEvaluatorTest, PinnedSweepCountsStayPut) {
+  const Seeded s(7);
+  const BatchEvaluator serial(*s.eval, nullptr);
+  const auto full = serial.all_pairs(/*pruned=*/false);
+  const auto pruned = serial.all_pairs(/*pruned=*/true);
+  EXPECT_EQ(full.evaluated_total(), 14u * 13u * 32u);
+  EXPECT_EQ(full.cost.integer_comparisons, 14172u);
+  EXPECT_EQ(pruned.evaluated_total(), 1841u);
+  EXPECT_EQ(pruned.cost.integer_comparisons, 4708u);
+  EXPECT_EQ(full.holding_total(), 1733u);
+  EXPECT_EQ(pruned.holding_total(), full.holding_total());
+}
+
 TEST(BatchEvaluatorTest, ResultAggregationMatchesPerPairCosts) {
   const Seeded s(42);
   ThreadPool pool(4);

@@ -1,15 +1,113 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "helpers.hpp"
 #include "relations/evaluator.hpp"
 #include "sim/interval_picker.hpp"
 #include "support/contracts.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Counting allocator hooks for the zero-allocation query test. The whole
+// binary runs through these, nothrow forms included (std::stable_sort's
+// buffer), so every delete frees what malloc gave; the test looks at a delta.
+// GCC cannot see that pairing and would flag each free().
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* p = ::operator new(size, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace syncon {
 namespace {
 
 using testing::property_sweep;
 using testing::two_process_message;
+
+TEST(RelationSetTest, IteratesInAllRelationIdsOrder) {
+  const auto ids = all_relation_ids();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(relation_index(ids[k]), k);
+    EXPECT_EQ(relation_at(k), ids[k]);
+  }
+  const std::vector<RelationId> everything = RelationSet::all();
+  EXPECT_EQ(everything, std::vector<RelationId>(ids.begin(), ids.end()));
+
+  const RelationSet some((1u << 31) | (1u << 5) | 1u);
+  std::vector<RelationId> seen;
+  for (const RelationId id : some) seen.push_back(id);
+  EXPECT_EQ(seen, (std::vector<RelationId>{ids[0], ids[5], ids[31]}));
+  EXPECT_EQ(static_cast<std::vector<RelationId>>(some), seen);
+}
+
+TEST(RelationSetTest, SizeContainsAndEquality) {
+  const auto ids = all_relation_ids();
+  const RelationSet some((1u << 31) | (1u << 5) | 1u);
+  EXPECT_EQ(some.size(), 3u);
+  EXPECT_FALSE(some.empty());
+  EXPECT_TRUE(some.contains(ids[5]));
+  EXPECT_FALSE(some.contains(ids[6]));
+  EXPECT_EQ(some, RelationSet(some.mask()));
+  EXPECT_NE(some, RelationSet(some.mask() ^ 2u));
+  EXPECT_EQ(RelationSet::all().size(), 32u);
+
+  const RelationSet none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_TRUE(none.begin() == none.end());
+  EXPECT_TRUE(static_cast<std::vector<RelationId>>(none).empty());
+}
+
+// Problem 4(ii) queries hand back a value: neither sweep allocates, with a
+// cost sink or through the shared tally.
+TEST(RelationEvaluatorTest, AllHoldingQueriesAllocateNothing) {
+  WorkloadConfig cfg;
+  cfg.process_count = 8;
+  cfg.events_per_process = 30;
+  cfg.seed = 5;
+  const Execution exec = generate_execution(cfg);
+  const Timestamps ts(exec);
+  RelationEvaluator eval(ts);
+  Xoshiro256StarStar rng(55);
+  IntervalSpec spec;
+  spec.node_count = 4;
+  spec.max_events_per_node = 3;
+  const auto hx = eval.add_event(random_interval(exec, rng, spec, "X"));
+  const auto hy = eval.add_event(random_interval(exec, rng, spec, "Y"));
+
+  QueryCost cost;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const auto full = eval.all_holding(hx, hy, &cost);
+  const auto pruned = eval.all_holding_pruned(hx, hy, &cost);
+  const auto tallied = eval.all_holding_pruned(hy, hx);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(full.holding, pruned.holding);
+  EXPECT_EQ(cost, full.cost + pruned.cost);
+  EXPECT_EQ(eval.accumulated_cost(), tallied.cost);
+}
 
 TEST(RelationEvaluatorTest, RegistersEventsAndProxies) {
   const Execution exec = two_process_message();

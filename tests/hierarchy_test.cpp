@@ -74,6 +74,24 @@ TEST(HierarchyTest, AllImplicationsEnumeratesThePreorder) {
   }
 }
 
+// The precomputed masks are implies() itself, bit for bit, in both
+// directions.
+TEST(HierarchyTest, ClosureMasksMatchBruteForceImplies) {
+  const ImplicationClosure& closure = implication_closure();
+  const auto ids = all_relation_ids();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(closure.implied_true[k].contains(ids[j]),
+                implies(ids[k], ids[j]))
+          << to_string(ids[k]) << " => " << to_string(ids[j]);
+      EXPECT_EQ(closure.implied_false[k].contains(ids[j]),
+                implies(ids[j], ids[k]))
+          << to_string(ids[j]) << " => " << to_string(ids[k]);
+    }
+  }
+  EXPECT_EQ(&closure, &implication_closure());  // computed once
+}
+
 // Non-implications are genuine: for each key missing edge of the 8-relation
 // lattice, a concrete witness where the antecedent holds and the consequent
 // fails.
@@ -170,10 +188,7 @@ TEST_P(HierarchyPropertyTest, PrunedAllHoldingMatchesExhaustive) {
         random_interval(exec, rng, spec, "Y" + std::to_string(trial)));
     const auto full = eval.all_holding(hx, hy);
     const auto pruned = eval.all_holding_pruned(hx, hy);
-    ASSERT_EQ(full.holding.size(), pruned.holding.size());
-    for (std::size_t i = 0; i < full.holding.size(); ++i) {
-      ASSERT_TRUE(full.holding[i] == pruned.holding[i]);
-    }
+    ASSERT_EQ(full.holding, pruned.holding);
     EXPECT_EQ(full.evaluated, 32u);
     EXPECT_LE(pruned.evaluated, full.evaluated);
   }

@@ -157,8 +157,8 @@ TEST_P(TimestampPropertyTest, ClockOrderIsomorphicToCausality) {
   }
 }
 
-TEST_P(TimestampPropertyTest, ReverseTimestampMatchesOracleCounts) {
-  const Execution exec = generate_execution(GetParam());
+// T^R(e)[i] of every real event against a count over the oracle.
+void expect_reverse_matches_oracle(const Execution& exec) {
   const Timestamps ts(exec);
   const ReachabilityOracle oracle(exec);
   for (const EventId& e : exec.topological_order()) {
@@ -168,8 +168,45 @@ TEST_P(TimestampPropertyTest, ReverseTimestampMatchesOracleCounts) {
       for (EventIndex k = 0; k < exec.total_count(i); ++k) {
         if (oracle.leq(e, EventId{i, k})) ++expected;
       }
-      ASSERT_EQ(r[i], expected) << "T^R mismatch at process " << i;
+      ASSERT_EQ(r[i], expected)
+          << "T^R mismatch at process " << i << " for " << e;
     }
+  }
+}
+
+TEST_P(TimestampPropertyTest, ReverseTimestampMatchesOracleCounts) {
+  expect_reverse_matches_oracle(generate_execution(GetParam()));
+}
+
+// The reverse pass seeds each event from its process successor and only a
+// process's last event from the ceiling; these shapes stress that edge.
+TEST(TimestampsTest, ReverseTimestampMatchesOracleOnEdgeShapes) {
+  {
+    // p1 has no real events: its ceiling component is index(⊤_1) = 1 and
+    // nothing may lower it.
+    ExecutionBuilder b(3);
+    b.local(0);
+    const MessageToken m = b.send(0);
+    b.receive(2, m);
+    b.local(2);
+    expect_reverse_matches_oracle(b.build());
+  }
+  {
+    // Every process ends on a send, so each last event takes its F from
+    // the ceiling met with its receivers' F.
+    ExecutionBuilder b(3);
+    b.local(0);
+    const MessageToken m0 = b.send(0);
+    b.receive(1, m0);
+    const MessageToken m1 = b.send(1);
+    b.receive(2, m1);
+    b.receive(0, m1);
+    const MessageToken m2 = b.send(2);
+    const MessageToken m3 = b.send(0);
+    b.receive(1, m2);
+    b.receive(1, m3);
+    b.send(1);
+    expect_reverse_matches_oracle(b.build());
   }
 }
 
