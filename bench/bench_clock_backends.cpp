@@ -1,5 +1,5 @@
 // E-clock — pluggable clock representations under scale (DESIGN.md §3.11):
-// sweeps |P| = 64 / 256 / 1024 over the three ClockRep backends measuring
+// sweeps |P| = 64 / 256 / 1024 over the two ClockRep backends measuring
 //
 //   * the online monotone stamping sweep (per-process running clocks:
 //     tick the owner, join the piggybacked clock) — the workload where the
@@ -10,8 +10,8 @@
 //     overhead, not a win);
 //   * the Theorem 19 probe over each backend's cut timestamps (component
 //     reads through at(); should be flat across backends);
-//   * wire bytes per message for the compressed codec against raw dense
-//     serialization.
+//   * wire bytes per message for the link codec's chained change-lists
+//     (online/wire_codec.hpp) against raw dense serialization.
 //
 // The stamping workload is locality-heavy: processes talk almost entirely
 // within a small cluster, with rare cross-cluster messages. That keeps the
@@ -30,7 +30,6 @@
 #include "bench_common.hpp"
 #include "model/clock.hpp"
 #include "obs/metrics.hpp"
-#include "model/compressed_clock.hpp"
 #include "model/tree_clock.hpp"
 #include "model/vector_clock.hpp"
 #include "online/wire_codec.hpp"
@@ -202,8 +201,7 @@ void BM_WireBytesPerMessage(benchmark::State& state) {
 void print_backend_table() {
   banner("E-clock: bench_clock_backends", "clock concept (DESIGN.md §3.11)",
          "online stamping sweep ns/event per backend, |P| = 64/256/1024");
-  TextTable table({"|P|", "dense ns/event", "tree ns/event", "tree causal",
-                   "compressed ns/event"});
+  TextTable table({"|P|", "dense ns/event", "tree ns/event", "tree causal"});
   for (const std::size_t procs : {64u, 256u, 1024u}) {
     const std::vector<Step> script = cluster_script(procs, 42);
     const int reps = procs >= 1024 ? 3 : 10;
@@ -233,8 +231,7 @@ void print_backend_table() {
         .add_cell(procs)
         .add_cell(time_one(VectorClock{}), 1)
         .add_cell(time_one(TreeClock{}), 1)
-        .add_cell(causal ? 1 : 0)
-        .add_cell(time_one(CompressedClock{}), 1);
+        .add_cell(causal ? 1 : 0);
   }
   std::printf("%s\n", table.to_string().c_str());
 }
@@ -243,14 +240,10 @@ BENCHMARK_TEMPLATE(BM_OnlineStampSweep, VectorClock)
     ->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
 BENCHMARK_TEMPLATE(BM_OnlineStampSweep, TreeClock)
     ->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
-BENCHMARK_TEMPLATE(BM_OnlineStampSweep, CompressedClock)
-    ->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
 BENCHMARK_TEMPLATE(BM_OfflineTimestamps, VectorClock)->Arg(64)->Arg(256);
 BENCHMARK_TEMPLATE(BM_OfflineTimestamps, TreeClock)->Arg(64)->Arg(256);
-BENCHMARK_TEMPLATE(BM_OfflineTimestamps, CompressedClock)->Arg(64)->Arg(256);
 BENCHMARK_TEMPLATE(BM_Theorem19Probe, VectorClock)->Arg(64)->Arg(1024);
 BENCHMARK_TEMPLATE(BM_Theorem19Probe, TreeClock)->Arg(64)->Arg(1024);
-BENCHMARK_TEMPLATE(BM_Theorem19Probe, CompressedClock)->Arg(64)->Arg(1024);
 BENCHMARK(BM_WireBytesPerMessage)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace

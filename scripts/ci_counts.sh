@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Counted-work gate of the offline and service pipelines: runs bench_e2e
+# workloads at seed 1 with per-layer metrics and fails unless every run is
+# correct with no failed operation and its counted work equals the pinned
+# values:
+#
+#   offline_trace    Theorem 20 comparisons and relation evaluations per
+#                    pair, and (next to) no allocation per pair;
+#   service_small    wire bytes per frame and per event;
+#   service_durable  wire bytes per frame and per event, and the journal's
+#                    peak size in bytes.
+#
+# Timings are not gated: they are advisory on a shared host, while these
+# counts repeat exactly for a seed. A changed wire or journal byte count
+# means the codecs no longer write the bytes they wrote before.
+#
+# Usage: scripts/ci_counts.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+# gate <workload> <gates>: runs the workload traced at seed 1 and checks
+# <gates>, a JSON object mapping a metric name to [check, expected] with
+# check "==" or "<".
+gate() {
+  local workload="$1" gates="$2" result
+  echo "=== [counts] bench_e2e ${workload}, seed 1, traced ==="
+  result="$(python3 bench_e2e/run.py --workload "$workload" --seed 1 \
+    --seconds 1 --trace 1 | tail -n 1)"
+  python3 - "$result" "$gates" <<'PY'
+import json, sys
+
+result = json.loads(sys.argv[1])
+gates = json.loads(sys.argv[2])
+metrics = {name: m["value"] for name, m in result["metrics"].items()}
+
+failures = []
+if not result["correct"] or result["failed"] != 0:
+    failures.append(f"run not correct: {result['failed']} of "
+                    f"{result['attempted']} operations failed")
+for name, (check, expected) in gates.items():
+    value = metrics.get(name)
+    ok = value is not None and (value == expected if check == "==" else
+                                value < expected)
+    print(f"  {name:40} {value!s:>14}  (want {check} {expected})"
+          f"{'' if ok else '  FAIL'}")
+    if not ok:
+        failures.append(f"{name} = {value}, want {check} {expected}")
+if failures:
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    sys.exit(1)
+print("counted work holds")
+PY
+}
+
+gate offline_trace '{
+  "relations.comparisons_per_pair": ["==", 142.3880345],
+  "relations.pruned_comparisons_per_pair": ["==", 43.4943281],
+  "relations.pruned_evaluated_frac": ["==", 0.3079052138],
+  "relations.allocs_per_pair": ["<", 0.001]
+}'
+gate service_small '{
+  "service.wire_bytes_per_frame": ["==", 18.86481356],
+  "service.wire_bytes_per_event": ["==", 43.4775]
+}'
+gate service_durable '{
+  "service.wire_bytes_per_frame": ["==", 29.20639717],
+  "service.wire_bytes_per_event": ["==", 58.17925379],
+  "store.journal_bytes_peak": ["==", 15359323]
+}'
+
+echo "=== [counts] done ==="

@@ -13,7 +13,6 @@
 #include "cuts/watermark.hpp"
 #include "explore/explorer.hpp"
 #include "explore/invariants.hpp"
-#include "model/compressed_clock.hpp"
 #include "model/reachability.hpp"
 #include "model/tree_clock.hpp"
 #include "monitor/predicate.hpp"
@@ -867,18 +866,15 @@ PropertyResult clock_backend_identity(const CheckCase& c) {
   const Execution& exec = *m->exec;
   const BasicTimestamps<VectorClock> dense(exec);
   const BasicTimestamps<TreeClock> tree(exec);
-  const BasicTimestamps<CompressedClock> comp(exec);
 
   // Stamped clocks densify bit-identically across backends, forward and
   // reverse, for every real event.
   for (const EventId& e : exec.topological_order()) {
-    if (tree.forward_ref(e).to_dense() != dense.forward_ref(e) ||
-        comp.forward_ref(e).to_dense() != dense.forward_ref(e)) {
+    if (tree.forward_ref(e).to_dense() != dense.forward_ref(e)) {
       return fail("forward clock of " + describe(e) +
                   " differs across clock backends");
     }
-    if (tree.reverse(e).to_dense() != dense.reverse(e) ||
-        comp.reverse(e).to_dense() != dense.reverse(e)) {
+    if (tree.reverse(e).to_dense() != dense.reverse(e)) {
       return fail("reverse clock of " + describe(e) +
                   " differs across clock backends");
     }
@@ -887,42 +883,34 @@ PropertyResult clock_backend_identity(const CheckCase& c) {
   // C1–C4 cut timestamps of X and Y densify identically.
   const BasicEventCuts<VectorClock> cx_d(dense, m->x), cy_d(dense, m->y);
   const BasicEventCuts<TreeClock> cx_t(tree, m->x), cy_t(tree, m->y);
-  const BasicEventCuts<CompressedClock> cx_c(comp, m->x), cy_c(comp, m->y);
   for (const PosetCut which :
        {PosetCut::IntersectPast, PosetCut::UnionPast,
         PosetCut::IntersectFuture, PosetCut::UnionFuture}) {
     if (cx_t.counts(which).to_dense() != cx_d.counts(which) ||
-        cx_c.counts(which).to_dense() != cx_d.counts(which) ||
-        cy_t.counts(which).to_dense() != cy_d.counts(which) ||
-        cy_c.counts(which).to_dense() != cy_d.counts(which)) {
+        cy_t.counts(which).to_dense() != cy_d.counts(which)) {
       return fail(std::string(to_string(which)) +
                   " differs across clock backends");
     }
   }
 
   // The Theorem 19/20 evaluator returns the same verdict at the same
-  // comparison cost on every backend, both argument orders.
-  constexpr std::array<Relation, 8> kRelations{
-      Relation::R1,  Relation::R1p, Relation::R2, Relation::R2p,
-      Relation::R3,  Relation::R3p, Relation::R4, Relation::R4p};
-  for (const Relation r : kRelations) {
-    ComparisonCounter nd, nt, nc;
+  // comparison cost on both backends, both argument orders.
+  for (const Relation r : kAllRelations) {
+    ComparisonCounter nd, nt;
     const bool xy_d = evaluate_fast(r, cx_d, cy_d, nd);
     const bool xy_t = evaluate_fast(r, cx_t, cy_t, nt);
-    const bool xy_c = evaluate_fast(r, cx_c, cy_c, nc);
-    if (xy_t != xy_d || xy_c != xy_d) {
+    if (xy_t != xy_d) {
       return fail(std::string("R(X,Y) verdict for ") + to_string(r) +
                   " differs across clock backends");
     }
-    if (nt != nd || nc != nd) {
+    if (nt != nd) {
       return fail(std::string("R(X,Y) probe cost for ") + to_string(r) +
                   " differs across clock backends");
     }
-    nd.reset(); nt.reset(); nc.reset();
+    nd.reset(); nt.reset();
     const bool yx_d = evaluate_fast(r, cy_d, cx_d, nd);
     const bool yx_t = evaluate_fast(r, cy_t, cx_t, nt);
-    const bool yx_c = evaluate_fast(r, cy_c, cx_c, nc);
-    if (yx_t != yx_d || yx_c != yx_d || nt != nd || nc != nd) {
+    if (yx_t != yx_d || nt != nd) {
       return fail(std::string("R(Y,X) for ") + to_string(r) +
                   " differs across clock backends");
     }
@@ -1009,8 +997,8 @@ constexpr std::array<PropertyInfo, 12> kProperties{{
      "direct AST evaluation",
      &predicate_roundtrip},
     {"clock_backend_identity",
-     "dense, tree and compressed clock backends stamp, cut and decide all "
-     "relations bit-identically after densification, at equal probe cost",
+     "dense and tree clock backends stamp, cut and decide all relations "
+     "bit-identically after densification, at equal probe cost",
      &clock_backend_identity},
     {"recovery_identity",
      "crash the durable system and monitor at a seeded point under storage "

@@ -26,9 +26,9 @@
 //                       verdicts.
 //   predicate_roundtrip random sync-condition ASTs render → parse →
 //                       evaluate identically to direct AST evaluation.
-//   clock_backend_identity   dense, tree and compressed clock backends
-//                       stamp, cut and decide all relations
-//                       bit-identically, at equal probe cost.
+//   clock_backend_identity   dense and tree clock backends stamp, cut
+//                       and decide all relations bit-identically, at
+//                       equal probe cost.
 //   recovery_identity   DurableSystem/DurableMonitor crashed at a seeded
 //                       point under storage faults and recovered from
 //                       snapshot + WAL tail: clocks and all 32 verdicts

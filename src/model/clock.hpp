@@ -13,8 +13,9 @@
 //   TreeClock        Fidge/Mattern values arranged as a tree recording who
 //                    learned what through whom, so monotone joins prune
 //                    whole already-known subtrees (arXiv 2201.06325)
-//   CompressedClock  dense values with delta/varint serialization for
-//                    bounded piggyback bytes on the wire (arXiv 1606.05962)
+//
+// Bounded piggyback bytes on the wire (arXiv 1606.05962) are a property of
+// the link codec (online/wire_codec.hpp), not of a clock backend.
 //
 // Semantic requirements beyond the signatures (verified for every backend
 // by tests/clock_concept_test.cpp and the `clock_backend_identity`

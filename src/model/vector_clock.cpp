@@ -56,16 +56,20 @@ void VectorClock::encode(std::vector<std::uint8_t>& out) const {
 
 VectorClock VectorClock::decode(std::span<const std::uint8_t>& in) {
   const std::uint64_t n = decode_varint(in);
+  // Every component takes at least one byte: bound the wire's count before
+  // it sizes a buffer.
+  SYNCON_REQUIRE(n <= in.size(), "clock size runs past the encoded bytes");
   std::vector<ClockValue> values;
   values.reserve(n);
+  constexpr std::int64_t kMax = std::numeric_limits<ClockValue>::max();
   std::int64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::int64_t v = prev + decode_signed_varint(in);
-    SYNCON_REQUIRE(v >= 0 && v <= static_cast<std::int64_t>(
-                                      std::numeric_limits<ClockValue>::max()),
+    // Range-check the delta itself, so the sum cannot overflow.
+    const std::int64_t delta = decode_signed_varint(in);
+    SYNCON_REQUIRE(delta >= -prev && delta <= kMax - prev,
                    "decoded clock component out of range");
-    values.push_back(static_cast<ClockValue>(v));
-    prev = v;
+    prev += delta;
+    values.push_back(static_cast<ClockValue>(prev));
   }
   return VectorClock(std::move(values));
 }

@@ -1,6 +1,5 @@
 #include "nonatomic/cut_timestamps.hpp"
 
-#include "model/compressed_clock.hpp"
 #include "model/tree_clock.hpp"
 #include "support/contracts.hpp"
 
@@ -44,6 +43,5 @@ VectorClock poset_cut_counts_reference(const Timestamps& ts,
 // One compiled instance per supported backend (see model/timestamps.cpp).
 template class BasicEventCuts<VectorClock>;
 template class BasicEventCuts<TreeClock>;
-template class BasicEventCuts<CompressedClock>;
 
 }  // namespace syncon

@@ -1,5 +1,7 @@
 #include "online/wire_codec.hpp"
 
+#include <limits>
+
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "support/contracts.hpp"
@@ -11,6 +13,52 @@ namespace {
 constexpr std::uint8_t kFull = 0;
 constexpr std::uint8_t kDelta = 1;
 }  // namespace
+
+void encode_relative(const VectorClock& clock, const VectorClock& base,
+                     std::vector<std::uint8_t>& out) {
+  SYNCON_REQUIRE(clock.size() == base.size(),
+                 "relative encoding requires a base of the same size");
+  const std::span<const ClockValue> now = clock.values();
+  const std::span<const ClockValue> was = base.values();
+  std::uint64_t changed = 0;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    if (now[i] != was[i]) ++changed;
+  }
+  encode_varint(changed, out);
+  std::uint64_t prev_index = 0;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    if (now[i] == was[i]) continue;
+    encode_varint(static_cast<std::uint64_t>(i) - prev_index, out);
+    encode_signed_varint(
+        static_cast<std::int64_t>(now[i]) - static_cast<std::int64_t>(was[i]),
+        out);
+    prev_index = static_cast<std::uint64_t>(i);
+  }
+}
+
+VectorClock decode_relative(const VectorClock& base,
+                            std::span<const std::uint8_t>& in) {
+  VectorClock clock = base;
+  const std::uint64_t changed = decode_varint(in);
+  SYNCON_REQUIRE(changed <= clock.size(),
+                 "relative clock encoding lists more changes than components");
+  constexpr std::int64_t kMax = std::numeric_limits<ClockValue>::max();
+  std::size_t index = 0;
+  for (std::uint64_t k = 0; k < changed; ++k) {
+    // Range-check the gap and the delta themselves, so neither sum can
+    // wrap or overflow.
+    const std::uint64_t gap = decode_varint(in);
+    SYNCON_REQUIRE(gap < clock.size() - index,
+                   "relative clock encoding indexes past the clock size");
+    index += static_cast<std::size_t>(gap);
+    const std::int64_t was = clock.at(index);
+    const std::int64_t delta = decode_signed_varint(in);
+    SYNCON_REQUIRE(delta >= -was && delta <= kMax - was,
+                   "decoded clock component out of range");
+    clock.set(index, static_cast<ClockValue>(was + delta));
+  }
+  return clock;
+}
 
 LinkEncoder::LinkEncoder(std::size_t process_count,
                          std::uint32_t full_interval)
@@ -24,19 +72,18 @@ std::size_t LinkEncoder::encode(const WireMessage& message,
   SYNCON_REQUIRE(message.clock.size() == last_.size(),
                  "wire clock size does not match the link's process count");
   const std::size_t start = out.size();
-  const CompressedClock clock = CompressedClock::from_dense(message.clock);
   const bool full = since_full_ >= full_interval_;
   out.push_back(full ? kFull : kDelta);
   encode_varint(message.source.process, out);
   encode_varint(message.source.index, out);
   if (full) {
-    clock.encode(out);
+    message.clock.encode(out);
     since_full_ = 1;
   } else {
-    clock.encode_relative(last_, out);
+    encode_relative(message.clock, last_, out);
     ++since_full_;
   }
-  last_ = clock;
+  last_ = message.clock;
   const std::size_t frame_bytes = out.size() - start;
   if (obs::enabled()) {
     static obs::Histogram& bytes_per_message = obs::MetricRegistry::global()
@@ -68,19 +115,19 @@ WireMessage LinkDecoder::decode(std::span<const std::uint8_t>& in) {
       static_cast<ProcessId>(decode_varint(in));
   message.source.index = static_cast<EventIndex>(decode_varint(in));
   if (tag == kFull) {
-    CompressedClock decoded = CompressedClock::decode(in);
-    SYNCON_REQUIRE(decoded.size() == last_.size(),
+    message.clock = VectorClock::decode(in);
+    SYNCON_REQUIRE(message.clock.size() == last_.size(),
                    "wire clock size does not match the link's process count");
-    last_ = std::move(decoded);
-    synced_ = true;
   } else {
     SYNCON_REQUIRE(tag == kDelta, "unknown wire frame tag");
     SYNCON_REQUIRE(synced_,
                    "delta frame before any full frame on this link — "
                    "request a resync or wait for the next full frame");
-    last_ = CompressedClock::decode_relative(last_, in);
+    message.clock = decode_relative(last_, in);
   }
-  message.clock = last_.to_dense();  // the densify boundary
+  // Every check has passed: only now does the frame touch codec state.
+  last_ = message.clock;
+  synced_ = true;
   return message;
 }
 

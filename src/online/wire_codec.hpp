@@ -5,13 +5,18 @@
 // overhead, and the part that stops scaling when |P| grows. Between two
 // consecutive messages on the same FIFO link the sender's clock changes in
 // only a handful of components (its own, plus whatever causal fan-in it
-// absorbed since), so the codec ships each clock as a CompressedClock
-// change-list against the previous clock sent on that link:
+// absorbed since), so the codec ships each clock as a change-list against
+// the previous clock sent on that link:
 //
-//   frame := tag:u8 (kFull | kDelta)
-//            varint(source.process) varint(source.index)
-//            clock bytes — absolute (tag kFull) or relative to the link's
-//            previous clock (tag kDelta)
+//   frame   := tag:u8 (kFull | kDelta)
+//              varint(source.process) varint(source.index)
+//              clock bytes — absolute (tag kFull, VectorClock::encode) or
+//              relative to the link's previous clock (tag kDelta)
+//   changes := varint(count) { varint(index gap) zigzag(value delta) }
+//
+// Each change names a component that differs from the previous clock, as
+// the gap from the previous changed index and the signed value delta, so
+// a delta frame's bytes track the event's causal fan-in, not |P|.
 //
 // Every `full_interval`-th frame (and the first) is absolute, so a receiver
 // that lost codec state — or joined mid-stream via snapshot/resync — locks
@@ -21,9 +26,10 @@
 // (every frame absolute — still varint/delta-compressed column-wise, just
 // not chained).
 //
-// Decoding is the densify boundary: decode() hands back a WireMessage with
-// a dense VectorClock, so everything past the codec (gap tracking,
-// watermark minima, retention cuts) stays on the dense representation.
+// Both ends keep the link's previous clock as a dense VectorClock, so the
+// codec is the only place the compressed form exists: decode() hands back
+// a WireMessage with a dense clock, and everything past the codec (gap
+// tracking, watermark minima, retention cuts) never sees anything else.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +37,18 @@
 #include <span>
 #include <vector>
 
-#include "model/compressed_clock.hpp"
+#include "model/vector_clock.hpp"
 #include "online/online_system.hpp"
 
 namespace syncon {
+
+/// Appends `clock` as a change-list against `base` (same size required).
+void encode_relative(const VectorClock& clock, const VectorClock& base,
+                     std::vector<std::uint8_t>& out);
+/// Consumes one change-list from the front of `in`; returns a copy of
+/// `base` with the changes applied.
+VectorClock decode_relative(const VectorClock& base,
+                            std::span<const std::uint8_t>& in);
 
 /// Sender-side half of one directed FIFO link.
 class LinkEncoder {
@@ -52,7 +66,7 @@ class LinkEncoder {
   void reset() { since_full_ = full_interval_; }
 
  private:
-  CompressedClock last_;
+  VectorClock last_;
   std::uint32_t full_interval_;
   std::uint32_t since_full_;
 };
@@ -79,7 +93,7 @@ class LinkDecoder {
   bool synced() const { return synced_; }
 
  private:
-  CompressedClock last_;
+  VectorClock last_;
   bool synced_ = false;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "model/compressed_clock.hpp"
 #include "model/tree_clock.hpp"
 
 namespace syncon {
@@ -56,8 +55,5 @@ template bool evaluate_fast<TreeClock>(Relation,
                                        const BasicEventCuts<TreeClock>&,
                                        const BasicEventCuts<TreeClock>&,
                                        ComparisonCounter&);
-template bool evaluate_fast<CompressedClock>(
-    Relation, const BasicEventCuts<CompressedClock>&,
-    const BasicEventCuts<CompressedClock>&, ComparisonCounter&);
 
 }  // namespace syncon

@@ -15,7 +15,7 @@
 // The evaluator is generic over the clock representation: every condition
 // reads cut-timestamp components through the concept's at() accessor (via
 // theorem19_violated and the per-node single-comparison forms), so it runs
-// unchanged over dense, tree and compressed cut timestamps. `evaluate_fast`
+// unchanged over dense and tree cut timestamps. `evaluate_fast`
 // on the dense EventCuts alias is the default everywhere.
 #pragma once
 

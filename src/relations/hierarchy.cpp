@@ -4,7 +4,6 @@ namespace syncon {
 
 namespace {
 
-// Canonical strength rank used only to keep all_implications() deterministic.
 bool quantifier_implies(Relation r, Relation s) {
   auto norm = [](Relation q) {
     // R1 ≡ R1' and R4 ≡ R4' are logically identical.
@@ -49,17 +48,6 @@ bool implies(const RelationId& a, const RelationId& b) {
   return quantifier_implies(a.relation, b.relation) &&
          proxy_x_implies(a.proxy_x, b.proxy_x) &&
          proxy_y_implies(a.proxy_y, b.proxy_y);
-}
-
-std::vector<std::pair<RelationId, RelationId>> all_implications() {
-  std::vector<std::pair<RelationId, RelationId>> edges;
-  const auto ids = all_relation_ids();
-  for (const RelationId& a : ids) {
-    for (const RelationId& b : ids) {
-      if (!(a == b) && implies(a, b)) edges.emplace_back(a, b);
-    }
-  }
-  return edges;
 }
 
 const ImplicationClosure& implication_closure() {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "relations/relation.hpp"
 
@@ -25,10 +24,6 @@ bool implies(Relation r, Relation s);
 /// Full implication over the 32-relation set, combining the quantifier
 /// lattice with proxy monotonicity (reflexive).
 bool implies(const RelationId& a, const RelationId& b);
-
-/// All ordered pairs (a, b), a != b, with implies(a, b) — the edges of the
-/// implication preorder on the 32-relation set.
-std::vector<std::pair<RelationId, RelationId>> all_implications();
 
 /// implies() as one pair of masks per relation, indexed by position in
 /// all_relation_ids(). When relation k holds, every member of

@@ -1,5 +1,6 @@
 #include "service/tenant_codec.hpp"
 
+#include "store/wal.hpp"
 #include "support/contracts.hpp"
 #include "support/crc32.hpp"
 #include "support/varint.hpp"
@@ -7,33 +8,6 @@
 namespace syncon::service {
 
 namespace {
-
-/// Wraps a finished payload in the envelope; returns the envelope size.
-std::size_t append_envelope(const std::vector<std::uint8_t>& payload,
-                            std::vector<std::uint8_t>& out) {
-  const std::size_t before = out.size();
-  encode_varint(payload.size(), out);
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t checksum = crc32(payload);
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(checksum >> shift));
-  }
-  return out.size() - before;
-}
-
-void append_string(const std::string& s, std::vector<std::uint8_t>& out) {
-  encode_varint(s.size(), out);
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string read_string(std::span<const std::uint8_t>& in) {
-  const std::uint64_t length = decode_varint(in);
-  SYNCON_REQUIRE(length <= in.size(), "truncated string field");
-  std::string s(reinterpret_cast<const char*>(in.data()),
-                static_cast<std::size_t>(length));
-  in = in.subspan(static_cast<std::size_t>(length));
-  return s;
-}
 
 FrameKind frame_kind_of(TenantOp::Kind kind) {
   switch (kind) {
@@ -125,7 +99,7 @@ void TenantFrameEncoder::encode_hello(std::uint64_t tenant,
   encode_varint(it->second.next_seq++, payload);  // seq 0
   encode_varint(processes, payload);
   encode_varint(resync_chunk, payload);
-  append_envelope(payload, out);
+  append_frame(payload, out);
 }
 
 std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
@@ -141,14 +115,14 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
     case TenantOp::Kind::kBegin:
     case TenantOp::Kind::kComplete:
     case TenantOp::Kind::kForget:
-      append_string(op.label, payload);
+      encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kWatch:
       payload.push_back(static_cast<std::uint8_t>(op.relation.relation));
       payload.push_back(static_cast<std::uint8_t>(op.relation.proxy_x));
       payload.push_back(static_cast<std::uint8_t>(op.relation.proxy_y));
-      append_string(op.label, payload);
-      append_string(op.label2, payload);
+      encode_string(op.label, payload);
+      encode_string(op.label2, payload);
       break;
     case TenantOp::Kind::kEvent:
       stream.journal.encode(WireMessage{op.event, op.clock}, payload);
@@ -158,11 +132,11 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
         encode_varint(s.index, payload);
       }
       encode_signed_varint(op.time, payload);
-      append_string(op.label, payload);
+      encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kReport:
       stream.report.encode(WireMessage{op.event, op.clock}, payload);
-      append_string(op.label, payload);
+      encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kCheckpoint:
       encode_varint(op.clock.size(), payload);
@@ -171,7 +145,7 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
       }
       break;
   }
-  return append_envelope(payload, out);
+  return append_frame(payload, out);
 }
 
 void TenantFrameEncoder::release(std::uint64_t tenant) {
@@ -196,15 +170,15 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         return false;  // hellos open sessions; they are not ops
       case FrameKind::kBegin:
         op.kind = TenantOp::Kind::kBegin;
-        op.label = read_string(in);
+        op.label = decode_string(in);
         break;
       case FrameKind::kComplete:
         op.kind = TenantOp::Kind::kComplete;
-        op.label = read_string(in);
+        op.label = decode_string(in);
         break;
       case FrameKind::kForget:
         op.kind = TenantOp::Kind::kForget;
-        op.label = read_string(in);
+        op.label = decode_string(in);
         break;
       case FrameKind::kWatch: {
         op.kind = TenantOp::Kind::kWatch;
@@ -217,8 +191,8 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
             "watch frame names an unknown relation");
         op.relation = {static_cast<Relation>(relation),
                        static_cast<ProxyKind>(px), static_cast<ProxyKind>(py)};
-        op.label = read_string(in);
-        op.label2 = read_string(in);
+        op.label = decode_string(in);
+        op.label2 = decode_string(in);
         break;
       }
       case FrameKind::kEvent: {
@@ -237,7 +211,7 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
                                 static_cast<EventIndex>(index)});
         }
         op.time = decode_signed_varint(in);
-        op.label = read_string(in);
+        op.label = decode_string(in);
         break;
       }
       case FrameKind::kReport: {
@@ -246,7 +220,7 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         if (!report_.try_decode(in, message)) return false;
         op.event = message.source;
         op.clock = std::move(message.clock);
-        op.label = read_string(in);
+        op.label = decode_string(in);
         break;
       }
       case FrameKind::kCheckpoint: {

@@ -58,19 +58,6 @@ class RecoveryTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-std::string decode_label(std::span<const std::uint8_t>& in) {
-  const std::size_t length = static_cast<std::size_t>(decode_varint(in));
-  SYNCON_REQUIRE(length <= in.size(), "label runs past the WAL record");
-  std::string label(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(length));
-  in = in.subspan(length);
-  return label;
-}
-
-void encode_label(const std::string& label, std::vector<std::uint8_t>& out) {
-  encode_varint(label.size(), out);
-  out.insert(out.end(), label.begin(), label.end());
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -111,11 +98,11 @@ DurableSystem::DurableSystem(std::size_t process_count,
       WireMessage wire;
       SYNCON_REQUIRE(decoder.try_decode(in, wire),
                      "undecodable journaled wire frame");
-      const std::size_t nsources =
-          static_cast<std::size_t>(decode_varint(in));
+      const std::uint64_t nsources = decode_varint(in);
+      SYNCON_REQUIRE(nsources <= in.size(), "impossible source count");
       std::vector<EventId> sources;
-      sources.reserve(nsources);
-      for (std::size_t i = 0; i < nsources; ++i) {
+      sources.reserve(static_cast<std::size_t>(nsources));
+      for (std::uint64_t i = 0; i < nsources; ++i) {
         EventId src;
         src.process = static_cast<ProcessId>(decode_varint(in));
         src.index = static_cast<EventIndex>(decode_varint(in));
@@ -245,22 +232,22 @@ DurableMonitor::DurableMonitor(std::size_t process_count,
       in = in.subspan(1);
       switch (kind) {
         case kBegin: {
-          monitor_.begin(decode_label(in));
+          monitor_.begin(decode_string(in));
           ++stats_.events_replayed;
           break;
         }
         case kComplete: {
-          monitor_.complete(decode_label(in));
+          monitor_.complete(decode_string(in));
           ++stats_.events_replayed;
           break;
         }
         case kForget: {
-          monitor_.forget(decode_label(in));
+          monitor_.forget(decode_string(in));
           ++stats_.events_replayed;
           break;
         }
         case kReport: {
-          const std::string label = decode_label(in);
+          const std::string label = decode_string(in);
           const std::int64_t when = decode_signed_varint(in);
           WireMessage report;
           SYNCON_REQUIRE(decoder.try_decode(in, report),
@@ -310,7 +297,7 @@ void DurableMonitor::journal_report(const std::string& label,
   }
   std::vector<std::uint8_t> body;
   body.push_back(kReport);
-  encode_label(label, body);
+  encode_string(label, body);
   encode_signed_varint(when, body);
   encoder_.encode(report, body);
   const EventId touches[] = {report.source};
@@ -323,14 +310,14 @@ void DurableMonitor::journal_report(const std::string& label,
 void DurableMonitor::begin(const std::string& label) {
   monitor_.begin(label);
   std::vector<std::uint8_t> body;
-  encode_label(label, body);
+  encode_string(label, body);
   journal(kBegin, body, {}, /*pinned=*/true);
 }
 
 const IntervalSummary& DurableMonitor::complete(const std::string& label) {
   const IntervalSummary& summary = monitor_.complete(label);
   std::vector<std::uint8_t> body;
-  encode_label(label, body);
+  encode_string(label, body);
   journal(kComplete, body, {}, /*pinned=*/true);
   return summary;
 }
@@ -381,7 +368,7 @@ void DurableMonitor::adopt_checkpoint(const RetentionCheckpoint& checkpoint) {
 void DurableMonitor::forget(const std::string& label) {
   monitor_.forget(label);
   std::vector<std::uint8_t> body;
-  encode_label(label, body);
+  encode_string(label, body);
   journal(kForget, body, {}, /*pinned=*/true);
 }
 

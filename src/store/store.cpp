@@ -157,6 +157,8 @@ void Store::scan_existing() {
         in = in.subspan(1);
         record.pinned = (flags & 0x01) != 0;
         const std::uint64_t nbounds = decode_varint(in);
+        SYNCON_REQUIRE(nbounds <= in.size(),
+                       "impossible retention bound count");
         std::vector<EventId> touches;
         touches.reserve(static_cast<std::size_t>(nbounds));
         for (std::uint64_t i = 0; i < nbounds; ++i) {

@@ -1,6 +1,8 @@
 // LEB128 varint and zigzag encoding — the byte-level vocabulary shared by
-// every clock serialization (model/vector_clock, model/tree_clock,
-// model/compressed_clock) and the online wire codec (online/wire_codec).
+// every clock serialization (model/vector_clock, model/tree_clock), the
+// online link codec (online/wire_codec), the WAL records (store/) and the
+// tenant wire frames (service/tenant_codec). Strings travel as a varint
+// byte length followed by the bytes.
 //
 // Encoders append to a byte vector; decoders consume from the front of a
 // span *by reference*, so sequential fields parse naturally:
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "support/contracts.hpp"
@@ -63,6 +66,23 @@ inline void encode_signed_varint(std::int64_t v,
 
 inline std::int64_t decode_signed_varint(std::span<const std::uint8_t>& in) {
   return unzigzag(decode_varint(in));
+}
+
+/// Appends `s` as varint(byte length) followed by its bytes.
+inline void encode_string(const std::string& s,
+                          std::vector<std::uint8_t>& out) {
+  encode_varint(s.size(), out);
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+/// Consumes one encode_string field from the front of `in`.
+inline std::string decode_string(std::span<const std::uint8_t>& in) {
+  const std::uint64_t length = decode_varint(in);
+  SYNCON_REQUIRE(length <= in.size(), "string runs past the encoded bytes");
+  const auto n = static_cast<std::size_t>(length);
+  std::string s(reinterpret_cast<const char*>(in.data()), n);
+  in = in.subspan(n);
+  return s;
 }
 
 }  // namespace syncon

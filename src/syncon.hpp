@@ -5,7 +5,7 @@
 //   model      — events, vector clocks, executions, timestamps
 //   cuts       — cuts, the << relation, special cuts, global-state lattice
 //   nonatomic  — nonatomic events, proxies, poset cut timestamps
-//   relations  — the paper's relation evaluators and derived calculi
+//   relations  — the paper's relation evaluators and implication lattice
 //   sim        — workload and scenario generators
 //   monitor    — offline monitoring: traces, conditions, mutex checking
 //   online     — runtime monitoring with piggybacked clocks
@@ -20,7 +20,6 @@
 #include "support/thread_pool.hpp"  // IWYU pragma: export
 
 #include "model/clock.hpp"            // IWYU pragma: export
-#include "model/compressed_clock.hpp" // IWYU pragma: export
 #include "model/execution.hpp"     // IWYU pragma: export
 #include "model/reachability.hpp"  // IWYU pragma: export
 #include "model/scalar_clock.hpp"  // IWYU pragma: export
@@ -38,11 +37,9 @@
 #include "nonatomic/interval.hpp"        // IWYU pragma: export
 
 #include "relations/batch.hpp"              // IWYU pragma: export
-#include "relations/composition.hpp"        // IWYU pragma: export
 #include "relations/evaluator.hpp"          // IWYU pragma: export
 #include "relations/fast.hpp"               // IWYU pragma: export
 #include "relations/hierarchy.hpp"          // IWYU pragma: export
-#include "relations/inference.hpp"          // IWYU pragma: export
 #include "relations/interaction_types.hpp"  // IWYU pragma: export
 #include "relations/naive.hpp"              // IWYU pragma: export
 #include "relations/relation.hpp"           // IWYU pragma: export

@@ -63,17 +63,6 @@ TEST(HierarchyTest, ImplicationIsReflexiveAndTransitive) {
   }
 }
 
-TEST(HierarchyTest, AllImplicationsEnumeratesThePreorder) {
-  const auto edges = all_implications();
-  // Spot-size: it must contain at least the within-proxy lattice (14 proper
-  // edges per proxy pair × 4 pairs) and be consistent with implies().
-  EXPECT_GT(edges.size(), 56u);
-  for (const auto& [a, b] : edges) {
-    EXPECT_TRUE(implies(a, b));
-    EXPECT_FALSE(a == b);
-  }
-}
-
 // The precomputed masks are implies() itself, bit for bit, in both
 // directions.
 TEST(HierarchyTest, ClosureMasksMatchBruteForceImplies) {

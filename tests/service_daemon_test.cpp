@@ -15,7 +15,9 @@
 #include "service/tenant_codec.hpp"
 #include "sim/soak.hpp"
 #include "store/storage.hpp"
+#include "store/wal.hpp"
 #include "support/thread_pool.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -219,6 +221,38 @@ TEST(ServiceDaemonTest, ReplayedFrameIsQuarantinedNotReapplied) {
   // the verdict log is exactly the reference despite the replays.
   EXPECT_EQ(daemon.verdicts(0), script.reference_verdicts);
   EXPECT_EQ(daemon.stats().frames_quarantined, replays);
+  pool.drain();
+}
+
+// A CRC-clean report frame whose clock claims 2^62 components is a
+// malformed body like any other: quarantined, and pump() returns.
+TEST(ServiceDaemonTest, ImpossibleClockSizeIsQuarantined) {
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 2;
+  MonitorDaemon daemon(options, pool);
+
+  TenantWorkload workload = faulty_workload();
+  workload.seed = 31;
+  const TenantScript script = generate_tenant_script(workload);
+  TenantFrameEncoder encoder;
+  submit_or_pump(daemon, encode_frames(encoder, 0, script).front());
+
+  // Payload: kind kReport, tenant 0, seq 1; body: a full link frame
+  // (tag 0, source (0, 1)) claiming 2^62 components, then a label.
+  std::vector<std::uint8_t> payload = {
+      static_cast<std::uint8_t>(service::FrameKind::kReport), 0, 1, 0, 0, 1};
+  encode_varint(std::uint64_t{1} << 62, payload);
+  payload.insert(payload.end(), {2, 2, 2, 2, 1, 'x'});
+  std::vector<std::uint8_t> frame;
+  append_frame(payload, frame);
+  FrameView view;
+  ASSERT_EQ(service::peek_frame(frame, view), PeekStatus::kOk);
+  submit_or_pump(daemon, frame);
+  daemon.pump();
+
+  EXPECT_EQ(daemon.stats().frames_quarantined, 1u);
+  EXPECT_EQ(daemon.stats().tenants, 1u);
   pool.drain();
 }
 

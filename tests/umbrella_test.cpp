@@ -19,7 +19,10 @@ TEST(UmbrellaTest, EndToEndThroughTheUmbrellaHeader) {
   const auto hy = eval.add_event(NonatomicEvent(exec, {r}, "Y"));
   EXPECT_TRUE(
       eval.holds({Relation::R1, ProxyKind::End, ProxyKind::Begin}, hx, hy));
-  EXPECT_EQ(compose(Relation::R1, Relation::R1), Relation::R1);
+  const RelationId strongest{Relation::R1, ProxyKind::End, ProxyKind::Begin};
+  EXPECT_TRUE(implication_closure()
+                  .implied_true[relation_index(strongest)]
+                  .contains({Relation::R4, ProxyKind::Begin, ProxyKind::End}));
   EXPECT_TRUE(possibly(ts, [](const Cut& c) { return !c.is_bottom(); }));
 }
 

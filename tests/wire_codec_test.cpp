@@ -1,18 +1,19 @@
-// Round-trip and framing tests for the compressed wire codec
-// (online/wire_codec.hpp): chained delta frames on a FIFO link, the
-// periodic absolute escape, resync behavior, and the size win over dense
-// serialization that is the backend's reason to exist.
+// Round-trip and framing tests for the link codec (online/wire_codec.hpp):
+// chained delta frames on a FIFO link, the periodic absolute escape, resync
+// behavior, rejection of malformed frames without state damage, and the
+// size win over dense serialization that is the codec's reason to exist.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
 
-#include "model/compressed_clock.hpp"
 #include "online/online_system.hpp"
 #include "online/wire_codec.hpp"
 #include "support/contracts.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -131,8 +132,8 @@ TEST(WireCodecTest, RelativeEncodingRoundTripsRandomPairs) {
   std::uniform_int_distribution<ClockValue> dist(0, 40);
   for (int round = 0; round < 100; ++round) {
     const std::size_t size = static_cast<std::size_t>(1 + round % 17);
-    CompressedClock base(size, 0);
-    CompressedClock next(size, 0);
+    VectorClock base(size, 0);
+    VectorClock next(size, 0);
     for (std::size_t i = 0; i < size; ++i) {
       base.set(i, dist(rng));
       // Mostly unchanged components, occasionally moved in either
@@ -140,11 +141,61 @@ TEST(WireCodecTest, RelativeEncodingRoundTripsRandomPairs) {
       next.set(i, round % 4 == 0 ? dist(rng) : base.at(i));
     }
     std::vector<std::uint8_t> bytes;
-    next.encode_relative(base, bytes);
+    encode_relative(next, base, bytes);
     std::span<const std::uint8_t> in(bytes);
-    EXPECT_EQ(CompressedClock::decode_relative(base, in), next);
+    EXPECT_EQ(decode_relative(base, in), next);
     EXPECT_TRUE(in.empty());
   }
+}
+
+// Frames whose counts, gaps or deltas would size a buffer, wrap an index
+// or overflow a component are garbage like any other, and so is a delta
+// frame that fails only after a valid first change: each is rejected
+// without consuming input or touching the link, whose next real delta
+// frame still decodes to its exact clock.
+TEST(WireCodecTest, MalformedFramesAreRejectedWithoutStateDamage) {
+  const auto stream = sender_stream(4, 2, 61);
+  LinkEncoder enc(4, 100);  // frame 0 absolute, frame 1 a delta
+  std::vector<std::uint8_t> first, second;
+  enc.encode(stream[0], first);
+  enc.encode(stream[1], second);
+  ASSERT_EQ(second.front(), 1);
+  LinkDecoder dec(4);
+  WireMessage out;
+  std::span<const std::uint8_t> first_in(first);
+  ASSERT_TRUE(dec.try_decode(first_in, out));
+
+  std::vector<std::vector<std::uint8_t>> malformed(4);
+  // Full frame (tag 0, source (0, 1)) claiming 2^62 components.
+  malformed[0] = {0, 0, 1};
+  encode_varint(std::uint64_t{1} << 62, malformed[0]);
+  malformed[0].insert(malformed[0].end(), {2, 2, 2, 2});
+  // Full frame of 4 components whose second delta is INT64_MAX.
+  malformed[1] = {0, 0, 1, 4, 2};
+  encode_signed_varint(std::numeric_limits<std::int64_t>::max(), malformed[1]);
+  malformed[1].insert(malformed[1].end(), {0, 0});
+  // Delta frame (tag 1, source (0, 2)), two changes: index 0 += 5, then a
+  // gap of 100 past the 4-component clock.
+  malformed[2] = {1, 0, 2, 2, 0};
+  encode_signed_varint(5, malformed[2]);
+  encode_varint(100, malformed[2]);
+  encode_signed_varint(1, malformed[2]);
+  // Delta frame whose second gap wraps index 3 around to index 2.
+  malformed[3] = {1, 0, 2, 2, 3, 2};
+  encode_varint(~std::uint64_t{0}, malformed[3]);
+  encode_signed_varint(1, malformed[3]);
+  for (const std::vector<std::uint8_t>& frame : malformed) {
+    std::span<const std::uint8_t> in(frame);
+    EXPECT_FALSE(dec.try_decode(in, out));
+    EXPECT_EQ(in.size(), frame.size());
+    EXPECT_TRUE(dec.synced());
+  }
+
+  std::span<const std::uint8_t> second_in(second);
+  ASSERT_TRUE(dec.try_decode(second_in, out));
+  EXPECT_EQ(out.source, stream[1].source);
+  EXPECT_EQ(out.clock, stream[1].clock);
+  EXPECT_TRUE(second_in.empty());
 }
 
 TEST(WireCodecTest, CodecIntegratesWithOnlineSystemWire) {
