@@ -1,12 +1,14 @@
 // Crash/recovery sweep for the durability subsystem (DESIGN.md §3.12).
 //
-// Each iteration kills a DurableSystem and a DurableMonitor at a
-// seeded-random operation count while the monitor feed suffers ≥15%
-// drop/duplicate/reorder and the storage backend injects torn tails and
-// bit flips, recovers from the newest valid snapshot plus the surviving
-// WAL tail, and checks the recovered run against an uninterrupted
-// fault-free reference: per-event clocks and physical times on the system
-// side, all 32 relation verdicts (Definite) on the monitor side.
+// Each iteration runs the two crash legs of the `recovery_identity`
+// property (check/properties.hpp) on this sweep's own scenario: a
+// DurableSystem and a DurableMonitor are killed at a seeded-random
+// operation count while the monitor feed suffers ≥15% drop/duplicate/
+// reorder and the storage backend injects torn tails and bit flips, are
+// recovered from the newest valid snapshot plus the surviving WAL tail,
+// and are checked against an uninterrupted fault-free reference: per-event
+// clocks and physical times on the system side, all 32 relation verdicts
+// (Definite) on the monitor side.
 //
 // Scale dials for CI smoke vs a long sweep: SYNCON_RECOVERY_ITERS,
 // SYNCON_RECOVERY_SEED. scripts/ci_recovery_smoke.sh runs a pinned-seed
@@ -17,19 +19,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "bench_common.hpp"
+#include "check/properties.hpp"
 #include "obs/flight.hpp"
-#include "online/online_monitor.hpp"
 #include "online/online_system.hpp"
-#include "relations/relation.hpp"
-#include "sim/faulty_channel.hpp"
-#include "store/durable.hpp"
-#include "store/storage.hpp"
 
 namespace {
 
@@ -41,30 +38,12 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return value == nullptr ? fallback : std::strtoull(value, nullptr, 10);
 }
 
-struct Firing {
-  bool holds = false;
-  Confidence conf = Confidence::Definite;
-
-  friend bool operator==(const Firing&, const Firing&) = default;
-};
-
-std::vector<Firing> verdicts_of(OnlineMonitor& mon) {
-  std::vector<Firing> fired;
-  for (const RelationId& id : all_relation_ids()) {
-    mon.watch(id, "X", "Y",
-              [&fired](const std::string&, const std::string&, bool holds,
-                       Confidence conf) { fired.push_back({holds, conf}); });
-  }
-  return fired;
-}
-
-DurabilityPolicy sweep_policy(Xoshiro256StarStar& rng) {
-  DurabilityPolicy policy;
-  policy.sync_every = 1 + static_cast<std::uint32_t>(rng.below(4));
-  policy.segment_records = 4 + static_cast<std::uint32_t>(rng.below(12));
-  policy.snapshot_every = 1;
-  policy.full_interval = 1 + static_cast<std::uint32_t>(rng.below(8));
-  return policy;
+SimFaultConfig storage_faults(std::uint64_t seed) {
+  SimFaultConfig faults;
+  faults.torn_tail = 0.6;
+  faults.bit_flip = 0.1;
+  faults.seed = seed;
+  return faults;
 }
 
 /// Running tally across the sweep; `identity` goes (and stays) false on the
@@ -79,7 +58,12 @@ struct SweepStats {
   std::uint64_t recovery_micros_max = 0;
   std::uint64_t recovery_micros_total = 0;
 
-  void absorb(const RecoveryStats& r) {
+  void absorb(const check::CrashLegResult& leg) {
+    ++runs;
+    if (!leg.violation.empty()) identity = false;
+    if (!leg.crashed) return;
+    ++crashes;
+    const RecoveryStats& r = leg.recovery;
     if (!r.recovered) return;  // fresh start: nothing was scanned
     ++recoveries;
     events_replayed += r.events_replayed;
@@ -89,77 +73,21 @@ struct SweepStats {
   }
 };
 
-/// System leg: crash a journaling DurableSystem mid-drive (compaction in
-/// the mix), recover, finish, and compare clocks/times against a replay
-/// that never crashed.
+/// System leg: 4 processes of 24 events, compacted every 7 events.
 void system_leg(std::uint64_t seed, SweepStats& stats) {
   Xoshiro256StarStar rng(seed);
   const Execution exec =
       generate_execution(standard_workload(4, 24, seed * 3 + 1));
-  const OnlineSystem oracle = replay(exec);
-
-  SimFaultConfig faults;
-  faults.torn_tail = 0.6;
-  faults.bit_flip = 0.1;
-  faults.seed = seed;
-  SimStorage storage(faults);
-  const DurabilityPolicy policy = sweep_policy(rng);
-  auto sys =
-      std::make_unique<DurableSystem>(exec.process_count(), storage, policy);
-  std::set<EventId> is_source;
-  for (const Message& msg : exec.messages()) is_source.insert(msg.source);
-  const std::vector<EventId>& order = exec.topological_order();
-  storage.crash_after_ops(1 + rng.below(order.size()));
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const EventId e = order[i];
-    try {
-      if (e.index > sys->system().executed(e.process)) {
-        const auto incoming = exec.incoming(e);
-        if (!incoming.empty()) {
-          std::vector<WireMessage> msgs;
-          for (const EventId& src : incoming) {
-            msgs.push_back(sys->system().wire_of(src));
-          }
-          sys->deliver_all(e.process, msgs);
-        } else if (is_source.count(e)) {
-          sys->send(e.process);
-        } else {
-          sys->local(e.process);
-        }
-      }
-      if ((i + 1) % 7 == 0) sys->compact(sys->system().retention_watermark());
-      ++i;
-    } catch (const StorageCrash&) {
-      ++stats.crashes;
-      sys = std::make_unique<DurableSystem>(exec.process_count(), storage,
-                                            policy);
-      stats.absorb(sys->recovery());
-      i = 0;  // re-scan; recovered events are skipped, lost ones re-driven
-    }
-  }
-
-  for (ProcessId p = 0; p < exec.process_count(); ++p) {
-    if (sys->system().executed(p) != oracle.executed(p) ||
-        sys->system().current_clock(p) != oracle.current_clock(p)) {
-      stats.identity = false;
-      return;
-    }
-    for (EventIndex j = sys->system().reclaimed_before(p) + 1;
-         j <= sys->system().executed(p); ++j) {
-      const EventId e{p, j};
-      if (sys->system().clock_of(e) != oracle.clock_of(e) ||
-          sys->system().time_of(e) != oracle.time_of(e)) {
-        stats.identity = false;
-        return;
-      }
-    }
-  }
+  const DurabilityPolicy policy = check::draw_durability_policy(rng);
+  const std::uint64_t crash_after =
+      1 + rng.below(exec.topological_order().size());
+  stats.absorb(check::crash_durable_system(exec, storage_faults(seed), policy,
+                                           crash_after, 7));
 }
 
-/// Monitor leg: crash a DurableMonitor whose feed runs through a faulty
-/// channel, recover, converge through resync, and compare all 32 relation
-/// verdicts against a clean uninterrupted run.
+/// Monitor leg: X and Y are fixed runs on processes 0 and 1 of 4 processes
+/// of 20 events, reported through a link dropping 20%, duplicating 18% and
+/// reordering 25%; the crash lands within the arrivals + 2 storage ops.
 void monitor_leg(std::uint64_t seed, SweepStats& stats) {
   Xoshiro256StarStar rng(seed);
   const Execution exec = generate_execution(standard_workload(4, 20, seed));
@@ -171,125 +99,17 @@ void monitor_leg(std::uint64_t seed, SweepStats& stats) {
     y_set.insert(EventId{1, i});
   }
   const OnlineSystem sys = replay(exec);
-
-  OnlineMonitor clean(exec.process_count());
-  clean.begin("X");
-  clean.begin("Y");
-  for (const EventId& e : exec.topological_order()) {
-    const WireMessage w = sys.wire_of(e);
-    if (x_set.count(e)) {
-      clean.ingest("X", w);
-    } else if (y_set.count(e)) {
-      clean.ingest("Y", w);
-    } else {
-      clean.observe(w);
-    }
-  }
-  clean.complete("X");
-  clean.complete("Y");
-  const std::vector<Firing> clean_fires = verdicts_of(clean);
-
-  LinkFaultConfig link;
-  link.drop_probability = 0.2;
-  link.duplicate_probability = 0.18;
-  link.reorder_probability = 0.25;
-  link.max_delay = 40;
-  FaultyChannel channel(link, seed ^ 0xFEED);
-  TimePoint t = 0;
-  for (const EventId& e : exec.topological_order()) {
-    channel.push(sys.wire_of(e), t += 5);
-  }
-  const std::vector<Arrival> arrivals = channel.drain();
-
-  SimFaultConfig faults;
-  faults.torn_tail = 0.6;
-  faults.bit_flip = 0.1;
-  faults.seed = seed ^ 0xC0FFEE;
-  SimStorage storage(faults);
-  const DurabilityPolicy policy = sweep_policy(rng);
-  auto mon =
-      std::make_unique<DurableMonitor>(exec.process_count(), storage, policy);
-  const auto ensure_begun = [&] {
-    for (const char* label : {"X", "Y"}) {
-      if (!mon->monitor().is_open(label) &&
-          mon->monitor().summary(label) == nullptr) {
-        mon->begin(label);
-      }
-    }
-  };
-  const auto feed = [&](const WireMessage& report) {
-    if (x_set.count(report.source)) {
-      mon->ingest("X", report);
-    } else if (y_set.count(report.source)) {
-      mon->ingest("Y", report);
-    } else {
-      mon->observe(report);
-    }
-  };
-  const auto guarded = [&](const auto& fn) {
-    try {
-      fn();
-    } catch (const StorageCrash&) {
-      ++stats.crashes;
-      mon = std::make_unique<DurableMonitor>(exec.process_count(), storage,
-                                             policy);
-      stats.absorb(mon->recovery());
-      ensure_begun();
-      fn();
-    }
-  };
-
-  storage.crash_after_ops(1 + rng.below(arrivals.size() + 2));
-  guarded(ensure_begun);
-  for (const Arrival& a : arrivals) {
-    guarded([&] { feed(a.message); });
-  }
-  bool need_round = true;
-  int rounds = 0;
-  while (need_round || mon->monitor().missing_report_count() > 0) {
-    if (++rounds > 512) {
-      stats.identity = false;  // resync failed to converge
-      return;
-    }
-    need_round = false;
-    guarded([&] {
-      mon->checkpoint(sys.snapshot());
-      for (const WireMessage& w :
-           sys.serve(mon->monitor().resync_request(8))) {
-        feed(w);
-      }
-    });
-  }
-  guarded([&] {
-    if (mon->monitor().is_open("X")) mon->complete("X");
-  });
-  guarded([&] {
-    if (mon->monitor().is_open("Y")) mon->complete("Y");
-  });
-  rounds = 0;
-  while (mon->monitor().missing_report_count() > 0) {
-    if (++rounds > 512) {
-      stats.identity = false;
-      return;
-    }
-    mon->checkpoint(sys.snapshot());
-    for (const WireMessage& w : sys.serve(mon->monitor().resync_request(8))) {
-      feed(w);
-    }
-  }
-
-  const std::vector<Firing> crash_fires = verdicts_of(mon->monitor());
-  if (crash_fires.size() != clean_fires.size()) {
-    stats.identity = false;
-    return;
-  }
-  for (std::size_t i = 0; i < crash_fires.size(); ++i) {
-    if (crash_fires[i].conf != Confidence::Definite ||
-        !(crash_fires[i] == clean_fires[i])) {
-      stats.identity = false;
-      return;
-    }
-  }
+  explore::LossyFeed feed;
+  feed.link.drop_probability = 0.2;
+  feed.link.duplicate_probability = 0.18;
+  feed.link.reorder_probability = 0.25;
+  feed.link.max_delay = 40;
+  feed.channel_seed = seed ^ 0xFEED;
+  const DurabilityPolicy policy = check::draw_durability_policy(rng);
+  stats.absorb(check::crash_durable_monitor(
+      sys, explore::reports_of(sys, exec.topological_order()),
+      {std::move(x_set), std::move(y_set)}, feed,
+      storage_faults(seed ^ 0xC0FFEE), policy, rng, 2));
 }
 
 int run() {
@@ -305,7 +125,6 @@ int run() {
     const std::uint64_t seed = seed0 + iter;
     system_leg(seed, stats);
     monitor_leg(seed, stats);
-    stats.runs += 2;
     if (!stats.identity) {
       std::printf("bench_recovery: identity BROKEN at seed %llu\n",
                   static_cast<unsigned long long>(seed));

@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
-# Counted-work gate of the offline and service pipelines: runs bench_e2e
-# workloads at seed 1 with per-layer metrics and fails unless every run is
-# correct with no failed operation and its counted work equals the pinned
-# values:
+# Counted-work gate of the offline, service and explore pipelines: runs
+# every bench_e2e workload at seed 1 with per-layer metrics and fails unless
+# every run is correct with no failed operation and its counted work equals
+# the pinned values:
 #
 #   offline_trace    Theorem 20 comparisons and relation evaluations per
 #                    pair, and (next to) no allocation per pair;
 #   service_small    wire bytes per frame and per event;
 #   service_durable  wire bytes per frame and per event, and the journal's
-#                    peak size in bytes.
+#                    peak size in bytes;
+#   explore_4p10m    DPOR schedules executed, prefixes pruned and dead ends
+#                    per inequivalent class.
 #
 # Timings are not gated: they are advisory on a shared host, while these
 # counts repeat exactly for a seed. A changed wire or journal byte count
-# means the codecs no longer write the bytes they wrote before.
+# means the codecs no longer write the bytes they wrote before; a changed
+# explore count means the explorer walks a different schedule tree.
 #
 # Usage: scripts/ci_counts.sh
 set -euo pipefail
@@ -68,6 +71,11 @@ gate service_durable '{
   "service.wire_bytes_per_frame": ["==", 29.20639717],
   "service.wire_bytes_per_event": ["==", 58.17925379],
   "store.journal_bytes_peak": ["==", 15359323]
+}'
+gate explore_4p10m '{
+  "explore.executed_per_class": ["==", 54],
+  "explore.pruned_per_class": ["==", 836.5130208],
+  "explore.dead_ends_per_class": ["==", 223.9774306]
 }'
 
 echo "=== [counts] done ==="

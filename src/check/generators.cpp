@@ -117,14 +117,4 @@ ConditionCase generate_condition(Xoshiro256StarStar& rng, int max_depth) {
   return out;
 }
 
-LinkFaultConfig generate_link_faults(Xoshiro256StarStar& rng) {
-  LinkFaultConfig link;
-  link.drop_probability = 0.05 + 0.30 * rng.uniform01();
-  link.duplicate_probability = 0.05 + 0.30 * rng.uniform01();
-  link.reorder_probability = 0.05 + 0.30 * rng.uniform01();
-  link.min_delay = 1;
-  link.max_delay = static_cast<Duration>(1 + rng.below(60));
-  return link;
-}
-
 }  // namespace syncon::check

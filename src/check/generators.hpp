@@ -1,8 +1,9 @@
 // Seeded generator combinators for the conformance subsystem: everything a
 // differential-testing campaign needs to sample — executions (via the
-// sim/workload topologies), nonatomic event pairs, synchronization-condition
-// ASTs, and fault schedules — as pure functions of a 64-bit seed, so every
-// failing case is replayable from the seed alone.
+// sim/workload topologies), nonatomic event pairs and synchronization-
+// condition ASTs — as pure functions of a 64-bit seed, so every failing
+// case is replayable from the seed alone. Link fault schedules come from
+// sim/faulty_channel's generate_link_faults.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 
 #include "check/case.hpp"
 #include "relations/evaluator.hpp"
-#include "sim/faulty_channel.hpp"
 #include "sim/workload.hpp"
 #include "support/rng.hpp"
 
@@ -44,11 +44,5 @@ struct ConditionCase {
 
 /// Samples a condition AST of at most `max_depth` operator levels.
 ConditionCase generate_condition(Xoshiro256StarStar& rng, int max_depth);
-
-/// Samples a lossy-but-recoverable link fault configuration: drop, duplicate
-/// and reorder rates in [0.05, 0.35] with a small delay window — heavy
-/// enough to exercise every degraded-mode path, light enough that recovery
-/// terminates quickly.
-LinkFaultConfig generate_link_faults(Xoshiro256StarStar& rng);
 
 }  // namespace syncon::check

@@ -5,25 +5,19 @@
 #include <numeric>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "check/generators.hpp"
-#include "cuts/watermark.hpp"
 #include "explore/explorer.hpp"
 #include "explore/invariants.hpp"
 #include "model/reachability.hpp"
 #include "model/tree_clock.hpp"
 #include "monitor/predicate.hpp"
-#include "online/online_monitor.hpp"
 #include "online/online_system.hpp"
 #include "relations/batch.hpp"
 #include "relations/evaluator.hpp"
-#include "sim/faulty_channel.hpp"
 #include "sim/interval_picker.hpp"
-#include "store/durable.hpp"
-#include "store/storage.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -35,12 +29,6 @@ PropertyResult pass() { return {}; }
 
 PropertyResult fail(std::string message) {
   return {false, std::move(message)};
-}
-
-std::string describe(const EventId& e) {
-  std::ostringstream os;
-  os << e;
-  return os.str();
 }
 
 /// Everything a relation-level property needs, built once per case. The
@@ -272,218 +260,39 @@ PropertyResult batch_parallel_identity(const CheckCase& c) {
 }
 
 // ---------------------------------------------------------------------------
-// monitor_faulty_vs_clean
+// monitor_faulty_vs_clean / monitor_compaction_identity
 // ---------------------------------------------------------------------------
 
-struct Firing {
-  bool holds = false;
-  Confidence conf = Confidence::Definite;
-
-  friend bool operator==(const Firing&, const Firing&) = default;
-};
-
-PropertyResult monitor_faulty_vs_clean(const CheckCase& c) {
+/// The online monitor oracle of explore/invariants on the case's own
+/// execution, fed in its topological order. Shared events go to X and Y
+/// keeps the rest; an empty remainder makes the property vacuous (the
+/// monitor forbids two actions claiming one event).
+PropertyResult monitor_oracle(const CheckCase& c, bool compacted) {
   std::optional<MaterializedCase> m = materialize(c);
   if (!m) return fail("case failed to materialize");
-  const Execution& exec = *m->exec;
-
-  // Shared events go to X; Y keeps the rest. An empty remainder makes the
-  // property vacuous (the monitor forbids two actions claiming one event).
-  std::vector<EventId> y_only;
-  for (const EventId& e : m->y.events()) {
-    if (!m->x.contains(e)) y_only.push_back(e);
+  const explore::MonitorActions actions = explore::split_actions(m->x, m->y);
+  if (actions.y.empty()) return pass();
+  OnlineSystem sys = replay(*m->exec);
+  const std::uint64_t fng = fingerprint(c);
+  explore::MonitorPlan plan;
+  if (compacted) {
+    plan.compaction =
+        explore::seeded_feed(fng ^ 0xda3e39cb94b95bdbULL, fng ^ 1);
+  } else {
+    plan.lossy = explore::seeded_feed(fng ^ 0x9e3779b97f4a7c15ULL, fng);
   }
-  if (y_only.empty()) return pass();
-  const std::set<EventId> x_set(m->x.events().begin(), m->x.events().end());
-  const std::set<EventId> y_set(y_only.begin(), y_only.end());
-
-  const OnlineSystem sys = replay(exec);
-  const auto feed = [&](OnlineMonitor& mon, const WireMessage& report) {
-    if (x_set.count(report.source)) {
-      mon.ingest("X", report);
-    } else if (y_set.count(report.source)) {
-      mon.ingest("Y", report);
-    } else {
-      mon.observe(report);
-    }
-  };
-  const auto verdicts_of = [&](OnlineMonitor& mon) {
-    std::vector<Firing> fired;
-    for (const RelationId& id : all_relation_ids()) {
-      mon.watch(id, "X", "Y",
-                [&fired](const std::string&, const std::string&, bool holds,
-                         Confidence conf) { fired.push_back({holds, conf}); });
-    }
-    return fired;
-  };
-
-  // Clean feed: every report, in a topological order.
-  OnlineMonitor clean(exec.process_count());
-  clean.begin("X");
-  clean.begin("Y");
-  for (const EventId& e : exec.topological_order()) feed(clean, sys.wire_of(e));
-  clean.complete("X");
-  clean.complete("Y");
-  const std::vector<Firing> clean_fires = verdicts_of(clean);
-
-  // Faulty feed: the same reports through a seeded lossy channel, then
-  // checkpoint + resync until every gap is closed, then complete.
-  Xoshiro256StarStar frng(fingerprint(c) ^ 0x9e3779b97f4a7c15ULL);
-  const LinkFaultConfig link = generate_link_faults(frng);
-  FaultyChannel channel(link, fingerprint(c));
-  TimePoint t = 0;
-  for (const EventId& e : exec.topological_order()) {
-    channel.push(sys.wire_of(e), t += 5);
-  }
-  OnlineMonitor faulty(exec.process_count());
-  faulty.begin("X");
-  faulty.begin("Y");
-  for (const Arrival& a : channel.drain()) feed(faulty, a.message);
-  faulty.checkpoint(sys.snapshot());
-  int rounds = 0;
-  while (!faulty.missing_reports().empty()) {
-    if (++rounds > 64) return fail("resync failed to converge");
-    for (const WireMessage& w : sys.serve(faulty.resync_request())) {
-      feed(faulty, w);
-    }
-  }
-  faulty.complete("X");
-  faulty.complete("Y");
-  const std::vector<Firing> faulty_fires = verdicts_of(faulty);
-
-  if (clean_fires.size() != 32 || faulty_fires.size() != 32) {
-    return fail("expected 32 immediate firings, got " +
-                std::to_string(clean_fires.size()) + " clean / " +
-                std::to_string(faulty_fires.size()) + " faulty");
-  }
-  const auto ids = all_relation_ids();
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (faulty_fires[i].conf != Confidence::Definite) {
-      return fail(to_string(ids[i]) + ": recovered verdict not Definite");
-    }
-    if (!(faulty_fires[i] == clean_fires[i])) {
-      return fail(to_string(ids[i]) + ": faulty-vs-clean verdicts differ");
-    }
-  }
-  return pass();
+  std::string violation = explore::monitor_differential(
+      sys, explore::reports_of(sys, m->exec->topological_order()), actions,
+      plan);
+  return violation.empty() ? pass() : fail(std::move(violation));
 }
 
-// ---------------------------------------------------------------------------
-// monitor_compaction_identity
-// ---------------------------------------------------------------------------
+PropertyResult monitor_faulty_vs_clean(const CheckCase& c) {
+  return monitor_oracle(c, false);
+}
 
 PropertyResult monitor_compaction_identity(const CheckCase& c) {
-  std::optional<MaterializedCase> m = materialize(c);
-  if (!m) return fail("case failed to materialize");
-  const Execution& exec = *m->exec;
-
-  std::vector<EventId> y_only;
-  for (const EventId& e : m->y.events()) {
-    if (!m->x.contains(e)) y_only.push_back(e);
-  }
-  if (y_only.empty()) return pass();  // see monitor_faulty_vs_clean
-  const std::set<EventId> x_set(m->x.events().begin(), m->x.events().end());
-  const std::set<EventId> y_set(y_only.begin(), y_only.end());
-
-  const auto feed = [&](OnlineMonitor& mon, const WireMessage& report) {
-    if (x_set.count(report.source)) {
-      mon.ingest("X", report);
-    } else if (y_set.count(report.source)) {
-      mon.ingest("Y", report);
-    } else {
-      mon.observe(report);
-    }
-  };
-  const auto verdicts_of = [&](OnlineMonitor& mon) {
-    std::vector<Firing> fired;
-    for (const RelationId& id : all_relation_ids()) {
-      mon.watch(id, "X", "Y",
-                [&fired](const std::string&, const std::string&, bool holds,
-                         Confidence conf) { fired.push_back({holds, conf}); });
-    }
-    return fired;
-  };
-
-  // Reference: clean feed into an uncompacted system's monitor.
-  const OnlineSystem clean_sys = replay(exec);
-  OnlineMonitor clean(exec.process_count());
-  clean.begin("X");
-  clean.begin("Y");
-  for (const EventId& e : exec.topological_order()) {
-    feed(clean, clean_sys.wire_of(e));
-  }
-  clean.complete("X");
-  clean.complete("Y");
-  const std::vector<Firing> clean_fires = verdicts_of(clean);
-
-  // Subject: lossy feed, with the authoritative log compacted at the
-  // monitor's watermark pin between delivery chunks. Chunked resync
-  // (bounded request size) closes each chunk's gaps before compacting, so
-  // every request is served from the live log.
-  OnlineSystem sys = replay(exec);
-  Xoshiro256StarStar frng(fingerprint(c) ^ 0xda3e39cb94b95bdbULL);
-  const LinkFaultConfig link = generate_link_faults(frng);
-  FaultyChannel channel(link, fingerprint(c) ^ 1);
-  TimePoint t = 0;
-  for (const EventId& e : exec.topological_order()) {
-    channel.push(sys.wire_of(e), t += 5);
-  }
-  OnlineMonitor faulty(exec.process_count());
-  faulty.begin("X");
-  faulty.begin("Y");
-  TimePoint cursor = 0;
-  while (true) {
-    cursor += 64;
-    for (const Arrival& a : channel.pop_ready(cursor)) feed(faulty, a.message);
-    faulty.checkpoint(sys.snapshot());
-    int rounds = 0;
-    while (faulty.missing_report_count() > 0) {
-      if (++rounds > 512) return fail("chunked resync failed to converge");
-      for (const WireMessage& w : sys.serve(faulty.resync_request(8))) {
-        feed(faulty, w);
-      }
-    }
-    const VectorClock pins[] = {faulty.watermark_pin()};
-    sys.compact(low_watermark(pins));
-    if (channel.in_transit() == 0) break;
-  }
-  faulty.complete("X");
-  faulty.complete("Y");
-  const std::vector<Firing> faulty_fires = verdicts_of(faulty);
-
-  if (clean_fires.size() != 32 || faulty_fires.size() != 32) {
-    return fail("expected 32 immediate firings, got " +
-                std::to_string(clean_fires.size()) + " clean / " +
-                std::to_string(faulty_fires.size()) + " compacted");
-  }
-  const auto ids = all_relation_ids();
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (faulty_fires[i].conf != Confidence::Definite) {
-      return fail(to_string(ids[i]) + ": compacted verdict not Definite");
-    }
-    if (!(faulty_fires[i] == clean_fires[i])) {
-      return fail(to_string(ids[i]) +
-                  ": compacted-vs-uncompacted verdicts differ");
-    }
-  }
-
-  // When anything was reclaimed, a late-joining monitor must still converge:
-  // its resync crosses the watermark and is answered from the checkpoint.
-  if (sys.reclaimed_events() > 0) {
-    OnlineMonitor late(exec.process_count());
-    late.checkpoint(sys.snapshot());
-    int rounds = 0;
-    while (late.missing_report_count() > 0) {
-      if (++rounds > 512) {
-        return fail("late joiner failed to converge across the watermark");
-      }
-      for (const WireMessage& w : sys.serve(late.resync_request(8))) {
-        late.observe(w);
-      }
-      late.adopt_checkpoint(sys.checkpoint());
-    }
-  }
-  return pass();
+  return monitor_oracle(c, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -496,246 +305,31 @@ PropertyResult recovery_identity(const CheckCase& c) {
   const Execution& exec = *m->exec;
   const std::uint64_t fng = fingerprint(c);
   Xoshiro256StarStar rng(fng ^ 0xc2b2ae3d27d4eb4fULL);
-
-  DurabilityPolicy policy;
-  policy.sync_every = 1 + static_cast<std::uint32_t>(rng.below(4));
-  policy.segment_records = 4 + static_cast<std::uint32_t>(rng.below(12));
-  policy.snapshot_every = 1;
-  policy.full_interval = 1 + static_cast<std::uint32_t>(rng.below(8));
-
+  const DurabilityPolicy policy = draw_durability_policy(rng);
   SimFaultConfig faults;
   faults.torn_tail = 0.5;
   faults.bit_flip = 0.05;
   faults.seed = fng;
 
-  // System leg: journal every event into crash-faulty storage, crash at a
-  // seeded point mid-drive, recover from snapshot + WAL tail, finish the
-  // drive, and demand executed counts and every surviving clock
-  // bit-identical to a replay that never crashed.
-  {
-    const OnlineSystem oracle = replay(exec);
-    SimStorage storage(faults);
-    auto sys = std::make_unique<DurableSystem>(exec.process_count(), storage,
-                                               policy);
-    std::set<EventId> is_source;
-    for (const Message& msg : exec.messages()) is_source.insert(msg.source);
-    const std::vector<EventId>& order = exec.topological_order();
-    if (order.empty()) return pass();
-    // Every event journals at least one storage op, so this always fires.
-    storage.crash_after_ops(1 + rng.below(order.size()));
-    const std::size_t compact_period = 3 + rng.below(6);
-    bool crashed = false;
-    std::size_t i = 0;
-    while (i < order.size()) {
-      const EventId e = order[i];
-      try {
-        if (e.index > sys->system().executed(e.process)) {
-          const auto incoming = exec.incoming(e);
-          if (!incoming.empty()) {
-            std::vector<WireMessage> msgs;
-            msgs.reserve(incoming.size());
-            for (const EventId& src : incoming) {
-              // A source is never reclaimed before its receive executes
-              // (the retention watermark tracks receiver progress), so
-              // the live log can always reconstruct the wire.
-              msgs.push_back(sys->system().wire_of(src));
-            }
-            sys->deliver_all(e.process, msgs);
-          } else if (is_source.count(e)) {
-            sys->send(e.process);
-          } else {
-            sys->local(e.process);
-          }
-        }
-        if ((i + 1) % compact_period == 0) {
-          sys->compact(sys->system().retention_watermark());
-        }
-        ++i;
-      } catch (const StorageCrash&) {
-        if (crashed) return fail("simulated crash fired twice");
-        crashed = true;
-        sys = std::make_unique<DurableSystem>(exec.process_count(), storage,
-                                              policy);
-        // The crash may have lost an unsynced suffix of journaled events.
-        // Rescan from the top: already-recovered events are skipped by the
-        // executed() guard, lost ones are re-driven.
-        i = 0;
-      }
-    }
-    if (!crashed) return fail("seeded crash point never reached");
-    for (ProcessId p = 0; p < exec.process_count(); ++p) {
-      if (sys->system().executed(p) != oracle.executed(p)) {
-        return fail("process " + std::to_string(p) +
-                    ": executed count diverged after recovery (" +
-                    std::to_string(sys->system().executed(p)) + " vs " +
-                    std::to_string(oracle.executed(p)) + ")");
-      }
-      if (!(sys->system().current_clock(p) == oracle.current_clock(p))) {
-        return fail("process " + std::to_string(p) +
-                    ": surface clock diverged after recovery");
-      }
-      for (EventIndex j = sys->system().reclaimed_before(p) + 1;
-           j <= sys->system().executed(p); ++j) {
-        const EventId live{p, j};
-        if (!(sys->system().clock_of(live) == oracle.clock_of(live))) {
-          return fail(describe(live) + ": live clock diverged after recovery");
-        }
-      }
-    }
-  }
+  const std::size_t events = exec.topological_order().size();
+  if (events == 0) return pass();
+  // Every event journals at least one storage op, so the crash always fires.
+  const std::uint64_t crash_after = 1 + rng.below(events);
+  const CrashLegResult system =
+      crash_durable_system(exec, faults, policy, crash_after, 3 + rng.below(6));
+  if (!system.violation.empty()) return fail(system.violation);
+  if (!system.crashed) return fail("seeded crash point never reached");
 
-  // Monitor leg: the lossy-channel differential of monitor_faulty_vs_clean
-  // with a seeded crash added. The DurableMonitor is killed mid-feed (or
-  // mid-resync / mid-complete), recovered from its own snapshot + WAL tail,
-  // and resynced until every gap closes; all 32 relation verdicts must be
-  // Definite and bit-identical to a clean never-crashed monitor.
-  std::vector<EventId> y_only;
-  for (const EventId& e : m->y.events()) {
-    if (!m->x.contains(e)) y_only.push_back(e);
-  }
-  if (y_only.empty()) return pass();  // see monitor_faulty_vs_clean
-  const std::set<EventId> x_set(m->x.events().begin(), m->x.events().end());
-  const std::set<EventId> y_set(y_only.begin(), y_only.end());
-
+  const explore::MonitorActions actions = explore::split_actions(m->x, m->y);
+  if (actions.y.empty()) return pass();  // see monitor_oracle
   const OnlineSystem sys = replay(exec);
-  const auto verdicts_of = [&](OnlineMonitor& mon) {
-    std::vector<Firing> fired;
-    for (const RelationId& id : all_relation_ids()) {
-      mon.watch(id, "X", "Y",
-                [&fired](const std::string&, const std::string&, bool holds,
-                         Confidence conf) { fired.push_back({holds, conf}); });
-    }
-    return fired;
-  };
-
-  OnlineMonitor clean(exec.process_count());
-  clean.begin("X");
-  clean.begin("Y");
-  for (const EventId& e : exec.topological_order()) {
-    const WireMessage w = sys.wire_of(e);
-    if (x_set.count(e)) {
-      clean.ingest("X", w);
-    } else if (y_set.count(e)) {
-      clean.ingest("Y", w);
-    } else {
-      clean.observe(w);
-    }
-  }
-  clean.complete("X");
-  clean.complete("Y");
-  const std::vector<Firing> clean_fires = verdicts_of(clean);
-
-  Xoshiro256StarStar frng(fng ^ 0x9e3779b97f4a7c15ULL);
-  const LinkFaultConfig link = generate_link_faults(frng);
-  FaultyChannel channel(link, fng ^ 2);
-  TimePoint t = 0;
-  for (const EventId& e : exec.topological_order()) {
-    channel.push(sys.wire_of(e), t += 5);
-  }
-  const std::vector<Arrival> arrivals = channel.drain();
-
-  SimFaultConfig mfaults = faults;
-  mfaults.seed = fng ^ 0x5bf0363577e53b95ULL;
-  SimStorage mstorage(mfaults);
-  auto mon = std::make_unique<DurableMonitor>(exec.process_count(), mstorage,
-                                              policy);
-  bool mcrashed = false;
-  const auto ensure_begun = [&] {
-    for (const char* label : {"X", "Y"}) {
-      // A begin record lost with the unsynced WAL suffix must be re-issued;
-      // an action whose completion survived must not be re-opened.
-      if (!mon->monitor().is_open(label) &&
-          mon->monitor().summary(label) == nullptr) {
-        mon->begin(label);
-      }
-    }
-  };
-  const auto recover = [&] {
-    mon = std::make_unique<DurableMonitor>(exec.process_count(), mstorage,
-                                           policy);
-    ensure_begun();
-  };
-  const auto feed = [&](const WireMessage& report) {
-    if (x_set.count(report.source)) {
-      mon->ingest("X", report);
-    } else if (y_set.count(report.source)) {
-      mon->ingest("Y", report);
-    } else {
-      mon->observe(report);
-    }
-  };
-  const auto guarded = [&](const auto& fn) -> bool {
-    try {
-      fn();
-    } catch (const StorageCrash&) {
-      if (mcrashed) return false;
-      mcrashed = true;
-      recover();
-      fn();  // the crash is disarmed; the retried unit is idempotent
-    }
-    return true;
-  };
-
-  // Each feed does at least one storage op, so the crash fires within the
-  // run (begins / feeds / resync / completes all count ops).
-  mstorage.crash_after_ops(1 + rng.below(arrivals.size() + 4));
-  if (!guarded(ensure_begun)) return fail("simulated crash fired twice");
-  for (const Arrival& a : arrivals) {
-    if (!guarded([&] { feed(a.message); })) {
-      return fail("simulated crash fired twice");
-    }
-  }
-  // Converge: checkpoint inside the loop so a crash that loses the
-  // checkpoint record (or tail reports) reopens the gaps next round.
-  bool need_round = true;
-  int rounds = 0;
-  while (need_round || mon->monitor().missing_report_count() > 0) {
-    if (++rounds > 512) return fail("post-crash resync failed to converge");
-    need_round = false;
-    const bool ok = guarded([&] {
-      mon->checkpoint(sys.snapshot());
-      for (const WireMessage& w :
-           sys.serve(mon->monitor().resync_request(8))) {
-        feed(w);
-      }
-    });
-    if (!ok) return fail("simulated crash fired twice");
-  }
-  const auto complete_one = [&](const char* label) {
-    return guarded([&] {
-      if (mon->monitor().is_open(label)) mon->complete(label);
-    });
-  };
-  if (!complete_one("X") || !complete_one("Y")) {
-    return fail("simulated crash fired twice");
-  }
-  // If the crash hit during completion and tore off trailing reports, the
-  // reopened gaps must be closed before reading verdicts.
-  rounds = 0;
-  while (mon->monitor().missing_report_count() > 0) {
-    if (++rounds > 512) return fail("post-complete resync failed to converge");
-    mon->checkpoint(sys.snapshot());
-    for (const WireMessage& w : sys.serve(mon->monitor().resync_request(8))) {
-      feed(w);
-    }
-  }
-  const std::vector<Firing> crash_fires = verdicts_of(mon->monitor());
-
-  if (clean_fires.size() != 32 || crash_fires.size() != 32) {
-    return fail("expected 32 immediate firings, got " +
-                std::to_string(clean_fires.size()) + " clean / " +
-                std::to_string(crash_fires.size()) + " recovered");
-  }
-  const auto ids = all_relation_ids();
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (crash_fires[i].conf != Confidence::Definite) {
-      return fail(to_string(ids[i]) + ": recovered verdict not Definite");
-    }
-    if (!(crash_fires[i] == clean_fires[i])) {
-      return fail(to_string(ids[i]) + ": recovered-vs-clean verdicts differ");
-    }
-  }
-  return pass();
+  SimFaultConfig monitor_faults = faults;
+  monitor_faults.seed = fng ^ 0x5bf0363577e53b95ULL;
+  const CrashLegResult monitor = crash_durable_monitor(
+      sys, explore::reports_of(sys, exec.topological_order()), actions,
+      explore::seeded_feed(fng ^ 0x9e3779b97f4a7c15ULL, fng ^ 2),
+      monitor_faults, policy, rng, 4);
+  return monitor.violation.empty() ? pass() : fail(monitor.violation);
 }
 
 // ---------------------------------------------------------------------------
@@ -775,13 +369,13 @@ PropertyResult metamorphic_redundant_message(const CheckCase& c) {
   augmented.messages.push_back(*redundant);
   const std::unique_ptr<Instance> aug = instantiate(augmented);
   if (!aug) {
-    return fail("adding redundant message " + describe(redundant->source) +
-                "->" + describe(redundant->target) +
+    return fail("adding redundant message " + to_string(redundant->source) +
+                "->" + to_string(redundant->target) +
                 " broke materialization");
   }
   if (all_verdicts(*base) != all_verdicts(*aug)) {
-    return fail("redundant message " + describe(redundant->source) + "->" +
-                describe(redundant->target) + " changed a verdict");
+    return fail("redundant message " + to_string(redundant->source) + "->" +
+                to_string(redundant->target) + " changed a verdict");
   }
   return pass();
 }
@@ -871,11 +465,11 @@ PropertyResult clock_backend_identity(const CheckCase& c) {
   // reverse, for every real event.
   for (const EventId& e : exec.topological_order()) {
     if (tree.forward_ref(e).to_dense() != dense.forward_ref(e)) {
-      return fail("forward clock of " + describe(e) +
+      return fail("forward clock of " + to_string(e) +
                   " differs across clock backends");
     }
     if (tree.reverse(e).to_dense() != dense.reverse(e)) {
-      return fail("reverse clock of " + describe(e) +
+      return fail("reverse clock of " + to_string(e) +
                   " differs across clock backends");
     }
   }
@@ -1027,6 +621,175 @@ const PropertyInfo* find_property(std::string_view name) {
     if (info.name == name) return &info;
   }
   return nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// recovery_identity's crash legs
+// ---------------------------------------------------------------------------
+
+DurabilityPolicy draw_durability_policy(Xoshiro256StarStar& rng) {
+  DurabilityPolicy policy;
+  policy.sync_every = 1 + static_cast<std::uint32_t>(rng.below(4));
+  policy.segment_records = 4 + static_cast<std::uint32_t>(rng.below(12));
+  policy.snapshot_every = 1;
+  policy.full_interval = 1 + static_cast<std::uint32_t>(rng.below(8));
+  return policy;
+}
+
+CrashLegResult crash_durable_system(const Execution& exec,
+                                    const SimFaultConfig& faults,
+                                    const DurabilityPolicy& policy,
+                                    std::uint64_t crash_after_ops,
+                                    std::size_t compact_period) {
+  CrashLegResult out;
+  const OnlineSystem oracle = replay(exec);
+  SimStorage storage(faults);
+  auto sys =
+      std::make_unique<DurableSystem>(exec.process_count(), storage, policy);
+  const std::vector<EventId>& order = exec.topological_order();
+  storage.crash_after_ops(crash_after_ops);
+  std::size_t i = 0;
+  while (i < order.size()) {
+    const EventId e = order[i];
+    try {
+      if (e.index > sys->system().executed(e.process)) {
+        const auto incoming = exec.incoming(e);
+        if (!incoming.empty()) {
+          std::vector<WireMessage> msgs;
+          for (const EventId& src : incoming) {
+            // A source is never reclaimed before its receive executes (the
+            // retention watermark tracks receiver progress), so the live
+            // log can always reconstruct the wire.
+            msgs.push_back(sys->system().wire_of(src));
+          }
+          sys->deliver_all(e.process, msgs);
+        } else {
+          sys->local(e.process);  // a send is a local event plus its wire
+        }
+      }
+      if ((i + 1) % compact_period == 0) {
+        sys->compact(sys->system().retention_watermark());
+      }
+      ++i;
+    } catch (const StorageCrash&) {
+      if (out.crashed) {
+        out.violation = "simulated crash fired twice";
+        return out;
+      }
+      out.crashed = true;
+      sys = std::make_unique<DurableSystem>(exec.process_count(), storage,
+                                            policy);
+      out.recovery = sys->recovery();
+      // The crash may have lost an unsynced suffix of journaled events.
+      // Rescan from the top: already-recovered events are skipped by the
+      // executed() guard, lost ones are re-driven.
+      i = 0;
+    }
+  }
+
+  const OnlineSystem& got = sys->system();
+  for (ProcessId p = 0; p < exec.process_count(); ++p) {
+    bool same = got.executed(p) == oracle.executed(p) &&
+                got.current_clock(p) == oracle.current_clock(p);
+    for (EventIndex j = got.reclaimed_before(p) + 1;
+         same && j <= got.executed(p); ++j) {
+      const EventId e{p, j};
+      same = got.clock_of(e) == oracle.clock_of(e) &&
+             got.time_of(e) == oracle.time_of(e);
+    }
+    if (!same) {
+      out.violation = "process " + std::to_string(p) +
+                      ": executed count, clock or time diverged after recovery";
+      return out;
+    }
+  }
+  return out;
+}
+
+CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
+                                     std::span<const WireMessage> reports,
+                                     const explore::MonitorActions& actions,
+                                     const explore::LossyFeed& feed,
+                                     const SimFaultConfig& faults,
+                                     const DurabilityPolicy& policy,
+                                     Xoshiro256StarStar& rng,
+                                     std::size_t crash_slack) {
+  CrashLegResult out;
+  const std::size_t n = sys.process_count();
+  const std::vector<explore::Firing> clean =
+      explore::clean_firings(n, reports, actions);
+  const std::vector<Arrival> arrivals = explore::ship(feed, reports).drain();
+
+  SimStorage storage(faults);
+  auto mon = std::make_unique<DurableMonitor>(n, storage, policy);
+  const auto ensure_begun = [&] {
+    for (const char* label : {"X", "Y"}) {
+      // A begin record lost with the unsynced WAL suffix must be re-issued;
+      // an action whose completion survived must not be re-opened.
+      if (!mon->monitor().is_open(label) &&
+          mon->monitor().summary(label) == nullptr) {
+        mon->begin(label);
+      }
+    }
+  };
+  const auto guarded = [&](const auto& fn) {
+    try {
+      fn();
+    } catch (const StorageCrash&) {
+      if (out.crashed) throw;
+      out.crashed = true;
+      mon = std::make_unique<DurableMonitor>(n, storage, policy);
+      out.recovery = mon->recovery();
+      ensure_begun();
+      fn();  // the crash is disarmed; the retried unit is idempotent
+    }
+  };
+  const auto resync_round = [&] {
+    mon->checkpoint(sys.snapshot());
+    for (const WireMessage& w : sys.serve(mon->monitor().resync_request(8))) {
+      actions.feed(*mon, w);
+    }
+  };
+
+  try {
+    // Each feed does at least one storage op, so the crash fires within the
+    // run (begins / feeds / resync / completes all count ops).
+    storage.crash_after_ops(1 + rng.below(arrivals.size() + crash_slack));
+    guarded(ensure_begun);
+    for (const Arrival& a : arrivals) {
+      guarded([&] { actions.feed(*mon, a.message); });
+    }
+    // Converge: checkpoint inside the loop so a crash that loses the
+    // checkpoint record (or tail reports) reopens the gaps next round.
+    int rounds = 0;
+    do {
+      if (++rounds > 512) {
+        out.violation = "post-crash resync failed to converge";
+        return out;
+      }
+      guarded(resync_round);
+    } while (mon->monitor().missing_report_count() > 0);
+    for (const char* label : {"X", "Y"}) {
+      guarded([&] {
+        if (mon->monitor().is_open(label)) mon->complete(label);
+      });
+    }
+  } catch (const StorageCrash&) {
+    out.violation = "simulated crash fired twice";
+    return out;
+  }
+  // If the crash hit during completion and tore off trailing reports, the
+  // reopened gaps must be closed before reading verdicts.
+  for (int rounds = 1; mon->monitor().missing_report_count() > 0; ++rounds) {
+    if (rounds > 512) {
+      out.violation = "post-complete resync failed to converge";
+      return out;
+    }
+    resync_round();
+  }
+  out.violation = explore::compare_firings(
+      "recovered monitor", explore::watch_all(mon->monitor()), clean);
+  return out;
 }
 
 }  // namespace syncon::check

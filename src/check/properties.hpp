@@ -12,14 +12,13 @@
 //                       probe-side checks.
 //   batch_parallel_identity   serial vs thread-pool BatchEvaluator sweeps:
 //                       bit-identical holding sets and exact cost totals.
-//   monitor_faulty_vs_clean   OnlineMonitor fed through a seeded lossy
-//                       channel + recovery vs a clean feed: identical
-//                       verdicts, all Definite.
-//   monitor_compaction_identity   the same differential with the
-//                       authoritative log compacted at the monitor's
-//                       watermark pin between delivery chunks, plus a
-//                       late joiner resynced across the watermark from
-//                       the retention checkpoint.
+//   monitor_faulty_vs_clean   the recovery leg of the online monitor
+//                       oracle (explore/invariants) on the case's own
+//                       report order: a seeded lossy channel + resync vs a
+//                       clean feed, identical verdicts, all Definite.
+//   monitor_compaction_identity   its compaction leg: the same feed in
+//                       chunks, the log compacted at the monitor's
+//                       watermark pin between them, then a late joiner.
 //   metamorphic_redundant_message   adding a causally redundant message
 //                       never changes any verdict.
 //   metamorphic_relabel relabeling processes permutes but preserves
@@ -29,10 +28,11 @@
 //   clock_backend_identity   dense and tree clock backends stamp, cut
 //                       and decide all relations bit-identically, at
 //                       equal probe cost.
-//   recovery_identity   DurableSystem/DurableMonitor crashed at a seeded
-//                       point under storage faults and recovered from
-//                       snapshot + WAL tail: clocks and all 32 verdicts
-//                       bit-identical to an uninterrupted run.
+//   recovery_identity   the crash legs below: DurableSystem/DurableMonitor
+//                       crashed at a seeded point under storage faults and
+//                       recovered from snapshot + WAL tail: clocks, times
+//                       and all 32 verdicts bit-identical to a run that
+//                       never crashed.
 //   schedule_invariance small universes only: enumerate every inequivalent
 //                       delivery schedule (src/explore DPOR) and run the
 //                       core invariant battery on each poset — fast ≡
@@ -47,6 +47,10 @@
 #include <string_view>
 
 #include "check/case.hpp"
+#include "explore/invariants.hpp"
+#include "store/durable.hpp"
+#include "store/storage.hpp"
+#include "support/rng.hpp"
 
 namespace syncon::check {
 
@@ -84,5 +88,43 @@ struct ScheduleInvarianceConfig {
 };
 
 ScheduleInvarianceConfig& schedule_invariance_config();
+
+// --- recovery_identity's crash legs, which bench_recovery runs too ----------
+// Each kills a durable shell once at a seeded storage op, recovers it from
+// snapshot + WAL tail and compares the finished run with an uncrashed one.
+
+/// Sync every 1–4 records, segments of 4–15 records, a snapshot on every
+/// compaction or adoption, an absolute clock every 1–8 records.
+DurabilityPolicy draw_durability_policy(Xoshiro256StarStar& rng);
+
+struct CrashLegResult {
+  std::string violation;   ///< first divergence; "" when identical
+  bool crashed = false;    ///< the seeded crash fired (a second one fails)
+  RecoveryStats recovery;  ///< the recovered shell's (zero if no crash)
+};
+
+/// Drives `exec` in topological order through a DurableSystem, compacting
+/// at the retention watermark after every `compact_period`-th event, and
+/// crashes after `crash_after_ops` storage ops; after the crash it rescans
+/// from the top, skipping recovered events. Executed counts, clocks and
+/// every live event's clock and physical time must equal replay(exec)'s.
+CrashLegResult crash_durable_system(const Execution& exec,
+                                    const SimFaultConfig& faults,
+                                    const DurabilityPolicy& policy,
+                                    std::uint64_t crash_after_ops,
+                                    std::size_t compact_period);
+
+/// Feeds `reports` through the lossy `feed` into a DurableMonitor that
+/// crashes after 1 + rng.below(arrivals + crash_slack) storage ops (mid-feed,
+/// mid-resync or mid-complete), recovers, and closes every gap by
+/// checkpoint + resync; its 32 verdicts must equal the clean feed's.
+CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
+                                     std::span<const WireMessage> reports,
+                                     const explore::MonitorActions& actions,
+                                     const explore::LossyFeed& feed,
+                                     const SimFaultConfig& faults,
+                                     const DurabilityPolicy& policy,
+                                     Xoshiro256StarStar& rng,
+                                     std::size_t crash_slack);
 
 }  // namespace syncon::check

@@ -1,8 +1,9 @@
 #include "explore/invariants.hpp"
 
 #include <algorithm>
-#include <set>
-#include <sstream>
+#include <iterator>
+#include <limits>
+#include <utility>
 
 #include "cuts/watermark.hpp"
 #include "model/timestamps.hpp"
@@ -17,19 +18,6 @@
 namespace syncon::explore {
 
 namespace {
-
-std::string describe(const EventId& e) {
-  std::ostringstream os;
-  os << e;
-  return os.str();
-}
-
-struct Firing {
-  bool holds = false;
-  Confidence conf = Confidence::Definite;
-
-  friend bool operator==(const Firing&, const Firing&) = default;
-};
 
 /// Drives a fresh OnlineSystem by the schedule itself: exec steps execute
 /// locally, a gather's deliveries are shipped as one deliver_all batch in
@@ -65,30 +53,65 @@ std::vector<EventId> drive_system(const Universe& u, const Schedule& s,
   return order;
 }
 
+/// The recovery leg, or the compaction leg when `chunked`: `reports` through
+/// the feed's channel into a fresh monitor, gaps closed by checkpoint +
+/// resync from `sys`. Unchunked: one delivery, at most 64 unbounded resync
+/// rounds. Chunked: 64 µs slices, each closed by at most 512 rounds of
+/// 8-event requests before `sys` is compacted at the monitor's watermark
+/// pin, so every request is served from the live log.
+std::string lossy_leg(std::string_view leg, bool chunked, OnlineSystem& sys,
+                      std::span<const WireMessage> reports,
+                      const MonitorActions& actions, const LossyFeed& feed,
+                      const std::vector<Firing>& clean) {
+  FaultyChannel channel = ship(feed, reports);
+  OnlineMonitor mon(sys.process_count());
+  mon.begin("X");
+  mon.begin("Y");
+  TimePoint cursor = 0;
+  do {
+    cursor = chunked ? cursor + 64 : std::numeric_limits<TimePoint>::max();
+    for (const Arrival& a : channel.pop_ready(cursor)) {
+      actions.feed(mon, a.message);
+    }
+    mon.checkpoint(sys.snapshot());
+    for (int rounds = 1; mon.missing_report_count() > 0; ++rounds) {
+      if (rounds > (chunked ? 512 : 64)) {
+        return std::string(leg) + ": resync failed to converge";
+      }
+      const std::size_t limit =
+          chunked ? 8 : std::numeric_limits<std::size_t>::max();
+      for (const WireMessage& w : sys.serve(mon.resync_request(limit))) {
+        actions.feed(mon, w);
+      }
+    }
+    if (chunked) {
+      const VectorClock pins[] = {mon.watermark_pin()};
+      sys.compact(low_watermark(pins));
+    }
+  } while (channel.in_transit() > 0);
+  mon.complete("X");
+  mon.complete("Y");
+  return compare_firings(leg, watch_all(mon), clean);
+}
+
 }  // namespace
 
 std::optional<unsigned> invariant_mask_from_csv(std::string_view csv) {
+  static constexpr std::pair<std::string_view, unsigned> kNames[] = {
+      {"relations", kInvRelations},   {"online", kInvOnline},
+      {"monitor", kInvMonitor},       {"stability", kInvStability},
+      {"compaction", kInvCompaction}, {"recovery", kInvRecovery},
+      {"core", kInvCore},             {"all", kInvAll}};
   unsigned mask = 0;
   std::size_t pos = 0;
   while (pos <= csv.size()) {
     const std::size_t comma = std::min(csv.find(',', pos), csv.size());
     const std::string_view name = csv.substr(pos, comma - pos);
-    if (name == "relations") {
-      mask |= kInvRelations;
-    } else if (name == "online") {
-      mask |= kInvOnline;
-    } else if (name == "monitor") {
-      mask |= kInvMonitor;
-    } else if (name == "stability") {
-      mask |= kInvStability;
-    } else if (name == "compaction") {
-      mask |= kInvCompaction;
-    } else if (name == "recovery") {
-      mask |= kInvRecovery;
-    } else if (name == "core") {
-      mask |= kInvCore;
-    } else if (name == "all") {
-      mask |= kInvAll;
+    const auto* it = std::find_if(
+        std::begin(kNames), std::end(kNames),
+        [&](const auto& entry) { return entry.first == name; });
+    if (it != std::end(kNames)) {
+      mask |= it->second;
     } else if (!name.empty()) {
       return std::nullopt;
     }
@@ -153,7 +176,7 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
     }
     for (const EventId& e : order) {
       if (sys.clock_of(e) != ts.forward_ref(e)) {
-        return fail("online: clock of " + describe(e) +
+        return fail("online: clock of " + to_string(e) +
                     " differs from the offline sweep");
       }
     }
@@ -164,7 +187,7 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
       const OnlineSystem alt = replay(*exec);
       for (const EventId& e : order) {
         if (alt.clock_of(e) != sys.clock_of(e)) {
-          return fail("stability: clock of " + describe(e) +
+          return fail("stability: clock of " + to_string(e) +
                       " depends on the linearization");
         }
       }
@@ -175,182 +198,147 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
       options.mask & (kInvMonitor | kInvStability | kInvCompaction |
                       kInvRecovery);
   if (monitor_legs == 0) return result;
+  const MonitorActions actions = split_actions(x, y);
+  if (actions.y.empty()) return result;
 
-  // Monitor legs need disjoint actions; shared events go to X and an empty
-  // remainder makes them vacuous (see invariants.hpp).
-  std::vector<EventId> y_only;
-  for (const EventId& e : y.events()) {
-    if (!x.contains(e)) y_only.push_back(e);
-  }
-  if (y_only.empty()) return result;
-  const std::set<EventId> x_set(x.events().begin(), x.events().end());
-  const std::set<EventId> y_set(y_only.begin(), y_only.end());
-
-  const auto feed = [&](OnlineMonitor& mon, const WireMessage& report) {
-    if (x_set.count(report.source)) {
-      mon.ingest("X", report);
-    } else if (y_set.count(report.source)) {
-      mon.ingest("Y", report);
-    } else {
-      mon.observe(report);
-    }
-  };
-  const auto verdicts_of = [&](OnlineMonitor& mon) {
-    std::vector<Firing> fired;
-    for (const RelationId& id : ids) {
-      mon.watch(id, "X", "Y",
-                [&fired](const std::string&, const std::string&, bool holds,
-                         Confidence conf) { fired.push_back({holds, conf}); });
-    }
-    return fired;
-  };
-  const auto run_monitor = [&](std::span<const WireMessage> reports) {
-    OnlineMonitor mon(u.process_count());
-    mon.begin("X");
-    mon.begin("Y");
-    for (const WireMessage& r : reports) feed(mon, r);
-    mon.complete("X");
-    mon.complete("Y");
-    return verdicts_of(mon);
-  };
-
-  std::vector<WireMessage> reports;
-  reports.reserve(order.size());
-  for (const EventId& e : order) reports.push_back(sys.wire_of(e));
-
-  const std::vector<Firing> clean = run_monitor(reports);
-  if (clean.size() != 32) {
-    return fail("monitor: expected 32 immediate firings, got " +
-                std::to_string(clean.size()));
-  }
+  MonitorPlan plan;
   if (options.mask & kInvMonitor) {
     // The monitor's "Y" action holds only the Y-only members (shared events
     // were routed to X), so the offline reference is r(X, Y \ X).
-    RelationEvaluator mon_eval(ts);
-    const EventHandle mx = mon_eval.add_event(x);
-    const EventHandle my =
-        mon_eval.add_event(NonatomicEvent(*exec, y_only, "Y"));
-    for (std::size_t i = 0; i < 32; ++i) {
-      if (clean[i].conf != Confidence::Definite) {
-        return fail("monitor: " + to_string(ids[i]) + " verdict not Definite");
-      }
-      if (clean[i].holds != mon_eval.holds(ids[i], mx, my)) {
-        return fail("monitor: " + to_string(ids[i]) +
-                    " online verdict differs from offline");
-      }
+    const EventHandle hy_only = eval.add_event(NonatomicEvent(
+        *exec, std::vector<EventId>(actions.y.begin(), actions.y.end()),
+        "Y"));
+    plan.offline.reserve(ids.size());
+    for (const RelationId& id : ids) {
+      plan.offline.push_back({eval.holds(id, hx, hy_only)});
     }
   }
+  plan.reversed = (options.mask & kInvStability) != 0;
+  if (options.mask & kInvRecovery) {
+    plan.lossy = seeded_feed(options.fault_seed ^ 0x5851f42d4c957f2dULL,
+                             options.fault_seed ^ 0x9e3779b97f4a7c15ULL);
+  }
+  if (options.mask & kInvCompaction) {
+    plan.compaction = seeded_feed(options.fault_seed ^ 0xda3e39cb94b95bdbULL,
+                                  options.fault_seed ^ 1);
+  }
+  std::string violation =
+      monitor_differential(sys, reports_of(sys, order), actions, plan);
+  return violation.empty() ? result : fail(std::move(violation));
+}
 
-  if (options.mask & kInvStability) {
+MonitorActions split_actions(const NonatomicEvent& x, const NonatomicEvent& y) {
+  MonitorActions actions{{x.events().begin(), x.events().end()}, {}};
+  for (const EventId& e : y.events()) {
+    if (!actions.x.count(e)) actions.y.insert(e);
+  }
+  return actions;
+}
+
+std::vector<Firing> watch_all(OnlineMonitor& mon) {
+  std::vector<Firing> fired;
+  for (const RelationId& id : all_relation_ids()) {
+    mon.watch(id, "X", "Y",
+              [&fired](const std::string&, const std::string&, bool holds,
+                       Confidence conf) { fired.push_back({holds, conf}); });
+  }
+  return fired;
+}
+
+std::vector<Firing> clean_firings(std::size_t processes,
+                                  std::span<const WireMessage> reports,
+                                  const MonitorActions& actions) {
+  OnlineMonitor mon(processes);
+  mon.begin("X");
+  mon.begin("Y");
+  for (const WireMessage& r : reports) actions.feed(mon, r);
+  mon.complete("X");
+  mon.complete("Y");
+  return watch_all(mon);
+}
+
+std::string compare_firings(std::string_view leg,
+                            const std::vector<Firing>& got,
+                            const std::vector<Firing>& expected) {
+  if (got.size() != 32 || expected.size() != 32) {
+    return std::string(leg) + ": expected 32 immediate firings, got " +
+           std::to_string(got.size()) + " against " +
+           std::to_string(expected.size());
+  }
+  const auto ids = all_relation_ids();
+  for (std::size_t i = 0; i < 32; ++i) {
+    if (got[i].conf != Confidence::Definite || !(got[i] == expected[i])) {
+      return std::string(leg) + ": " + to_string(ids[i]) +
+             " verdict differs or is not Definite";
+    }
+  }
+  return {};
+}
+
+LossyFeed seeded_feed(std::uint64_t link_seed, std::uint64_t channel_seed) {
+  Xoshiro256StarStar rng(link_seed);
+  return {generate_link_faults(rng), channel_seed};
+}
+
+FaultyChannel ship(const LossyFeed& feed,
+                   std::span<const WireMessage> reports) {
+  FaultyChannel channel(feed.link, feed.channel_seed);
+  TimePoint t = 0;
+  for (const WireMessage& r : reports) channel.push(r, t += 5);
+  return channel;
+}
+
+std::vector<WireMessage> reports_of(const OnlineSystem& sys,
+                                    std::span<const EventId> order) {
+  std::vector<WireMessage> reports;
+  reports.reserve(order.size());
+  for (const EventId& e : order) reports.push_back(sys.wire_of(e));
+  return reports;
+}
+
+std::string monitor_differential(OnlineSystem& sys,
+                                 std::span<const WireMessage> reports,
+                                 const MonitorActions& actions,
+                                 const MonitorPlan& plan) {
+  const std::size_t n = sys.process_count();
+  const std::vector<Firing> clean = clean_firings(n, reports, actions);
+  std::string v;
+  if (!plan.offline.empty()) {
+    v = compare_firings("monitor", clean, plan.offline);
+    if (!v.empty()) return v;
+  }
+  if (plan.reversed) {
     // Reversed report order: every gap opens and then self-closes, so the
     // verdicts must come out bit-identical — they depend on the trace, not
     // on the feed schedule.
-    std::vector<WireMessage> reversed(reports.rbegin(), reports.rend());
-    const std::vector<Firing> alt = run_monitor(reversed);
-    if (alt.size() != 32) {
-      return fail("stability: reversed feed fired " +
-                  std::to_string(alt.size()) + " watches, expected 32");
-    }
-    for (std::size_t i = 0; i < 32; ++i) {
-      if (!(alt[i] == clean[i]) || alt[i].conf != Confidence::Definite) {
-        return fail("stability: " + to_string(ids[i]) +
-                    " verdict depends on the feed order");
-      }
-    }
+    const std::vector<WireMessage> reversed(reports.rbegin(), reports.rend());
+    v = compare_firings("stability", clean_firings(n, reversed, actions),
+                        clean);
+    if (!v.empty()) return v;
   }
-
-  if (options.mask & kInvRecovery) {
-    Xoshiro256StarStar rng(options.fault_seed ^ 0x5851f42d4c957f2dULL);
-    LinkFaultConfig link;
-    link.drop_probability = 0.05 + 0.30 * rng.uniform01();
-    link.duplicate_probability = 0.05 + 0.30 * rng.uniform01();
-    link.reorder_probability = 0.05 + 0.30 * rng.uniform01();
-    link.min_delay = 1;
-    link.max_delay = static_cast<Duration>(1 + rng.below(60));
-    FaultyChannel channel(link, options.fault_seed ^ 0x9e3779b97f4a7c15ULL);
-    TimePoint t = 0;
-    for (const WireMessage& r : reports) channel.push(r, t += 5);
-    OnlineMonitor faulty(u.process_count());
-    faulty.begin("X");
-    faulty.begin("Y");
-    for (const Arrival& a : channel.drain()) feed(faulty, a.message);
-    faulty.checkpoint(sys.snapshot());
-    int rounds = 0;
-    while (faulty.missing_report_count() > 0) {
-      if (++rounds > 64) return fail("recovery: resync failed to converge");
-      for (const WireMessage& w : sys.serve(faulty.resync_request())) {
-        feed(faulty, w);
-      }
-    }
-    faulty.complete("X");
-    faulty.complete("Y");
-    const std::vector<Firing> recovered = verdicts_of(faulty);
-    if (recovered.size() != 32) {
-      return fail("recovery: fired " + std::to_string(recovered.size()) +
-                  " watches, expected 32");
-    }
-    for (std::size_t i = 0; i < 32; ++i) {
-      if (recovered[i].conf != Confidence::Definite ||
-          !(recovered[i] == clean[i])) {
-        return fail("recovery: " + to_string(ids[i]) +
-                    " recovered verdict differs from clean");
-      }
-    }
+  if (plan.lossy) {
+    v = lossy_leg("recovery", false, sys, reports, actions, *plan.lossy, clean);
+    if (!v.empty()) return v;
   }
-
-  if (options.mask & kInvCompaction) {
-    // Lossy chunked feed with the authoritative log compacted at the
-    // monitor's watermark pin between chunks, against the clean verdicts.
-    OnlineSystem subject(u.process_count());
-    drive_system(u, s, subject);
-    Xoshiro256StarStar rng(options.fault_seed ^ 0xda3e39cb94b95bdbULL);
-    LinkFaultConfig link;
-    link.drop_probability = 0.05 + 0.30 * rng.uniform01();
-    link.duplicate_probability = 0.05 + 0.30 * rng.uniform01();
-    link.reorder_probability = 0.05 + 0.30 * rng.uniform01();
-    link.min_delay = 1;
-    link.max_delay = static_cast<Duration>(1 + rng.below(60));
-    FaultyChannel channel(link, options.fault_seed ^ 1);
-    TimePoint t = 0;
-    for (const WireMessage& r : reports) channel.push(r, t += 5);
-    OnlineMonitor mon(u.process_count());
-    mon.begin("X");
-    mon.begin("Y");
-    TimePoint cursor = 0;
-    while (true) {
-      cursor += 64;
-      for (const Arrival& a : channel.pop_ready(cursor)) feed(mon, a.message);
-      mon.checkpoint(subject.snapshot());
-      int rounds = 0;
-      while (mon.missing_report_count() > 0) {
-        if (++rounds > 512) {
-          return fail("compaction: chunked resync failed to converge");
-        }
-        for (const WireMessage& w : subject.serve(mon.resync_request(8))) {
-          feed(mon, w);
-        }
-      }
-      const VectorClock pins[] = {mon.watermark_pin()};
-      subject.compact(low_watermark(pins));
-      if (channel.in_transit() == 0) break;
+  if (!plan.compaction) return {};
+  v = lossy_leg("compaction", true, sys, reports, actions, *plan.compaction,
+                clean);
+  if (!v.empty() || sys.reclaimed_events() == 0) return v;
+  // A late joiner's resync crosses the watermark and is answered from the
+  // checkpoint.
+  OnlineMonitor late(n);
+  late.checkpoint(sys.snapshot());
+  for (int rounds = 1; late.missing_report_count() > 0; ++rounds) {
+    if (rounds > 512) {
+      return "compaction: late joiner failed to converge across the "
+             "watermark";
     }
-    mon.complete("X");
-    mon.complete("Y");
-    const std::vector<Firing> compacted = verdicts_of(mon);
-    if (compacted.size() != 32) {
-      return fail("compaction: fired " + std::to_string(compacted.size()) +
-                  " watches, expected 32");
+    for (const WireMessage& w : sys.serve(late.resync_request(8))) {
+      late.observe(w);
     }
-    for (std::size_t i = 0; i < 32; ++i) {
-      if (compacted[i].conf != Confidence::Definite ||
-          !(compacted[i] == clean[i])) {
-        return fail("compaction: " + to_string(ids[i]) +
-                    " compacted verdict differs from clean");
-      }
-    }
+    late.adopt_checkpoint(sys.checkpoint());
   }
-
-  return result;
+  return {};
 }
 
 }  // namespace syncon::explore

@@ -1,4 +1,5 @@
-// The per-schedule invariant battery (DESIGN.md §3.14).
+// The per-schedule invariant battery (DESIGN.md §3.14), and the online
+// monitor oracle it shares with the monitor conformance properties.
 //
 // Once the explorer hands over one canonical schedule per inequivalent
 // trace, every cross-layer identity the repository claims becomes provable
@@ -16,21 +17,29 @@
 //               replay-ordered system): bit-identical verdicts and clocks —
 //               verdicts are a function of the poset, never the schedule.
 //   compaction  lossy chunked feed with the log compacted at the watermark
-//               pin ≡ the clean uncompacted verdicts.
+//               pin ≡ the clean uncompacted verdicts, and a late joiner
+//               converges across the watermark from the checkpoint.
 //   recovery    lossy feed + checkpoint/resync recovery ≡ clean verdicts,
 //               all Definite.
 //
-// The monitor-based legs are skipped (vacuously) when Y ⊆ X leaves no
-// Y-only member, since the monitor forbids two actions claiming one event.
+// The last four legs are monitor_differential, which the monitor properties
+// (check/properties) run on a sampled case's own report order. They are
+// skipped (vacuously) when Y ⊆ X leaves no Y-only member, since the monitor
+// forbids two actions claiming one event.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "explore/universe.hpp"
+#include "nonatomic/interval.hpp"
+#include "online/online_monitor.hpp"
+#include "sim/faulty_channel.hpp"
 
 namespace syncon::explore {
 
@@ -77,5 +86,92 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
                                    const std::vector<EventId>& x_members,
                                    const std::vector<EventId>& y_members,
                                    const InvariantOptions& options = {});
+
+// --- the monitor oracle ------------------------------------------------------
+
+/// The two actions a monitor leg tracks: "X" holds X, "Y" holds Y∖X; a
+/// report of neither is only observed.
+struct MonitorActions {
+  std::set<EventId> x;
+  std::set<EventId> y;
+
+  /// Routes one report into an OnlineMonitor or a DurableMonitor.
+  template <class Monitor>
+  void feed(Monitor& mon, const WireMessage& report) const {
+    if (x.count(report.source)) {
+      mon.ingest("X", report);
+    } else if (y.count(report.source)) {
+      mon.ingest("Y", report);
+    } else {
+      mon.observe(report);
+    }
+  }
+};
+
+/// X's members, and Y's members outside X.
+MonitorActions split_actions(const NonatomicEvent& x, const NonatomicEvent& y);
+
+/// One immediate firing of a relation watch.
+struct Firing {
+  bool holds = false;
+  Confidence conf = Confidence::Definite;
+
+  friend bool operator==(const Firing&, const Firing&) = default;
+};
+
+/// Watches all 32 relations on ("X", "Y") of a monitor whose actions both
+/// completed; returns the firings in all_relation_ids() order.
+std::vector<Firing> watch_all(OnlineMonitor& mon);
+
+/// The clean leg: `reports` in order into a fresh monitor, then watch_all.
+std::vector<Firing> clean_firings(std::size_t processes,
+                                  std::span<const WireMessage> reports,
+                                  const MonitorActions& actions);
+
+/// "" when `got` is 32 Definite firings equal to `expected`; else the
+/// first divergence, prefixed with `leg`.
+std::string compare_firings(std::string_view leg,
+                            const std::vector<Firing>& got,
+                            const std::vector<Firing>& expected);
+
+/// A lossy report feed: its link faults and its channel's seed.
+struct LossyFeed {
+  LinkFaultConfig link;
+  std::uint64_t channel_seed = 0;
+};
+
+/// generate_link_faults drawn from a fresh generator seeded `link_seed`.
+LossyFeed seeded_feed(std::uint64_t link_seed, std::uint64_t channel_seed);
+
+/// `reports`, in order and 5 µs apart, pushed into the feed's channel.
+FaultyChannel ship(const LossyFeed& feed,
+                   std::span<const WireMessage> reports);
+
+/// The wire reports of `order`'s events, from `sys`'s log.
+std::vector<WireMessage> reports_of(const OnlineSystem& sys,
+                                    std::span<const EventId> order);
+
+/// The legs monitor_differential runs after the clean feed (see the table
+/// at the top of this file); an empty field skips its leg.
+struct MonitorPlan {
+  /// monitor: the offline verdicts of (X, Y∖X), all Definite.
+  std::vector<Firing> offline;
+  /// stability: feed the reports in reverse order too.
+  bool reversed = false;
+  /// recovery: one lossy delivery, then checkpoint + resync.
+  std::optional<LossyFeed> lossy;
+  /// compaction: lossy delivery in chunks, the log compacted between them.
+  std::optional<LossyFeed> compaction;
+};
+
+/// The online monitor oracle. Feeds `reports` — a linearization of `sys`'s
+/// events — to a clean monitor, then runs the legs of `plan` in the order
+/// monitor, stability, recovery, compaction. `sys` is the authoritative log
+/// the resyncs are served from; the compaction leg compacts it. Requires a
+/// non-empty Y∖X. Returns the first violation, "" when every leg holds.
+std::string monitor_differential(OnlineSystem& sys,
+                                 std::span<const WireMessage> reports,
+                                 const MonitorActions& actions,
+                                 const MonitorPlan& plan);
 
 }  // namespace syncon::explore

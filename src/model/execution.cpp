@@ -7,7 +7,11 @@
 namespace syncon {
 
 std::ostream& operator<<(std::ostream& os, const EventId& e) {
-  return os << 'e' << e.process << '.' << e.index;
+  return os << to_string(e);
+}
+
+std::string to_string(const EventId& e) {
+  return 'e' + std::to_string(e.process) + '.' + std::to_string(e.index);
 }
 
 EventIndex Execution::real_count(ProcessId p) const {

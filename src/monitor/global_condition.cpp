@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "monitor/condition_grammar.hpp"
+
 namespace syncon {
 
 struct GlobalCondition::Node {
@@ -16,101 +18,12 @@ namespace {
 
 using Node = GlobalCondition::Node;
 
-class Parser {
+class Parser : public ConditionGrammar<Node, Parser> {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::unique_ptr<Node> run() {
-    auto node = parse_or();
-    skip_ws();
-    if (pos_ != text_.size()) fail("unexpected trailing input");
-    return node;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw ConditionParseError(message + " at offset " + std::to_string(pos_) +
-                              " in '" + std::string(text_) + "'");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::unique_ptr<Node> parse_or() {
-    auto lhs = parse_and();
-    while (consume('|')) {
-      auto node = std::make_unique<Node>();
-      node->kind = Node::Kind::Or;
-      node->left = std::move(lhs);
-      node->right = parse_and();
-      lhs = std::move(node);
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Node> parse_and() {
-    auto lhs = parse_unary();
-    while (consume('&')) {
-      auto node = std::make_unique<Node>();
-      node->kind = Node::Kind::And;
-      node->left = std::move(lhs);
-      node->right = parse_unary();
-      lhs = std::move(node);
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Node> parse_unary() {
-    if (consume('!')) {
-      auto node = std::make_unique<Node>();
-      node->kind = Node::Kind::Not;
-      node->left = parse_unary();
-      return node;
-    }
-    skip_ws();
-    // '(' here opens a grouped sub-expression only if it does not belong to
-    // an atom; atoms always start with 'R'.
-    if (pos_ < text_.size() && text_[pos_] == '(') {
-      ++pos_;
-      auto inner = parse_or();
-      if (!consume(')')) fail("expected ')'");
-      return inner;
-    }
-    return parse_atom();
-  }
+  using ConditionGrammar::ConditionGrammar;
 
   std::unique_ptr<Node> parse_atom() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != 'R') {
-      fail("expected a relation (R1..R4')");
-    }
-    ++pos_;
-    if (pos_ >= text_.size() || text_[pos_] < '1' || text_[pos_] > '4') {
-      fail("expected a relation number 1..4");
-    }
-    const char digit = text_[pos_++];
-    const bool primed = pos_ < text_.size() && text_[pos_] == '\'';
-    if (primed) ++pos_;
-    Relation rel{};
-    switch (digit) {
-      case '1': rel = primed ? Relation::R1p : Relation::R1; break;
-      case '2': rel = primed ? Relation::R2p : Relation::R2; break;
-      case '3': rel = primed ? Relation::R3p : Relation::R3; break;
-      default: rel = primed ? Relation::R4p : Relation::R4; break;
-    }
+    const Relation rel = parse_relation();
     ProxyKind px = ProxyKind::End;
     ProxyKind py = ProxyKind::Begin;
     if (consume('[')) {
@@ -130,6 +43,7 @@ class Parser {
     return node;
   }
 
+ private:
   ProxyKind parse_proxy() {
     skip_ws();
     if (pos_ < text_.size() && (text_[pos_] == 'L' || text_[pos_] == 'U')) {
@@ -153,9 +67,6 @@ class Parser {
     if (label.empty()) fail("expected an interval label");
     return label;
   }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
 };
 
 bool evaluate_node(const Node& node, const SyncMonitor& monitor) {

@@ -1,8 +1,9 @@
 #include "monitor/predicate.hpp"
 
-#include <cctype>
 #include <utility>
 #include <vector>
+
+#include "monitor/condition_grammar.hpp"
 
 namespace syncon {
 
@@ -23,107 +24,12 @@ std::unique_ptr<Node> make_atom(RelationId id) {
   return n;
 }
 
-std::unique_ptr<Node> make_unary(Node::Kind kind, std::unique_ptr<Node> a) {
-  auto n = std::make_unique<Node>();
-  n->kind = kind;
-  n->left = std::move(a);
-  return n;
-}
-
-std::unique_ptr<Node> make_binary(Node::Kind kind, std::unique_ptr<Node> a,
-                                  std::unique_ptr<Node> b) {
-  auto n = std::make_unique<Node>();
-  n->kind = kind;
-  n->left = std::move(a);
-  n->right = std::move(b);
-  return n;
-}
-
-class Parser {
+class Parser : public ConditionGrammar<Node, Parser> {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::unique_ptr<Node> run() {
-    auto node = parse_or();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("unexpected trailing input");
-    }
-    return node;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw ConditionParseError(message + " at offset " + std::to_string(pos_) +
-                              " in '" + std::string(text_) + "'");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::unique_ptr<Node> parse_or() {
-    auto lhs = parse_and();
-    while (consume('|')) {
-      lhs = make_binary(Node::Kind::Or, std::move(lhs), parse_and());
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Node> parse_and() {
-    auto lhs = parse_unary();
-    while (consume('&')) {
-      lhs = make_binary(Node::Kind::And, std::move(lhs), parse_unary());
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Node> parse_unary() {
-    if (consume('!')) {
-      return make_unary(Node::Kind::Not, parse_unary());
-    }
-    if (consume('(')) {
-      auto inner = parse_or();
-      if (!consume(')')) fail("expected ')'");
-      return inner;
-    }
-    return parse_atom();
-  }
+  using ConditionGrammar::ConditionGrammar;
 
   std::unique_ptr<Node> parse_atom() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != 'R') {
-      fail("expected a relation (R1..R4')");
-    }
-    ++pos_;
-    if (pos_ >= text_.size() || text_[pos_] < '1' || text_[pos_] > '4') {
-      fail("expected a relation number 1..4");
-    }
-    const char digit = text_[pos_++];
-    const bool primed = pos_ < text_.size() && text_[pos_] == '\'';
-    if (primed) ++pos_;
-
-    Relation rel{};
-    switch (digit) {
-      case '1': rel = primed ? Relation::R1p : Relation::R1; break;
-      case '2': rel = primed ? Relation::R2p : Relation::R2; break;
-      case '3': rel = primed ? Relation::R3p : Relation::R3; break;
-      case '4': rel = primed ? Relation::R4p : Relation::R4; break;
-      default: fail("unreachable");
-    }
-
+    const Relation rel = parse_relation();
     // Optional proxy pair; default (U, L).
     ProxyKind px = ProxyKind::End;
     ProxyKind py = ProxyKind::Begin;
@@ -142,6 +48,7 @@ class Parser {
     return make_atom(RelationId{rel, px, py});
   }
 
+ private:
   bool parse_proxy(ProxyKind& out) {
     skip_ws();
     if (pos_ < text_.size() && (text_[pos_] == 'L' || text_[pos_] == 'U')) {
@@ -151,9 +58,6 @@ class Parser {
     }
     return false;
   }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
 };
 
 bool evaluate_node(const Node& node, const RelationEvaluator& eval,

@@ -249,7 +249,9 @@ bool decode_hello(const FrameView& frame, std::size_t& processes,
   try {
     const std::uint64_t p = decode_varint(in);
     const std::uint64_t chunk = decode_varint(in);
-    if (!in.empty() || p < 2 || p > 1u << 20 || chunk == 0) return false;
+    if (!in.empty() || p < 2 || p > kMaxTenantProcesses || chunk == 0) {
+      return false;
+    }
     processes = static_cast<std::size_t>(p);
     resync_chunk = static_cast<std::size_t>(chunk);
   } catch (const ContractViolation&) {

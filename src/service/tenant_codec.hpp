@@ -60,6 +60,11 @@ struct FrameView {
 /// prefix must not make a reader buffer gigabytes waiting for "more".
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 
+/// A hello declaring more processes is quarantined: a session holds |P|
+/// clocks and |P| gap trackers of |P| peers each (~5 MiB at 256, growing as
+/// |P|²). Wide enough for every tenant the tools, benches and tests build.
+inline constexpr std::size_t kMaxTenantProcesses = 256;
+
 /// Stateless envelope scan of `in`'s head. On kOk fills `out`; otherwise
 /// `out` is unspecified. Never throws, never consumes.
 PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out);
@@ -124,7 +129,8 @@ class TenantStreamDecoder {
   std::uint64_t expected_seq_;
 };
 
-/// Parses a hello frame's body. Returns false on malformed contents.
+/// Parses a hello frame's body. Returns false on malformed contents,
+/// including a process count outside [2, kMaxTenantProcesses].
 bool decode_hello(const FrameView& frame, std::size_t& processes,
                   std::size_t& resync_chunk);
 

@@ -33,6 +33,16 @@ std::uint64_t link_seed(std::uint64_t seed, ProcessId from, ProcessId to) {
 
 }  // namespace
 
+LinkFaultConfig generate_link_faults(Xoshiro256StarStar& rng) {
+  LinkFaultConfig link;
+  link.drop_probability = 0.05 + 0.30 * rng.uniform01();
+  link.duplicate_probability = 0.05 + 0.30 * rng.uniform01();
+  link.reorder_probability = 0.05 + 0.30 * rng.uniform01();
+  link.min_delay = 1;
+  link.max_delay = static_cast<Duration>(1 + rng.below(60));
+  return link;
+}
+
 bool FaultPlan::crashed_at(ProcessId p, TimePoint t) const {
   for (const CrashWindow& w : crashes) {
     if (w.process == p && t >= w.crash_at && t < w.restart_at) return true;

@@ -39,6 +39,12 @@ struct LinkFaultConfig {
   Duration max_delay = 1;
 };
 
+/// Samples a lossy-but-recoverable link: drop, duplicate and reorder rates
+/// in [0.05, 0.35] and a delay window of [1, 1..60] µs — heavy enough to
+/// exercise every degraded-mode path, light enough that recovery terminates
+/// quickly.
+LinkFaultConfig generate_link_faults(Xoshiro256StarStar& rng);
+
 /// One crash window: `process` is down in [crash_at, restart_at). While
 /// down it neither sends nor receives; messages addressed to it in the
 /// window are lost. Use kNeverRestarts for a permanent crash.

@@ -116,9 +116,11 @@ class DurableMonitor {
                   std::int64_t when = OnlineSystem::kNoTime);
   void checkpoint(const VectorClock& snapshot);
   /// adopt_checkpoint() + a durable snapshot every policy().snapshot_every
-  /// adoptions — the adopted cut is what lets observe-only WAL segments be
-  /// pruned (labeled/lifecycle records are pinned and survive until
-  /// forget()).
+  /// adoptions. Labeled reports and every lifecycle record (begin, complete,
+  /// forget, checkpoint, adopt) are appended pinned, the Store never unpins
+  /// a segment, and pruning stops at the first pinned one: only segments
+  /// written before any of them can go, so under action churn this WAL
+  /// grows without bound.
   void adopt_checkpoint(const RetentionCheckpoint& checkpoint);
   void forget(const std::string& label);
   void sync() { store_.sync(); }

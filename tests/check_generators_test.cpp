@@ -10,6 +10,7 @@
 #include "check/generators.hpp"
 #include "helpers.hpp"
 #include "monitor/predicate.hpp"
+#include "sim/faulty_channel.hpp"
 #include "support/rng.hpp"
 
 namespace syncon::check {

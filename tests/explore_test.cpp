@@ -1,7 +1,8 @@
 // Explorer internals (DESIGN.md §3.14): canonical-schedule enumeration
 // counts on a hand-counted universe, DPOR-vs-naive equivalence, the
-// SYNCON_TEST_ITERS dial, the parallel frontier, the planted-bug loop, and
-// the batch-order canonicalization regression the explorer depends on.
+// SYNCON_TEST_ITERS dial, the parallel frontier, the full invariant battery
+// and a failing monitor oracle, the planted-bug loop, and the batch-order
+// canonicalization regression the explorer depends on.
 #include <algorithm>
 #include <mutex>
 #include <set>
@@ -12,6 +13,7 @@
 #include "explore/explorer.hpp"
 #include "explore/invariants.hpp"
 #include "helpers.hpp"
+#include "online/online_monitor.hpp"
 #include "online/online_system.hpp"
 #include "relations/fast.hpp"
 
@@ -181,6 +183,86 @@ TEST(ExploreInvariantTest, CoreBatteryHoldsOnSmallGeneratedUniverses) {
     ++explored;
   }
   EXPECT_GT(explored, 0);
+}
+
+// The recovery and compaction legs — the compaction leg with its late
+// joiner — on every schedule of a few small generated universes.
+TEST(ExploreInvariantTest, FullBatteryHoldsOnSmallGeneratedUniverses) {
+  GenLimits limits;
+  limits.workload.min_processes = 2;
+  limits.workload.max_processes = 4;
+  limits.workload.min_events_per_process = 2;
+  limits.workload.max_events_per_process = 4;
+  const check::ScheduleInvarianceConfig gate =
+      check::schedule_invariance_config();
+  const int iters = testing::test_iters(8);
+  int explored = 0;
+  int monitored = 0;  // universes whose monitor legs are not vacuous
+  for (int i = 0; explored < iters && i < 30 * iters; ++i) {
+    const std::uint64_t seed =
+        check::case_seed_for(77, static_cast<std::size_t>(i));
+    SYNCON_SEED_TRACE(seed);
+    const CheckCase c = check::generate_case(seed, limits);
+    if (c.process_count() > gate.max_processes ||
+        c.messages.size() > gate.max_messages ||
+        c.total_events() > gate.max_events) {
+      continue;
+    }
+    const auto m = check::materialize(c);
+    ASSERT_TRUE(m.has_value());
+    const Universe u = universe_from_execution(*m->exec);
+    InvariantOptions inv;
+    inv.mask = kInvAll;
+    inv.fault_seed = check::fingerprint(c);
+    ExploreOptions opt;
+    opt.max_schedules = gate.max_schedules;
+    std::string violation;
+    const ExploreStats stats = explore(u, opt, [&](const Schedule& s) {
+      const ScheduleCheckResult r =
+          check_schedule(u, s, c.x_members, c.y_members, inv);
+      if (!r.passed) violation = r.message;
+      return r.passed;
+    });
+    ASSERT_TRUE(violation.empty())
+        << "schedule " << stats.traces_visited << ": " << violation;
+    if (!split_actions(m->x, m->y).y.empty()) ++monitored;
+    ++explored;
+  }
+  EXPECT_GT(explored, 0);
+  EXPECT_GT(monitored, 0);
+}
+
+// The lossy leg can fail: against a server that cannot answer (a fresh
+// system of the same size), a gap the channel tore open never closes.
+TEST(ExploreInvariantTest, LossyLegFailsAgainstAServerThatCannotAnswer) {
+  ExecutionBuilder b(2);
+  std::vector<MessageToken> sent;
+  for (int i = 0; i < 6; ++i) sent.push_back(b.send(0));
+  for (const MessageToken& m : sent) b.receive(1, m);
+  const Execution exec = b.build();
+  const NonatomicEvent x(exec, {{0, 1}, {0, 2}, {0, 3}}, "X");
+  const NonatomicEvent y(exec, {{1, 4}, {1, 5}, {1, 6}}, "Y");
+  const MonitorActions actions = split_actions(x, y);
+  OnlineSystem server = replay(exec);
+  const std::vector<WireMessage> reports =
+      reports_of(server, exec.topological_order());
+  MonitorPlan plan;
+  plan.lossy = seeded_feed(3, 3);
+
+  // Precondition: the channel drops a report that a later delivered report
+  // vouches for, so the gap is open before any checkpoint.
+  OnlineMonitor probe(exec.process_count());
+  probe.begin("X");
+  probe.begin("Y");
+  for (const Arrival& a : ship(*plan.lossy, reports).drain()) {
+    actions.feed(probe, a.message);
+  }
+  ASSERT_GT(probe.missing_report_count(), 0u);
+
+  OnlineSystem mute(exec.process_count());
+  EXPECT_EQ(monitor_differential(mute, reports, actions, plan),
+            "recovery: resync failed to converge");
+  EXPECT_EQ(monitor_differential(server, reports, actions, plan), "");
 }
 
 // The planted-bug loop: with the wrong_r2 hook armed, exhaustive

@@ -128,6 +128,25 @@ TEST(ServiceCodecTest, EveryBitFlipIsDetected) {
   }
 }
 
+// A session is sized by its hello's process count, so the count is
+// bounded: the cap decodes, one more is malformed.
+TEST(ServiceCodecTest, HelloProcessCountIsBounded) {
+  for (const std::size_t processes : {service::kMaxTenantProcesses,
+                                      service::kMaxTenantProcesses + 1}) {
+    TenantFrameEncoder encoder;
+    std::vector<std::uint8_t> frame;
+    encoder.encode_hello(3, processes, 8, frame);
+    FrameView view;
+    ASSERT_EQ(service::peek_frame(frame, view), PeekStatus::kOk);
+    std::size_t decoded = 0, chunk = 0;
+    const bool ok = service::decode_hello(view, decoded, chunk);
+    EXPECT_EQ(ok, processes <= service::kMaxTenantProcesses) << processes;
+    if (ok) {
+      EXPECT_EQ(decoded, processes);
+    }
+  }
+}
+
 TEST(ServiceCodecTest, ReplayedFrameIsQuarantinedWithoutStateDamage) {
   const TenantScript script = generate_tenant_script(faulty_workload(5));
   TenantFrameEncoder encoder;

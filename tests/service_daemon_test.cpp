@@ -256,6 +256,25 @@ TEST(ServiceDaemonTest, ImpossibleClockSizeIsQuarantined) {
   pool.drain();
 }
 
+// A CRC-clean hello asking for more processes than a session may hold is
+// quarantined before any session is sized by it, and pump() returns.
+TEST(ServiceDaemonTest, OversizedHelloIsQuarantined) {
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 2;
+  MonitorDaemon daemon(options, pool);
+
+  TenantFrameEncoder encoder;
+  std::vector<std::uint8_t> hello;
+  encoder.encode_hello(5, service::kMaxTenantProcesses + 1, 8, hello);
+  submit_or_pump(daemon, hello);
+  daemon.pump();
+
+  EXPECT_EQ(daemon.stats().frames_quarantined, 1u);
+  EXPECT_EQ(daemon.stats().tenants, 0u);
+  pool.drain();
+}
+
 TEST(ServiceDaemonTest, JournalRecoveryRebuildsEverySession) {
   SimStorage storage;
   ThreadPool pool(2);

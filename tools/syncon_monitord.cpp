@@ -91,6 +91,11 @@ int main(int argc, char** argv) {
   load.seed = cli.get_uint("seed");
   load.release_finished = !cli.get_flag("keep-sessions");
   load.workload.processes = cli.get_uint("processes");
+  if (load.workload.processes > service::kMaxTenantProcesses) {
+    std::fprintf(stderr, "syncon_monitord: --processes must be at most %zu\n",
+                 service::kMaxTenantProcesses);
+    return 1;
+  }
   load.workload.cycles = cli.get_uint("cycles");
   load.workload.action_every = cli.get_uint("action-every");
   load.workload.recover_every = cli.get_uint("recover-every");
