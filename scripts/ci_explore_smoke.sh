@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Smoke-runs the DPOR schedule explorer (syncon_explore, DESIGN.md §3.14):
-# fully enumerates the pinned 4-proc / 10-message universe with the core
+# Smoke-runs the schedule explorer (syncon_explore, DESIGN.md §3.14): fully
+# enumerates the pinned 4-proc / 10-message universe with the core
 # invariant battery and the naive-enumeration comparison, asserts the
-# enumeration completed without violations and that DPOR measurably reduced
-# the schedule count, then runs the pinned-seed 100-case
+# enumeration completed without violations, executed exactly one schedule
+# per inequivalent class with no duplicate, and measurably reduced the
+# schedule count against naive, then runs the pinned-seed 100-case
 # schedule_invariance sweep and asserts zero violations. The exploration
 # stats are merged into the benchmark trajectory file under
 # runs.explore.stats (creating a minimal file if scripts/ci_bench_smoke.sh
@@ -56,8 +57,13 @@ if stats.get("budget_exhausted"):
                     "enumerated")
 if stats.get("inequivalent_schedules", 0) <= 0:
     failures.append("no inequivalent schedules were visited")
+if stats.get("schedules_executed") != stats.get("inequivalent_schedules"):
+    failures.append("executed schedules != inequivalent schedules: the "
+                    "enumeration is not one schedule per class")
+if stats.get("duplicate_traces") != 0:
+    failures.append("duplicate traces were executed")
 if stats.get("naive_schedules", 0) <= stats.get("schedules_executed", 0):
-    failures.append("naive enumeration did not exceed the DPOR schedule "
+    failures.append("naive enumeration did not exceed the reduced schedule "
                     "count: no measured reduction")
 if failures:
     for f in failures:
@@ -69,8 +75,8 @@ capped = " (naive capped)" if stats.get("naive_capped") else ""
 print("exploration guarantees hold:")
 print(f"  inequivalent schedules : {stats['inequivalent_schedules']}")
 print(f"  schedules executed     : {stats['schedules_executed']}")
-print(f"  prefixes pruned        : {stats['prefixes_pruned']}")
-print(f"  DPOR reduction         : >={reduction:.1f}x{capped}")
+print(f"  cyclic choices rejected: {stats['prefixes_pruned']}")
+print(f"  reduction vs naive     : >={reduction:.1f}x{capped}")
 print(f"  wall seconds           : {stats['wall_seconds']}")
 
 if os.path.exists(merge_path):

@@ -601,7 +601,7 @@ constexpr std::array<PropertyInfo, 12> kProperties{{
      &recovery_identity},
     {"schedule_invariance",
      "small universes: enumerate every inequivalent delivery schedule "
-     "(DPOR) and run the core invariant battery on each poset — fast vs "
+     "(one per poset) and run the core invariant battery on each — fast vs "
      "naive, schedule-driven online clocks vs offline, monitor vs offline, "
      "verdict stability across linearizations of one trace",
      &schedule_invariance},

@@ -34,7 +34,7 @@
 //                       and all 32 verdicts bit-identical to a run that
 //                       never crashed.
 //   schedule_invariance small universes only: enumerate every inequivalent
-//                       delivery schedule (src/explore DPOR) and run the
+//                       delivery schedule (src/explore) and run the
 //                       core invariant battery on each poset — fast ≡
 //                       naive, schedule-driven online clocks ≡ offline,
 //                       monitor ≡ offline, and verdict stability across

@@ -19,40 +19,6 @@ namespace syncon::explore {
 
 namespace {
 
-/// Drives a fresh OnlineSystem by the schedule itself: exec steps execute
-/// locally, a gather's deliveries are shipped as one deliver_all batch in
-/// delivery order at the completing step. Returns the events in execution
-/// order (the schedule's linearization of the induced poset).
-std::vector<EventId> drive_system(const Universe& u, const Schedule& s,
-                                  OnlineSystem& sys) {
-  ScheduleState st(u);
-  std::vector<std::vector<WireMessage>> pending(u.process_count());
-  std::vector<EventId> order;
-  order.reserve(u.total_ops());
-  for (const Step step : s.word) {
-    if (!is_deliver(step)) {
-      const ProcessId p = process_of_exec(step);
-      const EventId e{p, static_cast<EventIndex>(op_of_exec(step) + 1)};
-      sys.local(p);
-      order.push_back(e);
-      st.apply(u, step);
-      continue;
-    }
-    const UniverseMessage& m = u.messages[message_of(step)];
-    pending[m.dst].push_back(
-        sys.wire_of({m.src, static_cast<EventIndex>(m.src_op + 1)}));
-    const std::uint32_t before = st.cursor[m.dst];
-    st.apply(u, step);
-    if (st.cursor[m.dst] != before) {
-      const EventId e{m.dst, static_cast<EventIndex>(before + 1)};
-      sys.deliver_all(m.dst, pending[m.dst]);
-      pending[m.dst].clear();
-      order.push_back(e);
-    }
-  }
-  return order;
-}
-
 /// The recovery leg, or the compaction leg when `chunked`: `reports` through
 /// the feed's channel into a fresh monitor, gaps closed by checkpoint +
 /// resync from `sys`. Unchunked: one delivery, at most 64 unbounded resync
@@ -120,6 +86,36 @@ std::optional<unsigned> invariant_mask_from_csv(std::string_view csv) {
   return mask;
 }
 
+std::vector<EventId> drive_system(const Universe& u, const Schedule& s,
+                                  OnlineSystem& sys) {
+  ScheduleState st(u);
+  std::vector<std::vector<WireMessage>> pending(u.process_count());
+  std::vector<EventId> order;
+  order.reserve(u.total_ops());
+  for (const Step step : s.word) {
+    if (!is_deliver(step)) {
+      const ProcessId p = process_of_exec(step);
+      const EventId e{p, static_cast<EventIndex>(op_of_exec(step) + 1)};
+      sys.local(p);
+      order.push_back(e);
+      st.apply(u, step);
+      continue;
+    }
+    const UniverseMessage& m = u.messages[message_of(step)];
+    pending[m.dst].push_back(
+        sys.wire_of({m.src, static_cast<EventIndex>(m.src_op + 1)}));
+    const std::uint32_t before = st.cursor[m.dst];
+    st.apply(u, step);
+    if (st.cursor[m.dst] != before) {
+      const EventId e{m.dst, static_cast<EventIndex>(before + 1)};
+      sys.deliver_all(m.dst, pending[m.dst]);
+      pending[m.dst].clear();
+      order.push_back(e);
+    }
+  }
+  return order;
+}
+
 ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
                                    const std::vector<EventId>& x_members,
                                    const std::vector<EventId>& y_members,
@@ -140,7 +136,7 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
   const EventHandle hy = eval.add_event(y);
 
   // The offline verdict payload — 32 relations × both orders — is always
-  // computed: it is what cross-schedule comparisons (DPOR vs naive, trace
+  // computed: it is what cross-schedule comparisons (reduced vs naive, trace
   // stability) assert on.
   const auto ids = all_relation_ids();
   result.verdicts.reserve(64);
@@ -181,10 +177,13 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
       }
     }
     if (options.mask & kInvStability) {
-      // A second linearization of the same trace (the replay helper's
-      // order) must stamp identical clocks: clocks are a function of the
-      // poset, not of the schedule.
-      const OnlineSystem alt = replay(*exec);
+      // A second linearization of the same trace — the binding walked
+      // highest-numbered process first — must stamp identical clocks:
+      // clocks are a function of the poset, not of the schedule.
+      OnlineSystem alt(u.process_count());
+      drive_system(
+          u, {linearize(u, s.binding, Priority::kHighestFirst), s.binding},
+          alt);
       for (const EventId& e : order) {
         if (alt.clock_of(e) != sys.clock_of(e)) {
           return fail("stability: clock of " + to_string(e) +

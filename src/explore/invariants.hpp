@@ -14,8 +14,9 @@
 //   monitor     OnlineMonitor fed the schedule's report order: 32 Definite
 //               verdicts ≡ the offline fast evaluator.
 //   stability   a second linearization of the *same* trace (reversed feed,
-//               replay-ordered system): bit-identical verdicts and clocks —
-//               verdicts are a function of the poset, never the schedule.
+//               a system driven by the binding's highest-process-first
+//               word): bit-identical verdicts and clocks — verdicts are a
+//               function of the poset, never the schedule.
 //   compaction  lossy chunked feed with the log compacted at the watermark
 //               pin ≡ the clean uncompacted verdicts, and a late joiner
 //               converges across the watermark from the checkpoint.
@@ -74,9 +75,16 @@ struct ScheduleCheckResult {
   /// On failure: which leg / relation / event diverged.
   std::string message;
   /// The 64 offline verdicts (32 relations × both orders) of the schedule's
-  /// induced poset — the payload DPOR-vs-naive comparisons assert on.
+  /// induced poset — the payload reduced-vs-naive comparisons assert on.
   std::vector<bool> verdicts;
 };
+
+/// Drives `sys` (fresh, sized to the universe) by the schedule itself: exec
+/// steps execute locally, a gather's deliveries are shipped as one
+/// deliver_all batch at the completing step. Returns the events in
+/// execution order (the schedule's linearization of the induced poset).
+std::vector<EventId> drive_system(const Universe& u, const Schedule& s,
+                                  OnlineSystem& sys);
 
 /// Runs the selected invariant legs on one complete schedule. Pure function
 /// of (universe, schedule, members, options) — safe to call concurrently

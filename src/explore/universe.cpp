@@ -43,26 +43,6 @@ Universe universe_from_execution(const Execution& exec) {
   return u;
 }
 
-bool dependent(const Universe& u, Step a, Step b) {
-  const bool da = is_deliver(a), db = is_deliver(b);
-  if (!da && !db) return process_of_exec(a) == process_of_exec(b);
-  if (da && db) {
-    const UniverseMessage& ma = u.messages[message_of(a)];
-    const UniverseMessage& mb = u.messages[message_of(b)];
-    // Same destination: they contend for the same receive slots. A deliver
-    // into a message's source process can complete the receive op that
-    // sources it (enabling dependence), so those pairs cannot commute
-    // either.
-    return ma.dst == mb.dst || mb.dst == ma.src || ma.dst == mb.src;
-  }
-  const Step e = da ? b : a;
-  const UniverseMessage& m = u.messages[message_of(da ? a : b)];
-  // An exec on the destination advances the cursor the delivery binds
-  // against; the exec of the source op enables the delivery.
-  return process_of_exec(e) == m.dst ||
-         (process_of_exec(e) == m.src && op_of_exec(e) == m.src_op);
-}
-
 ScheduleState::ScheduleState(const Universe& u)
     : cursor(u.process_count(), 0),
       filled(u.process_count(), 0),
@@ -146,6 +126,57 @@ TraceKey trace_key(const Universe& u, const Schedule& s) {
     key.push_back(0);
   }
   return key;
+}
+
+std::vector<Step> linearize(const Universe& u,
+                            std::span<const std::uint32_t> binding,
+                            Priority priority) {
+  SYNCON_REQUIRE(binding.size() == u.messages.size(),
+                 "linearize needs one binding per message");
+  // The deliveries bound to each receive op, in message-id order.
+  std::vector<std::vector<std::vector<std::uint32_t>>> into(
+      u.process_count());
+  for (ProcessId p = 0; p < u.process_count(); ++p) {
+    into[p].resize(u.ops[p].size());
+  }
+  for (std::uint32_t id = 0; id < u.messages.size(); ++id) {
+    const UniverseMessage& m = u.messages[id];
+    SYNCON_REQUIRE(binding[id] < u.ops[m.dst].size() &&
+                       u.ops[m.dst][binding[id]].recv_arity > 0,
+                   "linearize of an incomplete binding");
+    into[m.dst][binding[id]].push_back(id);
+  }
+  std::vector<std::uint32_t> cursor(u.process_count(), 0);
+  const auto ready = [&](ProcessId p) {
+    if (cursor[p] == u.ops[p].size()) return false;
+    for (const std::uint32_t id : into[p][cursor[p]]) {
+      const UniverseMessage& m = u.messages[id];
+      if (m.src_op >= cursor[m.src]) return false;
+    }
+    return true;
+  };
+  std::vector<Step> word;
+  word.reserve(u.total_steps());
+  for (std::size_t left = u.total_ops(); left > 0; --left) {
+    ProcessId p = 0;
+    bool found = false;
+    for (std::size_t k = 0; k < u.process_count() && !found; ++k) {
+      p = static_cast<ProcessId>(priority == Priority::kLowestFirst
+                                     ? k
+                                     : u.process_count() - 1 - k);
+      found = ready(p);
+    }
+    SYNCON_REQUIRE(found, "linearize of a cyclic binding");
+    const UniverseOp& op = u.ops[p][cursor[p]];
+    SYNCON_REQUIRE(into[p][cursor[p]].size() == op.recv_arity,
+                   "linearize of an incomplete binding");
+    if (op.recv_arity == 0) word.push_back(exec_step(p, cursor[p]));
+    for (const std::uint32_t id : into[p][cursor[p]]) {
+      word.push_back(deliver_step(id));
+    }
+    ++cursor[p];
+  }
+  return word;
 }
 
 std::shared_ptr<const Execution> induced_execution(const Universe& u,

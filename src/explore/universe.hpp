@@ -5,12 +5,13 @@
 // free-floating message set. Each op either executes immediately (a local
 // or send event) or is a receive slot of fixed arity that a schedule fills
 // with messages one delivery at a time. What the original execution pinned
-// down — which message lands in which receive — becomes a schedule choice:
-// two schedules that bind the messages differently induce different
-// happens-before posets, while two schedules with the same binding induce
-// the same poset in a different linearization. That is exactly the
-// Mazurkiewicz-trace equivalence of arXiv 1410.1209 ("same partial order"),
-// and the explorer enumerates one canonical schedule per equivalence class.
+// down — which message lands in which receive — becomes a schedule choice,
+// the *binding*. Two schedules with different bindings (up to swapping
+// identical messages) induce different happens-before posets, while two
+// schedules with the same binding induce the same poset in a different
+// linearization. That is exactly the Mazurkiewicz-trace equivalence of
+// arXiv 1410.1209 ("same partial order"): the explorer enumerates the
+// acyclic bindings and linearizes each one into a single schedule.
 //
 // Event identities survive rebinding: process p's k-th op always produces
 // event (p, k+1) in every induced execution, so nonatomic-event member sets
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "model/execution.hpp"
@@ -62,9 +64,8 @@ struct Universe {
 Universe universe_from_execution(const Execution& exec);
 
 // ---------------------------------------------------------------------------
-// Schedule steps. Encoded in one u32 so words are cheap to store and the
-// explorer's canonical order is just integer <. Exec steps sort before
-// Deliver steps; Exec by (process, op), Deliver by message id.
+// Schedule steps, encoded in one u32 so words are cheap to store. Exec steps
+// sort before Deliver steps; Exec by (process, op), Deliver by message id.
 // ---------------------------------------------------------------------------
 
 using Step = std::uint32_t;
@@ -83,19 +84,12 @@ inline ProcessId process_of_exec(Step s) {
 }
 inline std::uint32_t op_of_exec(Step s) { return s & 0xFFFFu; }
 
-/// The static dependence relation the canonical enumeration prunes with.
-/// Over-approximates "cannot commute": two independent adjacent steps can
-/// always be swapped without changing validity, the message binding, or the
-/// induced poset (soundness argument in DESIGN.md §3.14). Conservatism only
-/// costs duplicate canonical words, which the trace-key dedup absorbs.
-bool dependent(const Universe& u, Step a, Step b);
-
 // ---------------------------------------------------------------------------
 // Schedule replay state
 // ---------------------------------------------------------------------------
 
 /// Mutable cursor state of one schedule prefix. Small (a few vectors of
-/// ints), copied freely by the explorer's DFS frames and parallel frontier.
+/// ints), copied freely by the naive interleaving walk.
 struct ScheduleState {
   explicit ScheduleState(const Universe& u);
 
@@ -130,6 +124,18 @@ struct Schedule {
 /// which a raw binding vector would miss.
 using TraceKey = std::vector<std::uint64_t>;
 TraceKey trace_key(const Universe& u, const Schedule& s);
+
+/// Which ready process a linearization advances first.
+enum class Priority { kLowestFirst, kHighestFirst };
+
+/// The one word of a complete, acyclic binding that always advances the
+/// lowest- (or highest-) numbered ready process: an op is ready once the
+/// sources of the messages bound to it have executed, and a receive emits
+/// its bound deliveries in message-id order. The word replays through
+/// ScheduleState to exactly `binding`.
+std::vector<Step> linearize(const Universe& u,
+                            std::span<const std::uint32_t> binding,
+                            Priority priority = Priority::kLowestFirst);
 
 /// Rebuilds the induced execution of a complete schedule through
 /// ExecutionBuilder (so it passes the same acyclicity validation as every

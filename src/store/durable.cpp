@@ -67,7 +67,7 @@ class RecoveryTimer {
 DurableSystem::DurableSystem(std::size_t process_count,
                              StorageBackend& storage, DurabilityPolicy policy)
     : system_(process_count),
-      store_(storage, policy),
+      store_(storage, process_count, policy),
       encoder_(process_count, policy.full_interval) {
   RecoveryTimer timer(stats_);
   const std::vector<Store::RecoveredRecord> records = store_.take_records();
@@ -208,7 +208,7 @@ DurableMonitor::DurableMonitor(std::size_t process_count,
                                DurabilityPolicy policy)
     : process_count_(process_count),
       monitor_(process_count),
-      store_(storage, policy),
+      store_(storage, process_count, policy),
       encoder_(process_count, policy.full_interval) {
   RecoveryTimer timer(stats_);
   const std::vector<Store::RecoveredRecord> records = store_.take_records();

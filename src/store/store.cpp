@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -77,8 +78,9 @@ obs::Counter& corrupt_counter() {
 
 }  // namespace
 
-Store::Store(StorageBackend& storage, DurabilityPolicy policy)
-    : storage_(storage), policy_(policy) {
+Store::Store(StorageBackend& storage, std::size_t process_count,
+             DurabilityPolicy policy)
+    : storage_(storage), process_count_(process_count), policy_(policy) {
   SYNCON_REQUIRE(policy_.sync_every > 0 && policy_.segment_records > 0 &&
                      policy_.snapshot_every > 0 && policy_.full_interval > 0,
                  "durability policy intervals must be positive");
@@ -143,6 +145,7 @@ void Store::scan_existing() {
     SegmentMeta meta;
     meta.seq = seq;
     meta.name = name;
+    meta.bound.assign(process_count_, 0);
     std::size_t frame_start = 0;
     while (true) {
       frame_start = reader.valid_bytes();
@@ -162,10 +165,13 @@ void Store::scan_existing() {
         std::vector<EventId> touches;
         touches.reserve(static_cast<std::size_t>(nbounds));
         for (std::uint64_t i = 0; i < nbounds; ++i) {
-          EventId id;
-          id.process = static_cast<ProcessId>(decode_varint(in));
-          id.index = static_cast<EventIndex>(decode_varint(in));
-          touches.push_back(id);
+          const std::uint64_t process = decode_varint(in);
+          const std::uint64_t index = decode_varint(in);
+          SYNCON_REQUIRE(process < process_count_ &&
+                             index <= std::numeric_limits<EventIndex>::max(),
+                         "retention header names an impossible event");
+          touches.push_back({static_cast<ProcessId>(process),
+                             static_cast<EventIndex>(index)});
         }
         record.body.assign(in.begin(), in.end());
         merge_bound(meta, touches);
@@ -202,6 +208,7 @@ void Store::open_segment() {
   SegmentMeta meta;
   meta.seq = next_segment_seq_++;
   meta.name = seq_name(kWalPrefix, meta.seq);
+  meta.bound.assign(process_count_, 0);
   segments_.push_back(std::move(meta));
   open_records_ = 0;
   unsynced_records_ = 0;
@@ -209,7 +216,6 @@ void Store::open_segment() {
 
 void Store::merge_bound(SegmentMeta& meta, std::span<const EventId> touches) {
   for (const EventId& id : touches) {
-    if (meta.bound.size() <= id.process) meta.bound.resize(id.process + 1, 0);
     meta.bound[id.process] = std::max(meta.bound[id.process], id.index);
   }
 }
@@ -225,6 +231,10 @@ bool Store::bound_covered(const SegmentMeta& meta, const VectorClock& cut) {
 
 void Store::append(std::span<const std::uint8_t> body,
                    std::span<const EventId> touches, bool pinned) {
+  for (const EventId& id : touches) {
+    SYNCON_REQUIRE(id.process < process_count_,
+                   "WAL record touches a process outside the store");
+  }
   std::vector<std::uint8_t> payload;
   payload.reserve(body.size() + 4 * touches.size() + 4);
   payload.push_back(pinned ? 0x01 : 0x00);

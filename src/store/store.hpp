@@ -81,8 +81,12 @@ class Store {
     std::uint64_t wal_bytes = 0;       // valid WAL bytes scanned
   };
 
-  /// Opens (and, if the backend holds prior state, recovers) a store.
-  Store(StorageBackend& storage, DurabilityPolicy policy = {});
+  /// Opens (and, if the backend holds prior state, recovers) a store whose
+  /// records reference events of `process_count` processes. A recovered
+  /// retention header naming a process at or above the count, or a field
+  /// wider than 32 bits, is a malformed frame: recovery truncates there.
+  Store(StorageBackend& storage, std::size_t process_count,
+        DurabilityPolicy policy = {});
 
   const DurabilityPolicy& policy() const { return policy_; }
   const RecoveryInfo& recovery() const { return recovery_; }
@@ -98,8 +102,9 @@ class Store {
   std::uint64_t open_segment_seq() const { return segments_.back().seq; }
 
   /// Appends one record. `touches` lists every event id the record
-  /// references (for the pruning bound); `pinned` exempts the containing
-  /// segment from pruning (lifecycle records replay must never lose).
+  /// references (for the pruning bound), each on a process below the
+  /// store's count; `pinned` exempts the containing segment from pruning
+  /// (lifecycle records replay must never lose).
   void append(std::span<const std::uint8_t> body,
               std::span<const EventId> touches, bool pinned = false);
 
@@ -125,8 +130,8 @@ class Store {
   struct SegmentMeta {
     std::uint64_t seq = 0;
     std::string name;
-    // Max referenced event index per process (0 = none) — prunable once the
-    // durable cut covers them all.
+    // Max referenced event index per process (0 = none), one entry per
+    // process — prunable once the durable cut covers them all.
     std::vector<EventIndex> bound;
     bool pinned = false;
     std::size_t records = 0;
@@ -140,6 +145,7 @@ class Store {
   static bool bound_covered(const SegmentMeta& meta, const VectorClock& cut);
 
   StorageBackend& storage_;
+  std::size_t process_count_;
   DurabilityPolicy policy_;
   RecoveryInfo recovery_;
   std::vector<RecoveredRecord> recovered_records_;

@@ -13,6 +13,8 @@
 #include "store/storage.hpp"
 #include "store/store.hpp"
 #include "store/wal.hpp"
+#include "support/contracts.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -177,7 +179,7 @@ DurabilityPolicy tight_policy() {
 
 TEST(StoreTest, RotationKeepsOnlyTheOpenSegmentVulnerable) {
   SimStorage storage;
-  Store store(storage, tight_policy());
+  Store store(storage, 2, tight_policy());
   const EventId t0[] = {EventId{0, 1}};
   for (int i = 0; i < 5; ++i) store.append(bytes_of({i}), t0);
   // 5 records at 2 per segment: two closed (synced) segments + an open one.
@@ -189,7 +191,7 @@ TEST(StoreTest, RecoveryTruncatesAtFirstInvalidFrameAndDropsLaterSegments) {
   SimStorage storage;
   std::vector<std::string> segments;
   {
-    Store store(storage, tight_policy());
+    Store store(storage, 2, tight_policy());
     const EventId t0[] = {EventId{0, 1}};
     for (int i = 0; i < 6; ++i) store.append(bytes_of({i, i}), t0);
     store.sync();
@@ -208,7 +210,7 @@ TEST(StoreTest, RecoveryTruncatesAtFirstInvalidFrameAndDropsLaterSegments) {
   const std::size_t keep = probe.valid_bytes();
   storage.flip_bit(victim, keep + 3, 2);
 
-  Store recovered(storage, tight_policy());
+  Store recovered(storage, 2, tight_policy());
   const auto& info = recovered.recovery();
   EXPECT_TRUE(info.truncated);
   EXPECT_GE(info.dropped_segments, 1u);
@@ -221,10 +223,58 @@ TEST(StoreTest, RecoveryTruncatesAtFirstInvalidFrameAndDropsLaterSegments) {
   EXPECT_EQ(storage.size(victim), keep);  // physically truncated
 }
 
+// A CRC-valid frame whose retention header names a process outside the
+// store is malformed: recovery truncates there and keeps the records before
+// it. Process = count is the first id out of range; 0xFFFFFFFF is the id
+// whose `+ 1` wraps to zero.
+TEST(StoreTest, RecoveryTruncatesAtAnOutOfRangeRetentionProcess) {
+  const auto frame_touching = [](std::uint64_t process, int body) {
+    std::vector<std::uint8_t> payload{0x00};  // unpinned
+    encode_varint(1, payload);                // one touched event
+    encode_varint(process, payload);
+    encode_varint(1, payload);
+    payload.push_back(static_cast<std::uint8_t>(body));
+    std::vector<std::uint8_t> frame;
+    append_frame(payload, frame);
+    return frame;
+  };
+  for (const std::uint64_t process : {std::uint64_t{2}, std::uint64_t{0xFFFFFFFF}}) {
+    SCOPED_TRACE(process);
+    SimStorage storage;
+    {
+      Store store(storage, 2, tight_policy());
+      const EventId t[] = {EventId{1, 1}};
+      store.append(bytes_of({1}), t);
+    }
+    const std::vector<std::string> names = storage.list();
+    ASSERT_EQ(names.size(), 1u);
+    const std::string& segment = names[0];
+    const std::size_t valid = storage.size(segment);
+    storage.append(segment, frame_touching(process, 9));
+    storage.append(segment, frame_touching(1, 7));  // valid, but after it
+    storage.sync(segment);
+
+    Store recovered(storage, 2, tight_policy());
+    EXPECT_TRUE(recovered.recovery().truncated);
+    const auto records = recovered.take_records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].body, bytes_of({1}));
+    EXPECT_EQ(storage.size(segment), valid);
+  }
+}
+
+TEST(StoreTest, AppendRejectsAProcessOutsideTheStore) {
+  SimStorage storage;
+  Store store(storage, 2, tight_policy());
+  const EventId outside[] = {EventId{2, 1}};
+  EXPECT_THROW(store.append(bytes_of({1}), outside), ContractViolation);
+  EXPECT_EQ(store.records_appended(), 0u);
+}
+
 TEST(StoreTest, SnapshotFallsBackPastACorruptNewestOne) {
   SimStorage storage;
   {
-    Store store(storage, tight_policy());
+    Store store(storage, 2, tight_policy());
     RetentionCheckpoint cp = RetentionCheckpoint::bottom(2);
     cp.cut = VectorClock({2, 1});
     cp.sequence = 1;
@@ -241,7 +291,7 @@ TEST(StoreTest, SnapshotFallsBackPastACorruptNewestOne) {
   ASSERT_FALSE(newest.empty());
   storage.flip_bit(newest, storage.size(newest) / 2, 5);
 
-  Store recovered(storage, tight_policy());
+  Store recovered(storage, 2, tight_policy());
   const auto& info = recovered.recovery();
   ASSERT_TRUE(info.snapshot.has_value());
   EXPECT_EQ(info.snapshot->checkpoint.sequence, 1u);
@@ -251,7 +301,7 @@ TEST(StoreTest, SnapshotFallsBackPastACorruptNewestOne) {
 
 TEST(StoreTest, PruneReclaimsOnlyCoveredUnpinnedFrontSegments) {
   SimStorage storage;
-  Store store(storage, tight_policy());
+  Store store(storage, 2, tight_policy());
   const EventId lo[] = {EventId{0, 1}};
   const EventId hi[] = {EventId{0, 9}};
   store.append(bytes_of({1}), lo);
@@ -268,7 +318,7 @@ TEST(StoreTest, PruneReclaimsOnlyCoveredUnpinnedFrontSegments) {
 
   // Pinned segments survive even when covered.
   SimStorage storage2;
-  Store store2(storage2, tight_policy());
+  Store store2(storage2, 2, tight_policy());
   const EventId t[] = {EventId{0, 2}};
   store2.append(bytes_of({6}), t, /*pinned=*/true);
   store2.append(bytes_of({7}), t, /*pinned=*/true);  // closes pinned segment
@@ -281,7 +331,7 @@ TEST(StoreTest, PruneReclaimsOnlyCoveredUnpinnedFrontSegments) {
 
 TEST(StoreTest, KeepsTheNewestTwoSnapshots) {
   SimStorage storage;
-  Store store(storage, tight_policy());
+  Store store(storage, 2, tight_policy());
   for (std::uint64_t s = 1; s <= 4; ++s) {
     RetentionCheckpoint cp = RetentionCheckpoint::bottom(1);
     cp.sequence = s;

@@ -1,10 +1,11 @@
-// syncon_explore — exhaustive delivery-schedule exploration (DPOR).
+// syncon_explore — exhaustive delivery-schedule exploration.
 //
 // Builds a bounded universe (from the conformance generators or a saved
-// repro), enumerates every inequivalent delivery schedule — one canonical
-// schedule per induced happens-before poset — and runs the selected
-// invariant battery on each. Any violating universe is delta-debugged down
-// to a minimal replayable repro, shared with syncon_check.
+// repro), enumerates every inequivalent delivery schedule — one schedule
+// per acyclic binding of messages to receives, i.e. per induced
+// happens-before poset — and runs the selected invariant battery on each.
+// Any violating universe is delta-debugged down to a minimal replayable
+// repro, shared with syncon_check.
 //
 //   syncon_explore --seed 1 --procs 4 --messages 10     # one universe
 //   syncon_explore --seed 7 --cases 100                 # property sweep
@@ -75,8 +76,8 @@ bool explore_case(const CheckCase& c, unsigned mask,
   if (naive && run.violation.empty()) {
     explore::ExploreOptions base = opt;
     base.dpor = false;
-    // Unbounded naive enumeration can explode where DPOR does not; give it
-    // a cap when the caller did not.
+    // Unbounded naive enumeration can explode where the binding walk does
+    // not; give it a cap when the caller did not.
     if (base.max_schedules == 0) base.max_schedules = std::uint64_t{1} << 22;
     const explore::ExploreStats nstats =
         explore::explore(u, base, [](const explore::Schedule&) {
@@ -92,7 +93,7 @@ bool explore_case(const CheckCase& c, unsigned mask,
 void print_run(const UniverseRun& run) {
   std::cout << "schedules executed " << run.stats.schedules_executed
             << ", inequivalent " << run.stats.traces_visited
-            << ", prefixes pruned " << run.stats.prefixes_pruned
+            << ", cyclic choices rejected " << run.stats.prefixes_pruned
             << ", duplicates " << run.stats.duplicate_traces << ", dead ends "
             << run.stats.dead_ends << ", wall "
             << run.wall_seconds << "s\n";
@@ -101,7 +102,7 @@ void print_run(const UniverseRun& run) {
   }
   if (run.naive_ran) {
     std::cout << "naive enumeration: " << run.naive_schedules << " schedules"
-              << (run.naive_capped ? " (capped)" : "") << " -> DPOR ran "
+              << (run.naive_capped ? " (capped)" : "") << " -> reduced ran "
               << run.stats.schedules_executed << "\n";
   }
 }
@@ -169,9 +170,9 @@ void report_violation(const CheckCase& c, std::uint64_t case_seed,
 
 int main(int argc, char** argv) {
   CliParser cli("syncon_explore",
-                "DPOR delivery-schedule explorer: enumerate every "
-                "inequivalent interleaving of a bounded universe and prove "
-                "the invariant battery on each.");
+                "Delivery-schedule explorer: enumerate one schedule per "
+                "happens-before poset of a bounded universe and prove the "
+                "invariant battery on each.");
   cli.add_option("seed", "1", "master seed (case search / sweep stream)");
   cli.add_option("procs", "4", "process count of the target universe");
   cli.add_option("events", "5", "max events per process of the universe");
@@ -188,9 +189,11 @@ int main(int argc, char** argv) {
   cli.add_option("repro-out", "", "write a violating repro to this file");
   cli.add_option("stats-json", "", "write exploration stats to this file");
   cli.add_flag("naive",
-               "also count the naive (unpruned) enumeration to measure the "
-               "DPOR reduction");
-  cli.add_flag("parallel", "explore the frontier over the thread pool");
+               "also count every valid interleaving (serially, capped at "
+               "2^22 unless --max-schedules is set) to measure the "
+               "reduction");
+  cli.add_flag("parallel",
+               "split the binding tree over the thread pool");
   cli.add_flag("no-shrink", "report violations without minimizing them");
   if (!cli.parse(argc, argv)) return 2;
 
