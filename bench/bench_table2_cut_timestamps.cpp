@@ -123,7 +123,8 @@ void BM_TimestampSetup(benchmark::State& state) {
       generate_execution(standard_workload(processes, 100, 777));
   for (auto _ : state) {
     const Timestamps ts(exec);
-    benchmark::DoNotOptimize(ts.forward_ref(exec.topological_order()[0])[0]);
+    benchmark::DoNotOptimize(
+        ts.forward_ref(exec.topological_order()[0]).at(0));
   }
   state.SetLabel(std::to_string(exec.total_real_count()) + " events");
 }

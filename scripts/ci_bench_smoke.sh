@@ -60,34 +60,7 @@ for fname in sorted(os.listdir(smoke_dir)):
         payload = payload.get("benchmarks", [])
     runs.setdefault(name, {})[kind] = payload
 
-# Distill the clock-backend P-sweep (bench_clock_backends) into a compact
-# per-backend summary so the perf trajectory of the ClockRep backends is
-# greppable without digging through the raw benchmark rows.
-def clock_backend_summary(rows):
-    sweep = {}
-    for row in rows:
-        name = row.get("name", "")
-        if "BM_OnlineStampSweep" not in name or row.get("run_type") == "aggregate":
-            continue
-        # e.g. "BM_OnlineStampSweep<TreeClock>/1024/manual_time"
-        backend = name.split("<", 1)[1].split(">", 1)[0]
-        procs = name.split(">/", 1)[1].split("/", 1)[0]
-        events = row.get("items_per_second")
-        entry = sweep.setdefault(backend, {})
-        entry[f"P={procs}"] = {
-            "ns_per_event": (1e9 / events) if events else None,
-            "real_time_ns": row.get("real_time"),
-        }
-    return sweep
-
-summary = {}
-rows = runs.get("bench_clock_backends", {}).get("benchmarks")
-if rows:
-    summary["clock_backend_stamp_sweep"] = clock_backend_summary(rows)
-
 doc = {"schema": "syncon-bench-smoke-v1", "mode": "smoke", "runs": runs}
-if summary:
-    doc["summary"] = summary
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)
     f.write("\n")

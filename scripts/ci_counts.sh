@@ -5,7 +5,9 @@
 # the pinned values:
 #
 #   offline_trace    Theorem 20 comparisons and relation evaluations per
-#                    pair, and (next to) no allocation per pair;
+#                    pair, (next to) no allocation per pair, and (next to)
+#                    no allocation per stamped event: stamping fills one
+#                    row array per direction sized up front;
 #   service_small    wire bytes per frame and per event;
 #   service_durable  wire bytes per frame and per event, and the journal's
 #                    peak size in bytes;
@@ -64,7 +66,8 @@ gate offline_trace '{
   "relations.comparisons_per_pair": ["==", 142.3880345],
   "relations.pruned_comparisons_per_pair": ["==", 43.4943281],
   "relations.pruned_evaluated_frac": ["==", 0.3079052138],
-  "relations.allocs_per_pair": ["<", 0.001]
+  "relations.allocs_per_pair": ["<", 0.001],
+  "model.stamp_allocs_per_event": ["<", 0.001]
 }'
 gate service_small '{
   "service.wire_bytes_per_frame": ["==", 18.86481356],

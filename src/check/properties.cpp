@@ -1,6 +1,7 @@
 #include "check/properties.hpp"
 
 #include <array>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -12,7 +13,6 @@
 #include "explore/explorer.hpp"
 #include "explore/invariants.hpp"
 #include "model/reachability.hpp"
-#include "model/tree_clock.hpp"
 #include "monitor/predicate.hpp"
 #include "online/online_system.hpp"
 #include "relations/batch.hpp"
@@ -454,59 +454,117 @@ PropertyResult predicate_roundtrip(const CheckCase& c) {
 // clock_backend_identity
 // ---------------------------------------------------------------------------
 
+/// The textbook stamping sweep: one dense clock per event, dummies included,
+/// indexed [process][index]. T(e) joins its predecessor's clock (the
+/// all-ones floor at index 1) with its sources' clocks and pins the owner to
+/// index + 1 (Defn 13); F(e) meets its successor's (the ceiling n_i + 1 for a
+/// last event) with its receivers' and pins the owner to index (Defn 14).
+/// The naive tier the stored rows are checked against.
+struct TextbookStamps {
+  std::vector<std::vector<VectorClock>> t, f;
+
+  explicit TextbookStamps(const Execution& exec) {
+    const std::size_t n = exec.process_count();
+    VectorClock ceiling(n), top_f(n);
+    for (ProcessId i = 0; i < n; ++i) {
+      ceiling.set(i, exec.real_count(i) + 1);
+      top_f.set(i, exec.total_count(i));
+    }
+    for (ProcessId p = 0; p < n; ++p) {
+      const EventIndex top = exec.real_count(p) + 1;
+      t.emplace_back(exec.total_count(p), VectorClock(n, 0));
+      f.emplace_back(exec.total_count(p), VectorClock(n, 1));
+      t[p][0].set(p, 1);  // ⊥_p follows nothing but itself
+      f[p][0].set(p, 0);  // ⊥_p precedes all but the other ⊥s
+      t[p][top] = ceiling;  // ⊤_p follows all but the other ⊤s
+      t[p][top].set(p, top + 1);
+      f[p][top] = top_f;  // ⊤_p precedes nothing but itself
+      f[p][top].set(p, top);
+    }
+    std::map<EventId, std::vector<EventId>> receivers;
+    for (const Message& m : exec.messages()) {
+      receivers[m.source].push_back(m.target);
+    }
+    const std::vector<EventId>& order = exec.topological_order();
+    for (const EventId& e : order) {
+      VectorClock c =
+          e.index > 1 ? t[e.process][e.index - 1] : VectorClock(n, 1);
+      for (const EventId& s : exec.incoming(e)) {
+        c.merge_max(t[s.process][s.index]);
+      }
+      c.set(e.process, e.index + 1);
+      t[e.process][e.index] = std::move(c);
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const EventId e = *it;
+      VectorClock c = e.index < exec.real_count(e.process)
+                          ? f[e.process][e.index + 1]
+                          : ceiling;
+      for (const EventId& r : receivers[e]) {
+        c.merge_min(f[r.process][r.index]);
+      }
+      c.set(e.process, e.index);
+      f[e.process][e.index] = std::move(c);
+    }
+  }
+};
+
 PropertyResult clock_backend_identity(const CheckCase& c) {
   std::optional<MaterializedCase> m = materialize(c);
   if (!m) return fail("case failed to materialize");
   const Execution& exec = *m->exec;
-  const BasicTimestamps<VectorClock> dense(exec);
-  const BasicTimestamps<TreeClock> tree(exec);
+  const Timestamps ts(exec);
+  const TextbookStamps ref(exec);
 
-  // Stamped clocks densify bit-identically across backends, forward and
-  // reverse, for every real event.
-  for (const EventId& e : exec.topological_order()) {
-    if (tree.forward_ref(e).to_dense() != dense.forward_ref(e)) {
-      return fail("forward clock of " + to_string(e) +
-                  " differs across clock backends");
-    }
-    if (tree.reverse(e).to_dense() != dense.reverse(e)) {
-      return fail("reverse clock of " + to_string(e) +
-                  " differs across clock backends");
+  // T, F and T^R of every event, dummies included; the stored rows' views
+  // of every real event.
+  for (ProcessId p = 0; p < exec.process_count(); ++p) {
+    for (EventIndex k = 0; k < exec.total_count(p); ++k) {
+      const EventId e{p, k};
+      const VectorClock& t = ref.t[p][k];
+      const VectorClock& f = ref.f[p][k];
+      VectorClock r(exec.process_count());
+      for (ProcessId i = 0; i < r.size(); ++i) {
+        r.set(i, exec.total_count(i) - f.at(i));
+      }
+      if (exec.is_real(e) &&
+          (ts.forward_ref(e) != t || ts.future_start_ref(e) != f)) {
+        return fail("stored row of " + to_string(e) +
+                    " differs from the textbook sweep");
+      }
+      if (ts.forward(e) != t || ts.future_start(e) != f ||
+          ts.reverse(e) != r) {
+        return fail("T, F or T^R of " + to_string(e) +
+                    " differs from the textbook sweep");
+      }
     }
   }
 
-  // C1–C4 cut timestamps of X and Y densify identically.
-  const BasicEventCuts<VectorClock> cx_d(dense, m->x), cy_d(dense, m->y);
-  const BasicEventCuts<TreeClock> cx_t(tree, m->x), cy_t(tree, m->y);
-  for (const PosetCut which :
-       {PosetCut::IntersectPast, PosetCut::UnionPast,
-        PosetCut::IntersectFuture, PosetCut::UnionFuture}) {
-    if (cx_t.counts(which).to_dense() != cx_d.counts(which) ||
-        cy_t.counts(which).to_dense() != cy_d.counts(which)) {
-      return fail(std::string(to_string(which)) +
-                  " differs across clock backends");
+  // leq of real events is the clock order (Defn 13's isomorphism).
+  for (const EventId& a : exec.topological_order()) {
+    for (const EventId& b : exec.topological_order()) {
+      if (ts.leq(a, b) !=
+          ref.t[a.process][a.index].leq(ref.t[b.process][b.index])) {
+        return fail("leq(" + to_string(a) + ", " + to_string(b) +
+                    ") differs from the textbook clock order");
+      }
     }
   }
 
-  // The Theorem 19/20 evaluator returns the same verdict at the same
-  // comparison cost on both backends, both argument orders.
-  for (const Relation r : kAllRelations) {
-    ComparisonCounter nd, nt;
-    const bool xy_d = evaluate_fast(r, cx_d, cy_d, nd);
-    const bool xy_t = evaluate_fast(r, cx_t, cy_t, nt);
-    if (xy_t != xy_d) {
-      return fail(std::string("R(X,Y) verdict for ") + to_string(r) +
-                  " differs across clock backends");
-    }
-    if (nt != nd) {
-      return fail(std::string("R(X,Y) probe cost for ") + to_string(r) +
-                  " differs across clock backends");
-    }
-    nd.reset(); nt.reset();
-    const bool yx_d = evaluate_fast(r, cy_d, cx_d, nd);
-    const bool yx_t = evaluate_fast(r, cy_t, cx_t, nt);
-    if (yx_t != yx_d || nt != nd) {
-      return fail(std::string("R(Y,X) for ") + to_string(r) +
-                  " differs across clock backends");
+  // C1–C4 of X, Y and their Defn 2 proxies: the folded extreme rows equal
+  // the Lemma 16 fold over every member's (now verified) clock.
+  for (const NonatomicEvent* v : {&m->x, &m->y}) {
+    for (const NonatomicEvent& w : {*v, v->proxy_per_node(ProxyKind::Begin),
+                                    v->proxy_per_node(ProxyKind::End)}) {
+      const EventCuts cuts(ts, w);
+      for (const PosetCut which :
+           {PosetCut::IntersectPast, PosetCut::UnionPast,
+            PosetCut::IntersectFuture, PosetCut::UnionFuture}) {
+        if (cuts.counts(which) != poset_cut_counts_reference(ts, w, which)) {
+          return fail(std::string(to_string(which)) +
+                      " differs from the Lemma 16 fold");
+        }
+      }
     }
   }
   return pass();
@@ -591,8 +649,8 @@ constexpr std::array<PropertyInfo, 12> kProperties{{
      "direct AST evaluation",
      &predicate_roundtrip},
     {"clock_backend_identity",
-     "dense and tree clock backends stamp, cut and decide all relations "
-     "bit-identically after densification, at equal probe cost",
+     "row-stamped T, F and T^R of every event, leq of every real pair and "
+     "C1-C4 of X, Y and their proxies equal the textbook per-event sweep",
      &clock_backend_identity},
     {"recovery_identity",
      "crash the durable system and monitor at a seeded point under storage "

@@ -25,9 +25,10 @@
 //                       verdicts.
 //   predicate_roundtrip random sync-condition ASTs render → parse →
 //                       evaluate identically to direct AST evaluation.
-//   clock_backend_identity   dense and tree clock backends stamp, cut
-//                       and decide all relations bit-identically, at
-//                       equal probe cost.
+//   clock_backend_identity   the row-stamped T, F and T^R of every
+//                       event, leq of every real pair and C1–C4 of X, Y
+//                       and their proxies vs the textbook per-event
+//                       Defn 13/14 sweep (one dense clock per event).
 //   recovery_identity   the crash legs below: DurableSystem/DurableMonitor
 //                       crashed at a seeded point under storage faults and
 //                       recovered from snapshot + WAL tail: clocks, times

@@ -9,13 +9,17 @@
 // with the canonical form on every cut pair where C contains no final dummy
 // event of an *event-less* process (always true for the ↓-style cuts the
 // theory applies them to); tests pin down the degenerate divergence.
+//
+// theorem19_violated is the probe the fast evaluator (relations/fast.hpp)
+// runs over the C1–C4 cut timestamps (nonatomic/cut_timestamps.hpp): it
+// reads single VectorClock components, one counted comparison per probed
+// node.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "cuts/cut.hpp"
-#include "model/clock.hpp"
 #include "model/types.hpp"
 #include "model/vector_clock.hpp"
 #include "support/contracts.hpp"
@@ -81,14 +85,10 @@ bool not_ll_form4(const Cut& c, const Cut& c_prime);
 ///    automatically in N_C;
 ///  * probe_nodes is N_X or N_Y — the proof of Theorem 19 shows a violation,
 ///    if any exists, is visible at a node of either set.
-///
-/// Generic over the clock representation: the probe touches single
-/// components through the concept's at() accessor, so sparse or structured
-/// backends answer it without densifying.
-template <ClockRep Clock>
-bool theorem19_violated(const Clock& down_counts, const Clock& up_counts,
-                        std::span<const ProcessId> probe_nodes,
-                        ComparisonCounter& counter) {
+inline bool theorem19_violated(const VectorClock& down_counts,
+                               const VectorClock& up_counts,
+                               std::span<const ProcessId> probe_nodes,
+                               ComparisonCounter& counter) {
   SYNCON_REQUIRE(down_counts.size() == up_counts.size(),
                  "cut timestamps of different sizes");
   for (const ProcessId i : probe_nodes) {

@@ -15,17 +15,17 @@ VectorClock::VectorClock(std::size_t size, ClockValue fill)
 VectorClock::VectorClock(std::vector<ClockValue> components)
     : components_(std::move(components)) {}
 
-void VectorClock::merge_max(const VectorClock& other) {
+void VectorClock::merge_max(std::span<const ClockValue> other) {
   SYNCON_REQUIRE(size() == other.size(), "merging clocks of different size");
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    components_[i] = std::max(components_[i], other.components_[i]);
+    components_[i] = std::max(components_[i], other[i]);
   }
 }
 
-void VectorClock::merge_min(const VectorClock& other) {
+void VectorClock::merge_min(std::span<const ClockValue> other) {
   SYNCON_REQUIRE(size() == other.size(), "merging clocks of different size");
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    components_[i] = std::min(components_[i], other.components_[i]);
+    components_[i] = std::min(components_[i], other[i]);
   }
 }
 

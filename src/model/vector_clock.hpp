@@ -4,15 +4,15 @@
 // A VectorClock of size |P| is also the representation of a *cut timestamp*
 // (Defn 15): component i is the number of events of process i inside the cut.
 //
-// VectorClock is the *dense* backend of the clock concept (model/clock.hpp):
-// a plain std::vector of components, every operation O(|P|). It is the
-// default everywhere and the representation the other backends convert to at
-// the dense boundary (to_dense / from_dense).
+// VectorClock is the one clock class: a plain std::vector of components,
+// every operation O(|P|). Stamping stores its clocks as shared rows
+// (model/timestamps.hpp) and hands them out as StampView; the lattice
+// operations also take a bare row as a span, so folding a row costs no copy.
 //
 // Component access is the narrow read API: size() / at() for single
 // components, values() for a read-only span over the dense storage, set()
 // and tick() for writes. The single-component accessors are inline: they sit
-// on the stamping sweep and the Theorem 19 probe, one call per component.
+// on the Theorem 19 probe, one call per component.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +42,7 @@ class VectorClock {
     SYNCON_REQUIRE(i < components_.size(), "clock component out of range");
     return components_[i];
   }
-  /// Read-only view of the dense storage (dense backend only — not part of
-  /// the clock concept, which promises only size()/at()).
+  /// Read-only view of the dense storage.
   std::span<const ClockValue> values() const { return components_; }
   /// Writes component i (bounds-checked).
   void set(std::size_t i, ClockValue v) {
@@ -60,9 +59,11 @@ class VectorClock {
   ClockValue operator[](std::size_t i) const { return at(i); }
 
   /// this[i] = max(this[i], other[i]) for every i (Lemma 16, union of cuts).
-  void merge_max(const VectorClock& other);
+  void merge_max(std::span<const ClockValue> other);
+  void merge_max(const VectorClock& other) { merge_max(other.values()); }
   /// this[i] = min(this[i], other[i]) for every i (Lemma 16, intersection).
-  void merge_min(const VectorClock& other);
+  void merge_min(std::span<const ClockValue> other);
+  void merge_min(const VectorClock& other) { merge_min(other.values()); }
 
   /// Componentwise order: true iff this[i] <= other[i] for all i.
   bool leq(const VectorClock& other) const;
@@ -70,10 +71,6 @@ class VectorClock {
   bool lt(const VectorClock& other) const;
   /// Neither leq in either direction (events: concurrent).
   bool incomparable(const VectorClock& other) const;
-
-  /// Dense conversion boundary of the clock concept: identity here.
-  VectorClock to_dense() const { return *this; }
-  static VectorClock from_dense(const VectorClock& dense) { return dense; }
 
   /// Appends a self-delimiting serialization: varint size, then each
   /// component as a zigzag varint delta from its left neighbor (stamped
@@ -88,6 +85,16 @@ class VectorClock {
  private:
   std::vector<ClockValue> components_;
 };
+
+/// The copying forms of merge_max / merge_min.
+inline VectorClock component_max(VectorClock a, const VectorClock& b) {
+  a.merge_max(b);
+  return a;
+}
+inline VectorClock component_min(VectorClock a, const VectorClock& b) {
+  a.merge_min(b);
+  return a;
+}
 
 std::ostream& operator<<(std::ostream& os, const VectorClock& vc);
 

@@ -1,6 +1,10 @@
 #include "monitor/trace_io.hpp"
 
+#include <charconv>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "support/contracts.hpp"
 
@@ -15,18 +19,27 @@ std::string event_ref(const EventId& e) {
   return std::to_string(e.process) + ":" + std::to_string(e.index);
 }
 
+// The one number parser of both formats: ASCII digits only, the value fits
+// the target type, and the whole token is consumed, so no '+', whitespace,
+// trailing junk or wrapped value reads as a different valid number. A signed
+// target (a time annotation) also takes a leading '-', so a negative time
+// written by write_timed_trace reads back.
+template <typename Int>
+bool parse_decimal(std::string_view token, Int& value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  return ec == std::errc{} && ptr == end;
+}
+
 EventId parse_event_ref(const std::string& token, std::size_t line_no) {
   const auto colon = token.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == token.size()) {
+  EventId e;
+  if (colon == std::string::npos ||
+      !parse_decimal(std::string_view(token).substr(0, colon), e.process) ||
+      !parse_decimal(std::string_view(token).substr(colon + 1), e.index)) {
     throw TraceFormatError(line_no, "malformed event reference", token);
   }
-  try {
-    const unsigned long p = std::stoul(token.substr(0, colon));
-    const unsigned long i = std::stoul(token.substr(colon + 1));
-    return EventId{static_cast<ProcessId>(p), static_cast<EventIndex>(i)};
-  } catch (const std::exception&) {
-    throw TraceFormatError(line_no, "malformed event reference", token);
-  }
+  return e;
 }
 
 // Reads content lines (skipping blanks and comments) while tracking the
@@ -55,13 +68,15 @@ class LineReader {
   std::size_t number_ = 0;
 };
 
-}  // namespace
-
-void write_trace(std::ostream& os, const Execution& exec) {
+// The record writer of both trace formats; `times` adds the `@<µs>`
+// annotation of the timed one.
+void write_records(std::ostream& os, const Execution& exec,
+                   const PhysicalTimes* times) {
   os << kTraceHeader << '\n';
   os << "processes " << exec.process_count() << '\n';
   for (const EventId& e : exec.topological_order()) {
     os << "e " << e.process;
+    if (times != nullptr) os << " @" << times->at(e);
     const auto sources = exec.incoming(e);
     if (!sources.empty()) {
       os << " <";
@@ -71,13 +86,18 @@ void write_trace(std::ostream& os, const Execution& exec) {
   }
 }
 
-std::string trace_to_string(const Execution& exec) {
-  std::ostringstream oss;
-  write_trace(oss, exec);
-  return oss.str();
-}
+// What the record loop read: the execution, and each process's time
+// annotations when every record carried one.
+struct ParsedTrace {
+  Execution exec;
+  std::optional<std::vector<std::vector<TimePoint>>> times;
+  std::size_t end_line;
+};
 
-Execution read_trace(std::istream& is) {
+// The record loop of both trace readers. With `timed`, an event record may
+// carry one `@<µs>` annotation; without, the only token after the process
+// id is '<', as the untimed format has it.
+ParsedTrace read_records(std::istream& is, bool timed) {
   LineReader reader(is);
   std::string line;
   if (!reader.next(line) || line != kTraceHeader) {
@@ -97,6 +117,8 @@ Execution read_trace(std::istream& is) {
   }
 
   ExecutionBuilder builder(p_count);
+  std::vector<std::vector<TimePoint>> times(p_count);
+  bool any_timed = false, any_untimed = false;
   while (reader.next(line)) {
     std::istringstream rec(line);
     std::string kind;
@@ -114,30 +136,63 @@ Execution read_trace(std::istream& is) {
     }
     const auto p = static_cast<ProcessId>(p_raw);
     std::string token;
-    if (rec >> token) {
-      if (token != "<") {
-        throw TraceFormatError(reader.number(), "expected '<' before sources",
+    bool stamped = false;
+    std::vector<EventId> sources;
+    while (rec >> token) {
+      if (timed && token[0] == '@') {
+        TimePoint t = 0;
+        if (!parse_decimal(std::string_view(token).substr(1), t)) {
+          throw TraceFormatError(reader.number(), "bad time annotation",
+                                 token);
+        }
+        times[p].push_back(t);
+        stamped = true;
+      } else if (token == "<") {
+        while (rec >> token) {
+          sources.push_back(parse_event_ref(token, reader.number()));
+        }
+        if (sources.empty()) {
+          throw TraceFormatError(reader.number(), "receive without sources",
+                                 line);
+        }
+      } else {
+        throw TraceFormatError(reader.number(),
+                               timed ? "unexpected token"
+                                     : "expected '<' before sources",
                                token);
       }
-      std::vector<EventId> sources;
-      while (rec >> token) {
-        sources.push_back(parse_event_ref(token, reader.number()));
-      }
+    }
+    (stamped ? any_timed : any_untimed) = true;
+    try {
       if (sources.empty()) {
-        throw TraceFormatError(reader.number(), "receive without sources",
-                               line);
-      }
-      try {
+        builder.local(p);
+      } else {
         builder.receive_from(p, sources);
-      } catch (const ContractViolation& e) {
-        throw TraceFormatError(reader.number(),
-                               std::string("invalid receive: ") + e.what());
       }
-    } else {
-      builder.local(p);
+    } catch (const ContractViolation& e) {
+      throw TraceFormatError(reader.number(),
+                             std::string("invalid receive: ") + e.what());
     }
   }
-  return builder.build();
+  if (any_timed && any_untimed) {
+    throw TraceFormatError(reader.number(),
+                           "mixed timed and untimed event records");
+  }
+  ParsedTrace out{builder.build(), std::nullopt, reader.number()};
+  if (any_timed) out.times = std::move(times);
+  return out;
+}
+
+}  // namespace
+
+void write_trace(std::ostream& os, const Execution& exec) {
+  write_records(os, exec, nullptr);
+}
+
+std::string trace_to_string(const Execution& exec) {
+  std::ostringstream oss;
+  write_trace(oss, exec);
+  return oss.str();
 }
 
 Execution trace_from_string(const std::string& text) {
@@ -196,105 +251,23 @@ void write_timed_trace(std::ostream& os, const Execution& exec,
                        const PhysicalTimes& times) {
   SYNCON_REQUIRE(&times.execution() == &exec,
                  "times belong to a different execution");
-  os << kTraceHeader << '\n';
-  os << "processes " << exec.process_count() << '\n';
-  for (const EventId& e : exec.topological_order()) {
-    os << "e " << e.process << " @" << times.at(e);
-    const auto sources = exec.incoming(e);
-    if (!sources.empty()) {
-      os << " <";
-      for (const EventId& src : sources) os << ' ' << event_ref(src);
-    }
-    os << '\n';
-  }
+  write_records(os, exec, &times);
+}
+
+Execution read_trace(std::istream& is) {
+  return read_records(is, false).exec;
 }
 
 TimedTrace read_timed_trace(std::istream& is) {
-  LineReader reader(is);
-  std::string line;
-  if (!reader.next(line) || line != kTraceHeader) {
-    throw TraceFormatError(reader.number(), "missing 'syncon-trace 1' header",
-                           line);
-  }
-  if (!reader.next(line)) {
-    throw TraceFormatError(reader.number(), "missing 'processes' record");
-  }
-  std::istringstream header(line);
-  std::string keyword;
-  std::size_t p_count = 0;
-  header >> keyword >> p_count;
-  if (keyword != "processes" || p_count == 0) {
-    throw TraceFormatError(reader.number(), "malformed 'processes' record",
-                           line);
-  }
-
-  ExecutionBuilder builder(p_count);
-  std::vector<std::vector<TimePoint>> times(p_count);
-  bool any_timed = false, any_untimed = false;
-  while (reader.next(line)) {
-    std::istringstream rec(line);
-    std::string kind;
-    rec >> kind;
-    if (kind != "e") {
-      throw TraceFormatError(reader.number(), "unknown record kind", kind);
-    }
-    unsigned long p_raw = p_count;
-    rec >> p_raw;
-    if (rec.fail() || p_raw >= p_count) {
-      throw TraceFormatError(reader.number(),
-                             "bad process id (trace has " +
-                                 std::to_string(p_count) + " processes)",
-                             line);
-    }
-    const auto p = static_cast<ProcessId>(p_raw);
-    std::string token;
-    bool timed = false;
-    std::vector<EventId> sources;
-    while (rec >> token) {
-      if (token[0] == '@') {
-        try {
-          times[p].push_back(std::stoll(token.substr(1)));
-        } catch (const std::exception&) {
-          throw TraceFormatError(reader.number(), "bad time annotation",
-                                 token);
-        }
-        timed = true;
-      } else if (token == "<") {
-        while (rec >> token) {
-          sources.push_back(parse_event_ref(token, reader.number()));
-        }
-        if (sources.empty()) {
-          throw TraceFormatError(reader.number(), "receive without sources",
-                                 line);
-        }
-      } else {
-        throw TraceFormatError(reader.number(), "unexpected token", token);
-      }
-    }
-    (timed ? any_timed : any_untimed) = true;
-    try {
-      if (sources.empty()) {
-        builder.local(p);
-      } else {
-        builder.receive_from(p, sources);
-      }
-    } catch (const ContractViolation& e) {
-      throw TraceFormatError(reader.number(),
-                             std::string("invalid receive: ") + e.what());
-    }
-  }
-  if (any_timed && any_untimed) {
-    throw TraceFormatError(reader.number(),
-                           "mixed timed and untimed event records");
-  }
+  ParsedTrace parsed = read_records(is, true);
   TimedTrace out;
-  auto exec = std::make_shared<const Execution>(builder.build());
-  if (any_timed) {
+  auto exec = std::make_shared<const Execution>(std::move(parsed.exec));
+  if (parsed.times) {
     try {
-      out.times =
-          std::make_shared<const PhysicalTimes>(*exec, std::move(times));
+      out.times = std::make_shared<const PhysicalTimes>(
+          *exec, std::move(*parsed.times));
     } catch (const ContractViolation& e) {
-      throw TraceFormatError(reader.number(),
+      throw TraceFormatError(parsed.end_line,
                              std::string("invalid timeline: ") + e.what());
     }
   }

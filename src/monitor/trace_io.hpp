@@ -13,6 +13,10 @@
 // Interval-set format:
 //   syncon-intervals 1
 //   i <label> <p>:<i> [<p>:<i> …]       -- label must contain no whitespace
+//
+// Event references and time annotations are plain decimal digits that fit
+// their field (a time may be negative); anything else is a TraceFormatError
+// naming the token.
 #pragma once
 
 #include <iosfwd>

@@ -6,22 +6,18 @@
 //   C3(X) = ∩⇑X = ∩_{x∈X} x↑   — future started by some x  (min of T(x↑))
 //   C4(X) = ∪⇑X = ∪_{x∈X} x↑   — future started by all x   (max of T(x↑))
 //
-// BasicEventCuts computes all four timestamps once per nonatomic event (Key
-// Idea 1) touching only the per-node extreme elements of X (the end-of-§2.3
+// EventCuts computes all four timestamps once per nonatomic event (Key Idea
+// 1) touching only the per-node extreme elements of X (the end-of-§2.3
 // optimization: the min is attained at per-node least events, the max at
 // per-node greatest events), i.e. |N_X| event timestamps per cut instead of
-// |X|. It is generic over the clock representation (ClockRep), folding the
-// stored stamped clocks in place — no per-node temporaries — and applying
-// the uniform +1 that turns F(x) into the e↑ cut counts once at the end
-// (min and max commute with adding the same constant to every component).
-//
-// `EventCuts` remains the dense VectorClock instantiation. Materializing a
-// Cut densifies through counts(...).to_dense() — cut arithmetic past this
-// point stays on VectorClock (the dense boundary, DESIGN.md §3.11).
+// |X|. It folds the stored stamp rows in place — a row-wide min or max, then
+// the owner's component from the view, since a shared row's owner slot is
+// stale — and applies the uniform +1 that turns F(x) into the e↑ cut counts
+// once at the end (min and max commute with adding the same constant to
+// every component).
 #pragma once
 
 #include "cuts/cut.hpp"
-#include "model/clock.hpp"
 #include "model/timestamps.hpp"
 #include "model/vector_clock.hpp"
 #include "nonatomic/interval.hpp"
@@ -42,41 +38,34 @@ const char* to_string(PosetCut which);
 /// The cached cut timestamps of one nonatomic event. Construction costs
 /// O(|N_X| · |P|) and is reused across every relation evaluation involving
 /// the event (Key Idea 1).
-template <ClockRep Clock>
-class BasicEventCuts {
+class EventCuts {
  public:
-  using clock_type = Clock;
-
-  BasicEventCuts(const BasicTimestamps<Clock>& ts, const NonatomicEvent& x);
+  EventCuts(const Timestamps& ts, const NonatomicEvent& x);
 
   const NonatomicEvent& event() const { return *event_; }
-  const BasicTimestamps<Clock>& timestamps() const { return *ts_; }
+  const Timestamps& timestamps() const { return *ts_; }
 
   /// T(Ck(X)) as per Corollary 17.
-  const Clock& counts(PosetCut which) const {
+  const VectorClock& counts(PosetCut which) const {
     return c_[static_cast<std::size_t>(which)];
   }
 
-  /// Materializes the chosen prefix as a Cut object (always dense: Cut
-  /// arithmetic is the conversion boundary of the clock concept).
+  /// Materializes the chosen prefix as a Cut object.
   Cut cut(PosetCut which) const {
-    return Cut(ts_->execution(), counts(which).to_dense());
+    return Cut(ts_->execution(), counts(which));
   }
 
   /// Shorthands matching the paper's notation.
-  const Clock& intersect_past() const { return c_[0]; }   // ∩⇓X
-  const Clock& union_past() const { return c_[1]; }       // ∪⇓X
-  const Clock& intersect_future() const { return c_[2]; } // ∩⇑X
-  const Clock& union_future() const { return c_[3]; }     // ∪⇑X
+  const VectorClock& intersect_past() const { return c_[0]; }   // ∩⇓X
+  const VectorClock& union_past() const { return c_[1]; }       // ∪⇓X
+  const VectorClock& intersect_future() const { return c_[2]; } // ∩⇑X
+  const VectorClock& union_future() const { return c_[3]; }     // ∪⇑X
 
  private:
-  const BasicTimestamps<Clock>* ts_;
+  const Timestamps* ts_;
   const NonatomicEvent* event_;
-  Clock c_[4];
+  VectorClock c_[4];
 };
-
-/// The default, dense instantiation used throughout the repo.
-using EventCuts = BasicEventCuts<VectorClock>;
 
 /// Reference computation folding over EVERY member event with the cut
 /// lattice operations (no extreme-element shortcut); used by tests to
@@ -84,53 +73,5 @@ using EventCuts = BasicEventCuts<VectorClock>;
 VectorClock poset_cut_counts_reference(const Timestamps& ts,
                                        const NonatomicEvent& x,
                                        PosetCut which);
-
-// ---------------------------------------------------------------------------
-// Implementation.
-
-template <ClockRep Clock>
-BasicEventCuts<Clock>::BasicEventCuts(const BasicTimestamps<Clock>& ts,
-                                      const NonatomicEvent& x)
-    : ts_(&ts), event_(&x) {
-  SYNCON_REQUIRE(&ts.execution() == &x.execution(),
-                 "timestamps belong to a different execution");
-  const Execution& exec = ts.execution();
-  bool first = true;
-  for (const ProcessId p : x.node_set()) {
-    // Minima over ↓/↑ cuts are attained at the per-node least events and
-    // maxima at the per-node greatest events (§2.3), so only extremes are
-    // consulted. Real events merge straight from the stored clocks; only
-    // dummy extremes (⊥/⊤ members) pay for an on-demand copy.
-    const EventId lo = x.least_on(p);
-    const EventId hi = x.greatest_on(p);
-    if (first) {
-      c_[0] = ts.forward(lo);
-      c_[1] = ts.forward(hi);
-      c_[2] = ts.future_start(lo);
-      c_[3] = ts.future_start(hi);
-      first = false;
-      continue;
-    }
-    if (exec.is_real(lo)) {
-      c_[0].merge_min(ts.forward_ref(lo));
-      c_[2].merge_min(ts.future_start_ref(lo));
-    } else {
-      c_[0].merge_min(ts.forward(lo));
-      c_[2].merge_min(ts.future_start(lo));
-    }
-    if (exec.is_real(hi)) {
-      c_[1].merge_max(ts.forward_ref(hi));
-      c_[3].merge_max(ts.future_start_ref(hi));
-    } else {
-      c_[1].merge_max(ts.forward(hi));
-      c_[3].merge_max(ts.future_start(hi));
-    }
-  }
-  // The future cuts fold F(x); the e↑ counts are F(x) + 1 per component,
-  // and the uniform +1 commutes with min/max — apply it once at the end.
-  for (Clock* f : {&c_[2], &c_[3]}) {
-    for (std::size_t i = 0; i < f->size(); ++i) f->set(i, f->at(i) + 1);
-  }
-}
 
 }  // namespace syncon

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "model/tree_clock.hpp"
-
 namespace syncon {
 
 FastDebugHooks& fast_debug_hooks() {
@@ -45,15 +43,5 @@ std::uint64_t theorem20_paper_bound(Relation r, std::size_t n_x,
   }
   return 0;
 }
-
-// One compiled instance of the evaluator per supported backend.
-template bool evaluate_fast<VectorClock>(Relation,
-                                         const BasicEventCuts<VectorClock>&,
-                                         const BasicEventCuts<VectorClock>&,
-                                         ComparisonCounter&);
-template bool evaluate_fast<TreeClock>(Relation,
-                                       const BasicEventCuts<TreeClock>&,
-                                       const BasicEventCuts<TreeClock>&,
-                                       ComparisonCounter&);
 
 }  // namespace syncon

@@ -12,17 +12,14 @@
 //   R2, R3            —  |N_X|
 //   R2', R3'          —  |N_Y|
 //
-// The evaluator is generic over the clock representation: every condition
-// reads cut-timestamp components through the concept's at() accessor (via
-// theorem19_violated and the per-node single-comparison forms), so it runs
-// unchanged over dense and tree cut timestamps. `evaluate_fast`
-// on the dense EventCuts alias is the default everywhere.
+// Every condition reads single cut-timestamp components (via
+// theorem19_violated and the per-node single-comparison forms), so a probe
+// costs exactly the comparisons it counts.
 #pragma once
 
 #include <cstdint>
 
 #include "cuts/ll_relation.hpp"
-#include "model/clock.hpp"
 #include "nonatomic/cut_timestamps.hpp"
 #include "relations/relation.hpp"
 #include "support/contracts.hpp"
@@ -44,10 +41,9 @@ namespace fast_detail {
 
 // ¬≪(down, up) probed at the X side (nodes of N_X): for each i ∈ N_X the
 // up-cut surface is compared against the down-cut at one integer comparison.
-template <ClockRep Clock>
-bool violated_at(const Clock& down, const Clock& up,
-                 std::span<const ProcessId> nodes,
-                 ComparisonCounter& counter) {
+inline bool violated_at(const VectorClock& down, const VectorClock& up,
+                        std::span<const ProcessId> nodes,
+                        ComparisonCounter& counter) {
   return theorem19_violated(down, up, nodes, counter);
 }
 
@@ -55,9 +51,9 @@ bool violated_at(const Clock& down, const Clock& up,
 // single-event cut x↑ of the per-node greatest x has surface index(x) at i,
 // so ¬≪(down, x↑) probed at {i} is one comparison: down[i] >= index(x)+1.
 // Walks X's node spans, which carry each node's greatest index.
-template <ClockRep Clock>
-bool all_x_tests_pass(const Clock& down, const NonatomicEvent& x,
-                      ComparisonCounter& counter) {
+inline bool all_x_tests_pass(const VectorClock& down,
+                             const NonatomicEvent& x,
+                             ComparisonCounter& counter) {
   for (const NonatomicEvent::NodeSpan& s : x.spans()) {
     ++counter.integer_comparisons;
     if (down.at(s.process) < s.greatest + 1) return false;
@@ -68,9 +64,8 @@ bool all_x_tests_pass(const Clock& down, const NonatomicEvent& x,
 // Dual per-node tests (R1'/R3' via Y's nodes): ↓y of the per-node least y
 // has surface index(y) at j, so ¬≪(↓y, up) probed at {j} is one comparison:
 // index(y)+1 >= up[j].
-template <ClockRep Clock>
-bool all_y_tests_pass(const Clock& up, const NonatomicEvent& y,
-                      ComparisonCounter& counter) {
+inline bool all_y_tests_pass(const VectorClock& up, const NonatomicEvent& y,
+                             ComparisonCounter& counter) {
   for (const NonatomicEvent::NodeSpan& s : y.spans()) {
     ++counter.integer_comparisons;
     if (s.least + 1 < up.at(s.process)) return false;
@@ -82,10 +77,8 @@ bool all_y_tests_pass(const Clock& up, const NonatomicEvent& y,
 
 /// Evaluates R(X, Y) from the cached cut timestamps of X and Y. The counter
 /// accumulates one integer comparison per node probed.
-template <ClockRep Clock>
-bool evaluate_fast(Relation r, const BasicEventCuts<Clock>& x,
-                   const BasicEventCuts<Clock>& y,
-                   ComparisonCounter& counter) {
+inline bool evaluate_fast(Relation r, const EventCuts& x, const EventCuts& y,
+                          ComparisonCounter& counter) {
   SYNCON_REQUIRE(&x.timestamps() == &y.timestamps(),
                  "cut timestamps of different executions");
   const NonatomicEvent& ex = x.event();

@@ -24,10 +24,10 @@ ClockValue SparseEventCuts::component(PosetCut which, ProcessId i,
         is_min ? event_->least_on(p) : event_->greatest_on(p);
     ClockValue v;
     if (past) {
-      v = ts_->forward_ref(extreme)[i];
+      v = ts_->forward_ref(extreme).at(i);
     } else {
       // Component of the e↑ cut: F(e)[i] + 1.
-      v = ts_->future_start_ref(extreme)[i] + 1;
+      v = ts_->future_start_ref(extreme).at(i) + 1;
     }
     if (counter != nullptr) ++counter->integer_comparisons;
     if (first) {

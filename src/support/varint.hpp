@@ -1,8 +1,8 @@
 // LEB128 varint and zigzag encoding — the byte-level vocabulary shared by
-// every clock serialization (model/vector_clock, model/tree_clock), the
-// online link codec (online/wire_codec), the WAL records (store/) and the
-// tenant wire frames (service/tenant_codec). Strings travel as a varint
-// byte length followed by the bytes.
+// the clock codec (model/vector_clock), the online link codec
+// (online/wire_codec), the WAL records (store/) and the tenant wire frames
+// (service/tenant_codec). Strings travel as a varint byte length followed by
+// the bytes.
 //
 // Encoders append to a byte vector; decoders consume from the front of a
 // span *by reference*, so sequential fields parse naturally:

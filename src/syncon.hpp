@@ -2,7 +2,8 @@
 //
 // Layering (each layer only depends on the ones above it):
 //   support    — contracts, RNG, stats, tables, CLI
-//   model      — events, vector clocks, executions, timestamps
+//   model      — events, the vector clock, executions, row-stamped
+//                timestamps
 //   cuts       — cuts, the << relation, special cuts, global-state lattice
 //   nonatomic  — nonatomic events, proxies, poset cut timestamps
 //   relations  — the paper's relation evaluators and implication lattice
@@ -19,12 +20,10 @@
 #include "support/table.hpp"        // IWYU pragma: export
 #include "support/thread_pool.hpp"  // IWYU pragma: export
 
-#include "model/clock.hpp"            // IWYU pragma: export
 #include "model/execution.hpp"     // IWYU pragma: export
 #include "model/reachability.hpp"  // IWYU pragma: export
 #include "model/scalar_clock.hpp"  // IWYU pragma: export
 #include "model/timestamps.hpp"    // IWYU pragma: export
-#include "model/tree_clock.hpp"    // IWYU pragma: export
 #include "model/types.hpp"         // IWYU pragma: export
 #include "model/vector_clock.hpp"  // IWYU pragma: export
 

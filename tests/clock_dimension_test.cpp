@@ -74,8 +74,8 @@ TEST(ClockDimensionTest, DroppingAnySenderComponentBreaksTheIsomorphism) {
   for (std::size_t dropped = 0; dropped < n; ++dropped) {
     // With sender component `dropped` removed, the concurrent diagonal pair
     // (a_dropped, b_dropped) appears ordered: a false positive.
-    const VectorClock& a = ts.forward_ref(crown.senders[dropped]);
-    const VectorClock& b = ts.forward_ref(crown.receivers[dropped]);
+    const VectorClock a = ts.forward(crown.senders[dropped]);
+    const VectorClock b = ts.forward(crown.receivers[dropped]);
     EXPECT_FALSE(a.leq(b));  // the full clock gets it right
     EXPECT_TRUE(projected_leq(a, b, dropped))
         << "dropping component " << dropped << " should misorder the pair";

@@ -549,7 +549,7 @@ TEST(ExploreOnlineTest, BatchOrderPermutationIsCanonicalized) {
   EXPECT_EQ(a.exec.messages(), c.exec.messages());
 
   const Timestamps ts_a(a.exec), ts_b(b.exec);
-  EXPECT_EQ(ts_a.forward_ref(a.recv), ts_b.forward_ref(b.recv));
+  EXPECT_EQ(ts_a.forward(a.recv), ts_b.forward(b.recv));
 }
 
 }  // namespace

@@ -338,8 +338,7 @@ TEST_P(OnlinePropertyTest, ReplayReproducesOfflineClocks) {
   const Timestamps ts(exec);
   const OnlineSystem sys = replay(exec);
   for (const EventId& e : exec.topological_order()) {
-    ASSERT_EQ(sys.clock_of(e), ts.forward_ref(e)) << e.process << ":"
-                                                  << e.index;
+    ASSERT_EQ(sys.clock_of(e), ts.forward(e)) << e.process << ":" << e.index;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "helpers.hpp"
 #include "model/reachability.hpp"
 #include "model/timestamps.hpp"
@@ -152,7 +155,7 @@ TEST_P(TimestampPropertyTest, ClockOrderIsomorphicToCausality) {
   for (const EventId& a : exec.topological_order()) {
     for (const EventId& b : exec.topological_order()) {
       if (a == b) continue;
-      ASSERT_EQ(ts.lt(a, b), ts.forward_ref(a).lt(ts.forward_ref(b)));
+      ASSERT_EQ(ts.lt(a, b), ts.forward(a).lt(ts.forward(b)));
     }
   }
 }
@@ -208,6 +211,129 @@ TEST(TimestampsTest, ReverseTimestampMatchesOracleOnEdgeShapes) {
     b.send(1);
     expect_reverse_matches_oracle(b.build());
   }
+}
+
+// ---------------------------------------------------------------------------
+// The row layout's edge cases: one stored forward row per receiving event and
+// one future row per sending event (plus the floor and ceiling rows), every
+// other event reading a shared row whose owner slot is stale.
+// ---------------------------------------------------------------------------
+
+// T, F and T^R of every event, and leq of every event pair, against the
+// oracle; the stored rows' views of every real event; and the row counts.
+void expect_stamps_match_oracle(const Execution& exec) {
+  const Timestamps ts(exec);
+  const ReachabilityOracle oracle(exec);
+  const auto events = all_events(exec);
+  for (const EventId& e : events) {
+    const VectorClock t = ts.forward(e);
+    const VectorClock f = ts.future_start(e);
+    const VectorClock r = ts.reverse(e);
+    for (ProcessId i = 0; i < exec.process_count(); ++i) {
+      ClockValue before = 0, after = 0;
+      ClockValue earliest = exec.total_count(i);  // sentinel: none ⪰ e
+      for (EventIndex k = exec.total_count(i); k-- > 0;) {
+        if (oracle.leq(EventId{i, k}, e)) ++before;
+        if (oracle.leq(e, EventId{i, k})) {
+          ++after;
+          earliest = k;
+        }
+      }
+      ASSERT_EQ(t[i], before) << "T of " << e << " at process " << i;
+      ASSERT_EQ(f[i], earliest) << "F of " << e << " at process " << i;
+      ASSERT_EQ(r[i], after) << "T^R of " << e << " at process " << i;
+      if (exec.is_real(e)) {
+        ASSERT_EQ(ts.forward_ref(e).at(i), before) << e;
+        ASSERT_EQ(ts.future_start_ref(e).at(i), earliest) << e;
+      }
+    }
+    for (const EventId& b : events) {
+      ASSERT_EQ(ts.leq(e, b), oracle.leq(e, b)) << e << " vs " << b;
+    }
+  }
+  std::set<EventId> receives, sends;
+  for (const Message& m : exec.messages()) {
+    receives.insert(m.target);
+    sends.insert(m.source);
+  }
+  EXPECT_EQ(ts.forward_row_count(), 1 + receives.size());
+  EXPECT_EQ(ts.future_row_count(), 1 + sends.size());
+}
+
+TEST(TimestampRowsTest, Gather) {
+  ExecutionBuilder b(4);
+  b.local(3);
+  const MessageToken m0 = b.send(0);
+  const MessageToken m1 = b.send(1);
+  b.local(1);
+  const MessageToken m2 = b.send(2);
+  const std::vector<MessageToken> all{m0, m1, m2};
+  b.receive_all(3, all);
+  b.local(3);
+  const MessageToken back = b.send(3);
+  b.receive(0, back);
+  expect_stamps_match_oracle(b.build());
+}
+
+TEST(TimestampRowsTest, OneSendReceivedBySeveralProcesses) {
+  ExecutionBuilder b(4);
+  b.local(0);
+  const MessageToken m = b.send(0);
+  b.local(0);
+  b.receive(1, m);
+  b.local(2);
+  b.receive(2, m);
+  b.receive(3, m);
+  const MessageToken n = b.send(3);
+  b.receive(0, n);
+  expect_stamps_match_oracle(b.build());
+}
+
+TEST(TimestampRowsTest, EventThatReceivesIsAlsoAMessageSource) {
+  ExecutionBuilder b(3);
+  const EventId a = b.local(0);
+  b.local(1);
+  const EventId relay = b.receive_from(1, std::vector<EventId>{a});
+  b.local(1);
+  const EventId c = b.receive_from(2, std::vector<EventId>{relay});
+  // The relay's row is its own; a later source on p1 reads it with a stale
+  // owner slot, and p0 receives back from both.
+  const EventId later = b.local(1);
+  b.receive_from(0, std::vector<EventId>{relay, c});
+  b.receive_from(2, std::vector<EventId>{later});
+  expect_stamps_match_oracle(b.build());
+}
+
+TEST(TimestampRowsTest, ProcessWithoutRealEvents) {
+  ExecutionBuilder b(3);
+  const MessageToken m = b.send(0);
+  b.receive(2, m);
+  b.local(2);
+  const MessageToken n = b.send(2);
+  b.receive(0, n);
+  expect_stamps_match_oracle(b.build());
+}
+
+TEST(TimestampRowsTest, SendOnlyAndReceiveOnlyProcesses) {
+  ExecutionBuilder b(3);
+  std::vector<MessageToken> tokens;
+  for (int k = 0; k < 3; ++k) tokens.push_back(b.send(0));
+  b.local(2);
+  for (const MessageToken& t : tokens) b.receive(1, t);
+  tokens.push_back(b.send(2));
+  b.receive(1, tokens.back());
+  expect_stamps_match_oracle(b.build());
+}
+
+TEST(TimestampRowsTest, SingleProcess) {
+  {
+    ExecutionBuilder b(1);
+    b.local(0);
+    b.local(0);
+    b.local(0);
+    expect_stamps_match_oracle(b.build());
+  }
+  expect_stamps_match_oracle(ExecutionBuilder(1).build());
 }
 
 TEST_P(TimestampPropertyTest, ForwardTimestampMatchesOracleCounts) {

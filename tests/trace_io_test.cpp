@@ -147,13 +147,17 @@ TEST(TraceIoTest, GoldenFormatIsStable) {
 
 TEST(TimedTraceTest, RoundTripPreservesTimes) {
   const Execution exec = two_process_message();
-  const PhysicalTimes times(exec, {{10, 20, 30}, {1, 25, 40}});
-  std::stringstream ss;
-  write_timed_trace(ss, exec, times);
-  const TimedTrace loaded = read_timed_trace(ss);
-  ASSERT_NE(loaded.times, nullptr);
-  for (const EventId& e : exec.topological_order()) {
-    ASSERT_EQ(loaded.times->at(e), times.at(e));
+  // Negative times are valid timelines too, and must read back.
+  for (const PhysicalTimes& times :
+       {PhysicalTimes(exec, {{10, 20, 30}, {1, 25, 40}}),
+        PhysicalTimes(exec, {{-30, -20, -10}, {-40, -5, 0}})}) {
+    std::stringstream ss;
+    write_timed_trace(ss, exec, times);
+    const TimedTrace loaded = read_timed_trace(ss);
+    ASSERT_NE(loaded.times, nullptr);
+    for (const EventId& e : exec.topological_order()) {
+      ASSERT_EQ(loaded.times->at(e), times.at(e));
+    }
   }
 }
 
@@ -232,6 +236,62 @@ TEST(TraceIoErrorTest, ErrorsCarryLineAndToken) {
     EXPECT_NE(what.find("line 4"), std::string::npos);
     EXPECT_NE(what.find("2 processes"), std::string::npos);
     EXPECT_NE(what.find("'e 7'"), std::string::npos);
+  }
+}
+
+// Numbers are strict: ASCII digits that fit the field, consuming the whole
+// token. Each of these references once parsed as a different, valid event
+// (a sign, trailing junk, or a value wrapped to 32 bits).
+const std::vector<std::string> kMalformedRefs = {
+    "4294967297:1", "4294967296:1", "1junk:1x", "0:1x", "+0:1",
+    "0:-4294967295"};
+
+template <typename Read>
+void expect_rejects_token(Read read, const std::string& token) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted '" << token << "'";
+  } catch (const TraceFormatError& err) {
+    EXPECT_EQ(err.token(), token);
+    EXPECT_NE(std::string(err.what()).find(token), std::string::npos);
+  }
+}
+
+TEST(TraceIoStrictNumberTest, TraceReadersRejectMalformedSources) {
+  for (const std::string& token : kMalformedRefs) {
+    const std::string text =
+        "syncon-trace 1\nprocesses 3\ne 0\ne 1\ne 2 < " + token + "\n";
+    expect_rejects_token([&] { trace_from_string(text); }, token);
+    expect_rejects_token(
+        [&] {
+          std::istringstream in(text);
+          read_timed_trace(in);
+        },
+        token);
+  }
+}
+
+TEST(TraceIoStrictNumberTest, IntervalReaderRejectsMalformedRefs) {
+  const Execution exec = two_process_message();
+  for (const std::string& token : kMalformedRefs) {
+    expect_rejects_token(
+        [&] {
+          std::istringstream in("syncon-intervals 1\ni B " + token + "\n");
+          read_intervals(in, exec);
+        },
+        token);
+  }
+}
+
+TEST(TraceIoStrictNumberTest, TimedReaderRejectsMalformedAnnotations) {
+  for (const std::string token : {"@12abc", "@+12", "@"}) {
+    expect_rejects_token(
+        [&] {
+          std::istringstream in("syncon-trace 1\nprocesses 1\ne 0 " + token +
+                                "\n");
+          read_timed_trace(in);
+        },
+        token);
   }
 }
 

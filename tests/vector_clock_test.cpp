@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "model/clock.hpp"
 #include "model/vector_clock.hpp"
 #include "support/contracts.hpp"
 

@@ -26,6 +26,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/serve.hpp"
+#include "obs/telemetry.hpp"
 #include "service/daemon.hpp"
 #include "service/load.hpp"
 #include "support/cli.hpp"
