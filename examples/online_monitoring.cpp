@@ -5,12 +5,14 @@
 // trace processing.
 //
 // The scenario is a two-stage processing pipeline:
-//   watch 1  "stage-B batch k is entirely caused by stage-A batch k"
-//            (R3'(L,U): every B event has an A cause)
-//   watch 2  "some B event saw ALL of A batch k" (R2'(U,U))
-//   watch 3  "batch k+1's A work never overtakes batch k's B commit"
+//   watch 1  on (A/k, B/k), one set watch of two relations, evaluated in
+//            one pass when B/k completes:
+//              "stage-B batch k is entirely caused by stage-A batch k"
+//              (R3'(L,U): every B event has an A cause), and
+//              "some B event saw ALL of A batch k" (R2'(U,U))
+//   watch 2  "batch k+1's A work never overtakes batch k's B commit"
 //            (R1(U,L) between B/k and the NEXT A batch)
-//   watch 4  "B/k commits within 20ms of A/k finishing" (deadline)
+//   watch 3  "B/k commits within 20ms of A/k finishing" (deadline)
 //
 // Run: ./online_monitoring [--workers=N] [--batches=N]
 #include <cstdio>
@@ -45,15 +47,17 @@ int main(int argc, char** argv) {
   // Confidence is always Definite here: the monitor reads the system
   // directly, no lossy report channel is involved (see lossy_monitoring for
   // the degraded-mode counterpart).
-  auto relation_cb = [&](const char* what) {
-    return [&, what](const std::string& x, const std::string& y, bool holds,
-                     Confidence) {
-      table.new_row()
-          .add_cell(std::string(what))
-          .add_cell(x + " , " + y)
-          .add_cell(holds);
-    };
+  const auto add_row = [&](const char* what, const std::string& x,
+                           const std::string& y, bool holds) {
+    table.new_row()
+        .add_cell(std::string(what))
+        .add_cell(x + " , " + y)
+        .add_cell(holds);
   };
+  constexpr RelationId caused_by_a{Relation::R3p, ProxyKind::Begin,
+                                   ProxyKind::End};
+  constexpr RelationId saw_all_a{Relation::R2p, ProxyKind::End,
+                                 ProxyKind::End};
   auto deadline_cb = [&](const std::string& x, const std::string& y,
                          Duration measured, bool ok, Confidence) {
     table.new_row()
@@ -76,14 +80,21 @@ int main(int argc, char** argv) {
     monitor.begin(b_label);
 
     // Register the watches up front — they fire as completions happen.
-    monitor.watch({Relation::R3p, ProxyKind::Begin, ProxyKind::End}, a_label,
-                  b_label, relation_cb("R3'(L,U) B caused by A"));
-    monitor.watch({Relation::R2p, ProxyKind::End, ProxyKind::End}, a_label,
-                  b_label, relation_cb("R2'(U,U) B saw all A"));
+    monitor.watch(RelationSet::of(caused_by_a) | RelationSet::of(saw_all_a),
+                  a_label, b_label,
+                  [&, a_label, b_label](RelationSet holding, Confidence) {
+                    add_row("R3'(L,U) B caused by A", a_label, b_label,
+                            holding.contains(caused_by_a));
+                    add_row("R2'(U,U) B saw all A", a_label, b_label,
+                            holding.contains(saw_all_a));
+                  });
     if (k > 0) {
       monitor.watch({Relation::R1, ProxyKind::End, ProxyKind::Begin},
                     "B/" + std::to_string(k - 1), a_label,
-                    relation_cb("R1(U,L) no overtaking"));
+                    [&](const std::string& x, const std::string& y,
+                        bool holds, Confidence) {
+                      add_row("R1(U,L) no overtaking", x, y, holds);
+                    });
     }
     monitor.watch_deadline(
         TimingConstraint{"commit", Anchor::End, Anchor::End, 0, deadline},

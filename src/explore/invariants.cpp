@@ -236,11 +236,12 @@ MonitorActions split_actions(const NonatomicEvent& x, const NonatomicEvent& y) {
 
 std::vector<Firing> watch_all(OnlineMonitor& mon) {
   std::vector<Firing> fired;
-  for (const RelationId& id : all_relation_ids()) {
-    mon.watch(id, "X", "Y",
-              [&fired](const std::string&, const std::string&, bool holds,
-                       Confidence conf) { fired.push_back({holds, conf}); });
-  }
+  mon.watch(RelationSet::all(), "X", "Y",
+            [&fired](RelationSet holding, Confidence conf) {
+              for (const RelationId& id : all_relation_ids()) {
+                fired.push_back({holding.contains(id), conf});
+              }
+            });
   return fired;
 }
 

@@ -11,8 +11,9 @@
 //               every poset, deterministically).
 //   online      OnlineSystem driven step-by-step by the schedule itself:
 //               every logged clock ≡ the offline Timestamps sweep.
-//   monitor     OnlineMonitor fed the schedule's report order: 32 Definite
-//               verdicts ≡ the offline fast evaluator.
+//   monitor     OnlineMonitor fed the schedule's report order: one
+//               all-32 set watch fires 32 Definite verdicts ≡ the offline
+//               fast evaluator.
 //   stability   a second linearization of the *same* trace (reversed feed,
 //               a system driven by the binding's highest-process-first
 //               word): bit-identical verdicts and clocks — verdicts are a
@@ -119,7 +120,7 @@ struct MonitorActions {
 /// X's members, and Y's members outside X.
 MonitorActions split_actions(const NonatomicEvent& x, const NonatomicEvent& y);
 
-/// One immediate firing of a relation watch.
+/// One relation's verdict from a firing of a relation watch.
 struct Firing {
   bool holds = false;
   Confidence conf = Confidence::Definite;
@@ -128,7 +129,8 @@ struct Firing {
 };
 
 /// Watches all 32 relations on ("X", "Y") of a monitor whose actions both
-/// completed; returns the firings in all_relation_ids() order.
+/// completed, as one RelationSet::all() watch; returns its firing expanded
+/// into the 32 relations' Firings, in all_relation_ids() order.
 std::vector<Firing> watch_all(OnlineMonitor& mon);
 
 /// The clean leg: `reports` in order into a fresh monitor, then watch_all.

@@ -12,46 +12,6 @@ std::size_t IntervalSummary::node_slot(ProcessId p) const {
   return static_cast<std::size_t>(it - nodes.begin());
 }
 
-IntervalSummary IntervalSummary::proxy(ProxyKind kind) const {
-  IntervalSummary p = *this;
-  p.label = std::string(to_string(kind)) + "(" + label + ")";
-  p.event_count = nodes.size();
-  const bool begin = kind == ProxyKind::Begin;
-  // Collapse each node to its extreme event; recompute the past cuts and
-  // the physical span from the surviving events.
-  bool first = true;
-  bool timed = true;
-  p.start_time = p.end_time = -1;
-  for (std::size_t s = 0; s < p.nodes.size(); ++s) {
-    if (begin) {
-      p.greatest_index[s] = p.least_index[s];
-      p.greatest_clock[s] = p.least_clock[s];
-      p.greatest_event_time[s] = p.least_event_time[s];
-    } else {
-      p.least_index[s] = p.greatest_index[s];
-      p.least_clock[s] = p.greatest_clock[s];
-      p.least_event_time[s] = p.greatest_event_time[s];
-    }
-    const std::int64_t t = p.least_event_time[s];
-    if (t < 0) {
-      timed = false;
-    } else {
-      p.start_time = p.start_time < 0 ? t : std::min(p.start_time, t);
-      p.end_time = std::max(p.end_time, t);
-    }
-    if (first) {
-      p.intersect_past = p.least_clock[s];
-      p.union_past = p.greatest_clock[s];
-      first = false;
-    } else {
-      p.intersect_past.merge_min(p.least_clock[s]);
-      p.union_past.merge_max(p.greatest_clock[s]);
-    }
-  }
-  p.fully_timed = timed && p.start_time >= 0;
-  return p;
-}
-
 IntervalTracker::IntervalTracker(std::string label)
     : label_(std::move(label)) {}
 
@@ -82,7 +42,6 @@ void IntervalTracker::add(EventId e, const VectorClock& clock,
     agg.process = e.process;
     agg.least = agg.greatest = e.index;
     agg.least_clock = agg.greatest_clock = clock;
-    agg.least_time = agg.greatest_time = when;
     per_node_.insert(it, std::move(agg));
     return;
   }
@@ -94,11 +53,9 @@ void IntervalTracker::add(EventId e, const VectorClock& clock,
   if (e.index < it->least) {
     it->least = e.index;
     it->least_clock = clock;
-    it->least_time = when;
   } else if (e.index > it->greatest) {
     it->greatest = e.index;
     it->greatest_clock = clock;
-    it->greatest_time = when;
   }
 }
 
@@ -126,23 +83,24 @@ IntervalSummary IntervalTracker::summary() const {
   s.start_time = start_time_;
   s.end_time = end_time_;
   s.fully_timed = all_timed_ && start_time_ >= 0;
-  bool first = true;
+  const std::size_t n = per_node_.size();
+  s.nodes.reserve(n);
+  s.least_index.reserve(n);
+  s.greatest_index.reserve(n);
+  s.least_clock.reserve(n);
+  s.greatest_clock.reserve(n);
+  s.intersect_past = s.least_union_past = per_node_.front().least_clock;
+  s.union_past = s.greatest_intersect_past = per_node_.front().greatest_clock;
   for (const NodeAgg& agg : per_node_) {
     s.nodes.push_back(agg.process);
     s.least_index.push_back(agg.least);
     s.greatest_index.push_back(agg.greatest);
     s.least_clock.push_back(agg.least_clock);
     s.greatest_clock.push_back(agg.greatest_clock);
-    s.least_event_time.push_back(agg.least_time);
-    s.greatest_event_time.push_back(agg.greatest_time);
-    if (first) {
-      s.intersect_past = agg.least_clock;
-      s.union_past = agg.greatest_clock;
-      first = false;
-    } else {
-      s.intersect_past.merge_min(agg.least_clock);
-      s.union_past.merge_max(agg.greatest_clock);
-    }
+    s.intersect_past.merge_min(agg.least_clock);
+    s.least_union_past.merge_max(agg.least_clock);
+    s.union_past.merge_max(agg.greatest_clock);
+    s.greatest_intersect_past.merge_min(agg.greatest_clock);
   }
   return s;
 }

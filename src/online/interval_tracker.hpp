@@ -1,12 +1,14 @@
 // Online accumulation of a nonatomic event: as the application executes the
 // component events of a high-level action, the tracker folds their
-// timestamps into exactly the aggregates the relation tests need —
-// node set, per-node extreme indices, the past cut timestamps ∩⇓X / ∪⇓X
-// (Table 2, maintained incrementally), and the extreme events' clocks.
+// timestamps into exactly the aggregates the relation tests need — node
+// set, per-node extreme indices and clocks, and, once the action completes,
+// the past cut timestamps of both Defn 2 proxies (Table 2).
 //
 // Everything here is derivable from the events' own (past) timestamps, so
 // it is available the moment the interval completes — no post-processing
-// pass over the trace.
+// pass over the trace. The summary computes each proxy cut once (Key Idea
+// 1); evaluation then reads a proxy through a borrowed ProxyView and copies
+// nothing.
 #pragma once
 
 #include <string>
@@ -34,13 +36,17 @@ struct IntervalSummary {
   std::vector<EventIndex> greatest_index;
   std::vector<VectorClock> least_clock;
   std::vector<VectorClock> greatest_clock;
-  /// Physical times of the extreme events (kNoTime when unstamped).
-  std::vector<std::int64_t> least_event_time;
-  std::vector<std::int64_t> greatest_event_time;
 
-  /// T(∩⇓X) and T(∪⇓X) (Table 2) — the past cuts, exact.
+  /// The past cut timestamps of the two Defn 2 proxies, exact. L_X keeps the
+  /// per-node least events, U_X the greatest.
+  ///   T(∩⇓X) = T(∩⇓L_X): the min over the least clocks;
+  ///   T(∪⇓X) = T(∪⇓U_X): the max over the greatest clocks;
+  ///   T(∪⇓L_X): the max over the least clocks;
+  ///   T(∩⇓U_X): the min over the greatest clocks.
   VectorClock intersect_past;
   VectorClock union_past;
+  VectorClock least_union_past;
+  VectorClock greatest_intersect_past;
 
   /// Physical span of the interval when every component event was stamped
   /// with a time (OnlineSystem::kNoTime markers otherwise).
@@ -51,11 +57,29 @@ struct IntervalSummary {
   std::size_t node_count() const { return nodes.size(); }
   /// Position of process p within `nodes`, or npos.
   std::size_t node_slot(ProcessId p) const;
+};
 
-  /// Summary of the Defn-2 proxy (per-node least events for Begin,
-  /// greatest for End) — lets the online evaluator answer the full
-  /// 32-relation set R.
-  IntervalSummary proxy(ProxyKind kind) const;
+/// A Defn 2 proxy of a summary, read in place: the proxy keeps one event per
+/// node (the least for Begin, the greatest for End), so each node slot has
+/// one index and one clock, and the proxy's two past cuts are two of the
+/// summary's four. Borrows the summary; copies nothing.
+struct ProxyView {
+  ProxyView(const IntervalSummary& s, ProxyKind kind)
+      : nodes(s.nodes),
+        index(kind == ProxyKind::Begin ? s.least_index : s.greatest_index),
+        clock(kind == ProxyKind::Begin ? s.least_clock : s.greatest_clock),
+        intersect_past(kind == ProxyKind::Begin ? s.intersect_past
+                                                : s.greatest_intersect_past),
+        union_past(kind == ProxyKind::Begin ? s.least_union_past
+                                            : s.union_past) {}
+
+  const std::vector<ProcessId>& nodes;
+  /// Parallel to `nodes`: the proxy's event on that node.
+  const std::vector<EventIndex>& index;
+  const std::vector<VectorClock>& clock;
+  /// T(∩⇓X̂) and T(∪⇓X̂) of the proxy X̂.
+  const VectorClock& intersect_past;
+  const VectorClock& union_past;
 };
 
 class IntervalTracker {
@@ -88,8 +112,9 @@ class IntervalTracker {
   /// (OnlineMonitor::watermark_pin, DESIGN.md §3.10).
   std::vector<std::pair<ProcessId, EventIndex>> least_indices() const;
 
-  /// Finalizes the aggregates. The tracker may keep accumulating afterwards;
-  /// summary() just snapshots the current state.
+  /// Finalizes the aggregates, the four proxy past cuts included. The
+  /// tracker may keep accumulating afterwards; summary() just snapshots the
+  /// current state.
   IntervalSummary summary() const;
 
  private:
@@ -99,8 +124,6 @@ class IntervalTracker {
     EventIndex greatest = 0;
     VectorClock least_clock;
     VectorClock greatest_clock;
-    std::int64_t least_time = -1;
-    std::int64_t greatest_time = -1;
   };
 
   std::string label_;

@@ -6,99 +6,60 @@ namespace syncon {
 
 namespace {
 
-// ∀ i ∈ N_X : past[i] >= bound_index(i) + 1, one comparison per node.
-// With bound = greatest index this is "every x-extreme is known to the
-// relevant Y aggregate"; with least index, the ∃x variants.
-bool all_nodes_dominated(const IntervalSummary& x, const VectorClock& past,
-                         bool use_greatest, ComparisonCounter& counter) {
-  for (std::size_t s = 0; s < x.nodes.size(); ++s) {
-    ++counter.integer_comparisons;
-    const EventIndex idx =
-        use_greatest ? x.greatest_index[s] : x.least_index[s];
-    if (past[x.nodes[s]] < idx + 1) return false;
+// Does `clock` know X̂'s event on node slot t? Components count the dummy,
+// so event (p, i) is known iff clock[p] >= i + 1. One comparison.
+bool knows(const VectorClock& clock, const ProxyView& x, std::size_t t,
+           ComparisonCounter& counter) {
+  ++counter.integer_comparisons;
+  return clock[x.nodes[t]] > x.index[t];
+}
+
+// Does `clock` know every / some event of X̂? Stops at the first slot that
+// decides, one comparison per slot visited.
+bool knows_all(const VectorClock& clock, const ProxyView& x,
+               ComparisonCounter& counter) {
+  for (std::size_t t = 0; t < x.nodes.size(); ++t) {
+    if (!knows(clock, x, t, counter)) return false;
   }
   return true;
 }
 
-bool any_node_dominated(const IntervalSummary& x, const VectorClock& past,
-                        bool use_greatest, ComparisonCounter& counter) {
-  for (std::size_t s = 0; s < x.nodes.size(); ++s) {
-    ++counter.integer_comparisons;
-    const EventIndex idx =
-        use_greatest ? x.greatest_index[s] : x.least_index[s];
-    if (past[x.nodes[s]] >= idx + 1) return true;
+bool knows_any(const VectorClock& clock, const ProxyView& x,
+               ComparisonCounter& counter) {
+  for (std::size_t t = 0; t < x.nodes.size(); ++t) {
+    if (knows(clock, x, t, counter)) return true;
   }
   return false;
 }
 
-// Does clock dominate X's per-node profile (T(y)[i] >= idx_X(i)+1 ∀i)?
-bool clock_dominates_profile(const VectorClock& clock,
-                             const IntervalSummary& x, bool use_greatest,
-                             ComparisonCounter& counter) {
-  for (std::size_t s = 0; s < x.nodes.size(); ++s) {
-    ++counter.integer_comparisons;
-    const EventIndex idx =
-        use_greatest ? x.greatest_index[s] : x.least_index[s];
-    if (clock[x.nodes[s]] < idx + 1) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool evaluate_online(Relation r, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter) {
-  SYNCON_REQUIRE(x.process_count == y.process_count,
-                 "summaries from different systems");
-  // A summary assembled from wire reports (degraded-mode feed) could in
-  // principle carry malformed aggregates; fail loudly rather than index a
-  // too-narrow past cut below.
-  SYNCON_REQUIRE(x.intersect_past.size() == x.process_count &&
-                     x.union_past.size() == x.process_count &&
-                     y.intersect_past.size() == y.process_count &&
-                     y.union_past.size() == y.process_count,
-                 "summary past-cut width disagrees with its process count "
-                 "(corrupt report feed?)");
+// R(X̂, Ŷ) on two proxies (one event per node each), from past timestamps.
+bool evaluate(Relation r, const ProxyView& x, const ProxyView& y,
+              ComparisonCounter& counter) {
   switch (r) {
     case Relation::R1:
     case Relation::R1p:
-      // ∀x ∀y: x ⪯ y ⟺ every y knows every per-node greatest x.
-      return all_nodes_dominated(x, y.intersect_past, /*use_greatest=*/true,
-                                 counter);
+      // ∀x ∀y: x ⪯ y ⟺ ∩⇓Ŷ (every y) knows every x.
+      return knows_all(y.intersect_past, x, counter);
     case Relation::R2:
-      // ∀x ∃y ⟺ some y knows each per-node greatest x.
-      return all_nodes_dominated(x, y.union_past, /*use_greatest=*/true,
-                                 counter);
+      // ∀x ∃y ⟺ ∪⇓Ŷ (some y) knows each x.
+      return knows_all(y.union_past, x, counter);
     case Relation::R3:
-      // ∃x ∀y ⟺ every y knows some per-node least x.
-      return any_node_dominated(x, y.intersect_past, /*use_greatest=*/false,
-                                counter);
+      // ∃x ∀y ⟺ ∩⇓Ŷ knows some x.
+      return knows_any(y.intersect_past, x, counter);
     case Relation::R4:
     case Relation::R4p:
-      // ∃x ∃y ⟺ some y knows some per-node least x.
-      return any_node_dominated(x, y.union_past, /*use_greatest=*/false,
-                                counter);
+      // ∃x ∃y ⟺ ∪⇓Ŷ knows some x.
+      return knows_any(y.union_past, x, counter);
     case Relation::R2p:
-      // ∃y ∀x: some per-node greatest y dominates X's greatest profile.
-      for (std::size_t s = 0; s < y.nodes.size(); ++s) {
-        if (clock_dominates_profile(y.greatest_clock[s], x,
-                                    /*use_greatest=*/true, counter)) {
-          return true;
-        }
+      // ∃y ∀x: some y's clock knows every x.
+      for (const VectorClock& clock : y.clock) {
+        if (knows_all(clock, x, counter)) return true;
       }
       return false;
     case Relation::R3p:
-      // ∀y ∃x: every per-node least y knows some per-node least x.
-      for (std::size_t s = 0; s < y.nodes.size(); ++s) {
-        bool found = false;
-        for (std::size_t t = 0; t < x.nodes.size(); ++t) {
-          ++counter.integer_comparisons;
-          if (y.least_clock[s][x.nodes[t]] >= x.least_index[t] + 1) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
+      // ∀y ∃x: every y's clock knows some x.
+      for (const VectorClock& clock : y.clock) {
+        if (!knows_any(clock, x, counter)) return false;
       }
       return true;
   }
@@ -106,10 +67,47 @@ bool evaluate_online(Relation r, const IntervalSummary& x,
   return false;
 }
 
+}  // namespace
+
+RelationSet evaluate_online(RelationSet watched, const IntervalSummary& x,
+                            const IntervalSummary& y,
+                            ComparisonCounter& counter) {
+  SYNCON_REQUIRE(x.process_count == y.process_count,
+                 "summaries from different systems");
+  // A summary assembled from wire reports (degraded-mode feed) could in
+  // principle carry malformed aggregates; fail loudly rather than index a
+  // too-narrow past cut below.
+  for (const IntervalSummary* s : {&x, &y}) {
+    SYNCON_REQUIRE(s->intersect_past.size() == s->process_count &&
+                       s->union_past.size() == s->process_count &&
+                       s->least_union_past.size() == s->process_count &&
+                       s->greatest_intersect_past.size() == s->process_count,
+                   "summary past-cut width disagrees with its process count "
+                   "(corrupt report feed?)");
+  }
+  RelationSet holding;
+  for (const RelationId id : watched) {
+    if (evaluate(id.relation, ProxyView(x, id.proxy_x),
+                 ProxyView(y, id.proxy_y), counter)) {
+      holding = holding | RelationSet::of(id);
+    }
+  }
+  return holding;
+}
+
 bool evaluate_online(const RelationId& id, const IntervalSummary& x,
                      const IntervalSummary& y, ComparisonCounter& counter) {
-  return evaluate_online(id.relation, x.proxy(id.proxy_x),
-                         y.proxy(id.proxy_y), counter);
+  return !evaluate_online(RelationSet::of(id), x, y, counter).empty();
+}
+
+bool evaluate_online(Relation r, const IntervalSummary& x,
+                     const IntervalSummary& y, ComparisonCounter& counter) {
+  constexpr ProxyKind L = ProxyKind::Begin, U = ProxyKind::End;
+  // Indexed by Relation: the proxies of X and Y whose events decide it.
+  static constexpr ProxyKind kNatural[][2] = {
+      {U, L}, {U, L}, {U, U}, {U, U}, {L, L}, {L, L}, {L, U}, {L, U}};
+  const auto& proxies = kNatural[static_cast<std::size_t>(r)];
+  return evaluate_online(RelationId{r, proxies[0], proxies[1]}, x, y, counter);
 }
 
 std::uint64_t online_cost_bound(Relation r, std::size_t n_x,

@@ -27,80 +27,138 @@ OnlineMonitor::OnlineMonitor(std::size_t process_count)
   SYNCON_REQUIRE(process_count > 0, "need at least one process");
 }
 
+OnlineMonitor::ActionId OnlineMonitor::intern(const std::string& label) {
+  const auto [it, fresh] = ids_.try_emplace(label, kNoAction);
+  if (!fresh) return it->second;
+  if (free_ids_.empty()) {
+    it->second = static_cast<ActionId>(actions_.size());
+    actions_.push_back(std::make_unique<Action>());
+  } else {
+    it->second = free_ids_.back();
+    free_ids_.pop_back();
+  }
+  Action& a = *actions_[it->second];
+  a.entry = it;
+  a.tracker = IntervalTracker(label);
+  return it->second;
+}
+
+OnlineMonitor::ActionId OnlineMonitor::find(const std::string& label) const {
+  const auto it = ids_.find(label);
+  return it == ids_.end() ? kNoAction : it->second;
+}
+
+bool OnlineMonitor::in_state(ActionId id, Action::State state) const {
+  return id != kNoAction && actions_[id]->state == state;
+}
+
+void OnlineMonitor::release(ActionId id) {
+  ids_.erase(actions_[id]->entry);
+  *actions_[id] = Action{};  // keeps the allocation for the id's next use
+  free_ids_.push_back(id);
+}
+
+template <class Watches>
+void OnlineMonitor::drop_watches(Watches& watches, ActionId id) {
+  std::erase_if(watches, [&](const auto& w) {
+    if (w.x != id && w.y != id) return false;
+    for (const ActionId end : {w.x, w.y}) {
+      Action& a = *actions_[end];
+      if (--a.watchers == 0 && a.state == Action::State::kNamed) release(end);
+    }
+    return true;
+  });
+}
+
+const IntervalSummary* OnlineMonitor::completed(ActionId id) const {
+  return in_state(id, Action::State::kComplete) ? &*actions_[id]->summary
+                                                : nullptr;
+}
+
+std::size_t OnlineMonitor::count(Action::State state) const {
+  std::size_t n = 0;
+  for (const auto& [label, id] : ids_) n += actions_[id]->state == state;
+  return n;
+}
+
 void OnlineMonitor::begin(const std::string& label) {
   SYNCON_REQUIRE(!label.empty(), "actions need a label");
-  SYNCON_REQUIRE(!open_.count(label) && !completed_.count(label),
+  Action& a = *actions_[intern(label)];
+  SYNCON_REQUIRE(a.state == Action::State::kNamed,
                  "duplicate action label '" + label + "'");
-  open_.emplace(label, IntervalTracker(label));
-  if (latency_tracking_) timing_[label].begin_us = obs::now_us();
+  a.state = Action::State::kOpen;
+  if (latency_tracking_) a.timing.begin_us = obs::now_us();
 }
 
 void OnlineMonitor::record(const std::string& label, EventId e) {
   SYNCON_REQUIRE(system_ != nullptr,
                  "record() reads the running system; a feed-only monitor "
                  "must ingest() event reports instead");
-  const auto it = open_.find(label);
-  SYNCON_REQUIRE(it != open_.end(), "no open action labeled '" + label + "'");
-  it->second.add(*system_, e);
-  note_action_report(label);
+  const ActionId id = find(label);
+  SYNCON_REQUIRE(in_state(id, Action::State::kOpen),
+                 "no open action labeled '" + label + "'");
+  actions_[id]->tracker.add(*system_, e);
+  note_action_report(id);
 }
 
 const IntervalSummary& OnlineMonitor::complete(const std::string& label) {
-  const auto it = open_.find(label);
-  SYNCON_REQUIRE(it != open_.end(), "no open action labeled '" + label + "'");
-  SYNCON_REQUIRE(!it->second.empty(),
+  const ActionId id = find(label);
+  SYNCON_REQUIRE(in_state(id, Action::State::kOpen),
+                 "no open action labeled '" + label + "'");
+  Action& a = *actions_[id];
+  SYNCON_REQUIRE(!a.tracker.empty(),
                  "completing '" + label + "' with no recorded events" +
                      (system_ == nullptr
                           ? " — every report may have been lost; checkpoint() "
                             "an authoritative snapshot and resync first"
                           : ""));
-  auto [pos, inserted] = completed_.emplace(label, it->second.summary());
-  SYNCON_ASSERT(inserted, "label uniqueness invariant broken");
-  // Keep the tracker: a late report recovered after a loss can still repair
-  // this summary (degraded mode). forget() releases it.
-  sealed_.insert(open_.extract(it));
-  if (latency_tracking_) timing_[label].completed_us = obs::now_us();
+  // The tracker stays: a late report recovered after a loss can still repair
+  // this summary (degraded mode). forget() releases both.
+  a.summary = a.tracker.summary();
+  a.state = Action::State::kComplete;
+  if (latency_tracking_) a.timing.completed_us = obs::now_us();
   fire_ready_watches();
-  return pos->second;
+  return *a.summary;
 }
 
 bool OnlineMonitor::is_open(const std::string& label) const {
-  return open_.count(label) != 0;
+  return in_state(find(label), Action::State::kOpen);
 }
 
 bool OnlineMonitor::is_complete(const std::string& label) const {
-  return completed_.count(label) != 0;
+  return in_state(find(label), Action::State::kComplete);
 }
 
 std::size_t OnlineMonitor::recorded_events(const std::string& label) const {
-  const auto it = open_.find(label);
-  SYNCON_REQUIRE(it != open_.end(), "no open action labeled '" + label + "'");
-  return it->second.event_count();
+  const ActionId id = find(label);
+  SYNCON_REQUIRE(in_state(id, Action::State::kOpen),
+                 "no open action labeled '" + label + "'");
+  return actions_[id]->tracker.event_count();
 }
 
 const IntervalSummary* OnlineMonitor::summary(const std::string& label) const {
-  const auto it = completed_.find(label);
-  return it == completed_.end() ? nullptr : &it->second;
+  return completed(find(label));
 }
 
 void OnlineMonitor::forget(const std::string& label) {
-  SYNCON_REQUIRE(completed_.count(label) != 0,
+  SYNCON_REQUIRE(!firing_, "forget() called from a watch callback");
+  const ActionId id = find(label);
+  SYNCON_REQUIRE(in_state(id, Action::State::kComplete),
                  "no completed action labeled '" + label + "'");
-  completed_.erase(label);
-  sealed_.erase(label);
-  timing_.erase(label);
-  std::erase_if(relation_watches_, [&](const RelationWatch& w) {
-    return w.x == label || w.y == label;
-  });
-  std::erase_if(deadline_watches_, [&](const DeadlineWatch& w) {
-    return w.x == label || w.y == label;
-  });
+  drop_watches(relation_watches_, id);
+  drop_watches(deadline_watches_, id);
+  release(id);
+}
+
+std::size_t OnlineMonitor::retained() const {
+  return count(Action::State::kComplete);
 }
 
 std::vector<std::string> OnlineMonitor::open_actions() const {
   std::vector<std::string> out;
-  out.reserve(open_.size());
-  for (const auto& [label, tracker] : open_) out.push_back(label);
+  for (const auto& [label, id] : ids_) {
+    if (actions_[id]->state == Action::State::kOpen) out.push_back(label);
+  }
   return out;
 }
 
@@ -114,7 +172,7 @@ bool OnlineMonitor::observe(const WireMessage& report) {
   }
   gaps_.claim(report.clock);
   note_gap_state();
-  if (!gaps_.has_gap()) rearm_after_recovery(nullptr);
+  if (!gaps_.has_gap()) rearm_after_recovery(kNoAction);
   fire_ready_watches();
   return true;
 }
@@ -122,9 +180,9 @@ bool OnlineMonitor::observe(const WireMessage& report) {
 bool OnlineMonitor::ingest(const std::string& label,
                            const WireMessage& report, std::int64_t when) {
   SYNCON_SPAN("monitor/ingest");
-  const auto open_it = open_.find(label);
-  const auto sealed_it = sealed_.find(label);
-  SYNCON_REQUIRE(open_it != open_.end() || sealed_it != sealed_.end(),
+  const ActionId id = find(label);
+  SYNCON_REQUIRE(in_state(id, Action::State::kOpen) ||
+                     in_state(id, Action::State::kComplete),
                  "no open or completed action labeled '" + label + "'");
   degraded_ = true;
   ++reports_seen_;
@@ -133,18 +191,17 @@ bool OnlineMonitor::ingest(const std::string& label,
     return false;
   }
   gaps_.claim(report.clock);
-  note_action_report(label);
-  if (open_it != open_.end()) {
-    open_it->second.add(report.source, report.clock, when);
-  } else {
-    // Late report for a completed action: repair the sealed summary and let
-    // the watches that consumed it re-fire with the corrected verdict.
-    sealed_it->second.add(report.source, report.clock, when);
-    completed_[label] = sealed_it->second.summary();
-    rearm_after_recovery(&label);
+  note_action_report(id);
+  Action& a = *actions_[id];
+  a.tracker.add(report.source, report.clock, when);
+  if (a.state == Action::State::kComplete) {
+    // Late report for a completed action: repair the summary in place and
+    // let the watches that consumed it re-fire with the corrected verdict.
+    *a.summary = a.tracker.summary();
+    rearm_after_recovery(id);
   }
   note_gap_state();
-  if (!gaps_.has_gap()) rearm_after_recovery(nullptr);
+  if (!gaps_.has_gap()) rearm_after_recovery(kNoAction);
   fire_ready_watches();
   return true;
 }
@@ -170,11 +227,13 @@ bool OnlineMonitor::valid_report(const WireMessage& report) const {
   // Everything a genuine report satisfies and garbage usually does not:
   // range checks the gap tracker would otherwise abort on, plus the Fidge
   // invariant — the clock of event (p, i) has own component i + 1 (the
-  // convention counts the dummy). A corrupt frame that still passes all of
-  // this carries a self-consistent clock and folds in harmlessly.
+  // convention counts the dummy), compared in 64 bits so index 2^32 - 1
+  // cannot wrap to a zero component. A corrupt frame that still passes all
+  // of this carries a self-consistent clock and folds in harmlessly.
   return report.source.process < process_count_ && report.source.index >= 1 &&
          report.clock.size() == process_count_ &&
-         report.clock[report.source.process] == report.source.index + 1;
+         std::uint64_t{report.clock[report.source.process]} ==
+             std::uint64_t{report.source.index} + 1;
 }
 
 void OnlineMonitor::quarantine(const WireMessage& report) {
@@ -262,8 +321,9 @@ VectorClock OnlineMonitor::watermark_pin() const {
   // Open (unevaluated) actions keep their component events servable: the
   // pin holds at the least referenced index until the action completes and
   // its watches have consumed the summary.
-  for (const auto& [label, tracker] : open_) {
-    for (const auto& [q, least] : tracker.least_indices()) {
+  for (const std::unique_ptr<Action>& a : actions_) {
+    if (a->state != Action::State::kOpen) continue;
+    for (const auto& [q, least] : a->tracker.least_indices()) {
       pin.set(q, std::min<ClockValue>(pin.at(q), least));
     }
   }
@@ -287,7 +347,7 @@ void OnlineMonitor::adopt_checkpoint(const RetentionCheckpoint& checkpoint) {
   obs::flight(obs::FlightKind::kCheckpoint, obs::FlightRecord::kNoProcess,
               checkpoint.sequence);
   note_gap_state();
-  if (!gaps_.has_gap()) rearm_after_recovery(nullptr);
+  if (!gaps_.has_gap()) rearm_after_recovery(kNoAction);
   fire_ready_watches();
 }
 
@@ -342,8 +402,9 @@ std::vector<ProcessId> OnlineMonitor::crashed_processes() const {
 
 std::vector<std::string> OnlineMonitor::doomed_actions() const {
   std::vector<std::string> out;
-  for (const auto& [label, tracker] : open_) {
-    for (const ProcessId p : tracker.nodes()) {
+  for (const auto& [label, id] : ids_) {
+    if (actions_[id]->state != Action::State::kOpen) continue;
+    for (const ProcessId p : actions_[id]->tracker.nodes()) {
       if (crashed_[p]) {
         out.push_back(label);
         break;
@@ -361,12 +422,26 @@ std::vector<EventId> OnlineMonitor::unrecoverable_reports() const {
   return out;
 }
 
+void OnlineMonitor::watch(RelationSet relations, const std::string& x,
+                          const std::string& y, RelationSetCallback callback) {
+  SYNCON_REQUIRE(callback != nullptr, "watch needs a callback");
+  const ActionId ix = intern(x);
+  const ActionId iy = intern(y);
+  ++actions_[ix]->watchers;
+  ++actions_[iy]->watchers;
+  relation_watches_.push_back(
+      RelationWatch{ix, iy, relations, std::move(callback), {}});
+  fire_ready_watches();
+}
+
 void OnlineMonitor::watch(const RelationId& relation, const std::string& x,
                           const std::string& y, RelationCallback callback) {
   SYNCON_REQUIRE(callback != nullptr, "watch needs a callback");
-  relation_watches_.push_back(
-      RelationWatch{relation, x, y, std::move(callback)});
-  fire_ready_watches();
+  watch(RelationSet::of(relation), x, y,
+        [callback = std::move(callback), x, y](RelationSet holding,
+                                                Confidence confidence) {
+          callback(x, y, !holding.empty(), confidence);
+        });
 }
 
 void OnlineMonitor::watch_deadline(const TimingConstraint& constraint,
@@ -375,8 +450,12 @@ void OnlineMonitor::watch_deadline(const TimingConstraint& constraint,
   SYNCON_REQUIRE(callback != nullptr, "watch needs a callback");
   SYNCON_REQUIRE(constraint.min_gap <= constraint.max_gap,
                  "constraint window must be ordered");
+  const ActionId ix = intern(x);
+  const ActionId iy = intern(y);
+  ++actions_[ix]->watchers;
+  ++actions_[iy]->watchers;
   deadline_watches_.push_back(
-      DeadlineWatch{constraint, x, y, std::move(callback)});
+      DeadlineWatch{ix, iy, constraint, std::move(callback), {}});
   fire_ready_watches();
 }
 
@@ -396,7 +475,8 @@ Confidence OnlineMonitor::current_confidence() const {
 std::vector<OnlineMonitor::HealthMetric> OnlineMonitor::health_metrics()
     const {
   return {
-      {"syncon_monitor_open_actions", "open actions", open_.size()},
+      {"syncon_monitor_open_actions", "open actions",
+       count(Action::State::kOpen)},
       {"syncon_monitor_completed_summaries", "completed summaries",
        retained()},
       {"syncon_monitor_reports_seen", "reports observed", reports_seen_},
@@ -425,25 +505,21 @@ void OnlineMonitor::publish_metrics() const {
   }
 }
 
-void OnlineMonitor::note_action_report(const std::string& label) {
+void OnlineMonitor::note_action_report(ActionId id) {
   if (!latency_tracking_) return;
-  ActionTiming& t = timing_[label];
+  ActionTiming& t = actions_[id]->timing;
   const std::uint64_t now = obs::now_us();
   if (t.first_report_us == 0) t.first_report_us = now;
   t.last_report_us = now;
 }
 
-void OnlineMonitor::emit_waterfall(const std::string& x, const std::string& y,
-                                   bool holds, Confidence confidence,
-                                   int fires, std::uint64_t eval0_us,
+void OnlineMonitor::emit_waterfall(ActionId x, ActionId y, bool holds,
+                                   Confidence confidence, int fires,
+                                   std::uint64_t eval0_us,
                                    std::uint64_t eval1_us,
                                    std::uint64_t fired_us) {
-  const auto timing_of = [&](const std::string& label) {
-    const auto it = timing_.find(label);
-    return it == timing_.end() ? ActionTiming{} : it->second;
-  };
-  const ActionTiming tx = timing_of(x);
-  const ActionTiming ty = timing_of(y);
+  const ActionTiming& tx = actions_[x]->timing;
+  const ActionTiming& ty = actions_[y]->timing;
   // Earliest stamp either action carries; a zero stamp means "tracking was
   // not on yet" and contributes nothing.
   const auto min_nonzero = [](std::uint64_t a, std::uint64_t b) {
@@ -457,8 +533,8 @@ void OnlineMonitor::emit_waterfall(const std::string& x, const std::string& y,
   if (start == 0 || start > eval0_us) start = eval0_us;
 
   obs::Waterfall w;
-  w.x = x;
-  w.y = y;
+  w.x = actions_[x]->entry->first;
+  w.y = actions_[y]->entry->first;
   w.holds = holds;
   w.definite = confidence == Confidence::Definite;
   w.fire_index = fires;
@@ -491,93 +567,88 @@ void OnlineMonitor::emit_waterfall(const std::string& x, const std::string& y,
   while (waterfalls_.size() > kMaxWaterfalls) waterfalls_.pop_front();
 }
 
-void OnlineMonitor::rearm_after_recovery(const std::string* label) {
+void OnlineMonitor::rearm_after_recovery(ActionId repaired) {
   const bool all_clear = !gaps_.has_gap();
   const auto rearm = [&](auto& watch) {
-    if (watch.fires == 0 || watch.armed) return;
-    const bool repaired =
-        label != nullptr && (watch.x == *label || watch.y == *label);
-    const bool upgradable = all_clear && watch.last == Confidence::PendingGap;
-    if (repaired || upgradable) watch.armed = true;
+    WatchState& st = watch.state;
+    if (st.fires == 0 || st.armed) return;
+    if (watch.x == repaired || watch.y == repaired ||
+        (all_clear && st.last == Confidence::PendingGap)) {
+      st.armed = true;
+    }
   };
   for (RelationWatch& w : relation_watches_) rearm(w);
   for (DeadlineWatch& w : deadline_watches_) rearm(w);
 }
 
+Confidence OnlineMonitor::take_firing(WatchState& state) {
+  const Confidence conf = current_confidence();
+  state.armed = false;
+  state.last = conf;
+  ++state.fires;
+  (conf == Confidence::Definite ? definite_fires_ : pending_fires_) += 1;
+  return conf;
+}
+
 void OnlineMonitor::fire_ready_watches() {
   // Callbacks may re-enter the monitor (register further watches, complete
-  // more actions): iterate by index so vector growth is safe, and suppress
-  // recursive firing — the outer pass will pick up anything new. Callbacks
-  // must not call forget() (it compacts the watch vectors).
+  // more actions): watches live in lists, so a registration moves none of
+  // them, each firing calls its callback in place, and a watch a callback
+  // appends lands before end(), where the running pass still reaches it.
+  // Recursive firing is suppressed — the outer pass picks up anything new.
+  // forget() from a callback would erase watches mid-pass, so it is a
+  // contract violation.
   if (firing_) return;
   firing_ = true;
+  struct Reset {
+    bool& flag;
+    ~Reset() { flag = false; }
+  } reset{firing_};
+  const auto stamp = [this] { return latency_tracking_ ? obs::now_us() : 0; };
   bool fired_any = true;
   while (fired_any) {  // repeat: a callback may make earlier watches ready
     fired_any = false;
-    for (std::size_t i = 0; i < relation_watches_.size(); ++i) {
-      if (!relation_watches_[i].armed) continue;
-      const IntervalSummary* sx = summary(relation_watches_[i].x);
-      const IntervalSummary* sy = summary(relation_watches_[i].y);
+    for (RelationWatch& w : relation_watches_) {
+      if (!w.state.armed) continue;
+      const IntervalSummary* sx = completed(w.x);
+      const IntervalSummary* sy = completed(w.y);
       if (sx == nullptr || sy == nullptr) continue;
-      const Confidence conf = current_confidence();
-      relation_watches_[i].armed = false;
-      relation_watches_[i].last = conf;
-      ++relation_watches_[i].fires;
-      (conf == Confidence::Definite ? definite_fires_ : pending_fires_) += 1;
+      const Confidence conf = take_firing(w.state);
       fired_any = true;
-      const int fires = relation_watches_[i].fires;
-      const std::uint64_t eval0 = latency_tracking_ ? obs::now_us() : 0;
-      const bool holds =
-          evaluate_online(relation_watches_[i].relation, *sx, *sy, counter_);
-      const std::uint64_t eval1 = latency_tracking_ ? obs::now_us() : 0;
-      // Copy what the callback needs: re-entrant registrations may grow the
-      // vector and invalidate references.
-      const RelationCallback callback = relation_watches_[i].callback;
-      const std::string x = relation_watches_[i].x;
-      const std::string y = relation_watches_[i].y;
-      callback(x, y, holds, conf);
+      const std::uint64_t eval0 = stamp();
+      const RelationSet holding =
+          evaluate_online(w.relations, *sx, *sy, counter_);
+      const std::uint64_t eval1 = stamp();
+      w.callback(holding, conf);
       if (latency_tracking_) {
-        emit_waterfall(x, y, holds, conf, fires, eval0, eval1, obs::now_us());
+        emit_waterfall(w.x, w.y, holding == w.relations, conf, w.state.fires,
+                       eval0, eval1, obs::now_us());
       }
     }
-    for (std::size_t i = 0; i < deadline_watches_.size(); ++i) {
-      if (!deadline_watches_[i].armed) continue;
-      const IntervalSummary* sx = summary(deadline_watches_[i].x);
-      const IntervalSummary* sy = summary(deadline_watches_[i].y);
+    for (DeadlineWatch& w : deadline_watches_) {
+      if (!w.state.armed) continue;
+      const IntervalSummary* sx = completed(w.x);
+      const IntervalSummary* sy = completed(w.y);
       if (sx == nullptr || sy == nullptr) continue;
-      const Confidence conf = current_confidence();
-      deadline_watches_[i].armed = false;
-      deadline_watches_[i].last = conf;
-      ++deadline_watches_[i].fires;
-      (conf == Confidence::Definite ? definite_fires_ : pending_fires_) += 1;
+      const Confidence conf = take_firing(w.state);
       fired_any = true;
-      const int fires = deadline_watches_[i].fires;
-      const std::uint64_t eval0 = latency_tracking_ ? obs::now_us() : 0;
-      const TimingConstraint constraint = deadline_watches_[i].constraint;
-      const DeadlineCallback callback = deadline_watches_[i].callback;
-      const std::string x = deadline_watches_[i].x;
-      const std::string y = deadline_watches_[i].y;
-      if (!sx->fully_timed || !sy->fully_timed) {
-        const std::uint64_t eval1 = latency_tracking_ ? obs::now_us() : 0;
-        callback(x, y, 0, false, conf);
-        if (latency_tracking_) {
-          emit_waterfall(x, y, false, conf, fires, eval0, eval1,
-                         obs::now_us());
-        }
-        continue;
-      }
-      const Duration measured = anchor_time(*sy, constraint.anchor_y) -
-                                anchor_time(*sx, constraint.anchor_x);
-      const bool ok =
-          measured >= constraint.min_gap && measured <= constraint.max_gap;
-      const std::uint64_t eval1 = latency_tracking_ ? obs::now_us() : 0;
-      callback(x, y, measured, ok, conf);
+      const std::uint64_t eval0 = stamp();
+      // Untimed actions cannot be measured: gap 0, unsatisfied.
+      const bool timed = sx->fully_timed && sy->fully_timed;
+      const Duration measured =
+          timed ? anchor_time(*sy, w.constraint.anchor_y) -
+                      anchor_time(*sx, w.constraint.anchor_x)
+                : 0;
+      const bool ok = timed && measured >= w.constraint.min_gap &&
+                      measured <= w.constraint.max_gap;
+      const std::uint64_t eval1 = stamp();
+      w.callback(sx->label, sy->label, measured, ok, conf);
       if (latency_tracking_) {
-        emit_waterfall(x, y, ok, conf, fires, eval0, eval1, obs::now_us());
+        emit_waterfall(w.x, w.y, ok, conf, w.state.fires, eval0, eval1,
+                       obs::now_us());
       }
     }
   }
-  firing_ = false;
 }
 
 }  // namespace syncon

@@ -4,6 +4,13 @@
 // "detect the relations efficiently" loop the paper motivates, without any
 // post-hoc trace pass.
 //
+// Actions are interned at first mention (begin, or a watch naming an action
+// not begun yet): one dense id per label addresses one action record — its
+// tracker, its summary once complete, and its stage timing. Labels are
+// looked up only where they enter the API; watches hold ids. A relation
+// watch covers a RelationSet of one pair, so a pair's watched relations are
+// evaluated in one pass over the summaries' proxy cuts when it fires.
+//
 // Degraded mode (DESIGN.md §3.7): a monitor deployed behind a real network
 // sees event *reports* that can be lost, duplicated or reordered, and it
 // must not silently evaluate on the resulting corrupted state. The ingest
@@ -18,10 +25,13 @@
 // never complete because their process died.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
+#include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,7 +61,11 @@ const char* to_string(Confidence c);
 class OnlineMonitor {
  public:
   /// Fired when both actions of a watched pair have completed (and again,
-  /// at most once per repair, when recovery upgrades a PendingGap verdict).
+  /// at most once per repair, when recovery upgrades a PendingGap verdict)
+  /// with the watched relations that hold.
+  using RelationSetCallback =
+      std::function<void(RelationSet holding, Confidence confidence)>;
+  /// The one-relation form, with the pair's labels.
   using RelationCallback =
       std::function<void(const std::string& x, const std::string& y,
                          bool holds, Confidence confidence)>;
@@ -66,6 +80,11 @@ class OnlineMonitor {
   /// behind a lossy report channel. Only the ingest/observe feed works;
   /// record() requires the system-observing constructor.
   explicit OnlineMonitor(std::size_t process_count);
+
+  /// Action records point into the label index, and callbacks may hold
+  /// the monitor: it stays where it was built.
+  OnlineMonitor(const OnlineMonitor&) = delete;
+  OnlineMonitor& operator=(const OnlineMonitor&) = delete;
 
   // --- interval lifecycle ---------------------------------------------------
 
@@ -85,17 +104,20 @@ class OnlineMonitor {
   /// behind a lossy feed check this and resync (checkpoint + resync_request)
   /// before completing.
   std::size_t recorded_events(const std::string& label) const;
-  /// Summary of a completed action (nullptr otherwise).
+  /// Summary of a completed action (nullptr otherwise). The pointer, like
+  /// the reference complete() returns, stays valid until forget(label).
   const IntervalSummary* summary(const std::string& label) const;
 
   /// Drops a completed action's summary and every fired watch that
   /// referenced it — the garbage-collection hook a long-running monitor
   /// needs for bounded memory. Unfired watches naming the label are dropped
-  /// too (they could never fire again). The label may be reused afterwards.
+  /// too (they could never fire again). The label may be reused afterwards,
+  /// and its id is recycled. Calling it from a watch callback is a contract
+  /// violation.
   void forget(const std::string& label);
 
   /// Completed summaries currently retained.
-  std::size_t retained() const { return completed_.size(); }
+  std::size_t retained() const;
   /// Labels currently open, sorted.
   std::vector<std::string> open_actions() const;
 
@@ -230,10 +252,18 @@ class OnlineMonitor {
 
   // --- watches ---------------------------------------------------------------
 
-  /// Watch r(X, Y) for the labeled pair; fires at the later completion with
-  /// the current Confidence. A PendingGap firing leaves the watch armed: it
-  /// fires once more, Definite, when recovery closes every gap.
-  /// Registration after both completed fires immediately.
+  /// Watch the relations of `relations` for the labeled pair; fires at the
+  /// later completion with the members that hold (one evaluation pass for
+  /// the whole set) and the current Confidence. A PendingGap firing leaves
+  /// the watch armed: it fires once more, Definite, when recovery closes
+  /// every gap, and again whenever a late report repairs X or Y.
+  /// Registration after both completed fires immediately. Watches fire in
+  /// registration order; a callback may register further watches.
+  void watch(RelationSet relations, const std::string& x,
+             const std::string& y, RelationSetCallback callback);
+
+  /// Watch one relation r(X, Y): a one-member set watch whose callback gets
+  /// the labels given here and whether r holds.
   void watch(const RelationId& relation, const std::string& x,
              const std::string& y, RelationCallback callback);
 
@@ -244,10 +274,12 @@ class OnlineMonitor {
                       const std::string& x, const std::string& y,
                       DeadlineCallback callback);
 
-  /// Comparison-cost accounting across all fired watches.
+  /// Comparison-cost accounting across all fired watches (a set watch
+  /// counts what one watch per member would).
   const ComparisonCounter& counter() const { return counter_; }
 
-  /// Watch firings so far, by confidence (re-firings count again).
+  /// Watch firings so far, by confidence (re-firings count again; a set
+  /// watch firing counts once).
   std::uint64_t definite_fires() const { return definite_fires_; }
   std::uint64_t pending_fires() const { return pending_fires_; }
 
@@ -288,22 +320,9 @@ class OnlineMonitor {
   void publish_metrics() const;
 
  private:
-  struct RelationWatch {
-    RelationId relation;
-    std::string x, y;
-    RelationCallback callback;
-    bool armed = true;
-    int fires = 0;
-    Confidence last = Confidence::Definite;
-  };
-  struct DeadlineWatch {
-    TimingConstraint constraint;
-    std::string x, y;
-    DeadlineCallback callback;
-    bool armed = true;
-    int fires = 0;
-    Confidence last = Confidence::Definite;
-  };
+  /// Dense handle of an interned action label.
+  using ActionId = std::uint32_t;
+  static constexpr ActionId kNoAction = std::numeric_limits<ActionId>::max();
 
   /// Wall-clock stage stamps of one tracked action (all obs::now_us();
   /// zero = never stamped, e.g. tracking was enabled mid-action).
@@ -314,14 +333,63 @@ class OnlineMonitor {
     std::uint64_t completed_us = 0;
   };
 
+  /// One interned label. kNamed: only watches name it so far (begin() not
+  /// called yet); it is released once no watch names it.
+  struct Action {
+    enum class State : std::uint8_t { kNamed, kOpen, kComplete };
+    State state = State::kNamed;
+    /// Watches naming this action (counted twice for a self-pair).
+    std::uint32_t watchers = 0;
+    std::map<std::string, ActionId>::iterator entry;  // into ids_
+    /// Kept after completion, so late reports can repair the summary.
+    IntervalTracker tracker{std::string()};
+    std::optional<IntervalSummary> summary;  // set while kComplete
+    ActionTiming timing;
+  };
+
+  /// Firing state shared by both watch kinds.
+  struct WatchState {
+    bool armed = true;
+    int fires = 0;
+    Confidence last = Confidence::Definite;
+  };
+  struct RelationWatch {
+    ActionId x, y;
+    RelationSet relations;
+    RelationSetCallback callback;
+    WatchState state;
+  };
+  struct DeadlineWatch {
+    ActionId x, y;
+    TimingConstraint constraint;
+    DeadlineCallback callback;
+    WatchState state;
+  };
+
+  /// The id of `label`, interning it as kNamed if it is new.
+  ActionId intern(const std::string& label);
+  /// The id of `label`, or kNoAction.
+  ActionId find(const std::string& label) const;
+  bool in_state(ActionId id, Action::State state) const;
+  /// Erases the action's label and returns its id to the free list.
+  void release(ActionId id);
+  /// Drops every watch naming `id`, releasing partners left unnamed.
+  template <class Watches>
+  void drop_watches(Watches& watches, ActionId id);
+  /// The summary of a completed action, nullptr otherwise.
+  const IntervalSummary* completed(ActionId id) const;
+  std::size_t count(Action::State state) const;
+
   void fire_ready_watches();
+  /// Marks a watch fired now and counts it; returns its confidence.
+  Confidence take_firing(WatchState& state);
   Confidence current_confidence() const;
-  /// Stamps a report's arrival into the named action's timing record.
-  void note_action_report(const std::string& label);
+  /// Stamps a report's arrival into the action's timing record.
+  void note_action_report(ActionId id);
   /// Builds the contiguous five-stage waterfall for a firing of (x, y),
   /// records the stage histograms and the kVerdict flight record, and
   /// retains it (bounded by kMaxWaterfalls).
-  void emit_waterfall(const std::string& x, const std::string& y, bool holds,
+  void emit_waterfall(ActionId x, ActionId y, bool holds,
                       Confidence confidence, int fires, std::uint64_t eval0_us,
                       std::uint64_t eval1_us, std::uint64_t fired_us);
   /// Structural sanity of a wire report (see try_observe).
@@ -332,19 +400,22 @@ class OnlineMonitor {
   /// monitor's deterministic clock).
   void note_gap_state();
   /// Re-arms watches so they re-fire with repaired state: all watches
-  /// naming `label` (after a late report repaired it), and — when every gap
-  /// has closed — all watches whose last firing was PendingGap.
-  void rearm_after_recovery(const std::string* label);
+  /// naming `repaired` (after a late report repaired it), and — when every
+  /// gap has closed — all watches whose last firing was PendingGap.
+  void rearm_after_recovery(ActionId repaired);
   static Duration anchor_time(const IntervalSummary& s, Anchor a);
 
   const OnlineSystem* system_;  // null for the feed-only monitor
   std::size_t process_count_;
-  std::map<std::string, IntervalTracker> open_;
-  /// Trackers of completed actions, kept so late reports can repair them.
-  std::map<std::string, IntervalTracker> sealed_;
-  std::map<std::string, IntervalSummary> completed_;
-  std::vector<RelationWatch> relation_watches_;
-  std::vector<DeadlineWatch> deadline_watches_;
+  /// The label→id index; consulted only where a label enters the API.
+  std::map<std::string, ActionId> ids_;
+  /// Indexed by ActionId. Records live on the heap: interning moves none,
+  /// so summary references stay valid until forget().
+  std::vector<std::unique_ptr<Action>> actions_;
+  std::vector<ActionId> free_ids_;
+  /// Lists: a callback registering a watch moves none of them.
+  std::list<RelationWatch> relation_watches_;
+  std::list<DeadlineWatch> deadline_watches_;
   GapTracker gaps_;
   std::vector<bool> crashed_;
   ComparisonCounter counter_;
@@ -368,7 +439,6 @@ class OnlineMonitor {
   bool gap_open_ = false;
   // Detection-latency attribution (see set_latency_tracking).
   bool latency_tracking_ = false;
-  std::map<std::string, ActionTiming> timing_;
   std::deque<obs::Waterfall> waterfalls_;
   std::uint64_t gap_opened_us_ = 0;
 };

@@ -336,7 +336,7 @@ bool OnlineSystem::restore_event(EventId e, const VectorClock& clock,
   SYNCON_REQUIRE(p < clocks_.size() && e.index >= 1, "unknown event");
   SYNCON_REQUIRE(clock.size() == clocks_.size(),
                  "restored clock size does not match the process count");
-  SYNCON_REQUIRE(clock[p] == e.index + 1,
+  SYNCON_REQUIRE(std::uint64_t{clock[p]} == std::uint64_t{e.index} + 1,
                  "restored clock breaks the Fidge invariant (own component "
                  "counts the dummy: event (p, i) has clock[p] == i + 1)");
   const bool fresh = e.index > executed(p);

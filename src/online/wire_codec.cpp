@@ -111,9 +111,8 @@ WireMessage LinkDecoder::decode(std::span<const std::uint8_t>& in) {
   const std::uint8_t tag = in.front();
   in = in.subspan(1);
   WireMessage message;
-  message.source.process =
-      static_cast<ProcessId>(decode_varint(in));
-  message.source.index = static_cast<EventIndex>(decode_varint(in));
+  message.source.process = decode_varint_as<ProcessId>(in);
+  message.source.index = decode_varint_as<EventIndex>(in);
   if (tag == kFull) {
     message.clock = VectorClock::decode(in);
     SYNCON_REQUIRE(message.clock.size() == last_.size(),

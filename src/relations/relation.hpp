@@ -117,6 +117,10 @@ class RelationSet {
 
   /// All 32 members of R.
   static constexpr RelationSet all() { return RelationSet(~std::uint32_t{0}); }
+  /// The one-member set {id}.
+  static constexpr RelationSet of(const RelationId& id) {
+    return RelationSet(std::uint32_t{1} << relation_index(id));
+  }
 
   constexpr std::uint32_t mask() const { return mask_; }
   constexpr std::size_t size() const {
@@ -136,6 +140,10 @@ class RelationSet {
   }
 
   friend constexpr bool operator==(RelationSet, RelationSet) = default;
+  /// Union.
+  friend constexpr RelationSet operator|(RelationSet a, RelationSet b) {
+    return RelationSet(a.mask_ | b.mask_);
+  }
 
  private:
   std::uint32_t mask_ = 0;

@@ -205,10 +205,8 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         SYNCON_REQUIRE(n_sources <= in.size(), "impossible source count");
         op.sources.reserve(static_cast<std::size_t>(n_sources));
         for (std::uint64_t i = 0; i < n_sources; ++i) {
-          const auto process = decode_varint(in);
-          const auto index = decode_varint(in);
-          op.sources.push_back({static_cast<ProcessId>(process),
-                                static_cast<EventIndex>(index)});
+          const auto process = decode_varint_as<ProcessId>(in);
+          op.sources.push_back({process, decode_varint_as<EventIndex>(in)});
         }
         op.time = decode_signed_varint(in);
         op.label = decode_string(in);
@@ -230,7 +228,7 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         VectorClock clock(static_cast<std::size_t>(size), 0);
         for (std::uint64_t i = 0; i < size; ++i) {
           clock.set(static_cast<std::size_t>(i),
-                    static_cast<ClockValue>(decode_varint(in)));
+                    decode_varint_as<ClockValue>(in));
         }
         op.clock = std::move(clock);
         break;

@@ -104,8 +104,8 @@ DurableSystem::DurableSystem(std::size_t process_count,
       sources.reserve(static_cast<std::size_t>(nsources));
       for (std::uint64_t i = 0; i < nsources; ++i) {
         EventId src;
-        src.process = static_cast<ProcessId>(decode_varint(in));
-        src.index = static_cast<EventIndex>(decode_varint(in));
+        src.process = decode_varint_as<ProcessId>(in);
+        src.index = decode_varint_as<EventIndex>(in);
         sources.push_back(src);
       }
       const std::int64_t time = decode_signed_varint(in);

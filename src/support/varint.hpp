@@ -11,13 +11,16 @@
 //   const auto a = decode_varint(in);   // in now starts after a
 //   const auto b = decode_varint(in);
 //
-// Malformed input (truncated, or more than 10 continuation bytes) raises a
+// Malformed input (truncated, more than 10 continuation bytes, or a value
+// too wide for the field decode_varint_as reads it into) raises a
 // ContractViolation — wire decoding is a trust boundary.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/contracts.hpp"
@@ -46,6 +49,18 @@ inline std::uint64_t decode_varint(std::span<const std::uint8_t>& in) {
   }
   SYNCON_REQUIRE(false, "varint longer than 64 bits");
   return 0;  // unreachable
+}
+
+/// Consumes one unsigned varint into the narrower unsigned field type T. A
+/// value T cannot hold is rejected, never truncated into a different valid
+/// value.
+template <class T>
+T decode_varint_as(std::span<const std::uint8_t>& in) {
+  static_assert(std::is_unsigned_v<T>, "varint fields are unsigned");
+  const std::uint64_t v = decode_varint(in);
+  SYNCON_REQUIRE(v <= std::numeric_limits<T>::max(),
+                 "varint value out of range for its field");
+  return static_cast<T>(v);
 }
 
 /// Zigzag mapping: small-magnitude signed values become small unsigned ones

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "explore/invariants.hpp"
 #include "helpers.hpp"
 #include "online/online_monitor.hpp"
 #include "relations/naive.hpp"
@@ -38,6 +43,20 @@ TEST(OnlineMonitorTest, LifecycleContracts) {
   monitor.record("a", sys.local(0));
   monitor.complete("a");
   EXPECT_THROW(monitor.begin("a"), ContractViolation);  // label reuse
+}
+
+// Event (0, 2^32 - 1) would need own component 2^32, which no clock holds;
+// a 32-bit check wraps that to 0 and accepts a report whose component is 0.
+TEST(OnlineMonitorTest, FidgeCheckDoesNotWrapAtTheLargestIndex) {
+  OnlineMonitor monitor(2);
+  monitor.begin("a");
+  const WireMessage wrapped{{0, std::numeric_limits<EventIndex>::max()},
+                            VectorClock({0, 1})};
+  EXPECT_FALSE(monitor.try_observe(wrapped));
+  EXPECT_FALSE(monitor.try_ingest("a", wrapped));
+  EXPECT_EQ(monitor.quarantined(), 2u);
+  EXPECT_EQ(monitor.recorded_events("a"), 0u);
+  EXPECT_EQ(monitor.missing_report_count(), 0u);
 }
 
 TEST(OnlineMonitorTest, WatchFiresAtLaterCompletion) {
@@ -262,6 +281,215 @@ TEST(OnlineMonitorTest, LatencyTrackingOffEmitsNothing) {
 }
 
 // ---------------------------------------------------------------------------
+// Set watches: one RelationSet watch is the same oracle as one watch per
+// member, firing once per pair instead of once per relation.
+// ---------------------------------------------------------------------------
+
+// X = {a, send} on p0; Y = {receive, send, receive} across p1 and p2; one
+// untracked event on p2. Reports in execution order.
+struct PairFeed {
+  OnlineSystem sys{3};
+  explore::MonitorActions actions;
+  std::vector<WireMessage> reports;
+
+  PairFeed() {
+    const EventId a = sys.local(0);
+    const WireMessage m1 = sys.send(0);
+    const EventId r1 = sys.deliver(1, m1);
+    const EventId noise = sys.local(2);
+    const WireMessage m2 = sys.send(1);
+    const EventId r2 = sys.deliver(2, m2);
+    actions = {{a, m1.source}, {r1, m2.source, r2}};
+    for (const EventId& e : {a, m1.source, r1, noise, m2.source, r2}) {
+      reports.push_back(sys.wire_of(e));
+    }
+  }
+};
+
+struct SetFiring {
+  std::uint32_t holding = 0;
+  Confidence conf = Confidence::Definite;
+
+  friend bool operator==(const SetFiring&, const SetFiring&) = default;
+};
+
+// Runs the feed into a fresh feed-only monitor that watches all 32
+// relations of (X, Y) — as one set watch, or as 32 single watches whose
+// firings are folded back into masks — dropping the reports at positions
+// in `lost`, then resyncs every gap from the system's log.
+std::pair<std::vector<SetFiring>, ComparisonCounter> run_all_32(
+    const PairFeed& f, const std::set<std::size_t>& lost, bool as_set) {
+  OnlineMonitor mon(3);
+  std::vector<SetFiring> firings;
+  std::vector<std::pair<std::size_t, SetFiring>> singles;
+  if (as_set) {
+    mon.watch(RelationSet::all(), "X", "Y",
+              [&](RelationSet holding, Confidence conf) {
+                firings.push_back({holding.mask(), conf});
+              });
+  } else {
+    for (std::size_t k = 0; k < 32; ++k) {
+      mon.watch(relation_at(k), "X", "Y",
+                [&singles, k](const std::string& x, const std::string& y,
+                              bool holds, Confidence conf) {
+                  EXPECT_EQ(x, "X");
+                  EXPECT_EQ(y, "Y");
+                  singles.push_back(
+                      {k, {holds ? std::uint32_t{1} << k : 0u, conf}});
+                });
+    }
+  }
+  mon.begin("X");
+  mon.begin("Y");
+  for (std::size_t i = 0; i < f.reports.size(); ++i) {
+    if (!lost.count(i)) f.actions.feed(mon, f.reports[i]);
+  }
+  mon.complete("X");
+  mon.complete("Y");
+  mon.checkpoint(f.sys.snapshot());
+  for (const WireMessage& w : f.sys.serve(mon.resync_request())) {
+    f.actions.feed(mon, w);
+  }
+  EXPECT_EQ(mon.missing_report_count(), 0u);
+  // The singles fire in registration order, 32 to a pass.
+  EXPECT_EQ(singles.size() % 32, 0u);
+  for (std::size_t i = 0; i < singles.size(); ++i) {
+    EXPECT_EQ(singles[i].first, i % 32);
+    if (i % 32 == 0) {
+      firings.push_back({0, singles[i].second.conf});
+    }
+    EXPECT_EQ(singles[i].second.conf, firings.back().conf);
+    firings.back().holding |= singles[i].second.holding;
+  }
+  return {firings, mon.counter()};
+}
+
+TEST(OnlineMonitorSetWatchTest, MatchesSingleWatchesOnCleanAndLossyFeeds) {
+  const PairFeed f;
+  // Clean; X's first report lost (the PendingGap firing, then the Definite
+  // re-fire once the late report repairs X); the untracked report lost
+  // (a PendingGap firing, upgraded without repair).
+  for (const std::set<std::size_t>& lost :
+       {std::set<std::size_t>{}, std::set<std::size_t>{0},
+        std::set<std::size_t>{3}}) {
+    const auto [set_firings, set_counter] = run_all_32(f, lost, true);
+    const auto [single_firings, single_counter] = run_all_32(f, lost, false);
+    EXPECT_EQ(set_firings, single_firings);
+    EXPECT_EQ(set_counter.integer_comparisons,
+              single_counter.integer_comparisons);
+    ASSERT_FALSE(set_firings.empty());
+    EXPECT_EQ(set_firings.back().conf, Confidence::Definite);
+    if (lost.empty()) {
+      EXPECT_EQ(set_firings.size(), 1u);
+    } else {
+      ASSERT_EQ(set_firings.size(), 2u);
+      EXPECT_EQ(set_firings.front().conf, Confidence::PendingGap);
+    }
+  }
+}
+
+TEST(OnlineMonitorSetWatchTest, RegisteredAfterCompletionFiresAtOnce) {
+  OnlineSystem sys(2);
+  OnlineMonitor monitor(sys);
+  monitor.set_latency_tracking(true);
+  monitor.begin("a");
+  monitor.record("a", sys.local(0));
+  const WireMessage m = sys.send(0);
+  monitor.record("a", m.source);
+  const IntervalSummary& sa = monitor.complete("a");
+  monitor.begin("b");
+  monitor.record("b", sys.local(1));  // concurrent with all of a
+  monitor.record("b", sys.deliver(1, m));
+  const IntervalSummary& sb = monitor.complete("b");
+  std::vector<SetFiring> fired;
+  const RelationSet watched = RelationSet::all();
+  monitor.watch(watched, "a", "b", [&](RelationSet holding, Confidence conf) {
+    fired.push_back({holding.mask(), conf});
+  });
+  ComparisonCounter counter;
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].holding,
+            evaluate_online(watched, sa, sb, counter).mask());
+  EXPECT_NE(fired[0].holding, 0u);  // all of a precedes b's receive
+  EXPECT_NE(fired[0].holding, watched.mask());  // but not b's first event
+  EXPECT_EQ(fired[0].conf, Confidence::Definite);
+  EXPECT_EQ(monitor.definite_fires(), 1u);  // one firing for the set
+  EXPECT_EQ(monitor.counter().integer_comparisons,
+            counter.integer_comparisons);
+  // One waterfall for the firing; it holds only if every member does.
+  ASSERT_EQ(monitor.waterfalls().size(), 1u);
+  EXPECT_EQ(monitor.waterfalls().front().x, "a");
+  EXPECT_FALSE(monitor.waterfalls().front().holds);
+}
+
+TEST(OnlineMonitorSetWatchTest, ForgetDropsSetWatch) {
+  OnlineSystem sys(2);
+  OnlineMonitor monitor(sys);
+  monitor.begin("a");
+  monitor.record("a", sys.local(0));
+  monitor.complete("a");
+  int calls = 0;
+  monitor.watch(RelationSet::all(), "a", "later",
+                [&](RelationSet, Confidence) { ++calls; });
+  monitor.forget("a");
+  monitor.begin("later");
+  monitor.record("later", sys.local(1));
+  monitor.complete("later");
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(monitor.retained(), 1u);
+}
+
+TEST(OnlineMonitorSetWatchTest, CallbackMayRegisterWatches) {
+  OnlineSystem sys(2);
+  OnlineMonitor monitor(sys);
+  monitor.begin("a");
+  monitor.record("a", sys.local(0));
+  monitor.begin("b");
+  monitor.record("b", sys.local(1));
+  std::vector<std::string> order;
+  monitor.watch(RelationSet::all(), "a", "b", [&](RelationSet, Confidence) {
+    order.push_back("set");
+    // Registered mid-pass on a ready pair: fires in the same pass, after
+    // every watch registered before it.
+    monitor.watch(RelationSet::all(), "b", "a", [&](RelationSet, Confidence) {
+      order.push_back("nested set");
+    });
+    monitor.watch({Relation::R4, ProxyKind::Begin, ProxyKind::End}, "a",
+                  "b",
+                  [&](const std::string&, const std::string&, bool,
+                      Confidence) { order.push_back("nested single"); });
+  });
+  monitor.watch({Relation::R1, ProxyKind::End, ProxyKind::Begin}, "a", "b",
+                [&](const std::string&, const std::string&, bool,
+                    Confidence) { order.push_back("single"); });
+  monitor.complete("a");
+  EXPECT_TRUE(order.empty());
+  monitor.complete("b");
+  EXPECT_EQ(order, (std::vector<std::string>{"set", "single", "nested set",
+                                             "nested single"}));
+}
+
+TEST(OnlineMonitorSetWatchTest, ForgetFromCallbackIsAContractViolation) {
+  OnlineSystem sys(2);
+  OnlineMonitor monitor(sys);
+  monitor.begin("a");
+  monitor.record("a", sys.local(0));
+  monitor.complete("a");
+  monitor.begin("b");
+  monitor.record("b", sys.local(1));
+  monitor.watch(RelationSet::all(), "a", "b",
+                [&](RelationSet, Confidence) { monitor.forget("a"); });
+  EXPECT_THROW(monitor.complete("b"), ContractViolation);
+  // The violation left the monitor usable: later watches still fire.
+  int calls = 0;
+  monitor.watch(RelationSet::all(), "b", "a",
+                [&](RelationSet, Confidence) { ++calls; });
+  EXPECT_EQ(calls, 1);
+  monitor.forget("a");
+  EXPECT_FALSE(monitor.is_complete("a"));
+}
+
+// ---------------------------------------------------------------------------
 // Proxy-summary property: the 32-relation online evaluation matches the
 // offline naive evaluation of R(X̂, Ŷ) on the Defn-2 proxies.
 // ---------------------------------------------------------------------------
@@ -284,14 +512,26 @@ TEST_P(OnlineMonitorPropertyTest, ProxyRelationsMatchOffline) {
     for (const EventId& e : x.events()) tx.add(sys, e);
     for (const EventId& e : y.events()) ty.add(sys, e);
     const IntervalSummary sx = tx.summary(), sy = ty.summary();
+    // One pass over the whole set answers bit k as the k-th single call
+    // does, for the same comparisons in total.
+    ComparisonCounter set_counter;
+    const RelationSet holding =
+        evaluate_online(RelationSet::all(), sx, sy, set_counter);
+    ComparisonCounter single_total;
     for (const RelationId& id : all_relation_ids()) {
       ComparisonCounter counter;
       const bool online = evaluate_online(id, sx, sy, counter);
+      single_total.integer_comparisons += counter.integer_comparisons;
       const bool offline =
           evaluate_naive(id.relation, x.proxy_per_node(id.proxy_x),
                          y.proxy_per_node(id.proxy_y), ts, Semantics::Weak);
       ASSERT_EQ(online, offline) << to_string(id) << " trial " << trial;
+      ASSERT_EQ(holding.contains(id), online)
+          << to_string(id) << " trial " << trial;
     }
+    ASSERT_EQ(set_counter.integer_comparisons,
+              single_total.integer_comparisons)
+        << "trial " << trial;
   }
 }
 

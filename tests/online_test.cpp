@@ -2,6 +2,7 @@
 
 #include "helpers.hpp"
 #include "model/timestamps.hpp"
+#include "nonatomic/cut_timestamps.hpp"
 #include "online/interval_tracker.hpp"
 #include "online/online_evaluator.hpp"
 #include "online/online_system.hpp"
@@ -183,6 +184,9 @@ TEST(IntervalTrackerTest, AccumulatesAggregates) {
   EXPECT_EQ(s.intersect_past, VectorClock({2, 1}));
   // ∪⇓ = max(T(send), T(b1)) = max([3,1],[3,2]) = [3,2].
   EXPECT_EQ(s.union_past, VectorClock({3, 2}));
+  // ∪⇓L = max(T(a1), T(b1)) = [3,2]; ∩⇓U = min(T(send), T(b1)) = [3,1].
+  EXPECT_EQ(s.least_union_past, VectorClock({3, 2}));
+  EXPECT_EQ(s.greatest_intersect_past, VectorClock({3, 1}));
 }
 
 TEST(IntervalTrackerTest, NodeSlotLookup) {
@@ -195,29 +199,6 @@ TEST(IntervalTrackerTest, NodeSlotLookup) {
   EXPECT_EQ(s.node_slot(3), 1u);
   EXPECT_EQ(s.node_slot(0), static_cast<std::size_t>(-1));
   EXPECT_EQ(s.node_slot(2), static_cast<std::size_t>(-1));
-}
-
-TEST(IntervalTrackerTest, ProxySummariesCollapseExtremes) {
-  OnlineSystem sys(2);
-  IntervalTracker tracker("t");
-  tracker.add(sys, sys.local(0, 10));
-  tracker.add(sys, sys.local(0, 20));
-  tracker.add(sys, sys.local(1, 5));
-  const IntervalSummary s = tracker.summary();
-  const IntervalSummary begin = s.proxy(ProxyKind::Begin);
-  const IntervalSummary end = s.proxy(ProxyKind::End);
-  EXPECT_EQ(begin.label, "L(t)");
-  EXPECT_EQ(end.label, "U(t)");
-  EXPECT_EQ(begin.event_count, 2u);  // one per node
-  // Begin proxy keeps the least events: indices 1 on both nodes.
-  EXPECT_EQ(begin.greatest_index[0], begin.least_index[0]);
-  EXPECT_EQ(begin.least_index[0], 1u);
-  EXPECT_EQ(end.least_index[0], 2u);
-  // Physical span collapses to the surviving extremes.
-  EXPECT_EQ(begin.start_time, 5);
-  EXPECT_EQ(begin.end_time, 10);
-  EXPECT_EQ(end.start_time, 5);
-  EXPECT_EQ(end.end_time, 20);
 }
 
 TEST(IntervalTrackerTest, ToleratesOutOfOrderAddsButRejectsDuplicates) {
@@ -323,6 +304,15 @@ TEST(OnlineEvaluatorTest, RejectsMalformedSummaries) {
   bad_y.intersect_past = VectorClock(1);
   EXPECT_THROW(evaluate_online(Relation::R1, good_x, bad_y, counter),
                ContractViolation);
+  // The proxy cuts only some members read are checked all the same.
+  bad_y = ty.summary();
+  bad_y.least_union_past = VectorClock(1);
+  EXPECT_THROW(evaluate_online(Relation::R1, good_x, bad_y, counter),
+               ContractViolation);
+  bad_y = ty.summary();
+  bad_y.greatest_intersect_past = VectorClock(1);
+  EXPECT_THROW(evaluate_online(RelationSet::all(), good_x, bad_y, counter),
+               ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,6 +341,44 @@ TEST_P(OnlinePropertyTest, ToExecutionRoundTripsReplay) {
   const Timestamps ts_a(exec), ts_b(back);
   for (const EventId& e : exec.topological_order()) {
     ASSERT_EQ(ts_a.forward(e), ts_b.forward(e));
+  }
+}
+
+TEST_P(OnlinePropertyTest, ProxyPastCutsMatchEventCuts) {
+  // The summary's four past cuts are the C1/C2 cuts of its two Defn 2
+  // proxies, and a ProxyView reads each proxy's events and cuts.
+  const Execution exec = generate_execution(GetParam());
+  const Timestamps ts(exec);
+  const OnlineSystem sys = replay(exec);
+  Xoshiro256StarStar rng(GetParam().seed ^ 0xc075);
+  IntervalSpec spec;
+  spec.node_count = std::max<std::size_t>(1, exec.process_count() / 2 + 1);
+  spec.max_events_per_node = 3;
+  for (int trial = 0; trial < 20; ++trial) {
+    const NonatomicEvent x = random_interval(exec, rng, spec, "X");
+    IntervalTracker tracker("X");
+    for (const EventId& e : x.events()) tracker.add(sys, e);
+    const IntervalSummary s = tracker.summary();
+    const NonatomicEvent lx = x.proxy_per_node(ProxyKind::Begin);
+    const NonatomicEvent ux = x.proxy_per_node(ProxyKind::End);
+    const EventCuts l(ts, lx), u(ts, ux);
+    ASSERT_EQ(s.intersect_past, l.intersect_past()) << "trial " << trial;
+    ASSERT_EQ(s.least_union_past, l.union_past()) << "trial " << trial;
+    ASSERT_EQ(s.greatest_intersect_past, u.intersect_past())
+        << "trial " << trial;
+    ASSERT_EQ(s.union_past, u.union_past()) << "trial " << trial;
+    for (const ProxyKind kind : {ProxyKind::Begin, ProxyKind::End}) {
+      const ProxyView view(s, kind);
+      const EventCuts& cuts = kind == ProxyKind::Begin ? l : u;
+      ASSERT_EQ(view.intersect_past, cuts.intersect_past());
+      ASSERT_EQ(view.union_past, cuts.union_past());
+      ASSERT_EQ(view.nodes.size(), cuts.event().size());
+      for (std::size_t t = 0; t < view.nodes.size(); ++t) {
+        const EventId e{view.nodes[t], view.index[t]};
+        ASSERT_TRUE(cuts.event().contains(e)) << to_string(e);
+        ASSERT_EQ(view.clock[t], ts.forward(e)) << to_string(e);
+      }
+    }
   }
 }
 

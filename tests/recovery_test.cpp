@@ -22,6 +22,7 @@
 #include "store/durable.hpp"
 #include "store/storage.hpp"
 #include "support/rng.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -392,6 +393,37 @@ TEST(QuarantineTest, DurableShellsNeverJournalQuarantinedInput) {
   EXPECT_EQ(mon.store().records_appended(), before);  // nothing journaled
   EXPECT_TRUE(mon.try_ingest("A", w));
   EXPECT_EQ(mon.store().records_appended(), before + 1);
+}
+
+// A journaled event whose message source is too wide for its 32-bit field
+// is an unusable record: replay must skip it, never restore the event with
+// the source a plain cast truncates it to.
+TEST(QuarantineTest, WalReplaySkipsAnOutOfRangeEventSource) {
+  for (const std::uint64_t source_process :
+       {std::uint64_t{0}, std::uint64_t{1} << 32}) {
+    SCOPED_TRACE(source_process);
+    SimStorage storage;
+    {
+      DurableSystem sys(2, storage);
+      sys.send(0);  // (0, 1)
+      // The journal record of (1, 1), clock [2 2], received from
+      // (source_process, 1): kEvent, a full link frame, the sources, time.
+      std::vector<std::uint8_t> body = {1, 0, 1, 1};
+      VectorClock({2, 2}).encode(body);
+      encode_varint(1, body);
+      encode_varint(source_process, body);
+      encode_varint(1, body);
+      encode_signed_varint(OnlineSystem::kNoTime, body);
+      const EventId touches[] = {{1, 1}, {0, 1}};
+      sys.store().append(body, touches);
+      sys.sync();
+    }
+    DurableSystem recovered(2, storage);
+    const bool in_range = source_process == 0;
+    EXPECT_EQ(recovered.recovery().records_quarantined, in_range ? 0u : 1u);
+    EXPECT_EQ(recovered.recovery().events_replayed, in_range ? 2u : 1u);
+    EXPECT_EQ(recovered.system().executed(1), in_range ? 1u : 0u);
+  }
 }
 
 // --- satellite: resync retry budget + exponential backoff ------------------

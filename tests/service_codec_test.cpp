@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/soak.hpp"
+#include "support/varint.hpp"
 
 namespace syncon {
 namespace {
@@ -145,6 +146,50 @@ TEST(ServiceCodecTest, HelloProcessCountIsBounded) {
       EXPECT_EQ(decoded, processes);
     }
   }
+}
+
+// An event source or checkpoint component too wide for its 32-bit field is
+// a malformed body, never truncated into a different, valid value. The
+// bodies are built by hand: the encoder cannot express such values.
+TEST(ServiceCodecTest, OutOfRangeFieldsAreRejectedNotTruncated) {
+  constexpr std::uint64_t kWrapsToOne = (std::uint64_t{1} << 32) + 1;
+  const auto decodes = [](FrameKind kind, const std::vector<std::uint8_t>& body,
+                          TenantOp& op) {
+    TenantStreamDecoder decoder(2, 0);
+    FrameView view;
+    view.kind = kind;
+    view.seq = 1;
+    view.body = body;
+    return decoder.decode(view, op);
+  };
+  // Event (1, 1), clock [2 2], received from source (process, index).
+  const auto event_body = [](std::uint64_t process, std::uint64_t index) {
+    std::vector<std::uint8_t> body = {0, 1, 1};  // full link frame
+    VectorClock({2, 2}).encode(body);
+    encode_varint(1, body);  // one source
+    encode_varint(process, body);
+    encode_varint(index, body);
+    encode_signed_varint(-1, body);  // untimed
+    encode_string("", body);
+    return body;
+  };
+  TenantOp op;
+  ASSERT_TRUE(decodes(FrameKind::kEvent, event_body(0, 1), op));
+  EXPECT_EQ(op.sources, (std::vector<EventId>{{0, 1}}));
+  EXPECT_FALSE(decodes(FrameKind::kEvent, event_body(kWrapsToOne, 1), op));
+  EXPECT_FALSE(decodes(FrameKind::kEvent, event_body(0, kWrapsToOne), op));
+
+  const auto checkpoint_body = [](std::uint64_t second) {
+    std::vector<std::uint8_t> body;
+    encode_varint(2, body);  // two components
+    encode_varint(3, body);
+    encode_varint(second, body);
+    return body;
+  };
+  ASSERT_TRUE(decodes(FrameKind::kCheckpoint, checkpoint_body(1), op));
+  EXPECT_EQ(op.clock, VectorClock({3, 1}));
+  EXPECT_FALSE(
+      decodes(FrameKind::kCheckpoint, checkpoint_body(kWrapsToOne), op));
 }
 
 TEST(ServiceCodecTest, ReplayedFrameIsQuarantinedWithoutStateDamage) {

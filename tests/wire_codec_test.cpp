@@ -149,10 +149,11 @@ TEST(WireCodecTest, RelativeEncodingRoundTripsRandomPairs) {
 }
 
 // Frames whose counts, gaps or deltas would size a buffer, wrap an index
-// or overflow a component are garbage like any other, and so is a delta
-// frame that fails only after a valid first change: each is rejected
-// without consuming input or touching the link, whose next real delta
-// frame still decodes to its exact clock.
+// or overflow a component are garbage like any other, and so are a delta
+// frame that fails only after a valid first change and a source too wide
+// for its 32-bit fields: each is rejected without consuming input or
+// touching the link, whose next real delta frame still decodes to its
+// exact clock.
 TEST(WireCodecTest, MalformedFramesAreRejectedWithoutStateDamage) {
   const auto stream = sender_stream(4, 2, 61);
   LinkEncoder enc(4, 100);  // frame 0 absolute, frame 1 a delta
@@ -165,7 +166,7 @@ TEST(WireCodecTest, MalformedFramesAreRejectedWithoutStateDamage) {
   std::span<const std::uint8_t> first_in(first);
   ASSERT_TRUE(dec.try_decode(first_in, out));
 
-  std::vector<std::vector<std::uint8_t>> malformed(4);
+  std::vector<std::vector<std::uint8_t>> malformed(5);
   // Full frame (tag 0, source (0, 1)) claiming 2^62 components.
   malformed[0] = {0, 0, 1};
   encode_varint(std::uint64_t{1} << 62, malformed[0]);
@@ -184,6 +185,12 @@ TEST(WireCodecTest, MalformedFramesAreRejectedWithoutStateDamage) {
   malformed[3] = {1, 0, 2, 2, 3, 2};
   encode_varint(~std::uint64_t{0}, malformed[3]);
   encode_signed_varint(1, malformed[3]);
+  // Full frame from process 2^32 + 1, index 2^32 + 3, clock [1 4 1 1]: cast
+  // to 32 bits it would read as a well-formed report of event (1, 3).
+  malformed[4] = {0};
+  encode_varint((std::uint64_t{1} << 32) + 1, malformed[4]);
+  encode_varint((std::uint64_t{1} << 32) + 3, malformed[4]);
+  VectorClock({1, 4, 1, 1}).encode(malformed[4]);
   for (const std::vector<std::uint8_t>& frame : malformed) {
     std::span<const std::uint8_t> in(frame);
     EXPECT_FALSE(dec.try_decode(in, out));
