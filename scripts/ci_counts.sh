@@ -8,11 +8,14 @@
 #                    pair, (next to) no allocation per pair, and (next to)
 #                    no allocation per stamped event: stamping fills one
 #                    row array per direction sized up front;
-#   service_small    wire bytes per frame and per event, and an upper
-#                    bound on allocations per applied tenant op;
+#   service_small    wire bytes per frame and per event, the daemon's
+#                    peak live log in events, and an upper bound on
+#                    allocations per applied tenant op;
 #   service_durable  wire bytes per frame and per event, the journal's
-#                    peak size in bytes, and an upper bound on allocations
-#                    per applied tenant op;
+#                    peak size in bytes, the daemon's peak live log in
+#                    events, an upper bound on allocations per applied
+#                    tenant op, and an upper bound on journal syncs per
+#                    frame;
 #   explore_4p10m    schedules executed per inequivalent class (exactly
 #                    one: the explorer enumerates acyclic message
 #                    bindings and executes one schedule per poset), and
@@ -25,7 +28,10 @@
 # explore count means the explorer walks a different binding tree. The
 # allocation bounds sit below what copying both summaries per watch firing
 # costs (3.22 and 2.59 allocations per op): a firing reads the summaries'
-# proxy cuts in place and allocates nothing.
+# proxy cuts in place and allocates nothing. A changed live-log peak means
+# the memory budget compacted different sessions, or at different times.
+# The sync bound sits below what one sync per frame costs (1 per frame): a
+# pump syncs each tenant with frames in it once (~0.125 per frame here).
 #
 # Usage: scripts/ci_counts.sh
 set -euo pipefail
@@ -77,13 +83,16 @@ gate offline_trace '{
 gate service_small '{
   "service.wire_bytes_per_frame": ["==", 18.86481356],
   "service.wire_bytes_per_event": ["==", 43.4775],
+  "online.live_events_peak": ["==", 256000],
   "online.allocs_per_op": ["<", 2.75]
 }'
 gate service_durable '{
   "service.wire_bytes_per_frame": ["==", 29.20639717],
   "service.wire_bytes_per_event": ["==", 58.17925379],
   "store.journal_bytes_peak": ["==", 15359323],
-  "online.allocs_per_op": ["<", 2.5]
+  "online.live_events_peak": ["==", 14668],
+  "online.allocs_per_op": ["<", 2.5],
+  "store.syncs_per_frame": ["<", 0.25]
 }'
 gate explore_4p10m '{
   "explore.executed_per_class": ["==", 1],

@@ -40,72 +40,129 @@ std::string MonitorDaemon::journal_object(std::uint64_t tenant) {
 
 Admission MonitorDaemon::submit(std::span<const std::uint8_t> frame) {
   any_submitted_ = true;
-  FrameView view;
-  const PeekStatus status = peek_frame(frame, view);
-  if (status != PeekStatus::kOk || view.frame_size != frame.size()) {
-    // Torn or corrupt on arrival: retrying the same bytes cannot help, so
-    // the frame is consumed (accepted) and counted, never applied.
+  std::uint64_t tenant = 0;
+  std::size_t frame_size = 0;
+  if (peek_route(frame, tenant, frame_size) != PeekStatus::kOk ||
+      frame_size != frame.size()) {
+    // Torn on arrival: retrying the same bytes cannot help, so the frame is
+    // consumed (accepted) and counted, never applied.
     ++corrupt_submits_;
     return {true, 0};
   }
 
-  Shard& shard = *shards_[view.tenant % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.queue.size() >= options_.queue_capacity) {
-      ++rejected_submits_;
-      return {false, 1};
-    }
-    QueuedFrame queued;
-    queued.bytes.assign(frame.begin(), frame.end());
-    if (obs::enabled()) queued.enqueued_us = obs::now_us();
-    shard.queue.push_back(std::move(queued));
+  Shard& shard = *shards_[tenant % shards_.size()];
+  if (shard.ends.size() >= options_.queue_capacity) {
+    ++rejected_submits_;
+    return {false, 1};
   }
-  if (options_.journal != nullptr) {
-    const std::string object = journal_object(view.tenant);
-    options_.journal->append(object, frame);
-    options_.journal->sync(object);
-  }
+  shard.arena.insert(shard.arena.end(), frame.begin(), frame.end());
+  shard.ends.push_back(shard.arena.size());
+  shard.enqueued_us.push_back(obs::enabled() ? obs::now_us() : 0);
   return {true, 0};
 }
 
-void MonitorDaemon::apply_frame(Shard& shard, const QueuedFrame& frame) {
-  FrameView view;
-  if (peek_frame(frame.bytes, view) != PeekStatus::kOk) {
-    ++shard.quarantined;  // journal tail torn under us — skip, don't die
-    return;
-  }
-
+bool MonitorDaemon::apply_frame(Shard& shard, const FrameView& view) {
   if (view.kind == FrameKind::kHello) {
-    if (shard.sessions.count(view.tenant) != 0) return;  // idempotent replay
+    if (shard.sessions.count(view.tenant) != 0) return false;  // replayed
     std::size_t processes = 0, resync_chunk = 0;
     if (!decode_hello(view, processes, resync_chunk)) {
       ++shard.quarantined;
-      return;
+      return false;
     }
     shard.sessions.emplace(view.tenant,
                            std::make_unique<TenantSession>(
                                processes, resync_chunk, view.seq));
     ++shard.frames_applied;
-    return;
+    return false;
   }
 
   const auto it = shard.sessions.find(view.tenant);
   if (it == shard.sessions.end()) {
     ++shard.quarantined;  // frames before (or with a corrupted) hello
-    return;
+    return false;
   }
   TenantSession& session = *it->second;
   TenantOp op;
   if (!session.decoder.decode(view, op)) {
     ++session.quarantined_frames;
-    return;
+    return false;
   }
   session.core.apply(op);
-  ++session.frames;
   ++shard.frames_applied;
-  if (frame.enqueued_us != 0 && obs::enabled()) {
-    record_ingest_latency(obs::now_us() - frame.enqueued_us);
+  const std::size_t live = session.core.system().live_log_events();
+  shard.live_log_events = shard.live_log_events - session.live + live;
+  session.live = live;
+  if (!session.changed) {
+    session.changed = true;
+    shard.changed.emplace_back(view.tenant, &session);
+  }
+  return true;
+}
+
+void MonitorDaemon::journal(const Shard& shard) {
+  // One append per maximal run of one tenant's consecutive clean frames (a
+  // run's bytes are contiguous in the arena), then one sync per tenant.
+  std::vector<std::uint64_t> journaled;
+  const std::span<const std::uint8_t> arena = shard.arena;
+  const std::size_t n = shard.views.size();
+  std::lock_guard<std::mutex> lock(journal_mutex_);
+  std::size_t begin = 0;  // the arena offset of frame i
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    if (shard.views[i].frame_size != 0) {
+      const std::uint64_t tenant = shard.views[i].tenant;
+      while (j < n && shard.views[j].frame_size != 0 &&
+             shard.views[j].tenant == tenant) {
+        ++j;
+      }
+      options_.journal->append(journal_object(tenant),
+                               arena.subspan(begin, shard.ends[j - 1] - begin));
+      journaled.push_back(tenant);
+    }
+    begin = shard.ends[j - 1];
+    i = j;
+  }
+  std::sort(journaled.begin(), journaled.end());
+  journaled.erase(std::unique(journaled.begin(), journaled.end()),
+                  journaled.end());
+  for (const std::uint64_t tenant : journaled) {
+    options_.journal->sync(journal_object(tenant));
+  }
+}
+
+void MonitorDaemon::drain(Shard& shard) {
+  // However this ends, the pump consumes the shard's frames: after a
+  // journal failure (rethrown by pump) none of them is applied.
+  struct Consume {
+    Shard& shard;
+    ~Consume() {
+      shard.arena.clear();
+      shard.ends.clear();
+      shard.enqueued_us.clear();
+    }
+  } consume{shard};
+
+  // The frame's only CRC check; a corrupt frame is quarantined here and
+  // never journaled or decoded.
+  const std::span<const std::uint8_t> arena = shard.arena;
+  const std::size_t n = shard.ends.size();
+  shard.views.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t begin = i == 0 ? 0 : shard.ends[i - 1];
+    FrameView& view = shard.views[i];
+    if (peek_frame(arena.subspan(begin, shard.ends[i] - begin), view) !=
+        PeekStatus::kOk) {
+      view.frame_size = 0;
+      ++shard.quarantined;
+    }
+  }
+  if (options_.journal != nullptr && n != 0) journal(shard);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shard.views[i].frame_size == 0) continue;
+    if (apply_frame(shard, shard.views[i]) && shard.enqueued_us[i] != 0 &&
+        obs::enabled()) {
+      record_ingest_latency(obs::now_us() - shard.enqueued_us[i]);
+    }
   }
 }
 
@@ -113,39 +170,34 @@ void MonitorDaemon::pump() {
   pool_.parallel_for(
       shards_.size(),
       [this](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          Shard& shard = *shards_[s];
-          std::vector<QueuedFrame> batch;
-          {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            batch.swap(shard.queue);
-          }
-          for (const QueuedFrame& frame : batch) apply_frame(shard, frame);
-        }
+        for (std::size_t s = begin; s < end; ++s) drain(*shards_[s]);
       },
       shards_.size());
   enforce_memory_budget();
 }
 
 void MonitorDaemon::enforce_memory_budget() {
-  struct Candidate {
-    std::size_t live;
-    std::uint64_t tenant;
-    TenantSession* session;
-  };
-  std::vector<Candidate> candidates;
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& [tenant, session] : shard->sessions) {
-      const std::size_t live = session->core.system().live_log_events();
-      total += live;
-      candidates.push_back({live, tenant, session.get()});
-    }
-  }
+  for (const auto& shard : shards_) total += shard->live_log_events;
   live_log_peak_ = std::max(live_log_peak_, total);
   if (options_.memory_budget_events == 0 ||
       total <= options_.memory_budget_events) {
     return;
+  }
+  // Only a changed session can reclaim anything (see the header), so the
+  // candidates are the changed ones, in the order a pass over every
+  // session would visit them.
+  struct Candidate {
+    std::size_t live;
+    std::uint64_t tenant;
+    TenantSession* session;
+    Shard* shard;
+  };
+  std::vector<Candidate> candidates;
+  for (const auto& shard : shards_) {
+    for (const auto& [tenant, session] : shard->changed) {
+      candidates.push_back({session->live, tenant, session, shard.get()});
+    }
   }
   // Laggiest first; tenant id breaks ties so the compaction order — and
   // with it every downstream stat — is deterministic.
@@ -154,16 +206,24 @@ void MonitorDaemon::enforce_memory_budget() {
               return a.live != b.live ? a.live > b.live : a.tenant < b.tenant;
             });
   for (const Candidate& candidate : candidates) {
-    const std::size_t reclaimed = candidate.session->core.compact_at_pin();
+    TenantSession& session = *candidate.session;
+    const std::size_t reclaimed = session.core.compact_at_pin();
+    session.changed = false;
     if (reclaimed > 0) {
       ++compactions_;
       reclaimed_events_ += reclaimed;
       total -= reclaimed;
+      session.live -= reclaimed;
+      candidate.shard->live_log_events -= reclaimed;
     }
     if (total <= options_.memory_budget_events) break;
   }
   // Still over budget: every pin is as far along as it gets this pump —
   // the remainder is live state consumers genuinely still need.
+  for (const auto& shard : shards_) {
+    std::erase_if(shard->changed,
+                  [](const auto& entry) { return !entry.second->changed; });
+  }
 }
 
 void MonitorDaemon::recover() {
@@ -179,11 +239,7 @@ void MonitorDaemon::recover() {
         ++corrupt_submits_;  // torn tail: replay stops at the last clean frame
         break;
       }
-      Shard& shard = *shards_[view.tenant % shards_.size()];
-      QueuedFrame frame;
-      const std::span<const std::uint8_t> whole = in.first(view.frame_size);
-      frame.bytes.assign(whole.begin(), whole.end());
-      apply_frame(shard, frame);
+      apply_frame(*shards_[view.tenant % shards_.size()], view);
       in = in.subspan(view.frame_size);
     }
   }
@@ -209,7 +265,16 @@ std::vector<std::string> MonitorDaemon::verdicts(std::uint64_t tenant) const {
 
 void MonitorDaemon::release(std::uint64_t tenant) {
   Shard& shard = *shards_[tenant % shards_.size()];
-  shard.sessions.erase(tenant);
+  if (const auto it = shard.sessions.find(tenant);
+      it != shard.sessions.end()) {
+    shard.live_log_events -= it->second->live;
+    if (it->second->changed) {
+      std::erase_if(shard.changed, [tenant](const auto& entry) {
+        return entry.first == tenant;
+      });
+    }
+    shard.sessions.erase(it);
+  }
   if (options_.journal != nullptr) {
     const std::string object = journal_object(tenant);
     if (options_.journal->exists(object)) options_.journal->remove(object);
@@ -226,13 +291,13 @@ DaemonStats MonitorDaemon::stats() const {
   for (const auto& shard : shards_) {
     stats.frames_applied += shard->frames_applied;
     stats.frames_quarantined += shard->quarantined;
+    stats.live_log_events += shard->live_log_events;
     for (const auto& [tenant, session] : shard->sessions) {
       (void)tenant;
       ++stats.tenants;
       stats.frames_quarantined +=
           session->quarantined_frames + session->core.quarantined();
       stats.verdicts += session->core.definite_verdicts().size();
-      stats.live_log_events += session->core.system().live_log_events();
     }
   }
   stats.live_log_peak = std::max(stats.live_log_peak, stats.live_log_events);

@@ -2,22 +2,34 @@
 // independent tenant sessions — each a replica OnlineSystem + feed-only
 // OnlineMonitor (TenantSessionCore) — hosted behind the tenant wire codec.
 //
-// Concurrency model: submit() runs on the owner thread and only routes —
-// envelope validation, a bounded per-shard queue, optional journaling.
-// pump() is a barrier: ThreadPool::parallel_for applies every queued frame,
-// shard s owning exactly the tenants with tenant_id % shards == s, so one
-// tenant's frames are always applied in order on one thread (delivery
-// determinism survives the fan-out). Between pumps the sessions are
+// Concurrency model: submit() runs on the owner thread and only routes. It
+// reads the envelope's length prefix and tenant varint (peek_route, no CRC)
+// and appends the bytes to its shard's per-pump arena. pump() is a barrier:
+// ThreadPool::parallel_for runs one task per shard, shard s owning exactly
+// the tenants with tenant_id % shards == s. Each task does each frame's
+// work once, in arrival order: the CRC check (peek_frame, the frame's only
+// one), then with a journal the group commit of every clean frame, then
+// decode and apply. One tenant's frames are therefore always applied in
+// order on one thread (delivery determinism survives the fan-out). The
+// arenas need no lock: submit and pump are owner-only, and the
+// parallel_for join is the handoff. Between pumps the sessions are
 // quiescent and the owner may read stats, compact, or publish metrics.
 //
-// Backpressure: a full shard queue rejects the submit (Admission::accepted
+// Backpressure: a full shard arena rejects the submit (Admission::accepted
 // = false, retry after the next pump) instead of buffering unboundedly —
 // the caller keeps FIFO by not advancing that tenant's cursor.
 //
-// Retention: with a global memory budget set, the owner compacts the
-// laggiest sessions (largest live log first) at their monitors' retention
-// pins after each pump until the budget holds — compaction never crosses
-// what a resync or open action still needs, so verdicts are unaffected.
+// Retention: each session caches its live-log size, re-read by its shard
+// task whenever it applies an op, and each shard keeps their sum. With a
+// global memory budget set, the owner compacts the laggiest sessions
+// (largest live log first, tenant id breaking ties) at their monitors'
+// retention pins after each pump until the budget holds — compaction never
+// crosses what a resync or open action still needs, so verdicts are
+// unaffected. The pass visits only the sessions with an op applied since
+// their last compaction: any other one would reclaim nothing, since its pin
+// and its log have not moved since then (or it has no log yet). So it
+// costs O(shards + changed sessions), not O(hosted sessions), and compacts
+// exactly what a pass over every session would.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +48,7 @@ namespace syncon::service {
 
 struct DaemonOptions {
   std::size_t shards = 8;
-  /// Frames one shard queue holds before submits are rejected.
+  /// Frames one shard holds between pumps before submits are rejected.
   std::size_t queue_capacity = 1024;
   /// Global cap on live log events across every session (0 = unbounded);
   /// enforced after each pump by compacting the laggiest sessions first.
@@ -44,10 +56,16 @@ struct DaemonOptions {
   /// Per-tenant labeled gauges are published for at most this many tenants
   /// (the aggregate gauges always cover everyone).
   std::size_t per_tenant_metric_limit = 64;
-  /// Optional durable frame journal: every admitted frame is appended to
-  /// object "tenant-<id>" before it is applied, and recover() rebuilds all
-  /// sessions by replaying those objects. The envelope doubles as the
-  /// journal record format — it already carries the CRC framing.
+  /// Optional durable frame journal: each pump appends every CRC-clean
+  /// frame to object "tenant-<id>" — one append per run of one tenant's
+  /// consecutive frames — and syncs each tenant's object once, before it
+  /// applies any of them; recover() rebuilds all sessions by replaying
+  /// those objects. A frame is durable once the pump() that applies it
+  /// returns, not when submit() accepts it: a crash in between loses the
+  /// accepted-but-unpumped frames, which the caller still holds. The
+  /// envelope doubles as the journal record format — it already carries
+  /// the CRC framing. The daemon serializes every call into the backend
+  /// (one lock per shard per pump), so it need not be thread-safe.
   StorageBackend* journal = nullptr;
 };
 
@@ -79,14 +97,18 @@ class MonitorDaemon {
   MonitorDaemon(const MonitorDaemon&) = delete;
   MonitorDaemon& operator=(const MonitorDaemon&) = delete;
 
-  /// Routes one complete envelope (owner thread only). A corrupt envelope
-  /// is swallowed and quarantined (accepted — retrying cannot help); a
-  /// valid one is queued on its tenant's shard or rejected when that queue
-  /// is full.
+  /// Routes one complete envelope (owner thread only). A torn envelope is
+  /// swallowed and quarantined (accepted — retrying cannot help); any other
+  /// is queued on the shard its tenant varint names, or rejected when that
+  /// shard is full. Its CRC is checked, and a corrupt frame quarantined,
+  /// by that shard in the next pump().
   Admission submit(std::span<const std::uint8_t> frame);
 
-  /// Applies every queued frame across all shards (barrier), then enforces
-  /// the memory budget. Owner thread only.
+  /// Checks, journals and applies every queued frame across all shards
+  /// (barrier), then enforces the memory budget. Owner thread only. If the
+  /// journal throws, the throwing shard applies none of this pump's frames,
+  /// every shard's queue is emptied, and the exception is rethrown once all
+  /// shards finish.
   void pump();
 
   /// Replays the journal into fresh sessions (construct-time crash
@@ -111,39 +133,50 @@ class MonitorDaemon {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  struct QueuedFrame {
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t enqueued_us = 0;  // 0 = latency tracking off
-  };
-
   struct TenantSession {
     TenantSession(std::size_t processes, std::size_t resync_chunk,
                   std::uint64_t hello_seq)
         : core(processes, resync_chunk), decoder(processes, hello_seq) {}
     TenantSessionCore core;
     TenantStreamDecoder decoder;
-    std::uint64_t frames = 0;
     std::uint64_t quarantined_frames = 0;
+    /// core.system().live_log_events() after the last op or compaction.
+    std::size_t live = 0;
+    /// An op was applied since the last compact_at_pin (the session is then
+    /// listed in its shard's `changed`).
+    bool changed = false;
   };
 
   struct Shard {
-    std::mutex mutex;
-    std::vector<QueuedFrame> queue;  // guarded by mutex
-    // Owned by this shard's worker during pump(), by the owner between
-    // pumps (the parallel_for barrier is the handoff). std::map: stats and
-    // budget scans see tenants in deterministic order.
+    // Frames routed here since the last pump, back to back: frame i is
+    // arena[ends[i-1], ends[i]). Filled by submit(), emptied (capacity
+    // kept) by this shard's pump task.
+    std::vector<std::uint8_t> arena;
+    std::vector<std::size_t> ends;
+    std::vector<std::uint64_t> enqueued_us;  // per frame; 0 = telemetry off
+    // The shard task's parse of each frame (frame_size 0 = quarantined).
+    std::vector<FrameView> views;
+    // Owned by this shard's task during pump(), by the owner between pumps
+    // (the parallel_for barrier is the handoff). std::map: stats and
+    // metrics see tenants in deterministic order.
     std::map<std::uint64_t, std::unique_ptr<TenantSession>> sessions;
+    /// The sessions whose `changed` is set.
+    std::vector<std::pair<std::uint64_t, TenantSession*>> changed;
+    std::size_t live_log_events = 0;  // sum of the sessions' `live`
     std::uint64_t frames_applied = 0;
     std::uint64_t quarantined = 0;
   };
 
-  void apply_frame(Shard& shard, const QueuedFrame& frame);
+  void drain(Shard& shard);
+  void journal(const Shard& shard);
+  bool apply_frame(Shard& shard, const FrameView& view);
   void enforce_memory_budget();
   const TenantSession* find_session(std::uint64_t tenant) const;
   static std::string journal_object(std::uint64_t tenant);
 
   DaemonOptions options_;
   ThreadPool& pool_;
+  std::mutex journal_mutex_;  // serializes the shard tasks' journal calls
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t rejected_submits_ = 0;
   std::uint64_t corrupt_submits_ = 0;

@@ -23,9 +23,11 @@ FrameKind frame_kind_of(TenantOp::Kind kind) {
   return FrameKind::kHello;  // unreachable
 }
 
-}  // namespace
-
-PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out) {
+/// The one length-prefix scan of an envelope at `in`'s head. On kOk,
+/// `payload` spans its payload and `frame_size` counts its bytes.
+PeekStatus scan_envelope(std::span<const std::uint8_t> in,
+                         std::span<const std::uint8_t>& payload,
+                         std::size_t& frame_size) {
   // Hand-rolled varint scan: a truncated length prefix means "need more
   // bytes", which the throwing decoder cannot distinguish from garbage.
   std::uint64_t length = 0;
@@ -42,12 +44,23 @@ PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out) {
   if (length == 0 || length > kMaxFramePayload) return PeekStatus::kCorrupt;
   const std::size_t payload_length = static_cast<std::size_t>(length);
   if (in.size() - used < payload_length + 4) return PeekStatus::kNeedMore;
+  payload = in.subspan(used, payload_length);
+  frame_size = used + payload_length + 4;
+  return PeekStatus::kOk;
+}
 
-  const std::span<const std::uint8_t> payload = in.subspan(used, payload_length);
+}  // namespace
+
+PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out) {
+  std::span<const std::uint8_t> payload;
+  std::size_t frame_size = 0;
+  if (const PeekStatus status = scan_envelope(in, payload, frame_size);
+      status != PeekStatus::kOk) {
+    return status;
+  }
   std::uint32_t stored = 0;
   for (std::size_t b = 0; b < 4; ++b) {
-    stored |= static_cast<std::uint32_t>(in[used + payload_length + b])
-              << (8 * b);
+    stored |= static_cast<std::uint32_t>(in[frame_size - 4 + b]) << (8 * b);
   }
   if (crc32(payload) != stored) return PeekStatus::kCorrupt;
 
@@ -66,7 +79,23 @@ PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out) {
   }
   out.kind = static_cast<FrameKind>(kind);
   out.body = head;
-  out.frame_size = used + payload_length + 4;
+  out.frame_size = frame_size;
+  return PeekStatus::kOk;
+}
+
+PeekStatus peek_route(std::span<const std::uint8_t> in, std::uint64_t& tenant,
+                      std::size_t& frame_size) {
+  std::span<const std::uint8_t> payload;
+  if (const PeekStatus status = scan_envelope(in, payload, frame_size);
+      status != PeekStatus::kOk) {
+    return status;
+  }
+  std::span<const std::uint8_t> head = payload.subspan(1);  // past the kind
+  try {
+    tenant = decode_varint(head);
+  } catch (const ContractViolation&) {
+    return PeekStatus::kCorrupt;
+  }
   return PeekStatus::kOk;
 }
 

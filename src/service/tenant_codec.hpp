@@ -69,6 +69,14 @@ inline constexpr std::size_t kMaxTenantProcesses = 256;
 /// `out` is unspecified. Never throws, never consumes.
 PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out);
 
+/// The routing read of `in`'s head: peek_frame's length-prefix scan plus
+/// the payload's tenant varint, with no CRC check and no body parse. kOk
+/// means only that the envelope is whole and the tenant parsable — the
+/// CRC may still fail, and a flipped tenant byte reads as another tenant.
+/// On kOk fills `tenant` and `frame_size`. Never throws, never consumes.
+PeekStatus peek_route(std::span<const std::uint8_t> in, std::uint64_t& tenant,
+                      std::size_t& frame_size);
+
 /// Sender half: frames TenantOps onto per-tenant streams. encode_hello
 /// must open each tenant before its first op (it fixes the process count
 /// the link codecs are sized to).

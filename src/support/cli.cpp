@@ -85,7 +85,8 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   }
 }
 
-std::uint64_t CliParser::get_uint(const std::string& name) const {
+std::uint64_t CliParser::get_uint(const std::string& name,
+                                  std::uint64_t max) const {
   // Parsed as unsigned directly (not via get_int): values above 2^63-1 are
   // legitimate here — e.g. replaying a 64-bit case seed.
   const std::string value = get(name);
@@ -96,6 +97,8 @@ std::uint64_t CliParser::get_uint(const std::string& name) const {
     const std::uint64_t parsed = std::stoull(value, &consumed);
     SYNCON_REQUIRE(consumed == value.size(),
                    "option --" + name + " has trailing junk: " + value);
+    SYNCON_REQUIRE(parsed <= max, "option --" + name + " must be at most " +
+                                      std::to_string(max) + ": " + value);
     return parsed;
   } catch (const ContractViolation&) {
     throw;
@@ -108,7 +111,13 @@ std::uint64_t CliParser::get_uint(const std::string& name) const {
 double CliParser::get_double(const std::string& name) const {
   const std::string value = get(name);
   try {
-    return std::stod(value);
+    std::size_t consumed = 0;
+    const double parsed = std::stod(value, &consumed);
+    SYNCON_REQUIRE(consumed == value.size(),
+                   "option --" + name + " has trailing junk: " + value);
+    return parsed;
+  } catch (const ContractViolation&) {
+    throw;
   } catch (const std::exception&) {
     throw ContractViolation("option --" + name + " is not a number: " +
                             value);

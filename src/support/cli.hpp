@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,7 +26,10 @@ class CliParser {
 
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
-  std::uint64_t get_uint(const std::string& name) const;
+  /// Rejects (ContractViolation) a value above `max` as well as junk.
+  std::uint64_t get_uint(
+      const std::string& name,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -114,24 +115,48 @@ TEST(ServiceDaemonTest, BackpressureRejectsThenConverges) {
 }
 
 TEST(ServiceDaemonTest, MemoryBudgetCompactsWithoutChangingVerdicts) {
-  ThreadPool pool(2);
-  DaemonOptions options;
-  options.shards = 2;
-  options.memory_budget_events = 128;  // well under the combined live logs
-  MonitorDaemon daemon(options, pool);
+  // The budget policy — largest live log first, tenant id breaking ties,
+  // stop once the budget holds — decides which sessions compact and when;
+  // these counts pin its outcome, on every pool size. In the second and
+  // third runs tenants finish while later ones still load the budget: the
+  // second releases them, the third keeps them hosted with no further ops.
+  struct Expected {
+    std::size_t tenants;
+    std::size_t window;
+    bool release_finished;
+    std::uint64_t compactions;
+    std::uint64_t reclaimed_events;
+    std::size_t live_log_peak;
+  };
+  for (const Expected& expected : {Expected{8, 8, false, 72, 910, 463},
+                                   Expected{16, 4, true, 82, 1622, 256},
+                                   Expected{16, 4, false, 94, 1948, 256}}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      DaemonOptions options;
+      options.shards = 2;
+      options.memory_budget_events = 128;  // well under the live logs
+      MonitorDaemon daemon(options, pool);
 
-  ServiceLoadConfig config;
-  config.tenants = 8;
-  config.window = 8;
-  config.workload = faulty_workload();
-  config.seed = 3;
-  const ServiceLoadResult result = run_service_load(config, daemon);
+      ServiceLoadConfig config;
+      config.tenants = expected.tenants;
+      config.window = expected.window;
+      config.workload = faulty_workload();
+      config.seed = 3;
+      config.release_finished = expected.release_finished;
+      const ServiceLoadResult result = run_service_load(config, daemon);
 
-  EXPECT_TRUE(result.identity_ok);
-  EXPECT_GT(result.daemon.compactions, 0u);
-  EXPECT_GT(result.daemon.reclaimed_events, 0u);
-  EXPECT_GT(result.daemon.live_log_peak, 0u);
-  pool.drain();
+      SCOPED_TRACE(std::string(expected.release_finished ? "released"
+                                                         : "retained") +
+                   ", " + std::to_string(threads) + " threads");
+      EXPECT_EQ(result.tenants_run, expected.tenants);
+      EXPECT_TRUE(result.identity_ok);
+      EXPECT_EQ(result.daemon.compactions, expected.compactions);
+      EXPECT_EQ(result.daemon.reclaimed_events, expected.reclaimed_events);
+      EXPECT_EQ(result.daemon.live_log_peak, expected.live_log_peak);
+      pool.drain();
+    }
+  }
 }
 
 TEST(ServiceDaemonTest, ReleaseDropsFinishedSessions) {
@@ -169,6 +194,17 @@ TEST(ServiceDaemonTest, CorruptFrameDegradesOnlyItsTenant) {
   const auto frames_b = encode_frames(encoder, 1, script_b);
 
   const std::size_t corrupt_at = frames_a.size() / 2;
+  // A copy of tenant 0's frame `corrupt_at` with its tenant varint flipped
+  // to 1: submit routes it to tenant 1's shard, right where tenant 1 expects
+  // that seq next, and only the CRC there keeps it out of tenant 1's stream.
+  std::vector<std::uint8_t> rerouted = frames_a[corrupt_at];
+  std::size_t tenant_byte = 0;
+  while ((rerouted[tenant_byte++] & 0x80u) != 0) {  // the length prefix
+  }
+  ++tenant_byte;  // the kind byte
+  ASSERT_EQ(rerouted[tenant_byte], 0u);
+  rerouted[tenant_byte] = 1;
+
   const std::size_t n = std::max(frames_a.size(), frames_b.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (i < frames_a.size()) {
@@ -177,6 +213,7 @@ TEST(ServiceDaemonTest, CorruptFrameDegradesOnlyItsTenant) {
         damaged[damaged.size() / 2] ^= 0x40;
         // A corrupt envelope is swallowed (accepted) — retry cannot help.
         EXPECT_TRUE(daemon.submit(damaged).accepted);
+        EXPECT_TRUE(daemon.submit(rerouted).accepted);
       } else {
         submit_or_pump(daemon, frames_a[i]);
       }
@@ -189,7 +226,8 @@ TEST(ServiceDaemonTest, CorruptFrameDegradesOnlyItsTenant) {
   // later frame fell into the sequence gap — quarantined, not crashed.
   EXPECT_EQ(daemon.verdicts(1), script_b.reference_verdicts);
   const DaemonStats stats = daemon.stats();
-  EXPECT_GT(stats.frames_quarantined, 0u);
+  // The damaged frame, the rerouted copy, and tenant 0's later frames.
+  EXPECT_EQ(stats.frames_quarantined, frames_a.size() - corrupt_at + 1);
   EXPECT_EQ(stats.tenants, 2u);
   pool.drain();
 }
@@ -303,6 +341,130 @@ TEST(ServiceDaemonTest, JournalRecoveryRebuildsEverySession) {
   EXPECT_EQ(recovered.stats().frames_quarantined, 0u);
   for (std::uint64_t t = 0; t < 6; ++t) {
     EXPECT_EQ(recovered.verdicts(t), expected[t]) << "tenant " << t;
+  }
+  pool.drain();
+}
+
+// The journal contract: submit() only routes, so an accepted frame reaches
+// the journal in the pump() that applies it — before it is applied — and is
+// durable once that pump returns. Each pump syncs each tenant with frames
+// in it once.
+TEST(ServiceDaemonTest, PumpedFramesAreDurableWithOneSyncPerTenant) {
+  SimStorage storage;
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 2;
+  options.journal = &storage;
+  MonitorDaemon daemon(options, pool);
+
+  constexpr std::uint64_t kTenants = 3;
+  TenantFrameEncoder encoder;
+  TenantWorkload workload = faulty_workload();
+  std::vector<std::vector<std::vector<std::uint8_t>>> frames;
+  for (std::uint64_t t = 0; t < kTenants; ++t) {
+    workload.seed = 50 + t;
+    frames.push_back(encode_frames(encoder, t, generate_tenant_script(workload)));
+  }
+  const auto object = [](std::uint64_t t) {
+    return "tenant-" + std::to_string(t);
+  };
+  const auto journal_size = [&](std::uint64_t t) -> std::size_t {
+    return storage.exists(object(t)) ? storage.size(object(t)) : 0;
+  };
+
+  std::vector<std::size_t> cursor(kTenants, 0);
+  std::vector<std::vector<std::uint8_t>> expected_bytes(kTenants);
+  // Half of tenant 0's frames, 5 per tenant per round; tenant 2 sits out
+  // odd rounds, so the sync count follows the tenants with frames.
+  for (std::size_t round = 0; cursor[0] < frames[0].size() / 2; ++round) {
+    const std::vector<std::size_t> first = cursor;
+    std::uint64_t tenants_with_frames = 0;
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+      if (t == 2 && round % 2 == 1) continue;
+      for (; cursor[t] < std::min(first[t] + 5, frames[t].size());
+           ++cursor[t]) {
+        ASSERT_TRUE(daemon.submit(frames[t][cursor[t]]).accepted);
+      }
+      if (cursor[t] > first[t]) ++tenants_with_frames;
+    }
+    // Accepted, not yet pumped: no object holds this round's bytes.
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+      EXPECT_EQ(journal_size(t), expected_bytes[t].size()) << "tenant " << t;
+    }
+
+    const std::uint64_t syncs_before = storage.syncs();
+    daemon.pump();
+    EXPECT_EQ(storage.syncs() - syncs_before, tenants_with_frames)
+        << "round " << round;
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+      for (std::size_t i = first[t]; i < cursor[t]; ++i) {
+        expected_bytes[t].insert(expected_bytes[t].end(), frames[t][i].begin(),
+                                 frames[t][i].end());
+      }
+      EXPECT_EQ(storage.read(object(t)), expected_bytes[t]) << "tenant " << t;
+      EXPECT_EQ(storage.synced_size(object(t)), expected_bytes[t].size())
+          << "tenant " << t;
+    }
+  }
+
+  // A crash now loses nothing a pump returned from.
+  storage.crash();
+  MonitorDaemon recovered(options, pool);
+  recovered.recover();
+  std::size_t verdicts = 0;
+  for (std::uint64_t t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(recovered.verdicts(t), daemon.verdicts(t)) << "tenant " << t;
+    verdicts += daemon.verdicts(t).size();
+  }
+  EXPECT_GT(verdicts, 0u);
+  EXPECT_EQ(recovered.stats().frames_quarantined, 0u);
+  pool.drain();
+}
+
+// A journal failure is a crash point: pump() rethrows it, the failing
+// shard applies none of that pump's frames, and a daemon recovered from the
+// journal agrees with everything that was applied.
+TEST(ServiceDaemonTest, JournalFailureAppliesNothingAndRethrows) {
+  SimStorage storage;
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 1;  // both tenants' frames go through one shard task
+  options.journal = &storage;
+  MonitorDaemon daemon(options, pool);
+
+  TenantFrameEncoder encoder;
+  TenantWorkload workload = faulty_workload();
+  std::vector<std::vector<std::vector<std::uint8_t>>> frames;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    workload.seed = 60 + t;
+    frames.push_back(encode_frames(encoder, t, generate_tenant_script(workload)));
+    ASSERT_GE(frames.back().size(), 50u);
+  }
+  const auto submit_round = [&](std::size_t first, std::size_t count) {
+    for (std::uint64_t t = 0; t < 2; ++t) {
+      for (std::size_t i = first; i < first + count; ++i) {
+        ASSERT_TRUE(daemon.submit(frames[t][i]).accepted);
+      }
+    }
+  };
+  submit_round(0, 40);
+  daemon.pump();
+  const DaemonStats before = daemon.stats();
+  ASSERT_EQ(before.frames_applied, 80u);
+
+  // Tenant 0's run is appended, tenant 1's append crashes the storage.
+  submit_round(40, 10);
+  storage.crash_after_ops(2);
+  EXPECT_THROW(daemon.pump(), StorageCrash);
+  EXPECT_EQ(daemon.stats().frames_applied, before.frames_applied);
+  daemon.pump();  // the failed pump consumed its frames
+  EXPECT_EQ(daemon.stats().frames_applied, before.frames_applied);
+
+  MonitorDaemon recovered(options, pool);
+  recovered.recover();
+  EXPECT_EQ(recovered.stats().frames_applied, before.frames_applied);
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(recovered.verdicts(t), daemon.verdicts(t)) << "tenant " << t;
   }
   pool.drain();
 }

@@ -300,9 +300,11 @@ TEST(CliParserTest, RejectsNonNumericValues) {
 TEST(CliParserTest, RejectsTrailingJunk) {
   CliParser cli("prog", "test");
   cli.add_option("count", "5", "how many");
-  const char* argv[] = {"prog", "--count=12x"};
-  ASSERT_TRUE(cli.parse(2, argv));
+  cli.add_option("rate", "0.5", "how fast");
+  const char* argv[] = {"prog", "--count=12x", "--rate=0.1junk"};
+  ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_THROW(cli.get_int("count"), ContractViolation);
+  EXPECT_THROW(cli.get_double("rate"), ContractViolation);
 }
 
 TEST(CliParserTest, RejectsNegativeForUnsigned) {
@@ -322,6 +324,7 @@ TEST(CliParserTest, UnsignedCoversTheFullSeedRange) {
   const char* argv[] = {"prog", "--seed=13498596972625284250"};
   ASSERT_TRUE(cli.parse(2, argv));
   EXPECT_EQ(cli.get_uint("seed"), 13498596972625284250ull);
+  EXPECT_THROW(cli.get_uint("seed", 65535), ContractViolation);
 }
 
 TEST(CliParserTest, CollectsPositional) {

@@ -20,6 +20,7 @@
 
 #include "check/driver.hpp"
 #include "support/cli.hpp"
+#include "support/contracts.hpp"
 
 namespace {
 
@@ -84,7 +85,7 @@ int run_single_case(const CheckCase& c, std::uint64_t case_seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("syncon_check",
                 "Differential conformance fuzzer: random executions vs the "
                 "library's reference semantics, with delta-debugged repros.");
@@ -165,4 +166,8 @@ int main(int argc, char** argv) {
               << failure.repro;
   }
   return report.ok() ? 0 : 1;
+} catch (const ContractViolation& e) {
+  // A malformed or out-of-range option: report it, never abort.
+  std::cerr << "syncon_check: " << e.what() << "\n";
+  return 2;
 }

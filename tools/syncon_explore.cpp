@@ -25,6 +25,7 @@
 #include "explore/explorer.hpp"
 #include "explore/invariants.hpp"
 #include "support/cli.hpp"
+#include "support/contracts.hpp"
 
 namespace {
 
@@ -168,7 +169,7 @@ void report_violation(const CheckCase& c, std::uint64_t case_seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("syncon_explore",
                 "Delivery-schedule explorer: enumerate one schedule per "
                 "happens-before poset of a bounded universe and prove the "
@@ -312,4 +313,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const ContractViolation& e) {
+  // A malformed or out-of-range option: report it, never abort.
+  std::cerr << "syncon_explore: " << e.what() << "\n";
+  return 2;
 }

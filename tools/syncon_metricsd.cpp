@@ -19,7 +19,8 @@
 //   # CI quarantine drill: poison report + automatic flight dump
 //   syncon_metricsd --cycles=200 --inject-quarantine --flight-dump=dump.txt
 //
-// Exit status: 0 on success, 1 on a failed export or consistency check.
+// Exit status: 0 on success, 1 on a failed export or consistency check, 2
+// on a malformed or out-of-range option.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -36,11 +37,12 @@
 #include "online/online_monitor.hpp"
 #include "sim/soak.hpp"
 #include "support/cli.hpp"
+#include "support/contracts.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace syncon;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("syncon_metricsd",
                 "soak-driving observability daemon: scrape endpoint + "
                 "causal-trace / waterfall / flight-recorder export");
@@ -101,7 +103,8 @@ int main(int argc, char** argv) {
   config.capture_observability = true;
 
   obs::ScrapeServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(cli.get_uint("port"));
+  server_options.port =
+      static_cast<std::uint16_t>(cli.get_uint("port", 65535));
   server_options.run_label = "syncon_metricsd";
   obs::ScrapeServer server(server_options);
   if (server.ok()) {
@@ -229,4 +232,8 @@ int main(int argc, char** argv) {
   ThreadPool::shared().drain();
 
   return status;
+} catch (const ContractViolation& e) {
+  // A malformed or out-of-range option: report it, never abort.
+  std::fprintf(stderr, "syncon_metricsd: %s\n", e.what());
+  return 2;
 }

@@ -15,7 +15,8 @@
 //       --port=9465 --stats-json=service.json
 //
 // Exit status: 0 when every tenant's daemon-side Definite verdict log is
-// bit-identical to its reference, 1 otherwise.
+// bit-identical to its reference, 1 otherwise, 2 on a malformed or
+// out-of-range option.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "service/daemon.hpp"
 #include "service/load.hpp"
 #include "support/cli.hpp"
+#include "support/contracts.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace syncon;
@@ -45,7 +47,7 @@ long peak_rss_kib() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("syncon_monitord",
                 "sharded multi-tenant monitoring daemon: scripted tenant "
                 "load through the wire codec with verdict-identity checks");
@@ -91,12 +93,8 @@ int main(int argc, char** argv) {
   load.batch = cli.get_uint("batch");
   load.seed = cli.get_uint("seed");
   load.release_finished = !cli.get_flag("keep-sessions");
-  load.workload.processes = cli.get_uint("processes");
-  if (load.workload.processes > service::kMaxTenantProcesses) {
-    std::fprintf(stderr, "syncon_monitord: --processes must be at most %zu\n",
-                 service::kMaxTenantProcesses);
-    return 1;
-  }
+  load.workload.processes =
+      cli.get_uint("processes", service::kMaxTenantProcesses);
   load.workload.cycles = cli.get_uint("cycles");
   load.workload.action_every = cli.get_uint("action-every");
   load.workload.recover_every = cli.get_uint("recover-every");
@@ -115,7 +113,8 @@ int main(int argc, char** argv) {
   service::MonitorDaemon daemon(daemon_options, pool);
 
   obs::ScrapeServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(cli.get_uint("port"));
+  server_options.port =
+      static_cast<std::uint16_t>(cli.get_uint("port", 65535));
   server_options.run_label = "syncon_monitord";
   std::unique_ptr<obs::ScrapeServer> server;
   if (!cli.get_flag("no-serve")) {
@@ -209,4 +208,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const ContractViolation& e) {
+  // A malformed or out-of-range option: report it, never abort.
+  std::fprintf(stderr, "syncon_monitord: %s\n", e.what());
+  return 2;
 }
