@@ -99,7 +99,7 @@ inline void finish_telemetry(const char* run_name) {
   obs::set_enabled(false);
   std::printf("\n=== span summary: %s ===\n", run_name);
   std::ostringstream table;
-  obs::write_span_summary(table, obs::TraceRecorder::global());
+  obs::write_span_summary(table, obs::FlightRecorder::spans());
   std::fputs(table.str().c_str(), stdout);
   if (const char* path = std::getenv("SYNCON_BENCH_JSON")) {
     std::ofstream out(path);
@@ -108,7 +108,7 @@ inline void finish_telemetry(const char* run_name) {
   }
   if (const char* path = std::getenv("SYNCON_BENCH_TRACE")) {
     std::ofstream out(path);
-    obs::write_chrome_trace(out, obs::TraceRecorder::global());
+    obs::write_chrome_trace(out, obs::FlightRecorder::spans());
     std::printf("chrome trace -> %s (open in Perfetto)\n", path);
   }
 }

@@ -411,11 +411,11 @@ int run(int argc, char** argv) {
     obs::set_enabled(false);
     std::printf("\nspan summary:\n");
     std::ostringstream spans;
-    obs::write_span_summary(spans, obs::TraceRecorder::global());
+    obs::write_span_summary(spans, obs::FlightRecorder::spans());
     std::printf("%s", spans.str().c_str());
     if (!cli.get("chrome-trace").empty()) {
       std::ofstream out(cli.get("chrome-trace"));
-      obs::write_chrome_trace(out, obs::TraceRecorder::global());
+      obs::write_chrome_trace(out, obs::FlightRecorder::spans());
       std::printf("wrote Chrome trace to %s (open in Perfetto)\n",
                   cli.get("chrome-trace").c_str());
     }

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
-# Smoke-runs the causal-observability stack (DESIGN.md §3.13) end to end:
-# a seeded faulty soak through syncon_metricsd exporting every artifact,
-# then asserts
+# Smoke-runs the observability stack (DESIGN.md §3.8, §3.13) end to end.
+# First the span export: trace_analysis writes the span ring as a Chrome
+# trace, and the script asserts that the JSON parses and that each span
+# name's count is exactly the pinned one (model/stamp 1, relation/register
+# 5, relation/evaluate 1, monitor/ingest 182, online/compact 11). This
+# check merges nothing into the trajectory file. Then a seeded faulty soak
+# through syncon_metricsd exports every causal artifact, and the script
+# asserts
 #   * the causal trace is well-formed JSON whose span reachability the
 #     binary itself property-checked against the clock order, and it
 #     contains >0 resync spans (the injected report faults must be visible);
@@ -26,11 +31,35 @@ smoke_dir="$build_dir/smoke"
 echo "=== [obs-smoke] configure ($build_dir, Release) ==="
 cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 
-echo "=== [obs-smoke] build syncon_metricsd ==="
-cmake --build "$build_dir" -j "$(nproc)" --target syncon_metricsd >/dev/null
+echo "=== [obs-smoke] build syncon_metricsd, trace_analysis ==="
+cmake --build "$build_dir" -j "$(nproc)" \
+  --target syncon_metricsd trace_analysis >/dev/null
 
 mkdir -p "$smoke_dir"
-rm -f "$smoke_dir/obs_flight_dump.txt"
+rm -f "$smoke_dir/obs_flight_dump.txt" "$smoke_dir/spans.json"
+
+echo "=== [obs-smoke] span export (trace_analysis --chrome-trace) ==="
+"$build_dir/examples/trace_analysis" \
+  --generate --report --matrix --x=W0 --y=W2 --online-compact=16 \
+  --chrome-trace="$smoke_dir/spans.json" > "$smoke_dir/spans.log"
+python3 - "$smoke_dir/spans.json" <<'PY'
+import collections, json, sys
+
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+counts = dict(collections.Counter(e["name"] for e in events))
+expected = {"model/stamp": 1, "relation/register": 5, "relation/evaluate": 1,
+            "monitor/ingest": 182, "online/compact": 11}
+if counts != expected:
+    print(f"FAIL: span counts {sorted(counts.items())} != "
+          f"{sorted(expected.items())}", file=sys.stderr)
+    sys.exit(1)
+bad = [e for e in events if e["ph"] != "X" or e["dur"] < 0]
+if bad:
+    print(f"FAIL: malformed span events {bad[:3]}", file=sys.stderr)
+    sys.exit(1)
+print(f"span export: {len(events)} spans, counts as pinned")
+PY
 
 echo "=== [obs-smoke] faulty soak ($cycles cycles, seeded) ==="
 # syncon_metricsd exits non-zero if verify_causal_consistency fails or the

@@ -190,23 +190,24 @@ void write_json(std::ostream& os, const MetricsSnapshot& snapshot,
   os << (first ? "" : "\n  ") << "}\n}\n";
 }
 
-void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
+void write_chrome_trace(std::ostream& os, const FlightRecorder& ring) {
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;
-  for (const SpanEvent& e : recorder.events()) {
+  for (const FlightRecord& r : ring.dump()) {
+    if (r.kind != FlightKind::kSpan) continue;
     os << (first ? "\n" : ",\n");
-    os << "  {\"name\": \"" << json_escape(e.name)
-       << "\", \"cat\": \"syncon\", \"ph\": \"X\", \"ts\": " << e.start_us
-       << ", \"dur\": " << e.duration_us << ", \"pid\": 0, \"tid\": "
-       << e.thread << "}";
+    os << "  {\"name\": \"" << json_escape(span_name(r))
+       << "\", \"cat\": \"syncon\", \"ph\": \"X\", \"ts\": " << r.b
+       << ", \"dur\": " << r.t_us - r.b << ", \"pid\": 0, \"tid\": "
+       << r.process << "}";
     first = false;
   }
   os << (first ? "" : "\n") << "]}\n";
 }
 
-void write_span_summary(std::ostream& os, const TraceRecorder& recorder) {
+void write_span_summary(std::ostream& os, const FlightRecorder& ring) {
   TextTable table({"span", "count", "total µs", "mean µs", "max µs"});
-  for (const SpanStats& s : aggregate_spans(recorder)) {
+  for (const SpanStats& s : aggregate_spans(ring)) {
     table.new_row()
         .add_cell(s.name)
         .add_cell(s.count)

@@ -3,8 +3,8 @@
 //  - JSON snapshots in the BENCH_*.json trajectory format
 //    (scripts/ci_bench_smoke.sh assembles per-binary snapshots into
 //    BENCH_smoke.json),
-//  - Chrome trace-event JSON for the span recorder (loadable in Perfetto
-//    or chrome://tracing),
+//  - Chrome trace-event JSON for the span ring (loadable in Perfetto or
+//    chrome://tracing),
 //  - a plain-text per-phase span summary table for bench output.
 // Both metric exporters render the same MetricsSnapshot, so their values
 // can never drift apart.
@@ -42,11 +42,12 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot);
 void write_json(std::ostream& os, const MetricsSnapshot& snapshot,
                 std::string_view run = "");
 
-/// Chrome trace-event JSON ("X" complete events) of the retained spans.
-void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder);
+/// Chrome trace-event JSON ("X" complete events) of the ring's retained
+/// kSpan records, oldest first: ts = b, dur = t_us - b, tid = process.
+void write_chrome_trace(std::ostream& os, const FlightRecorder& ring);
 
 /// Per-phase span summary as an aligned text table (src/support/table).
-void write_span_summary(std::ostream& os, const TraceRecorder& recorder);
+void write_span_summary(std::ostream& os, const FlightRecorder& ring);
 
 std::string prometheus_to_string(const MetricsSnapshot& snapshot);
 std::string json_to_string(const MetricsSnapshot& snapshot,

@@ -36,6 +36,7 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kVerdict: return "verdict";
     case FlightKind::kCheckpoint: return "checkpoint";
     case FlightKind::kContractFailure: return "contract-failure";
+    case FlightKind::kSpan: return "span";
   }
   return "unknown";
 }
@@ -62,13 +63,9 @@ FlightRecorder& FlightRecorder::global() {
   return recorder;
 }
 
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  SYNCON_REQUIRE(capacity >= 1, "flight ring needs at least one slot");
-  const std::size_t cap = round_up_pow2(capacity);
-  auto fresh = std::make_unique<Slot[]>(cap);
-  ring_ = std::move(fresh);
-  mask_ = cap - 1;
-  next_.store(0, std::memory_order_release);
+FlightRecorder& FlightRecorder::spans() {
+  static FlightRecorder recorder(kSpanCapacity);
+  return recorder;
 }
 
 void FlightRecorder::clear() {
@@ -210,6 +207,8 @@ std::string describe_payload(const FlightRecord& r) {
       return std::string((r.a & 1) != 0 ? "holds" : "fails") +
              ((r.a & 2) != 0 ? " definite" : " pending-gap") + ", " +
              std::to_string(r.b) + "µs";
+    case FlightKind::kSpan:
+      return span_name(r);
     case FlightKind::kCrash:
     case FlightKind::kCheckpoint:
     case FlightKind::kContractFailure:

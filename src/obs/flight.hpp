@@ -4,16 +4,18 @@
 // quarantines, crashes, recoveries. The ring is the crash black box: when
 // something goes wrong (a quarantined frame, a recovery, a SYNCON_REQUIRE
 // failure) the last `capacity` records show what the system was doing just
-// before, and can be dumped automatically to a configured file.
+// before, and can be dumped automatically to a configured file. A second
+// instance, FlightRecorder::spans(), holds the closed SYNCON_SPANs
+// (obs/span.hpp) as kSpan records, so spans never evict incident records.
 //
 // Cost model. Disabled (the default), obs::flight() is one relaxed atomic
 // load and a branch — no clock read, no allocation, no lock (the same
 // contract as SYNCON_SPAN). Enabled, a record is one fetch_add on the
-// global sequence plus five relaxed/release atomic stores into a
-// pre-allocated slot: concurrent writers never block each other and never
-// allocate. Readers (dump()) validate each slot with a seqlock stamp, so a
-// record overwritten mid-read is skipped, never torn — which also makes
-// writer/reader interleavings ThreadSanitizer-clean.
+// ring's sequence plus six relaxed/release atomic stores into a
+// pre-allocated slot, and no lock: concurrent writers never block each
+// other and never allocate. Readers (dump()) validate each slot with a
+// seqlock stamp, so a record overwritten mid-read is skipped, never torn —
+// which also makes writer/reader interleavings ThreadSanitizer-clean.
 #pragma once
 
 #include <atomic>
@@ -45,6 +47,8 @@ enum class FlightKind : std::uint8_t {
   kVerdict,           // watch fired (a = holds | definite<<1, b = latency µs)
   kCheckpoint,        // clock snapshot / retention checkpoint adopted
   kContractFailure,   // SYNCON_REQUIRE / SYNCON_ASSERT tripped
+  kSpan,              // SYNCON_SPAN closed (a = name literal, b = start µs;
+                      // t_us is the end, so the duration is t_us - b)
 };
 
 const char* to_string(FlightKind kind);
@@ -70,9 +74,15 @@ constexpr EventId unpack_event(std::uint64_t packed) {
                  static_cast<EventIndex>(packed & 0xffffffffu)};
 }
 
+/// The name literal a kSpan record carries in `a`.
+inline const char* span_name(const FlightRecord& record) {
+  return reinterpret_cast<const char*>(static_cast<std::uintptr_t>(record.a));
+}
+
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
+  static constexpr std::size_t kSpanCapacity = 1 << 16;
 
   /// Capacity is rounded up to a power of two.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
@@ -82,9 +92,10 @@ class FlightRecorder {
 
   /// Process-wide recorder used by obs::flight().
   static FlightRecorder& global();
+  /// Process-wide kSpan ring used by SYNCON_SPAN (kSpanCapacity slots,
+  /// built on the first span telemetry records).
+  static FlightRecorder& spans();
 
-  /// Resizes the ring; drops everything recorded so far.
-  void set_capacity(std::size_t capacity);
   std::size_t capacity() const { return mask_ + 1; }
 
   void record(FlightKind kind, std::uint32_t process, std::uint64_t a = 0,

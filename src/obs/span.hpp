@@ -1,37 +1,31 @@
 // Span tracing (DESIGN.md §3.8): SYNCON_SPAN("phase/name") opens an RAII
-// span whose completion is pushed into a fixed-capacity ring buffer. The
-// recorder is exported as Chrome trace-event JSON (obs/export.hpp), which
-// Perfetto and chrome://tracing load directly.
+// span whose completion is written as one FlightKind::kSpan record into the
+// span ring, FlightRecorder::spans() (obs/flight.hpp). The ring is exported
+// as Chrome trace-event JSON (obs/export.hpp), which Perfetto and
+// chrome://tracing load directly.
 //
-// Cost model: with telemetry disabled (the default) a SpanGuard is two
-// relaxed loads and a branch — no clock read, no allocation, no lock. With
+// Cost model: with telemetry disabled (the default) a SpanGuard is one
+// relaxed load and a branch — no clock read, no allocation, no lock. With
 // it enabled, each completed span takes two steady_clock reads and one
-// short mutex-guarded ring-buffer push; the ring never grows after
-// set_capacity, so long runs stay bounded (oldest spans are overwritten).
+// seqlock ring write (one fetch_add plus stores into a pre-allocated slot,
+// no lock); the ring has a fixed kSpanCapacity slots, so long runs stay
+// bounded (oldest spans are overwritten).
 //
 // Span names are path-like, coarse phase labels (the taxonomy lives in
 // DESIGN.md §3.8): "model/stamp", "relation/register", "relation/evaluate",
-// "batch/sweep", "online/deliver", "online/resync_serve", "monitor/ingest",
-// "des/run". Names must be string literals (the recorder stores the
-// pointer, not a copy).
+// "batch/sweep", "online/deliver", "online/resync_serve", "online/compact",
+// "monitor/ingest", "des/run". Names must be string literals (the record
+// stores the pointer, not a copy).
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/telemetry.hpp"
 
 namespace syncon::obs {
-
-/// One completed span. `name` must point at a string literal.
-struct SpanEvent {
-  const char* name = nullptr;
-  std::uint64_t start_us = 0;
-  std::uint64_t duration_us = 0;
-  std::uint32_t thread = 0;
-};
 
 /// Microseconds since the process's telemetry epoch (steady clock).
 std::uint64_t now_us();
@@ -39,41 +33,7 @@ std::uint64_t now_us();
 /// Small dense id of the calling thread (0 for the first thread seen).
 std::uint32_t current_thread_slot();
 
-class TraceRecorder {
- public:
-  explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
-
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  /// Process-wide recorder used by SYNCON_SPAN.
-  static TraceRecorder& global();
-
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
-
-  /// Resizes the ring; drops everything recorded so far.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
-  void record(const char* name, std::uint64_t start_us,
-              std::uint64_t duration_us);
-
-  /// Retained spans, oldest first (at most capacity(); earlier spans of a
-  /// long run are overwritten).
-  std::vector<SpanEvent> events() const;
-  /// Spans recorded since the last clear, including overwritten ones.
-  std::uint64_t recorded_total() const;
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<SpanEvent> ring_;
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Per-name aggregate over a recorder's retained spans.
+/// Per-name aggregate over a ring's retained kSpan records.
 struct SpanStats {
   std::string name;
   std::uint64_t count = 0;
@@ -86,10 +46,10 @@ struct SpanStats {
   }
 };
 
-/// Aggregates the retained spans by name, name-sorted.
-std::vector<SpanStats> aggregate_spans(const TraceRecorder& recorder);
+/// Aggregates the retained kSpan records by name, name-sorted.
+std::vector<SpanStats> aggregate_spans(const FlightRecorder& ring);
 
-/// RAII span: records into TraceRecorder::global() iff telemetry was
+/// RAII span: records into FlightRecorder::spans() iff telemetry was
 /// enabled at construction.
 class SpanGuard {
  public:
@@ -101,7 +61,9 @@ class SpanGuard {
   }
   ~SpanGuard() {
     if (name_ != nullptr) {
-      TraceRecorder::global().record(name_, start_, now_us() - start_);
+      FlightRecorder::spans().record(FlightKind::kSpan, current_thread_slot(),
+                                     reinterpret_cast<std::uintptr_t>(name_),
+                                     start_);
     }
   }
   SpanGuard(const SpanGuard&) = delete;

@@ -1,7 +1,6 @@
 #include "online/online_system.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <string>
 
 #include "obs/flight.hpp"
@@ -287,10 +286,6 @@ bool OnlineSystem::try_deliver(ProcessId p, const WireMessage& message,
     obs::flight_auto_dump("quarantine");
     return false;
   }
-}
-
-void OnlineSystem::dump_flight(std::ostream& os) const {
-  obs::write_flight_text(os, obs::FlightRecorder::global().dump());
 }
 
 void OnlineSystem::restore_checkpoint(const RetentionCheckpoint& checkpoint) {

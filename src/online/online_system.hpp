@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <limits>
 #include <span>
 #include <unordered_map>
@@ -129,12 +128,6 @@ class OnlineSystem {
 
   /// Messages rejected by try_deliver so far.
   std::uint64_t quarantined() const { return quarantined_; }
-
-  /// Writes the flight recorder's current contents (text form) — the last
-  /// few thousand structured records across every subsystem, oldest first.
-  /// A convenience over obs::write_flight_text for operators holding a
-  /// system handle; the ring itself is process-global.
-  void dump_flight(std::ostream& os) const;
 
   /// Duplicate deliveries suppressed across all processes so far.
   std::uint64_t duplicates_suppressed() const {

@@ -54,11 +54,25 @@ TEST_F(FlightRecorderTest, RingKeepsNewestAndDumpsOldestFirst) {
     if (i > 0) EXPECT_LT(records[i - 1].seq, records[i].seq);
   }
   EXPECT_EQ(ring.recorded_total(), 21u);
+  ring.clear();
+  EXPECT_TRUE(ring.dump().empty());
+  EXPECT_EQ(ring.recorded_total(), 0u);
 }
 
 TEST_F(FlightRecorderTest, PackUnpackEventRoundTrips) {
   const EventId e{7, 123456};
   EXPECT_EQ(obs::unpack_event(obs::pack_event(e)), e);
+}
+
+TEST_F(FlightRecorderTest, SpanRecordsPrintTheirKindAndName) {
+  obs::FlightRecorder ring(4);
+  ring.record(obs::FlightKind::kSpan, 0,
+              reinterpret_cast<std::uintptr_t>("test/span"), 0);
+  std::ostringstream oss;
+  obs::write_flight_text(oss, ring.dump());
+  EXPECT_STREQ(obs::to_string(obs::FlightKind::kSpan), "span");
+  EXPECT_NE(oss.str().find("span"), std::string::npos);
+  EXPECT_NE(oss.str().find("test/span"), std::string::npos);
 }
 
 TEST_F(FlightRecorderTest, SystemDeliveriesLandInTheRing) {
@@ -115,7 +129,7 @@ TEST_F(FlightRecorderTest, OnDemandDumpThroughOnlineSystem) {
   OnlineSystem sys(2);
   sys.deliver(1, sys.send(0));
   std::ostringstream oss;
-  sys.dump_flight(oss);
+  obs::write_flight_text(oss, obs::FlightRecorder::global().dump());
   EXPECT_NE(oss.str().find("delivery"), std::string::npos);
 }
 

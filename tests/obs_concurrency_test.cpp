@@ -3,15 +3,23 @@
 // under the `tsan` preset) and deterministic — a parallel BatchEvaluator
 // sweep with telemetry enabled reports bit-identical metric totals to the
 // serial sweep, because per-shard slots are merged in shard order and every
-// instrumented sample is integer-valued.
+// instrumented sample is integer-valued. Spans opened by pool tasks land
+// whole in the span ring while the owner thread reads it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "helpers.hpp"
+#include "json_checker.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "relations/batch.hpp"
 #include "relations/evaluator.hpp"
@@ -55,10 +63,12 @@ class ObsConcurrencyTest : public ::testing::Test {
   void SetUp() override {
     obs::set_enabled(false);
     obs::MetricRegistry::global().reset();
+    obs::FlightRecorder::spans().clear();
   }
   void TearDown() override {
     obs::set_enabled(false);
     obs::MetricRegistry::global().reset();
+    obs::FlightRecorder::spans().clear();
   }
 };
 
@@ -176,6 +186,53 @@ TEST_F(ObsConcurrencyTest, PoolInstrumentationCountsTasksAndShards) {
   const auto* imbalance = snap.find("syncon_pool_shard_imbalance_us");
   ASSERT_NE(imbalance, nullptr);
   EXPECT_EQ(imbalance->histogram->count, 1u);
+}
+
+TEST_F(ObsConcurrencyTest, PoolTaskSpansLandWholeWhileTheOwnerReads) {
+  constexpr std::size_t kTasks = 400;
+  const obs::FlightRecorder& ring = obs::FlightRecorder::spans();
+  const auto opened = [](const char* name) {
+    return std::strcmp(name, "test/even") == 0 ||
+           std::strcmp(name, "test/odd") == 0;
+  };
+  ThreadPool pool(4);
+  std::atomic<bool> done{false};
+  obs::set_enabled(true);
+  // One span per task; the pool's owner reads the ring meanwhile.
+  std::thread producer([&] {
+    pool.parallel_for(
+        kTasks,
+        [](std::size_t task, std::size_t, std::size_t) {
+          SYNCON_SPAN(task % 2 == 0 ? "test/even" : "test/odd");
+        },
+        kTasks);
+    done.store(true, std::memory_order_release);
+  });
+  std::size_t reads = 0;
+  while (!done.load(std::memory_order_acquire) || reads == 0) {
+    for (const obs::SpanStats& stats : obs::aggregate_spans(ring)) {
+      EXPECT_TRUE(opened(stats.name.c_str())) << stats.name;
+      EXPECT_LE(stats.count, kTasks);
+    }
+    ++reads;
+  }
+  producer.join();
+  obs::set_enabled(false);
+
+  const auto stats = obs::aggregate_spans(ring);
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].count, kTasks / 2);  // test/even
+  EXPECT_EQ(stats[1].count, kTasks / 2);  // test/odd
+  const auto records = ring.dump();
+  ASSERT_EQ(records.size(), kTasks);
+  for (const obs::FlightRecord& r : records) {
+    EXPECT_EQ(r.kind, obs::FlightKind::kSpan);
+    EXPECT_TRUE(opened(obs::span_name(r))) << obs::span_name(r);
+    EXPECT_GE(r.t_us, r.b);
+  }
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace, ring);
+  EXPECT_TRUE(testing::JsonChecker(trace.str()).valid());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Telemetry subsystem tests (DESIGN.md §3.8): histogram bucket semantics,
 // registry behavior, exporter round-trips (Prometheus text vs JSON snapshot
 // of the same registry), Chrome trace-event well-formedness, the
-// disabled-mode zero-overhead contract, and the single-source health
-// metrics of OnlineMonitor / DES fault stats.
+// zero-allocation contract of spans (disabled, and enabled once the span
+// ring exists), and the single-source health metrics of OnlineMonitor /
+// DES fault stats.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "json_checker.hpp"
 #include "model/timestamps.hpp"
 #include "obs/export.hpp"
 #include "obs/latency.hpp"
@@ -36,8 +38,8 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-// Counting allocator hooks for the disabled-mode zero-allocation test. The
-// whole binary runs through these; individual tests look at deltas.
+// Counting allocator hooks for the zero-allocation span tests. The whole
+// binary runs through these; individual tests look at deltas.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
@@ -61,112 +63,19 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace syncon {
 namespace {
 
-// Minimal recursive-descent JSON checker — enough to assert the exporters
-// emit well-formed documents (objects/arrays/strings/numbers/literals).
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : s_(text) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+using testing::JsonChecker;
 
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(false);
     obs::MetricRegistry::global().reset();
-    obs::TraceRecorder::global().clear();
+    obs::FlightRecorder::spans().clear();
   }
   void TearDown() override {
     obs::set_enabled(false);
     obs::MetricRegistry::global().reset();
-    obs::TraceRecorder::global().clear();
+    obs::FlightRecorder::spans().clear();
   }
 };
 
@@ -343,37 +252,27 @@ TEST_F(ObsTest, PrometheusAndJsonExportTheSameValues) {
   EXPECT_NE(json.find("\"sum\": 124"), std::string::npos);
 }
 
-TEST_F(ObsTest, TraceRecorderRingKeepsNewestEvents) {
-  obs::TraceRecorder recorder(4);
-  for (std::uint64_t i = 0; i < 6; ++i) recorder.record("span", i * 10, 5);
-  EXPECT_EQ(recorder.recorded_total(), 6u);
-  const auto events = recorder.events();
-  ASSERT_EQ(events.size(), 4u);  // oldest two overwritten
-  EXPECT_EQ(events.front().start_us, 20u);
-  EXPECT_EQ(events.back().start_us, 50u);
-  recorder.clear();
-  EXPECT_TRUE(recorder.events().empty());
-  EXPECT_EQ(recorder.recorded_total(), 0u);
-}
-
 TEST_F(ObsTest, SpanGuardRecordsOnlyWhenEnabled) {
+  const obs::FlightRecorder& ring = obs::FlightRecorder::spans();
   { SYNCON_SPAN("test/disabled"); }
-  EXPECT_EQ(obs::TraceRecorder::global().recorded_total(), 0u);
+  EXPECT_EQ(ring.recorded_total(), 0u);
   obs::set_enabled(true);
   { SYNCON_SPAN("test/enabled"); }
   obs::set_enabled(false);
-  const auto events = obs::TraceRecorder::global().events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "test/enabled");
-  const auto stats = obs::aggregate_spans(obs::TraceRecorder::global());
+  const auto records = ring.dump();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, obs::FlightKind::kSpan);
+  EXPECT_STREQ(obs::span_name(records[0]), "test/enabled");
+  EXPECT_GE(records[0].t_us, records[0].b);  // closed after it opened
+  const auto stats = obs::aggregate_spans(ring);
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].name, "test/enabled");
   EXPECT_EQ(stats[0].count, 1u);
 }
 
 TEST_F(ObsTest, DisabledSpansAllocateNothingAndRecordNothing) {
-  const std::uint64_t records_before =
-      obs::TraceRecorder::global().recorded_total();
+  const obs::FlightRecorder& ring = obs::FlightRecorder::spans();
+  const std::uint64_t records_before = ring.recorded_total();
   // Warm up any lazy state before measuring.
   { SYNCON_SPAN("test/warmup"); }
   const std::uint64_t allocs_before =
@@ -382,22 +281,52 @@ TEST_F(ObsTest, DisabledSpansAllocateNothingAndRecordNothing) {
     SYNCON_SPAN("test/hot");
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), allocs_before);
-  EXPECT_EQ(obs::TraceRecorder::global().recorded_total(), records_before);
+  EXPECT_EQ(ring.recorded_total(), records_before);
+}
+
+TEST_F(ObsTest, EnabledSpansAllocateNothingOnceTheRingExists) {
+  const obs::FlightRecorder& ring = obs::FlightRecorder::spans();
+  obs::set_enabled(true);
+  // The first span builds the calling thread's slot id; the ring itself
+  // was built by SetUp.
+  { SYNCON_SPAN("test/warmup"); }
+  const std::uint64_t allocs_before =
+      g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    SYNCON_SPAN("test/hot");
+  }
+  const std::uint64_t allocs_after =
+      g_allocations.load(std::memory_order_relaxed);
+  obs::set_enabled(false);
+  EXPECT_EQ(allocs_after, allocs_before);
+  EXPECT_EQ(ring.recorded_total(), 1001u);
 }
 
 TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson) {
-  obs::TraceRecorder recorder(16);
-  recorder.record("relation/evaluate", 100, 40);
-  recorder.record("batch/sweep", 90, 300);
+  obs::FlightRecorder ring(16);
+  const std::uint64_t start = obs::now_us();
+  ring.record(obs::FlightKind::kSpan, 0,
+              reinterpret_cast<std::uintptr_t>("relation/evaluate"), start);
+  ring.record(obs::FlightKind::kSpan, 1,
+              reinterpret_cast<std::uintptr_t>("batch/sweep"), 0);
   std::ostringstream oss;
-  obs::write_chrome_trace(oss, recorder);
+  obs::write_chrome_trace(oss, ring);
   const std::string trace = oss.str();
   EXPECT_TRUE(JsonChecker(trace).valid()) << trace;
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\": \"relation/evaluate\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ts\": 100"), std::string::npos);
-  EXPECT_NE(trace.find("\"dur\": 40"), std::string::npos);
+  EXPECT_NE(trace.find("\"name\": \"batch/sweep\""), std::string::npos);
+  // ts is the record's start word b, dur its end t_us minus b.
+  const auto records = ring.dump();
+  ASSERT_EQ(records.size(), 2u);
+  for (const obs::FlightRecord& r : records) {
+    const std::string event =
+        "\"ts\": " + std::to_string(r.b) +
+        ", \"dur\": " + std::to_string(r.t_us - r.b) +
+        ", \"pid\": 0, \"tid\": " + std::to_string(r.process);
+    EXPECT_NE(trace.find(event), std::string::npos) << event << "\n" << trace;
+  }
 }
 
 // --- single-source health metrics (OnlineMonitor / DES / FaultyNetwork) ---
@@ -570,7 +499,7 @@ TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
   obs::set_enabled(false);
 
   std::ostringstream oss;
-  obs::write_chrome_trace(oss, obs::TraceRecorder::global());
+  obs::write_chrome_trace(oss, obs::FlightRecorder::spans());
   const std::string trace = oss.str();
   EXPECT_TRUE(JsonChecker(trace).valid());
   for (const char* span : {"des/run", "model/stamp", "relation/evaluate",
