@@ -4,14 +4,16 @@
 # binary with a tiny --benchmark_min_time so the sweep finishes in minutes,
 # and assembles the per-binary telemetry snapshots (written via
 # SYNCON_BENCH_JSON by the instrumented benches) plus each binary's Google
-# Benchmark JSON into one BENCH_smoke.json at the repo root.
+# Benchmark JSON into one trajectory file, build-bench/BENCH_smoke.json
+# unless an output path is given, so a run leaves the tree clean.
 #
-# Usage: scripts/ci_bench_smoke.sh [output.json]   (default: BENCH_smoke.json)
+# Usage: scripts/ci_bench_smoke.sh [output.json]
+#        (default: build-bench/BENCH_smoke.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_smoke.json}"
+out="${1:-build-bench/BENCH_smoke.json}"
 build_dir=build-bench
 smoke_dir="$build_dir/smoke"
 

@@ -11,13 +11,13 @@
 # has not run yet).
 #
 # Usage: scripts/ci_explore_smoke.sh [sweep_cases] [merge_target.json]
-#        (defaults: 100 cases, BENCH_smoke.json)
+#        (defaults: 100 cases, build-bench/BENCH_smoke.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 sweep_cases="${1:-100}"
-merge="${2:-BENCH_smoke.json}"
+merge="${2:-build-bench/BENCH_smoke.json}"
 build_dir=build-bench
 smoke_dir="$build_dir/smoke"
 

@@ -18,13 +18,13 @@
 # trajectory file under runs.syncon_metricsd.telemetry.
 #
 # Usage: scripts/ci_obs_smoke.sh [cycles] [merge_target.json]
-#        (defaults: 600 cycles, BENCH_smoke.json)
+#        (defaults: 600 cycles, build-bench/BENCH_smoke.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 cycles="${1:-600}"
-merge="${2:-BENCH_smoke.json}"
+merge="${2:-build-bench/BENCH_smoke.json}"
 build_dir=build-bench
 smoke_dir="$build_dir/smoke"
 

@@ -10,7 +10,7 @@
 # file if scripts/ci_bench_smoke.sh has not run yet).
 #
 # Usage: scripts/ci_recovery_smoke.sh [iters] [merge_target.json]
-#        (defaults: 24 iterations, BENCH_smoke.json)
+#        (defaults: 24 iterations, build-bench/BENCH_smoke.json)
 # Env:   SYNCON_RECOVERY_BUDGET_US  max allowed recovery scan, µs
 #        (default 250000 — generous on purpose: CI machines are noisy;
 #        the point is catching quadratic blowups, not 10% regressions)
@@ -19,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 iters="${1:-24}"
-merge="${2:-BENCH_smoke.json}"
+merge="${2:-build-bench/BENCH_smoke.json}"
 budget_us="${SYNCON_RECOVERY_BUDGET_US:-250000}"
 build_dir=build-bench
 smoke_dir="$build_dir/smoke"

@@ -15,13 +15,13 @@
 # (creating a minimal file if scripts/ci_bench_smoke.sh has not run yet).
 #
 # Usage: scripts/ci_service_smoke.sh [tenants] [merge_target.json]
-#        (defaults: 1000 tenants, BENCH_smoke.json)
+#        (defaults: 1000 tenants, build-bench/BENCH_smoke.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 tenants="${1:-1000}"
-merge="${2:-BENCH_smoke.json}"
+merge="${2:-build-bench/BENCH_smoke.json}"
 build_dir=build-bench
 smoke_dir="$build_dir/smoke"
 seed=20260808

@@ -9,13 +9,13 @@
 # minimal file if scripts/ci_bench_smoke.sh has not run yet).
 #
 # Usage: scripts/ci_soak_smoke.sh [cycles] [merge_target.json]
-#        (defaults: 4000 cycles, BENCH_smoke.json)
+#        (defaults: 4000 cycles, build-bench/BENCH_smoke.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 cycles="${1:-4000}"
-merge="${2:-BENCH_smoke.json}"
+merge="${2:-build-bench/BENCH_smoke.json}"
 build_dir=build-bench
 smoke_dir="$build_dir/smoke"
 

@@ -21,6 +21,14 @@ bool operator==(const StampView& v, const VectorClock& c) {
   return true;
 }
 
+bool operator==(const StampView& a, const StampView& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.at(i) != b.at(i)) return false;
+  }
+  return true;
+}
+
 Timestamps::Timestamps(const Execution& exec)
     : exec_(&exec), width_(exec.process_count()) {
   SYNCON_SPAN("model/stamp");

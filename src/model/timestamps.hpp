@@ -40,7 +40,8 @@ namespace syncon {
 
 /// T(e) or F(e) of one real event, read through its stored row: every
 /// component but the owner's comes from the row, the owner's from e's index
-/// (index + 1 forward, index future). Borrowed from its Timestamps.
+/// (index + 1 forward, index future). Borrowed from the Timestamps or the
+/// OnlineSystem log that stores the row.
 class StampView {
  public:
   StampView(std::span<const ClockValue> row, ProcessId owner, ClockValue own)
@@ -63,6 +64,7 @@ class StampView {
 
   /// Component by component, without materializing a clock.
   friend bool operator==(const StampView& v, const VectorClock& c);
+  friend bool operator==(const StampView& a, const StampView& b);
 
  private:
   std::span<const ClockValue> row_;

@@ -1,8 +1,27 @@
 #include "online/gap_tracker.hpp"
 
+#include <algorithm>
+
 #include "support/contracts.hpp"
 
 namespace syncon {
+
+bool GapTracker::Peer::pending_has(EventIndex i) const {
+  const std::span<const EventIndex> p = pending();
+  return std::binary_search(p.begin(), p.end(), i);
+}
+
+void GapTracker::Peer::absorb() {
+  while (head < ahead.size() && ahead[head] <= contiguous + 1) {
+    contiguous = std::max(contiguous, ahead[head]);
+    ++head;
+  }
+  if (head >= ahead.size() - head) {
+    ahead.erase(ahead.begin(),
+                ahead.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
 
 GapTracker::GapTracker(std::size_t process_count) : peers_(process_count) {
   SYNCON_REQUIRE(process_count > 0, "gap tracker needs at least one process");
@@ -15,19 +34,17 @@ bool GapTracker::witness(EventId e) {
                      std::to_string(peers_.size()) + " processes)");
   SYNCON_REQUIRE(e.index >= 1, "real events have index >= 1");
   Peer& peer = peers_[e.process];
-  if (e.index <= peer.contiguous || peer.ahead.count(e.index)) {
-    return false;  // duplicate
-  }
+  if (e.index <= peer.contiguous) return false;  // duplicate
+  const auto it = std::lower_bound(
+      peer.ahead.begin() + static_cast<std::ptrdiff_t>(peer.head),
+      peer.ahead.end(), e.index);
+  if (it != peer.ahead.end() && *it == e.index) return false;  // duplicate
   if (e.index == peer.contiguous + 1) {
-    ++peer.contiguous;
     // Absorb any out-of-order arrivals that are now contiguous.
-    auto it = peer.ahead.begin();
-    while (it != peer.ahead.end() && *it == peer.contiguous + 1) {
-      ++peer.contiguous;
-      it = peer.ahead.erase(it);
-    }
+    peer.contiguous = e.index;
+    peer.absorb();
   } else {
-    peer.ahead.insert(e.index);
+    peer.ahead.insert(it, e.index);
   }
   ++witnessed_total_;
   return true;
@@ -37,7 +54,7 @@ bool GapTracker::witnessed(EventId e) const {
   SYNCON_REQUIRE(e.process < peers_.size(), "unknown process");
   const Peer& peer = peers_[e.process];
   return e.index >= 1 &&
-         (e.index <= peer.contiguous || peer.ahead.count(e.index) != 0);
+         (e.index <= peer.contiguous || peer.pending_has(e.index));
 }
 
 void GapTracker::claim(const VectorClock& clock) {
@@ -59,10 +76,11 @@ std::vector<EventId> GapTracker::missing(std::size_t limit) const {
   std::vector<EventId> out;
   for (ProcessId q = 0; q < peers_.size() && out.size() < limit; ++q) {
     const Peer& peer = peers_[q];
-    auto it = peer.ahead.begin();
+    const std::span<const EventIndex> ahead = peer.pending();
+    auto it = ahead.begin();
     for (EventIndex i = peer.contiguous + 1; i <= peer.claimed; ++i) {
-      while (it != peer.ahead.end() && *it < i) ++it;
-      if (it != peer.ahead.end() && *it == i) continue;
+      while (it != ahead.end() && *it < i) ++it;
+      if (it != ahead.end() && *it == i) continue;
       out.push_back(EventId{q, i});
       if (out.size() == limit) break;
     }
@@ -76,11 +94,10 @@ std::size_t GapTracker::missing_count() const {
     if (peer.claimed <= peer.contiguous) continue;
     // Every ahead entry is > contiguous by invariant; the ones <= claimed
     // are witnessed indices punched out of the claimed range.
-    std::size_t witnessed_in_range = 0;
-    for (auto it = peer.ahead.begin();
-         it != peer.ahead.end() && *it <= peer.claimed; ++it) {
-      ++witnessed_in_range;
-    }
+    const std::span<const EventIndex> ahead = peer.pending();
+    const auto witnessed_in_range = static_cast<std::size_t>(
+        std::upper_bound(ahead.begin(), ahead.end(), peer.claimed) -
+        ahead.begin());
     holes += (peer.claimed - peer.contiguous) - witnessed_in_range;
   }
   return holes;
@@ -96,16 +113,9 @@ void GapTracker::forgive(ProcessId q, EventIndex up_to) {
   Peer& peer = peers_[q];
   if (up_to <= peer.contiguous) return;
   peer.contiguous = up_to;
-  // Drop witnessed-ahead entries swallowed by the new prefix, then absorb
-  // any that became contiguous — exactly the witness() absorption step.
-  auto it = peer.ahead.begin();
-  while (it != peer.ahead.end() && *it <= peer.contiguous) {
-    it = peer.ahead.erase(it);
-  }
-  while (it != peer.ahead.end() && *it == peer.contiguous + 1) {
-    ++peer.contiguous;
-    it = peer.ahead.erase(it);
-  }
+  // Drop witnessed-ahead entries swallowed by the new prefix and absorb any
+  // that became contiguous — exactly the witness() absorption step.
+  peer.absorb();
 }
 
 bool GapTracker::has_gap() const {

@@ -9,11 +9,13 @@
 //
 // The structure is the classical contiguous-prefix + out-of-order-set form
 // (cf. selective acknowledgment): witnessing is idempotent, reordered
-// arrivals are absorbed, and missing() enumerates the exact holes.
+// arrivals are absorbed, and missing() enumerates the exact holes. The set
+// is one sorted array per peer, not a node per entry: a receiver that only
+// sees a peer's sends keeps every one of them out of order.
 #pragma once
 
 #include <limits>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "model/types.hpp"
@@ -85,9 +87,20 @@ class GapTracker {
 
  private:
   struct Peer {
-    EventIndex contiguous = 0;   // all of 1..contiguous witnessed
-    std::set<EventIndex> ahead;  // witnessed beyond the contiguous prefix
-    EventIndex claimed = 0;      // highest index any clock vouched for
+    EventIndex contiguous = 0;  // all of 1..contiguous witnessed
+    // Witnessed beyond the contiguous prefix: ahead[head..], sorted. The
+    // absorbed entries before head go once they are as many as the rest,
+    // so absorbing costs amortized O(1) per entry.
+    std::vector<EventIndex> ahead;
+    std::size_t head = 0;
+    EventIndex claimed = 0;  // highest index any clock vouched for
+
+    std::span<const EventIndex> pending() const {
+      return std::span<const EventIndex>(ahead).subspan(head);
+    }
+    bool pending_has(EventIndex i) const;
+    // Extends the prefix over the pending entries it reaches.
+    void absorb();
   };
   std::vector<Peer> peers_;
   std::size_t witnessed_total_ = 0;

@@ -15,12 +15,24 @@ std::size_t IntervalSummary::node_slot(ProcessId p) const {
 IntervalTracker::IntervalTracker(std::string label)
     : label_(std::move(label)) {}
 
+namespace {
+
+const VectorClock& owned(const VectorClock& clock) { return clock; }
+VectorClock owned(const StampView& view) { return view.dense(); }
+
+}  // namespace
+
 void IntervalTracker::add(const OnlineSystem& system, EventId e) {
-  add(e, system.clock_of(e), system.time_of(e));  // clock_of validates e
+  fold(e, system.clock_of(e), system.time_of(e));  // clock_of validates e
 }
 
 void IntervalTracker::add(EventId e, const VectorClock& clock,
                           std::int64_t when) {
+  fold(e, clock, when);
+}
+
+template <class Clock>
+void IntervalTracker::fold(EventId e, const Clock& clock, std::int64_t when) {
   SYNCON_REQUIRE(e.index >= 1, "real events have index >= 1");
   SYNCON_REQUIRE(clock.size() > e.process,
                  "event's clock has no component for its own process");
@@ -41,7 +53,7 @@ void IntervalTracker::add(EventId e, const VectorClock& clock,
     NodeAgg agg;
     agg.process = e.process;
     agg.least = agg.greatest = e.index;
-    agg.least_clock = agg.greatest_clock = clock;
+    agg.least_clock = agg.greatest_clock = owned(clock);
     per_node_.insert(it, std::move(agg));
     return;
   }
@@ -52,10 +64,10 @@ void IntervalTracker::add(EventId e, const VectorClock& clock,
   // arriving late (or early) just competes for the least / greatest slot.
   if (e.index < it->least) {
     it->least = e.index;
-    it->least_clock = clock;
+    it->least_clock = owned(clock);
   } else if (e.index > it->greatest) {
     it->greatest = e.index;
-    it->greatest_clock = clock;
+    it->greatest_clock = owned(clock);
   }
 }
 

@@ -118,6 +118,11 @@ class IntervalTracker {
   IntervalSummary summary() const;
 
  private:
+  // add()'s body, for a dense clock or a logged StampView: a view is
+  // densified only where it becomes a node's least or greatest clock.
+  template <class Clock>
+  void fold(EventId e, const Clock& clock, std::int64_t when);
+
   struct NodeAgg {
     ProcessId process;
     EventIndex least = 0;

@@ -43,6 +43,14 @@ void record_delivery_latency(std::int64_t sent_at, std::int64_t when) {
                             static_cast<std::uint64_t>(when - sent_at));
 }
 
+// The first receipt in a sorted list whose source index is >= `source`.
+template <class Receipts>
+auto first_receipt(Receipts& list, EventIndex source) {
+  return std::lower_bound(
+      list.begin(), list.end(), source,
+      [](const auto& r, EventIndex i) { return r.source < i; });
+}
+
 }  // namespace
 
 OnlineSystem::OnlineSystem(std::size_t process_count) {
@@ -56,9 +64,9 @@ OnlineSystem::OnlineSystem(std::size_t process_count) {
     clocks_.push_back(std::move(c));
   }
   log_.resize(process_count);
-  base_.assign(process_count, 0);
+  floor_.assign(process_count, 1);
   last_timed_.assign(process_count, kNoTime);
-  delivered_.resize(process_count);
+  receipts_.resize(process_count * process_count);
   gaps_.assign(process_count, GapTracker(process_count));
 }
 
@@ -87,15 +95,87 @@ void OnlineSystem::check_deliverable(ProcessId p, const WireMessage& m) const {
           " > " + std::to_string(clocks_[p][p]) + ")");
 }
 
-const OnlineSystem::LoggedEvent& OnlineSystem::live_entry(EventId e) const {
+const OnlineSystem::Column& OnlineSystem::live_column(EventId e) const {
   SYNCON_REQUIRE(e.process < log_.size() && e.index >= 1, "unknown event");
-  SYNCON_REQUIRE(e.index > base_[e.process],
+  const Column& col = log_[e.process];
+  SYNCON_REQUIRE(e.index > col.base,
                  "event " + describe(e) +
                      " was reclaimed by compaction (the retention checkpoint "
                      "covers it; ask wire_of for its surface report)");
-  const std::size_t k = e.index - base_[e.process] - 1;
-  SYNCON_REQUIRE(k < log_[e.process].size(), "unknown event");
-  return log_[e.process][k];
+  SYNCON_REQUIRE(e.index <= col.executed(), "unknown event");
+  return col;
+}
+
+StampView OnlineSystem::stamp(ProcessId p, EventIndex index) const {
+  const Column& col = log_[p];
+  const auto r =
+      std::upper_bound(col.row_from.begin(), col.row_from.end(), index);
+  const std::size_t w = process_count();
+  const std::span<const ClockValue> row =
+      r == col.row_from.begin()
+          ? std::span<const ClockValue>(floor_)
+          : std::span<const ClockValue>(col.rows).subspan(
+                static_cast<std::size_t>(r - col.row_from.begin() - 1) * w,
+                w);
+  return StampView(row, p, index + 1);
+}
+
+void OnlineSystem::store_row(ProcessId p, EventIndex index,
+                             const VectorClock& clock) {
+  Column& col = log_[p];
+  const std::size_t w = process_count();
+  // The row in force at the next event is the last one stored.
+  const ClockValue* in_force = col.row_from.empty()
+                                   ? floor_.data()
+                                   : col.rows.data() + col.rows.size() - w;
+  for (std::size_t i = 0; i < w; ++i) {
+    if (i != p && clock.at(i) != in_force[i]) {
+      col.row_from.push_back(index);
+      col.rows.insert(col.rows.end(), clock.values().begin(),
+                      clock.values().end());
+      return;
+    }
+  }
+}
+
+void OnlineSystem::record_receipt(ProcessId p, EventId source,
+                                  EventIndex receive) {
+  std::vector<Receipt>& list =
+      receipts_[p * process_count() + source.process];
+  const auto it = first_receipt(list, source.index);
+  if (it != list.end() && it->source == source.index) return;  // first wins
+  list.insert(it, Receipt{source.index, receive});
+}
+
+EventIndex OnlineSystem::receipt_of(ProcessId p, EventId source) const {
+  const auto& list = receipts_[p * process_count() + source.process];
+  const auto it = first_receipt(list, source.index);
+  return it != list.end() && it->source == source.index ? it->receive : 0;
+}
+
+void OnlineSystem::Column::drop_dead_prefix(std::size_t width) {
+  const std::size_t dead = base + 1 - first;
+  if (dead < time.size() - dead) return;
+  time.erase(time.begin(), time.begin() + static_cast<std::ptrdiff_t>(dead));
+  // A local event after the cut still reads the last reclaimed receive's
+  // row, so the row in force at base + 1 stays.
+  const auto r = std::upper_bound(row_from.begin(), row_from.end(), base + 1);
+  if (r != row_from.begin()) {
+    const std::ptrdiff_t rows_dead = r - row_from.begin() - 1;
+    row_from.erase(row_from.begin(), row_from.begin() + rows_dead);
+    rows.erase(rows.begin(),
+               rows.begin() + rows_dead * static_cast<std::ptrdiff_t>(width));
+  }
+  const auto k = std::upper_bound(
+      receives.begin(), receives.end(), base,
+      [](EventIndex i, const Receive& rcv) { return i < rcv.event; });
+  const std::uint32_t sources_dead =
+      k == receives.end() ? static_cast<std::uint32_t>(sources.size())
+                          : k->offset;
+  receives.erase(receives.begin(), k);
+  for (Receive& rcv : receives) rcv.offset -= sources_dead;
+  sources.erase(sources.begin(), sources.begin() + sources_dead);
+  first = base + 1;
 }
 
 EventId OnlineSystem::advance(ProcessId p,
@@ -110,8 +190,9 @@ EventId OnlineSystem::advance(ProcessId p,
                      when > last_timed_[p],
                  "per-process physical times must be strictly increasing");
   VectorClock& clock = clocks_[p];
-  LoggedEvent logged;
-  logged.time = when;
+  Column& col = log_[p];
+  const EventIndex index = col.executed() + 1;
+  const std::size_t offset = col.sources.size();
   for (const WireMessage& m : messages) {
     check_deliverable(p, m);
     // Loss accounting doubles as in-batch dedup: witness() is idempotent
@@ -127,7 +208,8 @@ EventId OnlineSystem::advance(ProcessId p,
     obs::flight(obs::FlightKind::kDelivery, p, obs::pack_event(m.source),
                 when < 0 ? 0 : static_cast<std::uint64_t>(when));
     clock.merge_max(m.clock);
-    logged.sources.push_back(m.source);
+    col.sources.push_back(m.source);
+    record_receipt(p, m.source, index);
     // Everything the source's clock vouches for (other than p's own events)
     // must eventually be witnessed too, or it was lost.
     for (ProcessId q = 0; q < clock.size(); ++q) {
@@ -146,22 +228,22 @@ EventId OnlineSystem::advance(ProcessId p,
   // be this source list. Canonicalize it so the logged event — and with it
   // sources_of, WAL records, and to_execution() — is a pure function of the
   // delivered *set*, not of the arrival permutation.
-  std::sort(logged.sources.begin(), logged.sources.end());
+  if (col.sources.size() > offset) {
+    std::sort(col.sources.begin() + static_cast<std::ptrdiff_t>(offset),
+              col.sources.end());
+    col.receives.push_back(
+        Column::Receive{index, static_cast<std::uint32_t>(offset)});
+  }
   // The paper's axiom ⊥_i ≺ e lifts every component to at least 1.
   for (std::size_t i = 0; i < clock.size(); ++i) {
     if (clock.at(i) == 0) clock.set(i, 1);
   }
   clock.tick(p);
-  const EventId e{
-      p, static_cast<EventIndex>(base_[p] + log_[p].size() + 1)};
-  logged.clock = clock;
-  log_[p].push_back(std::move(logged));
+  col.time.push_back(when);
+  store_row(p, index, clock);
   if (when != kNoTime) last_timed_[p] = when;
   ++total_;
-  for (const WireMessage& m : messages) {
-    delivered_[p].emplace(m.source, e);
-  }
-  return e;
+  return EventId{p, index};
 }
 
 EventId OnlineSystem::local(ProcessId p, std::int64_t when) {
@@ -180,19 +262,13 @@ EventId OnlineSystem::deliver(ProcessId p, const WireMessage& message,
                  "process id " + std::to_string(p) + " out of range (" +
                      std::to_string(clocks_.size()) + " processes)");
   check_deliverable(p, message);
-  const auto it = delivered_[p].find(message.source);
-  if (it != delivered_[p].end()) {
-    ++duplicates_suppressed_;
-    if (obs::enabled()) duplicates_counter().add();
-    return it->second;
-  }
-  // The dedup record may have been reclaimed by compaction, but the gap
-  // tracker remembers every source this receiver consumed (witnessed ⟺
-  // consumed at this level): still suppress, answer with the sentinel.
+  // The gap tracker remembers every source this receiver consumed
+  // (witnessed ⟺ consumed at this level), so it answers for duplicates
+  // whose dedup record compaction reclaimed too: those get the sentinel.
   if (gaps_[p].witnessed(message.source)) {
     ++duplicates_suppressed_;
     if (obs::enabled()) duplicates_counter().add();
-    return EventId{p, 0};
+    return EventId{p, receipt_of(p, message.source)};
   }
   const WireMessage msgs[] = {message};
   return advance(p, msgs, when);
@@ -212,7 +288,7 @@ EventId OnlineSystem::deliver_all(ProcessId p,
   fresh.reserve(messages.size());
   for (const WireMessage& m : messages) {
     check_deliverable(p, m);
-    if (delivered_[p].count(m.source) || gaps_[p].witnessed(m.source)) {
+    if (gaps_[p].witnessed(m.source)) {
       ++duplicates_suppressed_;
       if (obs::enabled()) duplicates_counter().add();
       continue;
@@ -223,14 +299,14 @@ EventId OnlineSystem::deliver_all(ProcessId p,
     // Every message was a duplicate: idempotent no-op, answered with the
     // receive that first consumed the batch's first source ({p, 0} when
     // that record was reclaimed by compaction).
-    const auto it = delivered_[p].find(messages.front().source);
-    return it != delivered_[p].end() ? it->second : EventId{p, 0};
+    return EventId{p, receipt_of(p, messages.front().source)};
   }
   return advance(p, fresh, when);
 }
 
 std::int64_t OnlineSystem::time_of(EventId e) const {
-  return live_entry(e).time;
+  const Column& col = live_column(e);
+  return col.time[e.index - col.first];
 }
 
 const VectorClock& OnlineSystem::current_clock(ProcessId p) const {
@@ -238,31 +314,34 @@ const VectorClock& OnlineSystem::current_clock(ProcessId p) const {
   return clocks_[p];
 }
 
-const VectorClock& OnlineSystem::clock_of(EventId e) const {
-  return live_entry(e).clock;
+StampView OnlineSystem::clock_of(EventId e) const {
+  live_column(e);  // validates e
+  return stamp(e.process, e.index);
 }
 
 EventIndex OnlineSystem::executed(ProcessId p) const {
   SYNCON_REQUIRE(p < log_.size(), "process id out of range");
-  return static_cast<EventIndex>(base_[p] + log_[p].size());
+  return log_[p].executed();
 }
 
 WireMessage OnlineSystem::wire_of(EventId e) const {
   SYNCON_REQUIRE(e.process < log_.size() && e.index >= 1 &&
                      e.index <= executed(e.process),
                  "unknown event");
-  if (e.index <= base_[e.process]) {
+  const EventIndex base = log_[e.process].base;
+  if (e.index <= base) {
     // Reclaimed: answer with the checkpoint's surface event on e's process.
     // Its clock vouches for e and everything else inside the cut.
-    return WireMessage{EventId{e.process, base_[e.process]},
+    return WireMessage{EventId{e.process, base},
                        checkpoint_.surface_clocks[e.process]};
   }
-  return WireMessage{e, clock_of(e)};
+  return WireMessage{e, stamp(e.process, e.index).dense()};
 }
 
 bool OnlineSystem::already_delivered(ProcessId p, EventId source) const {
-  SYNCON_REQUIRE(p < delivered_.size(), "process id out of range");
-  return delivered_[p].count(source) != 0 || gaps_[p].witnessed(source);
+  SYNCON_REQUIRE(p < gaps_.size(), "process id out of range");
+  // Every receipt was witnessed first, so the tracker answers for both.
+  return gaps_[p].witnessed(source);
 }
 
 bool OnlineSystem::try_deliver(ProcessId p, const WireMessage& message,
@@ -300,10 +379,11 @@ void OnlineSystem::restore_checkpoint(const RetentionCheckpoint& checkpoint) {
   for (ProcessId p = 0; p < process_count(); ++p) {
     SYNCON_REQUIRE(checkpoint.cut[p] >= 1,
                    "cut timestamps count the dummy (component >= 1)");
-    base_[p] = checkpoint.cut[p] - 1;
+    log_[p].base = checkpoint.cut[p] - 1;
+    log_[p].first = checkpoint.cut[p];
     clocks_[p] = checkpoint.surface_clocks[p];
     last_timed_[p] = checkpoint.surface_times[p];
-    total_ += base_[p];
+    total_ += log_[p].base;
   }
   for (ProcessId p = 0; p < process_count(); ++p) {
     for (ProcessId q = 0; q < process_count(); ++q) {
@@ -334,20 +414,33 @@ bool OnlineSystem::restore_event(EventId e, const VectorClock& clock,
   SYNCON_REQUIRE(std::uint64_t{clock[p]} == std::uint64_t{e.index} + 1,
                  "restored clock breaks the Fidge invariant (own component "
                  "counts the dummy: event (p, i) has clock[p] == i + 1)");
-  const bool fresh = e.index > executed(p);
+  for (const EventId& src : sources) {
+    SYNCON_REQUIRE(src.process < clocks_.size() && src.process != p &&
+                       src.index >= 1,
+                   "restored event has a malformed source");
+  }
+  Column& col = log_[p];
+  const bool fresh = e.index > col.executed();
   if (fresh) {
-    SYNCON_REQUIRE(e.index == executed(p) + 1,
+    SYNCON_REQUIRE(e.index == col.executed() + 1,
                    "WAL replay must restore each process's events in order");
-    LoggedEvent logged;
-    logged.clock = clock;
-    logged.sources.assign(sources.begin(), sources.end());
-    // WAL records written before source-order canonicalization may carry an
-    // arrival permutation; normalize on replay so restored and live logs
-    // agree byte for byte.
-    std::sort(logged.sources.begin(), logged.sources.end());
-    logged.time = time;
+    // Every check is done: from here on nothing throws but allocation.
+    if (!sources.empty()) {
+      col.receives.push_back(Column::Receive{
+          e.index, static_cast<std::uint32_t>(col.sources.size())});
+      col.sources.insert(col.sources.end(), sources.begin(), sources.end());
+      // WAL records written before source-order canonicalization may carry
+      // an arrival permutation; normalize on replay so restored and live
+      // logs agree byte for byte.
+      std::sort(col.sources.end() -
+                    static_cast<std::ptrdiff_t>(sources.size()),
+                col.sources.end());
+    }
+    col.time.push_back(time);
+    // A row goes wherever the given clock differs from the row in force,
+    // so clock_of returns exactly this clock, monotone or not.
+    store_row(p, e.index, clock);
     clocks_[p] = clock;
-    log_[p].push_back(std::move(logged));
     if (time != kNoTime) last_timed_[p] = time;
     ++total_;
   }
@@ -355,11 +448,8 @@ bool OnlineSystem::restore_event(EventId e, const VectorClock& clock,
   // covers: a below-cut receive can be the only witness of an above-cut
   // source, and pruning its dedup record must not resurrect the duplicate.
   for (const EventId& src : sources) {
-    SYNCON_REQUIRE(src.process < clocks_.size() && src.process != p &&
-                       src.index >= 1,
-                   "restored event has a malformed source");
     gaps_[p].witness(src);
-    delivered_[p].emplace(src, e);
+    record_receipt(p, src, e.index);
   }
   for (ProcessId q = 0; q < clocks_.size(); ++q) {
     if (q == p || clock[q] == 0) continue;
@@ -372,7 +462,16 @@ bool OnlineSystem::restore_event(EventId e, const VectorClock& clock,
 }
 
 std::span<const EventId> OnlineSystem::sources_of(EventId e) const {
-  return live_entry(e).sources;
+  const Column& col = live_column(e);
+  const auto it = std::lower_bound(
+      col.receives.begin(), col.receives.end(), e.index,
+      [](const Column::Receive& r, EventIndex i) { return r.event < i; });
+  if (it == col.receives.end() || it->event != e.index) return {};
+  const std::size_t end = std::next(it) == col.receives.end()
+                              ? col.sources.size()
+                              : std::next(it)->offset;
+  return std::span<const EventId>(col.sources)
+      .subspan(it->offset, end - it->offset);
 }
 
 std::vector<EventId> OnlineSystem::missing_at(ProcessId p,
@@ -405,7 +504,7 @@ std::vector<WireMessage> OnlineSystem::serve(
         e.index > executed(e.process)) {
       continue;  // never executed here — this log cannot serve it
     }
-    if (e.index <= base_[e.process]) {
+    if (e.index <= log_[e.process].base) {
       if (!surfaced[e.process]) {
         surfaced[e.process] = true;
         out.push_back(wire_of(e));
@@ -431,7 +530,7 @@ std::vector<WireMessage> OnlineSystem::serve(
 VectorClock OnlineSystem::snapshot() const {
   VectorClock snap(process_count(), 0);
   for (ProcessId q = 0; q < process_count(); ++q) {
-    snap.set(q, static_cast<EventIndex>(base_[q] + log_[q].size() + 1));
+    snap.set(q, executed(q) + 1);
   }
   return snap;
 }
@@ -450,28 +549,29 @@ std::size_t OnlineSystem::compact(const VectorClock& watermark) {
         watermark.at(p), static_cast<ClockValue>(executed(p)) + 1);
     if (target <= checkpoint_.cut.at(p)) continue;
     const EventIndex new_base = target - 1;
-    const std::size_t drop = new_base - base_[p];
+    Column& col = log_[p];
     // The cut's surface event on p is the last one reclaimed: remember its
     // clock and time so wire_of/serve can answer for everything below it.
-    const LoggedEvent& surface = log_[p][drop - 1];
-    checkpoint_.surface_clocks[p] = surface.clock;
-    checkpoint_.surface_times[p] = surface.time;
+    const StampView surface = stamp(p, new_base);
+    for (std::size_t i = 0; i < surface.size(); ++i) {
+      checkpoint_.surface_clocks[p].set(i, surface.at(i));
+    }
+    checkpoint_.surface_times[p] = col.time[new_base - col.first];
     checkpoint_.cut.set(p, target);
-    log_[p].erase(log_[p].begin(),
-                  log_[p].begin() + static_cast<std::ptrdiff_t>(drop));
-    base_[p] = new_base;
-    reclaimed += drop;
+    reclaimed += new_base - col.base;
+    col.base = new_base;
+    col.drop_dead_prefix(process_count());
   }
   if (reclaimed == 0) return 0;
   checkpoint_.reclaimed_total += reclaimed;
   ++checkpoint_.sequence;
   // Dedup records for sources inside the cut are reclaimed with the log;
-  // deliver() falls back to the gap tracker's witnessed() for them.
-  for (auto& per_receiver : delivered_) {
-    for (auto it = per_receiver.begin(); it != per_receiver.end();) {
-      it = cut_covers(checkpoint_.cut, it->first) ? per_receiver.erase(it)
-                                                  : std::next(it);
-    }
+  // deliver() falls back to the gap tracker's witnessed() for them. Each
+  // sender's list is sorted, so its covered part is one prefix.
+  for (std::size_t k = 0; k < receipts_.size(); ++k) {
+    std::vector<Receipt>& list = receipts_[k];
+    list.erase(list.begin(),
+               first_receipt(list, checkpoint_.cut.at(k % process_count())));
   }
   if (obs::enabled()) {
     auto& registry = obs::MetricRegistry::global();
@@ -518,19 +618,19 @@ VectorClock OnlineSystem::retention_watermark() const {
 
 std::size_t OnlineSystem::live_log_events() const {
   std::size_t n = 0;
-  for (const auto& per_process : log_) n += per_process.size();
+  for (const Column& col : log_) n += col.executed() - col.base;
   return n;
 }
 
 EventIndex OnlineSystem::reclaimed_before(ProcessId p) const {
-  SYNCON_REQUIRE(p < base_.size(), "process id out of range");
-  return base_[p];
+  SYNCON_REQUIRE(p < log_.size(), "process id out of range");
+  return log_[p].base;
 }
 
 bool OnlineSystem::is_live(EventId e) const {
   SYNCON_REQUIRE(e.process < log_.size(), "process id out of range");
-  return e.index > base_[e.process] &&
-         e.index - base_[e.process] <= log_[e.process].size();
+  return e.index > log_[e.process].base &&
+         e.index <= log_[e.process].executed();
 }
 
 Execution OnlineSystem::to_execution() const {
@@ -547,20 +647,21 @@ Execution OnlineSystem::to_execution() const {
   while (remaining > 0) {
     bool progress = false;
     for (ProcessId p = 0; p < process_count(); ++p) {
-      while (next[p] <= log_[p].size()) {
-        const LoggedEvent& ev = log_[p][next[p] - 1];
+      while (next[p] <= executed(p)) {
+        const std::span<const EventId> sources =
+            sources_of(EventId{p, static_cast<EventIndex>(next[p])});
         bool ready = true;
-        for (const EventId& src : ev.sources) {
+        for (const EventId& src : sources) {
           if (emitted[src.process] < src.index) {
             ready = false;
             break;
           }
         }
         if (!ready) break;
-        if (ev.sources.empty()) {
+        if (sources.empty()) {
           builder.local(p);
         } else {
-          builder.receive_from(p, ev.sources);
+          builder.receive_from(p, sources);
         }
         emitted[p] = next[p];
         ++next[p];
@@ -576,35 +677,20 @@ Execution OnlineSystem::to_execution() const {
 
 OnlineSystem replay(const Execution& exec) {
   OnlineSystem system(exec.process_count());
-  // Events that are message sources must be executed via send() so their
-  // wire message exists when the receiver is replayed.
-  std::unordered_map<EventId, bool> is_source;
-  for (const Message& m : exec.messages()) is_source[m.source] = true;
-  std::unordered_map<EventId, WireMessage> wires;
+  // A send and a local event advance the log alike; a receive re-reads each
+  // source's wire form from the log, which keeps every replayed event.
   for (const EventId& e : exec.topological_order()) {
     const auto incoming = exec.incoming(e);
     EventId replayed;
     if (!incoming.empty()) {
       std::vector<WireMessage> msgs;
       msgs.reserve(incoming.size());
-      for (const EventId& src : incoming) {
-        const auto it = wires.find(src);
-        SYNCON_ASSERT(it != wires.end(), "source not replayed yet");
-        msgs.push_back(it->second);
-      }
+      for (const EventId& src : incoming) msgs.push_back(system.wire_of(src));
       replayed = system.deliver_all(e.process, msgs);
-    } else if (is_source.count(e)) {
-      const WireMessage wire = system.send(e.process);
-      wires.emplace(e, wire);
-      replayed = wire.source;
     } else {
       replayed = system.local(e.process);
     }
     SYNCON_ASSERT(replayed == e, "replay must preserve event ids");
-    // A receive can also be a source (receive-and-forward pattern).
-    if (!incoming.empty() && is_source.count(e)) {
-      wires.emplace(e, WireMessage{e, system.clock_of(e)});
-    }
   }
   return system;
 }

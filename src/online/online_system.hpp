@@ -8,6 +8,10 @@
 // dummies, so a process's first event has own-component 2), which makes the
 // online and offline paths directly comparable in tests.
 //
+// Storage (DESIGN.md §3.10): as in Timestamps, a clock row is stored only
+// where a clock changes, in flat per-process columns, and clock_of reads an
+// event through a StampView.
+//
 // Fault tolerance (DESIGN.md §3.7): real transports drop, duplicate,
 // reorder and delay messages. Delivery is therefore idempotent — each
 // (receiver, source-event) pair executes at most one receive event; a
@@ -19,7 +23,7 @@
 // fault-free one.
 //
 // Retention (DESIGN.md §3.10): a long-running system cannot keep every
-// LoggedEvent forever. compact() reclaims the log prefix inside a
+// logged event forever. compact() reclaims the log prefix inside a
 // low-watermark cut (cuts/watermark.hpp) supplied by the deployment — the
 // componentwise min of every consumer's witnessed contiguous prefix
 // (retention_watermark() for in-system receivers, OnlineMonitor::
@@ -29,14 +33,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cuts/watermark.hpp"
 #include "model/execution.hpp"
+#include "model/timestamps.hpp"
 #include "model/types.hpp"
 #include "model/vector_clock.hpp"
 #include "online/gap_tracker.hpp"
@@ -95,8 +98,10 @@ class OnlineSystem {
   /// i.e. the clock of ⊥_p).
   const VectorClock& current_clock(ProcessId p) const;
 
-  /// T(e) of any executed event, from the online log.
-  const VectorClock& clock_of(EventId e) const;
+  /// T(e) of a live executed event, read through its stored row as
+  /// Timestamps::forward_ref is. The view borrows the log: the next event,
+  /// restore or compaction may invalidate it, so call .dense() to keep it.
+  StampView clock_of(EventId e) const;
 
   /// Events executed so far by p / in total.
   EventIndex executed(ProcessId p) const;
@@ -223,45 +228,82 @@ class OnlineSystem {
   /// Re-executes one journaled event during WAL replay. The id, clock,
   /// sources and time are authoritative — they were journaled after the
   /// original execution — so this bypasses deliver()'s merge and writes them
-  /// back verbatim. Idempotent against the restored checkpoint and earlier
-  /// replays: an event at or below the current frontier only refreshes its
-  /// witness/dedup state (a receive journaled below the snapshot cut may
-  /// still be the sole witness of an above-cut source). Returns true iff the
+  /// back verbatim: clock_of(e) returns exactly `clock`. Idempotent against
+  /// the restored checkpoint and earlier replays: an event at or below the
+  /// current frontier only refreshes its witness/dedup state (a receive
+  /// journaled below the snapshot cut may still be the sole witness of an
+  /// above-cut source). Every argument is validated before the first write,
+  /// so a rejected event leaves the system untouched. Returns true iff the
   /// event extended the log.
   bool restore_event(EventId e, const VectorClock& clock,
                      std::span<const EventId> sources,
                      std::int64_t time = kNoTime);
 
   /// Source events of a live executed event (empty for local/send events) —
-  /// what the durability layer journals alongside the wire form.
+  /// what the durability layer journals alongside the wire form. A span
+  /// into the log, valid until the next mutation.
   std::span<const EventId> sources_of(EventId e) const;
 
  private:
+  // One process's log, as flat columns. Event (p, first + k) has time[k];
+  // events (p, 1..base) are reclaimed, and compact() drops the stored dead
+  // prefix (first..base) once it is as long as the live part.
+  struct Column {
+    EventIndex base = 0;
+    EventIndex first = 1;
+    std::vector<std::int64_t> time;
+    // Row r (|P| values at rows[r·|P|]) is in force from event row_from[r]
+    // to the next row; the floor before the first. Its own slot is stale.
+    std::vector<EventIndex> row_from;
+    std::vector<ClockValue> rows;
+    // A receive's sources run from its offset to the next receive's.
+    struct Receive {
+      EventIndex event;
+      std::uint32_t offset;
+    };
+    std::vector<Receive> receives;
+    std::vector<EventId> sources;
+
+    EventIndex executed() const {
+      return static_cast<EventIndex>(first - 1 + time.size());
+    }
+    // Once the stored dead prefix is at least as long as the live part,
+    // moves the live tail to the front (amortized O(1) per reclaimed event),
+    // keeping the row in force at base + 1.
+    void drop_dead_prefix(std::size_t width);
+  };
+  // Dedup record: a source index on one sender and the receive index that
+  // consumed it.
+  struct Receipt {
+    EventIndex source;
+    EventIndex receive;
+  };
+
   EventId advance(ProcessId p, std::span<const WireMessage> messages,
                   std::int64_t when);
   void check_deliverable(ProcessId p, const WireMessage& m) const;
-
-  // Log entry: per event (1-based index - base - 1): its clock + sources.
-  struct LoggedEvent {
-    VectorClock clock;
-    std::vector<EventId> sources;
-    std::int64_t time = kNoTime;
-  };
-
-  const LoggedEvent& live_entry(EventId e) const;
+  // The live event's column (contract-checked).
+  const Column& live_column(EventId e) const;
+  // T of a stored event: the row in force at it, own component index + 1.
+  StampView stamp(ProcessId p, EventIndex index) const;
+  // Appends a row for event (p, index) when its clock's other components
+  // differ from the row in force.
+  void store_row(ProcessId p, EventIndex index, const VectorClock& clock);
+  void record_receipt(ProcessId p, EventId source, EventIndex receive);
+  // The receive of p that consumed `source`; 0 once compaction reclaimed
+  // its record.
+  EventIndex receipt_of(ProcessId p, EventId source) const;
 
   std::vector<VectorClock> clocks_;  // current clock per process
-  // Live log: log_[p][k] is event (p, base_[p] + k + 1). compact() pops
-  // reclaimed entries from the front and advances base_.
-  std::vector<std::deque<LoggedEvent>> log_;
-  std::vector<EventIndex> base_;  // events (p, 1..base_[p]) reclaimed
+  std::vector<Column> log_;
+  std::vector<ClockValue> floor_;  // all ones: the row before any other
   // Last *timed* physical stamp per process — the monotonicity floor. An
   // untimed event must not reset it (the time-floor bugfix).
   std::vector<std::int64_t> last_timed_;
-  // Per receiver: source event -> the receive that consumed it (dedup).
-  // compact() erases entries whose source fell inside the cut; deliver()
-  // then falls back to gaps_[p].witnessed(source).
-  std::vector<std::unordered_map<EventId, EventId>> delivered_;
+  // Receipts of receiver p from sender q at [p·|P| + q]. compact() drops
+  // each sender's prefix inside the cut; deliver() then falls back to
+  // gaps_[p].witnessed(source).
+  std::vector<std::vector<Receipt>> receipts_;
   // Per receiver: witnessed/claimed account of every peer's events.
   std::vector<GapTracker> gaps_;
   RetentionCheckpoint checkpoint_;

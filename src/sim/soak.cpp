@@ -76,7 +76,7 @@ SoakResult run_soak(const SoakConfig& config) {
   std::uint64_t next_pair = 0;
 
   const auto emit_report = [&](EventId e) {
-    reports[e.process].push(WireMessage{e, sys.clock_of(e)}, now);
+    reports[e.process].push(sys.wire_of(e), now);
   };
 
   const auto route_report = [&](const WireMessage& r) {
@@ -427,7 +427,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
     op.kind = TenantOp::Kind::kEvent;
     op.label = label;
     op.event = e;
-    op.clock = sys.clock_of(e);
+    op.clock = sys.clock_of(e).dense();
     const std::span<const EventId> sources = sys.sources_of(e);
     op.sources.assign(sources.begin(), sources.end());
     op.time = sys.time_of(e);
@@ -435,7 +435,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
   };
 
   const auto offer_report = [&](EventId e) {
-    reports[e.process].push(WireMessage{e, sys.clock_of(e)}, now);
+    reports[e.process].push(sys.wire_of(e), now);
   };
 
   const auto emit_report = [&](const WireMessage& r) {

@@ -131,7 +131,7 @@ void DurableSystem::journal_event(EventId e) {
   }
   std::vector<std::uint8_t> body;
   body.push_back(kEvent);
-  encoder_.encode(WireMessage{e, system_.clock_of(e)}, body);
+  encoder_.encode(system_.wire_of(e), body);
   const std::span<const EventId> sources = system_.sources_of(e);
   encode_varint(sources.size(), body);
   std::vector<EventId> touches;

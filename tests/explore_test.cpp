@@ -526,7 +526,7 @@ TEST(ExploreOnlineTest, BatchOrderPermutationIsCanonicalized) {
     const auto span = sys.sources_of(recv);
     return Run{sys.to_execution(), recv,
                std::vector<EventId>(span.begin(), span.end()),
-               sys.clock_of(recv)};
+               sys.clock_of(recv).dense()};
   };
 
   const Run a = run({0, 1, 2});

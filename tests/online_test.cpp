@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <new>
+#include <random>
+#include <set>
+
 #include "helpers.hpp"
 #include "model/timestamps.hpp"
 #include "nonatomic/cut_timestamps.hpp"
@@ -8,6 +17,37 @@
 #include "online/online_system.hpp"
 #include "relations/naive.hpp"
 #include "support/contracts.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Counting allocator hooks for the log's allocation bounds. The whole
+// binary runs through these; individual tests look at deltas. They stay
+// out of line, so the compiler never pairs an inlined malloc or free with
+// a new or delete expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace syncon {
 namespace {
@@ -412,6 +452,407 @@ TEST_P(OnlinePropertyTest, OnlineEvaluationMatchesWeakNaive) {
 INSTANTIATE_TEST_SUITE_P(Sweep, OnlinePropertyTest,
                          ::testing::ValuesIn(property_sweep()),
                          testing::sweep_case_name);
+
+// ---------------------------------------------------------------------------
+// The log's flat columns against a dense model that keeps one VectorClock
+// per event, the layout the columns replace.
+// ---------------------------------------------------------------------------
+
+// What the log must answer, stored the naive way.
+struct DenseLog {
+  explicit DenseLog(std::size_t n)
+      : clocks(n), times(n), sources(n), receipts(n), consumed(n), base(n, 0) {}
+
+  std::size_t n() const { return clocks.size(); }
+  EventIndex executed(ProcessId p) const {
+    return static_cast<EventIndex>(clocks[p].size());
+  }
+  const VectorClock& clock(EventId e) const {
+    return clocks[e.process][e.index - 1];
+  }
+  VectorClock current(ProcessId p) const {
+    if (!clocks[p].empty()) return clocks[p].back();
+    VectorClock bottom(n(), 0);
+    bottom.set(p, 1);
+    return bottom;
+  }
+  // The Fidge/Mattern step: join the messages' clocks, lift every component
+  // to at least 1, tick the own one.
+  VectorClock next_clock(ProcessId p,
+                         const std::vector<WireMessage>& messages) const {
+    VectorClock c = current(p);
+    for (const WireMessage& m : messages) c.merge_max(m.clock);
+    for (std::size_t i = 0; i < n(); ++i) {
+      if (c.at(i) == 0) c.set(i, 1);
+    }
+    c.tick(p);
+    return c;
+  }
+  EventId append(ProcessId p, VectorClock clock, std::vector<EventId> srcs,
+                 std::int64_t when) {
+    const EventId e{p, executed(p) + 1};
+    std::sort(srcs.begin(), srcs.end());
+    for (const EventId& s : srcs) {
+      consumed[p].insert(s);
+      receipts[p].emplace(s, e.index);
+    }
+    clocks[p].push_back(std::move(clock));
+    times[p].push_back(when);
+    sources[p].push_back(std::move(srcs));
+    return e;
+  }
+  EventId duplicate(ProcessId p, EventId source) const {
+    const auto it = receipts[p].find(source);
+    return EventId{p, it == receipts[p].end() ? EventIndex{0} : it->second};
+  }
+  EventId deliver_all(ProcessId p, const std::vector<WireMessage>& batch,
+                      std::int64_t when) {
+    std::vector<WireMessage> fresh;
+    std::set<EventId> seen;
+    for (const WireMessage& m : batch) {
+      if (consumed[p].count(m.source) == 0 && seen.insert(m.source).second) {
+        fresh.push_back(m);
+      }
+    }
+    if (fresh.empty()) return duplicate(p, batch.front().source);
+    return append(p, next_clock(p, fresh),
+                  std::vector<EventId>(seen.begin(), seen.end()), when);
+  }
+  std::size_t compact(const VectorClock& watermark) {
+    std::size_t reclaimed = 0;
+    for (ProcessId p = 0; p < n(); ++p) {
+      const EventIndex target =
+          std::min<EventIndex>(watermark.at(p), executed(p) + 1);
+      if (target <= base[p] + 1) continue;
+      reclaimed += target - 1 - base[p];
+      base[p] = target - 1;
+    }
+    if (reclaimed == 0) return 0;
+    for (auto& per_receiver : receipts) {
+      std::erase_if(per_receiver, [&](const auto& r) {
+        return r.first.index <= base[r.first.process];
+      });
+    }
+    return reclaimed;
+  }
+
+  std::vector<std::vector<VectorClock>> clocks;
+  std::vector<std::vector<std::int64_t>> times;
+  std::vector<std::vector<std::vector<EventId>>> sources;
+  std::vector<std::map<EventId, EventIndex>> receipts;  // per receiver
+  std::vector<std::set<EventId>> consumed;              // per receiver
+  std::vector<EventIndex> base;                         // reclaimed prefix
+};
+
+// Compares every read of the log with the model. A system rebuilt from a
+// checkpoint forgives the whole cut, so its dedup answers differ by design
+// and `dedup` skips them.
+void expect_log_matches(const OnlineSystem& sys, const DenseLog& model,
+                        bool dedup) {
+  std::size_t live = 0;
+  VectorClock frontier(model.n(), 0);
+  RetransmitRequest request;
+  std::vector<WireMessage> expected_replies;
+  for (ProcessId p = 0; p < model.n(); ++p) {
+    const EventIndex executed = model.executed(p);
+    const EventIndex base = model.base[p];
+    ASSERT_EQ(sys.executed(p), executed);
+    ASSERT_EQ(sys.reclaimed_before(p), base);
+    ASSERT_EQ(sys.current_clock(p), model.current(p));
+    frontier.set(p, executed + 1);
+    live += executed - base;
+    if (base > 0) {
+      expected_replies.push_back({EventId{p, base}, model.clock({p, base})});
+    }
+    for (EventIndex i = 1; i <= executed + 1; ++i) {
+      request.events.push_back(EventId{p, i});
+    }
+    for (EventIndex i = 1; i <= executed; ++i) {
+      const EventId e{p, i};
+      const WireMessage wire = sys.wire_of(e);
+      if (i <= base) {
+        ASSERT_FALSE(sys.is_live(e));
+        ASSERT_EQ(wire.source, (EventId{p, base}));
+        ASSERT_EQ(wire.clock, model.clock({p, base}));
+        continue;
+      }
+      ASSERT_TRUE(sys.is_live(e));
+      ASSERT_EQ(sys.clock_of(e).dense(), model.clock(e)) << to_string(e);
+      ASSERT_EQ(wire.source, e);
+      ASSERT_EQ(wire.clock, model.clock(e));
+      ASSERT_EQ(sys.time_of(e), model.times[p][i - 1]);
+      const std::span<const EventId> sources = sys.sources_of(e);
+      ASSERT_EQ(std::vector<EventId>(sources.begin(), sources.end()),
+                model.sources[p][i - 1])
+          << to_string(e);
+      expected_replies.push_back({e, model.clock(e)});
+    }
+    if (!dedup) continue;
+    for (ProcessId q = 0; q < model.n(); ++q) {
+      if (q == p) continue;
+      for (EventIndex i = 1; i <= model.executed(q) + 1; ++i) {
+        ASSERT_EQ(sys.already_delivered(p, EventId{q, i}),
+                  model.consumed[p].count(EventId{q, i}) != 0);
+      }
+    }
+  }
+  ASSERT_EQ(sys.live_log_events(), live);
+  ASSERT_EQ(sys.snapshot(), frontier);
+  const std::vector<WireMessage> replies = sys.serve(request);
+  ASSERT_EQ(replies.size(), expected_replies.size());
+  for (std::size_t k = 0; k < replies.size(); ++k) {
+    ASSERT_EQ(replies[k].source, expected_replies[k].source);
+    ASSERT_EQ(replies[k].clock, expected_replies[k].clock);
+  }
+  if (sys.reclaimed_events() == 0) {
+    const Execution exec = sys.to_execution();
+    const Timestamps ts(exec);
+    for (ProcessId p = 0; p < model.n(); ++p) {
+      ASSERT_EQ(exec.real_count(p), model.executed(p));
+      for (EventIndex i = 1; i <= model.executed(p); ++i) {
+        const EventId e{p, i};
+        ASSERT_EQ(ts.forward_ref(e), model.clock(e)) << to_string(e);
+        const auto incoming = exec.incoming(e);
+        std::vector<EventId> sorted(incoming.begin(), incoming.end());
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted, model.sources[p][i - 1]);
+      }
+    }
+  }
+}
+
+TEST(OnlineLogTest, ColumnsMatchADenseModel) {
+  constexpr std::size_t n = 3;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t k) {
+      return static_cast<std::size_t>(rng() % k);
+    };
+    OnlineSystem sys(n);
+    DenseLog model(n);
+    std::vector<WireMessage> sent;
+    std::int64_t now = 0;
+    for (int step = 0; step < 300; ++step) {
+      const auto p = static_cast<ProcessId>(pick(n));
+      const std::int64_t when =
+          pick(4) == 0 ? OnlineSystem::kNoTime
+                       : (now += 1 + static_cast<std::int64_t>(pick(3)));
+      std::vector<WireMessage> inbound;
+      for (const WireMessage& m : sent) {
+        if (m.source.process != p) inbound.push_back(m);
+      }
+      std::size_t op = pick(8);
+      if (op >= 2 && op <= 4 && inbound.empty()) op = 0;
+      switch (op) {
+        case 0:
+          ASSERT_EQ(sys.local(p, when),
+                    model.append(p, model.next_clock(p, {}), {}, when));
+          break;
+        case 1: {
+          const WireMessage m = sys.send(p, when);
+          ASSERT_EQ(m.source,
+                    model.append(p, model.next_clock(p, {}), {}, when));
+          ASSERT_EQ(m.clock, model.clock(m.source));
+          sent.push_back(m);
+          break;
+        }
+        case 2: {  // deliver, duplicates included
+          const WireMessage m = inbound[pick(inbound.size())];
+          const EventId expected =
+              model.consumed[p].count(m.source)
+                  ? model.duplicate(p, m.source)
+                  : model.append(p, model.next_clock(p, {m}), {m.source},
+                                 when);
+          ASSERT_EQ(sys.deliver(p, m, when), expected);
+          break;
+        }
+        case 3: {  // deliver_all, duplicates inside the batch included
+          std::vector<WireMessage> batch;
+          for (std::size_t k = 1 + pick(3); k > 0; --k) {
+            batch.push_back(inbound[pick(inbound.size())]);
+            if (pick(3) == 0) batch.push_back(batch.back());
+          }
+          ASSERT_EQ(sys.deliver_all(p, batch, when),
+                    model.deliver_all(p, batch, when));
+          break;
+        }
+        case 4: {  // restore_event of a receive, then its replay
+          std::vector<WireMessage> fresh;
+          std::vector<EventId> sources;
+          for (const WireMessage& m : inbound) {
+            if (model.consumed[p].count(m.source) == 0 &&
+                std::find(sources.begin(), sources.end(), m.source) ==
+                    sources.end() &&
+                pick(2) == 0) {
+              fresh.push_back(m);
+              sources.push_back(m.source);
+            }
+          }
+          const EventId e{p, model.executed(p) + 1};
+          const VectorClock clock = model.next_clock(p, fresh);
+          ASSERT_TRUE(sys.restore_event(e, clock, sources, when));
+          ASSERT_FALSE(sys.restore_event(e, clock, sources, when));
+          model.append(p, clock, sources, when);
+          break;
+        }
+        case 5: {
+          VectorClock watermark(n, 0);
+          for (ProcessId q = 0; q < n; ++q) {
+            watermark.set(q, static_cast<ClockValue>(
+                                 1 + pick(model.executed(q) + 2)));
+          }
+          ASSERT_EQ(sys.compact(watermark), model.compact(watermark));
+          break;
+        }
+        case 6: {  // a fresh system: checkpoint, then the live tail
+          OnlineSystem restored(n);
+          restored.restore_checkpoint(sys.checkpoint());
+          for (ProcessId q = 0; q < n; ++q) {
+            for (EventIndex i = model.base[q] + 1; i <= model.executed(q);
+                 ++i) {
+              const EventId e{q, i};
+              ASSERT_TRUE(restored.restore_event(e, sys.clock_of(e).dense(),
+                                                 sys.sources_of(e),
+                                                 sys.time_of(e)));
+            }
+          }
+          expect_log_matches(restored, model, /*dedup=*/false);
+          break;
+        }
+        default:
+          ASSERT_EQ(sys.local(p, OnlineSystem::kNoTime),
+                    model.append(p, model.next_clock(p, {}), {},
+                                 OnlineSystem::kNoTime));
+          break;
+      }
+      expect_log_matches(sys, model, /*dedup=*/true);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(OnlineLogTest, CompactionKeepsTheRowInForceAtTheCut) {
+  OnlineSystem sys(2);
+  const WireMessage m = sys.send(0);       // 0:1
+  const EventId r = sys.deliver(1, m);     // 1:1, the only receive
+  for (int k = 0; k < 3; ++k) sys.local(1);  // 1:2..1:4 share its row
+  // Cut between the receive and the local events after it.
+  EXPECT_EQ(sys.compact(VectorClock({1, 2})), 1u);
+  EXPECT_EQ(sys.clock_of(EventId{1, 2}).dense(), VectorClock({2, 3}));
+  // Now the dead prefix is as long as the live part and moves out.
+  EXPECT_EQ(sys.compact(VectorClock({1, 3})), 1u);
+  EXPECT_EQ(sys.clock_of(EventId{1, 3}).dense(), VectorClock({2, 4}));
+  EXPECT_EQ(sys.clock_of(EventId{1, 4}).dense(), VectorClock({2, 5}));
+  EXPECT_EQ(sys.wire_of(r).clock, VectorClock({2, 3}));  // the surface
+  // Reclaim all of p1: its next event still reads the reclaimed row.
+  EXPECT_EQ(sys.compact(VectorClock({1, 5})), 2u);
+  EXPECT_EQ(sys.live_log_events(), 1u);  // 0:1
+  EXPECT_EQ(sys.clock_of(sys.local(1)).dense(), VectorClock({2, 6}));
+  EXPECT_EQ(sys.deliver(1, m), (EventId{1, 1}));  // receipt below no cut
+  EXPECT_EQ(sys.compact(VectorClock({2, 1})), 1u);
+  EXPECT_EQ(sys.deliver(1, m), (EventId{1, 0}));  // receipt reclaimed
+}
+
+TEST(OnlineLogTest, RestoreKeepsANonMonotoneClockAsGiven) {
+  OnlineSystem sys(3);
+  // The other components jump, fall back to the floor, rise, hold.
+  const std::vector<VectorClock> given = {
+      VectorClock({2, 5, 7}), VectorClock({3, 1, 1}), VectorClock({4, 1, 2}),
+      VectorClock({5, 1, 2}), VectorClock({6, 9, 1})};
+  for (EventIndex i = 1; i <= given.size(); ++i) {
+    ASSERT_TRUE(sys.restore_event(EventId{0, i}, given[i - 1], {}));
+  }
+  for (EventIndex i = 1; i <= given.size(); ++i) {
+    EXPECT_EQ(sys.clock_of(EventId{0, i}).dense(), given[i - 1]);
+  }
+  EXPECT_EQ(sys.current_clock(0), given.back());
+  EXPECT_EQ(sys.compact(VectorClock({4, 1, 1})), 3u);
+  EXPECT_EQ(sys.wire_of(EventId{0, 2}).clock, given[2]);
+  EXPECT_EQ(sys.clock_of(EventId{0, 4}).dense(), given[3]);
+  EXPECT_EQ(sys.clock_of(EventId{0, 5}).dense(), given[4]);
+}
+
+TEST(OnlineLogTest, RejectedRestoreWritesNothing) {
+  OnlineSystem sys(3);
+  const EventId good{1, 1};
+  ASSERT_TRUE(sys.restore_event(good, VectorClock({1, 2, 1}), {}));
+  const VectorClock clock({2, 2, 1});
+  // A process out of range, the receiver itself, the dummy index.
+  for (const EventId bad : {EventId{7, 1}, EventId{0, 1}, EventId{2, 0}}) {
+    const std::vector<EventId> sources = {good, bad};
+    EXPECT_THROW(sys.restore_event(EventId{0, 1}, clock, sources),
+                 ContractViolation);
+    EXPECT_EQ(sys.executed(0), 0u);
+    EXPECT_EQ(sys.total_executed(), 1u);
+    EXPECT_EQ(sys.live_log_events(), 1u);
+    EXPECT_EQ(sys.current_clock(0), VectorClock({1, 0, 0}));
+    EXPECT_FALSE(sys.already_delivered(0, good));
+  }
+  // The valid retry extends the log; it is not mistaken for a replay.
+  const std::vector<EventId> valid = {good};
+  EXPECT_TRUE(sys.restore_event(EventId{0, 1}, clock, valid));
+  EXPECT_EQ(sys.executed(0), 1u);
+  EXPECT_TRUE(sys.already_delivered(0, good));
+  const std::span<const EventId> sources = sys.sources_of(EventId{0, 1});
+  EXPECT_EQ(std::vector<EventId>(sources.begin(), sources.end()), valid);
+  const Execution exec = sys.to_execution();
+  EXPECT_EQ(exec.messages().size(), 1u);
+}
+
+TEST(OnlineLogTest, RestoredEventsAllocateOnlyToGrowColumns) {
+  // Each round p0 sends, p1 receives the send and executes a local event,
+  // and p2 executes a local event. p1 witnesses every event of p0, so its
+  // gap tracker stays one contiguous prefix; the test keeps each process's
+  // dense clock itself and assigns into clocks of the right size, so only
+  // the log can allocate.
+  constexpr std::size_t n = 3;
+  OnlineSystem sys(n);
+  std::vector<VectorClock> clock(n, VectorClock(n, 1));
+  std::int64_t now = 0;
+  const auto restore = [&](ProcessId p, std::span<const EventId> sources) {
+    clock[p].tick(p);
+    sys.restore_event(EventId{p, clock[p].at(p) - 1}, clock[p], sources,
+                      ++now);
+  };
+  const auto round = [&] {
+    restore(0, {});
+    const EventId source{0, clock[0].at(0) - 1};
+    clock[1].merge_max(clock[0]);
+    restore(1, std::span<const EventId>(&source, 1));
+    restore(1, {});
+    restore(2, {});
+  };
+  for (int r = 0; r < 250; ++r) round();  // warm-up
+  const std::uint64_t before = g_allocations.load();
+  for (int r = 0; r < 2500; ++r) round();
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(sys.live_log_events(), 4u * 2750u);
+  // Eight arrays grow — three time columns, p1's rows, row starts,
+  // receives and sources, and its receipts from p0 — each doubling fewer
+  // than log2(10,000) < 14 times.
+  EXPECT_LE(allocations, 8u * 14u);
+}
+
+TEST(OnlineLogTest, HostileSourceIndexCostsConstantMemory) {
+  // Dedup records follow the receives, never the indices a frame names.
+  const auto allocations_for = [](EventIndex index) {
+    OnlineSystem sys(3);
+    const VectorClock clock({2, 1, 1});
+    const EventId source{1, index};
+    const std::uint64_t before = g_allocations.load();
+    const bool extended = sys.restore_event(
+        EventId{0, 1}, clock, std::span<const EventId>(&source, 1));
+    const std::uint64_t allocations = g_allocations.load() - before;
+    EXPECT_TRUE(extended);
+    EXPECT_TRUE(sys.already_delivered(0, source));
+    return allocations;
+  };
+  const std::uint64_t huge =
+      allocations_for(std::numeric_limits<EventIndex>::max());
+  EXPECT_EQ(huge, allocations_for(5));
+  EXPECT_LE(huge, 8u);
+}
 
 }  // namespace
 }  // namespace syncon

@@ -289,7 +289,7 @@ TEST(QuarantineTest, LinkDecoderRejectsGarbageWithoutStateDamage) {
   OnlineSystem sys(3);
   const WireMessage w1 = sys.send(0);
   sys.deliver(1, w1);
-  const WireMessage w2 = {EventId{1, 1}, sys.clock_of(EventId{1, 1})};
+  const WireMessage w2 = sys.wire_of(EventId{1, 1});
 
   std::vector<std::uint8_t> frames;
   enc.encode(w1, frames);

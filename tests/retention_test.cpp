@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,50 @@ TEST(GapTrackerRetentionTest, ForgiveAdoptsCheckpointPrefix) {
   // Forgiving below the prefix is a no-op.
   g.forgive(0, 2);
   EXPECT_EQ(g.contiguous_prefix(0), 6u);
+}
+
+TEST(GapTrackerRetentionTest, SortedArrayMatchesASetModel) {
+  // The out-of-order entries live in one sorted array whose absorbed front
+  // is dropped lazily; a std::set of witnessed indices is the model.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Xoshiro256StarStar rng(seed);
+    GapTracker g(2);
+    std::set<EventIndex> witnessed;  // process 0 only
+    EventIndex forgiven = 0;
+    EventIndex claimed = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const auto i = static_cast<EventIndex>(1 + rng.next() % 300);
+      switch (rng.next() % 8) {
+        case 0:
+          claimed = std::max(claimed, i);
+          g.claim(0, i);
+          break;
+        case 1:
+          if (rng.next() % 8 == 0) {
+            forgiven = std::max(forgiven, i);
+            g.forgive(0, i);
+          }
+          break;
+        default: {
+          const bool fresh = i > forgiven && witnessed.insert(i).second;
+          ASSERT_EQ(g.witness(EventId{0, i}), fresh) << "step " << step;
+        }
+      }
+      const auto covered = [&](EventIndex k) {
+        return k <= forgiven || witnessed.count(k) != 0;
+      };
+      EventIndex prefix = 0;
+      while (covered(prefix + 1)) ++prefix;
+      ASSERT_EQ(g.contiguous_prefix(0), prefix) << "step " << step;
+      std::vector<EventId> holes;
+      for (EventIndex k = 1; k <= claimed; ++k) {
+        if (!covered(k)) holes.push_back(EventId{0, k});
+      }
+      ASSERT_EQ(g.missing(), holes) << "step " << step;
+      ASSERT_EQ(g.missing_count(), holes.size());
+      ASSERT_EQ(g.witnessed(EventId{0, i}), covered(i));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

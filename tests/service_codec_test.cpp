@@ -271,5 +271,30 @@ TEST(ServiceCodecTest, CrossTenantSpliceCannotCrossStreams) {
   EXPECT_EQ(core_b.quarantined(), 0u);
 }
 
+TEST(ServiceCodecTest, MalformedEventSourceIsQuarantinedWithoutStateDamage) {
+  // The decoder does not range-check source processes, so a CRC-clean
+  // kEvent frame can name process 7 of a 3-process tenant. The op must be
+  // quarantined and leave the replica as it was.
+  TenantSessionCore core(3);
+  TenantOp op;
+  op.kind = TenantOp::Kind::kEvent;
+  op.event = EventId{0, 1};
+  op.clock = VectorClock({2, 1, 1});
+  op.sources = {EventId{1, 1}, EventId{7, 1}};
+  core.apply(op);
+  EXPECT_EQ(core.quarantined(), 1u);
+  const OnlineSystem& replica = core.system();
+  EXPECT_EQ(replica.executed(0), 0u);
+  EXPECT_EQ(replica.live_log_events(), 0u);
+  EXPECT_EQ(replica.current_clock(0), VectorClock({1, 0, 0}));
+  EXPECT_FALSE(replica.already_delivered(0, EventId{1, 1}));
+
+  op.sources = {EventId{1, 1}};
+  core.apply(op);
+  EXPECT_EQ(core.quarantined(), 1u);
+  EXPECT_EQ(replica.executed(0), 1u);
+  EXPECT_TRUE(replica.already_delivered(0, EventId{1, 1}));
+}
+
 }  // namespace
 }  // namespace syncon
