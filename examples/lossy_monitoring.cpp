@@ -3,8 +3,9 @@
 // *report* shipped to the remote monitor passes through a seeded
 // FaultyChannel that drops, duplicates, reorders and delays. The monitor
 // folds reports in arrival order, fires watches with a Confidence flag
-// while reports are known-missing, then resyncs (retransmit-request →
-// serve → ingest) and converges to the exact fault-free verdicts.
+// while reports are known-missing, then resyncs (OnlineMonitor::resync:
+// retransmit request → serve → ingest) and converges to the exact
+// fault-free verdicts.
 //
 // Run: ./lossy_monitoring [--drop=P] [--dup=P] [--seed=N]
 #include <cstdio>
@@ -79,11 +80,9 @@ int main(int argc, char** argv) {
   // every executed event; resync pulls lost reports from the sender's log.
   const auto resync = [&] {
     remote.checkpoint(sys.snapshot());
-    while (!remote.missing_reports().empty()) {
-      for (const WireMessage& m : sys.serve(remote.resync_request())) {
-        remote.ingest(label_of(m.source), m, sys.time_of(m.source));
-      }
-    }
+    remote.resync(sys, /*chunk=*/64, [&](const WireMessage& m) {
+      remote.ingest(label_of(m.source), m, sys.time_of(m.source));
+    });
   };
   // An action may reach its completion point with EVERY report lost; it
   // cannot be summarized from nothing, so recover before completing it.

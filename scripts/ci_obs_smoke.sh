@@ -8,8 +8,10 @@
 # through syncon_metricsd exports every causal artifact, and the script
 # asserts
 #   * the causal trace is well-formed JSON whose span reachability the
-#     binary itself property-checked against the clock order, and it
-#     contains >0 resync spans (the injected report faults must be visible);
+#     binary itself property-checked against the clock order, and its
+#     resync spans, counted by name, include both resync/request (one per
+#     OnlineMonitor::resync round) and resync/serve (one per log serve):
+#     the injected report faults must be visible from both sides;
 #   * every detection-latency waterfall is monotone and its stages sum
 #     exactly to the end-to-end latency;
 #   * the injected quarantine appended an automatic flight dump containing
@@ -87,13 +89,19 @@ with open(os.path.join(smoke_dir, "obs_causal.otlp.json")) as f:
     trace = json.load(f)
 spans = trace["resourceSpans"][0]["scopeSpans"][0]["spans"]
 kinds = {}
+resync_names = {}
 for span in spans:
     for attr in span.get("attributes", []):
         if attr["key"] == "syncon.kind":
             kind = attr["value"]["stringValue"]
             kinds[kind] = kinds.get(kind, 0) + 1
-if kinds.get("resync", 0) <= 0:
-    failures.append("causal trace has no resync spans despite report faults")
+            if kind == "resync":
+                resync_names[span["name"]] = \
+                    resync_names.get(span["name"], 0) + 1
+for name in ("resync/request", "resync/serve"):
+    if resync_names.get(name, 0) <= 0:
+        failures.append(f"causal trace has no {name} spans despite report "
+                        f"faults (resync spans: {resync_names})")
 if kinds.get("event", 0) <= 0:
     failures.append("causal trace has no event spans")
 if kinds.get("verdict", 0) <= 0:
@@ -150,6 +158,7 @@ stage_hists = {name: h for name, h in telemetry.get("histograms", {}).items()
 print("causal-observability guarantees hold:")
 print(f"  spans                : {len(spans)} "
       f"({kinds.get('resync', 0)} resync, {kinds.get('verdict', 0)} verdict)")
+print(f"  resync spans by name : {dict(sorted(resync_names.items()))}")
 print(f"  monotone waterfalls  : {len(falls)}")
 print(f"  flight records       : {len(flight['records'])}")
 for name in sorted(stage_hists):

@@ -4,7 +4,9 @@
 # snapshot: events were actually reclaimed, the live log plateaued instead
 # of growing monotonically, the compacted faulty run's Definite verdicts
 # stayed bit-identical to the clean run, and the late-joining monitor
-# converged across the watermark. The snapshot is then merged into the
+# converged across the watermark with at least one surface reply (a resync
+# round answered from the retention checkpoint, which OnlineMonitor::resync
+# then adopts). The snapshot is then merged into the
 # benchmark trajectory file under runs.bench_longrun.telemetry (creating a
 # minimal file if scripts/ci_bench_smoke.sh has not run yet).
 #
@@ -52,6 +54,9 @@ if gauges.get("syncon_longrun_verdict_identity") != 1:
     failures.append("compacted faulty verdicts diverged from the clean run")
 if gauges.get("syncon_longrun_late_joiner_converged") != 1:
     failures.append("late joiner failed to converge across the watermark")
+if gauges.get("syncon_longrun_surface_replies", 0) < 1:
+    failures.append("late joiner got no surface reply: its resync never "
+                    "crossed the watermark")
 if failures:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

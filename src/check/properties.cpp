@@ -802,11 +802,13 @@ CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
       fn();  // the crash is disarmed; the retried unit is idempotent
     }
   };
-  const auto resync_round = [&] {
+  // Converge: the checkpoint is inside the guarded unit, so a crash that
+  // loses the checkpoint record (or tail reports) is retried from a fresh
+  // claim.
+  const auto converge = [&] {
     mon->checkpoint(sys.snapshot());
-    for (const WireMessage& w : sys.serve(mon->monitor().resync_request(8))) {
-      actions.feed(*mon, w);
-    }
+    mon->monitor().resync(sys, 8,
+                          [&](const WireMessage& w) { actions.feed(*mon, w); });
   };
 
   try {
@@ -817,33 +819,26 @@ CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
     for (const Arrival& a : arrivals) {
       guarded([&] { actions.feed(*mon, a.message); });
     }
-    // Converge: checkpoint inside the loop so a crash that loses the
-    // checkpoint record (or tail reports) reopens the gaps next round.
-    int rounds = 0;
-    do {
-      if (++rounds > 512) {
-        out.violation = "post-crash resync failed to converge";
-        return out;
-      }
-      guarded(resync_round);
-    } while (mon->monitor().missing_report_count() > 0);
+    guarded(converge);
+    if (mon->monitor().missing_report_count() > 0) {
+      out.violation = "post-crash resync failed to converge";
+      return out;
+    }
     for (const char* label : {"X", "Y"}) {
       guarded([&] {
         if (mon->monitor().is_open(label)) mon->complete(label);
       });
     }
+    // If the crash hit during completion and tore off trailing reports, the
+    // reopened gaps must be closed before reading verdicts.
+    if (mon->monitor().missing_report_count() > 0) guarded(converge);
   } catch (const StorageCrash&) {
     out.violation = "simulated crash fired twice";
     return out;
   }
-  // If the crash hit during completion and tore off trailing reports, the
-  // reopened gaps must be closed before reading verdicts.
-  for (int rounds = 1; mon->monitor().missing_report_count() > 0; ++rounds) {
-    if (rounds > 512) {
-      out.violation = "post-complete resync failed to converge";
-      return out;
-    }
-    resync_round();
+  if (mon->monitor().missing_report_count() > 0) {
+    out.violation = "post-complete resync failed to converge";
+    return out;
   }
   out.violation = explore::compare_firings(
       "recovered monitor", explore::watch_all(mon->monitor()), clean);

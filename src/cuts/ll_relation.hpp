@@ -59,11 +59,6 @@ using ComparisonCounter = QueryCost;
 /// Canonical test for <<(C, C'); scans all |P| components.
 bool ll(const Cut& c, const Cut& c_prime);
 
-/// Convenience: ¬<<(C, C') — the form the relation conditions use.
-inline bool ll_violated(const Cut& c, const Cut& c_prime) {
-  return !ll(c, c_prime);
-}
-
 /// Defn 7.1 (condition for <<), implemented literally over surfaces.
 bool ll_form1(const Cut& c, const Cut& c_prime);
 /// Defn 7.2 (condition for ¬<<), literal.

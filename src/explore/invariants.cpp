@@ -21,10 +21,10 @@ namespace {
 
 /// The recovery leg, or the compaction leg when `chunked`: `reports` through
 /// the feed's channel into a fresh monitor, gaps closed by checkpoint +
-/// resync from `sys`. Unchunked: one delivery, at most 64 unbounded resync
-/// rounds. Chunked: 64 µs slices, each closed by at most 512 rounds of
-/// 8-event requests before `sys` is compacted at the monitor's watermark
-/// pin, so every request is served from the live log.
+/// resync from `sys`. Unchunked: one delivery, unbounded resync requests.
+/// Chunked: 64 µs slices, each closed by 8-event requests before `sys` is
+/// compacted at the monitor's watermark pin, so every request is served
+/// from the live log.
 std::string lossy_leg(std::string_view leg, bool chunked, OnlineSystem& sys,
                       std::span<const WireMessage> reports,
                       const MonitorActions& actions, const LossyFeed& feed,
@@ -40,15 +40,10 @@ std::string lossy_leg(std::string_view leg, bool chunked, OnlineSystem& sys,
       actions.feed(mon, a.message);
     }
     mon.checkpoint(sys.snapshot());
-    for (int rounds = 1; mon.missing_report_count() > 0; ++rounds) {
-      if (rounds > (chunked ? 512 : 64)) {
-        return std::string(leg) + ": resync failed to converge";
-      }
-      const std::size_t limit =
-          chunked ? 8 : std::numeric_limits<std::size_t>::max();
-      for (const WireMessage& w : sys.serve(mon.resync_request(limit))) {
-        actions.feed(mon, w);
-      }
+    mon.resync(sys, chunked ? 8 : std::numeric_limits<std::size_t>::max(),
+               [&](const WireMessage& w) { actions.feed(mon, w); });
+    if (mon.missing_report_count() > 0) {
+      return std::string(leg) + ": resync failed to converge";
     }
     if (chunked) {
       const VectorClock pins[] = {mon.watermark_pin()};
@@ -328,15 +323,9 @@ std::string monitor_differential(OnlineSystem& sys,
   // checkpoint.
   OnlineMonitor late(n);
   late.checkpoint(sys.snapshot());
-  for (int rounds = 1; late.missing_report_count() > 0; ++rounds) {
-    if (rounds > 512) {
-      return "compaction: late joiner failed to converge across the "
-             "watermark";
-    }
-    for (const WireMessage& w : sys.serve(late.resync_request(8))) {
-      late.observe(w);
-    }
-    late.adopt_checkpoint(sys.checkpoint());
+  late.resync(sys, 8, [&](const WireMessage& w) { late.observe(w); });
+  if (late.missing_report_count() > 0) {
+    return "compaction: late joiner failed to converge across the watermark";
   }
   return {};
 }

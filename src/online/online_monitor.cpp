@@ -154,14 +154,6 @@ std::size_t OnlineMonitor::retained() const {
   return count(Action::State::kComplete);
 }
 
-std::vector<std::string> OnlineMonitor::open_actions() const {
-  std::vector<std::string> out;
-  for (const auto& [label, id] : ids_) {
-    if (actions_[id]->state == Action::State::kOpen) out.push_back(label);
-  }
-  return out;
-}
-
 bool OnlineMonitor::observe(const WireMessage& report) {
   SYNCON_SPAN("monitor/ingest");
   degraded_ = true;
@@ -248,62 +240,29 @@ void OnlineMonitor::quarantine(const WireMessage& report) {
   obs::flight_auto_dump("quarantine");
 }
 
-void OnlineMonitor::set_resync_policy(const ResyncPolicy& policy) {
-  SYNCON_REQUIRE(policy.budget >= 1 && policy.initial_backoff >= 1 &&
-                     policy.max_backoff >= policy.initial_backoff,
-                 "resync policy needs budget >= 1 and an ordered backoff "
-                 "range");
-  resync_policy_ = policy;
-  resync_episode_attempts_ = 0;
-  resync_backoff_ = policy.initial_backoff;
-  resync_exhausted_ = false;
-}
-
-std::optional<RetransmitRequest> OnlineMonitor::next_resync(
-    std::uint64_t now, std::size_t limit) {
-  if (!gaps_.has_gap()) {
-    resync_episode_attempts_ = 0;
-    resync_backoff_ = resync_policy_.initial_backoff;
-    resync_exhausted_ = false;
-    return std::nullopt;
-  }
-  const std::size_t missing_now = gaps_.missing_count();
-  if (resync_episode_attempts_ > 0 && missing_now < resync_last_missing_) {
-    // The last round recovered something — the server is alive; a slow
-    // chunked recovery must not burn the budget. Fresh episode.
-    resync_episode_attempts_ = 0;
-    resync_backoff_ = resync_policy_.initial_backoff;
-    resync_exhausted_ = false;
-  }
-  if (resync_episode_attempts_ >= resync_policy_.budget) {
-    if (!resync_exhausted_) {
-      resync_exhausted_ = true;
-      ++resync_give_ups_;
-      if (obs::enabled()) {
-        static obs::Counter& c = obs::MetricRegistry::global().counter(
-            "syncon_monitor_resync_give_ups_total");
-        c.add();
-      }
+std::size_t OnlineMonitor::resync(
+    const OnlineSystem& log, std::size_t chunk,
+    const std::function<void(const WireMessage&)>& feed) {
+  SYNCON_REQUIRE(chunk > 0, "resync chunk must be positive");
+  std::size_t rounds = 0;
+  for (std::size_t missing = missing_report_count(); missing > 0;) {
+    const RetransmitRequest request = gaps_.resync_request(chunk);
+    ++rounds;
+    obs::flight(obs::FlightKind::kResyncRequest, obs::FlightRecord::kNoProcess,
+                request.events.size(), rounds);
+    bool surfaced = false;
+    for (const WireMessage& reply : log.serve(request)) {
+      surfaced = surfaced || !log.is_live(reply.source);
+      feed(reply);
     }
-    return std::nullopt;  // gaps stay PendingGap for good
+    // A surface reply vouches for a reclaimed prefix no reply will replay:
+    // the log's checkpoint forgives it.
+    if (surfaced) adopt_checkpoint(log.checkpoint());
+    const std::size_t after = missing_report_count();
+    if (after >= missing) break;  // the rest cannot be served from `log`
+    missing = after;
   }
-  if (resync_episode_attempts_ > 0 && now < resync_next_at_) {
-    return std::nullopt;  // backing off
-  }
-  ++resync_episode_attempts_;
-  ++resync_attempts_;
-  resync_last_missing_ = missing_now;
-  resync_next_at_ = now + resync_backoff_;
-  resync_backoff_ = std::min(resync_backoff_ * 2, resync_policy_.max_backoff);
-  if (obs::enabled()) {
-    static obs::Counter& c = obs::MetricRegistry::global().counter(
-        "syncon_monitor_resync_attempts_total");
-    c.add();
-  }
-  RetransmitRequest request = gaps_.resync_request(limit);
-  obs::flight(obs::FlightKind::kResyncRequest, obs::FlightRecord::kNoProcess,
-              request.events.size(), resync_episode_attempts_);
-  return request;
+  return rounds;
 }
 
 void OnlineMonitor::checkpoint(const VectorClock& snapshot) {
@@ -486,9 +445,6 @@ std::vector<OnlineMonitor::HealthMetric> OnlineMonitor::health_metrics()
        missing_report_count()},
       {"syncon_monitor_quarantined_reports", "quarantined reports",
        quarantined_},
-      {"syncon_monitor_resync_attempts", "resync attempts", resync_attempts_},
-      {"syncon_monitor_resync_give_ups", "resync budget exhaustions",
-       resync_give_ups_},
       {"syncon_monitor_definite_fires", "definite watch firings",
        definite_fires_},
       {"syncon_monitor_pending_fires", "pending-gap watch firings",

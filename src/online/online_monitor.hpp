@@ -18,11 +18,13 @@
 // a GapTracker over the piggybacked clocks; every watch then fires with a
 // Confidence flag — Definite when the local history explains every clock
 // seen, PendingGap when known-lost predecessor reports may still change
-// the verdict. When recovery (resync_request → OnlineSystem::serve →
-// ingest) closes all gaps, pending watches re-fire Definite with the
-// repaired summaries, converging to the fault-free verdicts. A crash
-// watchdog (mark_crashed / doomed_actions) surfaces open actions that can
-// never complete because their process died.
+// the verdict. When recovery (checkpoint, then resync: rounds of
+// resync_request → OnlineSystem::serve → the caller's feed) closes all
+// gaps, pending watches re-fire Definite with the repaired summaries,
+// converging to the fault-free verdicts; a gap the log cannot serve stays
+// open and its verdicts stay PendingGap. A crash watchdog (mark_crashed /
+// doomed_actions) surfaces open actions that can never complete because
+// their process died.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +103,7 @@ class OnlineMonitor {
   /// Component events folded so far into an open action. In degraded mode
   /// an action can reach its completion point with zero recorded events —
   /// every report lost — and complete() requires at least one; callers
-  /// behind a lossy feed check this and resync (checkpoint + resync_request)
+  /// behind a lossy feed check this and recover (checkpoint + resync)
   /// before completing.
   std::size_t recorded_events(const std::string& label) const;
   /// Summary of a completed action (nullptr otherwise). The pointer, like
@@ -118,8 +120,6 @@ class OnlineMonitor {
 
   /// Completed summaries currently retained.
   std::size_t retained() const;
-  /// Labels currently open, sorted.
-  std::vector<std::string> open_actions() const;
 
   // --- degraded-mode report feed --------------------------------------------
 
@@ -156,7 +156,7 @@ class OnlineMonitor {
   /// Clock-snapshot recovery: an authoritative clock snapshot (e.g. from
   /// OnlineSystem::snapshot(), broadcast periodically) vouches for every
   /// event executed so far, exposing tail losses no later report would
-  /// claim. Closing the resulting gaps goes through the usual resync path.
+  /// claim. resync() then closes the gaps it exposes.
   void checkpoint(const VectorClock& snapshot);
 
   /// Known-lost reports: claimed by some clock seen here, never ingested.
@@ -168,9 +168,8 @@ class OnlineMonitor {
   }
   /// Exact number of known-lost reports, without materializing them.
   std::size_t missing_report_count() const { return gaps_.missing_count(); }
-  /// Retransmit request covering missing_reports(limit) (serve it from the
-  /// authoritative log with OnlineSystem::serve, then ingest/observe the
-  /// replies; repeat while has-gap until recovery completes).
+  /// Retransmit request covering missing_reports(limit). resync() is the
+  /// loop that serves it and feeds the replies back.
   RetransmitRequest resync_request(
       std::size_t limit = std::numeric_limits<std::size_t>::max()) const {
     return gaps_.resync_request(limit);
@@ -181,35 +180,18 @@ class OnlineMonitor {
   /// Duplicate reports suppressed so far.
   std::uint64_t duplicate_reports() const { return duplicate_reports_; }
 
-  /// Retry discipline for the resync loop: attempts against an unresponsive
-  /// server are spaced by exponential backoff and capped by a budget, after
-  /// which the monitor gives up and the open gaps stay PendingGap for good.
-  /// Any recovery progress (the missing-report count dropping between
-  /// attempts) refunds the budget and resets the backoff.
-  struct ResyncPolicy {
-    std::uint32_t budget = 8;          // attempts per no-progress episode
-    std::uint64_t initial_backoff = 1; // ticks between attempts 1 and 2
-    std::uint64_t max_backoff = 64;    // backoff cap, ticks
-  };
-
-  void set_resync_policy(const ResyncPolicy& policy);
-  const ResyncPolicy& resync_policy() const { return resync_policy_; }
-
-  /// Budgeted resync driver: the retransmit request to send now, or nullopt
-  /// when there is no gap, the backoff window has not elapsed, or the budget
-  /// is exhausted (counted in resync_give_ups()). `now` is any monotone
-  /// tick — wall µs, report counts, loop iterations — the same unit as the
-  /// policy's backoff fields.
-  std::optional<RetransmitRequest> next_resync(
-      std::uint64_t now,
-      std::size_t limit = std::numeric_limits<std::size_t>::max());
-
-  /// Attempts next_resync has issued / episodes it has given up on.
-  std::uint64_t resync_attempts() const { return resync_attempts_; }
-  std::uint64_t resync_give_ups() const { return resync_give_ups_; }
-  /// True while the current gap episode's budget is spent (cleared by
-  /// progress or by the gaps closing).
-  bool resync_exhausted() const { return resync_exhausted_; }
+  /// Closes the known gaps from the authoritative `log`, the one resync
+  /// loop. Each round requests up to `chunk` (> 0) missing reports, serves
+  /// them from `log` and hands every reply to `feed`, which routes it
+  /// (observe / ingest, their try_ forms, or a journaling shell). A round
+  /// that got a surface reply (a reclaimed event, !log.is_live) then adopts
+  /// log.checkpoint(), which is how a late joiner crosses the watermark.
+  /// Stops once no report is missing or a round recovered nothing — the
+  /// rest cannot be served, and verdicts across it stay PendingGap. Claim
+  /// the snapshot first (checkpoint()) to expose tail losses. Returns the
+  /// rounds run.
+  std::size_t resync(const OnlineSystem& log, std::size_t chunk,
+                     const std::function<void(const WireMessage&)>& feed);
 
   // --- retention (DESIGN.md §3.10) ------------------------------------------
 
@@ -422,14 +404,6 @@ class OnlineMonitor {
   bool degraded_ = false;
   std::uint64_t duplicate_reports_ = 0;
   std::uint64_t quarantined_ = 0;
-  ResyncPolicy resync_policy_;
-  std::uint32_t resync_episode_attempts_ = 0;
-  std::uint64_t resync_backoff_ = 1;
-  std::uint64_t resync_next_at_ = 0;
-  std::size_t resync_last_missing_ = 0;
-  bool resync_exhausted_ = false;
-  std::uint64_t resync_attempts_ = 0;
-  std::uint64_t resync_give_ups_ = 0;
   std::uint64_t definite_fires_ = 0;
   std::uint64_t pending_fires_ = 0;
   bool firing_ = false;

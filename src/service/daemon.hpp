@@ -130,8 +130,6 @@ class MonitorDaemon {
   /// Publishes aggregate + per-tenant gauges into MetricRegistry::global().
   void publish_metrics() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-
  private:
   struct TenantSession {
     TenantSession(std::size_t processes, std::size_t resync_chunk,

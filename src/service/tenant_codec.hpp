@@ -96,8 +96,6 @@ class TenantFrameEncoder {
   /// generator over many tenants must not accumulate dead codecs).
   void release(std::uint64_t tenant);
 
-  std::size_t open_streams() const { return streams_.size(); }
-
  private:
   struct Stream {
     Stream(std::size_t processes, std::uint32_t full_interval)
@@ -128,8 +126,6 @@ class TenantStreamDecoder {
   /// body fails to parse; the caller quarantines it. A frame that passes
   /// the sequence guard consumes its stream position either way.
   bool decode(const FrameView& frame, TenantOp& op);
-
-  std::uint64_t expected_seq() const { return expected_seq_; }
 
  private:
   LinkDecoder journal_;

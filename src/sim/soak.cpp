@@ -32,6 +32,7 @@ SoakResult run_soak(const SoakConfig& config) {
   SYNCON_REQUIRE(n_proc >= 2, "the soak ring needs at least two processes");
   SYNCON_REQUIRE(config.action_every > 0 && config.recover_every > 0,
                  "soak cadences must be positive");
+  SYNCON_REQUIRE(config.resync_chunk > 0, "resync chunk must be positive");
 
   SoakResult result;
   OnlineSystem sys(n_proc);
@@ -91,13 +92,8 @@ SoakResult run_soak(const SoakConfig& config) {
 
   const auto recover = [&]() {
     monitor.checkpoint(sys.snapshot());
-    while (true) {
-      const RetransmitRequest req =
-          monitor.resync_request(config.resync_chunk);
-      if (req.empty()) break;
-      ++result.resync_rounds;
-      for (const WireMessage& reply : sys.serve(req)) route_report(reply);
-    }
+    result.resync_rounds +=
+        monitor.resync(sys, config.resync_chunk, route_report);
   };
 
   // Head-of-line pair processing: complete the front pairs whose reports
@@ -258,18 +254,10 @@ SoakResult run_soak(const SoakConfig& config) {
     // served from the checkpoint surface.
     OnlineMonitor late(n_proc);
     late.checkpoint(sys.snapshot());
-    std::uint64_t rounds = 0;
-    while (late.missing_report_count() > 0 && rounds < 100000) {
-      ++rounds;
-      const RetransmitRequest req = late.resync_request(config.resync_chunk);
-      for (const WireMessage& reply : sys.serve(req)) {
-        if (reply.source.index <= sys.reclaimed_before(reply.source.process)) {
-          ++result.surface_replies;
-        }
-        late.observe(reply);
-      }
-      late.adopt_checkpoint(sys.checkpoint());
-    }
+    late.resync(sys, config.resync_chunk, [&](const WireMessage& reply) {
+      if (!sys.is_live(reply.source)) ++result.surface_replies;
+      late.observe(reply);
+    });
     result.late_joiner_converged = late.missing_report_count() == 0;
   }
 
@@ -315,7 +303,6 @@ void TenantSessionCore::apply(const TenantOp& op) {
     // and carry on, exactly like the monitor's own wire quarantine.
     ++quarantined_ops_;
   }
-  ++applied_;
 }
 
 void TenantSessionCore::apply_checked(const TenantOp& op) {
@@ -359,24 +346,14 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
       break;
     case TenantOp::Kind::kCheckpoint: {
       monitor_.checkpoint(op.clock);
-      // Local resync loop, served from the replica. The no-progress guard
-      // matters on a degraded stream: if journal frames were quarantined the
-      // replica cannot serve everything the checkpoint claims, and the gaps
-      // must stay open (PendingGap) instead of spinning forever.
-      std::size_t missing = monitor_.missing_report_count();
-      while (missing > 0) {
-        const RetransmitRequest request =
-            monitor_.resync_request(resync_chunk_);
-        if (request.empty()) break;
-        for (const WireMessage& reply : sys_.serve(request)) {
-          const auto it = label_of_.find(reply.source);
-          route_report(it == label_of_.end() ? std::string() : it->second,
-                       reply);
-        }
-        const std::size_t after = monitor_.missing_report_count();
-        if (after >= missing) break;
-        missing = after;
-      }
+      // Served from the replica. On a degraded stream (quarantined journal
+      // frames) the replica cannot serve everything the checkpoint claims;
+      // resync then stops and those gaps stay open (PendingGap).
+      monitor_.resync(sys_, resync_chunk_, [this](const WireMessage& reply) {
+        const auto it = label_of_.find(reply.source);
+        route_report(it == label_of_.end() ? std::string() : it->second,
+                     reply);
+      });
       break;
     }
   }

@@ -42,7 +42,8 @@ struct SoakConfig {
   std::uint64_t recover_every = 32;
   /// Compaction cadence (0 = never compact — the uncompacted baseline).
   std::uint64_t compact_every = 64;
-  /// Per-round cap on resync request size (GapTracker::missing limit).
+  /// Per-round cap on resync request size (OnlineMonitor::resync's chunk;
+  /// must be positive).
   std::size_t resync_chunk = 256;
   /// Cycles before an undelivered application send is re-shipped from
   /// wire_of — the harness-level retransmission that keeps the ring
@@ -198,7 +199,6 @@ class TenantSessionCore {
   std::uint64_t quarantined() const {
     return quarantined_ops_ + monitor_.quarantined();
   }
-  std::uint64_t ops_applied() const { return applied_; }
 
   /// Compacts the replica log at the monitor's retention pin; returns log
   /// entries reclaimed. Safe at any op boundary: the pin keeps every event
@@ -222,7 +222,6 @@ class TenantSessionCore {
   std::unordered_set<std::string> definite_labels_;
   std::vector<std::string> verdicts_;
   std::uint64_t quarantined_ops_ = 0;
-  std::uint64_t applied_ = 0;
 };
 
 /// Generates one tenant's script: a ring + tracked-action-pair workload

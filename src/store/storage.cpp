@@ -59,7 +59,6 @@ void SimStorage::append(const std::string& name,
   Object& obj = objects_[name];
   obj.bytes.insert(obj.bytes.end(), bytes.begin(), bytes.end());
   ++appends_;
-  bytes_written_ += bytes.size();
 }
 
 std::vector<std::uint8_t> SimStorage::read(const std::string& name) const {

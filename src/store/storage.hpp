@@ -107,7 +107,6 @@ class SimStorage : public StorageBackend {
   std::size_t synced_size(const std::string& name) const;
   std::uint64_t appends() const { return appends_; }
   std::uint64_t syncs() const { return syncs_; }
-  std::uint64_t bytes_written() const { return bytes_written_; }
   std::uint64_t crashes() const { return crashes_; }
 
  private:
@@ -124,7 +123,6 @@ class SimStorage : public StorageBackend {
   std::uint64_t rng_state_;
   std::uint64_t appends_ = 0;
   std::uint64_t syncs_ = 0;
-  std::uint64_t bytes_written_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t ops_until_crash_ = 0;  // 0 = disarmed
 };

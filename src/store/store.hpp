@@ -93,10 +93,6 @@ class Store {
   /// The surviving records, consumed once by the owner's replay.
   std::vector<RecoveredRecord> take_records();
 
-  /// True before the first record of a fresh segment: the writer resets its
-  /// clock codec exactly here so segments decode independently.
-  bool at_segment_start() const { return open_records_ == 0; }
-
   /// Sequence number of the segment the next append lands in — writers key
   /// their per-segment codec resets on this (store/durable.hpp).
   std::uint64_t open_segment_seq() const { return segments_.back().seq; }

@@ -25,8 +25,6 @@ class TextTable {
   TextTable& add_cell(double value, int precision = 3);
   TextTable& add_cell(bool value);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders the table with a header rule; every column is padded to its
   /// widest cell.
   void print(std::ostream& os) const;

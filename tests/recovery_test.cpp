@@ -3,7 +3,7 @@
 // ≥15% drop/duplicate/reorder AND its storage suffers torn tails and bit
 // flips, recovers from snapshot + WAL tail, and demands verdicts, clocks
 // and traces bit-identical to an uninterrupted fault-free run. Plus the
-// ingress-hardening (quarantine) and resync retry-budget satellites.
+// ingress-hardening (quarantine) tests and the resync loop's stop rule.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +21,7 @@
 #include "sim/workload.hpp"
 #include "store/durable.hpp"
 #include "store/storage.hpp"
+#include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "support/varint.hpp"
 
@@ -426,134 +427,85 @@ TEST(QuarantineTest, WalReplaySkipsAnOutOfRangeEventSource) {
   }
 }
 
-// --- satellite: resync retry budget + exponential backoff ------------------
+// --- OnlineMonitor::resync: the one gap-closing loop ------------------------
 
-TEST(ResyncBudgetTest, BacksOffExponentiallyAndGivesUpAfterBudget) {
-  OnlineSystem sys(2);
-  OnlineMonitor mon(2);
-  // One gap: process 0's event 1 was dropped; event 2's clock names it.
-  sys.send(0);
-  mon.observe(sys.send(0));
-  OnlineMonitor::ResyncPolicy policy;
-  policy.budget = 3;
-  policy.initial_backoff = 2;
-  policy.max_backoff = 16;
-  mon.set_resync_policy(policy);
-  ASSERT_GT(mon.missing_report_count(), 0u);
-
-  // Attempt 1 fires immediately; the next is gated by backoff 2, then 4.
-  EXPECT_TRUE(mon.next_resync(100).has_value());
-  EXPECT_FALSE(mon.next_resync(101).has_value());  // inside backoff window
-  EXPECT_TRUE(mon.next_resync(102).has_value());   // 100 + 2
-  EXPECT_FALSE(mon.next_resync(105).has_value());  // inside doubled window
-  EXPECT_TRUE(mon.next_resync(106).has_value());   // 102 + 4
-  EXPECT_EQ(mon.resync_attempts(), 3u);
-
-  // Budget spent with no progress: give up (once), stay given-up.
-  EXPECT_FALSE(mon.next_resync(1000).has_value());
-  EXPECT_TRUE(mon.resync_exhausted());
-  EXPECT_EQ(mon.resync_give_ups(), 1u);
-  EXPECT_FALSE(mon.next_resync(2000).has_value());
-  EXPECT_EQ(mon.resync_give_ups(), 1u);
-
-  // A given-up gap is still a gap: an action completed across it reports
-  // PendingGap honestly rather than pretending the verdict is final.
+// Fires one R3(L, U) watch over two single-report actions of process 1 and
+// returns its confidence.
+Confidence watch_confidence(OnlineMonitor& mon, OnlineSystem& sys) {
+  std::optional<Confidence> fired;
   mon.begin("A");
   mon.ingest("A", sys.send(1));
   mon.begin("B");
   mon.ingest("B", sys.send(1));
-  Firing fired;
-  bool any = false;
   mon.watch({Relation::R3, ProxyKind::Begin, ProxyKind::End}, "A", "B",
             [&](const std::string&, const std::string&, bool, Confidence c) {
-              fired.conf = c;
-              any = true;
+              fired = c;
             });
   mon.complete("A");
   mon.complete("B");
-  ASSERT_TRUE(any);
-  EXPECT_EQ(fired.conf, Confidence::PendingGap);
+  EXPECT_TRUE(fired.has_value());
+  return fired.value_or(Confidence::Definite);
 }
 
-TEST(ResyncBudgetTest, ProgressRefundsTheBudgetAndResetsBackoff) {
-  OnlineSystem sys(2);
+TEST(ResyncTest, AGapTheLogCannotServeStaysPendingAfterOneRound) {
+  OnlineSystem app(2);
+  app.send(0);  // its report is lost
   OnlineMonitor mon(2);
-  // Two missing reports on process 0.
-  const WireMessage w3 = [&] {
-    sys.send(0);
-    sys.send(0);
-    return sys.send(0);
-  }();
-  mon.observe(w3);
-  OnlineMonitor::ResyncPolicy policy;
-  policy.budget = 2;
-  policy.initial_backoff = 4;
-  policy.max_backoff = 64;
-  mon.set_resync_policy(policy);
-  ASSERT_EQ(mon.missing_report_count(), 2u);
-
-  EXPECT_TRUE(mon.next_resync(10).has_value());
-  EXPECT_TRUE(mon.next_resync(14).has_value());
-  EXPECT_FALSE(mon.next_resync(200).has_value());  // budget spent
-  EXPECT_TRUE(mon.resync_exhausted());
-
-  // One missing report arrives: progress refunds the budget and resets the
-  // backoff, so the next attempt fires immediately and clears exhaustion.
-  for (const WireMessage& w : sys.serve(mon.resync_request(1))) {
-    mon.observe(w);
-  }
+  mon.observe(app.send(0));  // vouches for the lost one
   ASSERT_EQ(mon.missing_report_count(), 1u);
-  EXPECT_TRUE(mon.next_resync(201).has_value());
-  EXPECT_FALSE(mon.resync_exhausted());
 
-  // Closing the gap entirely resets the episode state.
-  for (const WireMessage& w : sys.serve(mon.resync_request())) {
-    mon.observe(w);
-  }
-  EXPECT_EQ(mon.missing_report_count(), 0u);
-  EXPECT_FALSE(mon.next_resync(300).has_value());
-  EXPECT_FALSE(mon.resync_exhausted());
+  // A log that never executed (0, 1) — a crashed process's, say — answers
+  // nothing: the round recovers nothing and the loop stops there.
+  const OnlineSystem log(2);
+  std::size_t fed = 0;
+  EXPECT_EQ(mon.resync(log, 8, [&](const WireMessage&) { ++fed; }), 1u);
+  EXPECT_EQ(fed, 0u);
+  EXPECT_EQ(mon.missing_report_count(), 1u);
+
+  // The gap is still a gap: a verdict across it stays PendingGap.
+  EXPECT_EQ(watch_confidence(mon, app), Confidence::PendingGap);
 }
 
-TEST(ResyncBudgetTest, DroppedFirstReplyIsRetriedAfterBackoffToDefinite) {
+TEST(ResyncTest, ChunkedRequestsCloseEveryGap) {
   OnlineSystem sys(2);
+  for (int i = 0; i < 4; ++i) sys.send(0);  // four lost reports
   OnlineMonitor mon(2);
-  mon.begin("A");
-  sys.send(0);  // dropped by the link
-  const WireMessage w2 = sys.send(0);
-  mon.ingest("A", w2);
-  ASSERT_EQ(mon.missing_report_count(), 1u);
+  mon.observe(sys.send(0));
+  ASSERT_EQ(mon.missing_report_count(), 4u);
 
-  std::uint64_t now = 50;
-  int served = 0;
-  while (mon.missing_report_count() > 0) {
-    if (const auto request = mon.next_resync(now)) {
-      ++served;
-      if (served > 1) {  // the FIRST resync reply is dropped too
-        for (const WireMessage& w : sys.serve(*request)) mon.ingest("A", w);
-      }
-    }
-    ++now;
-    ASSERT_LT(now, 1000u) << "retry never converged";
-  }
-  EXPECT_GE(mon.resync_attempts(), 2u);
-  EXPECT_EQ(mon.resync_give_ups(), 0u);
+  std::vector<EventId> fed;
+  EXPECT_EQ(mon.resync(sys, 3,
+                       [&](const WireMessage& w) {
+                         fed.push_back(w.source);
+                         mon.observe(w);
+                       }),
+            2u);  // 3 + 1
+  EXPECT_EQ(fed, (std::vector<EventId>{{0, 1}, {0, 2}, {0, 3}, {0, 4}}));
   EXPECT_EQ(mon.missing_report_count(), 0u);
+  EXPECT_EQ(mon.resync(sys, 3, [](const WireMessage&) {}), 0u);
+  EXPECT_EQ(watch_confidence(mon, sys), Confidence::Definite);
+  EXPECT_THROW(mon.resync(sys, 0, [](const WireMessage&) {}),
+               ContractViolation);
+}
 
-  Firing fired;
-  bool any = false;
-  mon.watch({Relation::R3, ProxyKind::Begin, ProxyKind::End}, "A", "A2",
-            [&](const std::string&, const std::string&, bool holds,
-                Confidence conf) {
-              fired = {holds, conf};
-              any = true;
-            });
-  mon.begin("A2");
-  mon.ingest("A2", sys.send(1));
-  mon.complete("A2");
-  mon.complete("A");
-  EXPECT_TRUE(any);
-  EXPECT_EQ(fired.conf, Confidence::Definite);
+TEST(ResyncTest, LateJoinerAdoptsTheSurfaceOfACompactedLog) {
+  OnlineSystem sys(3);
+  for (ProcessId p = 0; p < 3; ++p) {
+    for (int i = 0; i < 3; ++i) sys.deliver((p + 1) % 3, sys.send(p));
+  }
+  sys.compact(sys.snapshot());  // reclaims the whole log
+  ASSERT_EQ(sys.live_log_events(), 0u);
+
+  OnlineMonitor late(3);
+  late.checkpoint(sys.snapshot());
+  ASSERT_GT(late.missing_report_count(), 0u);
+  std::size_t surface = 0;
+  late.resync(sys, 4, [&](const WireMessage& w) {
+    if (!sys.is_live(w.source)) ++surface;
+    late.observe(w);
+  });
+  EXPECT_GE(surface, 1u);
+  EXPECT_EQ(late.missing_report_count(), 0u);
 }
 
 }  // namespace

@@ -440,6 +440,15 @@ TEST(RetentionSoakTest, CompactedFaultyRunKeepsCleanVerdictsAndPlateaus) {
   EXPECT_TRUE(compacted.late_joiner_converged);
 }
 
+TEST(RetentionSoakTest, ZeroResyncChunkIsRejected) {
+  // A zero chunk requests nothing: every gap would stay open and every
+  // verdict PendingGap, so the soak refuses it up front.
+  SoakConfig config;
+  config.cycles = 64;
+  config.resync_chunk = 0;
+  EXPECT_THROW(run_soak(config), ContractViolation);
+}
+
 // ---------------------------------------------------------------------------
 // Compaction meets durability: a crash between compact() and the snapshot
 // becoming durable must recover from the PREVIOUS snapshot plus a longer

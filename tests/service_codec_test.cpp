@@ -271,6 +271,35 @@ TEST(ServiceCodecTest, CrossTenantSpliceCannotCrossStreams) {
   EXPECT_EQ(core_b.quarantined(), 0u);
 }
 
+TEST(ServiceCodecTest, LostJournalEventLeavesTheSessionDegraded) {
+  // A stream that lost one kEvent op: the replica cannot restore that
+  // process's later events (each process's events restore in order), so a
+  // checkpoint's resync cannot serve their lost reports. The session must
+  // stop resyncing and finish with those gaps open — fewer Definite
+  // verdicts, no hang.
+  const TenantScript script = generate_tenant_script(faulty_workload(7));
+  std::size_t lost = script.ops.size() / 2;
+  while (script.ops[lost].kind != TenantOp::Kind::kEvent) ++lost;
+  const ProcessId p = script.ops[lost].event.process;
+
+  TenantSessionCore core(script.processes, script.resync_chunk);
+  std::uint64_t later = 0;
+  for (std::size_t i = 0; i < script.ops.size(); ++i) {
+    if (i == lost) continue;
+    const TenantOp& op = script.ops[i];
+    const std::uint64_t before = core.quarantined();
+    core.apply(op);
+    if (i > lost && op.kind == TenantOp::Kind::kEvent &&
+        op.event.process == p) {
+      EXPECT_EQ(core.quarantined(), before + 1) << "op " << i;
+      ++later;
+    }
+  }
+  EXPECT_GT(later, 0u);
+  EXPECT_GT(core.monitor().missing_report_count(), 0u);
+  EXPECT_LT(core.definite_verdicts().size(), script.reference_verdicts.size());
+}
+
 TEST(ServiceCodecTest, MalformedEventSourceIsQuarantinedWithoutStateDamage) {
   // The decoder does not range-check source processes, so a CRC-clean
   // kEvent frame can name process 7 of a 3-process tenant. The op must be
