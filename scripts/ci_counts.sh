@@ -26,13 +26,15 @@
 # counts repeat exactly for a seed. A changed wire or journal byte count
 # means the codecs no longer write the bytes they wrote before; a changed
 # explore count means the explorer walks a different binding tree. The
-# allocation bounds are the measured 1.952 and 1.126 allocations per op
+# allocation bounds are the measured 1.517 and 0.657 allocations per op
 # plus 0.05. They sit below what a clock, a source vector and a dedup node
 # per logged event cost (2.56 and 2.42): the replica log appends to flat
 # per-process columns, one clock row per change, and its gap trackers keep
 # out-of-order arrivals in one sorted array, so an event allocates only
-# when a column grows. A changed live-log peak means the memory budget
-# compacted different sessions, or at different times.
+# when a column grows; and a report op hands the decoded message to the
+# monitor as it is, with no clock copy (1.952 and 1.126 with one). A
+# changed live-log peak means the memory budget compacted different
+# sessions, or at different times.
 # The sync bound sits below what one sync per frame costs (1 per frame): a
 # pump syncs each tenant with frames in it once (~0.125 per frame here).
 #
@@ -87,14 +89,14 @@ gate service_small '{
   "service.wire_bytes_per_frame": ["==", 18.86481356],
   "service.wire_bytes_per_event": ["==", 43.4775],
   "online.live_events_peak": ["==", 256000],
-  "online.allocs_per_op": ["<", 2.0]
+  "online.allocs_per_op": ["<", 1.57]
 }'
 gate service_durable '{
   "service.wire_bytes_per_frame": ["==", 29.20639717],
   "service.wire_bytes_per_event": ["==", 58.17925379],
   "store.journal_bytes_peak": ["==", 15359323],
   "online.live_events_peak": ["==", 14668],
-  "online.allocs_per_op": ["<", 1.18],
+  "online.allocs_per_op": ["<", 0.71],
   "store.syncs_per_frame": ["<", 0.25]
 }'
 gate explore_4p10m '{

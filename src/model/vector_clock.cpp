@@ -55,12 +55,18 @@ void VectorClock::encode(std::vector<std::uint8_t>& out) const {
 }
 
 VectorClock VectorClock::decode(std::span<const std::uint8_t>& in) {
+  VectorClock clock;
+  clock.decode_from(in);
+  return clock;
+}
+
+void VectorClock::decode_from(std::span<const std::uint8_t>& in) {
   const std::uint64_t n = decode_varint(in);
   // Every component takes at least one byte: bound the wire's count before
   // it sizes a buffer.
   SYNCON_REQUIRE(n <= in.size(), "clock size runs past the encoded bytes");
-  std::vector<ClockValue> values;
-  values.reserve(n);
+  components_.clear();
+  components_.reserve(n);
   constexpr std::int64_t kMax = std::numeric_limits<ClockValue>::max();
   std::int64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -69,9 +75,8 @@ VectorClock VectorClock::decode(std::span<const std::uint8_t>& in) {
     SYNCON_REQUIRE(delta >= -prev && delta <= kMax - prev,
                    "decoded clock component out of range");
     prev += delta;
-    values.push_back(static_cast<ClockValue>(prev));
+    components_.push_back(static_cast<ClockValue>(prev));
   }
-  return VectorClock(std::move(values));
 }
 
 std::ostream& operator<<(std::ostream& os, const VectorClock& vc) {

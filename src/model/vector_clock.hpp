@@ -79,6 +79,13 @@ class VectorClock {
   void encode(std::vector<std::uint8_t>& out) const;
   /// Consumes one encoded clock from the front of `in`.
   static VectorClock decode(std::span<const std::uint8_t>& in);
+  /// decode() into this clock, reusing its storage: no allocation when it
+  /// already held a clock at least as wide. On a throw its components are
+  /// unspecified.
+  void decode_from(std::span<const std::uint8_t>& in);
+
+  /// Size 0, storage kept — a reused decode target refills it in place.
+  void clear() { components_.clear(); }
 
   friend bool operator==(const VectorClock&, const VectorClock&) = default;
 

@@ -72,13 +72,17 @@ void GapTracker::claim(ProcessId q, EventIndex up_to) {
   peers_[q].claimed = std::max(peers_[q].claimed, up_to);
 }
 
-std::vector<EventId> GapTracker::missing(std::size_t limit) const {
+std::vector<EventId> GapTracker::missing(std::size_t limit,
+                                        EventId from) const {
   std::vector<EventId> out;
-  for (ProcessId q = 0; q < peers_.size() && out.size() < limit; ++q) {
+  for (ProcessId q = from.process; q < peers_.size() && out.size() < limit;
+       ++q) {
     const Peer& peer = peers_[q];
     const std::span<const EventIndex> ahead = peer.pending();
-    auto it = ahead.begin();
-    for (EventIndex i = peer.contiguous + 1; i <= peer.claimed; ++i) {
+    EventIndex first = peer.contiguous + 1;
+    if (q == from.process) first = std::max(first, from.index);
+    auto it = std::lower_bound(ahead.begin(), ahead.end(), first);
+    for (EventIndex i = first; i <= peer.claimed; ++i) {
       while (it != ahead.end() && *it < i) ++it;
       if (it != ahead.end() && *it == i) continue;
       out.push_back(EventId{q, i});

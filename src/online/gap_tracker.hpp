@@ -52,9 +52,12 @@ class GapTracker {
   /// predecessors. Empty iff the local history explains every clock seen.
   /// `limit` bounds the enumeration — after a long outage the full hole set
   /// can run to millions of events, and a resync wants to request (and
-  /// allocate) them in chunks, not all at once.
+  /// allocate) them in chunks, not all at once. Only events at or after
+  /// `from` in (process, index) order are listed, so a resync can move on
+  /// past a chunk that could not be served.
   std::vector<EventId> missing(
-      std::size_t limit = std::numeric_limits<std::size_t>::max()) const;
+      std::size_t limit = std::numeric_limits<std::size_t>::max(),
+      EventId from = {0, 0}) const;
   /// Exact |missing()| without materializing it (cheap: O(|P| + reordered
   /// arrivals), not O(holes)).
   std::size_t missing_count() const;

@@ -245,8 +245,19 @@ std::size_t OnlineMonitor::resync(
     const std::function<void(const WireMessage&)>& feed) {
   SYNCON_REQUIRE(chunk > 0, "resync chunk must be positive");
   std::size_t rounds = 0;
-  for (std::size_t missing = missing_report_count(); missing > 0;) {
-    const RetransmitRequest request = gaps_.resync_request(chunk);
+  // Each round asks for the next `chunk` missing reports after the last
+  // round's, wrapping to the first at the end, so reports `log` cannot
+  // serve never hide the ones behind them. `barren` counts the reports
+  // asked for since a round last recovered one: once it reaches the
+  // missing count, a full pass recovered nothing.
+  EventId from{0, 0};
+  std::size_t barren = 0;
+  for (std::size_t missing = missing_report_count(); missing > barren;) {
+    const RetransmitRequest request{gaps_.missing(chunk, from)};
+    if (request.empty()) {
+      from = EventId{0, 0};  // past the last missing report
+      continue;
+    }
     ++rounds;
     obs::flight(obs::FlightKind::kResyncRequest, obs::FlightRecord::kNoProcess,
                 request.events.size(), rounds);
@@ -259,8 +270,10 @@ std::size_t OnlineMonitor::resync(
     // the log's checkpoint forgives it.
     if (surfaced) adopt_checkpoint(log.checkpoint());
     const std::size_t after = missing_report_count();
-    if (after >= missing) break;  // the rest cannot be served from `log`
+    barren = after < missing ? 0 : barren + request.events.size();
     missing = after;
+    const EventId last = request.events.back();
+    from = EventId{last.process, last.index + 1};
   }
   return rounds;
 }

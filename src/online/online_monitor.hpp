@@ -181,15 +181,16 @@ class OnlineMonitor {
   std::uint64_t duplicate_reports() const { return duplicate_reports_; }
 
   /// Closes the known gaps from the authoritative `log`, the one resync
-  /// loop. Each round requests up to `chunk` (> 0) missing reports, serves
-  /// them from `log` and hands every reply to `feed`, which routes it
-  /// (observe / ingest, their try_ forms, or a journaling shell). A round
-  /// that got a surface reply (a reclaimed event, !log.is_live) then adopts
-  /// log.checkpoint(), which is how a late joiner crosses the watermark.
-  /// Stops once no report is missing or a round recovered nothing — the
-  /// rest cannot be served, and verdicts across it stay PendingGap. Claim
-  /// the snapshot first (checkpoint()) to expose tail losses. Returns the
-  /// rounds run.
+  /// loop. Each round requests the next `chunk` (> 0) missing reports after
+  /// the previous round's (wrapping to the first), serves them from `log`
+  /// and hands every reply to `feed`, which routes it (observe / ingest,
+  /// their try_ forms, or a journaling shell). A round that got a surface
+  /// reply (a reclaimed event, !log.is_live) then adopts log.checkpoint(),
+  /// which is how a late joiner crosses the watermark. Stops once no report
+  /// is missing, or once the rounds since the last one that recovered a
+  /// report have asked for every missing report — the rest cannot be
+  /// served, and verdicts across it stay PendingGap. Claim the snapshot
+  /// first (checkpoint()) to expose tail losses. Returns the rounds run.
   std::size_t resync(const OnlineSystem& log, std::size_t chunk,
                      const std::function<void(const WireMessage&)>& feed);
 

@@ -52,6 +52,8 @@ namespace syncon {
 struct WireMessage {
   EventId source;
   VectorClock clock;
+
+  friend bool operator==(const WireMessage&, const WireMessage&) = default;
 };
 
 class OnlineSystem {

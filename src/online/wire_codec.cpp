@@ -36,9 +36,7 @@ void encode_relative(const VectorClock& clock, const VectorClock& base,
   }
 }
 
-VectorClock decode_relative(const VectorClock& base,
-                            std::span<const std::uint8_t>& in) {
-  VectorClock clock = base;
+void decode_relative(std::span<const std::uint8_t>& in, VectorClock& clock) {
   const std::uint64_t changed = decode_varint(in);
   SYNCON_REQUIRE(changed <= clock.size(),
                  "relative clock encoding lists more changes than components");
@@ -57,7 +55,6 @@ VectorClock decode_relative(const VectorClock& base,
                    "decoded clock component out of range");
     clock.set(index, static_cast<ClockValue>(was + delta));
   }
-  return clock;
 }
 
 LinkEncoder::LinkEncoder(std::size_t process_count,
@@ -107,37 +104,42 @@ LinkDecoder::LinkDecoder(std::size_t process_count)
     : last_(process_count, 0) {}
 
 WireMessage LinkDecoder::decode(std::span<const std::uint8_t>& in) {
+  WireMessage message;
+  read(in, message);
+  return message;
+}
+
+void LinkDecoder::read(std::span<const std::uint8_t>& in, WireMessage& out) {
   SYNCON_REQUIRE(!in.empty(), "decoding an empty wire frame");
   const std::uint8_t tag = in.front();
   in = in.subspan(1);
-  WireMessage message;
-  message.source.process = decode_varint_as<ProcessId>(in);
-  message.source.index = decode_varint_as<EventIndex>(in);
+  out.source.process = decode_varint_as<ProcessId>(in);
+  out.source.index = decode_varint_as<EventIndex>(in);
   if (tag == kFull) {
-    message.clock = VectorClock::decode(in);
-    SYNCON_REQUIRE(message.clock.size() == last_.size(),
+    out.clock.decode_from(in);
+    SYNCON_REQUIRE(out.clock.size() == last_.size(),
                    "wire clock size does not match the link's process count");
   } else {
     SYNCON_REQUIRE(tag == kDelta, "unknown wire frame tag");
     SYNCON_REQUIRE(synced_,
                    "delta frame before any full frame on this link — "
                    "request a resync or wait for the next full frame");
-    message.clock = decode_relative(last_, in);
+    out.clock = last_;  // reuses out's storage
+    decode_relative(in, out.clock);
   }
   // Every check has passed: only now does the frame touch codec state.
-  last_ = message.clock;
+  last_ = out.clock;
   synced_ = true;
-  return message;
 }
 
 bool LinkDecoder::try_decode(std::span<const std::uint8_t>& in,
                              WireMessage& out) {
-  // decode() mutates last_/synced_ only after its final contract check
+  // read() mutates last_/synced_ only after its final contract check
   // passes, so catching the violation on a probe cursor leaves both the
   // input span and the codec state exactly as they were.
   std::span<const std::uint8_t> probe = in;
   try {
-    out = decode(probe);
+    read(probe, out);
   } catch (const ContractViolation&) {
     if (obs::enabled()) {
       static obs::Counter& rejected = obs::MetricRegistry::global().counter(

@@ -45,10 +45,10 @@ namespace syncon {
 /// Appends `clock` as a change-list against `base` (same size required).
 void encode_relative(const VectorClock& clock, const VectorClock& base,
                      std::vector<std::uint8_t>& out);
-/// Consumes one change-list from the front of `in`; returns a copy of
-/// `base` with the changes applied.
-VectorClock decode_relative(const VectorClock& base,
-                            std::span<const std::uint8_t>& in);
+/// Consumes one change-list from the front of `in` and applies it to
+/// `clock` in place (holding the base on entry). On a throw `clock` may be
+/// partly changed.
+void decode_relative(std::span<const std::uint8_t>& in, VectorClock& clock);
 
 /// Sender-side half of one directed FIFO link.
 class LinkEncoder {
@@ -81,11 +81,13 @@ class LinkDecoder {
   /// fail the contract check.
   WireMessage decode(std::span<const std::uint8_t>& in);
 
-  /// Fault-hardened decode: consumes one frame iff it parses cleanly with
-  /// the current codec state; on garbage (empty input, unknown tag,
-  /// malformed varints, foreign clock size, delta before sync) returns
-  /// false with `in` and the codec state untouched, so the caller can skip
-  /// or quarantine the bytes and keep the link alive (DESIGN.md §3.12).
+  /// Fault-hardened decode into `out`, in place: consumes one frame iff it
+  /// parses cleanly with the current codec state; on garbage (empty input,
+  /// unknown tag, malformed varints, foreign clock size, delta before sync)
+  /// returns false with `in` and the codec state untouched — `out` is then
+  /// unspecified — so the caller can skip or quarantine the bytes and keep
+  /// the link alive (DESIGN.md §3.12). A delta frame into an `out` that
+  /// already holds a clock of the link's size allocates nothing.
   bool try_decode(std::span<const std::uint8_t>& in, WireMessage& out);
 
   /// Drops codec state; decoding resumes at the next absolute frame.
@@ -93,6 +95,11 @@ class LinkDecoder {
   bool synced() const { return synced_; }
 
  private:
+  /// Parses one frame into `out`, then commits it to the codec state: the
+  /// commit follows the frame's last check, so a throw leaves last_ and
+  /// synced_ as they were.
+  void read(std::span<const std::uint8_t>& in, WireMessage& out);
+
   VectorClock last_;
   bool synced_ = false;
 };

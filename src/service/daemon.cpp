@@ -82,12 +82,11 @@ bool MonitorDaemon::apply_frame(Shard& shard, const FrameView& view) {
     return false;
   }
   TenantSession& session = *it->second;
-  TenantOp op;
-  if (!session.decoder.decode(view, op)) {
+  if (!session.decoder.decode(view, shard.op)) {
     ++session.quarantined_frames;
     return false;
   }
-  session.core.apply(op);
+  session.core.apply(shard.op);
   ++shard.frames_applied;
   const std::size_t live = session.core.system().live_log_events();
   shard.live_log_events = shard.live_log_events - session.live + live;
@@ -167,12 +166,16 @@ void MonitorDaemon::drain(Shard& shard) {
 }
 
 void MonitorDaemon::pump() {
+  // One contiguous block of shards per pool thread, and the pool's fixed
+  // placement runs block b on the same thread every pump: a shard's
+  // sessions stay on one core, and a pump hands off to T - 1 workers, not
+  // to one per shard.
   pool_.parallel_for(
       shards_.size(),
       [this](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) drain(*shards_[s]);
       },
-      shards_.size());
+      std::min(shards_.size(), pool_.thread_count()));
   enforce_memory_budget();
 }
 

@@ -5,15 +5,19 @@
 // Concurrency model: submit() runs on the owner thread and only routes. It
 // reads the envelope's length prefix and tenant varint (peek_route, no CRC)
 // and appends the bytes to its shard's per-pump arena. pump() is a barrier:
-// ThreadPool::parallel_for runs one task per shard, shard s owning exactly
-// the tenants with tenant_id % shards == s. Each task does each frame's
-// work once, in arrival order: the CRC check (peek_frame, the frame's only
-// one), then with a journal the group commit of every clean frame, then
-// decode and apply. One tenant's frames are therefore always applied in
-// order on one thread (delivery determinism survives the fan-out). The
-// arenas need no lock: submit and pump are owner-only, and the
-// parallel_for join is the handoff. Between pumps the sessions are
-// quiescent and the owner may read stats, compact, or publish metrics.
+// ThreadPool::parallel_for splits the shards into min(shards, T) contiguous
+// blocks for a T-thread pool, shard s owning exactly the tenants with
+// tenant_id % shards == s. The pool's placement is fixed — block 0 on the
+// owner, block b ≥ 1 on worker b − 1 — so each shard, and with it each of
+// its sessions, is drained by the same thread on every pump. The task does
+// each frame's work once, in arrival order: the CRC check (peek_frame, the
+// frame's only one), then with a journal the group commit of every clean
+// frame, then decode (into the shard's one reused TenantOp) and apply. One
+// tenant's frames are therefore always applied in order on one thread
+// (delivery determinism survives the fan-out). The arenas need no lock:
+// submit and pump are owner-only, and the parallel_for join is the
+// handoff. Between pumps the sessions are quiescent and the owner may read
+// stats, compact, or publish metrics.
 //
 // Backpressure: a full shard arena rejects the submit (Admission::accepted
 // = false, retry after the next pump) instead of buffering unboundedly —
@@ -154,6 +158,9 @@ class MonitorDaemon {
     std::vector<std::uint64_t> enqueued_us;  // per frame; 0 = telemetry off
     // The shard task's parse of each frame (frame_size 0 = quarantined).
     std::vector<FrameView> views;
+    // Every frame's decode target, reset in place per frame: a clean event
+    // or report frame decodes without allocating.
+    TenantOp op;
     // Owned by this shard's task during pump(), by the owner between pumps
     // (the parallel_for barrier is the handoff). std::map: stats and
     // metrics see tenants in deterministic order.

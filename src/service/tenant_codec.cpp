@@ -154,7 +154,7 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
       encode_string(op.label2, payload);
       break;
     case TenantOp::Kind::kEvent:
-      stream.journal.encode(WireMessage{op.event, op.clock}, payload);
+      stream.journal.encode(op.message, payload);
       encode_varint(op.sources.size(), payload);
       for (const EventId& s : op.sources) {
         encode_varint(s.process, payload);
@@ -164,13 +164,13 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
       encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kReport:
-      stream.report.encode(WireMessage{op.event, op.clock}, payload);
+      stream.report.encode(op.message, payload);
       encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kCheckpoint:
-      encode_varint(op.clock.size(), payload);
-      for (std::size_t i = 0; i < op.clock.size(); ++i) {
-        encode_varint(op.clock.at(i), payload);
+      encode_varint(op.message.clock.size(), payload);
+      for (const ClockValue value : op.message.clock.values()) {
+        encode_varint(value, payload);
       }
       break;
   }
@@ -191,7 +191,16 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
   if (frame.seq != expected_seq_) return false;
   ++expected_seq_;  // in sequence: the stream position is consumed
 
-  op = TenantOp{};
+  // Reset every field in place, keeping the strings', sources' and clock's
+  // storage: a shard decodes each frame into one reused op, so a clean
+  // event or report frame allocates nothing.
+  op.label.clear();
+  op.label2.clear();
+  op.relation = {};
+  op.message.source = {};
+  op.message.clock.clear();
+  op.sources.clear();
+  op.time = OnlineSystem::kNoTime;
   std::span<const std::uint8_t> in = frame.body;
   try {
     switch (frame.kind) {
@@ -199,15 +208,15 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         return false;  // hellos open sessions; they are not ops
       case FrameKind::kBegin:
         op.kind = TenantOp::Kind::kBegin;
-        op.label = decode_string(in);
+        decode_string(in, op.label);
         break;
       case FrameKind::kComplete:
         op.kind = TenantOp::Kind::kComplete;
-        op.label = decode_string(in);
+        decode_string(in, op.label);
         break;
       case FrameKind::kForget:
         op.kind = TenantOp::Kind::kForget;
-        op.label = decode_string(in);
+        decode_string(in, op.label);
         break;
       case FrameKind::kWatch: {
         op.kind = TenantOp::Kind::kWatch;
@@ -220,16 +229,13 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
             "watch frame names an unknown relation");
         op.relation = {static_cast<Relation>(relation),
                        static_cast<ProxyKind>(px), static_cast<ProxyKind>(py)};
-        op.label = decode_string(in);
-        op.label2 = decode_string(in);
+        decode_string(in, op.label);
+        decode_string(in, op.label2);
         break;
       }
       case FrameKind::kEvent: {
         op.kind = TenantOp::Kind::kEvent;
-        WireMessage message;
-        if (!journal_.try_decode(in, message)) return false;
-        op.event = message.source;
-        op.clock = std::move(message.clock);
+        if (!journal_.try_decode(in, op.message)) return false;
         const std::uint64_t n_sources = decode_varint(in);
         SYNCON_REQUIRE(n_sources <= in.size(), "impossible source count");
         op.sources.reserve(static_cast<std::size_t>(n_sources));
@@ -238,16 +244,13 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
           op.sources.push_back({process, decode_varint_as<EventIndex>(in)});
         }
         op.time = decode_signed_varint(in);
-        op.label = decode_string(in);
+        decode_string(in, op.label);
         break;
       }
       case FrameKind::kReport: {
         op.kind = TenantOp::Kind::kReport;
-        WireMessage message;
-        if (!report_.try_decode(in, message)) return false;
-        op.event = message.source;
-        op.clock = std::move(message.clock);
-        op.label = decode_string(in);
+        if (!report_.try_decode(in, op.message)) return false;
+        decode_string(in, op.label);
         break;
       }
       case FrameKind::kCheckpoint: {
@@ -259,7 +262,7 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
           clock.set(static_cast<std::size_t>(i),
                     decode_varint_as<ClockValue>(in));
         }
-        op.clock = std::move(clock);
+        op.message.clock = std::move(clock);
         break;
       }
     }

@@ -335,17 +335,18 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
       break;
     }
     case TenantOp::Kind::kEvent:
-      sys_.restore_event(op.event, op.clock, op.sources, op.time);
+      sys_.restore_event(op.message.source, op.message.clock, op.sources,
+                         op.time);
       if (!op.label.empty()) {
-        label_of_[op.event] = op.label;
-        events_of_label_[op.label].push_back(op.event);
+        label_of_[op.message.source] = op.label;
+        events_of_label_[op.label].push_back(op.message.source);
       }
       break;
     case TenantOp::Kind::kReport:
-      route_report(op.label, WireMessage{op.event, op.clock});
+      route_report(op.label, op.message);
       break;
     case TenantOp::Kind::kCheckpoint: {
-      monitor_.checkpoint(op.clock);
+      monitor_.checkpoint(op.message.clock);
       // Served from the replica. On a degraded stream (quarantined journal
       // frames) the replica cannot serve everything the checkpoint claims;
       // resync then stops and those gaps stay open (PendingGap).
@@ -403,8 +404,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
     TenantOp op;
     op.kind = TenantOp::Kind::kEvent;
     op.label = label;
-    op.event = e;
-    op.clock = sys.clock_of(e).dense();
+    op.message = {e, sys.clock_of(e).dense()};
     const std::span<const EventId> sources = sys.sources_of(e);
     op.sources.assign(sources.begin(), sources.end());
     op.time = sys.time_of(e);
@@ -418,8 +418,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
   const auto emit_report = [&](const WireMessage& r) {
     TenantOp op;
     op.kind = TenantOp::Kind::kReport;
-    op.event = r.source;
-    op.clock = r.clock;
+    op.message = r;
     const auto it = label_of.find(r.source);
     if (it != label_of.end()) op.label = it->second;
     emit(std::move(op));
@@ -436,7 +435,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
   const auto emit_checkpoint = [&]() {
     TenantOp op;
     op.kind = TenantOp::Kind::kCheckpoint;
-    op.clock = sys.snapshot();
+    op.message.clock = sys.snapshot();
     emit(std::move(op));
   };
 

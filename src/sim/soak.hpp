@@ -125,17 +125,18 @@ struct TenantOp {
     kWatch,       ///< watch `relation`(label, label2)
     kComplete,    ///< complete action `label`
     kForget,      ///< forget action `label` (and its event→label routes)
-    kEvent,       ///< journal replay: restore_event(event, clock, sources, time)
-    kReport,      ///< lossy report of `event` (route to `label`, or observe)
-    kCheckpoint,  ///< authoritative snapshot `clock` + resync-to-convergence
+    kEvent,       ///< journal replay: restore_event(message, sources, time)
+    kReport,      ///< lossy report `message` (route to `label`, or observe)
+    kCheckpoint,  ///< authoritative snapshot `message.clock` + resync
   };
 
   Kind kind = Kind::kEvent;
   std::string label;              ///< see Kind (empty = unroutable report)
   std::string label2;             ///< kWatch: the y action
   RelationId relation{};          ///< kWatch
-  EventId event{};                ///< kEvent / kReport
-  VectorClock clock;              ///< kEvent / kReport / kCheckpoint
+  /// kEvent / kReport: the event and its clock, as the link codec decodes
+  /// them and the monitor ingests them; kCheckpoint: the snapshot clock.
+  WireMessage message;
   std::vector<EventId> sources;   ///< kEvent: journaled receive sources
   std::int64_t time = OnlineSystem::kNoTime;  ///< kEvent
 

@@ -26,6 +26,10 @@ void record_task_wait(std::uint64_t wait_us) {
   wait.record(static_cast<double>(wait_us), shard);
 }
 
+// The pool whose worker this thread is (nullptr off the pool): the guard
+// against a worker blocking on its own queue.
+thread_local const ThreadPool* current_pool = nullptr;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t thread_count) {
@@ -34,20 +38,28 @@ ThreadPool::ThreadPool(std::size_t thread_count) {
   }
   workers_.reserve(thread_count);
   for (std::size_t i = 0; i < thread_count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    Worker& worker = *workers_.emplace_back(std::make_unique<Worker>());
+    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    {
+      std::lock_guard<std::mutex> lock(w->mutex);
+      w->stopping = true;
+    }
+    w->wake.notify_one();
   }
-  wake_.notify_all();
-  for (std::thread& w : workers_) w.join();
+  for (const std::unique_ptr<Worker>& w : workers_) w->thread.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  const std::size_t k = next_worker_.fetch_add(1, std::memory_order_relaxed);
+  enqueue(*workers_[k % workers_.size()], std::move(task));
+}
+
+void ThreadPool::enqueue(Worker& worker, std::function<void()> task) {
   SYNCON_REQUIRE(task != nullptr, "submit needs a task");
   if (obs::enabled()) {
     // Wrap to measure queue wait; the extra allocation happens only with
@@ -59,41 +71,51 @@ void ThreadPool::submit(std::function<void()> task) {
     };
   }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SYNCON_REQUIRE(!stopping_, "submit on a stopping pool");
-    queue_.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(worker.mutex);
+    SYNCON_REQUIRE(!worker.stopping, "submit on a stopping pool");
+    worker.queue.push_back(std::move(task));
   }
-  wake_.notify_one();
+  worker.wake.notify_one();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(Worker& worker) {
+  current_pool = this;
+  std::unique_lock<std::mutex> lock(worker.mutex);
   for (;;) {
-    std::function<void()> task;
+    worker.wake.wait(lock, [&] {
+      return worker.stopping || !worker.queue.empty();
+    });
+    if (worker.queue.empty()) return;  // stopping and drained
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
+      const std::function<void()> task = std::move(worker.queue.front());
+      worker.queue.pop_front();
+      worker.busy = true;
+      lock.unlock();
+      task();
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
+    lock.lock();
+    worker.busy = false;
+    if (worker.queue.empty()) worker.idle.notify_all();
   }
 }
 
 void ThreadPool::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  SYNCON_REQUIRE(current_pool != this,
+                 "a worker cannot drain its own pool: it would wait for "
+                 "itself");
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    std::unique_lock<std::mutex> lock(w->mutex);
+    w->idle.wait(lock, [&] { return w->queue.empty() && !w->busy; });
+  }
 }
 
 std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + active_;
+  std::size_t n = 0;
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    std::lock_guard<std::mutex> lock(w->mutex);
+    n += w->queue.size() + (w->busy ? 1 : 0);
+  }
+  return n;
 }
 
 void ThreadPool::parallel_for(
@@ -102,6 +124,9 @@ void ThreadPool::parallel_for(
                              std::size_t end)>& body,
     std::size_t shards) {
   SYNCON_REQUIRE(body != nullptr, "parallel_for needs a body");
+  SYNCON_REQUIRE(current_pool != this,
+                 "a worker cannot run parallel_for on its own pool: a shard "
+                 "could be queued behind the caller itself");
   if (shards == 0) shards = thread_count();
   shards = std::max<std::size_t>(1, std::min(shards, std::max<std::size_t>(count, 1)));
 
@@ -135,8 +160,9 @@ void ThreadPool::parallel_for(
     }
   };
 
+  // Fixed placement: shard s >= 1 always goes to worker (s - 1) mod T.
   for (std::size_t s = 1; s < shards; ++s) {
-    submit([join, run_shard, s] {
+    enqueue(*workers_[(s - 1) % workers_.size()], [join, run_shard, s] {
       try {
         run_shard(s);
       } catch (...) {

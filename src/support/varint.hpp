@@ -90,13 +90,20 @@ inline void encode_string(const std::string& s,
   out.insert(out.end(), s.begin(), s.end());
 }
 
-/// Consumes one encode_string field from the front of `in`.
-inline std::string decode_string(std::span<const std::uint8_t>& in) {
+/// Consumes one encode_string field from the front of `in` into `out`,
+/// reusing its storage.
+inline void decode_string(std::span<const std::uint8_t>& in, std::string& out) {
   const std::uint64_t length = decode_varint(in);
   SYNCON_REQUIRE(length <= in.size(), "string runs past the encoded bytes");
   const auto n = static_cast<std::size_t>(length);
-  std::string s(reinterpret_cast<const char*>(in.data()), n);
+  out.assign(reinterpret_cast<const char*>(in.data()), n);
   in = in.subspan(n);
+}
+
+/// Consumes one encode_string field from the front of `in`.
+inline std::string decode_string(std::span<const std::uint8_t>& in) {
+  std::string s;
+  decode_string(in, s);
   return s;
 }
 

@@ -1,45 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <new>
 
+#include "counting_new.hpp"
 #include "helpers.hpp"
 #include "relations/evaluator.hpp"
 #include "sim/interval_picker.hpp"
 #include "support/contracts.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// Counting allocator hooks for the zero-allocation query test. The whole
-// binary runs through these, nothrow forms included (std::stable_sort's
-// buffer), so every delete frees what malloc gave; the test looks at a delta.
-// GCC cannot see that pairing and would flag each free().
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new(std::size_t size) {
-  if (void* p = ::operator new(size, std::nothrow)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return ::operator new(size, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
 
 namespace syncon {
 namespace {

@@ -6,10 +6,8 @@
 // DES fault stats.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "counting_new.hpp"
 #include "json_checker.hpp"
 #include "model/timestamps.hpp"
 #include "obs/export.hpp"
@@ -33,32 +32,6 @@
 #include "sim/des.hpp"
 #include "sim/faulty_channel.hpp"
 #include "support/contracts.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// Counting allocator hooks for the zero-allocation span tests. The whole
-// binary runs through these; individual tests look at deltas.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
-// every block the deletes below free came from malloc.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace syncon {
 namespace {

@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <new>
 #include <random>
 #include <set>
 
+#include "counting_new.hpp"
 #include "helpers.hpp"
 #include "model/timestamps.hpp"
 #include "nonatomic/cut_timestamps.hpp"
@@ -17,37 +16,6 @@
 #include "online/online_system.hpp"
 #include "relations/naive.hpp"
 #include "support/contracts.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// Counting allocator hooks for the log's allocation bounds. The whole
-// binary runs through these; individual tests look at deltas. They stay
-// out of line, so the compiler never pairs an inlined malloc or free with
-// a new or delete expression.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-[[gnu::noinline]] void* operator new(std::size_t size,
-                                     const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace syncon {
 namespace {

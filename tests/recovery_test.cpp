@@ -488,6 +488,32 @@ TEST(ResyncTest, ChunkedRequestsCloseEveryGap) {
                ContractViolation);
 }
 
+TEST(ResyncTest, ServableGapsBehindAnUnservableChunkClose) {
+  // The monitor misses p0's 4 reports and p1's 3. The log executed only
+  // p1's events, and missing reports are listed process by process, so
+  // the first chunk (p0's) recovers nothing; resync must move on to p1's.
+  OnlineSystem app(2);
+  for (int i = 0; i < 4; ++i) app.local(0);
+  for (int i = 0; i < 3; ++i) app.local(1);
+  OnlineMonitor mon(2);
+  mon.checkpoint(app.snapshot());
+  ASSERT_EQ(mon.missing_report_count(), 7u);
+
+  OnlineSystem log(2);
+  for (int i = 0; i < 3; ++i) log.local(1);
+  std::vector<EventId> fed;
+  const std::size_t rounds = mon.resync(log, 2, [&](const WireMessage& w) {
+    fed.push_back(w.source);
+    mon.try_observe(w);
+  });
+  EXPECT_EQ(fed, (std::vector<EventId>{{1, 1}, {1, 2}, {1, 3}}));
+  EXPECT_EQ(mon.missing_reports(),
+            (std::vector<EventId>{{0, 1}, {0, 2}, {0, 3}, {0, 4}}));
+  // p0's two chunks, p1's two, then a last full pass over p0's recovers
+  // nothing and ends the loop.
+  EXPECT_EQ(rounds, 6u);
+}
+
 TEST(ResyncTest, LateJoinerAdoptsTheSurfaceOfACompactedLog) {
   OnlineSystem sys(3);
   for (ProcessId p = 0; p < 3; ++p) {

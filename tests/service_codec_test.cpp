@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "sim/soak.hpp"
 #include "support/varint.hpp"
 
@@ -95,6 +96,40 @@ TEST(ServiceCodecTest, RoundTripPropertyOverSeeds) {
       ASSERT_EQ(op, script.ops[i - 1]) << "seed " << seed << " op " << i - 1;
     }
   }
+}
+
+TEST(ServiceCodecTest, CleanDeltaFramesDecodeIntoAReusedOpWithoutAllocating) {
+  // The daemon decodes every frame of a shard into one TenantOp. Once the
+  // op has held a clock, a source and a label, a clean delta kEvent or
+  // kReport frame must reuse that storage: reset in place, the link
+  // decoder's clock written over the op's.
+  TenantWorkload workload;
+  workload.cycles = 160;
+  const TenantScript script = generate_tenant_script(workload);
+  TenantFrameEncoder encoder;
+  const auto frames = encode_frames(encoder, 5, script);
+
+  TenantStreamDecoder decoder(script.processes, 0);
+  TenantOp op;
+  constexpr std::size_t kWarmUp = 64;
+  std::size_t counted = 0;
+  std::uint64_t allocations = 0;
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    FrameView view;
+    ASSERT_EQ(service::peek_frame(frames[i], view), PeekStatus::kOk);
+    const bool delta = (view.kind == FrameKind::kEvent ||
+                        view.kind == FrameKind::kReport) &&
+                       view.body.front() == 1;  // the link codec's kDelta
+    const std::uint64_t before = g_allocations.load();
+    ASSERT_TRUE(decoder.decode(view, op)) << "frame " << i;
+    if (delta && i > kWarmUp) {
+      allocations += g_allocations.load() - before;
+      ++counted;
+    }
+    ASSERT_EQ(op, script.ops[i - 1]) << "op " << i - 1;
+  }
+  EXPECT_GE(counted, 1000u);
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(ServiceCodecTest, TruncatedFramesAskForMoreBytes) {
@@ -187,7 +222,7 @@ TEST(ServiceCodecTest, OutOfRangeFieldsAreRejectedNotTruncated) {
     return body;
   };
   ASSERT_TRUE(decodes(FrameKind::kCheckpoint, checkpoint_body(1), op));
-  EXPECT_EQ(op.clock, VectorClock({3, 1}));
+  EXPECT_EQ(op.message.clock, VectorClock({3, 1}));
   EXPECT_FALSE(
       decodes(FrameKind::kCheckpoint, checkpoint_body(kWrapsToOne), op));
 }
@@ -280,7 +315,7 @@ TEST(ServiceCodecTest, LostJournalEventLeavesTheSessionDegraded) {
   const TenantScript script = generate_tenant_script(faulty_workload(7));
   std::size_t lost = script.ops.size() / 2;
   while (script.ops[lost].kind != TenantOp::Kind::kEvent) ++lost;
-  const ProcessId p = script.ops[lost].event.process;
+  const ProcessId p = script.ops[lost].message.source.process;
 
   TenantSessionCore core(script.processes, script.resync_chunk);
   std::uint64_t later = 0;
@@ -290,7 +325,7 @@ TEST(ServiceCodecTest, LostJournalEventLeavesTheSessionDegraded) {
     const std::uint64_t before = core.quarantined();
     core.apply(op);
     if (i > lost && op.kind == TenantOp::Kind::kEvent &&
-        op.event.process == p) {
+        op.message.source.process == p) {
       EXPECT_EQ(core.quarantined(), before + 1) << "op " << i;
       ++later;
     }
@@ -307,8 +342,7 @@ TEST(ServiceCodecTest, MalformedEventSourceIsQuarantinedWithoutStateDamage) {
   TenantSessionCore core(3);
   TenantOp op;
   op.kind = TenantOp::Kind::kEvent;
-  op.event = EventId{0, 1};
-  op.clock = VectorClock({2, 1, 1});
+  op.message = {EventId{0, 1}, VectorClock({2, 1, 1})};
   op.sources = {EventId{1, 1}, EventId{7, 1}};
   core.apply(op);
   EXPECT_EQ(core.quarantined(), 1u);

@@ -112,6 +112,71 @@ TEST(ThreadPoolTest, ParallelForShardingIsStatic) {
   EXPECT_EQ(a[2].second, 100u);
 }
 
+TEST(ThreadPoolTest, ParallelForRunsEachShardOnOneThreadEveryCall) {
+  // Placement is fixed: shard 0 on the caller, shard s >= 1 on worker
+  // (s - 1) mod T, on every call. The daemon's shards rely on it to stay
+  // on one core across pumps. 7 shards over 3 workers puts two or three
+  // shards on each worker.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t shards : {std::size_t{3}, std::size_t{7}}) {
+    std::vector<std::thread::id> first;
+    for (int call = 0; call < 100; ++call) {
+      std::vector<std::thread::id> ran(shards);
+      pool.parallel_for(
+          10 * shards,
+          [&](std::size_t shard, std::size_t, std::size_t) {
+            ran[shard] = std::this_thread::get_id();
+          },
+          shards);
+      if (call == 0) first = ran;
+      ASSERT_EQ(ran, first) << shards << " shards, call " << call;
+    }
+    EXPECT_EQ(first[0], caller);
+    for (std::size_t s = 1; s < shards; ++s) {
+      EXPECT_NE(first[s], caller) << "shard " << s;
+      for (std::size_t t = 1; t < s; ++t) {
+        // Same worker exactly when (s - 1) and (t - 1) agree mod 3.
+        EXPECT_EQ(first[s] == first[t], (s - t) % 3 == 0)
+            << "shards " << t << " and " << s;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, AWorkerCannotWaitOnItsOwnPool) {
+  // A worker's parallel_for or drain could wait on the worker's own queue,
+  // so both are contract violations there instead of a deadlock.
+  ThreadPool pool(2);
+  std::atomic<int> rejected{0};
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&] {
+      try {
+        pool.parallel_for(4, [](std::size_t, std::size_t, std::size_t) {});
+      } catch (const ContractViolation&) {
+        rejected.fetch_add(1);
+      }
+      try {
+        pool.drain();
+      } catch (const ContractViolation&) {
+        rejected.fetch_add(1);
+      }
+    });
+  }
+  pool.drain();
+  EXPECT_EQ(rejected.load(), 4);
+  // Another pool's worker may use this one.
+  ThreadPool outer(1);
+  std::atomic<std::size_t> total{0};
+  outer.submit([&] {
+    pool.parallel_for(8, [&](std::size_t, std::size_t begin, std::size_t end) {
+      total.fetch_add(end - begin);
+    });
+  });
+  outer.drain();
+  EXPECT_EQ(total.load(), 8u);
+}
+
 TEST(ThreadPoolTest, ParallelForHandlesDegenerateShapes) {
   ThreadPool pool(4);
   std::atomic<std::size_t> total{0};
