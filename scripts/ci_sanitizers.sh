@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs the tier-1 test suite under every supported sanitizer configuration:
 #   asan  — address+undefined over the full suite
-#   tsan  — thread over the concurrency + fault + check + clocks + store suites
+#   tsan  — thread over the concurrency + fault + check + clocks + store +
+#           explore suites, then thread_pool_test and service_daemon_test
+#           again, 20 runs each unless one fails: a race in the pool's
+#           fork-join handoff shows up only on some runs
 # Each preset builds into its own binary dir (build-asan / build-tsan), so
 # this composes with (and never dirties) the plain `build` tree.
 #
@@ -18,6 +21,11 @@ run_preset() {
   cmake --build --preset "$preset" -j "$(nproc)"
   echo "=== [$preset] test ==="
   ctest --preset "$preset" -j "$(nproc)"
+  if [ "$preset" = tsan ]; then
+    echo "=== [$preset] repeat the pool's handoff tests ==="
+    ctest --preset tsan -R '^(thread_pool_test|service_daemon_test)$' \
+      --repeat until-fail:20
+  fi
 }
 
 presets=("$@")

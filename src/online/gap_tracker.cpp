@@ -72,8 +72,10 @@ void GapTracker::claim(ProcessId q, EventIndex up_to) {
   peers_[q].claimed = std::max(peers_[q].claimed, up_to);
 }
 
-std::vector<EventId> GapTracker::missing(std::size_t limit,
-                                        EventId from) const {
+std::vector<EventId> GapTracker::missing(
+    std::size_t limit, EventId from, std::span<const EventIndex> upto) const {
+  SYNCON_REQUIRE(upto.empty() || upto.size() == peers_.size(),
+                 "missing: upto needs one bound per process");
   std::vector<EventId> out;
   for (ProcessId q = from.process; q < peers_.size() && out.size() < limit;
        ++q) {
@@ -82,7 +84,8 @@ std::vector<EventId> GapTracker::missing(std::size_t limit,
     EventIndex first = peer.contiguous + 1;
     if (q == from.process) first = std::max(first, from.index);
     auto it = std::lower_bound(ahead.begin(), ahead.end(), first);
-    for (EventIndex i = first; i <= peer.claimed; ++i) {
+    const EventIndex last = peer.last(upto, q);
+    for (EventIndex i = first; i <= last; ++i) {
       while (it != ahead.end() && *it < i) ++it;
       if (it != ahead.end() && *it == i) continue;
       out.push_back(EventId{q, i});
@@ -92,17 +95,21 @@ std::vector<EventId> GapTracker::missing(std::size_t limit,
   return out;
 }
 
-std::size_t GapTracker::missing_count() const {
+std::size_t GapTracker::missing_count(
+    std::span<const EventIndex> upto) const {
+  SYNCON_REQUIRE(upto.empty() || upto.size() == peers_.size(),
+                 "missing_count: upto needs one bound per process");
   std::size_t holes = 0;
-  for (const Peer& peer : peers_) {
-    if (peer.claimed <= peer.contiguous) continue;
-    // Every ahead entry is > contiguous by invariant; the ones <= claimed
-    // are witnessed indices punched out of the claimed range.
+  for (ProcessId q = 0; q < peers_.size(); ++q) {
+    const Peer& peer = peers_[q];
+    const EventIndex last = peer.last(upto, q);
+    if (last <= peer.contiguous) continue;
+    // Every ahead entry is > contiguous by invariant; the ones <= last are
+    // witnessed indices punched out of the range.
     const std::span<const EventIndex> ahead = peer.pending();
     const auto witnessed_in_range = static_cast<std::size_t>(
-        std::upper_bound(ahead.begin(), ahead.end(), peer.claimed) -
-        ahead.begin());
-    holes += (peer.claimed - peer.contiguous) - witnessed_in_range;
+        std::upper_bound(ahead.begin(), ahead.end(), last) - ahead.begin());
+    holes += (last - peer.contiguous) - witnessed_in_range;
   }
   return holes;
 }

@@ -14,6 +14,7 @@
 // sees a peer's sends keeps every one of them out of order.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <span>
 #include <vector>
@@ -54,13 +55,15 @@ class GapTracker {
   /// can run to millions of events, and a resync wants to request (and
   /// allocate) them in chunks, not all at once. Only events at or after
   /// `from` in (process, index) order are listed, so a resync can move on
-  /// past a chunk that could not be served.
+  /// past a chunk. A non-empty `upto` (one entry per process) lists only
+  /// events (q, i) with i ≤ upto[q]: the ones a log that executed upto[q]
+  /// events of q can serve.
   std::vector<EventId> missing(
       std::size_t limit = std::numeric_limits<std::size_t>::max(),
-      EventId from = {0, 0}) const;
-  /// Exact |missing()| without materializing it (cheap: O(|P| + reordered
-  /// arrivals), not O(holes)).
-  std::size_t missing_count() const;
+      EventId from = {0, 0}, std::span<const EventIndex> upto = {}) const;
+  /// Exact |missing(max, {0, 0}, upto)| without materializing it (cheap:
+  /// O(|P| + reordered arrivals), not O(holes)).
+  std::size_t missing_count(std::span<const EventIndex> upto = {}) const;
   bool has_gap() const;
   /// True iff some event of q is claimed but not witnessed.
   bool gap_on(ProcessId q) const;
@@ -102,6 +105,10 @@ class GapTracker {
       return std::span<const EventIndex>(ahead).subspan(head);
     }
     bool pending_has(EventIndex i) const;
+    // The last index missing() may list for this peer under `upto`.
+    EventIndex last(std::span<const EventIndex> upto, ProcessId q) const {
+      return upto.empty() ? claimed : std::min(claimed, upto[q]);
+    }
     // Extends the prefix over the pending entries it reaches.
     void absorb();
   };

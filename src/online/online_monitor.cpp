@@ -245,15 +245,21 @@ std::size_t OnlineMonitor::resync(
     const std::function<void(const WireMessage&)>& feed) {
   SYNCON_REQUIRE(chunk > 0, "resync chunk must be positive");
   std::size_t rounds = 0;
-  // Each round asks for the next `chunk` missing reports after the last
-  // round's, wrapping to the first at the end, so reports `log` cannot
-  // serve never hide the ones behind them. `barren` counts the reports
-  // asked for since a round last recovered one: once it reaches the
-  // missing count, a full pass recovered nothing.
+  if (!gaps_.has_gap()) return rounds;
+  // What `log` serves: a claim far beyond its frontier costs no round.
+  std::vector<EventIndex> servable(process_count_, 0);
+  for (ProcessId q = 0; q < std::min(process_count_, log.process_count());
+       ++q) {
+    servable[q] = log.executed(q);
+  }
+  // Each round asks for the next `chunk` servable missing reports after the
+  // last round's, wrapping to the first at the end. `barren` counts the
+  // reports asked for since a round last recovered one: once it reaches
+  // the servable missing count, a full pass recovered nothing.
   EventId from{0, 0};
   std::size_t barren = 0;
-  for (std::size_t missing = missing_report_count(); missing > barren;) {
-    const RetransmitRequest request{gaps_.missing(chunk, from)};
+  for (std::size_t missing = gaps_.missing_count(servable); missing > barren;) {
+    const RetransmitRequest request{gaps_.missing(chunk, from, servable)};
     if (request.empty()) {
       from = EventId{0, 0};  // past the last missing report
       continue;
@@ -269,7 +275,7 @@ std::size_t OnlineMonitor::resync(
     // A surface reply vouches for a reclaimed prefix no reply will replay:
     // the log's checkpoint forgives it.
     if (surfaced) adopt_checkpoint(log.checkpoint());
-    const std::size_t after = missing_report_count();
+    const std::size_t after = gaps_.missing_count(servable);
     barren = after < missing ? 0 : barren + request.events.size();
     missing = after;
     const EventId last = request.events.back();

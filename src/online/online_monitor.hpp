@@ -21,10 +21,10 @@
 // the verdict. When recovery (checkpoint, then resync: rounds of
 // resync_request → OnlineSystem::serve → the caller's feed) closes all
 // gaps, pending watches re-fire Definite with the repaired summaries,
-// converging to the fault-free verdicts; a gap the log cannot serve stays
-// open and its verdicts stay PendingGap. A crash watchdog (mark_crashed /
-// doomed_actions) surfaces open actions that can never complete because
-// their process died.
+// converging to the fault-free verdicts; a gap the log cannot serve is
+// never requested, stays open, and its verdicts stay PendingGap. A crash
+// watchdog (mark_crashed / doomed_actions) surfaces open actions that can
+// never complete because their process died.
 #pragma once
 
 #include <cstdint>
@@ -181,16 +181,19 @@ class OnlineMonitor {
   std::uint64_t duplicate_reports() const { return duplicate_reports_; }
 
   /// Closes the known gaps from the authoritative `log`, the one resync
-  /// loop. Each round requests the next `chunk` (> 0) missing reports after
-  /// the previous round's (wrapping to the first), serves them from `log`
-  /// and hands every reply to `feed`, which routes it (observe / ingest,
-  /// their try_ forms, or a journaling shell). A round that got a surface
-  /// reply (a reclaimed event, !log.is_live) then adopts log.checkpoint(),
-  /// which is how a late joiner crosses the watermark. Stops once no report
-  /// is missing, or once the rounds since the last one that recovered a
-  /// report have asked for every missing report — the rest cannot be
-  /// served, and verdicts across it stay PendingGap. Claim the snapshot
-  /// first (checkpoint()) to expose tail losses. Returns the rounds run.
+  /// loop. It requests only the missing reports `log` can serve, (q, i)
+  /// with i ≤ log.executed(q): one above the log's frontier (a crashed
+  /// process, quarantined journal frames, a hostile claim) stays missing,
+  /// and verdicts across it PendingGap, without costing a round. Each round
+  /// requests the next `chunk` (> 0) of them after the previous round's
+  /// (wrapping to the first), serves them from `log` and hands every reply
+  /// to `feed`, which routes it (observe / ingest, their try_ forms, or a
+  /// journaling shell). A round that got a surface reply (a reclaimed
+  /// event, !log.is_live) then adopts log.checkpoint(), which is how a late
+  /// joiner crosses the watermark. Stops once no servable report is
+  /// missing, or once the rounds since the last one that recovered a
+  /// report have asked for every servable one. Claim the snapshot first
+  /// (checkpoint()) to expose tail losses. Returns the rounds run.
   std::size_t resync(const OnlineSystem& log, std::size_t chunk,
                      const std::function<void(const WireMessage&)>& feed);
 

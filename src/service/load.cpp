@@ -83,12 +83,10 @@ ServiceLoadResult run_service_load(const ServiceLoadConfig& config,
            active.front().hello_sent &&
            active.front().cursor == active.front().script.ops.size()) {
       const ActiveTenant& done = active.front();
-      if (config.check_identity) {
-        const std::vector<std::string> served = daemon.verdicts(done.id);
-        result.verdicts_total += served.size();
-        if (served != done.script.reference_verdicts) {
-          ++result.identity_mismatches;
-        }
+      const std::vector<std::string> served = daemon.verdicts(done.id);
+      result.verdicts_total += served.size();
+      if (served != done.script.reference_verdicts) {
+        ++result.identity_mismatches;
       }
       ++result.tenants_run;
       encoder.release(done.id);

@@ -25,8 +25,6 @@ struct ServiceLoadConfig {
   /// Per-tenant workload shape; the seed is re-derived per tenant.
   TenantWorkload workload;
   std::uint64_t seed = 1;
-  /// Compare every finished tenant's daemon verdicts to its reference.
-  bool check_identity = true;
   /// Drop a tenant's daemon session once it finished and passed the
   /// identity check (long runs would otherwise hold every session forever).
   bool release_finished = false;

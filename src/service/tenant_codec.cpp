@@ -99,11 +99,6 @@ PeekStatus peek_route(std::span<const std::uint8_t> in, std::uint64_t& tenant,
   return PeekStatus::kOk;
 }
 
-TenantFrameEncoder::TenantFrameEncoder(std::uint32_t full_interval)
-    : full_interval_(full_interval) {
-  SYNCON_REQUIRE(full_interval_ > 0, "full interval must be positive");
-}
-
 TenantFrameEncoder::Stream& TenantFrameEncoder::stream_of(
     std::uint64_t tenant) {
   const auto it = streams_.find(tenant);
@@ -119,7 +114,7 @@ void TenantFrameEncoder::encode_hello(std::uint64_t tenant,
   SYNCON_REQUIRE(processes >= 2, "a tenant needs at least two processes");
   SYNCON_REQUIRE(resync_chunk > 0, "resync chunk must be positive");
   const auto [it, inserted] =
-      streams_.try_emplace(tenant, processes, full_interval_);
+      streams_.try_emplace(tenant, processes);
   SYNCON_REQUIRE(inserted, "hello already sent for this tenant");
 
   std::vector<std::uint8_t> payload;

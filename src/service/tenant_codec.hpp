@@ -82,8 +82,6 @@ PeekStatus peek_route(std::span<const std::uint8_t> in, std::uint64_t& tenant,
 /// the link codecs are sized to).
 class TenantFrameEncoder {
  public:
-  explicit TenantFrameEncoder(std::uint32_t full_interval = 16);
-
   /// Appends tenant's hello envelope (always seq 0 — call once).
   void encode_hello(std::uint64_t tenant, std::size_t processes,
                     std::size_t resync_chunk, std::vector<std::uint8_t>& out);
@@ -98,9 +96,9 @@ class TenantFrameEncoder {
 
  private:
   struct Stream {
-    Stream(std::size_t processes, std::uint32_t full_interval)
-        : journal(processes, full_interval),
-          report(processes, full_interval) {}
+    // The link codecs' default cadence: an absolute clock every 16th frame.
+    explicit Stream(std::size_t processes)
+        : journal(processes), report(processes) {}
     LinkEncoder journal;
     LinkEncoder report;
     std::uint64_t next_seq = 0;
@@ -108,7 +106,6 @@ class TenantFrameEncoder {
 
   Stream& stream_of(std::uint64_t tenant);
 
-  std::uint32_t full_interval_;
   std::unordered_map<std::uint64_t, Stream> streams_;
 };
 

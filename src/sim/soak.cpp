@@ -315,8 +315,6 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
                      [this](const std::string& x, const std::string& y,
                             bool holds, Confidence conf) {
                        if (conf != Confidence::Definite) return;
-                       definite_labels_.insert(x);
-                       definite_labels_.insert(y);
                        verdicts_.push_back(x + "|" + y + "|" +
                                            (holds ? "holds" : "fails"));
                      });
@@ -326,7 +324,6 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
       break;
     case TenantOp::Kind::kForget: {
       monitor_.forget(op.label);
-      definite_labels_.erase(op.label);
       const auto it = events_of_label_.find(op.label);
       if (it != events_of_label_.end()) {
         for (const EventId& e : it->second) label_of_.erase(e);
@@ -349,7 +346,8 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
       monitor_.checkpoint(op.message.clock);
       // Served from the replica. On a degraded stream (quarantined journal
       // frames) the replica cannot serve everything the checkpoint claims;
-      // resync then stops and those gaps stay open (PendingGap).
+      // resync requests only what it holds, and the rest stays open
+      // (PendingGap).
       monitor_.resync(sys_, resync_chunk_, [this](const WireMessage& reply) {
         const auto it = label_of_.find(reply.source);
         route_report(it == label_of_.end() ? std::string() : it->second,
@@ -394,6 +392,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
   std::unordered_map<std::string, std::size_t> expected_events;
   std::deque<PendingPair> pairs;
   std::uint64_t next_pair = 0;
+  std::size_t forgotten = 0;  // pairs popped off the front of `pairs`
 
   const auto emit = [&](TenantOp op) {
     core.apply(op);
@@ -458,8 +457,12 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
       watch.label2 = pair.b;
       emit(std::move(watch));
     }
-    while (!pairs.empty() && pairs.front().completed &&
-           core.definite(pairs.front().a)) {
+    // A pair's watch fires Definite exactly once (its reports are all
+    // folded before it completes; later copies are duplicates), and
+    // Definite firings follow registration order (a closing gap re-fires
+    // the PendingGap watches in list order). So the front pair has fired
+    // once there are more Definite verdicts than forgotten pairs.
+    while (!pairs.empty() && core.definite_verdicts().size() > forgotten) {
       const PendingPair& pair = pairs.front();
       emit_label_op(TenantOp::Kind::kForget, pair.a);
       emit_label_op(TenantOp::Kind::kForget, pair.b);
@@ -467,6 +470,7 @@ TenantScript generate_tenant_script(const TenantWorkload& workload) {
       expected_events.erase(pair.b);
       for (const EventId& e : pair.events) label_of.erase(e);
       pairs.pop_front();
+      ++forgotten;
     }
   };
 

@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "model/execution.hpp"
@@ -190,10 +189,6 @@ class TenantSessionCore {
   const std::vector<std::string>& definite_verdicts() const {
     return verdicts_;
   }
-  /// True once a Definite verdict has fired for the labeled action.
-  bool definite(const std::string& label) const {
-    return definite_labels_.count(label) != 0;
-  }
 
   /// Ops + reports rejected so far (session-level contract catches plus the
   /// monitor's own wire quarantine).
@@ -220,7 +215,6 @@ class TenantSessionCore {
   std::size_t resync_chunk_;
   std::unordered_map<EventId, std::string> label_of_;
   std::unordered_map<std::string, std::vector<EventId>> events_of_label_;
-  std::unordered_set<std::string> definite_labels_;
   std::vector<std::string> verdicts_;
   std::uint64_t quarantined_ops_ = 0;
 };

@@ -1,8 +1,6 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <memory>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -13,195 +11,124 @@ namespace syncon {
 
 namespace {
 
-// Time a submitted task spent queued before a worker picked it up. Called
-// only when obs::enabled() was set at submit time.
-void record_task_wait(std::uint64_t wait_us) {
-  auto& registry = obs::MetricRegistry::global();
-  static obs::Counter& tasks = registry.counter("syncon_pool_tasks_total");
-  static obs::Histogram& wait = registry.histogram(
-      "syncon_pool_task_wait_us",
-      obs::HistogramSpec::exponential(1.0, 65536.0));
-  const std::size_t shard = obs::current_thread_slot();
-  tasks.add(1, shard);
-  wait.record(static_cast<double>(wait_us), shard);
+obs::Histogram& pool_histogram(const char* name) {
+  return obs::MetricRegistry::global().histogram(
+      name, obs::HistogramSpec::exponential(1.0, 65536.0));
 }
 
-// The pool whose worker this thread is (nullptr off the pool): the guard
-// against a worker blocking on its own queue.
-thread_local const ThreadPool* current_pool = nullptr;
+// The pools this thread is inside, innermost first: its own pool if it is
+// a worker, and each pool whose parallel_for it is running shard 0 of. A
+// parallel_for on any of them would wait on this thread.
+struct Inside {
+  const ThreadPool* pool;
+  const Inside* outer;
+};
+thread_local const Inside* innermost = nullptr;
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t thread_count) {
-  if (thread_count == 0) {
-    thread_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    Worker& worker = *workers_.emplace_back(std::make_unique<Worker>());
-    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
+ThreadPool::ThreadPool(std::size_t thread_count)
+    : workers_(thread_count != 0
+                   ? thread_count
+                   : std::max(1u, std::thread::hardware_concurrency())) {
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    workers_[w].thread = std::thread([this, w] { worker_loop(w); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  for (const std::unique_ptr<Worker>& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      w->stopping = true;
-    }
-    w->wake.notify_one();
-  }
-  for (const std::unique_ptr<Worker>& w : workers_) w->thread.join();
+  std::unique_lock<std::mutex> lock(mutex_);
+  stopping_ = true;
+  lock.unlock();
+  for (Worker& w : workers_) w.wake.notify_one();
+  for (Worker& w : workers_) w.thread.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t k = next_worker_.fetch_add(1, std::memory_order_relaxed);
-  enqueue(*workers_[k % workers_.size()], std::move(task));
-}
-
-void ThreadPool::enqueue(Worker& worker, std::function<void()> task) {
-  SYNCON_REQUIRE(task != nullptr, "submit needs a task");
-  if (obs::enabled()) {
-    // Wrap to measure queue wait; the extra allocation happens only with
-    // telemetry on.
-    const std::uint64_t enqueued = obs::now_us();
-    task = [enqueued, inner = std::move(task)] {
-      record_task_wait(obs::now_us() - enqueued);
-      inner();
-    };
-  }
-  {
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    SYNCON_REQUIRE(!worker.stopping, "submit on a stopping pool");
-    worker.queue.push_back(std::move(task));
-  }
-  worker.wake.notify_one();
-}
-
-void ThreadPool::worker_loop(Worker& worker) {
-  current_pool = this;
-  std::unique_lock<std::mutex> lock(worker.mutex);
+void ThreadPool::worker_loop(std::size_t w) {
+  const Inside self{this, nullptr};
+  innermost = &self;
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    worker.wake.wait(lock, [&] {
-      return worker.stopping || !worker.queue.empty();
+    workers_[w].wake.wait(lock, [&] {
+      return stopping_ || (generation_ != seen && w < active_);
     });
-    if (worker.queue.empty()) return;  // stopping and drained
-    {
-      const std::function<void()> task = std::move(worker.queue.front());
-      worker.queue.pop_front();
-      worker.busy = true;
-      lock.unlock();
-      task();
+    if (stopping_) return;
+    seen = generation_;
+    lock.unlock();
+    if (timed_) {
+      static obs::Histogram& wait = pool_histogram("syncon_pool_task_wait_us");
+      wait.record(static_cast<double>(obs::now_us() - published_us_),
+                  obs::current_thread_slot());
+    }
+    for (std::size_t s = w + 1; s < shards_; s += workers_.size()) {
+      run_shard(s);
     }
     lock.lock();
-    worker.busy = false;
-    if (worker.queue.empty()) worker.idle.notify_all();
+    if (--remaining_ == 0) done_.notify_one();
   }
 }
 
-void ThreadPool::drain() {
-  SYNCON_REQUIRE(current_pool != this,
-                 "a worker cannot drain its own pool: it would wait for "
-                 "itself");
-  for (const std::unique_ptr<Worker>& w : workers_) {
-    std::unique_lock<std::mutex> lock(w->mutex);
-    w->idle.wait(lock, [&] { return w->queue.empty() && !w->busy; });
-  }
-}
-
-std::size_t ThreadPool::pending() const {
-  std::size_t n = 0;
-  for (const std::unique_ptr<Worker>& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    n += w->queue.size() + (w->busy ? 1 : 0);
-  }
-  return n;
-}
-
-void ThreadPool::parallel_for(
-    std::size_t count,
-    const std::function<void(std::size_t shard, std::size_t begin,
-                             std::size_t end)>& body,
-    std::size_t shards) {
-  SYNCON_REQUIRE(body != nullptr, "parallel_for needs a body");
-  SYNCON_REQUIRE(current_pool != this,
-                 "a worker cannot run parallel_for on its own pool: a shard "
-                 "could be queued behind the caller itself");
-  if (shards == 0) shards = thread_count();
-  shards = std::max<std::size_t>(1, std::min(shards, std::max<std::size_t>(count, 1)));
-
-  // Per-call join state; shared_ptr so stray workers finishing after an
-  // exception rethrow can never touch a dead frame.
-  struct Join {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr error;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining = shards - 1;
-
-  // With telemetry on, time each shard so the join can report imbalance.
-  // Distinct indices: no synchronization needed beyond the join itself.
-  auto durations =
-      obs::enabled()
-          ? std::make_shared<std::vector<std::uint64_t>>(shards, 0)
-          : nullptr;
-
-  auto run_shard = [count, shards, &body, durations](std::size_t shard) {
-    const std::size_t begin = shard * count / shards;
-    const std::size_t end = (shard + 1) * count / shards;
-    if (durations != nullptr) {
-      const std::uint64_t t0 = obs::now_us();
-      body(shard, begin, end);
-      (*durations)[shard] = obs::now_us() - t0;
-    } else {
-      body(shard, begin, end);
-    }
-  };
-
-  // Fixed placement: shard s >= 1 always goes to worker (s - 1) mod T.
-  for (std::size_t s = 1; s < shards; ++s) {
-    enqueue(*workers_[(s - 1) % workers_.size()], [join, run_shard, s] {
-      try {
-        run_shard(s);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(join->mutex);
-        if (!join->error) join->error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(join->mutex);
-      if (--join->remaining == 0) join->done.notify_all();
-    });
-  }
-
-  // The caller works too: shard 0 runs here.
+void ThreadPool::run_shard(std::size_t shard) {
+  const std::uint64_t t0 = timed_ ? obs::now_us() : 0;
   try {
-    run_shard(0);
+    (*body_)(shard, shard * count_ / shards_, (shard + 1) * count_ / shards_);
   } catch (...) {
-    std::lock_guard<std::mutex> lock(join->mutex);
-    if (!join->error) join->error = std::current_exception();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::current_exception();
   }
+  if (timed_) shard_us_[shard] = obs::now_us() - t0;
+}
 
-  std::unique_lock<std::mutex> lock(join->mutex);
-  join->done.wait(lock, [&] { return join->remaining == 0; });
-  if (join->error) std::rethrow_exception(join->error);
+void ThreadPool::parallel_for(std::size_t count, const Body& body,
+                              std::size_t shards) {
+  SYNCON_REQUIRE(body != nullptr, "parallel_for needs a body");
+  for (const Inside* i = innermost; i != nullptr; i = i->outer) {
+    SYNCON_REQUIRE(i->pool != this,
+                   "parallel_for from inside its own pool (a worker, or the "
+                   "caller's shard): it would wait on itself");
+  }
+  if (shards == 0) shards = thread_count();
+  shards = std::min(shards, std::max<std::size_t>(count, 1));
 
-  if (durations != nullptr) {
+  const std::lock_guard<std::mutex> call(call_mutex_);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    body_ = &body;
+    count_ = count;
+    shards_ = shards;
+    timed_ = obs::enabled();
+    if (timed_) {
+      published_us_ = obs::now_us();
+      shard_us_.assign(shards, 0);
+    }
+    active_ = std::min(shards - 1, workers_.size());
+    remaining_ = active_;
+    ++generation_;
+  }
+  for (std::size_t w = 0; w < active_; ++w) workers_[w].wake.notify_one();
+
+  const Inside self{this, innermost};
+  innermost = &self;
+  run_shard(0);  // catches everything, so innermost is always restored
+  innermost = self.outer;
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_.wait(lock, [&] { return remaining_ == 0; });
+  lock.unlock();
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+
+  if (timed_) {
     // Recorded at the join, in shard order, on the caller's thread:
     // deterministic sample order regardless of worker scheduling.
-    auto& registry = obs::MetricRegistry::global();
-    static obs::Counter& calls =
-        registry.counter("syncon_pool_parallel_for_total");
-    static obs::Histogram& shard_us = registry.histogram(
-        "syncon_pool_shard_us",
-        obs::HistogramSpec::exponential(1.0, 65536.0));
-    static obs::Histogram& imbalance = registry.histogram(
-        "syncon_pool_shard_imbalance_us",
-        obs::HistogramSpec::exponential(1.0, 65536.0));
+    static obs::Counter& calls = obs::MetricRegistry::global().counter(
+        "syncon_pool_parallel_for_total");
+    static obs::Histogram& shard_us = pool_histogram("syncon_pool_shard_us");
+    static obs::Histogram& imbalance =
+        pool_histogram("syncon_pool_shard_imbalance_us");
     calls.add(1);
     const auto [lo, hi] =
-        std::minmax_element(durations->begin(), durations->end());
-    for (const std::uint64_t d : *durations) {
+        std::minmax_element(shard_us_.begin(), shard_us_.end());
+    for (const std::uint64_t d : shard_us_) {
       shard_us.record(static_cast<double>(d));
     }
     imbalance.record(static_cast<double>(*hi - *lo));

@@ -447,18 +447,18 @@ Confidence watch_confidence(OnlineMonitor& mon, OnlineSystem& sys) {
   return fired.value_or(Confidence::Definite);
 }
 
-TEST(ResyncTest, AGapTheLogCannotServeStaysPendingAfterOneRound) {
+TEST(ResyncTest, AGapTheLogCannotServeStaysPendingWithoutARound) {
   OnlineSystem app(2);
   app.send(0);  // its report is lost
   OnlineMonitor mon(2);
   mon.observe(app.send(0));  // vouches for the lost one
   ASSERT_EQ(mon.missing_report_count(), 1u);
 
-  // A log that never executed (0, 1) — a crashed process's, say — answers
-  // nothing: the round recovers nothing and the loop stops there.
+  // A log that never executed (0, 1) — a crashed process's, say — cannot
+  // serve it, so resync never asks.
   const OnlineSystem log(2);
   std::size_t fed = 0;
-  EXPECT_EQ(mon.resync(log, 8, [&](const WireMessage&) { ++fed; }), 1u);
+  EXPECT_EQ(mon.resync(log, 8, [&](const WireMessage&) { ++fed; }), 0u);
   EXPECT_EQ(fed, 0u);
   EXPECT_EQ(mon.missing_report_count(), 1u);
 
@@ -490,8 +490,8 @@ TEST(ResyncTest, ChunkedRequestsCloseEveryGap) {
 
 TEST(ResyncTest, ServableGapsBehindAnUnservableChunkClose) {
   // The monitor misses p0's 4 reports and p1's 3. The log executed only
-  // p1's events, and missing reports are listed process by process, so
-  // the first chunk (p0's) recovers nothing; resync must move on to p1's.
+  // p1's events, and missing reports are listed process by process, so p0's
+  // must not hold up p1's.
   OnlineSystem app(2);
   for (int i = 0; i < 4; ++i) app.local(0);
   for (int i = 0; i < 3; ++i) app.local(1);
@@ -509,9 +509,31 @@ TEST(ResyncTest, ServableGapsBehindAnUnservableChunkClose) {
   EXPECT_EQ(fed, (std::vector<EventId>{{1, 1}, {1, 2}, {1, 3}}));
   EXPECT_EQ(mon.missing_reports(),
             (std::vector<EventId>{{0, 1}, {0, 2}, {0, 3}, {0, 4}}));
-  // p0's two chunks, p1's two, then a last full pass over p0's recovers
-  // nothing and ends the loop.
-  EXPECT_EQ(rounds, 6u);
+  // Only p1's reports are requested: two chunks.
+  EXPECT_EQ(rounds, 2u);
+}
+
+TEST(ResyncTest, ClaimsBeyondTheLogAreNeverRequested) {
+  // A checkpoint claims 2^20 events of p0, but the log executed 3. Only
+  // those are requested, one per round at chunk 1; the rest stay missing
+  // without costing a round (or a request entry) each.
+  constexpr std::size_t kClaimed = std::size_t{1} << 20;
+  OnlineSystem log(2);
+  for (int i = 0; i < 3; ++i) log.local(0);
+  OnlineMonitor mon(2);
+  VectorClock claim(2, 0);
+  claim.set(0, static_cast<ClockValue>(kClaimed + 1));  // counts the dummy
+  mon.checkpoint(claim);
+  ASSERT_EQ(mon.missing_report_count(), kClaimed);
+
+  std::size_t fed = 0;
+  const std::size_t rounds = mon.resync(log, 1, [&](const WireMessage& w) {
+    ++fed;
+    mon.try_observe(w);
+  });
+  EXPECT_EQ(rounds, 3u);
+  EXPECT_EQ(fed, 3u);
+  EXPECT_EQ(mon.missing_report_count(), kClaimed - 3);
 }
 
 TEST(ResyncTest, LateJoinerAdoptsTheSurfaceOfACompactedLog) {

@@ -89,7 +89,6 @@ TEST(ServiceDaemonTest, ShardedLoadPreservesVerdictIdentity) {
   EXPECT_GT(result.total_events, 0u);
   EXPECT_EQ(result.daemon.frames_quarantined, 0u);
   EXPECT_EQ(result.daemon.frames_applied, result.total_frames);
-  pool.drain();
 }
 
 TEST(ServiceDaemonTest, BackpressureRejectsThenConverges) {
@@ -111,7 +110,6 @@ TEST(ServiceDaemonTest, BackpressureRejectsThenConverges) {
   EXPECT_TRUE(result.identity_ok);
   EXPECT_EQ(result.tenants_run, 6u);
   EXPECT_EQ(result.daemon.frames_quarantined, 0u);
-  pool.drain();
 }
 
 TEST(ServiceDaemonTest, MemoryBudgetCompactsWithoutChangingVerdicts) {
@@ -154,7 +152,6 @@ TEST(ServiceDaemonTest, MemoryBudgetCompactsWithoutChangingVerdicts) {
       EXPECT_EQ(result.daemon.compactions, expected.compactions);
       EXPECT_EQ(result.daemon.reclaimed_events, expected.reclaimed_events);
       EXPECT_EQ(result.daemon.live_log_peak, expected.live_log_peak);
-      pool.drain();
     }
   }
 }
@@ -175,7 +172,6 @@ TEST(ServiceDaemonTest, ReleaseDropsFinishedSessions) {
   EXPECT_TRUE(result.identity_ok);
   EXPECT_EQ(daemon.stats().tenants, 0u);
   EXPECT_EQ(daemon.session(0), nullptr);
-  pool.drain();
 }
 
 TEST(ServiceDaemonTest, CorruptFrameDegradesOnlyItsTenant) {
@@ -229,7 +225,6 @@ TEST(ServiceDaemonTest, CorruptFrameDegradesOnlyItsTenant) {
   // The damaged frame, the rerouted copy, and tenant 0's later frames.
   EXPECT_EQ(stats.frames_quarantined, frames_a.size() - corrupt_at + 1);
   EXPECT_EQ(stats.tenants, 2u);
-  pool.drain();
 }
 
 TEST(ServiceDaemonTest, ReplayedFrameIsQuarantinedNotReapplied) {
@@ -259,7 +254,6 @@ TEST(ServiceDaemonTest, ReplayedFrameIsQuarantinedNotReapplied) {
   // the verdict log is exactly the reference despite the replays.
   EXPECT_EQ(daemon.verdicts(0), script.reference_verdicts);
   EXPECT_EQ(daemon.stats().frames_quarantined, replays);
-  pool.drain();
 }
 
 // A CRC-clean report frame whose clock claims 2^62 components is a
@@ -291,7 +285,61 @@ TEST(ServiceDaemonTest, ImpossibleClockSizeIsQuarantined) {
 
   EXPECT_EQ(daemon.stats().frames_quarantined, 1u);
   EXPECT_EQ(daemon.stats().tenants, 1u);
-  pool.drain();
+}
+
+// A CRC-clean checkpoint may claim far more events than its tenant's
+// journal ever held, behind a hello whose resync chunk is as large. Resync
+// requests only what the replica holds, so the claim stays in its tenant:
+// the pump returns, the clean tenants' verdicts are their references, and
+// the claimed events stay missing.
+TEST(ServiceDaemonTest, HostileCheckpointClaimStaysInItsTenant) {
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 2;
+  MonitorDaemon daemon(options, pool);
+
+  TenantWorkload workload = faulty_workload();
+  workload.seed = 41;
+  const TenantScript clean_a = generate_tenant_script(workload);
+  workload.seed = 43;
+  const TenantScript clean_b = generate_tenant_script(workload);
+  workload.seed = 47;
+  const TenantScript hostile = generate_tenant_script(workload);
+  TenantFrameEncoder encoder;
+  const auto frames_a = encode_frames(encoder, 0, clean_a);
+  const auto frames_b = encode_frames(encoder, 1, clean_b);
+
+  // Tenant 2 (tenant 0's shard): half of a real script, then the claim.
+  std::vector<std::vector<std::uint8_t>> frames_h(1);
+  encoder.encode_hello(2, hostile.processes, std::size_t{1} << 40,
+                       frames_h.back());
+  for (std::size_t i = 0; i < hostile.ops.size() / 2; ++i) {
+    frames_h.emplace_back();
+    encoder.encode_op(2, hostile.ops[i], frames_h.back());
+  }
+  TenantOp claim;
+  claim.kind = TenantOp::Kind::kCheckpoint;
+  claim.message.clock =
+      VectorClock(hostile.processes, ClockValue{1} << 31);
+  frames_h.emplace_back();
+  encoder.encode_op(2, claim, frames_h.back());
+
+  const std::size_t n =
+      std::max({frames_a.size(), frames_b.size(), frames_h.size()});
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < frames_h.size()) submit_or_pump(daemon, frames_h[i]);
+    if (i < frames_a.size()) submit_or_pump(daemon, frames_a[i]);
+    if (i < frames_b.size()) submit_or_pump(daemon, frames_b[i]);
+  }
+  daemon.pump();
+
+  EXPECT_EQ(daemon.verdicts(0), clean_a.reference_verdicts);
+  EXPECT_EQ(daemon.verdicts(1), clean_b.reference_verdicts);
+  EXPECT_EQ(daemon.stats().frames_quarantined, 0u);
+  const TenantSessionCore* session = daemon.session(2);
+  ASSERT_NE(session, nullptr);
+  EXPECT_GT(session->monitor().missing_report_count(),
+            std::size_t{1} << 31);
 }
 
 // A CRC-clean hello asking for more processes than a session may hold is
@@ -310,7 +358,6 @@ TEST(ServiceDaemonTest, OversizedHelloIsQuarantined) {
 
   EXPECT_EQ(daemon.stats().frames_quarantined, 1u);
   EXPECT_EQ(daemon.stats().tenants, 0u);
-  pool.drain();
 }
 
 TEST(ServiceDaemonTest, JournalRecoveryRebuildsEverySession) {
@@ -342,7 +389,6 @@ TEST(ServiceDaemonTest, JournalRecoveryRebuildsEverySession) {
   for (std::uint64_t t = 0; t < 6; ++t) {
     EXPECT_EQ(recovered.verdicts(t), expected[t]) << "tenant " << t;
   }
-  pool.drain();
 }
 
 // The journal contract: submit() only routes, so an accepted frame reaches
@@ -418,7 +464,6 @@ TEST(ServiceDaemonTest, PumpedFramesAreDurableWithOneSyncPerTenant) {
   }
   EXPECT_GT(verdicts, 0u);
   EXPECT_EQ(recovered.stats().frames_quarantined, 0u);
-  pool.drain();
 }
 
 // A journal failure is a crash point: pump() rethrows it, the failing
@@ -466,7 +511,6 @@ TEST(ServiceDaemonTest, JournalFailureAppliesNothingAndRethrows) {
   for (std::uint64_t t = 0; t < 2; ++t) {
     EXPECT_EQ(recovered.verdicts(t), daemon.verdicts(t)) << "tenant " << t;
   }
-  pool.drain();
 }
 
 TEST(ServiceDaemonTest, PublishMetricsExportsAggregateGauges) {
@@ -494,7 +538,6 @@ TEST(ServiceDaemonTest, PublishMetricsExportsAggregateGauges) {
             result.daemon.frames_applied);
   EXPECT_NE(snapshot.find("syncon_service_tenant_live_log{tenant=\"0\"}"),
             nullptr);
-  pool.drain();
 }
 
 }  // namespace

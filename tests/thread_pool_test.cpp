@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <numeric>
+#include <functional>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "counting_new.hpp"
+#include "obs/telemetry.hpp"
 #include "support/contracts.hpp"
 
 namespace syncon {
@@ -20,61 +22,6 @@ TEST(ThreadPoolTest, SizedToRequestOrHardware) {
   ThreadPool defaulted;
   EXPECT_GE(defaulted.thread_count(), 1u);
   EXPECT_GE(ThreadPool::shared().thread_count(), 1u);
-}
-
-TEST(ThreadPoolTest, SubmitRunsTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  std::atomic<int> remaining{50};
-  std::mutex m;
-  std::condition_variable done;
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] {
-      ran.fetch_add(1);
-      std::lock_guard<std::mutex> lock(m);
-      if (--remaining == 0) done.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(m);
-  done.wait(lock, [&] { return remaining.load() == 0; });
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, DrainWaitsForQueuedAndRunningTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  // Slow head tasks keep workers busy so later submissions are still queued
-  // when drain starts — drain must cover both.
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      ran.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 40; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  pool.drain();
-  EXPECT_EQ(ran.load(), 42);
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-TEST(ThreadPoolTest, DrainOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.drain();  // nothing queued: must not block
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-TEST(ThreadPoolTest, DrainIsReusableAcrossBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 25; ++i) {
-      pool.submit([&] { ran.fetch_add(1); });
-    }
-    pool.drain();
-    EXPECT_EQ(ran.load(), (batch + 1) * 25);
-  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEachIndexExactlyOnce) {
@@ -145,36 +92,126 @@ TEST(ThreadPoolTest, ParallelForRunsEachShardOnOneThreadEveryCall) {
 }
 
 TEST(ThreadPoolTest, AWorkerCannotWaitOnItsOwnPool) {
-  // A worker's parallel_for or drain could wait on the worker's own queue,
-  // so both are contract violations there instead of a deadlock.
+  // A worker's parallel_for on its own pool would wait on the worker
+  // itself, so it is a contract violation there instead of a deadlock.
   ThreadPool pool(2);
   std::atomic<int> rejected{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
-      try {
-        pool.parallel_for(4, [](std::size_t, std::size_t, std::size_t) {});
-      } catch (const ContractViolation&) {
-        rejected.fetch_add(1);
-      }
-      try {
-        pool.drain();
-      } catch (const ContractViolation&) {
-        rejected.fetch_add(1);
-      }
-    });
-  }
-  pool.drain();
-  EXPECT_EQ(rejected.load(), 4);
+  pool.parallel_for(
+      3,
+      [&](std::size_t shard, std::size_t, std::size_t) {
+        if (shard == 0) return;  // the caller's shard: see the next test
+        try {
+          pool.parallel_for(4, [](std::size_t, std::size_t, std::size_t) {});
+        } catch (const ContractViolation&) {
+          rejected.fetch_add(1);
+        }
+      },
+      3);
+  EXPECT_EQ(rejected.load(), 2);
   // Another pool's worker may use this one.
   ThreadPool outer(1);
   std::atomic<std::size_t> total{0};
-  outer.submit([&] {
-    pool.parallel_for(8, [&](std::size_t, std::size_t begin, std::size_t end) {
-      total.fetch_add(end - begin);
-    });
-  });
-  outer.drain();
+  outer.parallel_for(
+      2,
+      [&](std::size_t shard, std::size_t, std::size_t) {
+        if (shard == 0) return;
+        pool.parallel_for(8, [&](std::size_t, std::size_t begin,
+                                 std::size_t end) {
+          total.fetch_add(end - begin);
+        });
+      },
+      2);
   EXPECT_EQ(total.load(), 8u);
+}
+
+TEST(ThreadPoolTest, NestedCallFromTheCallersShardIsRejected) {
+  // Shard 0 runs on the caller while it holds the pool for the call, so a
+  // nested call there would wait on itself; inside another pool's call it
+  // is fine.
+  ThreadPool pool(2);
+  ThreadPool other(1);
+  int rejected = 0;
+  std::atomic<std::size_t> total{0};
+  const auto count = [&](std::size_t, std::size_t begin, std::size_t end) {
+    total.fetch_add(end - begin);
+  };
+  pool.parallel_for(
+      3,
+      [&](std::size_t shard, std::size_t, std::size_t) {
+        if (shard != 0) return;
+        try {
+          pool.parallel_for(4, count);
+        } catch (const ContractViolation&) {
+          ++rejected;
+        }
+        other.parallel_for(5, count);
+        // A pool the caller entered further out is still rejected.
+        other.parallel_for(1, [&](std::size_t, std::size_t, std::size_t) {
+          EXPECT_THROW(pool.parallel_for(4, count), ContractViolation);
+        });
+      },
+      3);
+  EXPECT_EQ(rejected, 1);
+  EXPECT_EQ(total.load(), 5u);
+  // The caller left the pool: it may call it again.
+  pool.parallel_for(6, count);
+  EXPECT_EQ(total.load(), 11u);
+}
+
+TEST(ThreadPoolTest, ConcurrentOwnersAreSerialized) {
+  // Two owner threads share one pool: each call still covers its indices
+  // exactly once, and no shard of one owner's call runs while a shard of
+  // the other's does.
+  ThreadPool pool(3);
+  constexpr std::size_t kCount = 64;
+  std::atomic<int> running[2] = {0, 0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> miscounted{0};
+  std::latch start(2);
+  const auto owner = [&](int me) {
+    start.arrive_and_wait();
+    for (int call = 0; call < 200; ++call) {
+      std::vector<std::atomic<int>> hits(kCount);
+      pool.parallel_for(
+          kCount,
+          [&](std::size_t, std::size_t begin, std::size_t end) {
+            running[me].fetch_add(1);
+            for (std::size_t i = begin; i < end; ++i) {
+              hits[i].fetch_add(1);
+              std::this_thread::yield();  // widen the window for overlaps
+            }
+            if (running[1 - me].load() != 0) overlaps.fetch_add(1);
+            running[me].fetch_sub(1);
+          },
+          4);
+      for (const std::atomic<int>& h : hits) {
+        if (h.load() != 1) miscounted.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(owner, 0);
+  std::thread b(owner, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(miscounted.load(), 0);
+}
+
+TEST(ThreadPoolTest, ParallelForAllocatesNothingPerCall) {
+  // The handoff publishes one job and joins on one counter: no task
+  // objects, no per-call join state (telemetry off).
+  obs::set_enabled(false);
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  const std::function<void(std::size_t, std::size_t, std::size_t)> body =
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        total.fetch_add(end - begin);
+      };
+  for (int call = 0; call < 10; ++call) pool.parallel_for(100, body, 4);
+  const std::uint64_t before = g_allocations.load();
+  for (int call = 0; call < 1000; ++call) pool.parallel_for(100, body, 4);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(total.load(), 1010u * 100u);
 }
 
 TEST(ThreadPoolTest, ParallelForHandlesDegenerateShapes) {
@@ -209,7 +246,6 @@ TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
 
 TEST(ThreadPoolTest, RejectsNullWork) {
   ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), ContractViolation);
   EXPECT_THROW(pool.parallel_for(4, nullptr), ContractViolation);
 }
 

@@ -38,7 +38,6 @@
 #include "sim/soak.hpp"
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
-#include "support/thread_pool.hpp"
 
 using namespace syncon;
 
@@ -226,10 +225,6 @@ int main(int argc, char** argv) try {
       if (!server.serve_once(1000)) continue;
     }
   }
-
-  // Let shared-pool work (batch evaluation spill-over) retire before static
-  // destruction starts tearing down the registries it records into.
-  ThreadPool::shared().drain();
 
   return status;
 } catch (const ContractViolation& e) {

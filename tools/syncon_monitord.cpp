@@ -199,9 +199,6 @@ int main(int argc, char** argv) try {
     std::printf("wrote stats JSON to %s\n", cli.get("stats-json").c_str());
   }
 
-  // Let in-flight pool work retire before global teardown orders race.
-  pool.drain();
-
   if (!result.identity_ok) {
     std::fprintf(stderr, "IDENTITY FAILURE: %llu tenant(s) diverged\n",
                  static_cast<unsigned long long>(result.identity_mismatches));
