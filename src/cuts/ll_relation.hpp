@@ -10,10 +10,10 @@
 // event of an *event-less* process (always true for the ↓-style cuts the
 // theory applies them to); tests pin down the degenerate divergence.
 //
-// theorem19_violated is the probe the fast evaluator (relations/fast.hpp)
-// runs over the C1–C4 cut timestamps (nonatomic/cut_timestamps.hpp): it
-// reads single VectorClock components, one counted comparison per probed
-// node.
+// theorem19_violated is the Theorem 19 probe over two standalone cut
+// timestamps (nonatomic/cut_timestamps.hpp): it reads single VectorClock
+// components, one counted comparison per probed node. The fast evaluator
+// (relations/fast.hpp) runs the same test inline over borrowed cut arrays.
 #pragma once
 
 #include <cstdint>

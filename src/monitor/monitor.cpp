@@ -71,32 +71,27 @@ std::vector<std::pair<SyncMonitor::Handle, SyncMonitor::Handle>>
 SyncMonitor::find_pairs(const SyncCondition& condition,
                         QueryCost* cost) const {
   const std::vector<Handle> hs = eval_->handles();
-  std::vector<std::pair<Handle, Handle>> pairs;
-  pairs.reserve(hs.size() * hs.size());
-  for (const Handle& x : hs) {
-    for (const Handle& y : hs) {
-      if (x != y) pairs.emplace_back(x, y);
-    }
-  }
+  const std::size_t n = hs.size();
+  const std::size_t count = ordered_pair_count(n);
 
   const std::size_t shards =
       pool_ == nullptr ? 1 : std::min(pool_->thread_count(),
-                                      std::max<std::size_t>(pairs.size(), 1));
+                                      std::max<std::size_t>(count, 1));
   std::vector<std::vector<std::pair<Handle, Handle>>> matched(shards);
   std::vector<QueryCost> shard_costs(shards);
   auto run_range = [&](std::size_t shard, std::size_t begin,
                        std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [x, y] = pairs[i];
-      if (condition.evaluate(*eval_, x, y, &shard_costs[shard])) {
-        matched[shard].emplace_back(x, y);
-      }
-    }
+    for_each_ordered_pair(
+        n, begin, end, [&](std::size_t, std::size_t x, std::size_t y) {
+          if (condition.evaluate(*eval_, hs[x], hs[y], &shard_costs[shard])) {
+            matched[shard].emplace_back(hs[x], hs[y]);
+          }
+        });
   };
   if (shards == 1) {
-    run_range(0, 0, pairs.size());
+    run_range(0, 0, count);
   } else {
-    pool_->parallel_for(pairs.size(), run_range, shards);
+    pool_->parallel_for(count, run_range, shards);
   }
 
   // Concatenate in shard order: shards are contiguous x-major ranges, so

@@ -6,16 +6,21 @@
 //   C3(X) = ∩⇑X = ∩_{x∈X} x↑   — future started by some x  (min of T(x↑))
 //   C4(X) = ∪⇑X = ∪_{x∈X} x↑   — future started by all x   (max of T(x↑))
 //
-// EventCuts computes all four timestamps once per nonatomic event (Key Idea
-// 1) touching only the per-node extreme elements of X (the end-of-§2.3
-// optimization: the min is attained at per-node least events, the max at
-// per-node greatest events), i.e. |N_X| event timestamps per cut instead of
-// |X|. It folds the stored stamp rows in place — a row-wide min or max, then
-// the owner's component from the view, since a shared row's owner slot is
-// stale — and applies the uniform +1 that turns F(x) into the e↑ cut counts
-// once at the end (min and max commute with adding the same constant to
-// every component).
+// compute_cut_counts computes all four timestamps once per nonatomic event
+// (Key Idea 1) touching only the per-node extreme elements of X (the
+// end-of-§2.3 optimization: the min is attained at per-node least events,
+// the max at per-node greatest events), i.e. |N_X| event timestamps per cut
+// instead of |X|. It folds the stored stamp rows in place — a row-wide min
+// or max, then the owner's component from the view, since a shared row's
+// owner slot is stale — and applies the uniform +1 that turns F(x) into the
+// e↑ cut counts once at the end (min and max commute with adding the same
+// constant to every component). EventCuts owns one event's four cuts;
+// RelationEvaluator writes its registered proxies' cuts into one block per
+// interval with the same fold.
 #pragma once
+
+#include <array>
+#include <span>
 
 #include "cuts/cut.hpp"
 #include "model/timestamps.hpp"
@@ -34,6 +39,36 @@ enum class PosetCut {
 };
 
 const char* to_string(PosetCut which);
+
+/// One nonatomic event as the Theorem 19/20 probe reads it
+/// (relations/fast.hpp): its four cut timestamps, |P| components each, and
+/// its node spans. The probe's per-node tests read each node's least and
+/// greatest member through the span members `least` and `greatest` name, so
+/// a Defn 2 proxy, which has one event per node, is read through its
+/// interval's own spans by naming the member it keeps (proxy_end) for both.
+/// Borrowed: the EventCuts or RelationEvaluator that made it must outlive
+/// it.
+struct CutsView {
+  using NodeSpan = NonatomicEvent::NodeSpan;
+
+  std::span<const ClockValue> intersect_past;    // C1 = ∩⇓X
+  std::span<const ClockValue> union_past;        // C2 = ∪⇓X
+  std::span<const ClockValue> intersect_future;  // C3 = ∩⇑X
+  std::span<const ClockValue> union_future;      // C4 = ∪⇑X
+  std::span<const NodeSpan> spans;
+  EventIndex NodeSpan::*least = &NodeSpan::least;
+  EventIndex NodeSpan::*greatest = &NodeSpan::greatest;
+};
+
+/// Writes T(C1)..T(C4) (Corollary 17) of the event with the given node
+/// spans, each node's least and greatest member read as in CutsView, to
+/// out[0..3], |P| values each. `spans` must be non-empty and name real
+/// events of ts's execution. O(|N_X| · |P|).
+void compute_cut_counts(
+    const Timestamps& ts, std::span<const NonatomicEvent::NodeSpan> spans,
+    EventIndex NonatomicEvent::NodeSpan::*least,
+    EventIndex NonatomicEvent::NodeSpan::*greatest,
+    const std::array<ClockValue*, 4>& out);
 
 /// The cached cut timestamps of one nonatomic event. Construction costs
 /// O(|N_X| · |P|) and is reused across every relation evaluation involving
@@ -60,6 +95,12 @@ class EventCuts {
   const VectorClock& union_past() const { return c_[1]; }       // ∪⇓X
   const VectorClock& intersect_future() const { return c_[2]; } // ∩⇑X
   const VectorClock& union_future() const { return c_[3]; }     // ∪⇑X
+
+  /// The probe's view of these cuts and the event's spans.
+  CutsView view() const {
+    return CutsView{c_[0].values(), c_[1].values(), c_[2].values(),
+                    c_[3].values(), event_->spans()};
+  }
 
  private:
   const Timestamps* ts_;

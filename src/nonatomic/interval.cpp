@@ -55,12 +55,10 @@ EventId NonatomicEvent::greatest_on(ProcessId p) const {
 }
 
 NonatomicEvent NonatomicEvent::proxy_per_node(ProxyKind kind) const {
+  const EventIndex NodeSpan::*end = proxy_end(kind);
   std::vector<EventId> proxy;
   proxy.reserve(nodes_.size());
-  for (const NodeSpan& s : spans_) {
-    proxy.push_back(
-        EventId{s.process, kind == ProxyKind::Begin ? s.least : s.greatest});
-  }
+  for (const NodeSpan& s : spans_) proxy.push_back(EventId{s.process, s.*end});
   std::string name = label_.empty() ? std::string("X") : label_;
   return NonatomicEvent(*exec_, std::move(proxy),
                         std::string(to_string(kind)) + "(" + name + ")");
@@ -72,15 +70,13 @@ std::optional<NonatomicEvent> NonatomicEvent::proxy_global(
                  "timestamps belong to a different execution");
   // Only the per-node extrema can be global extrema; check each against
   // every other extremum (an event ⪯ all per-node least events is ⪯ all X).
+  const EventIndex NodeSpan::*end = proxy_end(kind);
   std::vector<EventId> result;
   for (const NodeSpan& s : spans_) {
-    const EventId candidate{
-        s.process, kind == ProxyKind::Begin ? s.least : s.greatest};
+    const EventId candidate{s.process, s.*end};
     bool extremal = true;
     for (const NodeSpan& other : spans_) {
-      const EventId bound{other.process, kind == ProxyKind::Begin
-                                             ? other.least
-                                             : other.greatest};
+      const EventId bound{other.process, other.*end};
       const bool ok = kind == ProxyKind::Begin ? ts.leq(candidate, bound)
                                                : ts.leq(bound, candidate);
       if (!ok) {

@@ -80,4 +80,13 @@ class NonatomicEvent {
   std::vector<NodeSpan> spans_;  // parallel to nodes_
 };
 
+/// The node-span member a Defn 2 proxy keeps: each node's least event for
+/// L_X (Begin), its greatest for U_X (End). The proxy of kind k holds
+/// EventId{s.process, s.*proxy_end(k)} for each span s, so code that reads
+/// a proxy through its event's spans never builds it.
+constexpr EventIndex NonatomicEvent::NodeSpan::*proxy_end(ProxyKind kind) {
+  return kind == ProxyKind::Begin ? &NonatomicEvent::NodeSpan::least
+                                  : &NonatomicEvent::NodeSpan::greatest;
+}
+
 }  // namespace syncon

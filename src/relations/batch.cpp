@@ -24,51 +24,41 @@ double BatchEvaluator::Result::comparisons_per_query() const {
          static_cast<double>(queries);
 }
 
-BatchEvaluator::BatchEvaluator(const RelationEvaluator& eval, ThreadPool* pool)
-    : eval_(&eval), pool_(pool) {}
+namespace {
 
-BatchEvaluator::Result BatchEvaluator::all_pairs(bool pruned) const {
-  const std::vector<EventHandle> hs = eval_->handles();
-  std::vector<std::pair<EventHandle, EventHandle>> pairs;
-  pairs.reserve(hs.size() * hs.size());
-  for (const EventHandle& x : hs) {
-    for (const EventHandle& y : hs) {
-      if (x != y) pairs.emplace_back(x, y);
-    }
-  }
-  return evaluate_pairs(std::move(pairs), pruned);
-}
-
-BatchEvaluator::Result BatchEvaluator::evaluate_pairs(
-    std::vector<std::pair<EventHandle, EventHandle>> pairs,
-    bool pruned) const {
+// Sweeps `count` pairs: for_range(begin, end, run) calls run(i, x, y) for
+// each pair i of [begin, end). Shards are contiguous index ranges and every
+// result is written at its pair index.
+template <typename ForRange>
+BatchEvaluator::Result sweep(const RelationEvaluator& eval, ThreadPool* pool,
+                             std::size_t count, bool pruned,
+                             const ForRange& for_range) {
   SYNCON_SPAN("batch/sweep");
-  Result result;
-  result.pairs.resize(pairs.size());
+  BatchEvaluator::Result result;
+  result.pairs.resize(count);
 
   const std::size_t shards =
-      pool_ == nullptr ? 1 : std::min(pool_->thread_count(),
-                                      std::max<std::size_t>(pairs.size(), 1));
+      pool == nullptr ? 1 : std::min(pool->thread_count(),
+                                     std::max<std::size_t>(count, 1));
   std::vector<QueryCost> shard_costs(shards);
 
   auto run_range = [&](std::size_t shard, std::size_t begin, std::size_t end) {
     QueryCost& cost = shard_costs[shard];
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto [x, y] = pairs[i];
-      PairRelations& out = result.pairs[i];
+    for_range(begin, end, [&](std::size_t i, EventHandle x, EventHandle y) {
+      BatchEvaluator::PairRelations& out = result.pairs[i];
       out.x = x;
       out.y = y;
       // Per-pair cost lands inside the result; the shard sink keeps the
       // shared tally untouched (no cross-thread cache-line traffic).
-      out.relations = pruned ? eval_->all_holding_pruned(x, y, &cost)
-                             : eval_->all_holding(x, y, &cost);
-    }
+      out.relations = pruned ? eval.all_holding_pruned(x, y, &cost)
+                             : eval.all_holding(x, y, &cost);
+    });
   };
 
   if (shards == 1) {
-    run_range(0, 0, pairs.size());
+    run_range(0, 0, count);
   } else {
-    pool_->parallel_for(pairs.size(), run_range, shards);
+    pool->parallel_for(count, run_range, shards);
   }
 
   // Merge in shard order: deterministic, and exactly the serial total.
@@ -89,11 +79,40 @@ BatchEvaluator::Result BatchEvaluator::evaluate_pairs(
         obs::HistogramSpec::exponential(1.0, 4096.0));
     sweeps.add(1);
     pairs_done.add(result.pairs.size());
-    for (const PairRelations& p : result.pairs) {
+    for (const BatchEvaluator::PairRelations& p : result.pairs) {
       per_pair.record(static_cast<double>(p.relations.cost.integer_comparisons));
     }
   }
   return result;
+}
+
+}  // namespace
+
+BatchEvaluator::BatchEvaluator(const RelationEvaluator& eval, ThreadPool* pool)
+    : eval_(&eval), pool_(pool) {}
+
+BatchEvaluator::Result BatchEvaluator::all_pairs(bool pruned) const {
+  const std::vector<EventHandle> hs = eval_->handles();
+  const std::size_t n = hs.size();
+  return sweep(*eval_, pool_, ordered_pair_count(n), pruned,
+               [&](std::size_t begin, std::size_t end, const auto& run) {
+                 for_each_ordered_pair(
+                     n, begin, end,
+                     [&](std::size_t i, std::size_t x, std::size_t y) {
+                       run(i, hs[x], hs[y]);
+                     });
+               });
+}
+
+BatchEvaluator::Result BatchEvaluator::evaluate_pairs(
+    std::vector<std::pair<EventHandle, EventHandle>> pairs,
+    bool pruned) const {
+  return sweep(*eval_, pool_, pairs.size(), pruned,
+               [&](std::size_t begin, std::size_t end, const auto& run) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   run(i, pairs[i].first, pairs[i].second);
+                 }
+               });
 }
 
 }  // namespace syncon

@@ -1,10 +1,16 @@
 // RelationEvaluator — the application-facing answer to Problem 4.
 //
 // Register the nonatomic events the application cares about once; the
-// evaluator computes each event's proxies (Defn 2) and the proxies' four cut
-// timestamps (Key Idea 1's one-time cost). Every subsequent relation query
-// r(X, Y), for r in the 32-relation set R, then runs in the Theorem 20
-// comparison budget.
+// evaluator computes the four cut timestamps of each event's two Defn 2
+// proxies (Key Idea 1's one-time cost) into one block per event: C1–C4 of
+// L_X, then C1–C4 of U_X, |P| values each, folded straight from the stored
+// stamp rows. Nothing else is built: a proxy is read through its event's own
+// node spans (proxy_end), so a query borrows two CutsView from the blocks
+// and every relation query r(X, Y), for r in the 32-relation set R, runs
+// the one Theorem 19/20 probe (relations/fast.hpp) in its comparison
+// budget. The reference queries (holds_naive, the strict fallback)
+// quantify over the same spans, and the Defn 3 proxies are built per
+// holds_global_proxies call.
 //
 // Concurrency model (DESIGN.md §3.6): registration (add_event) is a
 // single-threaded setup phase. After it, every const query method is
@@ -14,9 +20,12 @@
 // lock-free shared tally readable via accumulated_cost().
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cuts/ll_relation.hpp"
@@ -78,9 +87,10 @@ class RelationEvaluator {
 
   const Timestamps& timestamps() const { return *ts_; }
 
-  /// Registers an event: computes proxies and cut timestamps (one-time,
-  /// O(|N_X| · |P|)). Returns its handle. NOT thread-safe — registration is
-  /// the setup phase; queries become thread-safe once it is done.
+  /// Registers an event: computes its proxies' cut timestamps into one
+  /// block (one-time, O(|N_X| · |P|), one allocation). Returns its handle.
+  /// NOT thread-safe — registration is the setup phase; queries become
+  /// thread-safe once it is done.
   EventHandle add_event(NonatomicEvent event);
 
   std::size_t event_count() const { return entries_.size(); }
@@ -90,8 +100,11 @@ class RelationEvaluator {
   std::vector<EventHandle> handles() const;
 
   const NonatomicEvent& event(EventHandle h) const;
-  const NonatomicEvent& proxy(EventHandle h, ProxyKind kind) const;
-  const EventCuts& proxy_cuts(EventHandle h, ProxyKind kind) const;
+  /// The Defn 2 proxy, built on each call.
+  NonatomicEvent proxy(EventHandle h, ProxyKind kind) const;
+  /// The proxy's cut timestamps and node spans as the probe reads them,
+  /// borrowed from the evaluator.
+  CutsView proxy_cuts(EventHandle h, ProxyKind kind) const;
 
   /// Problem 4(i): does r(X, Y) hold? Weak (⪯) semantics, Theorem 20 cost.
   /// The cost of the call is added to *cost when given, otherwise to the
@@ -106,8 +119,9 @@ class RelationEvaluator {
   bool holds_strict(const RelationId& r, EventHandle x, EventHandle y,
                     QueryCost* cost = nullptr) const;
 
-  /// r(X, Y) under the Defn 3 (global-extremum) proxies. nullopt when the
-  /// required proxy does not exist (X or Y has no global extremum).
+  /// r(X, Y) under the Defn 3 (global-extremum) proxies, which each call
+  /// computes with their cuts (O(|N|² + |N|·|P|) per side). nullopt when
+  /// the required proxy does not exist (X or Y has no global extremum).
   std::optional<bool> holds_global_proxies(const RelationId& r, EventHandle x,
                                            EventHandle y,
                                            QueryCost* cost = nullptr) const;
@@ -139,29 +153,26 @@ class RelationEvaluator {
   void reset_accumulated_cost();
 
  private:
+  // A registered event and its block: 8·|P| ClockValues, the C1–C4 of L_X
+  // then of U_X (PosetCut order), the future cuts' +1 applied. The block
+  // never moves once written, so views into it stay valid.
   struct Entry {
     NonatomicEvent event;
-    NonatomicEvent begin_proxy;  // L_X, Defn 2
-    NonatomicEvent end_proxy;    // U_X, Defn 2
-    std::unique_ptr<EventCuts> begin_cuts;
-    std::unique_ptr<EventCuts> end_cuts;
-    // Defn 3 proxies (global extrema); absent for genuinely nonlinear X.
-    std::unique_ptr<NonatomicEvent> global_begin;
-    std::unique_ptr<NonatomicEvent> global_end;
-    std::unique_ptr<EventCuts> global_begin_cuts;
-    std::unique_ptr<EventCuts> global_end_cuts;
+    std::unique_ptr<ClockValue[]> cuts;
   };
-
   const Entry& entry(EventHandle h) const;
-  static const EventCuts& cuts_of(const Entry& e, ProxyKind kind);
-  static bool holds_impl(const RelationId& r, const Entry& x, const Entry& y,
-                         QueryCost& cost);
+  CutsView view(const Entry& e, ProxyKind kind) const;
+  /// Both proxies' views, indexed by ProxyKind.
+  std::array<CutsView, 2> views(const Entry& e) const;
   /// Routes a finished call's cost to the sink or the shared tally.
   void deposit(const QueryCost& cost, QueryCost* sink) const;
 
   const Timestamps* ts_;
   const std::uint64_t id_;
-  std::vector<std::unique_ptr<Entry>> entries_;
+  const std::size_t width_;  // |P|
+  // A deque: registering appends without moving earlier entries, so
+  // references from event() stay valid.
+  std::deque<Entry> entries_;
   // Shared tally for sink-less calls. Atomics keep sink-less queries
   // thread-safe; queries with explicit sinks never touch these (no
   // cache-line traffic on the parallel path).

@@ -4,11 +4,6 @@
 
 namespace syncon {
 
-FastDebugHooks& fast_debug_hooks() {
-  static FastDebugHooks hooks;
-  return hooks;
-}
-
 std::uint64_t theorem20_bound(Relation r, std::size_t n_x, std::size_t n_y) {
   switch (r) {
     case Relation::R1:

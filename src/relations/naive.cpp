@@ -1,5 +1,6 @@
 #include "relations/naive.hpp"
 
+#include <ranges>
 #include <span>
 
 #include "support/contracts.hpp"
@@ -9,10 +10,9 @@ namespace syncon {
 namespace {
 
 // Evaluates the quantifier structure of `r` over the given x- and y-ranges
-// with an arbitrary causality predicate.
-template <typename Prec>
-bool quantify(Relation r, std::span<const EventId> xs,
-              std::span<const EventId> ys, Prec&& prec) {
+// of EventId with an arbitrary causality predicate.
+template <typename Xs, typename Ys, typename Prec>
+bool quantify(Relation r, const Xs& xs, const Ys& ys, Prec&& prec) {
   auto forall_x = [&](auto&& inner) {
     for (const EventId& x : xs) {
       if (!inner(x)) return false;
@@ -68,6 +68,24 @@ bool quantify(Relation r, std::span<const EventId> xs,
   }
   SYNCON_ASSERT(false, "unreachable relation value");
   return false;
+}
+
+// a ≺ b (Strict) or a ⪯ b (Weak) via timestamps, one counted causality
+// check per call.
+auto stamped_prec(const Timestamps& ts, Semantics sem,
+                  ComparisonCounter* counter) {
+  return [&ts, sem, counter](EventId a, EventId b) {
+    if (counter != nullptr) ++counter->causality_checks;
+    return sem == Semantics::Strict ? ts.lt(a, b) : ts.leq(a, b);
+  };
+}
+
+// The events of a Defn 2 proxy, read from its event's spans as a view.
+auto proxy_events(const NonatomicEvent& ev, ProxyKind kind) {
+  return std::views::transform(
+      ev.spans(), [end = proxy_end(kind)](const NonatomicEvent::NodeSpan& s) {
+        return EventId{s.process, s.*end};
+      });
 }
 
 // The per-node extreme events to quantify over when restricting X × Y to
@@ -131,10 +149,7 @@ bool evaluate_naive(Relation r, const NonatomicEvent& x,
   SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
                      &x.execution() == &y.execution(),
                  "events/timestamps of different executions");
-  auto prec = [&](EventId a, EventId b) {
-    if (counter != nullptr) ++counter->causality_checks;
-    return sem == Semantics::Strict ? ts.lt(a, b) : ts.leq(a, b);
-  };
+  const auto prec = stamped_prec(ts, sem, counter);
   return quantify(r, x.events(), y.events(), prec);
 }
 
@@ -146,11 +161,19 @@ bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
                  "events/timestamps of different executions");
   const std::vector<EventId> xs = extremes(x, x_wants_greatest(r));
   const std::vector<EventId> ys = extremes(y, y_wants_greatest(r));
-  auto prec = [&](EventId a, EventId b) {
-    if (counter != nullptr) ++counter->causality_checks;
-    return sem == Semantics::Strict ? ts.lt(a, b) : ts.leq(a, b);
-  };
+  const auto prec = stamped_prec(ts, sem, counter);
   return quantify(r, xs, ys, prec);
+}
+
+bool evaluate_naive(Relation r, const NonatomicEvent& x, ProxyKind kx,
+                    const NonatomicEvent& y, ProxyKind ky,
+                    const Timestamps& ts, Semantics sem,
+                    ComparisonCounter* counter) {
+  SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
+                     &x.execution() == &y.execution(),
+                 "events/timestamps of different executions");
+  const auto prec = stamped_prec(ts, sem, counter);
+  return quantify(r, proxy_events(x, kx), proxy_events(y, ky), prec);
 }
 
 }  // namespace syncon

@@ -32,4 +32,13 @@ bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
                           const NonatomicEvent& y, const Timestamps& ts,
                           Semantics sem, ComparisonCounter* counter = nullptr);
 
+/// evaluate_naive(r, x.proxy_per_node(kx), y.proxy_per_node(ky), ts, sem,
+/// counter) without building either proxy: the quantifiers run over each
+/// node's kept member (proxy_end) of the events' spans, |N_X| · |N_Y|
+/// causality checks and no allocation.
+bool evaluate_naive(Relation r, const NonatomicEvent& x, ProxyKind kx,
+                    const NonatomicEvent& y, ProxyKind ky,
+                    const Timestamps& ts, Semantics sem,
+                    ComparisonCounter* counter = nullptr);
+
 }  // namespace syncon

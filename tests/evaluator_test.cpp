@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "counting_new.hpp"
 #include "helpers.hpp"
+#include "nonatomic/cut_timestamps.hpp"
 #include "relations/evaluator.hpp"
 #include "sim/interval_picker.hpp"
 #include "support/contracts.hpp"
@@ -89,9 +94,138 @@ TEST(RelationEvaluatorTest, RegistersEventsAndProxies) {
             (std::vector<EventId>{{0, 1}, {1, 1}}));
   EXPECT_EQ(eval.proxy(h, ProxyKind::End).events(),
             (std::vector<EventId>{{0, 3}, {1, 1}}));
-  // Proxy cuts reference the proxies, not the original event.
-  EXPECT_EQ(&eval.proxy_cuts(h, ProxyKind::Begin).event(),
-            &eval.proxy(h, ProxyKind::Begin));
+  // A proxy's cuts are the proxy's own, read through the event's spans:
+  // each node's kept member serves as both its least and greatest.
+  for (const ProxyKind kind : {ProxyKind::Begin, ProxyKind::End}) {
+    const NonatomicEvent proxy = eval.proxy(h, kind);
+    const EventCuts own(ts, proxy);
+    const CutsView view = eval.proxy_cuts(h, kind);
+    EXPECT_TRUE(std::ranges::equal(view.intersect_past,
+                                   own.intersect_past().values()));
+    EXPECT_TRUE(
+        std::ranges::equal(view.union_past, own.union_past().values()));
+    EXPECT_TRUE(std::ranges::equal(view.intersect_future,
+                                   own.intersect_future().values()));
+    EXPECT_TRUE(
+        std::ranges::equal(view.union_future, own.union_future().values()));
+    EXPECT_EQ(view.spans.data(), eval.event(h).spans().data());
+    ASSERT_EQ(view.spans.size(), proxy.spans().size());
+    for (std::size_t i = 0; i < view.spans.size(); ++i) {
+      EXPECT_EQ(view.spans[i].process, proxy.spans()[i].process);
+      EXPECT_EQ(view.spans[i].*view.least, proxy.spans()[i].least);
+      EXPECT_EQ(view.spans[i].*view.greatest, proxy.spans()[i].greatest);
+    }
+  }
+}
+
+// Registration writes one block per interval and builds nothing else (no
+// proxy, no per-proxy cuts, no Defn 3 proxy); every query reads the blocks
+// and the events' spans in place.
+TEST(RelationEvaluatorTest, RegistrationAllocatesOneBlock) {
+  WorkloadConfig cfg;
+  cfg.process_count = 32;
+  cfg.events_per_process = 20;
+  cfg.seed = 9;
+  const Execution exec = generate_execution(cfg);
+  const Timestamps ts(exec);
+  RelationEvaluator eval(ts);
+  Xoshiro256StarStar rng(99);
+  IntervalSpec spec;
+  spec.node_count = 12;
+  spec.max_events_per_node = 3;
+  constexpr std::size_t kCount = 64;
+  std::vector<NonatomicEvent> intervals;
+  for (std::size_t k = 0; k <= kCount; ++k) {
+    intervals.push_back(
+        random_interval(exec, rng, spec, "W" + std::to_string(k)));
+    ASSERT_EQ(intervals.back().node_count(), 12u);
+  }
+  // Also a proxy-sharing twin of the first, so holds_strict takes its
+  // naive fallback.
+  intervals.push_back(NonatomicEvent(exec, intervals[0].events(), "Z"));
+  eval.add_event(std::move(intervals[0]));  // warm-up
+
+  std::uint64_t total = 0;
+  for (std::size_t k = 1; k < intervals.size(); ++k) {
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    eval.add_event(std::move(intervals[k]));
+    const std::uint64_t made =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    // The block, plus at most the entry deque's next node and its map.
+    EXPECT_LE(made, 3u) << "registration " << k;
+    total += made;
+  }
+  // Amortized: one block each, and a deque node per few entries.
+  EXPECT_LE(total, (intervals.size() - 1) * 3 / 2);
+
+  const EventHandle x = eval.handle_at(0);
+  const EventHandle y = eval.handle_at(1);
+  const EventHandle twin = eval.handle_at(kCount + 1);
+  QueryCost cost;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const RelationId& id : all_relation_ids()) {
+    (void)eval.holds(id, x, y, &cost);
+    (void)eval.holds(id, y, x);
+    (void)eval.holds_naive(id, x, y, Semantics::Weak, &cost);
+    (void)eval.holds_naive(id, x, twin, Semantics::Strict);
+    (void)eval.holds_strict(id, x, y, &cost);
+    (void)eval.holds_strict(id, x, twin, &cost);
+  }
+  (void)eval.all_holding(x, y, &cost);
+  (void)eval.all_holding_pruned(x, twin, &cost);
+  (void)eval.all_holding_pruned(y, x);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_GT(cost.causality_checks, 0u);  // the strict fallback ran
+}
+
+// The Defn 3 proxies are computed per holds_global_proxies call; the
+// verdict and cost equal evaluate_fast over the proxies proxy_global builds
+// and their own EventCuts, and a missing proxy on either side is nullopt
+// at no cost.
+TEST(RelationEvaluatorTest, GlobalProxiesComputedOnDemand) {
+  std::size_t present = 0;
+  std::size_t x_missing = 0;
+  std::size_t y_missing = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SYNCON_SEED_TRACE(seed);
+    WorkloadConfig cfg;
+    cfg.process_count = 3 + seed % 4;
+    cfg.events_per_process = 10;
+    cfg.seed = seed;
+    const Execution exec = generate_execution(cfg);
+    const Timestamps ts(exec);
+    RelationEvaluator eval(ts);
+    Xoshiro256StarStar rng(seed ^ 0x3d3d);
+    IntervalSpec spec;
+    spec.node_count = 1 + seed % 3;
+    spec.max_events_per_node = 2;
+    const auto hx = eval.add_event(random_interval(exec, rng, spec, "X"));
+    const auto hy = eval.add_event(random_interval(exec, rng, spec, "Y"));
+    for (const RelationId& id : all_relation_ids()) {
+      const auto gx = eval.event(hx).proxy_global(id.proxy_x, ts);
+      const auto gy = eval.event(hy).proxy_global(id.proxy_y, ts);
+      QueryCost cost;
+      const std::optional<bool> got =
+          eval.holds_global_proxies(id, hx, hy, &cost);
+      if (!gx || !gy) {
+        EXPECT_FALSE(got.has_value()) << to_string(id);
+        EXPECT_EQ(cost, QueryCost{});
+        if (!gx) ++x_missing;
+        if (gx && !gy) ++y_missing;
+        continue;
+      }
+      ComparisonCounter want;
+      const bool expected = evaluate_fast(id.relation, EventCuts(ts, *gx),
+                                          EventCuts(ts, *gy), want);
+      ASSERT_TRUE(got.has_value()) << to_string(id);
+      EXPECT_EQ(*got, expected) << to_string(id);
+      EXPECT_EQ(cost, want) << to_string(id);
+      ++present;
+    }
+  }
+  EXPECT_GT(present, 0u);
+  EXPECT_GT(x_missing, 0u);
+  EXPECT_GT(y_missing, 0u);
 }
 
 TEST(RelationEvaluatorTest, InvalidHandleRejected) {

@@ -3,9 +3,16 @@
 // bounds are tight (attained on worst-case inputs).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "helpers.hpp"
 #include "nonatomic/cut_timestamps.hpp"
+#include "relations/evaluator.hpp"
 #include "relations/fast.hpp"
+#include "relations/hierarchy.hpp"
 #include "sim/interval_picker.hpp"
 
 namespace syncon {
@@ -137,6 +144,75 @@ TEST(Theorem20BoundTableTest, PaperBoundDiffersOnlyOnR2pR3) {
   // R3's divergence shows when |N_Y| < |N_X|.
   EXPECT_EQ(theorem20_bound(Relation::R3, 9, 4), 9u);
   EXPECT_EQ(theorem20_paper_bound(Relation::R3, 9, 4), 4u);
+}
+
+// The evaluator probes its registration blocks through borrowed views; the
+// verdict and the exact comparison count of every member of R, in both
+// argument orders, must be those of evaluate_fast over the proxies' own
+// EventCuts, and the all-relations sweeps must be the per-relation sums.
+TEST(ProbeViewTest, ProbeViewMatchesEventCuts) {
+  const auto ids = all_relation_ids();
+  const ImplicationClosure& closure = implication_closure();
+  for (const std::size_t processes : {4u, 16u, 64u}) {
+    WorkloadConfig cfg;
+    cfg.process_count = processes;
+    cfg.events_per_process = 12;
+    cfg.seed = 2000 + processes;
+    SYNCON_SEED_TRACE(cfg.seed);
+    const Execution exec = generate_execution(cfg);
+    const Timestamps ts(exec);
+    RelationEvaluator eval(ts);
+    Xoshiro256StarStar rng(cfg.seed);
+    for (int k = 0; k < 8; ++k) {
+      IntervalSpec spec;
+      spec.node_count = 1 + rng.below(processes);
+      spec.max_events_per_node = 3;
+      eval.add_event(
+          random_interval(exec, rng, spec, "W" + std::to_string(k)));
+    }
+    const std::vector<EventHandle> hs = eval.handles();
+    for (const EventHandle x : hs) {
+      for (const EventHandle y : hs) {
+        std::uint32_t mask = 0;
+        QueryCost total;
+        std::array<QueryCost, 32> each{};
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          const RelationId& id = ids[k];
+          const NonatomicEvent px = eval.proxy(x, id.proxy_x);
+          const NonatomicEvent py = eval.proxy(y, id.proxy_y);
+          ComparisonCounter want;
+          const bool expected = evaluate_fast(
+              id.relation, EventCuts(ts, px), EventCuts(ts, py), want);
+          const bool got = eval.holds(id, x, y, &each[k]);
+          ASSERT_EQ(got, expected) << to_string(id);
+          ASSERT_EQ(each[k], want) << to_string(id);
+          if (got) mask |= 1u << k;
+          total += each[k];
+        }
+        const auto all = eval.all_holding(x, y);
+        EXPECT_EQ(all.holding.mask(), mask);
+        EXPECT_EQ(all.cost, total);
+        EXPECT_EQ(all.evaluated, ids.size());
+
+        // The lattice walk all_holding_pruned takes, replayed on the
+        // per-relation verdicts and costs.
+        QueryCost walked;
+        std::size_t evaluated = 0;
+        std::uint32_t undecided = RelationSet::all().mask();
+        while (undecided != 0) {
+          const auto k = static_cast<std::size_t>(std::countr_zero(undecided));
+          ++evaluated;
+          walked += each[k];
+          undecided &= ~((mask >> k) & 1u ? closure.implied_true[k].mask()
+                                           : closure.implied_false[k].mask());
+        }
+        const auto pruned = eval.all_holding_pruned(x, y);
+        EXPECT_EQ(pruned.holding.mask(), mask);
+        EXPECT_EQ(pruned.cost, walked);
+        EXPECT_EQ(pruned.evaluated, evaluated);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Theorem20Test,
