@@ -3,7 +3,9 @@
 # First the span export: trace_analysis writes the span ring as a Chrome
 # trace, and the script asserts that the JSON parses and that each span
 # name's count is exactly the pinned one (model/stamp 1, relation/register
-# 5, relation/evaluate 1, monitor/ingest 182, online/compact 11). This
+# 5, relation/seal 1, relation/evaluate 1, monitor/ingest 182,
+# online/compact 11: the first query seals the five intervals' blocks, and
+# the matrix, report and causal trace share the stamps built once). This
 # check merges nothing into the trajectory file. Then a seeded faulty soak
 # through syncon_metricsd exports every causal artifact, and the script
 # asserts
@@ -50,8 +52,9 @@ import collections, json, sys
 with open(sys.argv[1]) as f:
     events = json.load(f)["traceEvents"]
 counts = dict(collections.Counter(e["name"] for e in events))
-expected = {"model/stamp": 1, "relation/register": 5, "relation/evaluate": 1,
-            "monitor/ingest": 182, "online/compact": 11}
+expected = {"model/stamp": 1, "relation/register": 5, "relation/seal": 1,
+            "relation/evaluate": 1, "monitor/ingest": 182,
+            "online/compact": 11}
 if counts != expected:
     print(f"FAIL: span counts {sorted(counts.items())} != "
           f"{sorted(expected.items())}", file=sys.stderr)

@@ -2,9 +2,11 @@
 # Runs the tier-1 test suite under every supported sanitizer configuration:
 #   asan  — address+undefined over the full suite
 #   tsan  — thread over the concurrency + fault + check + clocks + store +
-#           explore suites, then thread_pool_test and service_daemon_test
-#           again, 20 runs each unless one fails: a race in the pool's
-#           fork-join handoff shows up only on some runs
+#           explore suites, then thread_pool_test, service_daemon_test and
+#           batch_evaluator_test again, 20 runs each unless one fails: a
+#           race in the pool's fork-join handoff, or between the first
+#           readers of a stampless evaluator and its one seal, shows up
+#           only on some runs
 # Each preset builds into its own binary dir (build-asan / build-tsan), so
 # this composes with (and never dirties) the plain `build` tree.
 #
@@ -22,8 +24,9 @@ run_preset() {
   echo "=== [$preset] test ==="
   ctest --preset "$preset" -j "$(nproc)"
   if [ "$preset" = tsan ]; then
-    echo "=== [$preset] repeat the pool's handoff tests ==="
-    ctest --preset tsan -R '^(thread_pool_test|service_daemon_test)$' \
+    echo "=== [$preset] repeat the pool's handoff and seal tests ==="
+    ctest --preset tsan \
+      -R '^(thread_pool_test|service_daemon_test|batch_evaluator_test)$' \
       --repeat until-fail:20
   fi
 }

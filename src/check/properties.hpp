@@ -28,7 +28,10 @@
 //   clock_backend_identity   the row-stamped T, F and T^R of every
 //                       event, leq of every real pair and C1–C4 of X, Y
 //                       and their proxies vs the textbook per-event
-//                       Defn 13/14 sweep (one dense clock per event).
+//                       Defn 13/14 sweep (one dense clock per event); and
+//                       the blocks a stampless evaluator seals for X, Y,
+//                       their proxies and one interval registered after
+//                       the seal vs compute_cut_counts over those rows.
 //   recovery_identity   the crash legs below: DurableSystem/DurableMonitor
 //                       crashed at a seeded point under storage faults and
 //                       recovered from snapshot + WAL tail: clocks, times

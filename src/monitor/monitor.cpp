@@ -9,8 +9,7 @@ namespace syncon {
 SyncMonitor::SyncMonitor(std::shared_ptr<const Execution> exec)
     : exec_(std::move(exec)) {
   SYNCON_REQUIRE(exec_ != nullptr, "monitor needs an execution");
-  ts_ = std::make_unique<Timestamps>(*exec_);
-  eval_ = std::make_unique<RelationEvaluator>(*ts_);
+  eval_ = std::make_unique<RelationEvaluator>(*exec_);
 }
 
 SyncMonitor::Handle SyncMonitor::add_interval(NonatomicEvent interval) {
@@ -73,6 +72,7 @@ SyncMonitor::find_pairs(const SyncCondition& condition,
   const std::vector<Handle> hs = eval_->handles();
   const std::size_t n = hs.size();
   const std::size_t count = ordered_pair_count(n);
+  eval_->seal();  // once, before the shards read the blocks
 
   const std::size_t shards =
       pool_ == nullptr ? 1 : std::min(pool_->thread_count(),

@@ -1,7 +1,12 @@
-// Offline synchronization monitor: owns a recorded execution, its timestamp
-// structure, and a set of labeled nonatomic events, and answers the
-// application-level queries of Problem 4 (which relations hold, which pairs
-// satisfy a condition).
+// Offline synchronization monitor: owns a recorded execution and a set of
+// labeled nonatomic events, and answers the application-level queries of
+// Problem 4 (which relations hold, which pairs satisfy a condition).
+//
+// The monitor stamps nothing up front. Its evaluator is stampless: the first
+// query seals every registered interval's cut block with two sweeps over the
+// execution (Key Idea 1 without a stamp table), and the Timestamps that the
+// reference paths, reports and causal traces read are built on the first
+// timestamps() call.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +30,12 @@ class SyncMonitor {
  public:
   using Handle = RelationEvaluator::Handle;
 
-  /// Takes shared ownership of the execution; stamps it once.
+  /// Takes shared ownership of the execution.
   explicit SyncMonitor(std::shared_ptr<const Execution> exec);
 
   const Execution& execution() const { return *exec_; }
-  const Timestamps& timestamps() const { return *ts_; }
+  /// The execution's stamps, built on first use.
+  const Timestamps& timestamps() const { return eval_->timestamps(); }
   const RelationEvaluator& evaluator() const { return *eval_; }
 
   /// Evaluates scenario queries on `pool` (nullptr restores serial
@@ -82,7 +88,6 @@ class SyncMonitor {
 
  private:
   std::shared_ptr<const Execution> exec_;
-  std::unique_ptr<Timestamps> ts_;
   std::unique_ptr<RelationEvaluator> eval_;
   std::map<std::string, Handle> by_label_;
   std::shared_ptr<const PhysicalTimes> times_;

@@ -60,19 +60,20 @@ class Parser : public ConditionGrammar<Node, Parser> {
   }
 };
 
+// Every atom probes the pair's views, resolved once per pair.
 bool evaluate_node(const Node& node, const RelationEvaluator& eval,
-                   EventHandle x, EventHandle y, QueryCost* cost) {
+                   const RelationEvaluator::PairViews& v, QueryCost* cost) {
   switch (node.kind) {
     case Node::Kind::Atom:
-      return eval.holds(node.atom, x, y, cost);
+      return eval.holds(node.atom, v, cost);
     case Node::Kind::Not:
-      return !evaluate_node(*node.left, eval, x, y, cost);
+      return !evaluate_node(*node.left, eval, v, cost);
     case Node::Kind::And:
-      return evaluate_node(*node.left, eval, x, y, cost) &&
-             evaluate_node(*node.right, eval, x, y, cost);
+      return evaluate_node(*node.left, eval, v, cost) &&
+             evaluate_node(*node.right, eval, v, cost);
     case Node::Kind::Or:
-      return evaluate_node(*node.left, eval, x, y, cost) ||
-             evaluate_node(*node.right, eval, x, y, cost);
+      return evaluate_node(*node.left, eval, v, cost) ||
+             evaluate_node(*node.right, eval, v, cost);
   }
   return false;
 }
@@ -121,7 +122,7 @@ SyncCondition SyncCondition::atom(RelationId id) {
 
 bool SyncCondition::evaluate(const RelationEvaluator& eval, EventHandle x,
                              EventHandle y, QueryCost* cost) const {
-  return evaluate_node(*root_, eval, x, y, cost);
+  return evaluate_node(*root_, eval, eval.pair_views(x, y), cost);
 }
 
 std::string SyncCondition::to_string() const {

@@ -41,9 +41,10 @@ class SyncCondition {
   ~SyncCondition();
 
   /// Evaluates the condition on the ordered pair (x, y) with the fast
-  /// (Theorem 20) relation evaluator. The cost of every atom goes to *cost
-  /// when given (one sink per thread makes this thread-safe), otherwise to
-  /// the evaluator's shared tally.
+  /// (Theorem 20) relation evaluator: the pair's proxy views are resolved
+  /// once, and each evaluated atom runs one probe on them. The cost of every
+  /// atom goes to *cost when given (one sink per thread makes this
+  /// thread-safe), otherwise to the evaluator's shared tally.
   bool evaluate(const RelationEvaluator& eval, EventHandle x, EventHandle y,
                 QueryCost* cost = nullptr) const;
 

@@ -6,17 +6,23 @@
 //   C3(X) = ∩⇑X = ∩_{x∈X} x↑   — future started by some x  (min of T(x↑))
 //   C4(X) = ∪⇑X = ∪_{x∈X} x↑   — future started by all x   (max of T(x↑))
 //
-// compute_cut_counts computes all four timestamps once per nonatomic event
-// (Key Idea 1) touching only the per-node extreme elements of X (the
-// end-of-§2.3 optimization: the min is attained at per-node least events,
-// the max at per-node greatest events), i.e. |N_X| event timestamps per cut
-// instead of |X|. It folds the stored stamp rows in place — a row-wide min
-// or max, then the owner's component from the view, since a shared row's
-// owner slot is stale — and applies the uniform +1 that turns F(x) into the
-// e↑ cut counts once at the end (min and max commute with adding the same
-// constant to every component). EventCuts owns one event's four cuts;
-// RelationEvaluator writes its registered proxies' cuts into one block per
-// interval with the same fold.
+// Each is computed once per nonatomic event (Key Idea 1) from the per-node
+// extreme elements of X only (the end-of-§2.3 optimization: the min is
+// attained at per-node least events, the max at per-node greatest events),
+// i.e. |N_X| event timestamps per cut instead of |X|. Two routes write the
+// same values:
+//  * compute_cut_counts folds the stored Timestamps rows in place — a
+//    row-wide min or max, then the owner's component from the view, since a
+//    shared row's owner slot is stale — and applies the uniform +1 that
+//    turns F(x) into the e↑ cut counts once at the end (min and max commute
+//    with adding the same constant to every component). EventCuts owns one
+//    event's four cuts this way, and RelationEvaluator folds a block so when
+//    it has stamps.
+//  * seal_cut_blocks needs no stamps: one forward and one backward sweep
+//    over the execution keep a running clock per process and the clocks of
+//    messages in flight, and fold each registered interval's extremes into
+//    its block as their clocks become final. Nothing per event is stored;
+//    this is how a stampless RelationEvaluator writes its blocks.
 #pragma once
 
 #include <array>
@@ -69,6 +75,27 @@ void compute_cut_counts(
     EventIndex NonatomicEvent::NodeSpan::*least,
     EventIndex NonatomicEvent::NodeSpan::*greatest,
     const std::array<ClockValue*, 4>& out);
+
+/// One registered interval's block as seal_cut_blocks writes it: the
+/// interval's node spans and 8·|P| values, C1–C4 of L_X then C1–C4 of U_X
+/// (PosetCut order, |P| each), the future cuts' +1 applied — what
+/// compute_cut_counts writes for the two Defn 2 proxies, read through the
+/// spans with proxy_end.
+struct CutBlock {
+  std::span<const NonatomicEvent::NodeSpan> spans;
+  ClockValue* cuts;
+};
+
+/// Writes every block from exec alone: one forward sweep computes T of each
+/// event and one backward sweep F, each with a running clock per process
+/// (|P|² values) and a pool of message clocks in flight, and each event's
+/// final clock is folded into the block halves that list it as a proxy
+/// member. O(|E| + (|M| + Σ|N_X|) · |P|) time; eight allocations, plus two
+/// per doubling of the message-clock pool (it starts with room for |P|
+/// clocks), none per event or block. Every span must name real events
+/// of exec, and messages must come grouped by receive event in creation
+/// order, as ExecutionBuilder records them.
+void seal_cut_blocks(const Execution& exec, std::span<const CutBlock> blocks);
 
 /// The cached cut timestamps of one nonatomic event. Construction costs
 /// O(|N_X| · |P|) and is reused across every relation evaluation involving

@@ -34,6 +34,7 @@ BatchEvaluator::Result sweep(const RelationEvaluator& eval, ThreadPool* pool,
                              std::size_t count, bool pruned,
                              const ForRange& for_range) {
   SYNCON_SPAN("batch/sweep");
+  eval.seal();  // once, before the shards read the blocks
   BatchEvaluator::Result result;
   result.pairs.resize(count);
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -89,23 +90,55 @@ bool proxies_overlap(const NonatomicEvent& x, ProxyKind kx,
 }  // namespace
 
 RelationEvaluator::RelationEvaluator(const Timestamps& ts)
-    : ts_(&ts),
+    : exec_(&ts.execution()),
+      given_(&ts),
       id_(next_evaluator_id()),
-      width_(ts.execution().process_count()) {}
+      width_(exec_->process_count()),
+      sealed_(true) {}
+
+RelationEvaluator::RelationEvaluator(const Execution& exec)
+    : exec_(&exec),
+      given_(nullptr),
+      id_(next_evaluator_id()),
+      width_(exec.process_count()),
+      sealed_(false) {}
+
+const Timestamps& RelationEvaluator::timestamps() const {
+  if (given_ != nullptr) return *given_;
+  std::call_once(built_once_,
+                 [this] { built_ = std::make_unique<const Timestamps>(*exec_); });
+  return *built_;
+}
 
 EventHandle RelationEvaluator::add_event(NonatomicEvent event) {
   SYNCON_SPAN("relation/register");
-  SYNCON_REQUIRE(&event.execution() == &ts_->execution(),
+  SYNCON_REQUIRE(&event.execution() == exec_,
                  "event belongs to a different execution");
   auto cuts = std::make_unique_for_overwrite<ClockValue[]>(8 * width_);
-  for (const ProxyKind kind : {ProxyKind::Begin, ProxyKind::End}) {
-    ClockValue* c = cuts.get() + (kind == ProxyKind::End ? 4 * width_ : 0);
-    const auto end = proxy_end(kind);
-    compute_cut_counts(*ts_, event.spans(), end, end,
-                       {c, c + width_, c + 2 * width_, c + 3 * width_});
+  if (sealed_.load(std::memory_order_relaxed)) {
+    const Timestamps& ts = timestamps();
+    for (const ProxyKind kind : {ProxyKind::Begin, ProxyKind::End}) {
+      ClockValue* c = cuts.get() + (kind == ProxyKind::End ? 4 * width_ : 0);
+      const auto end = proxy_end(kind);
+      compute_cut_counts(ts, event.spans(), end, end,
+                         {c, c + width_, c + 2 * width_, c + 3 * width_});
+    }
   }
   entries_.push_back(Entry{std::move(event), std::move(cuts)});
   return EventHandle(id_, entries_.size() - 1);
+}
+
+void RelationEvaluator::seal_pending() const {
+  const std::lock_guard<std::mutex> lock(seal_mutex_);
+  if (sealed_.load(std::memory_order_relaxed) || entries_.empty()) return;
+  SYNCON_SPAN("relation/seal");
+  std::vector<CutBlock> blocks;
+  blocks.reserve(entries_.size());
+  for (const Entry& e : entries_) {
+    blocks.push_back(CutBlock{e.event.spans(), e.cuts.get()});
+  }
+  seal_cut_blocks(*exec_, blocks);
+  sealed_.store(true, std::memory_order_release);
 }
 
 EventHandle RelationEvaluator::handle_at(std::size_t index) const {
@@ -150,7 +183,14 @@ NonatomicEvent RelationEvaluator::proxy(EventHandle h, ProxyKind kind) const {
 }
 
 CutsView RelationEvaluator::proxy_cuts(EventHandle h, ProxyKind kind) const {
+  seal();
   return view(entry(h), kind);
+}
+
+RelationEvaluator::PairViews RelationEvaluator::pair_views(
+    EventHandle x, EventHandle y) const {
+  seal();
+  return PairViews{views(entry(x)), views(entry(y))};
 }
 
 void RelationEvaluator::deposit(const QueryCost& cost, QueryCost* sink) const {
@@ -181,9 +221,20 @@ void RelationEvaluator::reset_accumulated_cost() {
 
 bool RelationEvaluator::holds(const RelationId& r, EventHandle x,
                               EventHandle y, QueryCost* cost) const {
+  seal();
   QueryCost local;
   const bool value = evaluate_fast(r.relation, view(entry(x), r.proxy_x),
                                    view(entry(y), r.proxy_y), local);
+  deposit(local, cost);
+  return value;
+}
+
+bool RelationEvaluator::holds(const RelationId& r, const PairViews& v,
+                              QueryCost* cost) const {
+  QueryCost local;
+  const bool value =
+      evaluate_fast(r.relation, v.x[static_cast<std::size_t>(r.proxy_x)],
+                    v.y[static_cast<std::size_t>(r.proxy_y)], local);
   deposit(local, cost);
   return value;
 }
@@ -194,12 +245,15 @@ bool RelationEvaluator::holds_strict(const RelationId& r, EventHandle x,
   const Entry& ey = entry(y);
   QueryCost local;
   // Without a shared atomic event the weak fast path is exact.
-  const bool value =
-      proxies_overlap(ex.event, r.proxy_x, ey.event, r.proxy_y)
-          ? evaluate_naive(r.relation, ex.event, r.proxy_x, ey.event,
-                           r.proxy_y, *ts_, Semantics::Strict, &local)
-          : evaluate_fast(r.relation, view(ex, r.proxy_x),
+  bool value = false;
+  if (proxies_overlap(ex.event, r.proxy_x, ey.event, r.proxy_y)) {
+    value = evaluate_naive(r.relation, ex.event, r.proxy_x, ey.event,
+                           r.proxy_y, timestamps(), Semantics::Strict, &local);
+  } else {
+    seal();
+    value = evaluate_fast(r.relation, view(ex, r.proxy_x),
                           view(ey, r.proxy_y), local);
+  }
   deposit(local, cost);
   return value;
 }
@@ -207,13 +261,14 @@ bool RelationEvaluator::holds_strict(const RelationId& r, EventHandle x,
 std::optional<bool> RelationEvaluator::holds_global_proxies(
     const RelationId& r, EventHandle x, EventHandle y,
     QueryCost* cost) const {
-  const auto gx = entry(x).event.proxy_global(r.proxy_x, *ts_);
+  const Timestamps& ts = timestamps();
+  const auto gx = entry(x).event.proxy_global(r.proxy_x, ts);
   if (!gx) return std::nullopt;
-  const auto gy = entry(y).event.proxy_global(r.proxy_y, *ts_);
+  const auto gy = entry(y).event.proxy_global(r.proxy_y, ts);
   if (!gy) return std::nullopt;
   QueryCost local;
-  const bool value = evaluate_fast(r.relation, EventCuts(*ts_, *gx),
-                                   EventCuts(*ts_, *gy), local);
+  const bool value = evaluate_fast(r.relation, EventCuts(ts, *gx),
+                                   EventCuts(ts, *gy), local);
   deposit(local, cost);
   return value;
 }
@@ -223,14 +278,15 @@ bool RelationEvaluator::holds_naive(const RelationId& r, EventHandle x,
                                     QueryCost* cost) const {
   QueryCost local;
   const bool value = evaluate_naive(r.relation, entry(x).event, r.proxy_x,
-                                    entry(y).event, r.proxy_y, *ts_, sem,
-                                    &local);
+                                    entry(y).event, r.proxy_y, timestamps(),
+                                    sem, &local);
   deposit(local, cost);
   return value;
 }
 
 RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding(
     EventHandle x, EventHandle y, QueryCost* cost) const {
+  seal();
   SYNCON_SPAN("relation/evaluate");
   const std::uint64_t t0 = obs::enabled() ? obs::now_us() : 0;
   const std::array<CutsView, 2> vx = views(entry(x));
@@ -249,6 +305,7 @@ RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding(
 
 RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding_pruned(
     EventHandle x, EventHandle y, QueryCost* cost) const {
+  seal();
   SYNCON_SPAN("relation/evaluate");
   const std::uint64_t t0 = obs::enabled() ? obs::now_us() : 0;
   const std::array<CutsView, 2> vx = views(entry(x));

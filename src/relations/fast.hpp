@@ -16,8 +16,9 @@
 // arrays plus node spans, borrowed) runs the relation switch, the probe
 // side, the early exits and the count. It reads components unchecked, one
 // array load and one counted comparison per probed node, so both views must
-// come from one Timestamps: the EventCuts overload checks that once per
-// call, and RelationEvaluator holds it for every registered interval. The
+// describe one execution: the EventCuts overload checks once per call that
+// both come from one Timestamps, and RelationEvaluator sizes every block by
+// its own execution, folded or sealed. The
 // evaluator's all-relations sweeps inline it once per member of R with the
 // relation fixed, so the switch folds away and each copy's loop exits are
 // predicted on their own (relations/evaluator.cpp).
@@ -49,7 +50,7 @@ inline FastDebugHooks& fast_debug_hooks() {
 
 /// Evaluates R(X, Y) from the cut timestamps and node spans of X and Y
 /// (Theorems 19 and 20). The counter gains one integer comparison per node
-/// probed. Both views must come from one Timestamps.
+/// probed. Both views must describe one execution (|P| values per cut).
 inline bool evaluate_fast(Relation r, const CutsView& x, const CutsView& y,
                           ComparisonCounter& counter) {
   using NodeSpan = CutsView::NodeSpan;

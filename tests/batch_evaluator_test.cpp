@@ -223,6 +223,95 @@ TEST(BatchEvaluatorStressTest, SharedTallyIsExactUnderConcurrency) {
             kThreads * one_pass.integer_comparisons);
 }
 
+// A stampless evaluator whose first block read, and first reference query,
+// come from many threads at once: the seal and the stamps are each made
+// once behind their guards, and every answer and cost equals the serial
+// sweep over an evaluator built over Timestamps.
+struct Stampless {
+  Execution exec;
+  RelationEvaluator eval;
+
+  explicit Stampless(std::uint64_t seed, std::size_t intervals = 14)
+      : exec(generate_execution(Seeded::config(seed))), eval(exec) {
+    Xoshiro256StarStar rng(seed ^ 0xb47c8ULL);
+    IntervalSpec spec;
+    spec.node_count = 5;
+    spec.max_events_per_node = 4;
+    for (std::size_t i = 0; i < intervals; ++i) {
+      eval.add_event(random_interval(exec, rng, spec,
+                                     "I" + std::to_string(i)));
+    }
+  }
+};
+
+TEST(BatchEvaluatorStressTest, FirstQueryFromAParallelSweepSeals) {
+  for (const bool pruned : {true, false}) {
+    const Seeded reference(7);
+    const Stampless s(7);
+    const auto serial = BatchEvaluator(*reference.eval).all_pairs(pruned);
+    ThreadPool pool(4);
+    const auto parallel = BatchEvaluator(s.eval, &pool).all_pairs(pruned);
+    EXPECT_GT(parallel.threads_used, 1u);
+    ASSERT_EQ(serial.pairs.size(), parallel.pairs.size());
+    for (std::size_t i = 0; i < serial.pairs.size(); ++i) {
+      const auto& a = serial.pairs[i];
+      const auto& b = parallel.pairs[i];
+      ASSERT_EQ(a.x.index(), b.x.index()) << "pair " << i;
+      ASSERT_EQ(a.y.index(), b.y.index()) << "pair " << i;
+      ASSERT_EQ(a.relations.holding, b.relations.holding) << "pair " << i;
+      ASSERT_EQ(a.relations.evaluated, b.relations.evaluated) << "pair " << i;
+      ASSERT_EQ(a.relations.cost, b.relations.cost) << "pair " << i;
+    }
+    EXPECT_EQ(serial.cost, parallel.cost);
+  }
+}
+
+TEST(BatchEvaluatorStressTest, FirstQueriesFromManyThreadsSealAndStampOnce) {
+  const Seeded reference(2024, 10);
+  const Stampless s(2024, 10);
+  const auto ids = all_relation_ids();
+  const std::size_t n = s.eval.event_count();
+  std::vector<bool> want;
+  QueryCost want_cost;
+  for (std::size_t x = 0; x < n; ++x) {
+    for (std::size_t y = 0; y < n; ++y) {
+      const EventHandle hx = reference.eval->handle_at(x);
+      const EventHandle hy = reference.eval->handle_at(y);
+      want.push_back(
+          reference.eval->holds_naive(ids[5], hx, hy, Semantics::Weak,
+                                      &want_cost));
+      for (const RelationId& id : ids) {
+        want.push_back(reference.eval->holds(id, hx, hy, &want_cost));
+      }
+    }
+  }
+
+  constexpr std::size_t kThreads = 6;
+  std::vector<std::vector<bool>> got(kThreads);
+  std::vector<QueryCost> costs(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t y = 0; y < n; ++y) {
+          const EventHandle hx = s.eval.handle_at(x);
+          const EventHandle hy = s.eval.handle_at(y);
+          got[t].push_back(
+              s.eval.holds_naive(ids[5], hx, hy, Semantics::Weak, &costs[t]));
+          for (const RelationId& id : ids) {
+            got[t].push_back(s.eval.holds(id, hx, hy, &costs[t]));
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], want) << "thread " << t;
+    EXPECT_EQ(costs[t], want_cost) << "thread " << t;
+  }
+}
+
 // Monitor-level wiring: parallel find_pairs and relations_all_pairs return
 // exactly the serial answers and costs.
 TEST(BatchEvaluatorTest, MonitorParallelScenarioMatchesSerial) {

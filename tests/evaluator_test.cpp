@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -325,6 +326,228 @@ TEST(RelationEvaluatorTest, RejectsForeignEvents) {
   RelationEvaluator eval(ts);
   EXPECT_THROW(eval.add_event(NonatomicEvent(exec_b, {EventId{0, 1}})),
                ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Stampless evaluators: the blocks the first read seals equal the blocks an
+// evaluator over Timestamps folds at registration.
+// ---------------------------------------------------------------------------
+
+// Every proxy view of every interval of `got` equals `want`'s, registration
+// order for registration order.
+void expect_same_views(const RelationEvaluator& got,
+                       const RelationEvaluator& want) {
+  ASSERT_EQ(got.event_count(), want.event_count());
+  for (std::size_t i = 0; i < got.event_count(); ++i) {
+    for (const ProxyKind kind : {ProxyKind::Begin, ProxyKind::End}) {
+      const CutsView a = got.proxy_cuts(got.handle_at(i), kind);
+      const CutsView b = want.proxy_cuts(want.handle_at(i), kind);
+      SCOPED_TRACE(::testing::Message()
+                   << "interval " << i << ", " << to_string(kind));
+      EXPECT_TRUE(std::ranges::equal(a.intersect_past, b.intersect_past));
+      EXPECT_TRUE(std::ranges::equal(a.union_past, b.union_past));
+      EXPECT_TRUE(std::ranges::equal(a.intersect_future, b.intersect_future));
+      EXPECT_TRUE(std::ranges::equal(a.union_future, b.union_future));
+      EXPECT_EQ(a.spans.data(), got.event(got.handle_at(i)).spans().data());
+      EXPECT_EQ(a.least, b.least);
+      EXPECT_EQ(a.greatest, b.greatest);
+    }
+  }
+}
+
+// Registers `intervals` with a stampless evaluator and with one over
+// Timestamps, then compares every view.
+void expect_seal_matches_fold(const Execution& exec,
+                              const std::vector<NonatomicEvent>& intervals) {
+  const Timestamps ts(exec);
+  RelationEvaluator folded(ts);
+  RelationEvaluator sealed(exec);
+  for (const NonatomicEvent& x : intervals) {
+    folded.add_event(x);
+    sealed.add_event(x);
+  }
+  expect_same_views(sealed, folded);
+}
+
+// Every interval the test batteries register on `exec`: each real event
+// alone (least == greatest on its one node), each process's whole history,
+// every event at once, and seeded subsets of 2–6 events, which share events
+// with each other and with the rest.
+std::vector<NonatomicEvent> interval_battery(const Execution& exec,
+                                             std::uint64_t seed) {
+  const std::vector<EventId>& all = exec.topological_order();
+  std::vector<NonatomicEvent> out;
+  for (const EventId& e : all) out.emplace_back(exec, std::vector{e});
+  for (ProcessId p = 0; p < exec.process_count(); ++p) {
+    std::vector<EventId> history;
+    for (EventIndex k = 1; k <= exec.real_count(p); ++k) {
+      history.push_back(EventId{p, k});
+    }
+    if (!history.empty()) out.emplace_back(exec, std::move(history));
+  }
+  out.emplace_back(exec, all);
+  Xoshiro256StarStar rng(seed);
+  for (int k = 0; k < 24; ++k) {
+    std::vector<EventId> members;
+    const std::size_t size = 2 + rng.below(5);
+    for (std::size_t m = 0; m < size; ++m) {
+      members.push_back(all[rng.below(all.size())]);
+    }
+    out.emplace_back(exec, std::move(members));
+  }
+  return out;
+}
+
+// One execution with every shape a sweep meets: p0 only sends (a
+// broadcast, one message per receiver, and one multicast token), p1 only
+// receives, p2 gathers with receive_all, p3's first receive is itself the
+// source of two later receive_from events (receive-and-send), p4 mixes
+// locals, sends and receives, and p5 has no real event.
+Execution shape_zoo() {
+  ExecutionBuilder b(6);
+  const MessageToken to1 = b.send(0);
+  const MessageToken to2 = b.send(0);
+  const MessageToken to3 = b.send(0);
+  const MessageToken multi = b.send(0);
+  b.local(4);
+  const MessageToken from4 = b.send(4);
+  b.receive(1, to1);
+  const EventId relay = b.receive(3, to3);
+  const MessageToken gather[] = {to2, from4};
+  b.receive_all(2, gather);
+  b.receive(1, multi);
+  b.receive(4, multi);
+  const EventId relays[] = {relay};
+  const EventId hop = b.receive_from(4, relays);
+  const EventId hops[] = {hop, relay};
+  b.receive_from(2, hops);
+  b.local(3);
+  const MessageToken back = b.send(3);
+  b.receive(1, back);
+  b.receive(2, multi);
+  b.local(4);
+  return b.build();
+}
+
+TEST(SealedBlocksTest, EveryShapeMatchesTheFold) {
+  const Execution zoo = shape_zoo();
+  ASSERT_EQ(zoo.real_count(5), 0u);
+  expect_seal_matches_fold(zoo, interval_battery(zoo, 1));
+
+  ExecutionBuilder one(1);  // |P| = 1: no messages at all
+  for (int k = 0; k < 5; ++k) one.local(0);
+  const Execution single = one.build();
+  expect_seal_matches_fold(single, interval_battery(single, 2));
+}
+
+TEST(SealedBlocksTest, RandomExecutionsMatchTheFold) {
+  for (const WorkloadConfig& cfg : property_sweep()) {
+    SYNCON_SEED_TRACE(cfg.seed);
+    const Execution exec = generate_execution(cfg);
+    expect_seal_matches_fold(exec, interval_battery(exec, cfg.seed));
+  }
+}
+
+// The stampless evaluator answers all 32 relations as the naive proxy
+// quantification does, in both argument orders.
+TEST(SealedBlocksTest, All32VerdictsAgreeWithNaive) {
+  const Execution zoo = shape_zoo();
+  RelationEvaluator eval(zoo);
+  for (const NonatomicEvent& x : interval_battery(zoo, 3)) eval.add_event(x);
+  for (std::size_t i = 0; i + 1 < eval.event_count(); i += 3) {
+    const EventHandle x = eval.handle_at(i);
+    const EventHandle y = eval.handle_at(eval.event_count() - 1 - i);
+    for (const RelationId& id : all_relation_ids()) {
+      ASSERT_EQ(eval.holds(id, x, y), eval.holds_naive(id, x, y))
+          << to_string(id) << " on " << i;
+      ASSERT_EQ(eval.holds(id, y, x), eval.holds_naive(id, y, x))
+          << to_string(id) << " on " << i;
+    }
+  }
+}
+
+// An interval registered after the seal folds from the stamps the
+// evaluator builds for it, and joins the sealed ones in every query.
+TEST(SealedBlocksTest, RegistrationAfterASealFolds) {
+  WorkloadConfig cfg;
+  cfg.process_count = 6;
+  cfg.events_per_process = 25;
+  cfg.seed = 17;
+  const Execution exec = generate_execution(cfg);
+  const Timestamps ts(exec);
+  RelationEvaluator folded(ts);
+  RelationEvaluator eval(exec);
+  Xoshiro256StarStar rng(171);
+  IntervalSpec spec;
+  spec.node_count = 3;
+  spec.max_events_per_node = 3;
+  for (int k = 0; k < 3; ++k) {
+    const NonatomicEvent x = random_interval(exec, rng, spec);
+    folded.add_event(x);
+    eval.add_event(x);
+  }
+  (void)eval.all_holding(eval.handle_at(0), eval.handle_at(1));  // seals
+  const NonatomicEvent late = random_interval(exec, rng, spec);
+  folded.add_event(late);
+  const EventHandle z = eval.add_event(late);
+  expect_same_views(eval, folded);
+  for (const RelationId& id : all_relation_ids()) {
+    ASSERT_EQ(eval.holds(id, z, eval.handle_at(0)),
+              eval.holds_naive(id, z, eval.handle_at(0)))
+        << to_string(id);
+  }
+}
+
+// A reference query before any block read builds the stamps and leaves
+// the blocks to the seal; the first fast query then seals them.
+TEST(SealedBlocksTest, ReferenceQueryBeforeTheFirstFastQuery) {
+  const Execution exec = shape_zoo();
+  RelationEvaluator eval(exec);
+  const auto battery = interval_battery(exec, 4);
+  for (const NonatomicEvent& x : battery) eval.add_event(x);
+  const EventHandle x = eval.handle_at(1);
+  const EventHandle y = eval.handle_at(battery.size() - 1);
+  const RelationId id{Relation::R4, ProxyKind::Begin, ProxyKind::End};
+  const bool naive = eval.holds_naive(id, x, y);
+  EXPECT_EQ(eval.holds(id, x, y), naive);
+  EXPECT_EQ(eval.holds_strict(id, x, y),
+            eval.holds_naive(id, x, y, Semantics::Strict));
+  const Timestamps ts(exec);
+  RelationEvaluator folded(ts);
+  for (const NonatomicEvent& e : battery) folded.add_event(e);
+  expect_same_views(eval, folded);
+}
+
+// A seal allocates a fixed handful of buffers, none per event and none per
+// interval: the count is the same at two execution sizes (655 and 5,129
+// events) and two interval counts. The message-clock pool starts with room
+// for |P| clocks and doubles only past that; these executions hold at most
+// 22 and 28 of 32 in flight, so the count here is the pool's first size.
+TEST(SealedBlocksTest, SealAllocatesTheSameAtEverySize) {
+  std::set<std::uint64_t> counts;
+  for (const std::size_t events : {20u, 160u}) {
+    WorkloadConfig cfg;
+    cfg.process_count = 32;
+    cfg.events_per_process = events;
+    cfg.seed = 23;
+    const Execution exec = generate_execution(cfg);
+    for (const std::size_t intervals : {4u, 64u}) {
+      RelationEvaluator eval(exec);
+      Xoshiro256StarStar rng(events * 1000 + intervals);
+      IntervalSpec spec;
+      spec.node_count = 6;
+      spec.max_events_per_node = 3;
+      for (std::size_t k = 0; k < intervals; ++k) {
+        eval.add_event(random_interval(exec, rng, spec));
+      }
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      eval.seal();
+      counts.insert(g_allocations.load(std::memory_order_relaxed) - before);
+    }
+  }
+  EXPECT_EQ(counts.size(), 1u) << "allocations per seal differ with size";
+  EXPECT_LE(*counts.begin(), 12u);
 }
 
 // ---------------------------------------------------------------------------
