@@ -2,9 +2,10 @@
 // (DESIGN.md §3.10). Two phases:
 //
 //   plateau   a ring under app + report faults, millions of events, the
-//             log compacted at the composed watermark (monitor pin ∧ app
-//             pin) on a fixed cadence: the live log must plateau instead
-//             of growing with the event count, and a late-joining monitor
+//             session's replica compacted at its monitor's pin (and the
+//             application log at its oldest unconsumed send) on a fixed
+//             cadence: the replica's live log must plateau instead of
+//             growing with the event count, and a late-joining monitor
 //             must converge across the watermark from the checkpoint.
 //   identity  a deterministic application under report faults: the
 //             Definite-firing sequence of the compacted faulty run must be
@@ -50,25 +51,26 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 
 SoakConfig plateau_config() {
   SoakConfig cfg;
-  cfg.processes = static_cast<std::size_t>(env_u64("SYNCON_SOAK_PROCS", 8));
+  TenantWorkload& w = cfg.workload;
+  w.processes = static_cast<std::size_t>(env_u64("SYNCON_SOAK_PROCS", 8));
   // ~16.5 events/cycle at 8 processes -> the default crosses 1M events.
-  cfg.cycles = env_u64("SYNCON_SOAK_CYCLES", 62000);
-  cfg.seed = env_u64("SYNCON_SOAK_SEED", 20260805);
-  cfg.action_every = 8;
-  cfg.recover_every = 32;
-  cfg.compact_every = 64;
-  cfg.resync_chunk = 512;
-  cfg.app_link.drop_probability = 0.02;
-  cfg.app_link.duplicate_probability = 0.01;
-  cfg.app_link.reorder_probability = 0.05;
-  cfg.app_link.min_delay = 1;
-  cfg.app_link.max_delay = 24;
-  cfg.report_link.drop_probability = 0.05;
-  cfg.report_link.duplicate_probability = 0.02;
-  cfg.report_link.reorder_probability = 0.05;
-  cfg.report_link.min_delay = 1;
-  cfg.report_link.max_delay = 40;
-  cfg.late_joiner_probe = true;
+  w.cycles = env_u64("SYNCON_SOAK_CYCLES", 62000);
+  w.seed = env_u64("SYNCON_SOAK_SEED", 20260805);
+  w.action_every = 8;
+  w.recover_every = 32;
+  w.compact_every = 64;
+  w.resync_chunk = 512;
+  LinkFaultConfig& app = w.app_link.emplace();
+  app.drop_probability = 0.02;
+  app.duplicate_probability = 0.01;
+  app.reorder_probability = 0.05;
+  app.min_delay = 1;
+  app.max_delay = 24;
+  w.report_link.drop_probability = 0.05;
+  w.report_link.duplicate_probability = 0.02;
+  w.report_link.reorder_probability = 0.05;
+  w.report_link.min_delay = 1;
+  w.report_link.max_delay = 40;
   return cfg;
 }
 
@@ -110,7 +112,9 @@ int run() {
   const bool plateau_ok = plateaus(soak.live_log_samples);
 
   TextTable table({"plateau phase", "value"});
-  table.new_row().add_cell(std::string("cycles")).add_cell(cfg.cycles);
+  table.new_row()
+      .add_cell(std::string("cycles"))
+      .add_cell(cfg.workload.cycles);
   table.new_row()
       .add_cell(std::string("events executed"))
       .add_cell(with_thousands(soak.executed_events));
@@ -152,14 +156,14 @@ int run() {
 
   // --- phase 2: verdict identity (deterministic app, lossy reports) ---
   SoakConfig faulty = cfg;
-  faulty.cycles = std::max<std::uint64_t>(2000, cfg.cycles / 20);
-  faulty.app_link = LinkFaultConfig{};  // identical execution in both runs
-  faulty.recover_every = 24;
-  faulty.compact_every = 48;
-  faulty.late_joiner_probe = false;
+  faulty.workload.cycles =
+      std::max<std::uint64_t>(2000, cfg.workload.cycles / 20);
+  faulty.workload.app_link.reset();  // reliable: one execution in both runs
+  faulty.workload.recover_every = 24;
+  faulty.workload.compact_every = 48;
   SoakConfig clean = faulty;
-  clean.report_link = LinkFaultConfig{};
-  clean.compact_every = 0;  // uncompacted reference
+  clean.workload.report_link = LinkFaultConfig{};
+  clean.workload.compact_every = 0;  // uncompacted reference
   const char* causal_path = std::getenv("SYNCON_CAUSAL_TRACE");
   clean.capture_observability = causal_path != nullptr;
 
@@ -211,9 +215,9 @@ int run() {
 
     service::ServiceLoadConfig load;
     load.tenants = static_cast<std::size_t>(tenants);
-    load.seed = cfg.seed;
+    load.seed = cfg.workload.seed;
     load.release_finished = true;
-    load.workload.report_link = cfg.report_link;
+    load.workload.report_link = cfg.workload.report_link;
     const auto s0 = std::chrono::steady_clock::now();
     const service::ServiceLoadResult svc = run_service_load(load, daemon);
     const double svc_secs =
@@ -265,6 +269,8 @@ int run() {
       .set(soak.late_joiner_converged ? 1 : 0);
   registry.gauge("syncon_longrun_surface_replies")
       .set(static_cast<std::int64_t>(soak.surface_replies));
+  registry.gauge("syncon_longrun_resync_rounds")
+      .set(static_cast<std::int64_t>(soak.resync_rounds));
 
   const bool ok = plateau_ok && identical && soak.late_joiner_converged &&
                   soak.reclaimed_events > 0 && service_ok;

@@ -13,7 +13,8 @@
 #     binary itself property-checked against the clock order, and its
 #     resync spans, counted by name, include both resync/request (one per
 #     OnlineMonitor::resync round) and resync/serve (one per log serve):
-#     the injected report faults must be visible from both sides;
+#     the injected report faults must be visible from both sides — at the
+#     default 600 cycles exactly 19 of each, one per resync round;
 #   * every detection-latency waterfall is monotone and its stages sum
 #     exactly to the end-to-end latency;
 #   * the injected quarantine appended an automatic flight dump containing
@@ -81,10 +82,10 @@ echo "=== [obs-smoke] faulty soak ($cycles cycles, seeded) ==="
   | tee "$smoke_dir/obs_smoke.log"
 
 echo "=== [obs-smoke] assert artifacts, merge into $merge ==="
-python3 - "$smoke_dir" "$merge" <<'PY'
+python3 - "$smoke_dir" "$merge" "$cycles" <<'PY'
 import json, os, sys
 
-smoke_dir, merge_path = sys.argv[1], sys.argv[2]
+smoke_dir, merge_path, cycles = sys.argv[1], sys.argv[2], sys.argv[3]
 failures = []
 
 # --- causal trace: well-formed, with resync spans ---------------------------
@@ -105,6 +106,8 @@ for name in ("resync/request", "resync/serve"):
     if resync_names.get(name, 0) <= 0:
         failures.append(f"causal trace has no {name} spans despite report "
                         f"faults (resync spans: {resync_names})")
+    elif cycles == "600" and resync_names[name] != 19:
+        failures.append(f"{resync_names[name]} {name} spans, pinned 19")
 if kinds.get("event", 0) <= 0:
     failures.append("causal trace has no event spans")
 if kinds.get("verdict", 0) <= 0:

@@ -6,7 +6,11 @@
 # stayed bit-identical to the clean run, and the late-joining monitor
 # converged across the watermark with at least one surface reply (a resync
 # round answered from the retention checkpoint, which OnlineMonitor::resync
-# then adopts). The snapshot is then merged into the
+# then adopts). At the default 4,000 cycles (SYNCON_SOAK_PROCS and
+# SYNCON_SOAK_SEED unset) it also pins the plateau run's counted work:
+# 65,982 executed events, 125 resync rounds and exactly 1 surface reply. A
+# changed count means the generator, the resync loop or the watermark
+# moved. The snapshot is then merged into the
 # benchmark trajectory file under runs.bench_longrun.telemetry (creating a
 # minimal file if scripts/ci_bench_smoke.sh has not run yet).
 #
@@ -37,10 +41,10 @@ SYNCON_BENCH_JSON="$smoke_dir/bench_longrun.telemetry.json" \
   "$build_dir/bench/bench_longrun" | tee "$smoke_dir/bench_longrun.log"
 
 echo "=== [soak-smoke] assert retention guarantees, merge into $merge ==="
-python3 - "$smoke_dir/bench_longrun.telemetry.json" "$merge" <<'PY'
+python3 - "$smoke_dir/bench_longrun.telemetry.json" "$merge" "$cycles" <<'PY'
 import json, os, sys
 
-snap_path, merge_path = sys.argv[1], sys.argv[2]
+snap_path, merge_path, cycles = sys.argv[1], sys.argv[2], sys.argv[3]
 with open(snap_path) as f:
     snap = json.load(f)
 counters, gauges = snap.get("counters", {}), snap.get("gauges", {})
@@ -57,6 +61,15 @@ if gauges.get("syncon_longrun_late_joiner_converged") != 1:
 if gauges.get("syncon_longrun_surface_replies", 0) < 1:
     failures.append("late joiner got no surface reply: its resync never "
                     "crossed the watermark")
+if cycles == "4000" and not any(
+        os.environ.get(dial) for dial in ("SYNCON_SOAK_PROCS",
+                                          "SYNCON_SOAK_SEED")):
+    pinned = {"syncon_longrun_executed_events": 65982,
+              "syncon_longrun_resync_rounds": 125,
+              "syncon_longrun_surface_replies": 1}
+    for name, want in pinned.items():
+        if gauges.get(name) != want:
+            failures.append(f"{name} = {gauges.get(name)}, pinned {want}")
 if failures:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
@@ -67,6 +80,8 @@ print(f"  reclaimed events : {counters['syncon_online_reclaimed_events_total']}"
 print(f"  live log peak    : {gauges.get('syncon_longrun_live_log_peak')}")
 print(f"  live log final   : {gauges.get('syncon_longrun_live_log_final')}")
 print(f"  surface replies  : {gauges.get('syncon_longrun_surface_replies')}")
+print(f"  executed events  : {gauges.get('syncon_longrun_executed_events')}")
+print(f"  resync rounds    : {gauges.get('syncon_longrun_resync_rounds')}")
 
 if os.path.exists(merge_path):
     with open(merge_path) as f:

@@ -35,13 +35,6 @@ VectorClock low_watermark(std::span<const VectorClock> bounds) {
   return out;
 }
 
-bool cut_covers(const VectorClock& cut, EventId e) {
-  SYNCON_REQUIRE(e.process < cut.size(),
-                 "event of unknown process " + std::to_string(e.process));
-  SYNCON_REQUIRE(e.index >= 1, "real events have index >= 1");
-  return e.index < cut[e.process];
-}
-
 ClockValue watermark_lag(const VectorClock& cut, const VectorClock& frontier) {
   SYNCON_REQUIRE(cut.size() == frontier.size(),
                  "cut and frontier cover different process counts");

@@ -53,10 +53,6 @@ struct RetentionCheckpoint {
 /// bounds. Requires at least one bound; all must have the same size.
 VectorClock low_watermark(std::span<const VectorClock> bounds);
 
-/// True iff real event e lies inside the cut with this timestamp (counts
-/// form), i.e. e.index <= cut[e.process] - 1.
-bool cut_covers(const VectorClock& cut, EventId e);
-
 /// How far each process's frontier runs ahead of the cut: the maximum over
 /// p of frontier[p] - cut[p] (both counts form; 0 when the cut is the
 /// frontier). This is the "watermark lag" gauge of DESIGN.md §3.10.

@@ -135,16 +135,16 @@ std::string& dump_path_storage() {
   return path;
 }
 
+std::string flight_dump_path() {
+  const std::lock_guard<std::mutex> lock(dump_mutex());
+  return dump_path_storage();
+}
+
 }  // namespace
 
 void set_flight_dump_path(std::string path) {
   const std::lock_guard<std::mutex> lock(dump_mutex());
   dump_path_storage() = std::move(path);
-}
-
-std::string flight_dump_path() {
-  const std::lock_guard<std::mutex> lock(dump_mutex());
-  return dump_path_storage();
 }
 
 bool flight_auto_dump(const char* reason) noexcept {

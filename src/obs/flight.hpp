@@ -155,7 +155,6 @@ inline void flight(FlightKind kind, std::uint32_t process, std::uint64_t a = 0,
 /// File the automatic dumps append to. Empty (the default) disables them.
 /// Dumps are appended with a reason header so consecutive incidents stack.
 void set_flight_dump_path(std::string path);
-std::string flight_dump_path();
 
 /// Appends a text dump of the global ring to the configured dump path now
 /// (the on-quarantine / on-recovery / on-contract-failure hook; also usable

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "relations/evaluator.hpp"
@@ -57,8 +56,7 @@ class BatchEvaluator {
   /// per-pair QueryCost — the explicit replacement for the evaluator's old
   /// hidden counter.
   struct Result {
-    /// Pair results in input order (x-major for all_pairs), independent of
-    /// scheduling.
+    /// Pair results in x-major order, independent of scheduling.
     std::vector<PairRelations> pairs;
     /// Merged cost across all shards (== sum of pairs[i].relations.cost).
     QueryCost cost;
@@ -82,10 +80,6 @@ class BatchEvaluator {
 
   /// All ordered pairs (x, y), x != y, over the registered events.
   Result all_pairs(bool pruned = true) const;
-
-  /// An explicit pair list (handles must belong to the evaluator).
-  Result evaluate_pairs(std::vector<std::pair<EventHandle, EventHandle>> pairs,
-                        bool pruned = true) const;
 
  private:
   const RelationEvaluator* eval_;

@@ -1,12 +1,16 @@
-// Long-running soak harness for the retention subsystem (DESIGN.md §3.10):
-// a ring of processes exchanging clock-stamped messages over a faulty
-// network, a feed-only OnlineMonitor consuming every event report over
-// per-process lossy channels, tracked action pairs opening / completing /
-// being forgotten continuously, and the authoritative log compacted at the
-// composed low watermark (monitor pin ∧ harness app pin) on a fixed cadence.
+// One ring-and-pairs workload, two hosts (DESIGN.md §3.10, §3.15): a ring
+// of processes exchanging clock-stamped messages, tracked action pairs
+// opening / completing / being forgotten head-of-line, every event reported
+// to the monitor over per-process lossy channels, and a checkpoint + resync
+// on a fixed cadence. One generator runs it and applies each op to a
+// TenantSessionCore (a replica log plus a feed-only OnlineMonitor):
+//   * generate_tenant_script keeps the ops — a service tenant's traffic;
+//   * run_soak keeps none (its plateau run executes ~1M events) and, when
+//     the workload compacts, compacts the session's replica at its
+//     monitor's pin and the application log at its oldest unconsumed send.
 //
-// The harness exists to demonstrate — and let tests/benchmarks assert —
-// the three retention guarantees:
+// The soak exists to demonstrate — and let tests/benchmarks assert — the
+// three retention guarantees:
 //   (a) verdict identity: the Definite-firing sequence of a faulty,
 //       compacted run is bit-identical to the clean, uncompacted run;
 //   (b) bounded memory: the live log plateaus instead of growing with the
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -29,80 +34,6 @@
 #include "sim/faulty_channel.hpp"
 
 namespace syncon {
-
-/// Knobs of one soak run. Everything is deterministic in (config, seed).
-struct SoakConfig {
-  std::size_t processes = 4;
-  /// Main-loop cycles; every cycle each process sends once around the ring.
-  std::uint64_t cycles = 2000;
-  /// Open one tracked action pair every this many cycles.
-  std::uint64_t action_every = 8;
-  /// Checkpoint + chunked-resync recovery cadence.
-  std::uint64_t recover_every = 32;
-  /// Compaction cadence (0 = never compact — the uncompacted baseline).
-  std::uint64_t compact_every = 64;
-  /// Per-round cap on resync request size (OnlineMonitor::resync's chunk;
-  /// must be positive).
-  std::size_t resync_chunk = 256;
-  /// Cycles before an undelivered application send is re-shipped from
-  /// wire_of — the harness-level retransmission that keeps the ring
-  /// converging under drops.
-  std::uint64_t retransmit_after = 4;
-  /// Faults on the application ring links (drops here change the execution
-  /// itself — leave at zero for verdict-identity comparisons).
-  LinkFaultConfig app_link;
-  /// Faults on the event-report feed to the monitor.
-  LinkFaultConfig report_link;
-  std::uint64_t seed = 1;
-  /// After the run, spin up a fresh feed-only monitor and resync it across
-  /// the watermark (exercises checkpoint serving + adopt_checkpoint).
-  bool late_joiner_probe = false;
-  /// Causal-observability capture (DESIGN.md §3.13): turns on the monitor's
-  /// detection-latency tracking and the flight recorder for the run, and
-  /// fills SoakResult::waterfalls / flight / execution (the latter only for
-  /// uncompacted runs, where the full execution is still materializable).
-  bool capture_observability = false;
-  /// Called at the end of every main-loop cycle — the live-observation hook
-  /// (serve scrape requests, publish metrics) for daemon-shaped harnesses.
-  std::function<void(std::uint64_t cycle)> on_cycle;
-};
-
-/// What one soak run produced.
-struct SoakResult {
-  /// Events executed by the system (sends + receives + action locals).
-  std::uint64_t executed_events = 0;
-  /// Retention counters at the end of the run.
-  std::uint64_t reclaimed_events = 0;
-  std::uint64_t compactions = 0;
-  std::size_t live_log_peak = 0;
-  std::size_t live_log_final = 0;
-  /// Live-log size sampled right after each compaction — the plateau the
-  /// soak test / bench asserts on.
-  std::vector<std::size_t> live_log_samples;
-  /// "x|y|holds" per Definite watch firing, in firing order — the
-  /// bit-identity payload: equal across clean/faulty/compacted runs.
-  std::vector<std::string> definite_verdicts;
-  std::uint64_t definite_fires = 0;
-  std::uint64_t pending_fires = 0;
-  std::uint64_t duplicate_reports = 0;
-  std::uint64_t resync_rounds = 0;
-  ChannelStats app_stats;
-  ChannelStats report_stats;
-  /// Late-joiner probe results (late_joiner_probe only).
-  bool late_joiner_converged = false;
-  /// Resync replies answered from the retention checkpoint's surface.
-  std::uint64_t surface_replies = 0;
-  /// capture_observability only: the retained verdict waterfalls, the
-  /// flight-recorder contents at the end of the run, and (for uncompacted
-  /// runs) the full execution for causal-trace export.
-  std::vector<obs::Waterfall> waterfalls;
-  std::vector<obs::FlightRecord> flight;
-  std::shared_ptr<const Execution> execution;
-};
-
-/// Runs the soak scenario. Deterministic: same config → same result,
-/// bit for bit.
-SoakResult run_soak(const SoakConfig& config);
 
 // --- multi-tenant tenant scripts (DESIGN.md §3.15) ---------------------------
 //
@@ -142,13 +73,27 @@ struct TenantOp {
   friend bool operator==(const TenantOp&, const TenantOp&) = default;
 };
 
-/// Knobs of one tenant's generated workload. Deterministic in (fields, seed).
+/// Knobs of one ring-and-pairs workload: a service tenant or a soak run.
+/// Deterministic in (fields, seed).
 struct TenantWorkload {
   std::size_t processes = 3;
+  /// Main-loop cycles; every cycle each process sends once around the ring.
   std::uint64_t cycles = 18;
+  /// Open one tracked action pair every this many cycles.
   std::uint64_t action_every = 4;
+  /// Checkpoint + chunked-resync cadence.
   std::uint64_t recover_every = 8;
+  /// Per-round cap on resync request size (must be positive).
   std::size_t resync_chunk = 64;
+  /// Compaction cadence (0 = never): the session's replica compacts at its
+  /// monitor's pin, the application log at its oldest unconsumed send.
+  std::uint64_t compact_every = 0;
+  /// The application ring. nullopt: reliable, each send delivered in the
+  /// cycle it was sent. A value: a FaultyNetwork with these faults,
+  /// duplicate deliveries suppressed and counted, and unconsumed sends
+  /// re-shipped every 4 cycles (drops change the execution itself, so leave
+  /// it fault-free for verdict-identity comparisons).
+  std::optional<LinkFaultConfig> app_link;
   /// Faults on the event-report feed (the journal stream stays reliable —
   /// it is the authoritative WAL-shaped stream).
   LinkFaultConfig report_link;
@@ -201,6 +146,12 @@ class TenantSessionCore {
   /// a future resync or open action can still need (DESIGN.md §3.10).
   std::size_t compact_at_pin();
 
+  /// Resync rounds the checkpoint ops have run.
+  std::uint64_t resync_rounds() const { return resync_rounds_; }
+
+  /// Turns the monitor's detection-latency waterfalls on or off.
+  void set_latency_tracking(bool on) { monitor_.set_latency_tracking(on); }
+
   const OnlineSystem& system() const { return sys_; }
   const OnlineMonitor& monitor() const { return monitor_; }
 
@@ -217,17 +168,70 @@ class TenantSessionCore {
   std::unordered_map<std::string, std::vector<EventId>> events_of_label_;
   std::vector<std::string> verdicts_;
   std::uint64_t quarantined_ops_ = 0;
+  std::uint64_t resync_rounds_ = 0;
 };
 
-/// Generates one tenant's script: a ring + tracked-action-pair workload
-/// (run_soak's shape, sized per tenant) with seeded faults on the report
-/// feed, flattened to ops. Deterministic: same workload → same script and
-/// the same reference verdicts, bit for bit.
+/// Generates one tenant's script: the ring-and-pairs workload flattened to
+/// ops. Deterministic: same workload → same script and the same reference
+/// verdicts, bit for bit.
 TenantScript generate_tenant_script(const TenantWorkload& workload);
 
 /// The standalone offline baseline: applies the script to a fresh session
 /// and returns its Definite verdict log (equals reference_verdicts — and
 /// must equal any daemon-hosted replay of the same script).
 std::vector<std::string> run_tenant_script(const TenantScript& script);
+
+// --- the soak ----------------------------------------------------------------
+
+/// Knobs of one soak run. Everything is deterministic in the config.
+struct SoakConfig {
+  TenantWorkload workload;
+  /// Causal-observability capture (DESIGN.md §3.13): turns on the monitor's
+  /// detection-latency tracking and the flight recorder for the run, and
+  /// fills SoakResult::waterfalls / flight / execution (the latter only for
+  /// uncompacted runs, where the full execution is still materializable).
+  bool capture_observability = false;
+  /// Called at the end of every main-loop cycle — the live-observation hook
+  /// (serve scrape requests, publish metrics) for daemon-shaped harnesses.
+  std::function<void(std::uint64_t cycle)> on_cycle;
+};
+
+/// What one soak run produced.
+struct SoakResult {
+  /// Events executed by the system (sends + receives + action locals).
+  std::uint64_t executed_events = 0;
+  /// The replica's retention counters at the end of the run.
+  std::uint64_t reclaimed_events = 0;
+  std::uint64_t compactions = 0;
+  std::size_t live_log_peak = 0;
+  std::size_t live_log_final = 0;
+  /// The replica's live-log size sampled right after each compaction — the
+  /// plateau the soak test / bench asserts on.
+  std::vector<std::size_t> live_log_samples;
+  /// "x|y|holds" per Definite watch firing, in firing order — the
+  /// bit-identity payload: equal across clean/faulty/compacted runs.
+  std::vector<std::string> definite_verdicts;
+  std::uint64_t definite_fires = 0;
+  std::uint64_t pending_fires = 0;
+  std::uint64_t duplicate_reports = 0;
+  std::uint64_t resync_rounds = 0;
+  ChannelStats app_stats;
+  ChannelStats report_stats;
+  /// Runs that reclaimed events end with a late joiner: a fresh monitor
+  /// whose resync from the replica crosses the watermark.
+  bool late_joiner_converged = false;
+  /// Its resync replies answered from the retention checkpoint's surface.
+  std::uint64_t surface_replies = 0;
+  /// capture_observability only: the retained verdict waterfalls, the
+  /// flight-recorder contents at the end of the run, and (for uncompacted
+  /// runs) the full execution for causal-trace export.
+  std::vector<obs::Waterfall> waterfalls;
+  std::vector<obs::FlightRecord> flight;
+  std::shared_ptr<const Execution> execution;
+};
+
+/// Runs the workload through one TenantSessionCore, keeping no ops.
+/// Deterministic: same config → same result, bit for bit.
+SoakResult run_soak(const SoakConfig& config);
 
 }  // namespace syncon

@@ -116,22 +116,6 @@ TEST(BatchEvaluatorTest, ResultAggregationMatchesPerPairCosts) {
   EXPECT_EQ(s.eval->accumulated_cost(), QueryCost{});
 }
 
-TEST(BatchEvaluatorTest, ExplicitPairListRespectsInputOrder) {
-  const Seeded s(5, 6);
-  const auto hs = s.eval->handles();
-  std::vector<std::pair<EventHandle, EventHandle>> pairs;
-  for (std::size_t i = hs.size(); i-- > 1;) {
-    pairs.emplace_back(hs[i], hs[i - 1]);  // deliberately reversed order
-  }
-  ThreadPool pool(3);
-  const auto result = BatchEvaluator(*s.eval, &pool).evaluate_pairs(pairs);
-  ASSERT_EQ(result.pairs.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(result.pairs[i].x, pairs[i].first);
-    EXPECT_EQ(result.pairs[i].y, pairs[i].second);
-  }
-}
-
 // Many threads share one const evaluator, each with a private cost sink.
 // Answers must agree with a serial reference, and per-thread costs must sum
 // to exactly thread_count × the serial cost.

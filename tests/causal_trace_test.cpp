@@ -162,12 +162,16 @@ TEST(CausalTraceTest, IntervalSpansCoverComponentEvents) {
 
 TEST(CausalTraceTest, FaultySoakRunExportsResyncAndVerdictSpans) {
   SoakConfig config;
-  config.processes = 4;
-  config.cycles = 400;
-  config.compact_every = 0;  // keep the execution materializable
-  config.report_link.drop_probability = 0.10;
-  config.report_link.duplicate_probability = 0.05;
-  config.seed = 97;
+  TenantWorkload& workload = config.workload;
+  workload.processes = 4;
+  workload.cycles = 400;
+  workload.action_every = 8;
+  workload.recover_every = 32;
+  workload.resync_chunk = 256;
+  workload.compact_every = 0;  // keep the execution materializable
+  workload.report_link.drop_probability = 0.10;
+  workload.report_link.duplicate_probability = 0.05;
+  workload.seed = 97;
   config.capture_observability = true;
   const SoakResult result = run_soak(config);
   ASSERT_TRUE(result.execution != nullptr);

@@ -383,38 +383,45 @@ TEST(RetentionTest, LateJoinerConvergesAcrossTheWatermark) {
 // SYNCON_TEST_ITERS dials the cycle count (e.g. =5000 for a long soak).
 // ---------------------------------------------------------------------------
 
-TEST(RetentionSoakTest, CompactedFaultyRunKeepsCleanVerdictsAndPlateaus) {
-  SoakConfig compacted_cfg;
-  compacted_cfg.processes = 4;
-  compacted_cfg.cycles = static_cast<std::uint64_t>(
+/// The soak's compacted leg: 4 processes, lossy reports, compaction every
+/// 48 cycles.
+SoakConfig compacted_soak() {
+  SoakConfig config;
+  TenantWorkload& w = config.workload;
+  w.processes = 4;
+  w.cycles = static_cast<std::uint64_t>(
       std::max(240, syncon::testing::test_iters(600)));
-  compacted_cfg.action_every = 8;
-  compacted_cfg.recover_every = 24;
-  compacted_cfg.compact_every = 48;
-  compacted_cfg.resync_chunk = 64;
-  compacted_cfg.report_link.drop_probability = 0.08;
-  compacted_cfg.report_link.duplicate_probability = 0.04;
-  compacted_cfg.report_link.reorder_probability = 0.08;
-  compacted_cfg.report_link.min_delay = 1;
-  compacted_cfg.report_link.max_delay = 30;
-  compacted_cfg.seed = 2026;
-  compacted_cfg.late_joiner_probe = true;
+  w.action_every = 8;
+  w.recover_every = 24;
+  w.compact_every = 48;
+  w.resync_chunk = 64;
+  w.report_link.drop_probability = 0.08;
+  w.report_link.duplicate_probability = 0.04;
+  w.report_link.reorder_probability = 0.08;
+  w.report_link.min_delay = 1;
+  w.report_link.max_delay = 30;
+  w.seed = 2026;
+  return config;
+}
 
-  // The reference: same application execution (the app links are fault-free
-  // in both configs), clean report feed, never compacted.
-  SoakConfig clean_cfg = compacted_cfg;
-  clean_cfg.report_link = LinkFaultConfig{};
-  clean_cfg.compact_every = 0;
-  clean_cfg.late_joiner_probe = false;
+/// The same application execution (the app links and their seed are
+/// shared), clean report feed, never compacted.
+SoakConfig clean_reference(SoakConfig config) {
+  config.workload.report_link = LinkFaultConfig{};
+  config.workload.compact_every = 0;
+  return config;
+}
 
-  const SoakResult compacted = run_soak(compacted_cfg);
-  const SoakResult clean = run_soak(clean_cfg);
-
+/// The three retention guarantees of a compacted faulty run against its
+/// clean, uncompacted reference.
+void expect_retention_guarantees(const SoakResult& compacted,
+                                 const SoakResult& clean) {
   // The faults and the compactions really happened.
   EXPECT_GT(compacted.report_stats.dropped, 0u);
   EXPECT_GT(compacted.reclaimed_events, 0u);
   EXPECT_GT(compacted.compactions, 1u);
   EXPECT_EQ(clean.reclaimed_events, 0u);
+  EXPECT_EQ(compacted.executed_events, clean.executed_events);
 
   // (a) Verdict identity: the Definite-firing sequence of the faulty,
   // compacted run is bit-identical to the clean, uncompacted run.
@@ -435,17 +442,43 @@ TEST(RetentionSoakTest, CompactedFaultyRunKeepsCleanVerdictsAndPlateaus) {
   EXPECT_LT(compacted.live_log_final, clean.live_log_final);
 
   // (c) Checkpoint serving: the late joiner's resync crossed the watermark
-  // and converged via surface reports + adopt_checkpoint.
+  // and converged via surface reports + adopt_checkpoint. Only a run that
+  // reclaimed events runs one.
   EXPECT_GT(compacted.surface_replies, 0u);
   EXPECT_TRUE(compacted.late_joiner_converged);
+  EXPECT_FALSE(clean.late_joiner_converged);
+}
+
+TEST(RetentionSoakTest, CompactedFaultyRunKeepsCleanVerdictsAndPlateaus) {
+  const SoakConfig compacted_cfg = compacted_soak();
+  expect_retention_guarantees(run_soak(compacted_cfg),
+                              run_soak(clean_reference(compacted_cfg)));
+}
+
+TEST(RetentionSoakTest, FaultyApplicationRingKeepsTheGuarantees) {
+  // bench_longrun's application faults: drops, duplicates and reorders
+  // change the execution, which re-shipping keeps converging. Both runs
+  // share them, so both execute the same events.
+  SoakConfig compacted_cfg = compacted_soak();
+  LinkFaultConfig& app = compacted_cfg.workload.app_link.emplace();
+  app.drop_probability = 0.02;
+  app.duplicate_probability = 0.01;
+  app.reorder_probability = 0.05;
+  app.min_delay = 1;
+  app.max_delay = 24;
+  const SoakResult compacted = run_soak(compacted_cfg);
+  const SoakResult clean = run_soak(clean_reference(compacted_cfg));
+  EXPECT_GT(compacted.app_stats.dropped, 0u);
+  EXPECT_EQ(compacted.app_stats.dropped, clean.app_stats.dropped);
+  expect_retention_guarantees(compacted, clean);
 }
 
 TEST(RetentionSoakTest, ZeroResyncChunkIsRejected) {
   // A zero chunk requests nothing: every gap would stay open and every
   // verdict PendingGap, so the soak refuses it up front.
   SoakConfig config;
-  config.cycles = 64;
-  config.resync_chunk = 0;
+  config.workload.cycles = 64;
+  config.workload.resync_chunk = 0;
   EXPECT_THROW(run_soak(config), ContractViolation);
 }
 

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "counting_new.hpp"
+#include "relations/evaluator.hpp"
 #include "sim/soak.hpp"
 #include "support/varint.hpp"
 
@@ -30,6 +32,26 @@ TenantWorkload faulty_workload(std::uint64_t seed) {
   workload.report_link.min_delay = 1;
   workload.report_link.max_delay = 24;
   workload.seed = seed;
+  return workload;
+}
+
+/// A tenant of one of bench_e2e's two service workloads (`service_small`:
+/// 3 processes, 18 cycles, clean; `service_durable`: 16 processes, 40
+/// cycles, lossy reports), seeded as that benchmark seeds tenant `tenant`
+/// of a run at `run_seed`.
+TenantWorkload service_workload(bool durable, std::uint64_t run_seed,
+                                std::size_t tenant) {
+  TenantWorkload workload;
+  workload.processes = durable ? 16 : 3;
+  workload.cycles = durable ? 40 : 18;
+  if (durable) {
+    workload.report_link.drop_probability = 0.15;
+    workload.report_link.duplicate_probability = 0.10;
+    workload.report_link.reorder_probability = 0.20;
+    workload.report_link.min_delay = 1;
+    workload.report_link.max_delay = 24;
+  }
+  workload.seed = run_seed ^ (0x9e3779b97f4a7c15ull * (tenant + 1));
   return workload;
 }
 
@@ -357,6 +379,92 @@ TEST(ServiceCodecTest, MalformedEventSourceIsQuarantinedWithoutStateDamage) {
   EXPECT_EQ(core.quarantined(), 1u);
   EXPECT_EQ(replica.executed(0), 1u);
   EXPECT_TRUE(replica.already_delivered(0, EventId{1, 1}));
+}
+
+// The service workloads generate their scripts in setup, so the generator
+// is part of what the benchmark measures: a changed op, clock or reference
+// verdict changes every wire and journal byte count pinned in CI. FNV-1a
+// over the encoded frames and the reference verdicts of a few tenants of
+// each workload pins it here too.
+TEST(ServiceCodecTest, GeneratedServiceScriptsKeepTheirPinnedBytes) {
+  const auto fnv1a = [](std::uint64_t hash, const void* data,
+                        std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+    }
+    return hash;
+  };
+  struct Pin {
+    bool durable;
+    std::uint64_t hash;
+  };
+  for (const Pin pin : {Pin{false, 0xd6e49a8982057c25ull},
+                        Pin{true, 0x30bc6ac064d99c04ull}}) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const std::uint64_t run_seed : {1u, 2u}) {
+      for (std::size_t tenant = 0; tenant < 3; ++tenant) {
+        const TenantScript script = generate_tenant_script(
+            service_workload(pin.durable, run_seed, tenant));
+        TenantFrameEncoder encoder;
+        for (const auto& frame : encode_frames(encoder, tenant, script)) {
+          hash = fnv1a(hash, frame.data(), frame.size());
+        }
+        for (const std::string& verdict : script.reference_verdicts) {
+          hash = fnv1a(hash, verdict.c_str(), verdict.size() + 1);
+        }
+      }
+    }
+    EXPECT_EQ(hash, pin.hash)
+        << (pin.durable ? "service_durable" : "service_small");
+  }
+}
+
+// The session's verdicts against the offline engine: replay each script,
+// rebuild the execution from the uncompacted replica, gather each action's
+// journaled events into its interval, and evaluate every Definite verdict
+// with Theorem 20's probe and with direct quantification.
+TEST(ServiceCodecTest, HostedVerdictsMatchTheOfflineEvaluator) {
+  const RelationId r3{Relation::R3, ProxyKind::Begin, ProxyKind::End};
+  std::size_t checked = 0;
+  for (const bool durable : {false, true}) {
+    for (const bool faulty : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        TenantWorkload workload = service_workload(durable, seed, 0);
+        if (!faulty) workload.report_link = LinkFaultConfig{};
+        const TenantScript script = generate_tenant_script(workload);
+        TenantSessionCore core(script.processes, script.resync_chunk);
+        std::map<std::string, std::vector<EventId>> events_of;
+        for (const TenantOp& op : script.ops) {
+          core.apply(op);
+          if (op.kind == TenantOp::Kind::kEvent && !op.label.empty()) {
+            events_of[op.label].push_back(op.message.source);
+          }
+        }
+        ASSERT_EQ(core.definite_verdicts(), script.reference_verdicts);
+
+        const Execution exec = core.system().to_execution();
+        RelationEvaluator eval(exec);
+        std::map<std::string, EventHandle> handle_of;
+        for (const auto& [label, events] : events_of) {
+          handle_of.emplace(label,
+                            eval.add_event(NonatomicEvent(exec, events, label)));
+        }
+        for (const std::string& verdict : script.reference_verdicts) {
+          const std::size_t bar = verdict.find('|');
+          const std::size_t bar2 = verdict.find('|', bar + 1);
+          const EventHandle x = handle_of.at(verdict.substr(0, bar));
+          const EventHandle y =
+              handle_of.at(verdict.substr(bar + 1, bar2 - bar - 1));
+          const bool holds = verdict.substr(bar2 + 1) == "holds";
+          EXPECT_EQ(eval.holds(r3, x, y), holds) << verdict;
+          EXPECT_EQ(eval.holds_naive(r3, x, y), holds) << verdict;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 300u);
 }
 
 }  // namespace

@@ -90,15 +90,17 @@ int main(int argc, char** argv) try {
   }
 
   SoakConfig config;
-  config.processes = cli.get_uint("processes");
-  config.cycles = cli.get_uint("cycles");
-  config.action_every = cli.get_uint("action-every");
-  config.recover_every = cli.get_uint("recover-every");
-  config.compact_every = cli.get_uint("compact-every");
-  config.seed = cli.get_uint("seed");
-  config.report_link.drop_probability = cli.get_double("report-drop");
-  config.report_link.duplicate_probability = cli.get_double("report-dup");
-  config.report_link.reorder_probability = cli.get_double("report-reorder");
+  TenantWorkload& workload = config.workload;
+  workload.processes = cli.get_uint("processes");
+  workload.cycles = cli.get_uint("cycles");
+  workload.action_every = cli.get_uint("action-every");
+  workload.recover_every = cli.get_uint("recover-every");
+  workload.compact_every = cli.get_uint("compact-every");
+  workload.resync_chunk = 256;
+  workload.seed = cli.get_uint("seed");
+  workload.report_link.drop_probability = cli.get_double("report-drop");
+  workload.report_link.duplicate_probability = cli.get_double("report-dup");
+  workload.report_link.reorder_probability = cli.get_double("report-reorder");
   config.capture_observability = true;
 
   obs::ScrapeServer::Options server_options;
@@ -135,12 +137,12 @@ int main(int argc, char** argv) try {
 
   // --- quarantine drill ------------------------------------------------------
   if (cli.get_flag("inject-quarantine")) {
-    OnlineMonitor victim(config.processes);
+    OnlineMonitor victim(workload.processes);
     // Own clock component must be index + 1 (the Fidge invariant); an
     // all-zero clock is the classic corrupt frame every layer must survive.
     WireMessage poison;
     poison.source = EventId{0, 7};
-    poison.clock = VectorClock(config.processes, 0);
+    poison.clock = VectorClock(workload.processes, 0);
     const bool accepted = victim.try_observe(poison);
     std::printf("inject-quarantine: report %s (quarantined %llu)\n",
                 accepted ? "ACCEPTED (unexpected)" : "rejected",
