@@ -259,6 +259,8 @@ int run() {
 
   registry.gauge("syncon_longrun_executed_events")
       .set(static_cast<std::int64_t>(soak.executed_events));
+  registry.gauge("syncon_longrun_reclaimed_events")
+      .set(static_cast<std::int64_t>(soak.reclaimed_events));
   registry.gauge("syncon_longrun_live_log_peak")
       .set(static_cast<std::int64_t>(soak.live_log_peak));
   registry.gauge("syncon_longrun_live_log_final")

@@ -10,6 +10,10 @@
 #                  daemon must shed load through backpressure rejects and
 #                  still converge to bit-identical verdicts.
 #
+# On both runs the labeled per-tenant series left in the metric registry
+# must stay within the daemon's bound (3 gauges for each of at most 64
+# hosted tenants); a released tenant's series are dropped with it.
+#
 # The clean run's stats (p99 ingest latency, peak RSS, reclaimed events)
 # are merged into the benchmark trajectory file under runs.service
 # (creating a minimal file if scripts/ci_bench_smoke.sh has not run yet).
@@ -74,6 +78,10 @@ if overload["identity_mismatches"] != 0:
     failures.append("overload run: backpressure corrupted tenant verdicts")
 if overload["backpressure_rejects"] <= 0:
     failures.append("overload run: tiny queues never rejected a submit")
+for name, run in (("clean", clean), ("overload", overload)):
+    if run["tenant_series"] > 3 * 64:
+        failures.append(f"{name} run: {run['tenant_series']} per-tenant "
+                        "series left in the registry, bound 192")
 if failures:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
@@ -88,6 +96,8 @@ print(f"  reclaimed events     : {clean['reclaimed_events']}")
 print(f"  p99 ingest latency   : {clean['p99_ingest_us']:.1f} us")
 print(f"  peak RSS             : {clean['peak_rss_kib']} KiB")
 print(f"  overload rejects     : {overload['backpressure_rejects']} (identity held)")
+print(f"  per-tenant series    : {clean['tenant_series']} / "
+      f"{overload['tenant_series']} (clean / overload)")
 
 if os.path.exists(merge_path):
     with open(merge_path) as f:

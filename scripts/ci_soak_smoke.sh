@@ -8,11 +8,15 @@
 # round answered from the retention checkpoint, which OnlineMonitor::resync
 # then adopts). At the default 4,000 cycles (SYNCON_SOAK_PROCS and
 # SYNCON_SOAK_SEED unset) it also pins the plateau run's counted work:
-# 65,982 executed events, 125 resync rounds and exactly 1 surface reply. A
-# changed count means the generator, the resync loop or the watermark
-# moved. The snapshot is then merged into the
-# benchmark trajectory file under runs.bench_longrun.telemetry (creating a
-# minimal file if scripts/ci_bench_smoke.sh has not run yet).
+# 65,982 executed events, 65,475 events its session's replica reclaimed,
+# 125 resync rounds and exactly 1 surface reply. A changed count means the
+# generator, the resync loop or the watermark moved. The reclaimed figure
+# is the plateau run's own (syncon_longrun_reclaimed_events), not the
+# process-wide syncon_online_reclaimed_events_total, which also sums the
+# application logs and the identity phase's runs. The snapshot is then
+# merged into the benchmark trajectory file under
+# runs.bench_longrun.telemetry (creating a minimal file if
+# scripts/ci_bench_smoke.sh has not run yet).
 #
 # Usage: scripts/ci_soak_smoke.sh [cycles] [merge_target.json]
 #        (defaults: 4000 cycles, build-bench/BENCH_smoke.json)
@@ -47,11 +51,11 @@ import json, os, sys
 snap_path, merge_path, cycles = sys.argv[1], sys.argv[2], sys.argv[3]
 with open(snap_path) as f:
     snap = json.load(f)
-counters, gauges = snap.get("counters", {}), snap.get("gauges", {})
+gauges = snap.get("gauges", {})
 
 failures = []
-if counters.get("syncon_online_reclaimed_events_total", 0) <= 0:
-    failures.append("reclaimed-events counter stayed zero: compaction never ran")
+if gauges.get("syncon_longrun_reclaimed_events", 0) <= 0:
+    failures.append("the plateau run reclaimed nothing: compaction never ran")
 if gauges.get("syncon_longrun_plateau_ok") != 1:
     failures.append("live log grew instead of plateauing")
 if gauges.get("syncon_longrun_verdict_identity") != 1:
@@ -65,6 +69,7 @@ if cycles == "4000" and not any(
         os.environ.get(dial) for dial in ("SYNCON_SOAK_PROCS",
                                           "SYNCON_SOAK_SEED")):
     pinned = {"syncon_longrun_executed_events": 65982,
+              "syncon_longrun_reclaimed_events": 65475,
               "syncon_longrun_resync_rounds": 125,
               "syncon_longrun_surface_replies": 1}
     for name, want in pinned.items():
@@ -76,7 +81,7 @@ if failures:
     sys.exit(1)
 
 print("retention guarantees hold:")
-print(f"  reclaimed events : {counters['syncon_online_reclaimed_events_total']}")
+print(f"  reclaimed events : {gauges.get('syncon_longrun_reclaimed_events')}")
 print(f"  live log peak    : {gauges.get('syncon_longrun_live_log_peak')}")
 print(f"  live log final   : {gauges.get('syncon_longrun_live_log_final')}")
 print(f"  surface replies  : {gauges.get('syncon_longrun_surface_replies')}")

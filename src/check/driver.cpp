@@ -112,7 +112,6 @@ DriverReport run_conformance(const DriverOptions& options, std::ostream* log) {
       failure.case_seed = seed;
       failure.case_index = i;
       failure.detail = result.message;
-      failure.original = c;
       failure.minimized = c;
       if (log) {
         *log << "FAIL " << property->name << " case #" << i << " seed "
@@ -125,7 +124,7 @@ DriverReport run_conformance(const DriverOptions& options, std::ostream* log) {
             [property](const CheckCase& candidate) {
               return run_property_on_case(*property, candidate);
             },
-            &failure.shrink_stats, options.shrink);
+            &failure.shrink_stats);
         if (log) {
           *log << "  shrunk to " << size_of(failure.minimized) << " in "
                << failure.shrink_stats.evaluations << " evaluations ("

@@ -28,7 +28,6 @@ struct DriverOptions {
   std::vector<std::string> properties;
   GenLimits limits;
   bool shrink_failures = true;
-  ShrinkOptions shrink;
   /// Stop after this many failures; 0 means collect them all.
   std::size_t stop_after_failures = 1;
   /// Exhaustive mode: force schedule_invariance into the property set (when
@@ -44,8 +43,7 @@ struct FailureReport {
   std::size_t case_index = 0;
   /// The failing property's message (which relation/cut/verdict diverged).
   std::string detail;
-  CheckCase original;
-  CheckCase minimized;  ///< == original when shrinking was disabled
+  CheckCase minimized;  ///< the generated case when shrinking was disabled
   ShrinkStats shrink_stats;
   /// Self-contained replayable repro of the minimized case (trace_io form).
   std::string repro;

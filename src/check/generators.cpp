@@ -1,6 +1,5 @@
 #include "check/generators.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -9,22 +8,26 @@
 
 namespace syncon::check {
 
+namespace {
+
+/// Interval shape bounds (see GenLimits).
+constexpr std::size_t kMaxIntervalNodes = 6;
+constexpr std::size_t kMaxEventsPerNode = 5;
+
+}  // namespace
+
 CheckCase generate_case(std::uint64_t case_seed, const GenLimits& limits) {
   Xoshiro256StarStar rng(case_seed);
   const WorkloadConfig cfg = random_workload_config(rng, limits.workload);
   const Execution exec = generate_execution(cfg);
 
   IntervalSpec spec;
-  spec.node_count =
-      1 + rng.below(std::max<std::size_t>(limits.max_interval_nodes, 1));
-  spec.max_events_per_node =
-      1 + rng.below(std::max<std::size_t>(limits.max_events_per_node, 1));
+  spec.node_count = 1 + rng.below(kMaxIntervalNodes);
+  spec.max_events_per_node = 1 + rng.below(kMaxEventsPerNode);
   const NonatomicEvent x = random_interval(exec, rng, spec, "X");
   // Y gets its own independently sampled shape.
-  spec.node_count =
-      1 + rng.below(std::max<std::size_t>(limits.max_interval_nodes, 1));
-  spec.max_events_per_node =
-      1 + rng.below(std::max<std::size_t>(limits.max_events_per_node, 1));
+  spec.node_count = 1 + rng.below(kMaxIntervalNodes);
+  spec.max_events_per_node = 1 + rng.below(kMaxEventsPerNode);
   const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
 
   return case_from_execution(exec, x.events(), y.events());

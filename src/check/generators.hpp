@@ -20,13 +20,10 @@ namespace syncon::check {
 
 /// Size envelope of generated cases. Defaults give "randomized large
 /// universes" (up to ~500 events) while staying fast enough for thousands
-/// of cases per minute.
+/// of cases per minute. X and Y each span up to 6 processes, with up to 5
+/// contiguous events per spanned process.
 struct GenLimits {
   WorkloadBounds workload;
-  /// Interval sampling: X and Y each span up to this many processes…
-  std::size_t max_interval_nodes = 6;
-  /// …with up to this many contiguous events per spanned process.
-  std::size_t max_events_per_node = 5;
 };
 
 /// Generates one case deterministically from its seed.

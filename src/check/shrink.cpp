@@ -9,6 +9,9 @@ namespace syncon::check {
 
 namespace {
 
+/// Full passes over all the axes; the loop also stops at a fixpoint.
+constexpr std::size_t kMaxRounds = 12;
+
 class Shrinker {
  public:
   Shrinker(CheckCase best, const CaseProperty& property,
@@ -17,7 +20,7 @@ class Shrinker {
 
   CheckCase run() {
     bool progress = true;
-    while (progress && stats_.rounds < options_.max_rounds && !exhausted()) {
+    while (progress && stats_.rounds < kMaxRounds && !exhausted()) {
       progress = false;
       progress |= shrink_processes();
       progress |= shrink_chains();

@@ -24,8 +24,6 @@ namespace syncon::check {
 using CaseProperty = std::function<PropertyResult(const CheckCase&)>;
 
 struct ShrinkOptions {
-  /// Full passes over all four axes; the loop also stops at a fixpoint.
-  std::size_t max_rounds = 12;
   /// Hard cap on property evaluations (deterministic time bound).
   std::size_t max_evaluations = 50000;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/span.hpp"
 #include "support/contracts.hpp"
 
 namespace syncon {
@@ -111,6 +112,8 @@ SyncMonitor::find_pairs(const SyncCondition& condition,
 }
 
 RelationSet SyncMonitor::relations_between(Handle x, Handle y) const {
+  // One span per single query; a sweep has only its batch/sweep span.
+  SYNCON_SPAN("relation/evaluate");
   return eval_->all_holding_pruned(x, y).holding;
 }
 

@@ -8,7 +8,6 @@
 
 #include "nonatomic/interval.hpp"
 #include "obs/export.hpp"
-#include "support/contracts.hpp"
 
 namespace syncon::obs {
 
@@ -37,10 +36,11 @@ std::string event_name(EventId e) {
 
 /// Synthetic timeline: one step per topological position (offline
 /// executions carry no wall time; determinism is what matters here).
-std::uint64_t synthetic_time(const Execution& exec, EventId e,
-                             const CausalTraceOptions& options) {
+constexpr std::uint64_t kStepUs = 10;
+
+std::uint64_t synthetic_time(const Execution& exec, EventId e) {
   return (static_cast<std::uint64_t>(exec.topological_index(e)) + 1) *
-         options.synthetic_step_us;
+         kStepUs;
 }
 
 }  // namespace
@@ -64,10 +64,8 @@ std::uint64_t message_span_id(EventId send) {
   return event_span_id(send) | (1ull << 63);
 }
 
-CausalTrace build_causal_trace(const Execution& exec, const Timestamps& stamps,
-                               const CausalTraceOptions& options) {
-  SYNCON_REQUIRE(options.synthetic_step_us >= 2,
-                 "synthetic_step_us must leave room for event durations");
+CausalTrace build_causal_trace(const Execution& exec,
+                               const Timestamps& stamps) {
   CausalTrace trace;
 
   std::uint64_t h = fnv1a(1469598103934665603ull, exec.process_count());
@@ -75,8 +73,7 @@ CausalTrace build_causal_trace(const Execution& exec, const Timestamps& stamps,
   h = fnv1a(h, exec.messages().size());
   trace.trace_id = hex16(h) + hex16(fnv1a(h, 0x73796e636f6eull));
 
-  const std::uint64_t step = options.synthetic_step_us;
-  std::uint64_t horizon = step;
+  std::uint64_t horizon = kStepUs;
 
   // One root span per process lane.
   for (ProcessId p = 0; p < exec.process_count(); ++p) {
@@ -93,52 +90,48 @@ CausalTrace build_causal_trace(const Execution& exec, const Timestamps& stamps,
   std::unordered_map<EventId, EventId> receive_of;
   for (const Message& m : exec.messages()) receive_of[m.source] = m.target;
 
-  if (options.event_spans) {
-    for (const EventId& e : exec.topological_order()) {
-      const std::uint64_t t = synthetic_time(exec, e, options);
-      horizon = std::max(horizon, t + step);
-      CausalSpan span;
-      span.id = event_span_id(e);
-      span.parent = process_span_id(e.process);
-      span.name = event_name(e);
-      span.kind = "event";
-      span.process = e.process;
-      span.start_us = t;
-      span.end_us = t + step / 2;
-      span.attributes.emplace_back("event", event_name(e));
-      // Follows-from edges derived from clock comparisons — the builder
-      // proposes the structural predecessors (program order + message
-      // sources), but an edge is emitted only if the vector clocks order
-      // the endpoints. verify_causal_consistency checks the result against
-      // the full clock order.
-      if (e.index > 1) {
-        const EventId pred{e.process, e.index - 1};
-        if (stamps.lt(pred, e)) {
-          span.follows_from.push_back(event_span_id(pred));
-        }
+  for (const EventId& e : exec.topological_order()) {
+    const std::uint64_t t = synthetic_time(exec, e);
+    horizon = std::max(horizon, t + kStepUs);
+    CausalSpan span;
+    span.id = event_span_id(e);
+    span.parent = process_span_id(e.process);
+    span.name = event_name(e);
+    span.kind = "event";
+    span.process = e.process;
+    span.start_us = t;
+    span.end_us = t + kStepUs / 2;
+    span.attributes.emplace_back("event", event_name(e));
+    // Follows-from edges derived from clock comparisons — the builder
+    // proposes the structural predecessors (program order + message
+    // sources), but an edge is emitted only if the vector clocks order
+    // the endpoints. verify_causal_consistency checks the result against
+    // the full clock order.
+    if (e.index > 1) {
+      const EventId pred{e.process, e.index - 1};
+      if (stamps.lt(pred, e)) {
+        span.follows_from.push_back(event_span_id(pred));
       }
-      for (const EventId& src : exec.incoming(e)) {
-        if (stamps.lt(src, e)) {
-          span.follows_from.push_back(event_span_id(src));
-        }
-      }
-      trace.spans.push_back(std::move(span));
     }
+    for (const EventId& src : exec.incoming(e)) {
+      if (stamps.lt(src, e)) {
+        span.follows_from.push_back(event_span_id(src));
+      }
+    }
+    trace.spans.push_back(std::move(span));
   }
 
-  if (options.message_spans && options.event_spans) {
-    for (const Message& m : exec.messages()) {
-      CausalSpan span;
-      span.id = message_span_id(m.source);
-      span.parent = event_span_id(m.source);
-      span.name = "msg " + event_name(m.source) + " -> " +
-                  event_name(receive_of.at(m.source));
-      span.kind = "message";
-      span.process = m.source.process;
-      span.start_us = synthetic_time(exec, m.source, options);
-      span.end_us = synthetic_time(exec, receive_of.at(m.source), options);
-      trace.spans.push_back(std::move(span));
-    }
+  for (const Message& m : exec.messages()) {
+    CausalSpan span;
+    span.id = message_span_id(m.source);
+    span.parent = event_span_id(m.source);
+    span.name = "msg " + event_name(m.source) + " -> " +
+                event_name(receive_of.at(m.source));
+    span.kind = "message";
+    span.process = m.source.process;
+    span.start_us = synthetic_time(exec, m.source);
+    span.end_us = synthetic_time(exec, receive_of.at(m.source));
+    trace.spans.push_back(std::move(span));
   }
 
   for (CausalSpan& span : trace.spans) {
@@ -148,8 +141,7 @@ CausalTrace build_causal_trace(const Execution& exec, const Timestamps& stamps,
 }
 
 void append_interval_spans(CausalTrace& trace, const Execution& exec,
-                           std::span<const NonatomicEvent> intervals,
-                           const CausalTraceOptions& options) {
+                           std::span<const NonatomicEvent> intervals) {
   for (std::size_t i = 0; i < intervals.size(); ++i) {
     const NonatomicEvent& iv = intervals[i];
     CausalSpan span;
@@ -161,9 +153,9 @@ void append_interval_spans(CausalTrace& trace, const Execution& exec,
                                          : iv.node_set().front();
     std::uint64_t lo = ~0ull, hi = 0;
     for (const EventId& e : iv.events()) {
-      const std::uint64_t t = synthetic_time(exec, e, options);
+      const std::uint64_t t = synthetic_time(exec, e);
       lo = std::min(lo, t);
-      hi = std::max(hi, t + options.synthetic_step_us / 2);
+      hi = std::max(hi, t + kStepUs / 2);
       // The interval "contains" its component events causally.
       span.follows_from.push_back(event_span_id(e));
     }

@@ -63,14 +63,6 @@ struct CausalTrace {
   const CausalSpan* find(std::uint64_t id) const;
 };
 
-struct CausalTraceOptions {
-  bool event_spans = true;
-  bool message_spans = true;
-  /// Events carry no wall time in an offline Execution; spans are laid out
-  /// on a synthetic timeline, one step per topological position.
-  std::uint64_t synthetic_step_us = 10;
-};
-
 /// Deterministic span ids (exposed for tests and cross-referencing).
 std::uint64_t process_span_id(ProcessId p);
 std::uint64_t event_span_id(EventId e);
@@ -79,13 +71,13 @@ std::uint64_t message_span_id(EventId send);
 /// Maps an execution and its vector clocks into the span tree described
 /// above. Follows-from edges are emitted only where the clocks order the
 /// endpoints (always, for a consistent stamping — that is the property).
-CausalTrace build_causal_trace(const Execution& exec, const Timestamps& stamps,
-                               const CausalTraceOptions& options = {});
+/// Events carry no wall time in an offline Execution, so spans are laid out
+/// on a synthetic timeline, 10 µs per topological position.
+CausalTrace build_causal_trace(const Execution& exec, const Timestamps& stamps);
 
 /// Adds one span per interval, covering its component events' span times.
 void append_interval_spans(CausalTrace& trace, const Execution& exec,
-                           std::span<const NonatomicEvent> intervals,
-                           const CausalTraceOptions& options = {});
+                           std::span<const NonatomicEvent> intervals);
 
 /// Adds one span tree per verdict waterfall (monitor wall-clock domain;
 /// annotated clock_domain=wall so consumers don't mix the timelines).

@@ -181,6 +181,11 @@ Gauge& MetricRegistry::gauge(std::string_view name) {
   return *it->second;
 }
 
+void MetricRegistry::remove_gauge(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  gauges_.erase(std::string(name));
+}
+
 Histogram& MetricRegistry::histogram(std::string_view name,
                                      const HistogramSpec& spec) {
   SYNCON_REQUIRE(!name.empty(), "metrics need a name");

@@ -176,12 +176,16 @@ class MetricRegistry {
   static MetricRegistry& global();
 
   /// Finds or creates. The returned reference is stable for the registry's
-  /// lifetime; reset() zeroes values but never invalidates it.
+  /// lifetime (a gauge's until remove_gauge); reset() zeroes values but
+  /// never invalidates it.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   /// Re-registration with a different bucket layout is a contract violation
   /// (two sites disagreeing about one metric is a bug, not a merge).
   Histogram& histogram(std::string_view name, const HistogramSpec& spec);
+  /// Drops a gauge, if registered. Every reference to it dangles after, so
+  /// remove only gauges whose writers fetch them by name on every write.
+  void remove_gauge(std::string_view name);
 
   MetricsSnapshot snapshot() const;
   /// Zeroes every metric value; registrations (and references) survive.

@@ -103,12 +103,6 @@ std::size_t LinkEncoder::encode(const WireMessage& message,
 LinkDecoder::LinkDecoder(std::size_t process_count)
     : last_(process_count, 0) {}
 
-WireMessage LinkDecoder::decode(std::span<const std::uint8_t>& in) {
-  WireMessage message;
-  read(in, message);
-  return message;
-}
-
 void LinkDecoder::read(std::span<const std::uint8_t>& in, WireMessage& out) {
   SYNCON_REQUIRE(!in.empty(), "decoding an empty wire frame");
   const std::uint8_t tag = in.front();

@@ -27,7 +27,7 @@
 // not chained).
 //
 // Both ends keep the link's previous clock as a dense VectorClock, so the
-// codec is the only place the compressed form exists: decode() hands back
+// codec is the only place the compressed form exists: try_decode() fills
 // a WireMessage with a dense clock, and everything past the codec (gap
 // tracking, watermark minima, retention cuts) never sees anything else.
 #pragma once
@@ -76,18 +76,14 @@ class LinkDecoder {
  public:
   explicit LinkDecoder(std::size_t process_count);
 
-  /// Consumes one frame from the front of `in`. Delta frames received while
-  /// unsynchronized (before any full frame after construction or reset)
-  /// fail the contract check.
-  WireMessage decode(std::span<const std::uint8_t>& in);
-
-  /// Fault-hardened decode into `out`, in place: consumes one frame iff it
-  /// parses cleanly with the current codec state; on garbage (empty input,
-  /// unknown tag, malformed varints, foreign clock size, delta before sync)
-  /// returns false with `in` and the codec state untouched — `out` is then
-  /// unspecified — so the caller can skip or quarantine the bytes and keep
-  /// the link alive (DESIGN.md §3.12). A delta frame into an `out` that
-  /// already holds a clock of the link's size allocates nothing.
+  /// Decodes into `out`, in place: consumes one frame iff it parses cleanly
+  /// with the current codec state; on garbage (empty input, unknown tag,
+  /// malformed varints, foreign clock size, a delta frame while unsynced —
+  /// before any full frame after construction or reset) returns false with
+  /// `in` and the codec state untouched — `out` is then unspecified — so
+  /// the caller can skip or quarantine the bytes and keep the link alive
+  /// (DESIGN.md §3.12). A delta frame into an `out` that already holds a
+  /// clock of the link's size allocates nothing.
   bool try_decode(std::span<const std::uint8_t>& in, WireMessage& out);
 
   /// Drops codec state; decoding resumes at the next absolute frame.

@@ -68,22 +68,15 @@ BatchEvaluator::Result BatchEvaluator::all_pairs(bool pruned) const {
   result.threads_used = shards;
 
   if (obs::enabled()) {
-    // Per-pair distribution is recorded here, after the join, in pair-index
-    // order on shard 0 — the samples (and so every exported total) are
-    // bit-identical whether the sweep ran serial or parallel.
+    // Each pair's comparisons already reached the per-query histogram
+    // through the evaluator's deposit(); the sweep adds only its totals.
     auto& registry = obs::MetricRegistry::global();
     static obs::Counter& sweeps =
         registry.counter("syncon_batch_sweeps_total");
     static obs::Counter& pairs_done =
         registry.counter("syncon_batch_pairs_total");
-    static obs::Histogram& per_pair = registry.histogram(
-        "syncon_batch_pair_comparisons",
-        obs::HistogramSpec::exponential(1.0, 4096.0));
     sweeps.add(1);
     pairs_done.add(result.pairs.size());
-    for (const PairRelations& p : result.pairs) {
-      per_pair.record(static_cast<double>(p.relations.cost.integer_comparisons));
-    }
   }
   return result;
 }

@@ -42,14 +42,6 @@ void record_query_metrics(const QueryCost& cost) {
   per_query.record(static_cast<double>(cost.integer_comparisons), shard);
 }
 
-// µs latency of one all_holding / all_holding_pruned evaluation.
-void record_evaluate_latency(std::uint64_t us) {
-  static obs::Histogram& latency = obs::MetricRegistry::global().histogram(
-      "syncon_relation_evaluate_us",
-      obs::HistogramSpec::exponential(1.0, 65536.0));
-  latency.record(static_cast<double>(us), obs::current_thread_slot());
-}
-
 // The probe of kRelationIds[K], the relation and the proxies fixed at
 // compile time. Each member of R gets its own copy of evaluate_fast's
 // loops, so the branch predictor learns each member's early exits apart.
@@ -287,8 +279,6 @@ bool RelationEvaluator::holds_naive(const RelationId& r, EventHandle x,
 RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding(
     EventHandle x, EventHandle y, QueryCost* cost) const {
   seal();
-  SYNCON_SPAN("relation/evaluate");
-  const std::uint64_t t0 = obs::enabled() ? obs::now_us() : 0;
   const std::array<CutsView, 2> vx = views(entry(x));
   const std::array<CutsView, 2> vy = views(entry(y));
   AllRelationsResult result;
@@ -299,15 +289,12 @@ RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding(
   result.evaluated = kRelationIds.size();
   result.holding = RelationSet(holding);
   deposit(result.cost, cost);
-  if (obs::enabled()) record_evaluate_latency(obs::now_us() - t0);
   return result;
 }
 
 RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding_pruned(
     EventHandle x, EventHandle y, QueryCost* cost) const {
   seal();
-  SYNCON_SPAN("relation/evaluate");
-  const std::uint64_t t0 = obs::enabled() ? obs::now_us() : 0;
   const std::array<CutsView, 2> vx = views(entry(x));
   const std::array<CutsView, 2> vy = views(entry(y));
   const ImplicationClosure& closure = implication_closure();
@@ -337,7 +324,6 @@ RelationEvaluator::AllRelationsResult RelationEvaluator::all_holding_pruned(
   }(std::make_index_sequence<kRelationIds.size()>{});
   result.holding = RelationSet(holding);
   deposit(result.cost, cost);
-  if (obs::enabled()) record_evaluate_latency(obs::now_us() - t0);
   return result;
 }
 

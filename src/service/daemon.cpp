@@ -1,6 +1,7 @@
 #include "service/daemon.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -19,6 +20,16 @@ void record_ingest_latency(std::uint64_t latency_us) {
       "syncon_service_ingest_latency_us",
       obs::HistogramSpec::exponential(1.0, 1048576.0));
   latency.record(static_cast<double>(latency_us), obs::current_thread_slot());
+}
+
+/// The labeled per-tenant gauge families. The registry keeps a name until
+/// it is removed, so release() drops a tenant's three series.
+constexpr std::array<const char*, 3> kTenantGauges = {
+    "syncon_service_tenant_live_log", "syncon_service_tenant_verdicts",
+    "syncon_service_tenant_quarantined"};
+
+std::string tenant_gauge(const char* family, std::uint64_t tenant) {
+  return std::string(family) + "{tenant=\"" + std::to_string(tenant) + "\"}";
 }
 
 }  // namespace
@@ -282,6 +293,9 @@ void MonitorDaemon::release(std::uint64_t tenant) {
     const std::string object = journal_object(tenant);
     if (options_.journal->exists(object)) options_.journal->remove(object);
   }
+  for (const char* family : kTenantGauges) {
+    obs::MetricRegistry::global().remove_gauge(tenant_gauge(family, tenant));
+  }
 }
 
 DaemonStats MonitorDaemon::stats() const {
@@ -323,8 +337,8 @@ void MonitorDaemon::publish_metrics() const {
   set("syncon_service_reclaimed_events", s.reclaimed_events);
   set("syncon_service_compactions", s.compactions);
 
-  // Per-tenant gauges, smallest tenant ids first, bounded so a 10k-tenant
-  // run cannot flood the registry (the FaultyNetwork labeled-gauge idiom).
+  // Per-tenant gauges, smallest tenant ids first. Bounded here and dropped
+  // at release(), so a 10k-tenant run cannot flood the registry.
   std::size_t published = 0;
   std::vector<std::pair<std::uint64_t, const TenantSession*>> ordered;
   for (const auto& shard : shards_) {
@@ -335,17 +349,15 @@ void MonitorDaemon::publish_metrics() const {
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [tenant, session] : ordered) {
-    if (published >= options_.per_tenant_metric_limit) break;
-    const std::string labels = "{tenant=\"" + std::to_string(tenant) + "\"}";
-    registry.gauge("syncon_service_tenant_live_log" + labels)
-        .set(static_cast<std::int64_t>(
-            session->core.system().live_log_events()));
-    registry.gauge("syncon_service_tenant_verdicts" + labels)
-        .set(static_cast<std::int64_t>(
-            session->core.definite_verdicts().size()));
-    registry.gauge("syncon_service_tenant_quarantined" + labels)
-        .set(static_cast<std::int64_t>(session->quarantined_frames +
-                                       session->core.quarantined()));
+    if (published >= kMetricTenants) break;
+    const std::uint64_t values[kTenantGauges.size()] = {
+        session->core.system().live_log_events(),
+        session->core.definite_verdicts().size(),
+        session->quarantined_frames + session->core.quarantined()};
+    for (std::size_t i = 0; i < kTenantGauges.size(); ++i) {
+      registry.gauge(tenant_gauge(kTenantGauges[i], tenant))
+          .set(static_cast<std::int64_t>(values[i]));
+    }
     ++published;
   }
 }

@@ -50,6 +50,10 @@
 
 namespace syncon::service {
 
+/// Hosted tenants (the smallest ids) publish_metrics() labels, three series
+/// each: at most 3 · kMetricTenants per-tenant series exist at once.
+inline constexpr std::size_t kMetricTenants = 64;
+
 struct DaemonOptions {
   std::size_t shards = 8;
   /// Frames one shard holds between pumps before submits are rejected.
@@ -57,9 +61,6 @@ struct DaemonOptions {
   /// Global cap on live log events across every session (0 = unbounded);
   /// enforced after each pump by compacting the laggiest sessions first.
   std::size_t memory_budget_events = 0;
-  /// Per-tenant labeled gauges are published for at most this many tenants
-  /// (the aggregate gauges always cover everyone).
-  std::size_t per_tenant_metric_limit = 64;
   /// Optional durable frame journal: each pump appends every CRC-clean
   /// frame to object "tenant-<id>" — one append per run of one tenant's
   /// consecutive frames — and syncs each tenant's object once, before it
@@ -128,10 +129,12 @@ class MonitorDaemon {
   /// Definite verdict log of one tenant (empty for unknown tenants).
   std::vector<std::string> verdicts(std::uint64_t tenant) const;
 
-  /// Drops a finished tenant's session (and its journal object, if any).
+  /// Drops a finished tenant's session, its journal object (if any) and
+  /// its per-tenant gauges.
   void release(std::uint64_t tenant);
 
-  /// Publishes aggregate + per-tenant gauges into MetricRegistry::global().
+  /// Publishes aggregate gauges into MetricRegistry::global(), and
+  /// per-tenant gauges for the kMetricTenants smallest hosted tenant ids.
   void publish_metrics() const;
 
  private:

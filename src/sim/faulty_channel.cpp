@@ -144,28 +144,12 @@ FaultyNetwork::FaultyNetwork(std::size_t process_count, const FaultPlan& plan)
   }
 }
 
-void FaultyNetwork::configure_link(ProcessId from, ProcessId to,
-                                   const LinkFaultConfig& config) {
-  SYNCON_REQUIRE(from < process_count_ && to < process_count_,
-                 "link endpoints out of range");
-  check_config(config);
-  overrides_[{from, to}] = config;
-  const auto it = links_.find({from, to});
-  if (it != links_.end()) {
-    SYNCON_REQUIRE(it->second.in_transit() == 0,
-                   "configure_link with traffic in flight is unsupported");
-    it->second = FaultyChannel(config, link_seed(plan_.seed, from, to));
-  }
-}
-
 FaultyChannel& FaultyNetwork::link(ProcessId from, ProcessId to) {
   const auto it = links_.find({from, to});
   if (it != links_.end()) return it->second;
-  const auto ov = overrides_.find({from, to});
-  const LinkFaultConfig& cfg = ov != overrides_.end() ? ov->second : plan_.link;
   return links_
       .emplace(std::make_pair(from, to),
-               FaultyChannel(cfg, link_seed(plan_.seed, from, to)))
+               FaultyChannel(plan_.link, link_seed(plan_.seed, from, to)))
       .first->second;
 }
 

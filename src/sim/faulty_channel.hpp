@@ -135,11 +135,6 @@ class FaultyNetwork {
  public:
   FaultyNetwork(std::size_t process_count, const FaultPlan& plan);
 
-  /// Overrides the fault config of one directed link (before or after its
-  /// first use; pending traffic keeps its already-sampled fate).
-  void configure_link(ProcessId from, ProcessId to,
-                      const LinkFaultConfig& config);
-
   /// Ships from → to at `sent_at`. A message sent by a crashed process, or
   /// pushed to a process whose crash window covers the send, is dropped at
   /// the sender (counted in the link's stats).
@@ -171,7 +166,6 @@ class FaultyNetwork {
   std::size_t process_count_;
   FaultPlan plan_;
   std::map<std::pair<ProcessId, ProcessId>, FaultyChannel> links_;
-  std::map<std::pair<ProcessId, ProcessId>, LinkFaultConfig> overrides_;
   ChannelStats crash_losses_;  // arrivals eaten by receiver crash windows
 };
 

@@ -109,7 +109,6 @@ struct TenantScript {
   /// Definite verdict log of the generation-time reference session — the
   /// bit-identity baseline every other consumer is compared against.
   std::vector<std::string> reference_verdicts;
-  std::uint64_t reference_quarantined = 0;
 };
 
 /// The per-tenant session state machine: a replica OnlineSystem (rebuilt
@@ -175,11 +174,6 @@ class TenantSessionCore {
 /// ops. Deterministic: same workload → same script and the same reference
 /// verdicts, bit for bit.
 TenantScript generate_tenant_script(const TenantWorkload& workload);
-
-/// The standalone offline baseline: applies the script to a fresh session
-/// and returns its Definite verdict log (equals reference_verdicts — and
-/// must equal any daemon-hosted replay of the same script).
-std::vector<std::string> run_tenant_script(const TenantScript& script);
 
 // --- the soak ----------------------------------------------------------------
 

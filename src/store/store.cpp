@@ -194,7 +194,6 @@ void Store::scan_existing() {
       if (obs::enabled()) corrupt_counter().add();
       storage_.truncate(name, keep);
     }
-    recovery_.wal_bytes += keep;
     ++recovery_.segments_scanned;
     if (keep == 0 && meta.records == 0) {
       storage_.remove(name);  // nothing survived; drop the empty shell

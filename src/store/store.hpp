@@ -78,7 +78,6 @@ class Store {
     bool truncated = false;  // an invalid frame cut the scan short
     std::size_t truncated_bytes = 0;   // bytes discarded from the torn tail
     std::size_t dropped_segments = 0;  // segments past the first corruption
-    std::uint64_t wal_bytes = 0;       // valid WAL bytes scanned
   };
 
   /// Opens (and, if the backend holds prior state, recovers) a store whose

@@ -166,18 +166,5 @@ TEST(FaultyNetworkTest, CrashWindowsEatTraffic) {
   EXPECT_EQ(s.dropped, 2u);
 }
 
-TEST(FaultyNetworkTest, PerLinkOverridesApply) {
-  FaultPlan plan;  // default: fault-free
-  FaultyNetwork net(2, plan);
-  LinkFaultConfig lossy;
-  lossy.drop_probability = 0.9;
-  net.configure_link(0, 1, lossy);
-  for (EventIndex i = 1; i <= 100; ++i) net.push(0, 1, wire(0, i), i);
-  EXPECT_LT(net.drain(1).size(), 50u);  // overwhelmingly dropped
-  // The reverse link keeps the fault-free default.
-  for (EventIndex i = 1; i <= 10; ++i) net.push(1, 0, wire(1, i), i);
-  EXPECT_EQ(net.drain(0).size(), 10u);
-}
-
 }  // namespace
 }  // namespace syncon

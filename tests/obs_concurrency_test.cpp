@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -115,7 +116,6 @@ const char* const kDeterministicCounters[] = {
 };
 const char* const kDeterministicHistograms[] = {
     "syncon_relation_comparisons_per_query",
-    "syncon_batch_pair_comparisons",
 };
 
 obs::MetricsSnapshot sweep_with_metrics(const Seeded& s, ThreadPool* pool) {
@@ -155,6 +155,34 @@ TEST_F(ObsConcurrencyTest, BatchSweepMetricsAreBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(hb.max, ha.max) << name;
     }
   }
+}
+
+// A sweep writes one span, not one per pair, and its per-pair comparison
+// counts reach the per-query histogram once each: n(n − 1) samples summing
+// to the sweep's exact cost.
+TEST_F(ObsConcurrencyTest, SweepWritesOneSpanAndOneSamplePerPair) {
+  const Seeded s(4242);
+  const std::size_t n = s.eval->event_count();
+  s.eval->seal();
+  ThreadPool pool(2);
+  const BatchEvaluator batch(*s.eval, &pool);
+  obs::set_enabled(true);
+  const auto result = batch.all_pairs(/*pruned=*/true);
+  obs::set_enabled(false);
+
+  std::map<std::string, std::uint64_t> spans;
+  for (const obs::SpanStats& stats :
+       obs::aggregate_spans(obs::FlightRecorder::spans())) {
+    spans[stats.name] = stats.count;
+  }
+  EXPECT_EQ(spans, (std::map<std::string, std::uint64_t>{{"batch/sweep", 1}}));
+
+  const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
+  const auto* per_query = snap.find("syncon_relation_comparisons_per_query");
+  ASSERT_NE(per_query, nullptr);
+  EXPECT_EQ(per_query->histogram->count, n * (n - 1));
+  EXPECT_EQ(per_query->histogram->sum,
+            static_cast<double>(result.cost.integer_comparisons));
 }
 
 TEST_F(ObsConcurrencyTest, DisabledSweepLeavesRegistryUntouched) {

@@ -20,6 +20,7 @@
 #include "counting_new.hpp"
 #include "json_checker.hpp"
 #include "model/timestamps.hpp"
+#include "monitor/monitor.hpp"
 #include "obs/export.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
@@ -28,7 +29,6 @@
 #include "obs/telemetry.hpp"
 #include "online/online_monitor.hpp"
 #include "online/online_system.hpp"
-#include "relations/evaluator.hpp"
 #include "sim/des.hpp"
 #include "sim/faulty_channel.hpp"
 #include "support/contracts.hpp"
@@ -447,13 +447,13 @@ TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
   engine.run(10'000'000);
   auto result = engine.finish();
 
-  // 2. Stamp (model/stamp) and evaluate relations (relation/evaluate).
+  // 2. Stamp (model/stamp) and query one pair (relation/evaluate).
   const Timestamps ts(*result.execution);
-  RelationEvaluator eval(ts);
+  SyncMonitor offline(result.execution);
   ASSERT_GE(result.intervals.size(), 2u);
-  const EventHandle hx = eval.add_event(std::move(result.intervals[0]));
-  const EventHandle hy = eval.add_event(std::move(result.intervals[1]));
-  (void)eval.all_holding(hx, hy);
+  const auto hx = offline.add_interval(std::move(result.intervals[0]));
+  const auto hy = offline.add_interval(std::move(result.intervals[1]));
+  (void)offline.relations_between(hx, hy);
 
   // 3. Online delivery (online/deliver) with a loss, then recovery
   //    (online/resync_serve + monitor/ingest).
@@ -481,6 +481,13 @@ TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
     EXPECT_NE(trace.find("\"name\": \"" + std::string(span) + "\""),
               std::string::npos)
         << "missing span " << span;
+  }
+  // The one query wrote one relation/evaluate span.
+  for (const obs::SpanStats& stats :
+       obs::aggregate_spans(obs::FlightRecorder::spans())) {
+    if (stats.name == "relation/evaluate") {
+      EXPECT_EQ(stats.count, 1u);
+    }
   }
   // The recovered gap fed the gap-open-duration histogram.
   const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();

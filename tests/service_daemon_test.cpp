@@ -517,7 +517,6 @@ TEST(ServiceDaemonTest, PublishMetricsExportsAggregateGauges) {
   ThreadPool pool(2);
   DaemonOptions options;
   options.shards = 2;
-  options.per_tenant_metric_limit = 4;
   MonitorDaemon daemon(options, pool);
 
   ServiceLoadConfig config;
@@ -538,6 +537,48 @@ TEST(ServiceDaemonTest, PublishMetricsExportsAggregateGauges) {
             result.daemon.frames_applied);
   EXPECT_NE(snapshot.find("syncon_service_tenant_live_log{tenant=\"0\"}"),
             nullptr);
+}
+
+/// Names of the labeled per-tenant series in the global registry.
+std::vector<std::string> tenant_series() {
+  std::vector<std::string> names;
+  for (const auto& entry : obs::MetricRegistry::global().snapshot().entries) {
+    if (entry.name.find("{tenant=") != std::string::npos) {
+      names.push_back(entry.name);
+    }
+  }
+  return names;
+}
+
+// Per-tenant gauges cover at most kMetricTenants hosted tenants, and
+// release() drops a tenant's series: a run that releases its tenants
+// leaves none behind, one that keeps them leaves exactly 3 per published
+// tenant.
+TEST(ServiceDaemonTest, PerTenantSeriesStayBoundedAndLeaveAtRelease) {
+  for (const bool release : {true, false}) {
+    for (const std::string& name : tenant_series()) {
+      obs::MetricRegistry::global().remove_gauge(name);
+    }
+    ThreadPool pool(2);
+    DaemonOptions options;
+    options.shards = 4;
+    MonitorDaemon daemon(options, pool);
+
+    ServiceLoadConfig config;
+    config.tenants = service::kMetricTenants + 8;
+    config.window = 16;
+    config.release_finished = release;
+    config.on_round = [&daemon](std::uint64_t) {
+      daemon.publish_metrics();
+      EXPECT_LE(tenant_series().size(), 3 * service::kMetricTenants);
+    };
+    const ServiceLoadResult result = run_service_load(config, daemon);
+    ASSERT_TRUE(result.identity_ok);
+    daemon.publish_metrics();
+    EXPECT_EQ(tenant_series().size(),
+              release ? 0 : 3 * service::kMetricTenants)
+        << (release ? "with" : "without") << " release";
+  }
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ int main(int argc, char** argv) try {
                  "drain pending scrapes + publish gauges every N rounds");
   cli.add_option("stats-json", "",
                  "write run statistics (identity, p99 ingest latency, peak "
-                 "RSS, reclaimed events) as JSON here");
+                 "RSS, reclaimed events, per-tenant series) as JSON here");
   cli.add_flag("keep-sessions",
                "retain finished sessions instead of releasing them (bounds "
                "checking only; large runs will hold every live log)");
@@ -152,6 +152,11 @@ int main(int argc, char** argv) try {
       entry != nullptr && entry->histogram && entry->histogram->count > 0) {
     p99_ingest_us = entry->histogram->quantile(0.99);
   }
+  // Labeled per-tenant series left in the registry (bounded by the daemon).
+  const auto tenant_series = std::count_if(
+      snapshot.entries.begin(), snapshot.entries.end(), [](const auto& e) {
+        return e.name.find("{tenant=") != std::string::npos;
+      });
 
   std::printf(
       "service: %llu tenants, %llu events, %llu frames, %llu rounds, "
@@ -193,6 +198,7 @@ int main(int argc, char** argv) try {
         << "  \"reclaimed_events\": " << result.daemon.reclaimed_events
         << ",\n"
         << "  \"compactions\": " << result.daemon.compactions << ",\n"
+        << "  \"tenant_series\": " << tenant_series << ",\n"
         << "  \"p99_ingest_us\": " << p99_ingest_us << ",\n"
         << "  \"peak_rss_kib\": " << rss_kib << "\n"
         << "}\n";
