@@ -2,10 +2,11 @@
 // (DESIGN.md §3.7): the application runs fault-free, but every event
 // *report* shipped to the remote monitor passes through a seeded
 // FaultyChannel that drops, duplicates, reorders and delays. The monitor
-// folds reports in arrival order, fires watches with a Confidence flag
-// while reports are known-missing, then resyncs (OnlineMonitor::resync:
-// retransmit request → serve → ingest) and converges to the exact
-// fault-free verdicts.
+// knows each action's member events (record) and routes every report by
+// them (observe): it folds reports in arrival order, fires watches with a
+// Confidence flag while reports are known-missing, then resyncs
+// (OnlineMonitor::resync: retransmit request → serve → observe) and
+// converges to the exact fault-free verdicts.
 //
 // Run: ./lossy_monitoring [--drop=P] [--dup=P] [--seed=N]
 #include <cstdio>
@@ -61,6 +62,8 @@ int main(int argc, char** argv) {
   OnlineMonitor remote(kProcs);  // feed-only: never reads `sys`
   remote.begin("A");
   remote.begin("B");
+  for (const EventId& e : action_a) remote.record("A", e);
+  for (const EventId& e : action_b) remote.record("B", e);
   remote.watch({Relation::R3, ProxyKind::Begin, ProxyKind::End}, "A", "B",
                [](const std::string& x, const std::string& y, bool holds,
                   Confidence conf) {
@@ -69,19 +72,15 @@ int main(int argc, char** argv) {
                              to_string(conf));
                });
 
-  auto label_of = [&](const EventId& e) {
-    return e.process == combiner ? std::string("B") : std::string("A");
-  };
   for (const Arrival& a : channel.drain()) {
-    remote.ingest(label_of(a.message.source), a.message,
-                  sys.time_of(a.message.source));
+    remote.observe(a.message, sys.time_of(a.message.source));
   }
   // Tail losses are invisible until an authoritative snapshot vouches for
   // every executed event; resync pulls lost reports from the sender's log.
   const auto resync = [&] {
     remote.checkpoint(sys.snapshot());
     remote.resync(sys, /*chunk=*/64, [&](const WireMessage& m) {
-      remote.ingest(label_of(m.source), m, sys.time_of(m.source));
+      remote.observe(m, sys.time_of(m.source));
     });
   };
   // An action may reach its completion point with EVERY report lost; it

@@ -7,8 +7,8 @@
 //   ./trace_analysis --generate --processes=6 --events=30 --find="R1(U,L)"
 //   # save them for later analysis
 //   ./trace_analysis --generate --save-trace=t.trace --save-intervals=i.txt
-//   # reload and query a specific pair
-//   ./trace_analysis --trace=t.trace --intervals=i.txt --x=W0 --y=W2 \
+//   # reload and query a specific pair (one command line)
+//   ./trace_analysis --trace=t.trace --intervals=i.txt --x=W0 --y=W2
 //       --condition="R1(U,L) & !R3'"
 #include <algorithm>
 #include <cstdio>

@@ -30,9 +30,14 @@
 # Timings are not gated: they are advisory on a shared host, while these
 # counts repeat exactly for a seed. A changed wire or journal byte count
 # means the codecs no longer write the bytes they wrote before; a changed
-# explore count means the explorer walks a different binding tree. The
-# allocation bounds are the measured 1.517 and 0.657 allocations per op
-# plus 0.05. They sit below what a clock, a source vector and a dedup node
+# explore count means the explorer walks a different binding tree. Report
+# frames carry no action label: the session's monitor routes a report by
+# the membership its event frame declared. The allocation bounds are the
+# measured 1.395 and 0.632 allocations per op plus 0.05, rounded up to two
+# decimals. They sit below what the session's own event -> label maps cost
+# (1.486 and 0.651), what a member list that reallocates for every action
+# costs (1.449 and 0.643: the monitor keeps the list's buffer when it
+# reuses an action id), and what a clock, a source vector and a dedup node
 # per logged event cost (2.56 and 2.42): the replica log appends to flat
 # per-process columns, one clock row per change, and its gap trackers keep
 # out-of-order arrivals in one sorted array, so an event allocates only
@@ -100,17 +105,17 @@ gate offline_trace '{
   "nonatomic.register_allocs_per_interval": ["<", 5.77]
 }'
 gate service_small '{
-  "service.wire_bytes_per_frame": ["==", 18.86481356],
-  "service.wire_bytes_per_event": ["==", 43.4775],
+  "service.wire_bytes_per_frame": ["==", 18.30888136],
+  "service.wire_bytes_per_event": ["==", 42.19625],
   "online.live_events_peak": ["==", 256000],
-  "online.allocs_per_op": ["<", 1.57]
+  "online.allocs_per_op": ["<", 1.45]
 }'
 gate service_durable '{
-  "service.wire_bytes_per_frame": ["==", 29.20639717],
-  "service.wire_bytes_per_event": ["==", 58.17925379],
-  "store.journal_bytes_peak": ["==", 15359323],
+  "service.wire_bytes_per_frame": ["==", 28.71052446],
+  "service.wire_bytes_per_event": ["==", 57.19147348],
+  "store.journal_bytes_peak": ["==", 15098549],
   "online.live_events_peak": ["==", 14668],
-  "online.allocs_per_op": ["<", 0.71],
+  "online.allocs_per_op": ["<", 0.69],
   "store.syncs_per_frame": ["<", 0.25]
 }'
 gate explore_4p10m '{

@@ -828,13 +828,15 @@ CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
   SimStorage storage(faults);
   auto mon = std::make_unique<DurableMonitor>(n, storage, policy);
   const auto ensure_begun = [&] {
-    for (const char* label : {"X", "Y"}) {
+    for (const std::string label : {"X", "Y"}) {
       // A begin record lost with the unsynced WAL suffix must be re-issued;
-      // an action whose completion survived must not be re-opened.
+      // an action whose completion survived must not be re-opened. Members
+      // declared again after surviving the crash are no-ops.
       if (!mon->monitor().is_open(label) &&
           mon->monitor().summary(label) == nullptr) {
         mon->begin(label);
       }
+      if (mon->monitor().is_open(label)) actions.declare(*mon, label);
     }
   };
   const auto guarded = [&](const auto& fn) {
@@ -855,16 +857,17 @@ CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
   const auto converge = [&] {
     mon->checkpoint(sys.snapshot());
     mon->monitor().resync(sys, 8,
-                          [&](const WireMessage& w) { actions.feed(*mon, w); });
+                          [&](const WireMessage& w) { mon->observe(w); });
   };
 
   try {
-    // Each feed does at least one storage op, so the crash fires within the
-    // run (begins / feeds / resync / completes all count ops).
-    storage.crash_after_ops(1 + rng.below(arrivals.size() + crash_slack));
+    // Begins, declarations, fresh reports, resync replies and completes are
+    // all storage ops, so the crash fires within the run.
+    storage.crash_after_ops(1 + rng.below(actions.x.size() + actions.y.size() +
+                                          arrivals.size() + crash_slack));
     guarded(ensure_begun);
     for (const Arrival& a : arrivals) {
-      guarded([&] { actions.feed(*mon, a.message); });
+      guarded([&] { mon->observe(a.message); });
     }
     guarded(converge);
     if (mon->monitor().missing_report_count() > 0) {

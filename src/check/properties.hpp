@@ -119,9 +119,9 @@ CrashLegResult crash_durable_system(const Execution& exec,
                                     std::size_t compact_period);
 
 /// Feeds `reports` through the lossy `feed` into a DurableMonitor that
-/// crashes after 1 + rng.below(arrivals + crash_slack) storage ops (mid-feed,
-/// mid-resync or mid-complete), recovers, and closes every gap by
-/// checkpoint + resync; its 32 verdicts must equal the clean feed's.
+/// crashes after 1 + rng.below(members + arrivals + crash_slack) storage ops
+/// (anywhere from the declarations to the completes), recovers, and closes
+/// every gap by checkpoint + resync; its 32 verdicts equal the clean feed's.
 CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
                                      std::span<const WireMessage> reports,
                                      const explore::MonitorActions& actions,

@@ -31,17 +31,14 @@ std::string lossy_leg(std::string_view leg, bool chunked, OnlineSystem& sys,
                       const std::vector<Firing>& clean) {
   FaultyChannel channel = ship(feed, reports);
   OnlineMonitor mon(sys.process_count());
-  mon.begin("X");
-  mon.begin("Y");
+  actions.open(mon);
   TimePoint cursor = 0;
   do {
     cursor = chunked ? cursor + 64 : std::numeric_limits<TimePoint>::max();
-    for (const Arrival& a : channel.pop_ready(cursor)) {
-      actions.feed(mon, a.message);
-    }
+    for (const Arrival& a : channel.pop_ready(cursor)) mon.observe(a.message);
     mon.checkpoint(sys.snapshot());
     mon.resync(sys, chunked ? 8 : std::numeric_limits<std::size_t>::max(),
-               [&](const WireMessage& w) { actions.feed(mon, w); });
+               [&](const WireMessage& w) { mon.observe(w); });
     if (mon.missing_report_count() > 0) {
       return std::string(leg) + ": resync failed to converge";
     }
@@ -221,6 +218,13 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
   return violation.empty() ? result : fail(std::move(violation));
 }
 
+void MonitorActions::open(OnlineMonitor& mon) const {
+  mon.begin("X");
+  mon.begin("Y");
+  declare(mon, "X");
+  declare(mon, "Y");
+}
+
 MonitorActions split_actions(const NonatomicEvent& x, const NonatomicEvent& y) {
   MonitorActions actions{{x.events().begin(), x.events().end()}, {}};
   for (const EventId& e : y.events()) {
@@ -244,9 +248,8 @@ std::vector<Firing> clean_firings(std::size_t processes,
                                   std::span<const WireMessage> reports,
                                   const MonitorActions& actions) {
   OnlineMonitor mon(processes);
-  mon.begin("X");
-  mon.begin("Y");
-  for (const WireMessage& r : reports) actions.feed(mon, r);
+  actions.open(mon);
+  for (const WireMessage& r : reports) mon.observe(r);
   mon.complete("X");
   mon.complete("Y");
   return watch_all(mon);

@@ -104,17 +104,15 @@ struct MonitorActions {
   std::set<EventId> x;
   std::set<EventId> y;
 
-  /// Routes one report into an OnlineMonitor or a DurableMonitor.
+  /// Declares the members of the open action `label` ("X" or "Y") to an
+  /// OnlineMonitor or a DurableMonitor, whose observe() then routes every
+  /// report.
   template <class Monitor>
-  void feed(Monitor& mon, const WireMessage& report) const {
-    if (x.count(report.source)) {
-      mon.ingest("X", report);
-    } else if (y.count(report.source)) {
-      mon.ingest("Y", report);
-    } else {
-      mon.observe(report);
-    }
+  void declare(Monitor& mon, const std::string& label) const {
+    for (const EventId& e : label == "X" ? x : y) mon.record(label, e);
   }
+  /// Begins "X" and "Y" on `mon` and declares their members.
+  void open(OnlineMonitor& mon) const;
 };
 
 /// X's members, and Y's members outside X.

@@ -93,7 +93,7 @@ class IntervalTracker {
   /// natural online order is not required, so a monitor fed over a lossy,
   /// reordering channel can fold reports in as they arrive. Each event must
   /// be added at most once; callers on at-least-once transports deduplicate
-  /// first (OnlineMonitor::ingest does, via its GapTracker).
+  /// first (OnlineMonitor::observe does, via its GapTracker).
   void add(const OnlineSystem& system, EventId e);
 
   /// Same, from the event's wire report instead of the shared system — the

@@ -53,8 +53,14 @@ bool OnlineMonitor::in_state(ActionId id, Action::State state) const {
 }
 
 void OnlineMonitor::release(ActionId id) {
-  ids_.erase(actions_[id]->entry);
-  *actions_[id] = Action{};  // keeps the allocation for the id's next use
+  Action& a = *actions_[id];
+  for (const EventId& e : a.members) members_.erase(e);
+  ids_.erase(a.entry);
+  // Keeps the record and its member list's buffer for the id's next use.
+  std::vector<EventId> members = std::move(a.members);
+  members.clear();
+  a = Action{};
+  a.members = std::move(members);
   free_ids_.push_back(id);
 }
 
@@ -91,14 +97,18 @@ void OnlineMonitor::begin(const std::string& label) {
 }
 
 void OnlineMonitor::record(const std::string& label, EventId e) {
-  SYNCON_REQUIRE(system_ != nullptr,
-                 "record() reads the running system; a feed-only monitor "
-                 "must ingest() event reports instead");
   const ActionId id = find(label);
   SYNCON_REQUIRE(in_state(id, Action::State::kOpen),
                  "no open action labeled '" + label + "'");
-  actions_[id]->tracker.add(*system_, e);
-  note_action_report(id);
+  if (system_ != nullptr) {
+    actions_[id]->tracker.add(*system_, e);
+    note_action_report(id);
+    return;
+  }
+  const auto [it, fresh] = members_.try_emplace(e, id);
+  SYNCON_REQUIRE(it->second == id, "event " + to_string(e) +
+                                       " is a member of another action");
+  if (fresh) actions_[id]->members.push_back(e);
 }
 
 const IntervalSummary& OnlineMonitor::complete(const std::string& label) {
@@ -123,10 +133,6 @@ const IntervalSummary& OnlineMonitor::complete(const std::string& label) {
 
 bool OnlineMonitor::is_open(const std::string& label) const {
   return in_state(find(label), Action::State::kOpen);
-}
-
-bool OnlineMonitor::is_complete(const std::string& label) const {
-  return in_state(find(label), Action::State::kComplete);
 }
 
 std::size_t OnlineMonitor::recorded_events(const std::string& label) const {
@@ -154,7 +160,11 @@ std::size_t OnlineMonitor::retained() const {
   return count(Action::State::kComplete);
 }
 
-bool OnlineMonitor::observe(const WireMessage& report) {
+bool OnlineMonitor::observe(const WireMessage& report, std::int64_t when) {
+  if (!valid_report(report)) {
+    quarantine(report);
+    return false;
+  }
   SYNCON_SPAN("monitor/ingest");
   degraded_ = true;
   ++reports_seen_;
@@ -163,56 +173,22 @@ bool OnlineMonitor::observe(const WireMessage& report) {
     return false;
   }
   gaps_.claim(report.clock);
-  note_gap_state();
-  if (!gaps_.has_gap()) rearm_after_recovery(kNoAction);
-  fire_ready_watches();
-  return true;
-}
-
-bool OnlineMonitor::ingest(const std::string& label,
-                           const WireMessage& report, std::int64_t when) {
-  SYNCON_SPAN("monitor/ingest");
-  const ActionId id = find(label);
-  SYNCON_REQUIRE(in_state(id, Action::State::kOpen) ||
-                     in_state(id, Action::State::kComplete),
-                 "no open or completed action labeled '" + label + "'");
-  degraded_ = true;
-  ++reports_seen_;
-  if (!gaps_.witness(report.source)) {
-    ++duplicate_reports_;
-    return false;
-  }
-  gaps_.claim(report.clock);
-  note_action_report(id);
-  Action& a = *actions_[id];
-  a.tracker.add(report.source, report.clock, when);
-  if (a.state == Action::State::kComplete) {
-    // Late report for a completed action: repair the summary in place and
-    // let the watches that consumed it re-fire with the corrected verdict.
-    *a.summary = a.tracker.summary();
-    rearm_after_recovery(id);
+  if (const auto member = members_.find(report.source);
+      member != members_.end()) {
+    note_action_report(member->second);
+    Action& a = *actions_[member->second];
+    a.tracker.add(report.source, report.clock, when);
+    if (a.state == Action::State::kComplete) {
+      // Late report for a completed action: repair the summary in place and
+      // let the watches that consumed it re-fire with the corrected verdict.
+      *a.summary = a.tracker.summary();
+      rearm_after_recovery(member->second);
+    }
   }
   note_gap_state();
   if (!gaps_.has_gap()) rearm_after_recovery(kNoAction);
   fire_ready_watches();
   return true;
-}
-
-bool OnlineMonitor::try_observe(const WireMessage& report) {
-  if (!valid_report(report)) {
-    quarantine(report);
-    return false;
-  }
-  return observe(report);
-}
-
-bool OnlineMonitor::try_ingest(const std::string& label,
-                               const WireMessage& report, std::int64_t when) {
-  if (!valid_report(report)) {
-    quarantine(report);
-    return false;
-  }
-  return ingest(label, report, when);
 }
 
 bool OnlineMonitor::valid_report(const WireMessage& report) const {

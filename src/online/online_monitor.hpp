@@ -13,9 +13,11 @@
 //
 // Degraded mode (DESIGN.md §3.7): a monitor deployed behind a real network
 // sees event *reports* that can be lost, duplicated or reordered, and it
-// must not silently evaluate on the resulting corrupted state. The ingest
-// path folds reports in any arrival order, suppresses duplicates, and runs
-// a GapTracker over the piggybacked clocks; every watch then fires with a
+// must not silently evaluate on the resulting corrupted state. Such a
+// feed-only monitor learns each action's member events from record() and
+// routes every report itself: observe() folds a member's report into its
+// action in any arrival order, suppresses duplicates, and runs a GapTracker
+// over the piggybacked clocks; every watch then fires with a
 // Confidence flag — Definite when the local history explains every clock
 // seen, PendingGap when known-lost predecessor reports may still change
 // the verdict. When recovery (checkpoint, then resync: rounds of
@@ -36,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cuts/ll_relation.hpp"
@@ -79,8 +82,8 @@ class OnlineMonitor {
   explicit OnlineMonitor(const OnlineSystem& system);
 
   /// A monitor with no access to the running system — the deployment shape
-  /// behind a lossy report channel. Only the ingest/observe feed works;
-  /// record() requires the system-observing constructor.
+  /// behind a lossy report channel: record() declares members, observe()
+  /// folds their reports.
   explicit OnlineMonitor(std::size_t process_count);
 
   /// Action records point into the label index, and callbacks may hold
@@ -92,14 +95,16 @@ class OnlineMonitor {
 
   /// Opens a new tracked action. Labels are unique across open+completed.
   void begin(const std::string& label);
-  /// Adds an event of the running system to an open action.
+  /// Adds event `e` to the open action `label`: a system-observing monitor
+  /// folds it from the system, a feed-only one declares it a member whose
+  /// report observe() folds. Declaring a member again to the same action
+  /// is a no-op; declaring it to another live action is a violation.
   void record(const std::string& label, EventId e);
   /// Completes an action: snapshots its summary and fires every watch whose
   /// counterpart is already complete.
   const IntervalSummary& complete(const std::string& label);
 
   bool is_open(const std::string& label) const;
-  bool is_complete(const std::string& label) const;
   /// Component events folded so far into an open action. In degraded mode
   /// an action can reach its completion point with zero recorded events —
   /// every report lost — and complete() requires at least one; callers
@@ -110,12 +115,12 @@ class OnlineMonitor {
   /// the reference complete() returns, stays valid until forget(label).
   const IntervalSummary* summary(const std::string& label) const;
 
-  /// Drops a completed action's summary and every fired watch that
-  /// referenced it — the garbage-collection hook a long-running monitor
-  /// needs for bounded memory. Unfired watches naming the label are dropped
-  /// too (they could never fire again). The label may be reused afterwards,
-  /// and its id is recycled. Calling it from a watch callback is a contract
-  /// violation.
+  /// Drops a completed action's summary, its members and every fired watch
+  /// that referenced it — the garbage-collection hook a long-running
+  /// monitor needs for bounded memory. Unfired watches naming the label are
+  /// dropped too (they could never fire again). The label may be reused
+  /// afterwards, and its id is recycled. Calling it from a watch callback
+  /// is a contract violation.
   void forget(const std::string& label);
 
   /// Completed summaries currently retained.
@@ -124,33 +129,23 @@ class OnlineMonitor {
   // --- degraded-mode report feed --------------------------------------------
 
   /// Integrates an event report that arrived over a (possibly lossy)
-  /// channel without folding it into any action: deduplication and gap
-  /// bookkeeping only. Returns true iff the report was fresh.
-  bool observe(const WireMessage& report);
+  /// channel, in any order: deduplication and gap bookkeeping, and, when
+  /// the report's source is a declared member of an open or completed
+  /// action, a fold into that action from the report's own clock (never
+  /// reading the shared system). A late report for a completed action
+  /// repairs its summary and re-arms the watches that used it. A malformed
+  /// report (unknown source process, non-event index, foreign clock size,
+  /// clock breaking the Fidge own-component invariant) is rejected into
+  /// quarantined(), never thrown — wire garbage must not kill the monitor
+  /// (DESIGN.md §3.12). Returns true iff the report was fresh; false also
+  /// means quarantined (the counter tells them apart).
+  bool observe(const WireMessage& report,
+               std::int64_t when = OnlineSystem::kNoTime);
 
-  /// observe() + fold the event into the named action from the report's
-  /// own clock (never reading the shared system). The action must be open,
-  /// or already completed — a late report for a completed action repairs
-  /// its summary and re-arms the watches that used it. Duplicate reports
-  /// are dropped. Reports may arrive in any order. Returns true iff the
-  /// report was fresh.
-  bool ingest(const std::string& label, const WireMessage& report,
-              std::int64_t when = OnlineSystem::kNoTime);
+  /// True iff observe() folds `e`'s report (a declared member).
+  bool is_member(EventId e) const { return members_.contains(e); }
 
-  /// Fault-hardened observe: a malformed report (unknown source process,
-  /// non-event index, foreign clock size, clock breaking the Fidge own-
-  /// component invariant) is rejected into quarantined() instead of
-  /// tripping the gap tracker's contracts — wire garbage must not kill the
-  /// monitor (DESIGN.md §3.12). Returns observe()'s freshness verdict;
-  /// false also means quarantined (the counter tells them apart).
-  bool try_observe(const WireMessage& report);
-
-  /// Fault-hardened ingest, same rejection rule. The label must still name
-  /// an open or completed action — that is a caller bug, not wire garbage.
-  bool try_ingest(const std::string& label, const WireMessage& report,
-                  std::int64_t when = OnlineSystem::kNoTime);
-
-  /// Reports rejected by try_observe/try_ingest so far.
+  /// Reports observe() rejected so far.
   std::uint64_t quarantined() const { return quarantined_; }
 
   /// Clock-snapshot recovery: an authoritative clock snapshot (e.g. from
@@ -159,7 +154,7 @@ class OnlineMonitor {
   /// claim. resync() then closes the gaps it exposes.
   void checkpoint(const VectorClock& snapshot);
 
-  /// Known-lost reports: claimed by some clock seen here, never ingested.
+  /// Known-lost reports: claimed by some clock seen here, never observed.
   /// `limit` bounds the enumeration so a long outage can be recovered in
   /// chunks instead of materializing millions of EventIds at once.
   std::vector<EventId> missing_reports(
@@ -174,7 +169,7 @@ class OnlineMonitor {
       std::size_t limit = std::numeric_limits<std::size_t>::max()) const {
     return gaps_.resync_request(limit);
   }
-  /// True once any report has been observed/ingested (the monitor then
+  /// True once any report has been observed (the monitor then
   /// treats outstanding gaps as verdict-tainting).
   bool degraded() const { return degraded_; }
   /// Duplicate reports suppressed so far.
@@ -187,13 +182,13 @@ class OnlineMonitor {
   /// and verdicts across it PendingGap, without costing a round. Each round
   /// requests the next `chunk` (> 0) of them after the previous round's
   /// (wrapping to the first), serves them from `log` and hands every reply
-  /// to `feed`, which routes it (observe / ingest, their try_ forms, or a
-  /// journaling shell). A round that got a surface reply (a reclaimed
-  /// event, !log.is_live) then adopts log.checkpoint(), which is how a late
-  /// joiner crosses the watermark. Stops once no servable report is
-  /// missing, or once the rounds since the last one that recovered a
-  /// report have asked for every servable one. Claim the snapshot first
-  /// (checkpoint()) to expose tail losses. Returns the rounds run.
+  /// to `feed` (observe(), or a journaling shell's). A round that got a
+  /// surface reply (a reclaimed event, !log.is_live) then adopts
+  /// log.checkpoint(), which is how a late joiner crosses the watermark.
+  /// Stops once no servable report is missing, or once the rounds since
+  /// the last one that recovered a report have asked for every servable
+  /// one. Claim the snapshot first (checkpoint()) to expose tail losses.
+  /// Returns the rounds run.
   std::size_t resync(const OnlineSystem& log, std::size_t chunk,
                      const std::function<void(const WireMessage&)>& feed);
 
@@ -329,6 +324,8 @@ class OnlineMonitor {
     std::map<std::string, ActionId>::iterator entry;  // into ids_
     /// Kept after completion, so late reports can repair the summary.
     IntervalTracker tracker{std::string()};
+    /// Declared members (feed-only monitor), dropped at release.
+    std::vector<EventId> members;
     std::optional<IntervalSummary> summary;  // set while kComplete
     ActionTiming timing;
   };
@@ -378,7 +375,7 @@ class OnlineMonitor {
   void emit_waterfall(ActionId x, ActionId y, bool holds,
                       Confidence confidence, int fires, std::uint64_t eval0_us,
                       std::uint64_t eval1_us, std::uint64_t fired_us);
-  /// Structural sanity of a wire report (see try_observe).
+  /// Structural sanity of a wire report (see observe).
   bool valid_report(const WireMessage& report) const;
   void quarantine(const WireMessage& report);
   /// Tracks has_gap() transitions after each report/checkpoint, feeding the
@@ -395,6 +392,8 @@ class OnlineMonitor {
   std::size_t process_count_;
   /// The label→id index; consulted only where a label enters the API.
   std::map<std::string, ActionId> ids_;
+  /// Declared member → its action: the one routing decision for reports.
+  std::unordered_map<EventId, ActionId> members_;
   /// Indexed by ActionId. Records live on the heap: interning moves none,
   /// so summary references stay valid until forget().
   std::vector<std::unique_ptr<Action>> actions_;

@@ -23,13 +23,20 @@ void record_ingest_latency(std::uint64_t latency_us) {
 }
 
 /// The labeled per-tenant gauge families. The registry keeps a name until
-/// it is removed, so release() drops a tenant's three series.
+/// it is removed, so release() and the destructor drop a tenant's three
+/// series.
 constexpr std::array<const char*, 3> kTenantGauges = {
     "syncon_service_tenant_live_log", "syncon_service_tenant_verdicts",
     "syncon_service_tenant_quarantined"};
 
 std::string tenant_gauge(const char* family, std::uint64_t tenant) {
   return std::string(family) + "{tenant=\"" + std::to_string(tenant) + "\"}";
+}
+
+void remove_tenant_gauges(std::uint64_t tenant) {
+  for (const char* family : kTenantGauges) {
+    obs::MetricRegistry::global().remove_gauge(tenant_gauge(family, tenant));
+  }
 }
 
 }  // namespace
@@ -42,6 +49,12 @@ MonitorDaemon::MonitorDaemon(const DaemonOptions& options, ThreadPool& pool)
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
+  }
+}
+
+MonitorDaemon::~MonitorDaemon() {
+  for (const auto& shard : shards_) {
+    for (const auto& entry : shard->sessions) remove_tenant_gauges(entry.first);
   }
 }
 
@@ -293,9 +306,7 @@ void MonitorDaemon::release(std::uint64_t tenant) {
     const std::string object = journal_object(tenant);
     if (options_.journal->exists(object)) options_.journal->remove(object);
   }
-  for (const char* family : kTenantGauges) {
-    obs::MetricRegistry::global().remove_gauge(tenant_gauge(family, tenant));
-  }
+  remove_tenant_gauges(tenant);
 }
 
 DaemonStats MonitorDaemon::stats() const {

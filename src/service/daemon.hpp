@@ -98,6 +98,8 @@ struct DaemonStats {
 class MonitorDaemon {
  public:
   MonitorDaemon(const DaemonOptions& options, ThreadPool& pool);
+  /// Drops the per-tenant gauges of every session still hosted.
+  ~MonitorDaemon();
 
   MonitorDaemon(const MonitorDaemon&) = delete;
   MonitorDaemon& operator=(const MonitorDaemon&) = delete;

@@ -160,7 +160,6 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
       break;
     case TenantOp::Kind::kReport:
       stream.report.encode(op.message, payload);
-      encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kCheckpoint:
       encode_varint(op.message.clock.size(), payload);
@@ -245,7 +244,6 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
       case FrameKind::kReport: {
         op.kind = TenantOp::Kind::kReport;
         if (!report_.try_decode(in, op.message)) return false;
-        decode_string(in, op.label);
         break;
       }
       case FrameKind::kCheckpoint: {

@@ -13,10 +13,12 @@
 // session's sequence guard *before* its body is decoded, so it can corrupt
 // neither this tenant's delta-codec state nor any other tenant's.
 //
-// Bodies reuse the PR 6 link codec: the journal (kEvent) and report
-// (kReport) streams are each one FIFO LinkEncoder/LinkDecoder pair per
-// tenant, shipping clocks as chained deltas with periodic absolute escapes.
-// Checkpoint clocks are absolute (they are rare and must stand alone).
+// Bodies reuse the link codec: the journal (kEvent) and report (kReport)
+// streams are each one FIFO LinkEncoder/LinkDecoder pair per tenant,
+// shipping clocks as chained deltas with periodic absolute escapes. A kEvent
+// body ends with its action label; a kReport body is the link frame alone
+// (the session routes a report by its event's membership). Checkpoint
+// clocks are absolute (they are rare and must stand alone).
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,7 @@
 //
 // The channel carries WireMessages (clock-stamped event records), so the
 // same machinery stresses both the application path (OnlineSystem::deliver)
-// and the monitoring path (OnlineMonitor::ingest of event reports).
+// and the monitoring path (OnlineMonitor::observe of event reports).
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
 
 #include "online/online_monitor.hpp"
 #include "support/contracts.hpp"
@@ -19,7 +18,6 @@ struct PendingPair {
   std::uint64_t n = 0;
   std::string a, b;
   bool completed = false;
-  std::vector<EventId> events;
 };
 
 /// Cycles before an unconsumed send on a faulty application ring is
@@ -73,8 +71,6 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
   };
   std::vector<std::deque<OutstandingSend>> outstanding(app ? n_proc : 0);
 
-  // Event → action label, while the pair is alive.
-  std::unordered_map<EventId, std::string> label_of;
   std::deque<PendingPair> pairs;
   std::uint64_t next_pair = 0;
   std::size_t forgotten = 0;  // pairs popped off the front of `pairs`
@@ -101,8 +97,6 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
     TenantOp op;
     op.kind = TenantOp::Kind::kReport;
     op.message = r;
-    const auto it = label_of.find(r.source);
-    if (it != label_of.end()) op.label = it->second;
     emit(std::move(op));
   };
 
@@ -152,7 +146,6 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
       const PendingPair& pair = pairs.front();
       emit_label_op(TenantOp::Kind::kForget, pair.a);
       emit_label_op(TenantOp::Kind::kForget, pair.b);
-      for (const EventId& e : pair.events) label_of.erase(e);
       pairs.pop_front();
       ++forgotten;
     }
@@ -175,10 +168,7 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
       for (int which = 0; which < 2; ++which) {
         for (const ProcessId off : offsets[which]) {
           const ProcessId p = (pa + off) % static_cast<ProcessId>(n_proc);
-          const EventId e = sys.local(p, ++stamp);
-          label_of.emplace(e, *labels[which]);
-          pair.events.push_back(e);
-          emit_event(e, *labels[which]);
+          emit_event(sys.local(p, ++stamp), *labels[which]);
         }
       }
       pairs.push_back(std::move(pair));
@@ -344,16 +334,6 @@ TenantSessionCore::TenantSessionCore(std::size_t processes,
   SYNCON_REQUIRE(resync_chunk_ > 0, "resync chunk must be positive");
 }
 
-void TenantSessionCore::route_report(const std::string& label,
-                                     const WireMessage& report) {
-  if (!label.empty() &&
-      (monitor_.is_open(label) || monitor_.is_complete(label))) {
-    monitor_.try_ingest(label, report);
-  } else {
-    monitor_.try_observe(report);
-  }
-}
-
 void TenantSessionCore::apply(const TenantOp& op) {
   try {
     apply_checked(op);
@@ -381,25 +361,18 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
     case TenantOp::Kind::kComplete:
       monitor_.complete(op.label);
       break;
-    case TenantOp::Kind::kForget: {
+    case TenantOp::Kind::kForget:
       monitor_.forget(op.label);
-      const auto it = events_of_label_.find(op.label);
-      if (it != events_of_label_.end()) {
-        for (const EventId& e : it->second) label_of_.erase(e);
-        events_of_label_.erase(it);
-      }
       break;
-    }
     case TenantOp::Kind::kEvent:
+      // Restored first: an op whose label names no open action is
+      // quarantined, and its event stays in the replica.
       sys_.restore_event(op.message.source, op.message.clock, op.sources,
                          op.time);
-      if (!op.label.empty()) {
-        label_of_[op.message.source] = op.label;
-        events_of_label_[op.label].push_back(op.message.source);
-      }
+      if (!op.label.empty()) monitor_.record(op.label, op.message.source);
       break;
     case TenantOp::Kind::kReport:
-      route_report(op.label, op.message);
+      monitor_.observe(op.message);
       break;
     case TenantOp::Kind::kCheckpoint: {
       monitor_.checkpoint(op.message.clock);
@@ -408,11 +381,8 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
       // resync requests only what it holds, and the rest stays open
       // (PendingGap).
       resync_rounds_ += monitor_.resync(
-          sys_, resync_chunk_, [this](const WireMessage& reply) {
-            const auto it = label_of_.find(reply.source);
-            route_report(it == label_of_.end() ? std::string() : it->second,
-                         reply);
-          });
+          sys_, resync_chunk_,
+          [this](const WireMessage& reply) { monitor_.observe(reply); });
       break;
     }
   }

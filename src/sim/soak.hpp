@@ -24,7 +24,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/execution.hpp"
@@ -54,18 +53,18 @@ struct TenantOp {
     kBegin,       ///< open action `label`
     kWatch,       ///< watch `relation`(label, label2)
     kComplete,    ///< complete action `label`
-    kForget,      ///< forget action `label` (and its event→label routes)
-    kEvent,       ///< journal replay: restore_event(message, sources, time)
-    kReport,      ///< lossy report `message` (route to `label`, or observe)
+    kForget,      ///< forget action `label` (and its members)
+    kEvent,       ///< journal replay: restore_event, then record(label)
+    kReport,      ///< lossy report `message`, observed
     kCheckpoint,  ///< authoritative snapshot `message.clock` + resync
   };
 
   Kind kind = Kind::kEvent;
-  std::string label;              ///< see Kind (empty = unroutable report)
+  std::string label;              ///< see Kind
   std::string label2;             ///< kWatch: the y action
   RelationId relation{};          ///< kWatch
   /// kEvent / kReport: the event and its clock, as the link codec decodes
-  /// them and the monitor ingests them; kCheckpoint: the snapshot clock.
+  /// them and the monitor observes them; kCheckpoint: the snapshot clock.
   WireMessage message;
   std::vector<EventId> sources;   ///< kEvent: journaled receive sources
   std::int64_t time = OnlineSystem::kNoTime;  ///< kEvent
@@ -113,10 +112,12 @@ struct TenantScript {
 
 /// The per-tenant session state machine: a replica OnlineSystem (rebuilt
 /// from kEvent ops, serves resyncs and retention) plus a feed-only
-/// OnlineMonitor. Ops are applied in stream order; any op whose contract
-/// fails (a corrupted or spliced wire stream) is quarantined — counted,
-/// never fatal, never visible to other sessions. Not movable: watch
-/// callbacks capture `this`.
+/// OnlineMonitor, which learns each action's members from the labeled
+/// kEvent ops and routes every report itself. Ops are applied in stream
+/// order; any op whose contract fails (a corrupted or spliced wire stream,
+/// an event labeled with no open action) is quarantined — counted, never
+/// fatal, never visible to other sessions. Not movable: watch callbacks
+/// capture `this`.
 class TenantSessionCore {
  public:
   explicit TenantSessionCore(std::size_t processes,
@@ -156,15 +157,10 @@ class TenantSessionCore {
 
  private:
   void apply_checked(const TenantOp& op);
-  /// try_ingest when the label names a live action, try_observe otherwise —
-  /// the routing rule shared by the report feed and the resync loop.
-  void route_report(const std::string& label, const WireMessage& report);
 
   OnlineSystem sys_;
   OnlineMonitor monitor_;
   std::size_t resync_chunk_;
-  std::unordered_map<EventId, std::string> label_of_;
-  std::unordered_map<std::string, std::vector<EventId>> events_of_label_;
   std::vector<std::string> verdicts_;
   std::uint64_t quarantined_ops_ = 0;
   std::uint64_t resync_rounds_ = 0;

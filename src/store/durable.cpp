@@ -20,10 +20,11 @@ namespace {
 constexpr std::uint8_t kEvent = 1;
 constexpr std::uint8_t kBegin = 2;
 constexpr std::uint8_t kComplete = 3;
-constexpr std::uint8_t kReport = 4;  // empty label = observe()
+constexpr std::uint8_t kReport = 4;
 constexpr std::uint8_t kMonCheckpoint = 5;
 constexpr std::uint8_t kAdopt = 6;
 constexpr std::uint8_t kForget = 7;
+constexpr std::uint8_t kMember = 8;
 
 class RecoveryTimer {
  public:
@@ -230,47 +231,41 @@ DurableMonitor::DurableMonitor(std::size_t process_count,
       SYNCON_REQUIRE(!in.empty(), "empty WAL record");
       const std::uint8_t kind = in.front();
       in = in.subspan(1);
+      bool fresh = true;  // only a duplicate report replays as skipped
       switch (kind) {
-        case kBegin: {
+        case kBegin:
           monitor_.begin(decode_string(in));
-          ++stats_.events_replayed;
           break;
-        }
-        case kComplete: {
+        case kComplete:
           monitor_.complete(decode_string(in));
-          ++stats_.events_replayed;
           break;
-        }
-        case kForget: {
+        case kForget:
           monitor_.forget(decode_string(in));
-          ++stats_.events_replayed;
+          break;
+        case kMember: {
+          const std::string label = decode_string(in);
+          const auto process = decode_varint_as<ProcessId>(in);
+          monitor_.record(label, {process, decode_varint_as<EventIndex>(in)});
           break;
         }
         case kReport: {
-          const std::string label = decode_string(in);
           const std::int64_t when = decode_signed_varint(in);
           WireMessage report;
           SYNCON_REQUIRE(decoder.try_decode(in, report),
                          "undecodable journaled report frame");
-          const bool fresh = label.empty()
-                                 ? monitor_.observe(report)
-                                 : monitor_.ingest(label, report, when);
-          (fresh ? stats_.events_replayed : stats_.events_skipped) += 1;
+          fresh = monitor_.observe(report, when);
           break;
         }
-        case kMonCheckpoint: {
+        case kMonCheckpoint:
           monitor_.checkpoint(VectorClock::decode(in));
-          ++stats_.events_replayed;
           break;
-        }
-        case kAdopt: {
+        case kAdopt:
           monitor_.adopt_checkpoint(decode_checkpoint(in));
-          ++stats_.events_replayed;
           break;
-        }
         default:
           SYNCON_REQUIRE(false, "unknown monitor WAL record kind");
       }
+      (fresh ? stats_.events_replayed : stats_.events_skipped) += 1;
     } catch (const ContractViolation&) {
       ++stats_.records_quarantined;
     }
@@ -287,8 +282,7 @@ void DurableMonitor::journal(std::uint8_t kind,
   store_.append(record, touches, pinned);
 }
 
-void DurableMonitor::journal_report(const std::string& label,
-                                    const WireMessage& report,
+void DurableMonitor::journal_report(const WireMessage& report,
                                     std::int64_t when) {
   const std::uint64_t seg = store_.open_segment_seq();
   if (seg != encoder_segment_) {
@@ -297,14 +291,11 @@ void DurableMonitor::journal_report(const std::string& label,
   }
   std::vector<std::uint8_t> body;
   body.push_back(kReport);
-  encode_string(label, body);
   encode_signed_varint(when, body);
   encoder_.encode(report, body);
   const EventId touches[] = {report.source};
-  // Labeled reports are pinned: they rebuild action summaries at replay and
-  // cannot be re-derived from a checkpoint. Plain observations can — the
-  // adopted cut forgives them — so they stay prunable.
-  store_.append(body, touches, /*pinned=*/!label.empty());
+  store_.append(body, touches,
+                /*pinned=*/monitor_.is_member(report.source));
 }
 
 void DurableMonitor::begin(const std::string& label) {
@@ -322,29 +313,20 @@ const IntervalSummary& DurableMonitor::complete(const std::string& label) {
   return summary;
 }
 
-bool DurableMonitor::observe(const WireMessage& report) {
-  const bool fresh = monitor_.observe(report);
-  if (fresh) journal_report("", report, OnlineSystem::kNoTime);
-  return fresh;
+void DurableMonitor::record(const std::string& label, EventId e) {
+  const bool declared = monitor_.is_member(e);
+  monitor_.record(label, e);
+  if (declared) return;
+  std::vector<std::uint8_t> body;
+  encode_string(label, body);
+  encode_varint(e.process, body);
+  encode_varint(e.index, body);
+  journal(kMember, body, {}, /*pinned=*/true);
 }
 
-bool DurableMonitor::ingest(const std::string& label,
-                            const WireMessage& report, std::int64_t when) {
-  const bool fresh = monitor_.ingest(label, report, when);
-  if (fresh) journal_report(label, report, when);
-  return fresh;
-}
-
-bool DurableMonitor::try_observe(const WireMessage& report) {
-  const bool fresh = monitor_.try_observe(report);
-  if (fresh) journal_report("", report, OnlineSystem::kNoTime);
-  return fresh;
-}
-
-bool DurableMonitor::try_ingest(const std::string& label,
-                                const WireMessage& report, std::int64_t when) {
-  const bool fresh = monitor_.try_ingest(label, report, when);
-  if (fresh) journal_report(label, report, when);
+bool DurableMonitor::observe(const WireMessage& report, std::int64_t when) {
+  const bool fresh = monitor_.observe(report, when);
+  if (fresh) journal_report(report, when);
   return fresh;
 }
 

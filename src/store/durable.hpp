@@ -4,12 +4,13 @@
 // through a LinkEncoder that resets at segment boundaries), its message
 // sources, and its physical time — after applying it, and turns compact()
 // into compact + durable snapshot. DurableMonitor journals the monitor's
-// externally-driven operations (begin/complete, reports, clock checkpoints,
-// checkpoint adoptions). Constructing either over a StorageBackend that
-// holds prior state runs recovery: install the newest valid snapshot, then
-// replay the surviving WAL tail through the idempotent delivery paths —
-// converging to state whose verdicts and clocks are bit-identical to an
-// uninterrupted run (the `recovery_identity` conformance property).
+// externally-driven operations (begin/complete, member declarations,
+// reports, clock checkpoints, checkpoint adoptions). Constructing either
+// over a StorageBackend that holds prior state runs recovery: install the
+// newest valid snapshot, then replay the surviving WAL tail in order
+// through the idempotent delivery paths — converging to state whose
+// verdicts and clocks are bit-identical to an uninterrupted run (the
+// `recovery_identity` conformance property).
 //
 // Journal-after-apply: a crash between apply and journal loses only the
 // suffix of unsynced records — exactly the loss the resync path (and the
@@ -102,25 +103,25 @@ class DurableMonitor {
   Store& store() { return store_; }
   const RecoveryStats& recovery() const { return stats_; }
 
-  std::size_t process_count() const { return process_count_; }
-
   // Journaling counterparts of the monitor's feed operations.
   void begin(const std::string& label);
+  /// A new member declaration is journaled pinned; declaring a member
+  /// again journals nothing.
+  void record(const std::string& label, EventId e);
   const IntervalSummary& complete(const std::string& label);
-  bool observe(const WireMessage& report);
-  bool ingest(const std::string& label, const WireMessage& report,
-              std::int64_t when = OnlineSystem::kNoTime);
-  /// Hardened ingress: quarantined reports are never journaled.
-  bool try_observe(const WireMessage& report);
-  bool try_ingest(const std::string& label, const WireMessage& report,
-                  std::int64_t when = OnlineSystem::kNoTime);
+  /// A fresh report is journaled, pinned exactly when it folded into an
+  /// action: a member report rebuilds a summary at replay, while a plain
+  /// observation stays prunable (the adopted cut forgives it). Quarantined
+  /// and duplicate reports are never journaled.
+  bool observe(const WireMessage& report,
+               std::int64_t when = OnlineSystem::kNoTime);
   void checkpoint(const VectorClock& snapshot);
   /// adopt_checkpoint() + a durable snapshot every policy().snapshot_every
-  /// adoptions. Labeled reports and every lifecycle record (begin, complete,
-  /// forget, checkpoint, adopt) are appended pinned, the Store never unpins
-  /// a segment, and pruning stops at the first pinned one: only segments
-  /// written before any of them can go, so under action churn this WAL
-  /// grows without bound.
+  /// adoptions. Memberships, member reports and every lifecycle record
+  /// (begin, complete, forget, checkpoint, adopt) are appended pinned, the
+  /// Store never unpins a segment, and pruning stops at the first pinned
+  /// one: only segments written before any of them can go, so under action
+  /// churn this WAL grows without bound.
   void adopt_checkpoint(const RetentionCheckpoint& checkpoint);
   void forget(const std::string& label);
   void sync() { store_.sync(); }
@@ -128,8 +129,7 @@ class DurableMonitor {
  private:
   void journal(std::uint8_t kind, std::span<const std::uint8_t> body,
                std::span<const EventId> touches, bool pinned);
-  void journal_report(const std::string& label, const WireMessage& report,
-                      std::int64_t when);
+  void journal_report(const WireMessage& report, std::int64_t when);
 
   std::size_t process_count_;
   OnlineMonitor monitor_;

@@ -423,10 +423,9 @@ TEST(ExploreInvariantTest, LossyLegFailsAgainstAServerThatCannotAnswer) {
   // Precondition: the channel drops a report that a later delivered report
   // vouches for, so the gap is open before any checkpoint.
   OnlineMonitor probe(exec.process_count());
-  probe.begin("X");
-  probe.begin("Y");
+  actions.open(probe);
   for (const Arrival& a : ship(*plan.lossy, reports).drain()) {
-    actions.feed(probe, a.message);
+    probe.observe(a.message);
   }
   ASSERT_GT(probe.missing_report_count(), 0u);
 

@@ -102,14 +102,14 @@ TEST_F(FlightRecorderTest, QuarantineTriggersAutomaticDumpWithContext) {
   for (int i = 0; i < 4; ++i) {
     const WireMessage w = sys.send(0);
     sys.deliver(1, w);
-    EXPECT_TRUE(monitor.try_observe(w));
+    EXPECT_TRUE(monitor.observe(w));
   }
   // ...then the incident: a corrupt report (all-zero clock violates the
   // Fidge own-component invariant).
   WireMessage poison;
   poison.source = EventId{0, 9};
   poison.clock = VectorClock(3, 0);
-  EXPECT_FALSE(monitor.try_observe(poison));
+  EXPECT_FALSE(monitor.observe(poison));
   EXPECT_EQ(monitor.quarantined(), 1u);
 
   std::ifstream in(path);

@@ -310,9 +310,10 @@ TEST_F(ObsTest, MonitorHealthReportAndRegistryAgree) {
   monitor.begin("a");
   const WireMessage m1 = system.send(0);
   const WireMessage m2 = system.send(0);
+  monitor.record("a", m2.source);
   // Deliver only the second report: its clock vouches for the first.
-  monitor.ingest("a", m2);
-  monitor.ingest("a", m2);  // duplicate
+  monitor.observe(m2);
+  monitor.observe(m2);  // duplicate
   EXPECT_TRUE(monitor.degraded());
   EXPECT_EQ(monitor.missing_reports().size(), 1u);
 
@@ -463,11 +464,13 @@ TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
   const WireMessage m1 = system.send(0);
   const WireMessage m2 = system.send(0);
   (void)system.deliver(1, m2);
-  monitor.ingest("a", m2);  // m1's report was lost: gap opens
+  monitor.record("a", m1.source);
+  monitor.record("a", m2.source);
+  monitor.observe(m2);  // m1's report was lost: gap opens
   EXPECT_TRUE(monitor.missing_reports().size() == 1);
   const auto replies = system.serve(monitor.resync_request());
   ASSERT_EQ(replies.size(), 1u);
-  monitor.ingest("a", replies[0]);  // gap closes
+  monitor.observe(replies[0]);  // gap closes
   EXPECT_TRUE(monitor.missing_reports().empty());
   obs::set_enabled(false);
 
@@ -494,7 +497,6 @@ TEST_F(ObsTest, PipelineTraceCoversAllPhases) {
   const auto* gap = snap.find("syncon_monitor_gap_open_reports");
   ASSERT_NE(gap, nullptr);
   EXPECT_GE(gap->histogram->count, 1u);
-  (void)m1;
 }
 
 // --- exporter edge cases (DESIGN.md §3.13) -----------------------------------

@@ -23,12 +23,11 @@ TEST(OnlineMonitorTest, LifecycleAndLookup) {
   OnlineMonitor monitor(sys);
   monitor.begin("a");
   EXPECT_TRUE(monitor.is_open("a"));
-  EXPECT_FALSE(monitor.is_complete("a"));
+  EXPECT_EQ(monitor.summary("a"), nullptr);
   monitor.record("a", sys.local(0));
   const IntervalSummary& s = monitor.complete("a");
   EXPECT_EQ(s.label, "a");
   EXPECT_FALSE(monitor.is_open("a"));
-  EXPECT_TRUE(monitor.is_complete("a"));
   EXPECT_NE(monitor.summary("a"), nullptr);
   EXPECT_EQ(monitor.summary("b"), nullptr);
 }
@@ -52,11 +51,127 @@ TEST(OnlineMonitorTest, FidgeCheckDoesNotWrapAtTheLargestIndex) {
   monitor.begin("a");
   const WireMessage wrapped{{0, std::numeric_limits<EventIndex>::max()},
                             VectorClock({0, 1})};
-  EXPECT_FALSE(monitor.try_observe(wrapped));
-  EXPECT_FALSE(monitor.try_ingest("a", wrapped));
+  EXPECT_FALSE(monitor.observe(wrapped));
+  monitor.record("a", wrapped.source);  // a member's garbage is garbage too
+  EXPECT_FALSE(monitor.observe(wrapped));
   EXPECT_EQ(monitor.quarantined(), 2u);
   EXPECT_EQ(monitor.recorded_events("a"), 0u);
   EXPECT_EQ(monitor.missing_report_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Membership: a feed-only monitor folds a report into the action that
+// declared its event (record), and only observes every other report.
+// ---------------------------------------------------------------------------
+
+TEST(OnlineMonitorMembershipTest, DeclaredMembersFoldUndeclaredAreObserved) {
+  OnlineSystem sys(2);
+  const EventId a1 = sys.local(0);
+  const EventId other = sys.local(1);
+  OnlineMonitor monitor(2);
+  monitor.begin("a");
+  monitor.record("a", a1);
+  EXPECT_TRUE(monitor.is_member(a1));
+  EXPECT_FALSE(monitor.is_member(other));
+  EXPECT_TRUE(monitor.observe(sys.wire_of(a1)));
+  EXPECT_TRUE(monitor.observe(sys.wire_of(other)));
+  EXPECT_EQ(monitor.recorded_events("a"), 1u);
+  EXPECT_EQ(monitor.complete("a").event_count, 1u);
+}
+
+TEST(OnlineMonitorMembershipTest, ReportBeforeDeclarationIsOnlyObserved) {
+  OnlineSystem sys(2);
+  const EventId early = sys.local(0);
+  const EventId late = sys.local(1);
+  OnlineMonitor monitor(2);
+  monitor.begin("a");
+  EXPECT_TRUE(monitor.observe(sys.wire_of(early)));
+  monitor.record("a", early);
+  monitor.record("a", late);
+  EXPECT_EQ(monitor.recorded_events("a"), 0u);
+  // A copy of the early report is a duplicate: declaring it does not
+  // re-fold what was already observed.
+  EXPECT_FALSE(monitor.observe(sys.wire_of(early)));
+  EXPECT_EQ(monitor.recorded_events("a"), 0u);
+  EXPECT_TRUE(monitor.observe(sys.wire_of(late)));
+  EXPECT_EQ(monitor.recorded_events("a"), 1u);
+}
+
+TEST(OnlineMonitorMembershipTest, LateMemberReportRepairsAndFiresAgain) {
+  OnlineSystem sys(2);
+  const EventId a1 = sys.local(0);
+  const WireMessage m = sys.send(0);
+  const EventId b1 = sys.deliver(1, m);
+  OnlineMonitor monitor(2);
+  std::vector<Confidence> fires;
+  std::vector<bool> holds;
+  monitor.watch({Relation::R1, ProxyKind::End, ProxyKind::Begin}, "a", "b",
+                [&](const std::string&, const std::string&, bool h,
+                    Confidence conf) {
+                  holds.push_back(h);
+                  fires.push_back(conf);
+                });
+  monitor.begin("a");
+  monitor.begin("b");
+  monitor.record("a", a1);
+  monitor.record("a", m.source);
+  monitor.record("b", b1);
+  monitor.observe(sys.wire_of(a1));  // m's report is late
+  monitor.observe(sys.wire_of(b1));
+  monitor.complete("a");
+  monitor.complete("b");
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], Confidence::PendingGap);
+  EXPECT_EQ(monitor.summary("a")->event_count, 1u);
+  EXPECT_TRUE(monitor.observe(m));
+  EXPECT_EQ(monitor.summary("a")->event_count, 2u);
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(fires[1], Confidence::Definite);
+  EXPECT_TRUE(holds[1]);  // the repaired a ends with the send b receives
+}
+
+TEST(OnlineMonitorMembershipTest, ForgetDropsMembersAndFreesTheLabel) {
+  OnlineSystem sys(2);
+  const EventId e = sys.local(0);
+  const EventId f = sys.local(1);
+  OnlineMonitor monitor(2);
+  monitor.begin("a");
+  monitor.record("a", e);
+  monitor.record("a", f);
+  monitor.observe(sys.wire_of(e));
+  monitor.complete("a");
+  monitor.forget("a");
+  EXPECT_FALSE(monitor.is_member(e));
+  EXPECT_FALSE(monitor.is_member(f));
+  // A former member's late report is only observed: nothing to repair.
+  EXPECT_TRUE(monitor.observe(sys.wire_of(f)));
+  EXPECT_EQ(monitor.retained(), 0u);
+  // The label is free again, and so are its former members.
+  monitor.begin("a");
+  monitor.record("a", f);  // its report came first: never folded
+  const EventId h = sys.local(1);
+  monitor.record("a", h);
+  EXPECT_TRUE(monitor.observe(sys.wire_of(h)));
+  EXPECT_EQ(monitor.recorded_events("a"), 1u);
+}
+
+TEST(OnlineMonitorMembershipTest, DeclarationContracts) {
+  OnlineSystem sys(2);
+  const EventId e = sys.local(0);
+  OnlineMonitor monitor(2);
+  EXPECT_THROW(monitor.record("a", e), ContractViolation);  // never begun
+  monitor.begin("a");
+  monitor.begin("b");
+  monitor.record("a", e);
+  monitor.record("a", e);  // again to the same action: a no-op
+  EXPECT_THROW(monitor.record("b", e), ContractViolation);
+  EXPECT_TRUE(monitor.observe(sys.wire_of(e)));
+  EXPECT_EQ(monitor.recorded_events("a"), 1u);
+  monitor.complete("a");
+  EXPECT_THROW(monitor.record("a", sys.local(1)), ContractViolation);
+  // A completed action's members stay its own until forget.
+  EXPECT_THROW(monitor.record("b", e), ContractViolation);
+  EXPECT_TRUE(monitor.is_member(e));
 }
 
 TEST(OnlineMonitorTest, WatchFiresAtLaterCompletion) {
@@ -182,7 +297,7 @@ TEST(OnlineMonitorTest, ForgetBoundsMemoryAndAllowsLabelReuse) {
     EXPECT_EQ(monitor.retained(), 1u);
     monitor.forget("work");
     EXPECT_EQ(monitor.retained(), 0u);
-    EXPECT_FALSE(monitor.is_complete("work"));
+    EXPECT_EQ(monitor.summary("work"), nullptr);
   }
   EXPECT_THROW(monitor.forget("work"), ContractViolation);
 }
@@ -339,16 +454,15 @@ std::pair<std::vector<SetFiring>, ComparisonCounter> run_all_32(
                 });
     }
   }
-  mon.begin("X");
-  mon.begin("Y");
+  f.actions.open(mon);
   for (std::size_t i = 0; i < f.reports.size(); ++i) {
-    if (!lost.count(i)) f.actions.feed(mon, f.reports[i]);
+    if (!lost.count(i)) mon.observe(f.reports[i]);
   }
   mon.complete("X");
   mon.complete("Y");
   mon.checkpoint(f.sys.snapshot());
   for (const WireMessage& w : f.sys.serve(mon.resync_request())) {
-    f.actions.feed(mon, w);
+    mon.observe(w);
   }
   EXPECT_EQ(mon.missing_report_count(), 0u);
   // The singles fire in registration order, 32 to a pass.
@@ -486,7 +600,7 @@ TEST(OnlineMonitorSetWatchTest, ForgetFromCallbackIsAContractViolation) {
                 [&](RelationSet, Confidence) { ++calls; });
   EXPECT_EQ(calls, 1);
   monitor.forget("a");
-  EXPECT_FALSE(monitor.is_complete("a"));
+  EXPECT_EQ(monitor.summary("a"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

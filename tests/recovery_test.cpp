@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -21,6 +22,7 @@
 #include "sim/workload.hpp"
 #include "store/durable.hpp"
 #include "store/storage.hpp"
+#include "store/store.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "support/varint.hpp"
@@ -93,15 +95,10 @@ TEST(RecoveryTest, MonitorCrashUnderFaultsRecoversToFaultFreeVerdicts) {
     OnlineMonitor clean(exec.process_count());
     clean.begin("X");
     clean.begin("Y");
+    for (const EventId& e : x_set) clean.record("X", e);
+    for (const EventId& e : y_set) clean.record("Y", e);
     for (const EventId& e : exec.topological_order()) {
-      const WireMessage w = sys.wire_of(e);
-      if (x_set.count(e)) {
-        clean.ingest("X", w);
-      } else if (y_set.count(e)) {
-        clean.ingest("Y", w);
-      } else {
-        clean.observe(w);
-      }
+      clean.observe(sys.wire_of(e));
     }
     clean.complete("X");
     clean.complete("Y");
@@ -132,10 +129,16 @@ TEST(RecoveryTest, MonitorCrashUnderFaultsRecoversToFaultFreeVerdicts) {
                                                 storage, policy);
     bool crashed = false;
     const auto ensure_begun = [&] {
-      for (const char* label : {"X", "Y"}) {
+      for (const std::string label : {"X", "Y"}) {
         if (!mon->monitor().is_open(label) &&
             mon->monitor().summary(label) == nullptr) {
           mon->begin(label);
+        }
+        // Members that survived the crash are declared again as no-ops.
+        if (mon->monitor().is_open(label)) {
+          for (const EventId& e : label == "X" ? x_set : y_set) {
+            mon->record(label, e);
+          }
         }
       }
     };
@@ -146,15 +149,7 @@ TEST(RecoveryTest, MonitorCrashUnderFaultsRecoversToFaultFreeVerdicts) {
                                              policy);
       ensure_begun();
     };
-    const auto feed = [&](const WireMessage& report) {
-      if (x_set.count(report.source)) {
-        mon->ingest("X", report);
-      } else if (y_set.count(report.source)) {
-        mon->ingest("Y", report);
-      } else {
-        mon->observe(report);
-      }
-    };
+    const auto feed = [&](const WireMessage& report) { mon->observe(report); };
     const auto guarded = [&](const auto& fn) {
       try {
         fn();
@@ -166,7 +161,8 @@ TEST(RecoveryTest, MonitorCrashUnderFaultsRecoversToFaultFreeVerdicts) {
       }
     };
 
-    storage.crash_after_ops(1 + rng.below(arrivals.size() + 2));
+    storage.crash_after_ops(
+        1 + rng.below(x_set.size() + y_set.size() + arrivals.size() + 2));
     guarded(ensure_begun);
     for (const Arrival& a : arrivals) {
       guarded([&] { feed(a.message); });
@@ -210,6 +206,42 @@ TEST(RecoveryTest, MonitorCrashUnderFaultsRecoversToFaultFreeVerdicts) {
       EXPECT_TRUE(crash_fires[i] == clean_fires[i]) << to_string(ids[i]);
     }
   }
+}
+
+// The monitor journal in append order: a membership precedes every report
+// of its event, so replay declares the member before it folds the report.
+// Memberships and member reports are pinned; a plain observation stays
+// prunable.
+TEST(RecoveryTest, MonitorJournalPinsMembershipsAndMemberReports) {
+  OnlineSystem sys(2);
+  const EventId member = sys.local(0);
+  const EventId plain = sys.local(1);
+  SimStorage storage;
+  {
+    DurableMonitor mon(2, storage);
+    mon.begin("A");
+    mon.record("A", member);
+    mon.record("A", member);  // declared again: nothing journaled
+    mon.observe(sys.wire_of(plain));
+    mon.observe(sys.wire_of(member), 7);
+    mon.sync();
+  }
+  {
+    // Record kinds (store/durable.cpp): 2 begin, 4 report, 8 membership.
+    Store journal(storage, 2, DurabilityPolicy{});
+    std::vector<std::pair<std::uint8_t, bool>> records;
+    for (const Store::RecoveredRecord& r : journal.take_records()) {
+      records.emplace_back(r.body.front(), r.pinned);
+    }
+    EXPECT_EQ(records, (std::vector<std::pair<std::uint8_t, bool>>{
+                           {2, true}, {8, true}, {4, false}, {4, true}}));
+  }
+  DurableMonitor recovered(2, storage);
+  EXPECT_EQ(recovered.recovery().events_replayed, 4u);
+  EXPECT_TRUE(recovered.monitor().is_member(member));
+  EXPECT_EQ(recovered.monitor().recorded_events("A"), 1u);
+  EXPECT_EQ(recovered.monitor().duplicate_reports(), 0u);
+  EXPECT_EQ(recovered.complete("A").end_time, 7);
 }
 
 // The system-side identity: a journaling DurableSystem crashed mid-drive
@@ -354,19 +386,21 @@ TEST(QuarantineTest, MonitorQuarantinesGarbageReportsAndKeepsServing) {
   OnlineMonitor mon(2);
   mon.begin("A");
   const WireMessage w = sys.send(0);
+  mon.record("A", w.source);
 
   WireMessage bad = w;
   bad.clock = VectorClock({3, 1, 4});  // wrong width
-  EXPECT_FALSE(mon.try_ingest("A", bad));
+  EXPECT_FALSE(mon.observe(bad));
   bad = w;
   bad.source.process = 9;
-  EXPECT_FALSE(mon.try_observe(bad));
+  EXPECT_FALSE(mon.observe(bad));
   bad = w;
   bad.clock = VectorClock({7, 0});  // violates clock[p] == index + 1
-  EXPECT_FALSE(mon.try_ingest("A", bad));
+  EXPECT_FALSE(mon.observe(bad));
   EXPECT_EQ(mon.quarantined(), 3u);
+  EXPECT_EQ(mon.recorded_events("A"), 0u);
 
-  EXPECT_TRUE(mon.try_ingest("A", w));  // clean traffic unaffected
+  EXPECT_TRUE(mon.observe(w));  // clean traffic unaffected
   EXPECT_EQ(mon.quarantined(), 3u);
   mon.complete("A");
 
@@ -387,12 +421,13 @@ TEST(QuarantineTest, DurableShellsNeverJournalQuarantinedInput) {
   mon.begin("A");
   OnlineSystem sys(2);
   const WireMessage w = sys.send(0);
+  mon.record("A", w.source);
   WireMessage bad = w;
   bad.clock = VectorClock({9, 9});
   const std::uint64_t before = mon.store().records_appended();
-  EXPECT_FALSE(mon.try_ingest("A", bad));
+  EXPECT_FALSE(mon.observe(bad));
   EXPECT_EQ(mon.store().records_appended(), before);  // nothing journaled
-  EXPECT_TRUE(mon.try_ingest("A", w));
+  EXPECT_TRUE(mon.observe(w));
   EXPECT_EQ(mon.store().records_appended(), before + 1);
 }
 
@@ -433,10 +468,12 @@ TEST(QuarantineTest, WalReplaySkipsAnOutOfRangeEventSource) {
 // returns its confidence.
 Confidence watch_confidence(OnlineMonitor& mon, OnlineSystem& sys) {
   std::optional<Confidence> fired;
-  mon.begin("A");
-  mon.ingest("A", sys.send(1));
-  mon.begin("B");
-  mon.ingest("B", sys.send(1));
+  for (const std::string label : {"A", "B"}) {
+    const WireMessage w = sys.send(1);
+    mon.begin(label);
+    mon.record(label, w.source);
+    mon.observe(w);
+  }
   mon.watch({Relation::R3, ProxyKind::Begin, ProxyKind::End}, "A", "B",
             [&](const std::string&, const std::string&, bool, Confidence c) {
               fired = c;
@@ -504,7 +541,7 @@ TEST(ResyncTest, ServableGapsBehindAnUnservableChunkClose) {
   std::vector<EventId> fed;
   const std::size_t rounds = mon.resync(log, 2, [&](const WireMessage& w) {
     fed.push_back(w.source);
-    mon.try_observe(w);
+    mon.observe(w);
   });
   EXPECT_EQ(fed, (std::vector<EventId>{{1, 1}, {1, 2}, {1, 3}}));
   EXPECT_EQ(mon.missing_reports(),
@@ -529,7 +566,7 @@ TEST(ResyncTest, ClaimsBeyondTheLogAreNeverRequested) {
   std::size_t fed = 0;
   const std::size_t rounds = mon.resync(log, 1, [&](const WireMessage& w) {
     ++fed;
-    mon.try_observe(w);
+    mon.observe(w);
   });
   EXPECT_EQ(rounds, 3u);
   EXPECT_EQ(fed, 3u);

@@ -316,8 +316,9 @@ TEST(RetentionTest, WatermarkPinHoldsGapsAndOpenActions) {
 
   OnlineMonitor mon(2);
   mon.begin("A");
+  mon.record("A", m.source);
   // Only 0:2's report arrives; its clock claims 0:1 — a gap.
-  mon.ingest("A", sys.wire_of(m.source), 20);
+  mon.observe(sys.wire_of(m.source), 20);
   EXPECT_EQ(mon.missing_report_count(), 1u);
   // The pin sits at the gap: 0:1 must stay servable.
   VectorClock pin = mon.watermark_pin();

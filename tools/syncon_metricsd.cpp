@@ -143,7 +143,7 @@ int main(int argc, char** argv) try {
     WireMessage poison;
     poison.source = EventId{0, 7};
     poison.clock = VectorClock(workload.processes, 0);
-    const bool accepted = victim.try_observe(poison);
+    const bool accepted = victim.observe(poison);
     std::printf("inject-quarantine: report %s (quarantined %llu)\n",
                 accepted ? "ACCEPTED (unexpected)" : "rejected",
                 static_cast<unsigned long long>(victim.quarantined()));
