@@ -5,7 +5,14 @@
 #   clean run      1k faulty tenants, binding memory budget — every
 #                  tenant's daemon-side Definite verdict log bit-identical
 #                  to its standalone reference, zero quarantined frames,
-#                  events actually reclaimed (the live log plateaus).
+#                  events actually reclaimed, and at the default 1k
+#                  tenants the budget's counted work pinned exactly: 897
+#                  compactions reclaiming 64,539 events under a live-log
+#                  peak of 4,262 (each of the 8 shards compacts its own
+#                  laggiest changed tenants to its 512-event share after
+#                  every pump; the counts repeat on any thread count, so a
+#                  change means the policy compacts other sessions or at
+#                  other pumps).
 #   overload run   tiny shard queues + oversized submit batches — the
 #                  daemon must shed load through backpressure rejects and
 #                  still converge to bit-identical verdicts.
@@ -56,10 +63,10 @@ echo "=== [service-smoke] overload run (queue-capacity 4, batch 32) ==="
 
 echo "=== [service-smoke] assert service guarantees, merge into $merge ==="
 python3 - "$smoke_dir/service.json" "$smoke_dir/service_overload.json" \
-  "$merge" <<'PY'
+  "$merge" "$tenants" <<'PY'
 import json, os, sys
 
-clean_path, overload_path, merge_path = sys.argv[1], sys.argv[2], sys.argv[3]
+clean_path, overload_path, merge_path, tenants = sys.argv[1:5]
 with open(clean_path) as f:
     clean = json.load(f)
 with open(overload_path) as f:
@@ -72,6 +79,11 @@ if clean["frames_quarantined"] != 0:
     failures.append("clean run: frames quarantined on an uncorrupted wire")
 if clean["reclaimed_events"] <= 0:
     failures.append("clean run: memory budget never reclaimed anything")
+pinned = {"compactions": 897, "reclaimed_events": 64539,
+          "live_log_peak": 4262}
+for key, want in pinned.items():
+    if tenants == "1000" and clean[key] != want:
+        failures.append(f"clean run: {key} {clean[key]}, pinned {want}")
 if clean["p99_ingest_us"] <= 0:
     failures.append("clean run: ingest latency histogram is empty")
 if overload["identity_mismatches"] != 0:
@@ -91,8 +103,9 @@ print("service guarantees hold:")
 print(f"  tenants              : {clean['tenants']}")
 print(f"  events / frames      : {clean['total_events']} / {clean['total_frames']}")
 print(f"  verdicts             : {clean['verdicts']} (all bit-identical)")
-print(f"  live-log peak        : {clean['live_log_peak']}")
+print(f"  compactions          : {clean['compactions']}")
 print(f"  reclaimed events     : {clean['reclaimed_events']}")
+print(f"  live-log peak        : {clean['live_log_peak']}")
 print(f"  p99 ingest latency   : {clean['p99_ingest_us']:.1f} us")
 print(f"  peak RSS             : {clean['peak_rss_kib']} KiB")
 print(f"  overload rejects     : {overload['backpressure_rejects']} (identity held)")

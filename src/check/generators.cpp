@@ -54,12 +54,21 @@ struct Node {
         s += ")";
         return s;
       }
-      case Kind::Not:
-        return "!(" + left->render() + ")";
+      case Kind::Not: {
+        std::string s = "!(";
+        s += left->render();
+        s += ')';
+        return s;
+      }
       case Kind::And:
-        return "(" + left->render() + ") & (" + right->render() + ")";
-      case Kind::Or:
-        return "(" + left->render() + ") | (" + right->render() + ")";
+      case Kind::Or: {
+        std::string s = "(";
+        s += left->render();
+        s += kind == Kind::And ? ") & (" : ") | (";
+        s += right->render();
+        s += ')';
+        return s;
+      }
     }
     return {};
   }

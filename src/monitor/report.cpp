@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "nonatomic/cut_timestamps.hpp"
 #include "relations/interaction_types.hpp"
@@ -40,7 +41,9 @@ void write_report(std::ostream& os, const SyncMonitor& monitor,
     const NonatomicEvent& iv = monitor.interval(monitor.handle_at(i));
     std::string nodes;
     for (const ProcessId p : iv.node_set()) {
-      nodes += "p" + std::to_string(p) + " ";
+      nodes += 'p';
+      nodes += std::to_string(p);
+      nodes += ' ';
     }
     interval_table.new_row()
         .add_cell(iv.label())
@@ -116,9 +119,12 @@ void write_online_report(std::ostream& os, const OnlineMonitor& monitor) {
     os << "\n=== known-lost reports ===\n";
     TextTable lost({"event", "recoverable"});
     for (const EventId& e : missing) {
+      std::string event = "p";
+      event += std::to_string(e.process);
+      event += ':';
+      event += std::to_string(e.index);
       lost.new_row()
-          .add_cell("p" + std::to_string(e.process) + ":" +
-                    std::to_string(e.index))
+          .add_cell(std::move(event))
           .add_cell(std::string(monitor.is_crashed(e.process)
                                     ? "NO (process crashed)"
                                     : "yes (resync)"));

@@ -289,7 +289,11 @@ void write_dot(std::ostream& os, const Execution& exec,
     return nullptr;
   };
   auto node_name = [](EventId e) {
-    return "e" + std::to_string(e.process) + "_" + std::to_string(e.index);
+    std::string name = "e";
+    name += std::to_string(e.process);
+    name += '_';
+    name += std::to_string(e.index);
+    return name;
   };
 
   os << "digraph execution {\n  rankdir=LR;\n  node [shape=circle, "

@@ -78,13 +78,15 @@ std::string json_escape(std::string_view s) {
 std::string sanitize_metric_name(std::string_view name) {
   const auto [base, labels] = split_labels(name);
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  // A name may not be empty or start with a digit (digits map to
+  // themselves below).
+  if (base.empty() || (base[0] >= '0' && base[0] <= '9')) out += '_';
   for (const char c : base) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   if (!labels.empty()) {
     out += '{';
     out += labels;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <mutex>
 #include <ostream>
+#include <utility>
 
 #include "obs/span.hpp"
 #include "support/contracts.hpp"
@@ -172,15 +173,17 @@ namespace {
 
 /// Human rendering of the kind-specific payload words.
 std::string describe_payload(const FlightRecord& r) {
-  const auto event = [](std::uint64_t packed) {
-    const EventId e = unpack_event(packed);
-    return "p" + std::to_string(e.process) + ":" + std::to_string(e.index);
-  };
   switch (r.kind) {
     case FlightKind::kDelivery:
     case FlightKind::kDuplicate:
-    case FlightKind::kQuarantine:
-      return "source " + event(r.a);
+    case FlightKind::kQuarantine: {
+      const EventId e = unpack_event(r.a);
+      std::string source = "source p";
+      source += std::to_string(e.process);
+      source += ':';
+      source += std::to_string(e.index);
+      return source;
+    }
     case FlightKind::kGapOpen:
       return std::to_string(r.a) + " missing";
     case FlightKind::kGapClose:
@@ -223,13 +226,16 @@ void write_flight_text(std::ostream& os,
                        const std::vector<FlightRecord>& records) {
   TextTable table({"seq", "t µs", "kind", "proc", "detail"});
   for (const FlightRecord& r : records) {
+    std::string process = "-";
+    if (r.process != FlightRecord::kNoProcess) {
+      process = "p";
+      process += std::to_string(r.process);
+    }
     table.new_row()
         .add_cell(r.seq)
         .add_cell(with_thousands(r.t_us))
         .add_cell(std::string(to_string(r.kind)))
-        .add_cell(r.process == FlightRecord::kNoProcess
-                      ? std::string("-")
-                      : "p" + std::to_string(r.process))
+        .add_cell(std::move(process))
         .add_cell(describe_payload(r));
   }
   table.print(os);

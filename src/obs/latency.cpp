@@ -41,13 +41,14 @@ void write_waterfalls(std::ostream& os, std::span<const Waterfall> falls) {
     const std::string pair = w.x + "|" + w.y;
     const std::string verdict = std::string(w.holds ? "holds" : "fails") +
                                 (w.definite ? " (definite)" : " (pending)");
+    std::string fire = "#";
+    fire += std::to_string(w.fire_index);
     for (std::size_t i = 0; i < w.stages.size(); ++i) {
       const StageSpan& s = w.stages[i];
       table.new_row()
           .add_cell(i == 0 ? pair : std::string())
           .add_cell(i == 0 ? verdict : std::string())
-          .add_cell(i == 0 ? "#" + std::to_string(w.fire_index)
-                           : std::string())
+          .add_cell(i == 0 ? fire : std::string())
           .add_cell(s.stage)
           .add_cell(with_thousands(s.start_us))
           .add_cell(with_thousands(s.duration_us));

@@ -78,12 +78,10 @@ std::vector<ProcessId> IntervalTracker::nodes() const {
   return out;
 }
 
-std::vector<std::pair<ProcessId, EventIndex>> IntervalTracker::least_indices()
-    const {
-  std::vector<std::pair<ProcessId, EventIndex>> out;
-  out.reserve(per_node_.size());
-  for (const NodeAgg& agg : per_node_) out.emplace_back(agg.process, agg.least);
-  return out;
+void IntervalTracker::lower_to_least(VectorClock& pin) const {
+  for (const NodeAgg& agg : per_node_) {
+    pin.set(agg.process, std::min<ClockValue>(pin.at(agg.process), agg.least));
+  }
 }
 
 IntervalSummary IntervalTracker::summary() const {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "model/types.hpp"
@@ -107,10 +106,10 @@ class IntervalTracker {
   std::size_t event_count() const { return event_count_; }
   /// Processes with at least one folded component event, sorted.
   std::vector<ProcessId> nodes() const;
-  /// (process, least folded index) per node, sorted by process id — the
+  /// Lowers pin[q] to the least folded index on each node q — the
   /// open-interval references that pin a retention watermark
   /// (OnlineMonitor::watermark_pin, DESIGN.md §3.10).
-  std::vector<std::pair<ProcessId, EventIndex>> least_indices() const;
+  void lower_to_least(VectorClock& pin) const;
 
   /// Finalizes the aggregates, the four proxy past cuts included. The
   /// tracker may keep accumulating afterwards; summary() just snapshots the

@@ -268,7 +268,13 @@ void OnlineMonitor::checkpoint(const VectorClock& snapshot) {
 }
 
 VectorClock OnlineMonitor::watermark_pin() const {
-  VectorClock pin(process_count_, 0);
+  VectorClock pin;
+  watermark_pin(pin);
+  return pin;
+}
+
+void OnlineMonitor::watermark_pin(VectorClock& pin) const {
+  if (pin.size() != process_count_) pin = VectorClock(process_count_);
   for (ProcessId p = 0; p < process_count_; ++p) {
     pin.set(p, gaps_.contiguous_prefix(p) + 1);
   }
@@ -276,12 +282,8 @@ VectorClock OnlineMonitor::watermark_pin() const {
   // pin holds at the least referenced index until the action completes and
   // its watches have consumed the summary.
   for (const std::unique_ptr<Action>& a : actions_) {
-    if (a->state != Action::State::kOpen) continue;
-    for (const auto& [q, least] : a->tracker.least_indices()) {
-      pin.set(q, std::min<ClockValue>(pin.at(q), least));
-    }
+    if (a->state == Action::State::kOpen) a->tracker.lower_to_least(pin);
   }
-  return pin;
 }
 
 void OnlineMonitor::adopt_checkpoint(const RetentionCheckpoint& checkpoint) {

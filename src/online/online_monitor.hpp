@@ -203,6 +203,10 @@ class OnlineMonitor {
   /// watches that need them have evaluated. Feed the componentwise min of
   /// every consumer's pin (cuts::low_watermark) to OnlineSystem::compact.
   VectorClock watermark_pin() const;
+  /// The same, written into `pin` (resized only if it is not |P| wide): a
+  /// caller that compacts on a cadence keeps one clock and allocates
+  /// nothing per call.
+  void watermark_pin(VectorClock& pin) const;
 
   /// Adopts the authoritative system's retention checkpoint: reports below
   /// the checkpoint cut can never be served again (their log entries were

@@ -567,11 +567,15 @@ std::size_t OnlineSystem::compact(const VectorClock& watermark) {
   ++checkpoint_.sequence;
   // Dedup records for sources inside the cut are reclaimed with the log;
   // deliver() falls back to the gap tracker's witnessed() for them. Each
-  // sender's list is sorted, so its covered part is one prefix.
-  for (std::size_t k = 0; k < receipts_.size(); ++k) {
-    std::vector<Receipt>& list = receipts_[k];
-    list.erase(list.begin(),
-               first_receipt(list, checkpoint_.cut.at(k % process_count())));
+  // sender's list is sorted, so its covered part is one prefix, and a list
+  // whose first source is outside the cut has none.
+  const std::span<const ClockValue> cut = checkpoint_.cut.values();
+  auto list = receipts_.begin();
+  for (ProcessId p = 0; p < process_count(); ++p) {
+    for (ProcessId q = 0; q < process_count(); ++q, ++list) {
+      if (list->empty() || list->front().source >= cut[q]) continue;
+      list->erase(list->begin(), first_receipt(*list, cut[q]));
+    }
   }
   if (obs::enabled()) {
     auto& registry = obs::MetricRegistry::global();

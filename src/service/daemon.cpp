@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -46,9 +48,17 @@ MonitorDaemon::MonitorDaemon(const DaemonOptions& options, ThreadPool& pool)
   SYNCON_REQUIRE(options_.shards > 0, "the daemon needs at least one shard");
   SYNCON_REQUIRE(options_.queue_capacity > 0,
                  "shard queues need room for at least one frame");
-  shards_.reserve(options_.shards);
-  for (std::size_t s = 0; s < options_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+  const std::size_t n = options_.shards;
+  const std::size_t budget = options_.memory_budget_events;
+  shards_.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    auto shard = std::make_unique<Shard>();
+    // budget / shards each, one more for the lowest-numbered budget % shards
+    // shards: the shares sum to the budget.
+    shard->budget_share = budget == 0
+                              ? std::numeric_limits<std::size_t>::max()
+                              : budget / n + (s < budget % n ? 1 : 0);
+    shards_.push_back(std::move(shard));
   }
 }
 
@@ -60,6 +70,12 @@ MonitorDaemon::~MonitorDaemon() {
 
 std::string MonitorDaemon::journal_object(std::uint64_t tenant) {
   return "tenant-" + std::to_string(tenant);
+}
+
+MonitorDaemon::TenantSession* MonitorDaemon::Shard::find(
+    std::uint64_t tenant) const {
+  const auto it = sessions.find(tenant);
+  return it == sessions.end() ? nullptr : it->second.get();
 }
 
 Admission MonitorDaemon::submit(std::span<const std::uint8_t> frame) {
@@ -85,72 +101,92 @@ Admission MonitorDaemon::submit(std::span<const std::uint8_t> frame) {
   return {true, 0};
 }
 
-bool MonitorDaemon::apply_frame(Shard& shard, const FrameView& view) {
+bool MonitorDaemon::apply_frame(Shard& shard, TenantSession*& session,
+                                const FrameView& view) {
   if (view.kind == FrameKind::kHello) {
-    if (shard.sessions.count(view.tenant) != 0) return false;  // replayed
+    if (session != nullptr) return false;  // replayed
     std::size_t processes = 0, resync_chunk = 0;
     if (!decode_hello(view, processes, resync_chunk)) {
       ++shard.quarantined;
       return false;
     }
-    shard.sessions.emplace(view.tenant,
-                           std::make_unique<TenantSession>(
-                               processes, resync_chunk, view.seq));
+    session = shard.sessions
+                  .emplace(view.tenant, std::make_unique<TenantSession>(
+                                            processes, resync_chunk, view.seq))
+                  .first->second.get();
     ++shard.frames_applied;
     return false;
   }
 
-  const auto it = shard.sessions.find(view.tenant);
-  if (it == shard.sessions.end()) {
+  if (session == nullptr) {
     ++shard.quarantined;  // frames before (or with a corrupted) hello
     return false;
   }
-  TenantSession& session = *it->second;
-  if (!session.decoder.decode(view, shard.op)) {
-    ++session.quarantined_frames;
+  if (!session->decoder.decode(view, shard.op)) {
+    ++session->quarantined_frames;
     return false;
   }
-  session.core.apply(shard.op);
+  session->core.apply(shard.op);
   ++shard.frames_applied;
-  const std::size_t live = session.core.system().live_log_events();
-  shard.live_log_events = shard.live_log_events - session.live + live;
-  session.live = live;
-  if (!session.changed) {
-    session.changed = true;
-    shard.changed.emplace_back(view.tenant, &session);
+  const std::size_t live = session->core.system().live_log_events();
+  shard.live_log_events = shard.live_log_events - session->live + live;
+  session->live = live;
+  if (!session->changed) {
+    session->changed = true;
+    shard.changed.emplace_back(view.tenant, session);
   }
   return true;
 }
 
-void MonitorDaemon::journal(const Shard& shard) {
-  // One append per maximal run of one tenant's consecutive clean frames (a
-  // run's bytes are contiguous in the arena), then one sync per tenant.
-  std::vector<std::uint64_t> journaled;
+void MonitorDaemon::resolve_runs(Shard& shard) {
   const std::span<const std::uint8_t> arena = shard.arena;
-  const std::size_t n = shard.views.size();
-  std::lock_guard<std::mutex> lock(journal_mutex_);
-  std::size_t begin = 0;  // the arena offset of frame i
-  for (std::size_t i = 0; i < n;) {
-    std::size_t j = i + 1;
-    if (shard.views[i].frame_size != 0) {
-      const std::uint64_t tenant = shard.views[i].tenant;
-      while (j < n && shard.views[j].frame_size != 0 &&
-             shard.views[j].tenant == tenant) {
-        ++j;
-      }
-      options_.journal->append(journal_object(tenant),
-                               arena.subspan(begin, shard.ends[j - 1] - begin));
-      journaled.push_back(tenant);
+  const std::size_t n = shard.ends.size();
+  shard.views.resize(n);
+  shard.runs.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t begin = i == 0 ? 0 : shard.ends[i - 1];
+    FrameView& view = shard.views[i];
+    // The frame's only CRC check; a corrupt frame is quarantined here,
+    // never journaled or decoded, and ends the run it interrupts.
+    if (peek_frame(arena.subspan(begin, shard.ends[i] - begin), view) !=
+        PeekStatus::kOk) {
+      view.frame_size = 0;
+      ++shard.quarantined;
+      continue;
     }
-    begin = shard.ends[j - 1];
-    i = j;
+    if (!shard.runs.empty() && shard.runs.back().end == i &&
+        shard.runs.back().tenant == view.tenant) {
+      ++shard.runs.back().end;
+      continue;
+    }
+    Run& run = shard.runs.emplace_back(
+        Run{view.tenant, i, i + 1, shard.find(view.tenant), {}});
+    if (options_.journal != nullptr) run.object = journal_object(view.tenant);
   }
-  std::sort(journaled.begin(), journaled.end());
-  journaled.erase(std::unique(journaled.begin(), journaled.end()),
-                  journaled.end());
-  for (const std::uint64_t tenant : journaled) {
-    options_.journal->sync(journal_object(tenant));
+  if (options_.journal == nullptr) return;
+  shard.syncs.clear();
+  for (const Run& run : shard.runs) shard.syncs.push_back(&run);
+  std::sort(shard.syncs.begin(), shard.syncs.end(),
+            [](const Run* a, const Run* b) { return a->tenant < b->tenant; });
+  shard.syncs.erase(
+      std::unique(shard.syncs.begin(), shard.syncs.end(),
+                  [](const Run* a, const Run* b) {
+                    return a->tenant == b->tenant;
+                  }),
+      shard.syncs.end());
+}
+
+void MonitorDaemon::journal(const Shard& shard) {
+  // One append per run (a run's bytes are contiguous in the arena), then
+  // one sync per tenant; everything else was resolved before the lock.
+  const std::span<const std::uint8_t> arena = shard.arena;
+  std::lock_guard<std::mutex> lock(journal_mutex_);
+  for (const Run& run : shard.runs) {
+    const std::size_t begin = run.first == 0 ? 0 : shard.ends[run.first - 1];
+    options_.journal->append(
+        run.object, arena.subspan(begin, shard.ends[run.end - 1] - begin));
   }
+  for (const Run* run : shard.syncs) options_.journal->sync(run->object);
 }
 
 void MonitorDaemon::drain(Shard& shard) {
@@ -165,28 +201,60 @@ void MonitorDaemon::drain(Shard& shard) {
     }
   } consume{shard};
 
-  // The frame's only CRC check; a corrupt frame is quarantined here and
-  // never journaled or decoded.
-  const std::span<const std::uint8_t> arena = shard.arena;
-  const std::size_t n = shard.ends.size();
-  shard.views.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t begin = i == 0 ? 0 : shard.ends[i - 1];
-    FrameView& view = shard.views[i];
-    if (peek_frame(arena.subspan(begin, shard.ends[i] - begin), view) !=
-        PeekStatus::kOk) {
-      view.frame_size = 0;
-      ++shard.quarantined;
+  shard.applied_live = shard.live_log_events;  // kept if the journal throws
+  resolve_runs(shard);
+  if (options_.journal != nullptr && !shard.runs.empty()) {
+    try {
+      journal(shard);
+    } catch (...) {
+      shard.failure = std::current_exception();
+      return;
     }
   }
-  if (options_.journal != nullptr && n != 0) journal(shard);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (shard.views[i].frame_size == 0) continue;
-    if (apply_frame(shard, shard.views[i]) && shard.enqueued_us[i] != 0 &&
-        obs::enabled()) {
-      record_ingest_latency(obs::now_us() - shard.enqueued_us[i]);
+  for (Run& run : shard.runs) {
+    // An earlier run of this pump may have carried the tenant's hello.
+    if (run.session == nullptr) run.session = shard.find(run.tenant);
+    for (std::size_t i = run.first; i < run.end; ++i) {
+      if (apply_frame(shard, run.session, shard.views[i]) &&
+          shard.enqueued_us[i] != 0 && obs::enabled()) {
+        record_ingest_latency(obs::now_us() - shard.enqueued_us[i]);
+      }
     }
   }
+  shard.applied_live = shard.live_log_events;
+  compact_to_share(shard);
+}
+
+void MonitorDaemon::compact_to_share(Shard& shard) {
+  if (shard.live_log_events <= shard.budget_share) return;
+  // Only a changed session can reclaim anything (see the header). Laggiest
+  // first; tenant id breaks ties so the compaction order — and with it
+  // every downstream stat — is deterministic.
+  std::sort(shard.changed.begin(), shard.changed.end(),
+            [](const auto& a, const auto& b) {
+              return a.second->live != b.second->live
+                         ? a.second->live > b.second->live
+                         : a.first < b.first;
+            });
+  std::size_t compacted = 0;
+  while (compacted < shard.changed.size() &&
+         shard.live_log_events > shard.budget_share) {
+    TenantSession& session = *shard.changed[compacted++].second;
+    const std::size_t reclaimed = session.core.compact_at_pin();
+    session.changed = false;
+    if (reclaimed > 0) {
+      ++shard.compactions;
+      shard.reclaimed_events += reclaimed;
+      session.live -= reclaimed;
+      shard.live_log_events -= reclaimed;
+    }
+  }
+  // The compacted sessions leave the list. A shard still over its share
+  // has compacted every changed session: its pins are as far along as they
+  // get this pump, and the remainder is live state consumers still need.
+  shard.changed.erase(
+      shard.changed.begin(),
+      shard.changed.begin() + static_cast<std::ptrdiff_t>(compacted));
 }
 
 void MonitorDaemon::pump() {
@@ -200,57 +268,17 @@ void MonitorDaemon::pump() {
         for (std::size_t s = begin; s < end; ++s) drain(*shards_[s]);
       },
       std::min(shards_.size(), pool_.thread_count()));
-  enforce_memory_budget();
-}
-
-void MonitorDaemon::enforce_memory_budget() {
+  // O(shards): the live peak counts every shard before its compaction, and
+  // the first journal failure, in shard order, is rethrown.
   std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->live_log_events;
+  std::exception_ptr failure;
+  for (const auto& shard : shards_) {
+    total += shard->applied_live;
+    if (failure == nullptr) failure = shard->failure;
+    shard->failure = nullptr;
+  }
   live_log_peak_ = std::max(live_log_peak_, total);
-  if (options_.memory_budget_events == 0 ||
-      total <= options_.memory_budget_events) {
-    return;
-  }
-  // Only a changed session can reclaim anything (see the header), so the
-  // candidates are the changed ones, in the order a pass over every
-  // session would visit them.
-  struct Candidate {
-    std::size_t live;
-    std::uint64_t tenant;
-    TenantSession* session;
-    Shard* shard;
-  };
-  std::vector<Candidate> candidates;
-  for (const auto& shard : shards_) {
-    for (const auto& [tenant, session] : shard->changed) {
-      candidates.push_back({session->live, tenant, session, shard.get()});
-    }
-  }
-  // Laggiest first; tenant id breaks ties so the compaction order — and
-  // with it every downstream stat — is deterministic.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.live != b.live ? a.live > b.live : a.tenant < b.tenant;
-            });
-  for (const Candidate& candidate : candidates) {
-    TenantSession& session = *candidate.session;
-    const std::size_t reclaimed = session.core.compact_at_pin();
-    session.changed = false;
-    if (reclaimed > 0) {
-      ++compactions_;
-      reclaimed_events_ += reclaimed;
-      total -= reclaimed;
-      session.live -= reclaimed;
-      candidate.shard->live_log_events -= reclaimed;
-    }
-    if (total <= options_.memory_budget_events) break;
-  }
-  // Still over budget: every pin is as far along as it gets this pump —
-  // the remainder is live state consumers genuinely still need.
-  for (const auto& shard : shards_) {
-    std::erase_if(shard->changed,
-                  [](const auto& entry) { return !entry.second->changed; });
-  }
+  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 void MonitorDaemon::recover() {
@@ -260,27 +288,27 @@ void MonitorDaemon::recover() {
     if (name.rfind("tenant-", 0) != 0) continue;
     const std::vector<std::uint8_t> bytes = options_.journal->read(name);
     std::span<const std::uint8_t> in = bytes;
+    TenantSession* session = nullptr;
+    std::uint64_t tenant = 0;
     while (!in.empty()) {
       FrameView view;
       if (peek_frame(in, view) != PeekStatus::kOk) {
         ++corrupt_submits_;  // torn tail: replay stops at the last clean frame
         break;
       }
-      apply_frame(*shards_[view.tenant % shards_.size()], view);
+      Shard& shard = *shards_[view.tenant % shards_.size()];
+      if (session == nullptr || view.tenant != tenant) {
+        tenant = view.tenant;
+        session = shard.find(tenant);
+      }
+      apply_frame(shard, session, view);
       in = in.subspan(view.frame_size);
     }
   }
 }
 
-const MonitorDaemon::TenantSession* MonitorDaemon::find_session(
-    std::uint64_t tenant) const {
-  const Shard& shard = *shards_[tenant % shards_.size()];
-  const auto it = shard.sessions.find(tenant);
-  return it == shard.sessions.end() ? nullptr : it->second.get();
-}
-
 const TenantSessionCore* MonitorDaemon::session(std::uint64_t tenant) const {
-  const TenantSession* s = find_session(tenant);
+  const TenantSession* s = shards_[tenant % shards_.size()]->find(tenant);
   return s == nullptr ? nullptr : &s->core;
 }
 
@@ -314,10 +342,10 @@ DaemonStats MonitorDaemon::stats() const {
   stats.rejected_submits = rejected_submits_;
   stats.frames_quarantined = corrupt_submits_;
   stats.live_log_peak = live_log_peak_;
-  stats.reclaimed_events = reclaimed_events_;
-  stats.compactions = compactions_;
   for (const auto& shard : shards_) {
     stats.frames_applied += shard->frames_applied;
+    stats.compactions += shard->compactions;
+    stats.reclaimed_events += shard->reclaimed_events;
     stats.frames_quarantined += shard->quarantined;
     stats.live_log_events += shard->live_log_events;
     for (const auto& [tenant, session] : shard->sessions) {

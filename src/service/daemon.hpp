@@ -14,10 +14,12 @@
 // frame's only one), then with a journal the group commit of every clean
 // frame, then decode (into the shard's one reused TenantOp) and apply. One
 // tenant's frames are therefore always applied in order on one thread
-// (delivery determinism survives the fan-out). The arenas need no lock:
-// submit and pump are owner-only, and the parallel_for join is the
-// handoff. Between pumps the sessions are quiescent and the owner may read
-// stats, compact, or publish metrics.
+// (delivery determinism survives the fan-out). The task resolves each run
+// of one tenant's consecutive clean frames once — its session and its
+// journal object name — so the journal lock covers only the backend calls.
+// The arenas need no lock: submit and pump are owner-only, and the
+// parallel_for join is the handoff. Between pumps the sessions are
+// quiescent and the owner may read stats or publish metrics.
 //
 // Backpressure: a full shard arena rejects the submit (Admission::accepted
 // = false, retry after the next pump) instead of buffering unboundedly —
@@ -25,18 +27,19 @@
 //
 // Retention: each session caches its live-log size, re-read by its shard
 // task whenever it applies an op, and each shard keeps their sum. With a
-// global memory budget set, the owner compacts the laggiest sessions
-// (largest live log first, tenant id breaking ties) at their monitors'
-// retention pins after each pump until the budget holds — compaction never
-// crosses what a resync or open action still needs, so verdicts are
-// unaffected. The pass visits only the sessions with an op applied since
-// their last compaction: any other one would reclaim nothing, since its pin
-// and its log have not moved since then (or it has no log yet). So it
-// costs O(shards + changed sessions), not O(hosted sessions), and compacts
-// exactly what a pass over every session would.
+// memory budget set, each shard task, after applying its frames, compacts
+// its own laggiest sessions (largest live log first, tenant id breaking
+// ties) at their monitors' retention pins until the shard holds at most its
+// share of the budget — compaction never crosses what a resync or open
+// action still needs, so verdicts are unaffected. The pass visits only the
+// sessions with an op applied since their last compaction: any other one
+// would reclaim nothing, since its pin and its log have not moved since
+// then (or it has no log yet). The owner's only work after the join is
+// O(shards): it sums the shards' pre-compaction live totals into the peak.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,8 +61,11 @@ struct DaemonOptions {
   std::size_t shards = 8;
   /// Frames one shard holds between pumps before submits are rejected.
   std::size_t queue_capacity = 1024;
-  /// Global cap on live log events across every session (0 = unbounded);
-  /// enforced after each pump by compacting the laggiest sessions first.
+  /// Cap on live log events across every session (0 = unbounded), split
+  /// into per-shard shares: budget / shards each, the remainder one event
+  /// apiece to the lowest-numbered shards. Each shard task enforces its
+  /// share after applying its frames, compacting its laggiest changed
+  /// sessions first.
   std::size_t memory_budget_events = 0;
   /// Optional durable frame journal: each pump appends every CRC-clean
   /// frame to object "tenant-<id>" — one append per run of one tenant's
@@ -70,7 +76,8 @@ struct DaemonOptions {
   /// accepted-but-unpumped frames, which the caller still holds. The
   /// envelope doubles as the journal record format — it already carries
   /// the CRC framing. The daemon serializes every call into the backend
-  /// (one lock per shard per pump), so it need not be thread-safe.
+  /// (one lock per shard per pump, held only for the append and sync
+  /// calls), so it need not be thread-safe.
   StorageBackend* journal = nullptr;
 };
 
@@ -112,10 +119,11 @@ class MonitorDaemon {
   Admission submit(std::span<const std::uint8_t> frame);
 
   /// Checks, journals and applies every queued frame across all shards
-  /// (barrier), then enforces the memory budget. Owner thread only. If the
-  /// journal throws, the throwing shard applies none of this pump's frames,
-  /// every shard's queue is emptied, and the exception is rethrown once all
-  /// shards finish.
+  /// (barrier); each shard then compacts to its share of the memory budget.
+  /// Owner thread only. If the journal throws, the throwing shard applies
+  /// and compacts nothing this pump while the others apply and compact as
+  /// usual, every shard's queue is emptied, and the first failure, in
+  /// shard order, is rethrown once all shards finish.
   void pump();
 
   /// Replays the journal into fresh sessions (construct-time crash
@@ -154,6 +162,19 @@ class MonitorDaemon {
     bool changed = false;
   };
 
+  /// A maximal run of one tenant's consecutive CRC-clean frames in a
+  /// shard's arena, resolved once per pump by the shard task.
+  struct Run {
+    std::uint64_t tenant;
+    std::size_t first;  // frames [first, end)
+    std::size_t end;
+    /// nullptr while the tenant has no session (its hello is in this pump,
+    /// or it sent frames before one).
+    TenantSession* session;
+    /// With a journal, the name of the tenant's journal object.
+    std::string object;
+  };
+
   struct Shard {
     // Frames routed here since the last pump, back to back: frame i is
     // arena[ends[i-1], ends[i]). Filled by submit(), emptied (capacity
@@ -161,8 +182,12 @@ class MonitorDaemon {
     std::vector<std::uint8_t> arena;
     std::vector<std::size_t> ends;
     std::vector<std::uint64_t> enqueued_us;  // per frame; 0 = telemetry off
-    // The shard task's parse of each frame (frame_size 0 = quarantined).
+    // The shard task's parse of each frame (frame_size 0 = quarantined),
+    // its runs, and one run per tenant in ascending tenant id (the syncs);
+    // rebuilt by every pump, read only during it.
     std::vector<FrameView> views;
+    std::vector<Run> runs;
+    std::vector<const Run*> syncs;
     // Every frame's decode target, reset in place per frame: a clean event
     // or report frame decodes without allocating.
     TenantOp op;
@@ -172,16 +197,30 @@ class MonitorDaemon {
     std::map<std::uint64_t, std::unique_ptr<TenantSession>> sessions;
     /// The sessions whose `changed` is set.
     std::vector<std::pair<std::uint64_t, TenantSession*>> changed;
+    /// This shard's share of the memory budget (SIZE_MAX: no budget).
+    std::size_t budget_share = 0;
     std::size_t live_log_events = 0;  // sum of the sessions' `live`
+    /// live_log_events after this pump's frames, before its compaction.
+    std::size_t applied_live = 0;
     std::uint64_t frames_applied = 0;
     std::uint64_t quarantined = 0;
+    std::uint64_t compactions = 0;
+    std::uint64_t reclaimed_events = 0;
+    /// This pump's journal failure; pump() rethrows the first, in shard
+    /// order, after the join.
+    std::exception_ptr failure;
+
+    TenantSession* find(std::uint64_t tenant) const;
   };
 
   void drain(Shard& shard);
+  void resolve_runs(Shard& shard);
   void journal(const Shard& shard);
-  bool apply_frame(Shard& shard, const FrameView& view);
-  void enforce_memory_budget();
-  const TenantSession* find_session(std::uint64_t tenant) const;
+  /// Applies one frame of `session`'s tenant (nullptr: none hosted yet; a
+  /// hello sets it). Returns whether an op was applied.
+  bool apply_frame(Shard& shard, TenantSession*& session,
+                   const FrameView& view);
+  static void compact_to_share(Shard& shard);
   static std::string journal_object(std::uint64_t tenant);
 
   DaemonOptions options_;
@@ -191,8 +230,6 @@ class MonitorDaemon {
   std::uint64_t rejected_submits_ = 0;
   std::uint64_t corrupt_submits_ = 0;
   std::size_t live_log_peak_ = 0;
-  std::uint64_t reclaimed_events_ = 0;
-  std::uint64_t compactions_ = 0;
   bool any_submitted_ = false;
 };
 

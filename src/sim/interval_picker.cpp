@@ -1,6 +1,8 @@
 #include "sim/interval_picker.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "support/contracts.hpp"
 
@@ -43,7 +45,9 @@ std::vector<NonatomicEvent> random_intervals(const Execution& exec,
   std::vector<NonatomicEvent> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(random_interval(exec, rng, spec, "I" + std::to_string(i)));
+    std::string label = "I";
+    label += std::to_string(i);
+    out.push_back(random_interval(exec, rng, spec, std::move(label)));
   }
   return out;
 }
@@ -68,7 +72,9 @@ std::vector<NonatomicEvent> windowed_intervals(const Execution& exec,
       }
     }
     if (!events.empty()) {
-      out.emplace_back(exec, std::move(events), "W" + std::to_string(k));
+      std::string label = "W";
+      label += std::to_string(k);
+      out.emplace_back(exec, std::move(events), std::move(label));
     }
   }
   return out;

@@ -1,9 +1,25 @@
 #include "sim/scenarios.hpp"
 
+#include <initializer_list>
+
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 
 namespace syncon {
+
+namespace {
+
+/// "/a/b…": the per-round suffix of a scenario's interval labels.
+std::string label_suffix(std::initializer_list<std::size_t> parts) {
+  std::string suffix;
+  for (const std::size_t part : parts) {
+    suffix += '/';
+    suffix += std::to_string(part);
+  }
+  return suffix;
+}
+
+}  // namespace
 
 Scenario::Scenario(std::string name, std::shared_ptr<const Execution> exec,
                    std::vector<NonatomicEvent> intervals)
@@ -37,7 +53,7 @@ Scenario make_air_defense(const AirDefenseConfig& cfg) {
   std::vector<Pending> intervals;
 
   for (std::size_t round = 0; round < cfg.rounds; ++round) {
-    const std::string suffix = "/" + std::to_string(round);
+    const std::string suffix = label_suffix({round});
     // 1. Radars detect: a burst of detection events, then a track report.
     std::vector<MessageToken> reports;
     Pending detect{"detect" + suffix, {}};
@@ -114,7 +130,7 @@ Scenario make_process_control(const ProcessControlConfig& cfg) {
   std::vector<MessageToken> feedback;  // actuator status from previous cycle
 
   for (std::size_t cycle = 0; cycle < cfg.cycles; ++cycle) {
-    const std::string suffix = "/" + std::to_string(cycle);
+    const std::string suffix = label_suffix({cycle});
     // Sensors sample (some take several readings) and transmit.
     Pending sample{"sample" + suffix, {}};
     std::vector<MessageToken> readings;
@@ -181,7 +197,7 @@ Scenario make_multimedia(const MultimediaConfig& cfg) {
   std::vector<MessageToken> pending_feedback;
 
   for (std::size_t g = 0; g < cfg.groups; ++g) {
-    const std::string suffix = "/" + std::to_string(g);
+    const std::string suffix = label_suffix({g});
     // Server encodes and multicasts the frame group.
     Pending dispatch{"dispatch" + suffix, {}};
     for (const MessageToken& f : pending_feedback) {
@@ -238,7 +254,7 @@ Scenario make_navigation(const NavigationConfig& cfg) {
   std::size_t leader = 0;
 
   for (std::size_t round = 0; round < cfg.rounds; ++round) {
-    const std::string suffix = "/" + std::to_string(round);
+    const std::string suffix = label_suffix({round});
     const auto lead = static_cast<ProcessId>(leader);
 
     // 1. Every vehicle takes position fixes and reports to the leader.
@@ -347,8 +363,7 @@ Scenario make_mobile(const MobileConfig& cfg) {
     // stations stay mutually concurrent.
     for (std::size_t h = 0; h < cfg.hosts; ++h) {
       const auto host = static_cast<ProcessId>(h);
-      const std::string tag =
-          "/" + std::to_string(h) + "/" + std::to_string(round);
+      const std::string tag = label_suffix({h, round});
 
       // Communication burst through the current station.
       Pending session{"session" + tag, {}};
@@ -371,8 +386,7 @@ Scenario make_mobile(const MobileConfig& cfg) {
     // Then the handoffs (skipped on the final round).
     for (std::size_t h = 0; h < cfg.hosts; ++h) {
       const auto host = static_cast<ProcessId>(h);
-      const std::string tag =
-          "/" + std::to_string(h) + "/" + std::to_string(round);
+      const std::string tag = label_suffix({h, round});
       if (round + 1 < cfg.rounds) {
         const std::size_t next = (attached[h] + 1) % cfg.stations;
         Pending handoff{"handoff" + tag, {}};

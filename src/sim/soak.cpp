@@ -389,7 +389,8 @@ void TenantSessionCore::apply_checked(const TenantOp& op) {
 }
 
 std::size_t TenantSessionCore::compact_at_pin() {
-  return sys_.compact(monitor_.watermark_pin());
+  monitor_.watermark_pin(pin_);
+  return sys_.compact(pin_);
 }
 
 TenantScript generate_tenant_script(const TenantWorkload& workload) {

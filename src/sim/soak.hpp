@@ -160,6 +160,7 @@ class TenantSessionCore {
 
   OnlineSystem sys_;
   OnlineMonitor monitor_;
+  VectorClock pin_;  // compact_at_pin's pin, reused: no allocation per call
   std::size_t resync_chunk_;
   std::vector<std::string> verdicts_;
   std::uint64_t quarantined_ops_ = 0;

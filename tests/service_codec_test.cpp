@@ -148,6 +148,32 @@ TEST(ServiceCodecTest, CleanDeltaFramesDecodeIntoAReusedOpWithoutAllocating) {
   EXPECT_EQ(allocations, 0u);
 }
 
+TEST(ServiceCodecTest, CompactAtPinDoesNotAllocateOnceWarm) {
+  // A budgeted daemon's shard tasks compact their sessions after applying
+  // their frames. After the first call the session keeps its pin clock:
+  // the monitor writes its pin into it, and compaction only shrinks the
+  // replica's columns and dedup lists.
+  const TenantScript script =
+      generate_tenant_script(service_workload(true, 1, 0));
+  TenantSessionCore core(script.processes, script.resync_chunk);
+  constexpr std::size_t kEvery = 16;
+  std::size_t calls = 0, reclaimed = 0;
+  std::uint64_t allocations = 0;
+  for (std::size_t i = 0; i < script.ops.size(); ++i) {
+    core.apply(script.ops[i]);
+    if (i % kEvery != kEvery - 1) continue;
+    const std::uint64_t before = g_allocations.load();
+    const std::size_t got = core.compact_at_pin();
+    if (calls++ == 0) continue;  // warm-up: the pin clock is sized here
+    allocations += g_allocations.load() - before;
+    reclaimed += got;
+  }
+  EXPECT_EQ(core.definite_verdicts(), script.reference_verdicts);
+  EXPECT_GE(calls, 100u);
+  EXPECT_GT(reclaimed, 0u);
+  EXPECT_EQ(allocations, 0u);
+}
+
 TEST(ServiceCodecTest, TruncatedFramesAskForMoreBytes) {
   const TenantScript script = generate_tenant_script(TenantWorkload{});
   TenantFrameEncoder encoder;

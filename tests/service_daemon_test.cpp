@@ -113,11 +113,13 @@ TEST(ServiceDaemonTest, BackpressureRejectsThenConverges) {
 }
 
 TEST(ServiceDaemonTest, MemoryBudgetCompactsWithoutChangingVerdicts) {
-  // The budget policy — largest live log first, tenant id breaking ties,
-  // stop once the budget holds — decides which sessions compact and when;
-  // these counts pin its outcome, on every pool size. In the second and
-  // third runs tenants finish while later ones still load the budget: the
-  // second releases them, the third keeps them hosted with no further ops.
+  // The budget policy — each shard compacts its own changed sessions,
+  // largest live log first, tenant id breaking ties, until it holds at most
+  // its share (64 of the 128 here) — decides which sessions compact and
+  // when; these counts pin its outcome, on every pool size. In the second
+  // and third runs tenants finish while later ones still load the budget:
+  // the second releases them, the third keeps them hosted with no further
+  // ops.
   struct Expected {
     std::size_t tenants;
     std::size_t window;
@@ -126,9 +128,9 @@ TEST(ServiceDaemonTest, MemoryBudgetCompactsWithoutChangingVerdicts) {
     std::uint64_t reclaimed_events;
     std::size_t live_log_peak;
   };
-  for (const Expected& expected : {Expected{8, 8, false, 72, 910, 463},
-                                   Expected{16, 4, true, 82, 1622, 256},
-                                   Expected{16, 4, false, 94, 1948, 256}}) {
+  for (const Expected& expected : {Expected{8, 8, false, 73, 900, 463},
+                                   Expected{16, 4, true, 84, 1615, 256},
+                                   Expected{16, 4, false, 99, 1948, 256}}) {
     for (const std::size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads);
       DaemonOptions options;
@@ -154,6 +156,61 @@ TEST(ServiceDaemonTest, MemoryBudgetCompactsWithoutChangingVerdicts) {
       EXPECT_EQ(result.daemon.live_log_peak, expected.live_log_peak);
     }
   }
+}
+
+// After every pump of a budgeted, journaled run, each shard holds at most
+// its share of the budget (budget / shards, the remainder one event apiece
+// to the lowest shards), or none of its sessions could reclaim more: on
+// every process, compaction at the monitor's pin would not pass the
+// replica's retention cut.
+TEST(ServiceDaemonTest, EveryShardCompactsToItsShareAfterEveryPump) {
+  SimStorage storage;
+  ThreadPool pool(2);
+  DaemonOptions options;
+  options.shards = 3;
+  options.memory_budget_events = 200;  // shares 67, 67 and 66
+  options.journal = &storage;
+  MonitorDaemon daemon(options, pool);
+
+  ServiceLoadConfig config;
+  config.tenants = 18;
+  config.window = 9;
+  config.workload = faulty_workload();
+  config.seed = 5;
+  config.release_finished = true;
+  std::uint64_t checks = 0, over_share = 0;
+  config.on_round = [&](std::uint64_t round) {
+    for (std::size_t s = 0; s < options.shards; ++s) {
+      const std::size_t share = s < 2 ? 67 : 66;
+      std::size_t live = 0;
+      bool reclaimable = false;
+      for (std::uint64_t t = s; t < config.tenants; t += options.shards) {
+        const TenantSessionCore* core = daemon.session(t);
+        if (core == nullptr) continue;
+        live += core->system().live_log_events();
+        const VectorClock pin = core->monitor().watermark_pin();
+        const VectorClock& cut = core->system().checkpoint().cut;
+        for (ProcessId p = 0; p < pin.size(); ++p) {
+          const ClockValue executed =
+              static_cast<ClockValue>(core->system().executed(p));
+          reclaimable |= std::min(pin.at(p), executed + 1) > cut.at(p);
+        }
+      }
+      ++checks;
+      if (live > share) {
+        ++over_share;
+        EXPECT_FALSE(reclaimable) << "round " << round << ", shard " << s;
+      }
+    }
+  };
+  const ServiceLoadResult result = run_service_load(config, daemon);
+
+  EXPECT_TRUE(result.identity_ok);
+  EXPECT_GT(result.daemon.compactions, 0u);
+  EXPECT_EQ(checks, 3 * result.rounds);
+  // Both conditions occur: shards over their share hold only pinned events.
+  EXPECT_GT(over_share, 0u);
+  EXPECT_LT(over_share, checks);
 }
 
 TEST(ServiceDaemonTest, ReleaseDropsFinishedSessions) {
@@ -511,6 +568,199 @@ TEST(ServiceDaemonTest, JournalFailureAppliesNothingAndRethrows) {
   for (std::uint64_t t = 0; t < 2; ++t) {
     EXPECT_EQ(recovered.verdicts(t), daemon.verdicts(t)) << "tenant " << t;
   }
+}
+
+/// A StorageBackend over a SimStorage that records every append (object
+/// and byte count) and sync in call order; an append to `fail_object`
+/// throws StorageCrash instead.
+class RecordingStorage final : public StorageBackend {
+ public:
+  struct Op {
+    bool sync = false;
+    std::string object;
+    std::size_t bytes = 0;  // appends only
+    friend bool operator==(const Op&, const Op&) = default;
+    friend std::ostream& operator<<(std::ostream& os, const Op& op) {
+      return op.sync ? os << "sync " << op.object
+                     : os << "append " << op.object << " " << op.bytes;
+    }
+  };
+
+  std::vector<std::string> list() const override { return inner_.list(); }
+  bool exists(const std::string& name) const override {
+    return inner_.exists(name);
+  }
+  void append(const std::string& name,
+              std::span<const std::uint8_t> bytes) override {
+    if (name == fail_object) throw StorageCrash("append to " + name);
+    ops.push_back({false, name, bytes.size()});
+    inner_.append(name, bytes);
+  }
+  std::vector<std::uint8_t> read(const std::string& name) const override {
+    return inner_.read(name);
+  }
+  std::size_t size(const std::string& name) const override {
+    return inner_.size(name);
+  }
+  void sync(const std::string& name) override {
+    ops.push_back({true, name, 0});
+    inner_.sync(name);
+  }
+  void truncate(const std::string& name, std::size_t new_size) override {
+    inner_.truncate(name, new_size);
+  }
+  void remove(const std::string& name) override { inner_.remove(name); }
+
+  std::vector<Op> ops;
+  std::string fail_object;
+
+ private:
+  SimStorage inner_;
+};
+
+// A journal failure stays in its shard, even when one pool thread drains
+// every shard: the failing shard applies and compacts nothing, the other
+// journals, applies and compacts as usual, and pump() rethrows after the
+// join.
+TEST(ServiceDaemonTest, JournalFailureStaysInItsShard) {
+  RecordingStorage storage;
+  ThreadPool pool(1);
+  DaemonOptions options;
+  options.shards = 2;
+  options.memory_budget_events = 2;
+  options.journal = &storage;
+  MonitorDaemon daemon(options, pool);
+
+  TenantFrameEncoder encoder;
+  TenantWorkload workload = faulty_workload();
+  std::vector<TenantScript> scripts;
+  std::vector<std::vector<std::vector<std::uint8_t>>> frames;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    workload.seed = 80 + t;
+    scripts.push_back(generate_tenant_script(workload));
+    frames.push_back(encode_frames(encoder, t, scripts.back()));
+    ASSERT_GE(frames.back().size(), 50u);
+  }
+  const auto submit = [&](std::uint64_t t, std::size_t first,
+                          std::size_t end) {
+    for (std::size_t i = first; i < end; ++i) {
+      ASSERT_TRUE(daemon.submit(frames[t][i]).accepted);
+    }
+  };
+  submit(0, 0, 40);
+  submit(1, 0, 40);
+  daemon.pump();
+  const DaemonStats before = daemon.stats();
+  const std::size_t live_0 = daemon.session(0)->system().live_log_events();
+
+  submit(0, 40, 50);
+  submit(1, 40, 50);
+  storage.fail_object = "tenant-0";
+  EXPECT_THROW(daemon.pump(), StorageCrash);
+  const DaemonStats after = daemon.stats();
+  EXPECT_EQ(after.frames_applied, before.frames_applied + 10);
+  EXPECT_GT(after.compactions, before.compactions);
+  EXPECT_EQ(daemon.session(0)->system().live_log_events(), live_0);
+
+  storage.fail_object.clear();
+  submit(1, 50, frames[1].size());
+  daemon.pump();
+  EXPECT_EQ(daemon.verdicts(1), scripts[1].reference_verdicts);
+}
+
+// The journal's exact op list over a multi-pump run, on a one-thread pool
+// (shards journal in shard order): per shard, one append per maximal run of
+// one tenant's consecutive CRC-clean frames, in arena order, with the run's
+// byte count, then one sync per tenant with a clean frame, in ascending
+// tenant id. The runs interleave tenants, a tenant sits out odd pumps, a
+// corrupt frame splits a run, and tenant 5 sends an op without a hello.
+TEST(ServiceDaemonTest, JournalOpsAreRunAppendsThenAscendingSyncs) {
+  RecordingStorage storage;
+  ThreadPool pool(1);
+  DaemonOptions options;
+  options.shards = 2;  // tenants 0, 2 and 4 on shard 0; 1, 3 and 5 on 1
+  options.journal = &storage;
+  MonitorDaemon daemon(options, pool);
+
+  constexpr std::uint64_t kTenants = 6;
+  TenantFrameEncoder encoder;
+  TenantWorkload workload = faulty_workload();
+  std::vector<std::vector<std::vector<std::uint8_t>>> frames;
+  for (std::uint64_t t = 0; t < kTenants; ++t) {
+    workload.seed = 70 + t;
+    frames.push_back(encode_frames(encoder, t, generate_tenant_script(workload)));
+    ASSERT_GE(frames.back().size(), 31u);
+  }
+  frames[5].erase(frames[5].begin());  // tenant 5's hello is never sent
+
+  using Op = RecordingStorage::Op;
+  std::vector<Op> expected;
+  std::vector<std::size_t> cursor(kTenants, 0);
+  for (std::size_t pump = 0; pump < 6; ++pump) {
+    // Per shard, the frames queued this pump: (tenant, bytes, CRC-clean).
+    struct Queued {
+      std::uint64_t tenant;
+      std::size_t bytes;
+      bool clean;
+    };
+    std::vector<std::vector<Queued>> queued(options.shards);
+    const auto submit = [&](std::uint64_t t, std::size_t count) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::vector<std::uint8_t>& frame = frames[t][cursor[t]++];
+        ASSERT_TRUE(daemon.submit(frame).accepted);
+        queued[t % options.shards].push_back({t, frame.size(), true});
+      }
+    };
+    submit(2, 3);
+    submit(0, 2);
+    if (pump == 2) {
+      // A body byte flipped: routed by its intact envelope, refused by the
+      // CRC, and tenant 0's run splits around it.
+      std::vector<std::uint8_t> damaged = frames[0][cursor[0]];
+      damaged[damaged.size() / 2] ^= 0x40;
+      ASSERT_TRUE(daemon.submit(damaged).accepted);
+      queued[0].push_back({0, damaged.size(), false});
+      submit(0, 1);
+    }
+    submit(1, 4);
+    if (pump % 2 == 0) submit(3, 2);
+    submit(2, 1);
+    submit(0, 3);
+    submit(4, 2);
+    submit(1, 1);
+    if (pump == 3) submit(5, 1);
+    daemon.pump();
+
+    for (const std::vector<Queued>& shard : queued) {
+      std::vector<std::uint64_t> synced;
+      bool extends = false;  // the previous frame was clean, same tenant
+      for (std::size_t i = 0; i < shard.size(); ++i) {
+        const Queued& frame = shard[i];
+        if (!frame.clean) {
+          extends = false;
+          continue;
+        }
+        const std::string object = "tenant-" + std::to_string(frame.tenant);
+        if (extends && shard[i - 1].tenant == frame.tenant) {
+          expected.back().bytes += frame.bytes;
+        } else {
+          expected.push_back({false, object, frame.bytes});
+        }
+        extends = true;
+        synced.push_back(frame.tenant);
+      }
+      std::sort(synced.begin(), synced.end());
+      synced.erase(std::unique(synced.begin(), synced.end()), synced.end());
+      for (const std::uint64_t t : synced) {
+        expected.push_back({true, "tenant-" + std::to_string(t), 0});
+      }
+    }
+  }
+
+  EXPECT_EQ(storage.ops, expected);
+  EXPECT_EQ(expected.size(), 72u);
+  // The damaged copy (its intact original followed it) and tenant 5's op.
+  EXPECT_EQ(daemon.stats().frames_quarantined, 2u);
 }
 
 TEST(ServiceDaemonTest, PublishMetricsExportsAggregateGauges) {

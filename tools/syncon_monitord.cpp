@@ -4,10 +4,10 @@
 // Hosts N scripted tenant sessions behind the tenant wire codec, shards
 // them across the process ThreadPool, and drives them with the service
 // load generator: bounded ingress queues with retry-on-backpressure, an
-// optional global memory budget compacting the laggiest tenants first,
-// and per-tenant verdict-identity checking against each tenant's
-// standalone reference run. Metrics are exported on the standard scrape
-// endpoint (GET /metrics, /healthz).
+// optional memory budget that each shard holds its share of by compacting
+// its laggiest tenants first, and per-tenant verdict-identity checking
+// against each tenant's standalone reference run. Metrics are exported on
+// the standard scrape endpoint (GET /metrics, /healthz).
 //
 //   # 10k-tenant faulty soak, 8 shards, 512k-event budget, with scraping
 //   syncon_monitord --tenants=10000 --shards=8 --memory-budget=524288
@@ -57,8 +57,9 @@ int main(int argc, char** argv) try {
   cli.add_option("shards", "8", "session shards (tenant_id % shards)");
   cli.add_option("queue-capacity", "1024", "frames per shard ingress queue");
   cli.add_option("memory-budget", "0",
-                 "global live-log event budget (0 = unbounded); enforced by "
-                 "compacting the laggiest tenants at their watermark pins");
+                 "live-log event budget (0 = unbounded), split evenly over "
+                 "the shards; each shard compacts its laggiest tenants at "
+                 "their watermark pins after every pump");
   cli.add_option("processes", "3", "processes per tenant ring");
   cli.add_option("cycles", "18", "tenant workload cycles");
   cli.add_option("action-every", "4", "open a tracked pair every N cycles");
