@@ -25,6 +25,16 @@ struct Inside {
 };
 thread_local const Inside* innermost = nullptr;
 
+// One step of a spin-wait: tells the core it is in a busy-wait loop, so it
+// yields execution resources to a sibling hyperthread.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t thread_count)
@@ -64,8 +74,11 @@ void ThreadPool::worker_loop(std::size_t w) {
     for (std::size_t s = w + 1; s < shards_; s += workers_.size()) {
       run_shard(s);
     }
+    const bool last = remaining_.fetch_sub(1) == 1;
     lock.lock();
-    if (--remaining_ == 0) done_.notify_one();
+    // Under mutex_, so the notify cannot fall between the caller's check
+    // of remaining_ and its wait.
+    if (last && caller_asleep_.load()) done_.notify_one();
   }
 }
 
@@ -78,6 +91,21 @@ void ThreadPool::run_shard(std::size_t shard) {
     if (!error_) error_ = std::current_exception();
   }
   if (timed_) shard_us_[shard] = obs::now_us() - t0;
+}
+
+void ThreadPool::join() {
+  const auto deadline = std::chrono::steady_clock::now() + kJoinSpin;
+  for (unsigned spin = 1; remaining_.load(std::memory_order_acquire) != 0;
+       ++spin) {
+    cpu_relax();
+    if (spin % 16 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      caller_asleep_.store(true);
+      done_.wait(lock, [&] { return remaining_.load() == 0; });
+      caller_asleep_.store(false, std::memory_order_relaxed);
+      return;
+    }
+  }
 }
 
 void ThreadPool::parallel_for(std::size_t count, const Body& body,
@@ -103,7 +131,7 @@ void ThreadPool::parallel_for(std::size_t count, const Body& body,
       shard_us_.assign(shards, 0);
     }
     active_ = std::min(shards - 1, workers_.size());
-    remaining_ = active_;
+    remaining_.store(active_, std::memory_order_relaxed);
     ++generation_;
   }
   for (std::size_t w = 0; w < active_; ++w) workers_[w].wake.notify_one();
@@ -112,9 +140,7 @@ void ThreadPool::parallel_for(std::size_t count, const Body& body,
   innermost = &self;
   run_shard(0);  // catches everything, so innermost is always restored
   innermost = self.outer;
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [&] { return remaining_ == 0; });
-  lock.unlock();
+  if (remaining_.load(std::memory_order_acquire) != 0) join();
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 
   if (timed_) {

@@ -7,8 +7,18 @@
 // produce bit-identical aggregates to serial runs; a caller that keeps
 // state per shard (the service daemon's tenant sessions) has it touched by
 // the same thread on every call (see DESIGN.md §3.6).
+//
+// The join is one atomic counter of unfinished workers. Each worker
+// decrements it without a lock; the caller, once its own shard is done,
+// spins on it for a short fixed budget and only then sleeps on a condition
+// variable, which the last worker signals only if the caller is asleep.
+// A join that completes within the budget so costs the caller no futex
+// wake-up, and a worker that finishes while the caller spins makes no
+// notify.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -39,7 +49,9 @@ class ThreadPool {
   /// contiguous partition of [0, count), blocking until all shards finish.
   /// `shards` defaults (0) to thread_count(). The caller runs shard 0 and
   /// worker w runs shards w + 1, w + 1 + T, …; only workers that own a
-  /// shard are woken. Allocates nothing with telemetry off, and no pool
+  /// shard are woken. After its shard the caller spins up to a fixed
+  /// budget (kJoinSpin) for the workers to finish, then sleeps until the
+  /// last one does. Allocates nothing with telemetry off, and no pool
   /// thread holds any of the call's work once it returns. Calls from
   /// different threads are serialized. A call from inside this pool — a
   /// worker, or a body running shard 0 — would wait on itself and is a
@@ -51,6 +63,9 @@ class ThreadPool {
   /// Process-wide default pool, sized to the hardware. Lives until exit.
   static ThreadPool& shared();
 
+  /// How long the caller spins on the join before it sleeps.
+  static constexpr std::chrono::microseconds kJoinSpin{50};
+
  private:
   struct Worker {
     std::condition_variable wake;  // it owns a shard of a new job, or stop
@@ -59,18 +74,26 @@ class ThreadPool {
 
   void worker_loop(std::size_t w);
   void run_shard(std::size_t shard);  // captures the shard's exception
+  void join();  // spins, then sleeps, until remaining_ reaches 0
 
   std::mutex call_mutex_;  // one owner's call at a time
   // The job: the caller writes it under mutex_ while no worker runs one,
-  // so a woken worker reads it without the lock. remaining_ and error_
-  // change only under mutex_.
+  // so a woken worker reads it without the lock. error_ changes only under
+  // mutex_; remaining_ is set under it at publish, then only decremented.
   std::mutex mutex_;
-  std::condition_variable done_;  // remaining_ reached 0
+  std::condition_variable done_;  // remaining_ reached 0, caller asleep
   const Body* body_ = nullptr;
   std::size_t count_ = 0;
   std::size_t shards_ = 0;
   std::size_t active_ = 0;        // workers woken: min(shards − 1, T)
-  std::size_t remaining_ = 0;     // woken workers not finished yet
+  // Woken workers not finished yet. A worker's decrement releases its
+  // shards' writes to the caller, which reads 0 with acquire ordering.
+  std::atomic<std::size_t> remaining_{0};
+  // Set by the caller, under mutex_, before it sleeps on done_. It and
+  // remaining_ are seq_cst: the last worker's decrement and its read of
+  // this flag cannot both miss the caller's store and its re-read of
+  // remaining_, so either the caller sees 0 or the worker notifies.
+  std::atomic<bool> caller_asleep_{false};
   std::uint64_t generation_ = 0;  // one per call
   std::exception_ptr error_;      // the first exception any shard threw
   bool timed_ = false;            // telemetry was on at publish

@@ -51,7 +51,9 @@ TEST_F(FlightRecorderTest, RingKeepsNewestAndDumpsOldestFirst) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].seq, 13 + i);
     EXPECT_EQ(records[i].a, 13 + i);
-    if (i > 0) EXPECT_LT(records[i - 1].seq, records[i].seq);
+    if (i > 0) {
+      EXPECT_LT(records[i - 1].seq, records[i].seq);
+    }
   }
   EXPECT_EQ(ring.recorded_total(), 21u);
   ring.clear();
@@ -144,7 +146,8 @@ TEST_F(FlightRecorderTest, WritersNeverTearUnderConcurrency) {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         // Payload invariant a == b + w lets the reader detect torn slots.
         ring.record(obs::FlightKind::kCheckpoint,
-                    static_cast<std::uint32_t>(w), i + w, i);
+                    static_cast<std::uint32_t>(w),
+                    i + static_cast<std::uint64_t>(w), i);
       }
     });
   }
@@ -156,7 +159,9 @@ TEST_F(FlightRecorderTest, WritersNeverTearUnderConcurrency) {
     for (std::size_t i = 0; i < records.size(); ++i) {
       EXPECT_EQ(records[i].kind, obs::FlightKind::kCheckpoint);
       EXPECT_EQ(records[i].a, records[i].b + records[i].process);
-      if (i > 0) EXPECT_LT(records[i - 1].seq, records[i].seq);
+      if (i > 0) {
+        EXPECT_LT(records[i - 1].seq, records[i].seq);
+      }
     }
   }
   for (std::thread& t : writers) t.join();

@@ -147,9 +147,15 @@ TEST_P(InteractionPropertyTest, GradeIsMonotoneInTheLattice) {
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const RelationProfile p = profile_of(ts, x, y);
     const CouplingGrade g = forward_grade(p);
-    if (p.holds(Relation::R1)) ASSERT_EQ(g, CouplingGrade::Total);
-    if (!p.holds(Relation::R4)) ASSERT_EQ(g, CouplingGrade::None);
-    if (p.holds(Relation::R4)) ASSERT_NE(g, CouplingGrade::None);
+    if (p.holds(Relation::R1)) {
+      ASSERT_EQ(g, CouplingGrade::Total);
+    }
+    if (!p.holds(Relation::R4)) {
+      ASSERT_EQ(g, CouplingGrade::None);
+    }
+    if (p.holds(Relation::R4)) {
+      ASSERT_NE(g, CouplingGrade::None);
+    }
   }
 }
 

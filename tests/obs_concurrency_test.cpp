@@ -196,7 +196,9 @@ TEST_F(ObsConcurrencyTest, DisabledSweepLeavesRegistryUntouched) {
   for (const char* name : kDeterministicCounters) {
     const auto* e = snap.find(name);
     // Either never registered in this process, or untouched since reset().
-    if (e != nullptr) EXPECT_EQ(e->counter_value, 0u) << name;
+    if (e != nullptr) {
+      EXPECT_EQ(e->counter_value, 0u) << name;
+    }
   }
 }
 

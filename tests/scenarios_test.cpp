@@ -145,8 +145,6 @@ TEST(MultimediaScenarioTest, RendersOfDifferentClientsAreConcurrent) {
 TEST(MobileScenarioTest, HandoffOrdersConsecutiveSessions) {
   const Scenario s = make_mobile({});
   const SyncMonitor m = monitor_for(s);
-  const RelationId fully_before{Relation::R1, ProxyKind::End,
-                                ProxyKind::Begin};
   // For each host h: session/h/k → handoff/h/k → session/h/k+1.
   for (int h = 0; h < 2; ++h) {
     for (int k = 0; k + 1 < 4; ++k) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
+#include "support/crc32.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -343,6 +348,62 @@ TEST(ContractsTest, ViolationCarriesContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("this failed"), std::string::npos);
     EXPECT_NE(what.find("support_test.cpp"), std::string::npos);
+  }
+}
+
+// The CRC-32 definition, one byte and eight bit steps at a time, with no
+// table: the reference the sliced routine must equal.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::span<const std::uint8_t> bytes_of(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32_bytewise(bytes_of("123456789")), 0xCBF43926u);
+}
+
+TEST(Crc32Test, EmptyInputIsZeroAndKeepsTheSeed) {
+  EXPECT_EQ(crc32({}), 0u);
+  EXPECT_EQ(crc32({}, 0xCBF43926u), 0xCBF43926u);
+}
+
+TEST(Crc32Test, SeedChainingEqualsTheOneShotChecksum) {
+  const std::span<const std::uint8_t> text =
+      bytes_of("The quick brown fox jumps over the lazy dog, twice over.");
+  const std::uint32_t whole = crc32(text);
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    EXPECT_EQ(crc32(text.subspan(cut), crc32(text.first(cut))), whole)
+        << "split at " << cut;
+  }
+}
+
+TEST(Crc32Test, SlicedEqualsBytewiseAtEveryLengthAndAlignment) {
+  // Lengths 0–80 cover no slice, one to ten eight-byte slices and every
+  // tail length; start offsets 0–7 cover every alignment of the loads.
+  Xoshiro256StarStar rng(31);
+  std::vector<std::uint8_t> buffer(8 + 80);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 80; ++length) {
+      const std::span<const std::uint8_t> bytes = all.subspan(offset, length);
+      ASSERT_EQ(crc32(bytes), crc32_bytewise(bytes))
+          << "offset " << offset << ", length " << length;
+      ASSERT_EQ(crc32(bytes, 0x1234ABCDu), crc32_bytewise(bytes, 0x1234ABCDu))
+          << "seeded, offset " << offset << ", length " << length;
+    }
   }
 }
 

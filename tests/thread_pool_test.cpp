@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <latch>
 #include <stdexcept>
@@ -86,6 +87,38 @@ TEST(ThreadPoolTest, ParallelForRunsEachShardOnOneThreadEveryCall) {
         // Same worker exactly when (s - 1) and (t - 1) agree mod 3.
         EXPECT_EQ(first[s] == first[t], (s - t) % 3 == 0)
             << "shards " << t << " and " << s;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, JoinWaitsForAShardPastTheSpinBudget) {
+  // The caller's shard returns at once and the last worker's shard sleeps,
+  // up to 20 spin budgets, so the caller spins out and sleeps on the join
+  // until that worker wakes it. The shards write plain memory, as real
+  // bodies do: parallel_for's return must order every write before it
+  // (ThreadSanitizer checks the edge). Sleeps near the budget put the
+  // worker's finish beside the caller's switch from spinning to sleeping,
+  // where a lost wake-up would hang the call.
+  ThreadPool pool(3);
+  constexpr std::size_t kCount = 400;
+  for (const std::chrono::microseconds late :
+       {ThreadPool::kJoinSpin / 2, ThreadPool::kJoinSpin,
+        ThreadPool::kJoinSpin * 2, ThreadPool::kJoinSpin * 20}) {
+    for (int call = 0; call < 10; ++call) {
+      std::vector<int> hits(kCount, 0);
+      bool late_done = false;
+      pool.parallel_for(
+          kCount,
+          [&](std::size_t shard, std::size_t begin, std::size_t end) {
+            if (shard == 3) std::this_thread::sleep_for(late);
+            for (std::size_t i = begin; i < end; ++i) ++hits[i];
+            if (shard == 3) late_done = true;
+          },
+          4);
+      ASSERT_TRUE(late_done) << late.count() << " us, call " << call;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(hits[i], 1) << late.count() << " us, index " << i;
       }
     }
   }
@@ -236,6 +269,17 @@ TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
                           if (begin > 0) throw std::runtime_error("boom");
                         }),
       std::runtime_error);
+  // A worker's shard that throws long after the caller stopped spinning
+  // and went to sleep on the join.
+  EXPECT_THROW(pool.parallel_for(
+                   4,
+                   [&](std::size_t shard, std::size_t, std::size_t) {
+                     if (shard != 3) return;
+                     std::this_thread::sleep_for(ThreadPool::kJoinSpin * 20);
+                     throw std::runtime_error("late");
+                   },
+                   4),
+               std::runtime_error);
   // The pool survives and stays usable.
   std::atomic<std::size_t> total{0};
   pool.parallel_for(10, [&](std::size_t, std::size_t begin, std::size_t end) {
