@@ -1,20 +1,29 @@
-// Crash/recovery sweep for the durability subsystem (DESIGN.md §3.12).
+// Crash/recovery sweep for the durability subsystem (DESIGN.md §3.12,
+// §3.15).
 //
 // Each iteration runs the two crash legs of the `recovery_identity`
-// property (check/properties.hpp) on this sweep's own scenario: a
-// DurableSystem and a DurableMonitor are killed at a seeded-random
-// operation count while the monitor feed suffers ≥15% drop/duplicate/
-// reorder and the storage backend injects torn tails and bit flips, are
-// recovered from the newest valid snapshot plus the surviving WAL tail,
-// and are checked against an uninterrupted fault-free reference: per-event
-// clocks and physical times on the system side, all 32 relation verdicts
-// (Definite) on the monitor side.
+// property (check/properties.hpp) on this sweep's own scenario, with the
+// storage backend injecting torn tails and bit flips:
+//   system   a DurableSystem killed at a seeded-random storage op and
+//            recovered from the newest valid snapshot plus the surviving
+//            WAL tail; per-event clocks and physical times must equal an
+//            uninterrupted replay.
+//   monitor  the case hosted as one tenant of a journaled MonitorDaemon,
+//            its report feed suffering ≥15% drop/duplicate/reorder, killed
+//            at a seeded-random journal append or sync, recover()ed from
+//            its frame journal with the unacknowledged frames resubmitted;
+//            all 32 relation verdicts (Definite) must equal the fault-free
+//            reference, and so must a second restart from the journal
+//            alone.
+// A recovery row counts the restart after the crash: the DurableSystem
+// constructor's scan, or MonitorDaemon::recover() (its replayed frames and
+// wall time).
 //
 // Scale dials for CI smoke vs a long sweep: SYNCON_RECOVERY_ITERS,
 // SYNCON_RECOVERY_SEED. scripts/ci_recovery_smoke.sh runs a pinned-seed
 // configuration and asserts on the syncon_recovery_* gauges this binary
 // publishes into the telemetry JSON (SYNCON_BENCH_JSON), including a
-// wall-clock budget on the worst recovery constructor scan.
+// wall-clock budget on the worst recovery.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +96,7 @@ void system_leg(std::uint64_t seed, SweepStats& stats) {
 
 /// Monitor leg: X and Y are fixed runs on processes 0 and 1 of 4 processes
 /// of 20 events, reported through a link dropping 20%, duplicating 18% and
-/// reordering 25%; the crash lands within the arrivals + 2 storage ops.
+/// reordering 25%.
 void monitor_leg(std::uint64_t seed, SweepStats& stats) {
   Xoshiro256StarStar rng(seed);
   const Execution exec = generate_execution(standard_workload(4, 20, seed));
@@ -98,18 +107,16 @@ void monitor_leg(std::uint64_t seed, SweepStats& stats) {
   for (EventIndex i = 3; i <= exec.real_count(1) && i <= 11; ++i) {
     y_set.insert(EventId{1, i});
   }
-  const OnlineSystem sys = replay(exec);
   explore::LossyFeed feed;
   feed.link.drop_probability = 0.2;
   feed.link.duplicate_probability = 0.18;
   feed.link.reorder_probability = 0.25;
   feed.link.max_delay = 40;
   feed.channel_seed = seed ^ 0xFEED;
-  const DurabilityPolicy policy = check::draw_durability_policy(rng);
-  stats.absorb(check::crash_durable_monitor(
-      sys, explore::reports_of(sys, exec.topological_order()),
+  stats.absorb(check::crash_hosted_monitor(
+      replay(exec), exec.topological_order(),
       {std::move(x_set), std::move(y_set)}, feed,
-      storage_faults(seed ^ 0xC0FFEE), policy, rng, 2));
+      storage_faults(seed ^ 0xC0FFEE), rng));
 }
 
 int run() {
@@ -144,11 +151,11 @@ int run() {
       .add_cell(std::string("recoveries with durable state"))
       .add_cell(stats.recoveries);
   table.new_row()
-      .add_cell(std::string("WAL records replayed / skipped"))
+      .add_cell(std::string("records replayed / skipped"))
       .add_cell(std::to_string(stats.events_replayed) + " / " +
                 std::to_string(stats.events_skipped));
   table.new_row()
-      .add_cell(std::string("recovery scan µs (max / avg)"))
+      .add_cell(std::string("recovery µs (max / avg)"))
       .add_cell(std::to_string(stats.recovery_micros_max) + " / " +
                 std::to_string(micros_avg));
   table.new_row()

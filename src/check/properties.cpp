@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -19,6 +20,7 @@
 #include "online/online_system.hpp"
 #include "relations/batch.hpp"
 #include "relations/evaluator.hpp"
+#include "service/daemon.hpp"
 #include "sim/interval_picker.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -324,14 +326,15 @@ PropertyResult recovery_identity(const CheckCase& c) {
 
   const explore::MonitorActions actions = explore::split_actions(m->x, m->y);
   if (actions.y.empty()) return pass();  // see monitor_oracle
-  const OnlineSystem sys = replay(exec);
   SimFaultConfig monitor_faults = faults;
   monitor_faults.seed = fng ^ 0x5bf0363577e53b95ULL;
-  const CrashLegResult monitor = crash_durable_monitor(
-      sys, explore::reports_of(sys, exec.topological_order()), actions,
+  const CrashLegResult monitor = crash_hosted_monitor(
+      replay(exec), exec.topological_order(), actions,
       explore::seeded_feed(fng ^ 0x9e3779b97f4a7c15ULL, fng ^ 2),
-      monitor_faults, policy, rng, 4);
-  return monitor.violation.empty() ? pass() : fail(monitor.violation);
+      monitor_faults, rng);
+  if (!monitor.violation.empty()) return fail(monitor.violation);
+  if (!monitor.crashed) return fail("seeded monitor crash point never reached");
+  return pass();
 }
 
 // ---------------------------------------------------------------------------
@@ -700,9 +703,10 @@ constexpr std::array<PropertyInfo, 12> kProperties{{
      "a stampless evaluator's sealed blocks equal the fold",
      &clock_backend_identity},
     {"recovery_identity",
-     "crash the durable system and monitor at a seeded point under storage "
-     "faults, recover from snapshot + WAL tail, and require clocks and all "
-     "32 verdicts bit-identical to an uninterrupted run",
+     "crash the durable system and a journaled daemon tenant at a seeded "
+     "point under storage faults, recover each from its journal, and "
+     "require clocks and all 32 verdicts bit-identical to an uninterrupted "
+     "run",
      &recovery_identity},
     {"schedule_invariance",
      "small universes: enumerate every inequivalent delivery schedule "
@@ -736,7 +740,6 @@ DurabilityPolicy draw_durability_policy(Xoshiro256StarStar& rng) {
   DurabilityPolicy policy;
   policy.sync_every = 1 + static_cast<std::uint32_t>(rng.below(4));
   policy.segment_records = 4 + static_cast<std::uint32_t>(rng.below(12));
-  policy.snapshot_every = 1;
   policy.full_interval = 1 + static_cast<std::uint32_t>(rng.below(8));
   return policy;
 }
@@ -811,87 +814,118 @@ CrashLegResult crash_durable_system(const Execution& exec,
   return out;
 }
 
-CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
-                                     std::span<const WireMessage> reports,
-                                     const explore::MonitorActions& actions,
-                                     const explore::LossyFeed& feed,
-                                     const SimFaultConfig& faults,
-                                     const DurabilityPolicy& policy,
-                                     Xoshiro256StarStar& rng,
-                                     std::size_t crash_slack) {
+CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
+                                    std::span<const EventId> order,
+                                    const explore::MonitorActions& actions,
+                                    const explore::LossyFeed& feed,
+                                    const SimFaultConfig& faults,
+                                    Xoshiro256StarStar& rng) {
   CrashLegResult out;
   const std::size_t n = sys.process_count();
-  const std::vector<explore::Firing> clean =
-      explore::clean_firings(n, reports, actions);
-  const std::vector<Arrival> arrivals = explore::ship(feed, reports).drain();
+  const std::vector<WireMessage> reports = explore::reports_of(sys, order);
+
+  std::vector<TenantOp> ops;
+  const auto push = [&ops](TenantOp::Kind kind,
+                           const char* label = "") -> TenantOp& {
+    TenantOp& op = ops.emplace_back();
+    op.kind = kind;
+    op.label = label;
+    return op;
+  };
+  push(TenantOp::Kind::kBegin, "X");
+  push(TenantOp::Kind::kBegin, "Y");
+  for (const EventId& e : order) {
+    const char* label = actions.x.count(e) ? "X" : "";
+    if (actions.y.count(e)) label = "Y";
+    TenantOp& op = push(TenantOp::Kind::kEvent, label);
+    op.message = sys.wire_of(e);
+    const std::span<const EventId> sources = sys.sources_of(e);
+    op.sources.assign(sources.begin(), sources.end());
+    op.time = sys.time_of(e);
+  }
+  for (const Arrival& a : explore::ship(feed, reports).drain()) {
+    push(TenantOp::Kind::kReport).message = a.message;
+  }
+  push(TenantOp::Kind::kCheckpoint).message.clock = sys.snapshot();
+  push(TenantOp::Kind::kComplete, "X");
+  push(TenantOp::Kind::kComplete, "Y");
+  for (const RelationId& id : all_relation_ids()) {
+    TenantOp& op = push(TenantOp::Kind::kWatch, "X");
+    op.label2 = "Y";
+    op.relation = id;
+  }
+
+  // Encoded once: a resubmitted frame is the same bytes, and the session's
+  // sequence guard quarantines any copy of a frame it already applied.
+  constexpr std::uint64_t kTenant = 0;
+  service::TenantFrameEncoder encoder;
+  std::vector<std::vector<std::uint8_t>> frames(1);
+  encoder.encode_hello(kTenant, n, /*resync_chunk=*/8, frames[0]);
+  for (const TenantOp& op : ops) {
+    encoder.encode_op(kTenant, op, frames.emplace_back());
+  }
+  // One pump per batch; each makes one append and one sync.
+  std::vector<std::size_t> batch_ends;
+  for (std::size_t end = 0; end < frames.size();) {
+    end = std::min(frames.size(), end + 1 + rng.below(16));
+    batch_ends.push_back(end);
+  }
 
   SimStorage storage(faults);
-  auto mon = std::make_unique<DurableMonitor>(n, storage, policy);
-  const auto ensure_begun = [&] {
-    for (const std::string label : {"X", "Y"}) {
-      // A begin record lost with the unsynced WAL suffix must be re-issued;
-      // an action whose completion survived must not be re-opened. Members
-      // declared again after surviving the crash are no-ops.
-      if (!mon->monitor().is_open(label) &&
-          mon->monitor().summary(label) == nullptr) {
-        mon->begin(label);
-      }
-      if (mon->monitor().is_open(label)) actions.declare(*mon, label);
-    }
-  };
-  const auto guarded = [&](const auto& fn) {
-    try {
-      fn();
-    } catch (const StorageCrash&) {
-      if (out.crashed) throw;
-      out.crashed = true;
-      mon = std::make_unique<DurableMonitor>(n, storage, policy);
-      out.recovery = mon->recovery();
-      ensure_begun();
-      fn();  // the crash is disarmed; the retried unit is idempotent
-    }
-  };
-  // Converge: the checkpoint is inside the guarded unit, so a crash that
-  // loses the checkpoint record (or tail reports) is retried from a fresh
-  // claim.
-  const auto converge = [&] {
-    mon->checkpoint(sys.snapshot());
-    mon->monitor().resync(sys, 8,
-                          [&](const WireMessage& w) { mon->observe(w); });
+  ThreadPool pool(1);
+  service::DaemonOptions options;
+  options.shards = 1;
+  options.journal = &storage;
+  const auto restart = [&](RecoveryStats& stats) {
+    auto daemon = std::make_unique<service::MonitorDaemon>(options, pool);
+    stats.recovered = !storage.list().empty();
+    const auto start = std::chrono::steady_clock::now();
+    daemon->recover();
+    stats.recovery_micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    stats.events_replayed = daemon->stats().frames_applied;
+    return daemon;
   };
 
-  try {
-    // Begins, declarations, fresh reports, resync replies and completes are
-    // all storage ops, so the crash fires within the run.
-    storage.crash_after_ops(1 + rng.below(actions.x.size() + actions.y.size() +
-                                          arrivals.size() + crash_slack));
-    guarded(ensure_begun);
-    for (const Arrival& a : arrivals) {
-      guarded([&] { mon->observe(a.message); });
+  auto daemon = std::make_unique<service::MonitorDaemon>(options, pool);
+  storage.crash_after_ops(1 + rng.below(2 * batch_ends.size()));
+  std::size_t acked = 0;  // frames [0, acked) were applied by a returned pump
+  for (std::size_t b = 0; b < batch_ends.size();) {
+    for (std::size_t i = acked; i < batch_ends[b]; ++i) {
+      daemon->submit(frames[i]);
     }
-    guarded(converge);
-    if (mon->monitor().missing_report_count() > 0) {
-      out.violation = "post-crash resync failed to converge";
-      return out;
+    try {
+      daemon->pump();
+      acked = batch_ends[b++];
+    } catch (const StorageCrash&) {
+      if (out.crashed) {
+        out.violation = "simulated crash fired twice";
+        return out;
+      }
+      out.crashed = true;
+      daemon = restart(out.recovery);
     }
-    for (const char* label : {"X", "Y"}) {
-      guarded([&] {
-        if (mon->monitor().is_open(label)) mon->complete(label);
-      });
-    }
-    // If the crash hit during completion and tore off trailing reports, the
-    // reopened gaps must be closed before reading verdicts.
-    if (mon->monitor().missing_report_count() > 0) guarded(converge);
-  } catch (const StorageCrash&) {
-    out.violation = "simulated crash fired twice";
-    return out;
   }
-  if (mon->monitor().missing_report_count() > 0) {
-    out.violation = "post-complete resync failed to converge";
-    return out;
-  }
+
+  const std::vector<std::string> verdicts = daemon->verdicts(kTenant);
+  std::vector<explore::Firing> fired;
+  for (const std::string& v : verdicts) fired.push_back({v == "X|Y|holds"});
   out.violation = explore::compare_firings(
-      "recovered monitor", explore::watch_all(mon->monitor()), clean);
+      "hosted monitor", fired, explore::clean_firings(n, reports, actions));
+  if (!out.violation.empty()) return out;
+
+  // Every frame is acknowledged, so a crash now loses nothing: a daemon
+  // recovered from the journal alone must rebuild the same tenant.
+  storage.crash();
+  RecoveryStats final_restart;
+  const auto restarted = restart(final_restart);
+  if (restarted->verdicts(kTenant) != verdicts ||
+      restarted->stats().frames_applied != daemon->stats().frames_applied) {
+    out.violation =
+        "hosted monitor: a restart from the journal lost acknowledged frames";
+  }
   return out;
 }
 

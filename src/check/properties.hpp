@@ -32,11 +32,11 @@
 //                       the blocks a stampless evaluator seals for X, Y,
 //                       their proxies and one interval registered after
 //                       the seal vs compute_cut_counts over those rows.
-//   recovery_identity   the crash legs below: DurableSystem/DurableMonitor
-//                       crashed at a seeded point under storage faults and
-//                       recovered from snapshot + WAL tail: clocks, times
-//                       and all 32 verdicts bit-identical to a run that
-//                       never crashed.
+//   recovery_identity   the crash legs below: a DurableSystem and a
+//                       journaled MonitorDaemon tenant crashed at a seeded
+//                       point under storage faults and recovered from
+//                       their journals: clocks, times and all 32 verdicts
+//                       bit-identical to a run that never crashed.
 //   schedule_invariance small universes only: enumerate every inequivalent
 //                       delivery schedule (src/explore) and run the
 //                       core invariant battery on each poset — fast ≡
@@ -94,17 +94,17 @@ struct ScheduleInvarianceConfig {
 ScheduleInvarianceConfig& schedule_invariance_config();
 
 // --- recovery_identity's crash legs, which bench_recovery runs too ----------
-// Each kills a durable shell once at a seeded storage op, recovers it from
-// snapshot + WAL tail and compares the finished run with an uncrashed one.
+// Each kills a journaled host once at a seeded storage op, recovers it from
+// its journal and compares the finished run with an uncrashed one.
 
-/// Sync every 1–4 records, segments of 4–15 records, a snapshot on every
-/// compaction or adoption, an absolute clock every 1–8 records.
+/// Sync every 1–4 records, segments of 4–15 records, an absolute clock
+/// every 1–8 records.
 DurabilityPolicy draw_durability_policy(Xoshiro256StarStar& rng);
 
 struct CrashLegResult {
   std::string violation;   ///< first divergence; "" when identical
   bool crashed = false;    ///< the seeded crash fired (a second one fails)
-  RecoveryStats recovery;  ///< the recovered shell's (zero if no crash)
+  RecoveryStats recovery;  ///< the restart after the crash (zero if none)
 };
 
 /// Drives `exec` in topological order through a DurableSystem, compacting
@@ -118,17 +118,24 @@ CrashLegResult crash_durable_system(const Execution& exec,
                                     std::uint64_t crash_after_ops,
                                     std::size_t compact_period);
 
-/// Feeds `reports` through the lossy `feed` into a DurableMonitor that
-/// crashes after 1 + rng.below(members + arrivals + crash_slack) storage ops
-/// (anywhere from the declarations to the completes), recovers, and closes
-/// every gap by checkpoint + resync; its 32 verdicts equal the clean feed's.
-CrashLegResult crash_durable_monitor(const OnlineSystem& sys,
-                                     std::span<const WireMessage> reports,
-                                     const explore::MonitorActions& actions,
-                                     const explore::LossyFeed& feed,
-                                     const SimFaultConfig& faults,
-                                     const DurabilityPolicy& policy,
-                                     Xoshiro256StarStar& rng,
-                                     std::size_t crash_slack);
+/// Hosts the case as one tenant of a one-shard MonitorDaemon journaling to
+/// a SimStorage with `faults`. Its frames: kBegin X and Y; a kEvent per
+/// event of `order`, labelled "X", "Y" or "" by membership; a kReport per
+/// arrival of the lossy `feed`; a kCheckpoint of sys.snapshot(); both
+/// kCompletes; and a one-relation kWatch per relation in all_relation_ids()
+/// order. They are pumped 1–16 at a time, and the storage crashes at a
+/// seeded one of the pumps' appends and syncs. A fresh daemon then
+/// recover()s, and every frame no returned pump acknowledged is
+/// resubmitted. The verdict log must be the 32 Definite clean_firings, and
+/// a daemon recovered from the journal alone must reproduce it and the
+/// frames applied. `recovery` describes the restart after the crash:
+/// `recovered` when the tenant's journal object existed, `events_replayed`
+/// the frames recover() applied, `recovery_micros` its wall time.
+CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
+                                    std::span<const EventId> order,
+                                    const explore::MonitorActions& actions,
+                                    const explore::LossyFeed& feed,
+                                    const SimFaultConfig& faults,
+                                    Xoshiro256StarStar& rng);
 
 }  // namespace syncon::check

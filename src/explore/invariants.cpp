@@ -221,8 +221,8 @@ ScheduleCheckResult check_schedule(const Universe& u, const Schedule& s,
 void MonitorActions::open(OnlineMonitor& mon) const {
   mon.begin("X");
   mon.begin("Y");
-  declare(mon, "X");
-  declare(mon, "Y");
+  for (const EventId& e : x) mon.record("X", e);
+  for (const EventId& e : y) mon.record("Y", e);
 }
 
 MonitorActions split_actions(const NonatomicEvent& x, const NonatomicEvent& y) {

@@ -104,14 +104,8 @@ struct MonitorActions {
   std::set<EventId> x;
   std::set<EventId> y;
 
-  /// Declares the members of the open action `label` ("X" or "Y") to an
-  /// OnlineMonitor or a DurableMonitor, whose observe() then routes every
-  /// report.
-  template <class Monitor>
-  void declare(Monitor& mon, const std::string& label) const {
-    for (const EventId& e : label == "X" ? x : y) mon.record(label, e);
-  }
-  /// Begins "X" and "Y" on `mon` and declares their members.
+  /// Begins "X" and "Y" on `mon` and declares their members, so its
+  /// observe() routes every report.
   void open(OnlineMonitor& mon) const;
 };
 

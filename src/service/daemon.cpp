@@ -293,7 +293,12 @@ void MonitorDaemon::recover() {
     while (!in.empty()) {
       FrameView view;
       if (peek_frame(in, view) != PeekStatus::kOk) {
-        ++corrupt_submits_;  // torn tail: replay stops at the last clean frame
+        // A torn or corrupt tail: replay stops at the last clean frame, and
+        // the object is cut back to it (§3.12's truncation rule), so frames
+        // journaled after this recovery follow that frame, not bytes the
+        // next replay would stop at.
+        ++corrupt_submits_;
+        options_.journal->truncate(name, bytes.size() - in.size());
         break;
       }
       Shard& shard = *shards_[view.tenant % shards_.size()];

@@ -127,7 +127,8 @@ class MonitorDaemon {
   void pump();
 
   /// Replays the journal into fresh sessions (construct-time crash
-  /// recovery). Requires a journal and no frames submitted yet.
+  /// recovery), truncating each object at its first torn or corrupt frame.
+  /// Requires a journal and no frames submitted yet.
   void recover();
 
   /// Aggregate counters; call between pumps.

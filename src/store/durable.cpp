@@ -15,16 +15,8 @@ namespace syncon {
 
 namespace {
 
-// WAL record kinds. kEvent is the DurableSystem journal; the rest are the
-// DurableMonitor's. A store only ever holds one shell's records.
+// The kind byte every DurableSystem WAL record leads with.
 constexpr std::uint8_t kEvent = 1;
-constexpr std::uint8_t kBegin = 2;
-constexpr std::uint8_t kComplete = 3;
-constexpr std::uint8_t kReport = 4;
-constexpr std::uint8_t kMonCheckpoint = 5;
-constexpr std::uint8_t kAdopt = 6;
-constexpr std::uint8_t kForget = 7;
-constexpr std::uint8_t kMember = 8;
 
 class RecoveryTimer {
  public:
@@ -60,10 +52,6 @@ class RecoveryTimer {
 };
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// DurableSystem
-// ---------------------------------------------------------------------------
 
 DurableSystem::DurableSystem(std::size_t process_count,
                              StorageBackend& storage, DurabilityPolicy policy)
@@ -190,168 +178,13 @@ bool DurableSystem::try_deliver(ProcessId p, const WireMessage& message,
 
 std::size_t DurableSystem::compact(const VectorClock& watermark) {
   const std::size_t reclaimed = system_.compact(watermark);
-  ++compactions_;
-  if (compactions_ % store_.policy().snapshot_every == 0) snapshot_now();
+  snapshot_now();
   return reclaimed;
 }
 
 void DurableSystem::snapshot_now() {
   store_.write_snapshot(
       SnapshotImage{process_count(), system_.checkpoint()});
-}
-
-// ---------------------------------------------------------------------------
-// DurableMonitor
-// ---------------------------------------------------------------------------
-
-DurableMonitor::DurableMonitor(std::size_t process_count,
-                               StorageBackend& storage,
-                               DurabilityPolicy policy)
-    : process_count_(process_count),
-      monitor_(process_count),
-      store_(storage, process_count, policy),
-      encoder_(process_count, policy.full_interval) {
-  RecoveryTimer timer(stats_);
-  const std::vector<Store::RecoveredRecord> records = store_.take_records();
-  stats_.recovered = store_.recovery().snapshot.has_value() ||
-                     store_.recovery().segments_scanned > 0;
-  // The monitor's snapshot files only advance the store's durable cut (so
-  // observe-only segments can be pruned); monitor state itself is rebuilt
-  // purely by replaying the journal in order — a checkpoint adoption must
-  // act at its original position, not before records that preceded it.
-  LinkDecoder decoder(process_count);
-  std::uint64_t segment = std::numeric_limits<std::uint64_t>::max();
-  for (const Store::RecoveredRecord& record : records) {
-    if (record.segment != segment) {
-      decoder.reset();
-      segment = record.segment;
-    }
-    try {
-      std::span<const std::uint8_t> in = record.body;
-      SYNCON_REQUIRE(!in.empty(), "empty WAL record");
-      const std::uint8_t kind = in.front();
-      in = in.subspan(1);
-      bool fresh = true;  // only a duplicate report replays as skipped
-      switch (kind) {
-        case kBegin:
-          monitor_.begin(decode_string(in));
-          break;
-        case kComplete:
-          monitor_.complete(decode_string(in));
-          break;
-        case kForget:
-          monitor_.forget(decode_string(in));
-          break;
-        case kMember: {
-          const std::string label = decode_string(in);
-          const auto process = decode_varint_as<ProcessId>(in);
-          monitor_.record(label, {process, decode_varint_as<EventIndex>(in)});
-          break;
-        }
-        case kReport: {
-          const std::int64_t when = decode_signed_varint(in);
-          WireMessage report;
-          SYNCON_REQUIRE(decoder.try_decode(in, report),
-                         "undecodable journaled report frame");
-          fresh = monitor_.observe(report, when);
-          break;
-        }
-        case kMonCheckpoint:
-          monitor_.checkpoint(VectorClock::decode(in));
-          break;
-        case kAdopt:
-          monitor_.adopt_checkpoint(decode_checkpoint(in));
-          break;
-        default:
-          SYNCON_REQUIRE(false, "unknown monitor WAL record kind");
-      }
-      (fresh ? stats_.events_replayed : stats_.events_skipped) += 1;
-    } catch (const ContractViolation&) {
-      ++stats_.records_quarantined;
-    }
-  }
-}
-
-void DurableMonitor::journal(std::uint8_t kind,
-                             std::span<const std::uint8_t> body,
-                             std::span<const EventId> touches, bool pinned) {
-  std::vector<std::uint8_t> record;
-  record.reserve(body.size() + 1);
-  record.push_back(kind);
-  record.insert(record.end(), body.begin(), body.end());
-  store_.append(record, touches, pinned);
-}
-
-void DurableMonitor::journal_report(const WireMessage& report,
-                                    std::int64_t when) {
-  const std::uint64_t seg = store_.open_segment_seq();
-  if (seg != encoder_segment_) {
-    encoder_.reset();  // first frame of a segment must be absolute
-    encoder_segment_ = seg;
-  }
-  std::vector<std::uint8_t> body;
-  body.push_back(kReport);
-  encode_signed_varint(when, body);
-  encoder_.encode(report, body);
-  const EventId touches[] = {report.source};
-  store_.append(body, touches,
-                /*pinned=*/monitor_.is_member(report.source));
-}
-
-void DurableMonitor::begin(const std::string& label) {
-  monitor_.begin(label);
-  std::vector<std::uint8_t> body;
-  encode_string(label, body);
-  journal(kBegin, body, {}, /*pinned=*/true);
-}
-
-const IntervalSummary& DurableMonitor::complete(const std::string& label) {
-  const IntervalSummary& summary = monitor_.complete(label);
-  std::vector<std::uint8_t> body;
-  encode_string(label, body);
-  journal(kComplete, body, {}, /*pinned=*/true);
-  return summary;
-}
-
-void DurableMonitor::record(const std::string& label, EventId e) {
-  const bool declared = monitor_.is_member(e);
-  monitor_.record(label, e);
-  if (declared) return;
-  std::vector<std::uint8_t> body;
-  encode_string(label, body);
-  encode_varint(e.process, body);
-  encode_varint(e.index, body);
-  journal(kMember, body, {}, /*pinned=*/true);
-}
-
-bool DurableMonitor::observe(const WireMessage& report, std::int64_t when) {
-  const bool fresh = monitor_.observe(report, when);
-  if (fresh) journal_report(report, when);
-  return fresh;
-}
-
-void DurableMonitor::checkpoint(const VectorClock& snapshot) {
-  monitor_.checkpoint(snapshot);
-  std::vector<std::uint8_t> body;
-  snapshot.encode(body);
-  journal(kMonCheckpoint, body, {}, /*pinned=*/true);
-}
-
-void DurableMonitor::adopt_checkpoint(const RetentionCheckpoint& checkpoint) {
-  monitor_.adopt_checkpoint(checkpoint);
-  std::vector<std::uint8_t> body;
-  encode_checkpoint(checkpoint, body);
-  journal(kAdopt, body, {}, /*pinned=*/true);
-  if (++adoptions_ % store_.policy().snapshot_every == 0) {
-    store_.write_snapshot(SnapshotImage{process_count_, checkpoint});
-  }
-}
-
-void DurableMonitor::forget(const std::string& label) {
-  monitor_.forget(label);
-  std::vector<std::uint8_t> body;
-  encode_string(label, body);
-  journal(kForget, body, {}, /*pinned=*/true);
 }
 
 }  // namespace syncon

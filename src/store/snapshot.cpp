@@ -13,8 +13,6 @@ namespace {
 // "SYsnap" + format version byte. Bump the version on layout changes.
 constexpr std::uint8_t kMagic[] = {'S', 'Y', 's', 'n', 'a', 'p', 1};
 
-}  // namespace
-
 void encode_checkpoint(const RetentionCheckpoint& checkpoint,
                        std::vector<std::uint8_t>& out) {
   const std::size_t n = checkpoint.cut.size();
@@ -48,6 +46,8 @@ RetentionCheckpoint decode_checkpoint(std::span<const std::uint8_t>& in) {
   checkpoint.reclaimed_total = decode_varint(in);
   return checkpoint;
 }
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& image) {
   SYNCON_REQUIRE(image.process_count > 0, "snapshot of an empty system");

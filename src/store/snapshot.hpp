@@ -21,15 +21,6 @@ struct SnapshotImage {
   RetentionCheckpoint checkpoint;
 };
 
-/// Appends the checkpoint's wire form (also the payload of a monitor's
-/// checkpoint-adoption WAL record — store/durable.hpp).
-void encode_checkpoint(const RetentionCheckpoint& checkpoint,
-                       std::vector<std::uint8_t>& out);
-
-/// Consumes one encoded checkpoint; throws ContractViolation on malformed
-/// input (the callers translate that into rejection).
-RetentionCheckpoint decode_checkpoint(std::span<const std::uint8_t>& in);
-
 /// Serializes the image: magic, then one CRC frame (store/wal.hpp).
 std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& image);
 

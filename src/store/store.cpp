@@ -82,7 +82,7 @@ Store::Store(StorageBackend& storage, std::size_t process_count,
              DurabilityPolicy policy)
     : storage_(storage), process_count_(process_count), policy_(policy) {
   SYNCON_REQUIRE(policy_.sync_every > 0 && policy_.segment_records > 0 &&
-                     policy_.snapshot_every > 0 && policy_.full_interval > 0,
+                     policy_.full_interval > 0,
                  "durability policy intervals must be positive");
   scan_existing();
   // New records always go into a fresh segment: a recovered tail segment's
@@ -155,10 +155,6 @@ void Store::scan_existing() {
       record.segment = seq;
       try {
         std::span<const std::uint8_t> in = *frame;
-        SYNCON_REQUIRE(!in.empty(), "empty WAL record");
-        const std::uint8_t flags = in.front();
-        in = in.subspan(1);
-        record.pinned = (flags & 0x01) != 0;
         const std::uint64_t nbounds = decode_varint(in);
         SYNCON_REQUIRE(nbounds <= in.size(),
                        "impossible retention bound count");
@@ -175,7 +171,6 @@ void Store::scan_existing() {
         }
         record.body.assign(in.begin(), in.end());
         merge_bound(meta, touches);
-        meta.pinned |= record.pinned;
       } catch (const ContractViolation&) {
         // A CRC-valid frame with a malformed retention header: treat it as
         // the first invalid frame and apply the same truncation rule.
@@ -229,14 +224,13 @@ bool Store::bound_covered(const SegmentMeta& meta, const VectorClock& cut) {
 }
 
 void Store::append(std::span<const std::uint8_t> body,
-                   std::span<const EventId> touches, bool pinned) {
+                   std::span<const EventId> touches) {
   for (const EventId& id : touches) {
     SYNCON_REQUIRE(id.process < process_count_,
                    "WAL record touches a process outside the store");
   }
   std::vector<std::uint8_t> payload;
   payload.reserve(body.size() + 4 * touches.size() + 4);
-  payload.push_back(pinned ? 0x01 : 0x00);
   encode_varint(touches.size(), payload);
   for (const EventId& id : touches) {
     encode_varint(id.process, payload);
@@ -250,7 +244,6 @@ void Store::append(std::span<const std::uint8_t> body,
   SegmentMeta& open = segments_.back();
   storage_.append(open.name, frame);
   merge_bound(open, touches);
-  open.pinned |= pinned;
   ++open.records;
   ++open_records_;
   ++unsynced_records_;
@@ -317,10 +310,10 @@ void Store::write_snapshot(const SnapshotImage& image) {
 }
 
 void Store::prune() {
-  // Front-contiguous only: stop at the first segment that is pinned, still
-  // open, or reaches past the durable cut. Holes in the retained sequence
-  // would be indistinguishable from crash loss during recovery.
-  while (segments_.size() > 1 && !segments_.front().pinned &&
+  // Front-contiguous only: stop at the first segment that is still open or
+  // reaches past the durable cut. Holes in the retained sequence would be
+  // indistinguishable from crash loss during recovery.
+  while (segments_.size() > 1 &&
          bound_covered(segments_.front(), durable_cut_)) {
     storage_.remove(segments_.front().name);
     segments_.pop_front();

@@ -4,9 +4,9 @@
 //
 // Layout:
 //   wal-<seq>    CRC-framed records (store/wal.hpp). Each record carries a
-//                small retention header (pinned flag + the event ids it
-//                references) so the Store can prune without understanding
-//                the consumer's record format. Closed segments are synced
+//                small retention header (the event ids it references) so
+//                the Store can prune without understanding the consumer's
+//                record format. Closed segments are synced
 //                at rotation, so the only segment that can be lost or torn
 //                by a crash is the open one.
 //   snap-<seq>   a serialized SnapshotImage (store/snapshot.hpp). The two
@@ -14,11 +14,11 @@
 //                back to its predecessor.
 //
 // Retention invariant: a segment is pruned only when a *durable* snapshot's
-// cut covers every event id any of its records references (and no record is
-// pinned) — everything a pruned record could tell recovery is already told
-// by the snapshot. Pruning is front-contiguous, so the retained segment
-// sequence has no holes below a pinned or live segment and recovery can
-// treat any sequence gap after a corrupt frame as loss, not pruning.
+// cut covers every event id any of its records references — everything a
+// pruned record could tell recovery is already told by the snapshot.
+// Pruning is front-contiguous, so the retained segment sequence has no
+// holes below a live segment and recovery can treat any sequence gap after
+// a corrupt frame as loss, not pruning.
 //
 // Recovery (runs in the constructor when the storage is non-empty): load
 // the newest CRC-valid snapshot (falling back across torn ones), then scan
@@ -50,8 +50,6 @@ struct DurabilityPolicy {
   std::uint32_t sync_every = 1;
   /// Rotate to a fresh segment after N records (the pruning granule).
   std::uint32_t segment_records = 256;
-  /// Write a durable snapshot every N compactions / checkpoint adoptions.
-  std::uint32_t snapshot_every = 1;
   /// Absolute-escape interval of the record clock codec (LinkEncoder): every
   /// N-th record carries its clock absolutely, bounding how much chained
   /// delta state a reader must accumulate. Encoders reset at segment
@@ -65,7 +63,6 @@ class Store {
   /// where the writer rotated (and reset its clock codec).
   struct RecoveredRecord {
     std::uint64_t segment = 0;
-    bool pinned = false;
     std::vector<std::uint8_t> body;
   };
 
@@ -98,16 +95,15 @@ class Store {
 
   /// Appends one record. `touches` lists every event id the record
   /// references (for the pruning bound), each on a process below the
-  /// store's count; `pinned` exempts the containing segment from pruning
-  /// (lifecycle records replay must never lose).
+  /// store's count.
   void append(std::span<const std::uint8_t> body,
-              std::span<const EventId> touches, bool pinned = false);
+              std::span<const EventId> touches);
 
   /// Forces the open segment durable regardless of sync_every.
   void sync();
 
-  /// Writes a durable snapshot, then prunes every leading unpinned segment
-  /// whose records all fall inside the snapshot cut, and garbage-collects
+  /// Writes a durable snapshot, then prunes every leading segment whose
+  /// records all fall inside the snapshot cut, and garbage-collects
   /// all but the two newest snapshot files.
   void write_snapshot(const SnapshotImage& image);
 
@@ -128,7 +124,6 @@ class Store {
     // Max referenced event index per process (0 = none), one entry per
     // process — prunable once the durable cut covers them all.
     std::vector<EventIndex> bound;
-    bool pinned = false;
     std::size_t records = 0;
   };
 

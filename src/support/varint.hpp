@@ -100,11 +100,4 @@ inline void decode_string(std::span<const std::uint8_t>& in, std::string& out) {
   in = in.subspan(n);
 }
 
-/// Consumes one encode_string field from the front of `in`.
-inline std::string decode_string(std::span<const std::uint8_t>& in) {
-  std::string s;
-  decode_string(in, s);
-  return s;
-}
-
 }  // namespace syncon

@@ -494,7 +494,6 @@ TEST(RetentionTest, CrashBeforeSnapshotDurableFallsBackToPriorSnapshot) {
   DurabilityPolicy policy;
   policy.sync_every = 1;
   policy.segment_records = 64;
-  policy.snapshot_every = 1;
   policy.full_interval = 4;
   auto sys = std::make_unique<DurableSystem>(2, storage, policy);
   OnlineSystem oracle(2);

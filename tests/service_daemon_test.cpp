@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -567,6 +568,56 @@ TEST(ServiceDaemonTest, JournalFailureAppliesNothingAndRethrows) {
   EXPECT_EQ(recovered.stats().frames_applied, before.frames_applied);
   for (std::uint64_t t = 0; t < 2; ++t) {
     EXPECT_EQ(recovered.verdicts(t), daemon.verdicts(t)) << "tenant " << t;
+  }
+}
+
+// A crash on a pump's sync leaves a torn tail behind the tenant's last
+// clean frame. recover() must cut it off: the frames resubmitted and pumped
+// after the recovery are acknowledged, so a second restart must replay
+// them instead of stopping at the garbage in front of them.
+TEST(ServiceDaemonTest, RecoveryCutsATornTailBeforeLaterFrames) {
+  TenantFrameEncoder encoder;
+  const std::vector<std::vector<std::uint8_t>> frames =
+      encode_frames(encoder, 0, generate_tenant_script(faulty_workload()));
+  ThreadPool pool(1);
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(seed);
+    SimFaultConfig faults;
+    faults.torn_tail = 1;
+    faults.seed = seed;
+    SimStorage storage(faults);
+    DaemonOptions options;
+    options.shards = 1;
+    options.journal = &storage;
+    auto daemon = std::make_unique<MonitorDaemon>(options, pool);
+    // Each pump is one append and one sync: op 2k is the k-th pump's sync.
+    storage.crash_after_ops(2 * (2 + seed % 16));
+    bool crashed = false;
+    std::size_t acked = 0;  // frames a returned pump applied
+    while (acked < frames.size()) {
+      const std::size_t end = std::min(frames.size(), acked + 8);
+      for (std::size_t i = acked; i < end; ++i) {
+        ASSERT_TRUE(daemon->submit(frames[i]).accepted);
+      }
+      try {
+        daemon->pump();
+        acked = end;
+      } catch (const StorageCrash&) {
+        ASSERT_FALSE(crashed);
+        crashed = true;
+        daemon = std::make_unique<MonitorDaemon>(options, pool);
+        daemon->recover();
+      }
+    }
+    ASSERT_TRUE(crashed);
+    ASSERT_FALSE(daemon->verdicts(0).empty());
+
+    storage.crash();
+    MonitorDaemon restarted(options, pool);
+    restarted.recover();
+    EXPECT_EQ(restarted.verdicts(0), daemon->verdicts(0));
+    EXPECT_EQ(restarted.stats().frames_applied,
+              daemon->stats().frames_applied);
   }
 }
 

@@ -172,7 +172,6 @@ DurabilityPolicy tight_policy() {
   DurabilityPolicy policy;
   policy.sync_every = 1;
   policy.segment_records = 2;
-  policy.snapshot_every = 1;
   policy.full_interval = 4;
   return policy;
 }
@@ -229,8 +228,8 @@ TEST(StoreTest, RecoveryTruncatesAtFirstInvalidFrameAndDropsLaterSegments) {
 // whose `+ 1` wraps to zero.
 TEST(StoreTest, RecoveryTruncatesAtAnOutOfRangeRetentionProcess) {
   const auto frame_touching = [](std::uint64_t process, int body) {
-    std::vector<std::uint8_t> payload{0x00};  // unpinned
-    encode_varint(1, payload);                // one touched event
+    std::vector<std::uint8_t> payload;
+    encode_varint(1, payload);  // one touched event
     encode_varint(process, payload);
     encode_varint(1, payload);
     payload.push_back(static_cast<std::uint8_t>(body));
@@ -299,7 +298,7 @@ TEST(StoreTest, SnapshotFallsBackPastACorruptNewestOne) {
   EXPECT_FALSE(storage.exists(newest));  // the corrupt file was removed
 }
 
-TEST(StoreTest, PruneReclaimsOnlyCoveredUnpinnedFrontSegments) {
+TEST(StoreTest, PruneReclaimsOnlyCoveredFrontSegments) {
   SimStorage storage;
   Store store(storage, 2, tight_policy());
   const EventId lo[] = {EventId{0, 1}};
@@ -315,18 +314,6 @@ TEST(StoreTest, PruneReclaimsOnlyCoveredUnpinnedFrontSegments) {
   store.write_snapshot(SnapshotImage{1, cp});
   EXPECT_EQ(store.segments_pruned(), 1u);
   EXPECT_EQ(store.live_segments(), 2u);  // stops at the uncovered segment
-
-  // Pinned segments survive even when covered.
-  SimStorage storage2;
-  Store store2(storage2, 2, tight_policy());
-  const EventId t[] = {EventId{0, 2}};
-  store2.append(bytes_of({6}), t, /*pinned=*/true);
-  store2.append(bytes_of({7}), t, /*pinned=*/true);  // closes pinned segment
-  store2.append(bytes_of({8}), t);                   // open segment
-  RetentionCheckpoint cp2 = RetentionCheckpoint::bottom(1);
-  cp2.cut = VectorClock({10});
-  store2.write_snapshot(SnapshotImage{1, cp2});
-  EXPECT_EQ(store2.segments_pruned(), 0u);  // pinned front: no pruning
 }
 
 TEST(StoreTest, KeepsTheNewestTwoSnapshots) {
