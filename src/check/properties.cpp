@@ -855,8 +855,8 @@ CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
     op.relation = id;
   }
 
-  // Encoded once: a resubmitted frame is the same bytes, and the session's
-  // sequence guard quarantines any copy of a frame it already applied.
+  // Encoded once: a resubmitted frame is the same bytes, and the daemon
+  // skips any copy of a frame the session already applied.
   constexpr std::uint64_t kTenant = 0;
   service::TenantFrameEncoder encoder;
   std::vector<std::vector<std::uint8_t>> frames(1);
@@ -915,6 +915,15 @@ CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
   out.violation = explore::compare_firings(
       "hosted monitor", fired, explore::clean_firings(n, reports, actions));
   if (!out.violation.empty()) return out;
+  // A resubmitted copy of a frame recover() replayed is a duplicate, and a
+  // cut torn tail is counted apart: nothing of this leg is quarantined.
+  const auto quarantined = [&out](const service::MonitorDaemon& d,
+                                  const char* when) {
+    const std::uint64_t q = d.stats().frames_quarantined;
+    if (q != 0) out.violation = "hosted monitor: " + std::to_string(q) + when;
+    return q != 0;
+  };
+  if (quarantined(*daemon, " frames quarantined live")) return out;
 
   // Every frame is acknowledged, so a crash now loses nothing: a daemon
   // recovered from the journal alone must rebuild the same tenant.
@@ -925,7 +934,9 @@ CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
       restarted->stats().frames_applied != daemon->stats().frames_applied) {
     out.violation =
         "hosted monitor: a restart from the journal lost acknowledged frames";
+    return out;
   }
+  quarantined(*restarted, " frames quarantined by a restart");
   return out;
 }
 

@@ -128,9 +128,11 @@ CrashLegResult crash_durable_system(const Execution& exec,
 /// recover()s, and every frame no returned pump acknowledged is
 /// resubmitted. The verdict log must be the 32 Definite clean_firings, and
 /// a daemon recovered from the journal alone must reproduce it and the
-/// frames applied. `recovery` describes the restart after the crash:
-/// `recovered` when the tenant's journal object existed, `events_replayed`
-/// the frames recover() applied, `recovery_micros` its wall time.
+/// frames applied. Neither daemon may quarantine a frame: a resubmitted
+/// copy of a replayed frame is a duplicate, neither journaled nor applied.
+/// `recovery` describes the restart after the crash: `recovered` when the
+/// tenant's journal object existed, `events_replayed` the frames recover()
+/// applied, `recovery_micros` its wall time.
 CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
                                     std::span<const EventId> order,
                                     const explore::MonitorActions& actions,

@@ -146,4 +146,31 @@ bool LinkDecoder::try_decode(std::span<const std::uint8_t>& in,
   return true;
 }
 
+void encode_event_record(LinkEncoder& link, const WireMessage& wire,
+                         std::span<const EventId> sources, std::int64_t time,
+                         std::vector<std::uint8_t>& out) {
+  link.encode(wire, out);
+  encode_varint(sources.size(), out);
+  for (const EventId& source : sources) {
+    encode_varint(source.process, out);
+    encode_varint(source.index, out);
+  }
+  encode_signed_varint(time, out);
+}
+
+void decode_event_record(LinkDecoder& link, std::span<const std::uint8_t>& in,
+                         WireMessage& wire, std::vector<EventId>& sources,
+                         std::int64_t& time) {
+  SYNCON_REQUIRE(link.try_decode(in, wire), "undecodable event record clock");
+  const std::uint64_t count = decode_varint(in);
+  SYNCON_REQUIRE(count <= in.size(), "impossible source count");
+  sources.clear();
+  sources.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto process = decode_varint_as<ProcessId>(in);
+    sources.push_back({process, decode_varint_as<EventIndex>(in)});
+  }
+  time = decode_signed_varint(in);
+}
+
 }  // namespace syncon

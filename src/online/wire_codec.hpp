@@ -100,4 +100,20 @@ class LinkDecoder {
   bool synced_ = false;
 };
 
+/// One executed event as both logs record it — a DurableSystem WAL record
+/// is its kind byte and this, a tenant kEvent body this and its label:
+///   record := link frame of `wire` varint(#sources)
+///             { varint(source.process) varint(source.index) } zigzag(time)
+void encode_event_record(LinkEncoder& link, const WireMessage& wire,
+                         std::span<const EventId> sources, std::int64_t time,
+                         std::vector<std::uint8_t>& out);
+
+/// Consumes one record from the front of `in` into the caller's storage (a
+/// delta clock into a `wire` of the link's size and sources within their
+/// capacity allocate nothing). Throws ContractViolation on a malformed
+/// record; an undecodable link frame leaves `link` untouched.
+void decode_event_record(LinkDecoder& link, std::span<const std::uint8_t>& in,
+                         WireMessage& wire, std::vector<EventId>& sources,
+                         std::int64_t& time);
+
 }  // namespace syncon

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "store/wal.hpp"
 #include "support/contracts.hpp"
 
 namespace syncon::service {
@@ -150,17 +151,26 @@ void MonitorDaemon::resolve_runs(Shard& shard) {
     // never journaled or decoded, and ends the run it interrupts.
     if (peek_frame(arena.subspan(begin, shard.ends[i] - begin), view) !=
         PeekStatus::kOk) {
-      view.frame_size = 0;
       ++shard.quarantined;
       continue;
     }
-    if (!shard.runs.empty() && shard.runs.back().end == i &&
-        shard.runs.back().tenant == view.tenant) {
+    const bool extends = !shard.runs.empty() && shard.runs.back().end == i &&
+                         shard.runs.back().tenant == view.tenant;
+    TenantSession* session =
+        extends ? shard.runs.back().session : shard.find(view.tenant);
+    // A copy of a frame the session already applied (a resubmission after
+    // recover()): journaling it again would make every later replay
+    // quarantine it. It ends the run it interrupts too.
+    if (session != nullptr && view.seq < session->decoder.next_seq()) {
+      ++shard.duplicates;
+      continue;
+    }
+    if (extends) {
       ++shard.runs.back().end;
       continue;
     }
-    Run& run = shard.runs.emplace_back(
-        Run{view.tenant, i, i + 1, shard.find(view.tenant), {}});
+    Run& run =
+        shard.runs.emplace_back(Run{view.tenant, i, i + 1, session, {}});
     if (options_.journal != nullptr) run.object = journal_object(view.tenant);
   }
   if (options_.journal == nullptr) return;
@@ -287,27 +297,22 @@ void MonitorDaemon::recover() {
   for (const std::string& name : options_.journal->list()) {
     if (name.rfind("tenant-", 0) != 0) continue;
     const std::vector<std::uint8_t> bytes = options_.journal->read(name);
-    std::span<const std::uint8_t> in = bytes;
-    TenantSession* session = nullptr;
-    std::uint64_t tenant = 0;
-    while (!in.empty()) {
-      FrameView view;
-      if (peek_frame(in, view) != PeekStatus::kOk) {
-        // A torn or corrupt tail: replay stops at the last clean frame, and
-        // the object is cut back to it (§3.12's truncation rule), so frames
-        // journaled after this recovery follow that frame, not bytes the
-        // next replay would stop at.
-        ++corrupt_submits_;
-        options_.journal->truncate(name, bytes.size() - in.size());
-        break;
-      }
-      Shard& shard = *shards_[view.tenant % shards_.size()];
-      if (session == nullptr || view.tenant != tenant) {
-        tenant = view.tenant;
-        session = shard.find(tenant);
-      }
-      apply_frame(shard, session, view);
-      in = in.subspan(view.frame_size);
+    const std::size_t kept =
+        read_log(bytes, [this](std::span<const std::uint8_t> payload) {
+          FrameView view;
+          if (!read_header(payload, view)) return false;
+          Shard& shard = *shards_[view.tenant % shards_.size()];
+          TenantSession* session = shard.find(view.tenant);
+          apply_frame(shard, session, view);
+          return true;
+        });
+    if (kept < bytes.size()) {
+      // A torn or corrupt tail: replay stopped at the last clean frame, and
+      // the object is cut back to it (§3.12's truncation rule), so frames
+      // journaled after this recovery follow that frame, not bytes the
+      // next replay would stop at.
+      ++truncated_tails_;
+      options_.journal->truncate(name, kept);
     }
   }
 }
@@ -346,12 +351,14 @@ DaemonStats MonitorDaemon::stats() const {
   DaemonStats stats;
   stats.rejected_submits = rejected_submits_;
   stats.frames_quarantined = corrupt_submits_;
+  stats.truncated_tails = truncated_tails_;
   stats.live_log_peak = live_log_peak_;
   for (const auto& shard : shards_) {
     stats.frames_applied += shard->frames_applied;
     stats.compactions += shard->compactions;
     stats.reclaimed_events += shard->reclaimed_events;
     stats.frames_quarantined += shard->quarantined;
+    stats.duplicate_frames += shard->duplicates;
     stats.live_log_events += shard->live_log_events;
     for (const auto& [tenant, session] : shard->sessions) {
       (void)tenant;

@@ -11,10 +11,12 @@
 // owner, block b ≥ 1 on worker b − 1 — so each shard, and with it each of
 // its sessions, is drained by the same thread on every pump. The task does
 // each frame's work once, in arrival order: the CRC check (peek_frame, the
-// frame's only one), then with a journal the group commit of every clean
-// frame, then decode (into the shard's one reused TenantOp) and apply. One
-// tenant's frames are therefore always applied in order on one thread
-// (delivery determinism survives the fan-out). The task resolves each run
+// frame's only one) and the duplicate check (a hosted session's frame below
+// the seq its decoder expects was applied already), then with a journal the
+// group commit of every clean new frame, then decode (into the shard's one
+// reused TenantOp) and apply. One tenant's frames are therefore always
+// applied in order on one thread (delivery determinism survives the
+// fan-out). The task resolves each run
 // of one tenant's consecutive clean frames once — its session and its
 // journal object name — so the journal lock covers only the backend calls.
 // The arenas need no lock: submit and pump are owner-only, and the
@@ -68,16 +70,17 @@ struct DaemonOptions {
   /// sessions first.
   std::size_t memory_budget_events = 0;
   /// Optional durable frame journal: each pump appends every CRC-clean
-  /// frame to object "tenant-<id>" — one append per run of one tenant's
-  /// consecutive frames — and syncs each tenant's object once, before it
-  /// applies any of them; recover() rebuilds all sessions by replaying
-  /// those objects. A frame is durable once the pump() that applies it
-  /// returns, not when submit() accepts it: a crash in between loses the
-  /// accepted-but-unpumped frames, which the caller still holds. The
-  /// envelope doubles as the journal record format — it already carries
-  /// the CRC framing. The daemon serializes every call into the backend
-  /// (one lock per shard per pump, held only for the append and sync
-  /// calls), so it need not be thread-safe.
+  /// frame that is not a duplicate to object "tenant-<id>" — one append
+  /// per run of one tenant's consecutive frames — and syncs each tenant's
+  /// object once, before it applies any of them; recover() rebuilds all
+  /// sessions by replaying those objects. A frame is durable once the
+  /// pump() that applies it returns, not when submit() accepts it: a crash
+  /// in between loses the accepted-but-unpumped frames, which the caller
+  /// still holds and resubmits; the copies recover() already replayed are
+  /// duplicates. The envelope doubles as the journal record format — it
+  /// already carries the CRC framing. The daemon serializes every call
+  /// into the backend (one lock per shard per pump, held only for the
+  /// append and sync calls), so it need not be thread-safe.
   StorageBackend* journal = nullptr;
 };
 
@@ -94,6 +97,11 @@ struct DaemonStats {
   /// Envelope-corrupt + unroutable + out-of-sequence + session-contract
   /// rejections, summed — every way a frame can fail without killing us.
   std::uint64_t frames_quarantined = 0;
+  /// Copies of frames a hosted session already applied (seq below the one
+  /// its decoder expects, as after recover()): neither journaled nor applied.
+  std::uint64_t duplicate_frames = 0;
+  /// Journal objects recover() cut back at a torn or corrupt frame.
+  std::uint64_t truncated_tails = 0;
   std::uint64_t rejected_submits = 0;
   std::uint64_t verdicts = 0;
   std::size_t live_log_events = 0;
@@ -127,8 +135,9 @@ class MonitorDaemon {
   void pump();
 
   /// Replays the journal into fresh sessions (construct-time crash
-  /// recovery), truncating each object at its first torn or corrupt frame.
-  /// Requires a journal and no frames submitted yet.
+  /// recovery) through the log reader (read_log, store/wal.hpp), truncating
+  /// each object at its first torn or corrupt frame. Requires a journal and
+  /// no frames submitted yet.
   void recover();
 
   /// Aggregate counters; call between pumps.
@@ -183,9 +192,9 @@ class MonitorDaemon {
     std::vector<std::uint8_t> arena;
     std::vector<std::size_t> ends;
     std::vector<std::uint64_t> enqueued_us;  // per frame; 0 = telemetry off
-    // The shard task's parse of each frame (frame_size 0 = quarantined),
-    // its runs, and one run per tenant in ascending tenant id (the syncs);
-    // rebuilt by every pump, read only during it.
+    // The shard task's parse of each frame (read only for the frames of a
+    // run), its runs, and one run per tenant in ascending tenant id (the
+    // syncs); rebuilt by every pump, read only during it.
     std::vector<FrameView> views;
     std::vector<Run> runs;
     std::vector<const Run*> syncs;
@@ -205,6 +214,7 @@ class MonitorDaemon {
     std::size_t applied_live = 0;
     std::uint64_t frames_applied = 0;
     std::uint64_t quarantined = 0;
+    std::uint64_t duplicates = 0;
     std::uint64_t compactions = 0;
     std::uint64_t reclaimed_events = 0;
     /// This pump's journal failure; pump() rethrows the first, in shard
@@ -230,6 +240,7 @@ class MonitorDaemon {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t rejected_submits_ = 0;
   std::uint64_t corrupt_submits_ = 0;
+  std::uint64_t truncated_tails_ = 0;
   std::size_t live_log_peak_ = 0;
   bool any_submitted_ = false;
 };

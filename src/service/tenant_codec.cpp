@@ -1,8 +1,6 @@
 #include "service/tenant_codec.hpp"
 
-#include "store/wal.hpp"
 #include "support/contracts.hpp"
-#include "support/crc32.hpp"
 #include "support/varint.hpp"
 
 namespace syncon::service {
@@ -23,70 +21,41 @@ FrameKind frame_kind_of(TenantOp::Kind kind) {
   return FrameKind::kHello;  // unreachable
 }
 
-/// The one length-prefix scan of an envelope at `in`'s head. On kOk,
-/// `payload` spans its payload and `frame_size` counts its bytes.
-PeekStatus scan_envelope(std::span<const std::uint8_t> in,
-                         std::span<const std::uint8_t>& payload,
-                         std::size_t& frame_size) {
-  // Hand-rolled varint scan: a truncated length prefix means "need more
-  // bytes", which the throwing decoder cannot distinguish from garbage.
-  std::uint64_t length = 0;
-  unsigned shift = 0;
-  std::size_t used = 0;
-  for (;;) {
-    if (used >= in.size()) return PeekStatus::kNeedMore;
-    const std::uint8_t byte = in[used++];
-    if (shift >= 64) return PeekStatus::kCorrupt;
-    length |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) break;
-    shift += 7;
-  }
-  if (length == 0 || length > kMaxFramePayload) return PeekStatus::kCorrupt;
-  const std::size_t payload_length = static_cast<std::size_t>(length);
-  if (in.size() - used < payload_length + 4) return PeekStatus::kNeedMore;
-  payload = in.subspan(used, payload_length);
-  frame_size = used + payload_length + 4;
-  return PeekStatus::kOk;
-}
-
 }  // namespace
 
 PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out) {
   std::span<const std::uint8_t> payload;
   std::size_t frame_size = 0;
-  if (const PeekStatus status = scan_envelope(in, payload, frame_size);
-      status != PeekStatus::kOk) {
-    return status;
-  }
-  std::uint32_t stored = 0;
-  for (std::size_t b = 0; b < 4; ++b) {
-    stored |= static_cast<std::uint32_t>(in[frame_size - 4 + b]) << (8 * b);
-  }
-  if (crc32(payload) != stored) return PeekStatus::kCorrupt;
+  const PeekStatus status =
+      read_frame(in, payload, frame_size, kMaxFramePayload);
+  if (status != PeekStatus::kOk) return status;
+  return read_header(payload, out) ? PeekStatus::kOk : PeekStatus::kCorrupt;
+}
 
-  std::span<const std::uint8_t> head = payload;
-  const std::uint8_t kind = head.front();
-  head = head.subspan(1);
-  if (kind < static_cast<std::uint8_t>(FrameKind::kHello) ||
-      kind > static_cast<std::uint8_t>(FrameKind::kCheckpoint)) {
-    return PeekStatus::kCorrupt;
+bool read_header(std::span<const std::uint8_t> payload, FrameView& out) {
+  if (payload.empty() ||
+      payload.front() < static_cast<std::uint8_t>(FrameKind::kHello) ||
+      payload.front() > static_cast<std::uint8_t>(FrameKind::kCheckpoint)) {
+    return false;
   }
+  const auto kind = static_cast<FrameKind>(payload.front());
+  payload = payload.subspan(1);
   try {
-    out.tenant = decode_varint(head);
-    out.seq = decode_varint(head);
+    out.tenant = decode_varint(payload);
+    out.seq = decode_varint(payload);
   } catch (const ContractViolation&) {
-    return PeekStatus::kCorrupt;
+    return false;
   }
-  out.kind = static_cast<FrameKind>(kind);
-  out.body = head;
-  out.frame_size = frame_size;
-  return PeekStatus::kOk;
+  out.kind = kind;
+  out.body = payload;
+  return true;
 }
 
 PeekStatus peek_route(std::span<const std::uint8_t> in, std::uint64_t& tenant,
                       std::size_t& frame_size) {
   std::span<const std::uint8_t> payload;
-  if (const PeekStatus status = scan_envelope(in, payload, frame_size);
+  if (const PeekStatus status =
+          scan_frame(in, payload, frame_size, kMaxFramePayload);
       status != PeekStatus::kOk) {
     return status;
   }
@@ -149,13 +118,8 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
       encode_string(op.label2, payload);
       break;
     case TenantOp::Kind::kEvent:
-      stream.journal.encode(op.message, payload);
-      encode_varint(op.sources.size(), payload);
-      for (const EventId& s : op.sources) {
-        encode_varint(s.process, payload);
-        encode_varint(s.index, payload);
-      }
-      encode_signed_varint(op.time, payload);
+      encode_event_record(stream.journal, op.message, op.sources, op.time,
+                          payload);
       encode_string(op.label, payload);
       break;
     case TenantOp::Kind::kReport:
@@ -227,20 +191,11 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         decode_string(in, op.label2);
         break;
       }
-      case FrameKind::kEvent: {
+      case FrameKind::kEvent:
         op.kind = TenantOp::Kind::kEvent;
-        if (!journal_.try_decode(in, op.message)) return false;
-        const std::uint64_t n_sources = decode_varint(in);
-        SYNCON_REQUIRE(n_sources <= in.size(), "impossible source count");
-        op.sources.reserve(static_cast<std::size_t>(n_sources));
-        for (std::uint64_t i = 0; i < n_sources; ++i) {
-          const auto process = decode_varint_as<ProcessId>(in);
-          op.sources.push_back({process, decode_varint_as<EventIndex>(in)});
-        }
-        op.time = decode_signed_varint(in);
+        decode_event_record(journal_, in, op.message, op.sources, op.time);
         decode_string(in, op.label);
         break;
-      }
       case FrameKind::kReport: {
         op.kind = TenantOp::Kind::kReport;
         if (!report_.try_decode(in, op.message)) return false;

@@ -16,9 +16,11 @@
 // Bodies reuse the link codec: the journal (kEvent) and report (kReport)
 // streams are each one FIFO LinkEncoder/LinkDecoder pair per tenant,
 // shipping clocks as chained deltas with periodic absolute escapes. A kEvent
-// body ends with its action label; a kReport body is the link frame alone
-// (the session routes a report by its event's membership). Checkpoint
-// clocks are absolute (they are rare and must stand alone).
+// body is the event record DurableSystem's WAL writes too
+// (encode_event_record, online/wire_codec.hpp) followed by its action
+// label; a kReport body is the link frame alone (the session routes a
+// report by its event's membership). Checkpoint clocks are absolute (they
+// are rare and must stand alone).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 
 #include "online/wire_codec.hpp"
 #include "sim/soak.hpp"
+#include "store/wal.hpp"
 
 namespace syncon::service {
 
@@ -42,24 +45,17 @@ enum class FrameKind : std::uint8_t {
   kCheckpoint = 8,
 };
 
-/// Result of scanning the head of a byte stream for one envelope.
-enum class PeekStatus {
-  kOk,        ///< a whole, CRC-clean frame with a parsable header
-  kNeedMore,  ///< the buffer ends mid-envelope — feed more bytes
-  kCorrupt,   ///< bad length, CRC mismatch, or garbled header
-};
-
 /// Parsed envelope + payload header; `body` aliases the input buffer.
 struct FrameView {
   FrameKind kind = FrameKind::kHello;
   std::uint64_t tenant = 0;
   std::uint64_t seq = 0;
   std::span<const std::uint8_t> body;
-  std::size_t frame_size = 0;  ///< envelope bytes consumed from the stream
 };
 
-/// Frames larger than this are rejected as corrupt — a garbled length
-/// prefix must not make a reader buffer gigabytes waiting for "more".
+/// The wire's cap on a frame's payload: a larger length is corrupt, so a
+/// garbled length prefix cannot make a streaming reader buffer gigabytes
+/// waiting for "more". The journal, read from storage, needs no cap.
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 
 /// A hello declaring more processes is quarantined: a session holds |P|
@@ -67,15 +63,21 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 /// |P|²). Wide enough for every tenant the tools, benches and tests build.
 inline constexpr std::size_t kMaxTenantProcesses = 256;
 
-/// Stateless envelope scan of `in`'s head. On kOk fills `out`; otherwise
-/// `out` is unspecified. Never throws, never consumes.
+/// read_frame (store/wal.hpp) of `in`'s head under the wire's cap, then
+/// read_header: a garbled header is kCorrupt too. On kOk fills `out`;
+/// otherwise `out` is unspecified. Never throws, never consumes.
 PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out);
 
-/// The routing read of `in`'s head: peek_frame's length-prefix scan plus
-/// the payload's tenant varint, with no CRC check and no body parse. kOk
-/// means only that the envelope is whole and the tenant parsable — the
-/// CRC may still fail, and a flipped tenant byte reads as another tenant.
-/// On kOk fills `tenant` and `frame_size`. Never throws, never consumes.
+/// Parses a CRC-clean payload's header — kind, tenant, seq — into `out`,
+/// whose `body` then aliases the rest. Returns false on an unknown kind or
+/// a garbled varint. Never throws.
+bool read_header(std::span<const std::uint8_t> payload, FrameView& out);
+
+/// The routing read of `in`'s head: scan_frame plus the payload's tenant
+/// varint, with no CRC check and no body parse. kOk means only that the
+/// envelope is whole and the tenant parsable — the CRC may still fail, and
+/// a flipped tenant byte reads as another tenant. On kOk fills `tenant` and
+/// `frame_size`. Never throws, never consumes.
 PeekStatus peek_route(std::span<const std::uint8_t> in, std::uint64_t& tenant,
                       std::size_t& frame_size);
 
@@ -125,6 +127,9 @@ class TenantStreamDecoder {
   /// body fails to parse; the caller quarantines it. A frame that passes
   /// the sequence guard consumes its stream position either way.
   bool decode(const FrameView& frame, TenantOp& op);
+
+  /// The seq the guard expects next: every lower seq was consumed.
+  std::uint64_t next_seq() const { return expected_seq_; }
 
  private:
   LinkDecoder journal_;

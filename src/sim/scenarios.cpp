@@ -240,74 +240,6 @@ Scenario make_multimedia(const MultimediaConfig& cfg) {
   return Scenario("multimedia", std::move(exec), std::move(events));
 }
 
-Scenario make_navigation(const NavigationConfig& cfg) {
-  SYNCON_REQUIRE(cfg.vehicles >= 2 && cfg.rounds >= 1,
-                 "a convoy needs at least two vehicles and one round");
-  ExecutionBuilder b(cfg.vehicles);
-  Xoshiro256StarStar rng(cfg.seed);
-
-  struct Pending {
-    std::string label;
-    std::vector<EventId> events;
-  };
-  std::vector<Pending> intervals;
-  std::size_t leader = 0;
-
-  for (std::size_t round = 0; round < cfg.rounds; ++round) {
-    const std::string suffix = label_suffix({round});
-    const auto lead = static_cast<ProcessId>(leader);
-
-    // 1. Every vehicle takes position fixes and reports to the leader.
-    Pending fix{"fix" + suffix, {}};
-    std::vector<MessageToken> reports;
-    for (ProcessId v = 0; v < cfg.vehicles; ++v) {
-      const std::uint64_t samples = rng.burst(0.4, 3);
-      for (std::uint64_t k = 0; k < samples; ++k) {
-        fix.events.push_back(b.local(v));  // GNSS / inertial fix
-      }
-      if (v != lead) {
-        EventId tx;
-        reports.push_back(b.send(v, &tx));
-        fix.events.push_back(tx);
-      }
-    }
-    intervals.push_back(std::move(fix));
-
-    // 2. The leader fuses fixes and broadcasts the next waypoint.
-    Pending waypoint{"waypoint" + suffix, {}};
-    waypoint.events.push_back(b.receive_all(lead, reports));
-    waypoint.events.push_back(b.local(lead));  // route planning
-    EventId bcast_event;
-    const MessageToken bcast = b.send(lead, &bcast_event);
-    waypoint.events.push_back(bcast_event);
-    intervals.push_back(std::move(waypoint));
-
-    // 3. Vehicles maneuver onto the waypoint.
-    Pending maneuver{"maneuver" + suffix, {}};
-    for (ProcessId v = 0; v < cfg.vehicles; ++v) {
-      if (v != lead) maneuver.events.push_back(b.receive(v, bcast));
-      maneuver.events.push_back(b.local(v));  // course correction
-    }
-    intervals.push_back(std::move(maneuver));
-
-    // Leader handoff: the outgoing leader transfers convoy state.
-    if (cfg.handoff_period != 0 && (round + 1) % cfg.handoff_period == 0) {
-      const std::size_t next = (leader + 1) % cfg.vehicles;
-      const MessageToken state = b.send(lead);
-      b.receive(static_cast<ProcessId>(next), state);
-      leader = next;
-    }
-  }
-
-  auto exec = std::make_shared<const Execution>(b.build());
-  std::vector<NonatomicEvent> events;
-  events.reserve(intervals.size());
-  for (Pending& p : intervals) {
-    events.emplace_back(*exec, std::move(p.events), std::move(p.label));
-  }
-  return Scenario("navigation", std::move(exec), std::move(events));
-}
-
 Scenario make_figure2() {
   ExecutionBuilder b(4);
   std::vector<EventId> xs;

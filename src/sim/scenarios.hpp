@@ -71,19 +71,6 @@ struct MultimediaConfig {
 };
 Scenario make_multimedia(const MultimediaConfig& cfg = {});
 
-/// Convoy navigation (the introduction's terrestrial/undersea/aerial
-/// navigation motif): vehicles take position fixes and report to the
-/// current leader, which computes and broadcasts the next waypoint; the
-/// leader role rotates every `handoff_period` rounds. Intervals per round
-/// k: fix/k (all vehicles), waypoint/k (leader), maneuver/k (all vehicles).
-struct NavigationConfig {
-  std::size_t vehicles = 4;
-  std::size_t rounds = 5;
-  std::size_t handoff_period = 2;
-  std::uint64_t seed = 17;
-};
-Scenario make_navigation(const NavigationConfig& cfg = {});
-
 /// A replica of the paper's Figure 2/3 setting: a four-node execution whose
 /// eight-event poset "X" is chained by messages 0→1→2→3, making the four
 /// cuts C1(X)..C4(X) (and the proxy cuts of Figure 3) pairwise distinct.

@@ -9,7 +9,6 @@
 #include "obs/telemetry.hpp"
 #include "store/snapshot.hpp"
 #include "support/contracts.hpp"
-#include "support/varint.hpp"
 
 namespace syncon {
 
@@ -62,16 +61,18 @@ DurableSystem::DurableSystem(std::size_t process_count,
   const std::vector<Store::RecoveredRecord> records = store_.take_records();
   stats_.recovered = store_.recovery().snapshot.has_value() ||
                      store_.recovery().segments_scanned > 0;
-  if (store_.recovery().snapshot.has_value()) {
-    const SnapshotImage& image = *store_.recovery().snapshot;
-    SYNCON_REQUIRE(image.process_count == process_count,
-                   "snapshot covers " + std::to_string(image.process_count) +
+  if (const auto& checkpoint = store_.recovery().snapshot) {
+    SYNCON_REQUIRE(checkpoint->cut.size() == process_count,
+                   "snapshot covers " + std::to_string(checkpoint->cut.size()) +
                        " processes, this system has " +
                        std::to_string(process_count));
-    system_.restore_checkpoint(image.checkpoint);
+    system_.restore_checkpoint(*checkpoint);
   }
   LinkDecoder decoder(process_count);
   std::uint64_t segment = std::numeric_limits<std::uint64_t>::max();
+  WireMessage wire;
+  std::vector<EventId> sources;
+  std::int64_t time = 0;
   for (const Store::RecoveredRecord& record : records) {
     if (record.segment != segment) {
       // Writers reset their encoder at segment boundaries, so every
@@ -84,20 +85,7 @@ DurableSystem::DurableSystem(std::size_t process_count,
       SYNCON_REQUIRE(!in.empty() && in.front() == kEvent,
                      "not a system WAL record");
       in = in.subspan(1);
-      WireMessage wire;
-      SYNCON_REQUIRE(decoder.try_decode(in, wire),
-                     "undecodable journaled wire frame");
-      const std::uint64_t nsources = decode_varint(in);
-      SYNCON_REQUIRE(nsources <= in.size(), "impossible source count");
-      std::vector<EventId> sources;
-      sources.reserve(static_cast<std::size_t>(nsources));
-      for (std::uint64_t i = 0; i < nsources; ++i) {
-        EventId src;
-        src.process = decode_varint_as<ProcessId>(in);
-        src.index = decode_varint_as<EventIndex>(in);
-        sources.push_back(src);
-      }
-      const std::int64_t time = decode_signed_varint(in);
+      decode_event_record(decoder, in, wire, sources, time);
       SYNCON_REQUIRE(in.empty(), "trailing bytes in WAL record");
       if (system_.restore_event(wire.source, wire.clock, sources, time)) {
         ++stats_.events_replayed;
@@ -118,20 +106,12 @@ void DurableSystem::journal_event(EventId e) {
     encoder_.reset();  // first frame of a segment must be absolute
     encoder_segment_ = seg;
   }
-  std::vector<std::uint8_t> body;
-  body.push_back(kEvent);
-  encoder_.encode(system_.wire_of(e), body);
   const std::span<const EventId> sources = system_.sources_of(e);
-  encode_varint(sources.size(), body);
-  std::vector<EventId> touches;
-  touches.reserve(sources.size() + 1);
-  touches.push_back(e);
-  for (const EventId& src : sources) {
-    encode_varint(src.process, body);
-    encode_varint(src.index, body);
-    touches.push_back(src);
-  }
-  encode_signed_varint(system_.time_of(e), body);
+  std::vector<std::uint8_t> body{kEvent};
+  encode_event_record(encoder_, system_.wire_of(e), sources, system_.time_of(e),
+                      body);
+  std::vector<EventId> touches{e};
+  touches.insert(touches.end(), sources.begin(), sources.end());
   store_.append(body, touches);
 }
 
@@ -183,8 +163,7 @@ std::size_t DurableSystem::compact(const VectorClock& watermark) {
 }
 
 void DurableSystem::snapshot_now() {
-  store_.write_snapshot(
-      SnapshotImage{process_count(), system_.checkpoint()});
+  store_.write_snapshot(system_.checkpoint());
 }
 
 }  // namespace syncon

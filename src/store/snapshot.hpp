@@ -4,7 +4,7 @@
 // below the cut", Lemma 16's recovery point). A snapshot file is a magic
 // header followed by one CRC-framed payload, so a torn or bit-flipped
 // snapshot is rejected as a whole and recovery falls back to the previous
-// one (or the bottom checkpoint).
+// one (or the bottom checkpoint). The process count is the cut's size.
 #pragma once
 
 #include <cstdint>
@@ -16,17 +16,13 @@
 
 namespace syncon {
 
-struct SnapshotImage {
-  std::size_t process_count = 0;
-  RetentionCheckpoint checkpoint;
-};
-
-/// Serializes the image: magic, then one CRC frame (store/wal.hpp).
-std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& image);
+/// Serializes the checkpoint: magic, then one CRC frame (store/wal.hpp).
+std::vector<std::uint8_t> encode_snapshot(
+    const RetentionCheckpoint& checkpoint);
 
 /// Decodes a snapshot file; nullopt on bad magic, truncation, CRC mismatch
 /// or malformed payload — the caller falls back to an older snapshot.
-std::optional<SnapshotImage> decode_snapshot(
+std::optional<RetentionCheckpoint> decode_snapshot(
     std::span<const std::uint8_t> bytes);
 
 }  // namespace syncon

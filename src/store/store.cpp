@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -118,9 +117,9 @@ void Store::scan_existing() {
       continue;
     }
     const std::vector<std::uint8_t> bytes = storage_.read(*it);
-    if (auto image = decode_snapshot(bytes)) {
-      recovery_.snapshot = std::move(image);
-      durable_cut_ = recovery_.snapshot->checkpoint.cut;
+    if (auto checkpoint = decode_snapshot(bytes)) {
+      recovery_.snapshot = std::move(checkpoint);
+      durable_cut_ = recovery_.snapshot->cut;
       snapshot_files_.insert(snapshot_files_.begin(), *it);
     } else {
       ++recovery_.snapshots_discarded;
@@ -141,56 +140,42 @@ void Store::scan_existing() {
       continue;
     }
     const std::vector<std::uint8_t> bytes = storage_.read(name);
-    FrameReader reader(bytes);
     SegmentMeta meta;
     meta.seq = seq;
     meta.name = name;
     meta.bound.assign(process_count_, 0);
-    std::size_t frame_start = 0;
-    while (true) {
-      frame_start = reader.valid_bytes();
-      const auto frame = reader.next();
-      if (!frame) break;
-      RecoveredRecord record;
-      record.segment = seq;
-      try {
-        std::span<const std::uint8_t> in = *frame;
-        const std::uint64_t nbounds = decode_varint(in);
-        SYNCON_REQUIRE(nbounds <= in.size(),
-                       "impossible retention bound count");
-        std::vector<EventId> touches;
-        touches.reserve(static_cast<std::size_t>(nbounds));
-        for (std::uint64_t i = 0; i < nbounds; ++i) {
-          const std::uint64_t process = decode_varint(in);
-          const std::uint64_t index = decode_varint(in);
-          SYNCON_REQUIRE(process < process_count_ &&
-                             index <= std::numeric_limits<EventIndex>::max(),
-                         "retention header names an impossible event");
-          touches.push_back({static_cast<ProcessId>(process),
-                             static_cast<EventIndex>(index)});
-        }
-        record.body.assign(in.begin(), in.end());
-        merge_bound(meta, touches);
-      } catch (const ContractViolation&) {
-        // A CRC-valid frame with a malformed retention header: treat it as
-        // the first invalid frame and apply the same truncation rule.
-        cut = true;
-        break;
-      }
-      ++meta.records;
-      ++recovery_.records;
-      recovered_records_.push_back(std::move(record));
-    }
-    cut = cut || reader.corrupt();
-    const std::size_t keep = cut ? frame_start : reader.valid_bytes();
+    const std::size_t keep =
+        read_log(bytes, [&](std::span<const std::uint8_t> in) {
+          // A CRC-valid frame with a malformed retention header is the
+          // first invalid frame too: the same truncation rule applies.
+          std::vector<EventId> touches;
+          try {
+            const std::uint64_t nbounds = decode_varint(in);
+            SYNCON_REQUIRE(nbounds <= in.size(),
+                           "impossible retention bound count");
+            for (std::uint64_t i = 0; i < nbounds; ++i) {
+              const auto process = decode_varint_as<ProcessId>(in);
+              SYNCON_REQUIRE(process < process_count_,
+                             "retention header names a foreign process");
+              touches.push_back({process, decode_varint_as<EventIndex>(in)});
+            }
+          } catch (const ContractViolation&) {
+            return false;
+          }
+          merge_bound(meta, touches);
+          ++recovery_.records;
+          recovered_records_.push_back({seq, {in.begin(), in.end()}});
+          return true;
+        });
     if (keep < bytes.size()) {
+      cut = true;
       recovery_.truncated = true;
       recovery_.truncated_bytes += bytes.size() - keep;
       if (obs::enabled()) corrupt_counter().add();
       storage_.truncate(name, keep);
     }
     ++recovery_.segments_scanned;
-    if (keep == 0 && meta.records == 0) {
+    if (keep == 0) {
       storage_.remove(name);  // nothing survived; drop the empty shell
     } else {
       segments_.push_back(std::move(meta));
@@ -244,7 +229,6 @@ void Store::append(std::span<const std::uint8_t> body,
   SegmentMeta& open = segments_.back();
   storage_.append(open.name, frame);
   merge_bound(open, touches);
-  ++open.records;
   ++open_records_;
   ++unsynced_records_;
   ++records_appended_;
@@ -280,26 +264,26 @@ void Store::rotate() {
               segments_.back().seq);
 }
 
-void Store::write_snapshot(const SnapshotImage& image) {
+void Store::write_snapshot(const RetentionCheckpoint& checkpoint) {
   // Log-before-checkpoint: the snapshot's cut vouches for (and forgives)
   // state derived from every record written so far, so those records must
   // be durable first — a snapshot that outlives an unsynced record it
   // reflects would suppress its replay as a duplicate after recovery.
   sync();
-  const std::vector<std::uint8_t> bytes = encode_snapshot(image);
+  const std::vector<std::uint8_t> bytes = encode_snapshot(checkpoint);
   const std::string name = seq_name(kSnapPrefix, next_snapshot_seq_++);
   storage_.append(name, bytes);
   storage_.sync(name);
   ++syncs_;
   ++snapshots_written_;
   snapshot_files_.push_back(name);
-  durable_cut_ = image.checkpoint.cut;
+  durable_cut_ = checkpoint.cut;
   if (obs::enabled()) {
     fsync_counter().add();
     snapshot_counter().add();
   }
   obs::flight(obs::FlightKind::kSnapshot, obs::FlightRecord::kNoProcess,
-              image.checkpoint.sequence);
+              checkpoint.sequence);
   prune();
   // Keep the newest two snapshots: the newest may be the one torn by the
   // next crash, and its predecessor is the fallback.

@@ -9,9 +9,9 @@
 //                record format. Closed segments are synced
 //                at rotation, so the only segment that can be lost or torn
 //                by a crash is the open one.
-//   snap-<seq>   a serialized SnapshotImage (store/snapshot.hpp). The two
-//                newest are retained so a snapshot torn by a crash falls
-//                back to its predecessor.
+//   snap-<seq>   a serialized RetentionCheckpoint (store/snapshot.hpp).
+//                The two newest are retained so a snapshot torn by a crash
+//                falls back to its predecessor.
 //
 // Retention invariant: a segment is pruned only when a *durable* snapshot's
 // cut covers every event id any of its records references — everything a
@@ -22,11 +22,12 @@
 //
 // Recovery (runs in the constructor when the storage is non-empty): load
 // the newest CRC-valid snapshot (falling back across torn ones), then scan
-// the retained segments in order, stopping at the first invalid frame — the
-// truncation rule: the torn segment is cut back to its last valid frame and
-// every later segment is dropped, because an append-only log says nothing
-// trustworthy past its first corruption. The surviving record bodies are
-// handed to the consumer (store/durable.hpp) for replay.
+// the retained segments in order with the log reader (read_log), stopping
+// at the first invalid frame — the truncation rule: the torn segment is cut
+// back to its last valid frame and every later segment is dropped, because
+// an append-only log says nothing trustworthy past its first corruption.
+// The surviving record bodies are handed to the consumer
+// (store/durable.hpp) for replay.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +69,8 @@ class Store {
 
   /// What the opening scan found.
   struct RecoveryInfo {
-    std::optional<SnapshotImage> snapshot;  // newest CRC-valid snapshot
-    std::size_t snapshots_discarded = 0;    // torn/corrupt snapshots skipped
+    std::optional<RetentionCheckpoint> snapshot;  // newest CRC-valid one
+    std::size_t snapshots_discarded = 0;  // torn/corrupt snapshots skipped
     std::size_t segments_scanned = 0;
     std::size_t records = 0;
     bool truncated = false;  // an invalid frame cut the scan short
@@ -105,7 +106,7 @@ class Store {
   /// Writes a durable snapshot, then prunes every leading segment whose
   /// records all fall inside the snapshot cut, and garbage-collects
   /// all but the two newest snapshot files.
-  void write_snapshot(const SnapshotImage& image);
+  void write_snapshot(const RetentionCheckpoint& checkpoint);
 
   /// Cut of the newest durable snapshot (empty clock before any).
   const VectorClock& durable_cut() const { return durable_cut_; }
@@ -124,7 +125,6 @@ class Store {
     // Max referenced event index per process (0 = none), one entry per
     // process — prunable once the durable cut covers them all.
     std::vector<EventIndex> bound;
-    std::size_t records = 0;
   };
 
   void scan_existing();

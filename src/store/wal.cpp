@@ -1,11 +1,13 @@
 #include "store/wal.hpp"
 
+#include "support/contracts.hpp"
 #include "support/varint.hpp"
 
 namespace syncon {
 
 std::size_t append_frame(std::span<const std::uint8_t> payload,
                          std::vector<std::uint8_t>& out) {
+  SYNCON_REQUIRE(!payload.empty(), "a frame's payload is never empty");
   const std::size_t start = out.size();
   encode_varint(payload.size(), out);
   out.insert(out.end(), payload.begin(), payload.end());
@@ -15,40 +17,6 @@ std::size_t append_frame(std::span<const std::uint8_t> payload,
   out.push_back(static_cast<std::uint8_t>(crc >> 16));
   out.push_back(static_cast<std::uint8_t>(crc >> 24));
   return out.size() - start;
-}
-
-std::optional<std::span<const std::uint8_t>> FrameReader::next() {
-  if (done_ || cursor_.empty()) {
-    done_ = true;
-    return std::nullopt;
-  }
-  // Parse on a scratch cursor; commit only a fully valid frame, so
-  // valid_bytes() always points at a frame boundary.
-  std::span<const std::uint8_t> probe = cursor_;
-  std::uint64_t length = 0;
-  try {
-    length = decode_varint(probe);
-  } catch (const ContractViolation&) {
-    corrupt_ = done_ = true;  // truncated or malformed length prefix
-    return std::nullopt;
-  }
-  if (length + 4 > probe.size()) {
-    corrupt_ = done_ = true;  // payload or checksum runs past the buffer
-    return std::nullopt;
-  }
-  const std::span<const std::uint8_t> payload = probe.first(length);
-  const std::span<const std::uint8_t> tail = probe.subspan(length, 4);
-  const std::uint32_t stored = static_cast<std::uint32_t>(tail[0]) |
-                               (static_cast<std::uint32_t>(tail[1]) << 8) |
-                               (static_cast<std::uint32_t>(tail[2]) << 16) |
-                               (static_cast<std::uint32_t>(tail[3]) << 24);
-  if (crc32(payload) != stored) {
-    corrupt_ = done_ = true;
-    return std::nullopt;
-  }
-  cursor_ = probe.subspan(length + 4);
-  ++frames_;
-  return payload;
 }
 
 }  // namespace syncon

@@ -54,20 +54,26 @@ TextTable& TextTable::add_cell(bool value) {
 }
 
 void TextTable::print(std::ostream& os) const {
+  // Columns a UTF-8 cell takes: continuation bytes (10xxxxxx) take none.
+  const auto display_width = [](const std::string& cell) {
+    return static_cast<std::size_t>(std::count_if(
+        cell.begin(), cell.end(), [](char c) { return (c & 0xC0) != 0x80; }));
+  };
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
+    widths[c] = display_width(headers_[c]);
   }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], display_width(row[c]));
     }
   }
   auto print_row = [&](const std::vector<std::string>& cells) {
     os << "|";
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string& cell = c < cells.size() ? cells[c] : std::string{};
-      os << ' ' << cell << std::string(widths[c] - cell.size(), ' ') << " |";
+      os << ' ' << cell << std::string(widths[c] - display_width(cell), ' ')
+         << " |";
     }
     os << '\n';
   };

@@ -26,7 +26,7 @@ class TextTable {
   TextTable& add_cell(bool value);
 
   /// Renders the table with a header rule; every column is padded to its
-  /// widest cell.
+  /// widest cell, counting UTF-8 code points (a "µ" takes one column).
   void print(std::ostream& os) const;
   std::string to_string() const;
 

@@ -533,7 +533,7 @@ TEST(RetentionTest, CrashBeforeSnapshotDurableFallsBackToPriorSnapshot) {
   const auto& info = recovered->store().recovery();
   ASSERT_TRUE(info.snapshot.has_value());
   // Fell back to the prior snapshot, paid for with a longer replayed tail.
-  EXPECT_EQ(info.snapshot->checkpoint.cut, first_cut);
+  EXPECT_EQ(info.snapshot->cut, first_cut);
   EXPECT_GT(recovered->recovery().events_replayed, 0u);
 
   // No divergence: every live clock matches the never-compacted oracle,

@@ -169,46 +169,6 @@ TEST(MobileScenarioTest, SessionsOfDifferentHostsMostlyConcurrent) {
   EXPECT_FALSE(m.check("R4(L,U)", "session/1/0", "session/0/0"));
 }
 
-TEST(NavigationScenarioTest, WaypointCycleIsOrdered) {
-  const Scenario s = make_navigation({});
-  const SyncMonitor m = monitor_for(s);
-  const RelationId fully_before{Relation::R1, ProxyKind::End,
-                                ProxyKind::Begin};
-  for (int k = 0; k < 5; ++k) {
-    const std::string suffix = "/" + std::to_string(k);
-    const auto fix = m.handle("fix" + suffix);
-    const auto waypoint = m.handle("waypoint" + suffix);
-    const auto maneuver = m.handle("maneuver" + suffix);
-    // Every fix precedes the waypoint computation, which precedes every
-    // maneuver of the round.
-    EXPECT_TRUE(m.evaluator().holds(fully_before, fix, waypoint)) << k;
-    EXPECT_TRUE(m.evaluator().holds(fully_before, waypoint, maneuver)) << k;
-  }
-}
-
-TEST(NavigationScenarioTest, WaypointsSerializeAcrossLeaderHandoffs) {
-  const Scenario s = make_navigation({});
-  const SyncMonitor m = monitor_for(s);
-  // waypoint/k is computed from fixes that follow maneuver/k-1 on the
-  // leader... at minimum, consecutive waypoints are causally ordered via
-  // the broadcast/collect cycle, across the rotating leadership.
-  for (int k = 0; k + 1 < 5; ++k) {
-    const auto a = m.handle("waypoint/" + std::to_string(k));
-    const auto b = m.handle("waypoint/" + std::to_string(k + 1));
-    EXPECT_TRUE(m.evaluator().holds(
-        {Relation::R1, ProxyKind::End, ProxyKind::Begin}, a, b))
-        << k;
-  }
-}
-
-TEST(NavigationScenarioTest, FixesOfOneRoundSpanAllVehicles) {
-  NavigationConfig cfg;
-  cfg.vehicles = 5;
-  const Scenario s = make_navigation(cfg);
-  EXPECT_EQ(s.interval("fix/0").node_count(), 5u);
-  EXPECT_EQ(s.interval("waypoint/0").node_count(), 1u);
-}
-
 TEST(ScenarioTest, IntervalLookupByLabel) {
   const Scenario s = make_air_defense({});
   EXPECT_EQ(s.interval("track/1").label(), "track/1");

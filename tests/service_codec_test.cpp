@@ -20,7 +20,6 @@ namespace {
 
 using service::FrameKind;
 using service::FrameView;
-using service::PeekStatus;
 using service::TenantFrameEncoder;
 using service::TenantStreamDecoder;
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@ using service::DaemonOptions;
 using service::DaemonStats;
 using service::FrameView;
 using service::MonitorDaemon;
-using service::PeekStatus;
 using service::ServiceLoadConfig;
 using service::ServiceLoadResult;
 using service::TenantFrameEncoder;
@@ -580,6 +580,7 @@ TEST(ServiceDaemonTest, RecoveryCutsATornTailBeforeLaterFrames) {
   const std::vector<std::vector<std::uint8_t>> frames =
       encode_frames(encoder, 0, generate_tenant_script(faulty_workload()));
   ThreadPool pool(1);
+  std::uint64_t duplicates = 0, truncated = 0;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     SCOPED_TRACE(seed);
     SimFaultConfig faults;
@@ -611,6 +612,8 @@ TEST(ServiceDaemonTest, RecoveryCutsATornTailBeforeLaterFrames) {
     }
     ASSERT_TRUE(crashed);
     ASSERT_FALSE(daemon->verdicts(0).empty());
+    duplicates += daemon->stats().duplicate_frames;
+    truncated += daemon->stats().truncated_tails;
 
     storage.crash();
     MonitorDaemon restarted(options, pool);
@@ -618,7 +621,27 @@ TEST(ServiceDaemonTest, RecoveryCutsATornTailBeforeLaterFrames) {
     EXPECT_EQ(restarted.verdicts(0), daemon->verdicts(0));
     EXPECT_EQ(restarted.stats().frames_applied,
               daemon->stats().frames_applied);
+    EXPECT_EQ(restarted.stats().frames_quarantined,
+              daemon->stats().frames_quarantined);
+
+    // No seq is journaled twice: the resubmitted copies of the frames the
+    // recovery replayed were skipped, not appended behind them again.
+    std::vector<std::uint64_t> seqs;
+    read_log(storage.read("tenant-0"),
+             [&seqs](std::span<const std::uint8_t> payload) {
+               FrameView view;
+               EXPECT_TRUE(service::read_header(payload, view));
+               seqs.push_back(view.seq);
+               return true;
+             });
+    std::sort(seqs.begin(), seqs.end());
+    EXPECT_EQ(std::adjacent_find(seqs.begin(), seqs.end()), seqs.end());
+    EXPECT_EQ(seqs.size(), frames.size());
   }
+  // The scenario exercises both: some torn tail kept frames no pump
+  // acknowledged, and every cut is counted apart from quarantine.
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(truncated, 0u);
 }
 
 /// A StorageBackend over a SimStorage that records every append (object

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cuts/watermark.hpp"
@@ -27,20 +29,45 @@ std::vector<std::uint8_t> bytes_of(std::initializer_list<int> values) {
 
 // --- WAL framing -----------------------------------------------------------
 
+/// The payload sizes read_log hands over, and the bytes it keeps.
+std::pair<std::vector<std::size_t>, std::size_t> read_sizes(
+    std::span<const std::uint8_t> log) {
+  std::vector<std::size_t> sizes;
+  const std::size_t kept = read_log(log, [&](std::span<const std::uint8_t> p) {
+    sizes.push_back(p.size());
+    return true;
+  });
+  return {sizes, kept};
+}
+
+/// A ten-byte length prefix of 2^64 - 1 and eight more bytes: `length + 4`
+/// wraps to 3 in 64 bits, which a reader that adds before it compares
+/// takes for a frame that fits.
+const std::vector<std::uint8_t> kWrappingFrame = bytes_of(
+    {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0,
+     0, 0, 0, 0});
+
 TEST(WalTest, FramesRoundTrip) {
   std::vector<std::uint8_t> log;
   append_frame(bytes_of({1, 2, 3}), log);
-  append_frame(bytes_of({}), log);
   append_frame(bytes_of({0xff, 0x00}), log);
 
-  FrameReader reader(log);
-  ASSERT_TRUE(reader.next().has_value());
-  EXPECT_EQ(reader.next()->size(), 0u);
-  EXPECT_EQ(reader.next()->size(), 2u);
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_FALSE(reader.corrupt());
-  EXPECT_EQ(reader.valid_bytes(), log.size());
-  EXPECT_EQ(reader.frames_read(), 3u);
+  const auto [sizes, kept] = read_sizes(log);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{3, 2}));
+  EXPECT_EQ(kept, log.size());
+}
+
+// Every log's payload opens with a header, so an empty one is refused on
+// write and corrupt on read.
+TEST(WalTest, EmptyPayloadsAreNeverFramed) {
+  std::vector<std::uint8_t> log;
+  EXPECT_THROW(append_frame(bytes_of({}), log), ContractViolation);
+  EXPECT_TRUE(log.empty());
+  const std::vector<std::uint8_t> empty = bytes_of({0, 0, 0, 0, 0});
+  std::span<const std::uint8_t> payload;
+  std::size_t size = 0;
+  EXPECT_EQ(read_frame(empty, payload, size), PeekStatus::kCorrupt);
+  EXPECT_EQ(read_sizes(empty).second, 0u);
 }
 
 TEST(WalTest, BitFlipStopsTheScanAtTheLastValidFrame) {
@@ -50,12 +77,13 @@ TEST(WalTest, BitFlipStopsTheScanAtTheLastValidFrame) {
   append_frame(bytes_of({4, 5, 6}), log);
   log[first + 2] ^= 0x10;  // corrupt the second frame's payload
 
-  FrameReader reader(log);
-  ASSERT_TRUE(reader.next().has_value());
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_TRUE(reader.corrupt());
-  EXPECT_EQ(reader.valid_bytes(), first);  // truncation offset
-  EXPECT_EQ(reader.frames_read(), 1u);
+  const auto [sizes, kept] = read_sizes(log);
+  EXPECT_EQ(sizes.size(), 1u);
+  EXPECT_EQ(kept, first);  // truncation offset
+  std::span<const std::uint8_t> payload;
+  std::size_t size = 0;
+  EXPECT_EQ(read_frame(std::span(log).subspan(first), payload, size),
+            PeekStatus::kCorrupt);
 }
 
 TEST(WalTest, TornLengthPrefixIsCorrupt) {
@@ -64,11 +92,22 @@ TEST(WalTest, TornLengthPrefixIsCorrupt) {
   const std::size_t first = log.size();
   log.push_back(0x20);  // a length byte promising 32 bytes that never come
 
-  FrameReader reader(log);
-  ASSERT_TRUE(reader.next().has_value());
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_TRUE(reader.corrupt());
-  EXPECT_EQ(reader.valid_bytes(), first);
+  const auto [sizes, kept] = read_sizes(log);
+  EXPECT_EQ(sizes.size(), 1u);
+  EXPECT_EQ(kept, first);
+  std::span<const std::uint8_t> payload;
+  std::size_t size = 0;
+  EXPECT_EQ(read_frame(std::span(log).subspan(first), payload, size),
+            PeekStatus::kNeedMore);
+}
+
+TEST(WalTest, ALengthWhoseSumWrapsIsNeverAFrame) {
+  std::span<const std::uint8_t> payload;
+  std::size_t size = 0;
+  EXPECT_EQ(read_frame(kWrappingFrame, payload, size), PeekStatus::kNeedMore);
+  EXPECT_EQ(scan_frame(kWrappingFrame, payload, size, 1u << 20),
+            PeekStatus::kCorrupt);  // a capped reader does not wait for it
+  EXPECT_EQ(read_sizes(kWrappingFrame).second, 0u);
 }
 
 // --- snapshot serialization ------------------------------------------------
@@ -85,21 +124,18 @@ RetentionCheckpoint sample_checkpoint() {
 }
 
 TEST(SnapshotTest, RoundTrips) {
-  const SnapshotImage image{3, sample_checkpoint()};
-  const std::vector<std::uint8_t> bytes = encode_snapshot(image);
-  const auto decoded = decode_snapshot(bytes);
+  const RetentionCheckpoint checkpoint = sample_checkpoint();
+  const auto decoded = decode_snapshot(encode_snapshot(checkpoint));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->process_count, 3u);
-  EXPECT_EQ(decoded->checkpoint.cut, image.checkpoint.cut);
-  EXPECT_EQ(decoded->checkpoint.surface_clocks, image.checkpoint.surface_clocks);
-  EXPECT_EQ(decoded->checkpoint.surface_times, image.checkpoint.surface_times);
-  EXPECT_EQ(decoded->checkpoint.sequence, 5u);
-  EXPECT_EQ(decoded->checkpoint.reclaimed_total, 4u);
+  EXPECT_EQ(decoded->cut, checkpoint.cut);
+  EXPECT_EQ(decoded->surface_clocks, checkpoint.surface_clocks);
+  EXPECT_EQ(decoded->surface_times, checkpoint.surface_times);
+  EXPECT_EQ(decoded->sequence, 5u);
+  EXPECT_EQ(decoded->reclaimed_total, 4u);
 }
 
 TEST(SnapshotTest, RejectsTornAndFlippedBytesWholesale) {
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(SnapshotImage{3, sample_checkpoint()});
+  const std::vector<std::uint8_t> bytes = encode_snapshot(sample_checkpoint());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_FALSE(decode_snapshot({bytes.data(), cut}).has_value());
   }
@@ -108,6 +144,47 @@ TEST(SnapshotTest, RejectsTornAndFlippedBytesWholesale) {
     flipped[i] ^= 0x04;
     EXPECT_FALSE(decode_snapshot(flipped).has_value()) << "byte " << i;
   }
+}
+
+TEST(SnapshotTest, RejectsAFrameWhoseLengthWraps) {
+  std::vector<std::uint8_t> bytes = {'S', 'Y', 's', 'n', 'a', 'p', 1};
+  bytes.insert(bytes.end(), kWrappingFrame.begin(), kWrappingFrame.end());
+  EXPECT_FALSE(decode_snapshot(bytes).has_value());
+}
+
+/// A checkpoint of `n` processes whose surface clocks are all distinct.
+RetentionCheckpoint wide_checkpoint(std::size_t n) {
+  RetentionCheckpoint cp = RetentionCheckpoint::bottom(n);
+  std::vector<ClockValue> cut(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    cut[p] = static_cast<ClockValue>(p % 7 + 1);
+    cp.surface_clocks[p].set(p, static_cast<ClockValue>(p + 1));
+    cp.surface_times[p] = static_cast<std::int64_t>(p) * 3;
+  }
+  cp.cut = VectorClock(cut);
+  cp.sequence = 9;
+  return cp;
+}
+
+// At |P| = 1024 a snapshot holds 1024 surface clocks of 1024 components,
+// over the wire's 1 MiB frame cap: a stored log is bounded by its bytes.
+TEST(SnapshotTest, AThousandProcessCheckpointRoundTrips) {
+  const RetentionCheckpoint checkpoint = wide_checkpoint(1024);
+  const std::vector<std::uint8_t> bytes = encode_snapshot(checkpoint);
+  EXPECT_GT(bytes.size(), std::size_t{1} << 20);
+  const auto decoded = decode_snapshot(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->cut, checkpoint.cut);
+  EXPECT_EQ(decoded->surface_clocks, checkpoint.surface_clocks);
+  EXPECT_EQ(decoded->surface_times, checkpoint.surface_times);
+
+  SimStorage storage;
+  Store(storage, 1024).write_snapshot(checkpoint);
+  const Store recovered(storage, 1024);
+  ASSERT_TRUE(recovered.recovery().snapshot.has_value());
+  EXPECT_EQ(recovered.recovery().snapshot->surface_clocks,
+            checkpoint.surface_clocks);
+  EXPECT_EQ(recovered.recovery().snapshots_discarded, 0u);
 }
 
 // --- SimStorage crash model ------------------------------------------------
@@ -203,10 +280,9 @@ TEST(StoreTest, RecoveryTruncatesAtFirstInvalidFrameAndDropsLaterSegments) {
   // first segment whole, keep the second's first record, and drop the third
   // segment entirely.
   const std::string& victim = segments[1];
-  std::vector<std::uint8_t> raw = storage.read(victim);
-  FrameReader probe(raw);
-  ASSERT_TRUE(probe.next().has_value());
-  const std::size_t keep = probe.valid_bytes();
+  std::span<const std::uint8_t> payload;
+  std::size_t keep = 0;
+  ASSERT_EQ(read_frame(storage.read(victim), payload, keep), PeekStatus::kOk);
   storage.flip_bit(victim, keep + 3, 2);
 
   Store recovered(storage, 2, tight_policy());
@@ -262,6 +338,20 @@ TEST(StoreTest, RecoveryTruncatesAtAnOutOfRangeRetentionProcess) {
   }
 }
 
+// The crafted segment a reader that computes `length + 4` takes for a
+// frame: recovery truncates it away instead of reading past the buffer.
+TEST(StoreTest, RecoveryTruncatesASegmentWhoseLengthWraps) {
+  SimStorage storage;
+  storage.append("wal-000000000000", kWrappingFrame);
+  storage.sync("wal-000000000000");
+  Store recovered(storage, 2);
+  const auto& info = recovered.recovery();
+  EXPECT_TRUE(info.truncated);
+  EXPECT_EQ(info.truncated_bytes, kWrappingFrame.size());
+  EXPECT_EQ(info.records, 0u);
+  EXPECT_FALSE(storage.exists("wal-000000000000"));
+}
+
 TEST(StoreTest, AppendRejectsAProcessOutsideTheStore) {
   SimStorage storage;
   Store store(storage, 2, tight_policy());
@@ -277,10 +367,10 @@ TEST(StoreTest, SnapshotFallsBackPastACorruptNewestOne) {
     RetentionCheckpoint cp = RetentionCheckpoint::bottom(2);
     cp.cut = VectorClock({2, 1});
     cp.sequence = 1;
-    store.write_snapshot(SnapshotImage{2, cp});
+    store.write_snapshot(cp);
     cp.cut = VectorClock({3, 1});
     cp.sequence = 2;
-    store.write_snapshot(SnapshotImage{2, cp});
+    store.write_snapshot(cp);
   }
   // Corrupt the newest snapshot file; recovery must fall back to sequence 1.
   std::string newest;
@@ -293,7 +383,7 @@ TEST(StoreTest, SnapshotFallsBackPastACorruptNewestOne) {
   Store recovered(storage, 2, tight_policy());
   const auto& info = recovered.recovery();
   ASSERT_TRUE(info.snapshot.has_value());
-  EXPECT_EQ(info.snapshot->checkpoint.sequence, 1u);
+  EXPECT_EQ(info.snapshot->sequence, 1u);
   EXPECT_EQ(info.snapshots_discarded, 1u);
   EXPECT_FALSE(storage.exists(newest));  // the corrupt file was removed
 }
@@ -311,7 +401,7 @@ TEST(StoreTest, PruneReclaimsOnlyCoveredFrontSegments) {
 
   RetentionCheckpoint cp = RetentionCheckpoint::bottom(1);
   cp.cut = VectorClock({5});  // covers (0,1..4): segment 1 yes, segment 2 no
-  store.write_snapshot(SnapshotImage{1, cp});
+  store.write_snapshot(cp);
   EXPECT_EQ(store.segments_pruned(), 1u);
   EXPECT_EQ(store.live_segments(), 2u);  // stops at the uncovered segment
 }
@@ -322,7 +412,7 @@ TEST(StoreTest, KeepsTheNewestTwoSnapshots) {
   for (std::uint64_t s = 1; s <= 4; ++s) {
     RetentionCheckpoint cp = RetentionCheckpoint::bottom(1);
     cp.sequence = s;
-    store.write_snapshot(SnapshotImage{1, cp});
+    store.write_snapshot(cp);
   }
   std::size_t snaps = 0;
   for (const std::string& name : storage.list()) {

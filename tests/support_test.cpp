@@ -246,6 +246,19 @@ TEST(TextTableTest, RendersAlignedColumns) {
   EXPECT_NE(out.find("| b     | 123 |"), std::string::npos);
 }
 
+// Widths count code points: the two-byte "µ" takes one column, so every
+// row of a "µs" column lines up.
+TEST(TextTableTest, PadsMultiByteCellsByDisplayWidth) {
+  TextTable t({"recovery µs", "n"});
+  t.new_row().add_cell(std::string("12")).add_cell(std::uint64_t{7});
+  t.new_row().add_cell(std::string("3 µs")).add_cell(std::uint64_t{8});
+  const std::string out = t.to_string();
+  EXPECT_NE(out.find("| recovery µs | n |"), std::string::npos);
+  EXPECT_NE(out.find("|-------------|---|"), std::string::npos);
+  EXPECT_NE(out.find("| 12          | 7 |"), std::string::npos);
+  EXPECT_NE(out.find("| 3 µs        | 8 |"), std::string::npos);
+}
+
 TEST(TextTableTest, RejectsTooManyCells) {
   TextTable t({"only"});
   t.new_row().add_cell(std::string("x"));
