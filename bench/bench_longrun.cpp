@@ -14,30 +14,15 @@
 // Scale dials (for CI smoke vs full soak): SYNCON_SOAK_CYCLES,
 // SYNCON_SOAK_PROCS, SYNCON_SOAK_SEED. scripts/ci_soak_smoke.sh runs a
 // short configuration and asserts on the syncon_longrun_* gauges this
-// binary publishes into the telemetry JSON (SYNCON_BENCH_JSON).
-//
-// Observability hooks (DESIGN.md §3.13): SYNCON_METRICS_PORT serves live
-// /metrics + /flight scrapes on 127.0.0.1 during the plateau phase;
-// SYNCON_CAUSAL_TRACE captures the identity phase's clean run with full
-// observability and writes its causal span trace as OTLP-style JSON.
-//
-// Service phase (DESIGN.md §3.15, off by default): SYNCON_TENANTS=N runs N
-// scripted faulty tenants through a sharded MonitorDaemon under a binding
-// memory budget and folds the per-tenant verdict-identity result into the
-// exit status (SYNCON_SERVICE_SHARDS / SYNCON_SERVICE_BUDGET to dial).
+// binary publishes into the telemetry JSON (SYNCON_BENCH_JSON). Live
+// scrapes and the causal trace of a soak are syncon_metricsd's; a
+// multi-tenant service load is syncon_monitord's.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "bench_common.hpp"
-#include "model/timestamps.hpp"
-#include "obs/causal_trace.hpp"
-#include "obs/serve.hpp"
-#include "service/daemon.hpp"
-#include "service/load.hpp"
 #include "sim/soak.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -94,16 +79,7 @@ int run() {
   auto& registry = obs::MetricRegistry::global();
 
   // --- phase 1: plateau ---
-  SoakConfig cfg = plateau_config();
-  obs::ScrapeServer server(obs::ScrapeServer::Options{
-      static_cast<std::uint16_t>(env_u64("SYNCON_METRICS_PORT", 0)),
-      "bench_longrun"});
-  if (std::getenv("SYNCON_METRICS_PORT") != nullptr && server.ok()) {
-    std::printf("serving scrapes on http://127.0.0.1:%u\n", server.port());
-    cfg.on_cycle = [&server](std::uint64_t cycle) {
-      if (cycle % 64 == 0) server.serve_pending();
-    };
-  }
+  const SoakConfig cfg = plateau_config();
   const auto t0 = std::chrono::steady_clock::now();
   const SoakResult soak = run_soak(cfg);
   const double secs =
@@ -164,27 +140,10 @@ int run() {
   SoakConfig clean = faulty;
   clean.workload.report_link = LinkFaultConfig{};
   clean.workload.compact_every = 0;  // uncompacted reference
-  const char* causal_path = std::getenv("SYNCON_CAUSAL_TRACE");
-  clean.capture_observability = causal_path != nullptr;
 
   const SoakResult faulty_run = run_soak(faulty);
   const SoakResult clean_run = run_soak(clean);
 
-  if (causal_path != nullptr && clean_run.execution) {
-    const Timestamps stamps(*clean_run.execution);
-    obs::CausalTrace trace =
-        obs::build_causal_trace(*clean_run.execution, stamps);
-    obs::append_monitor_spans(trace, clean_run.waterfalls);
-    obs::append_flight_spans(trace, clean_run.flight);
-    std::string why;
-    const bool consistent = obs::verify_causal_consistency(
-        trace, *clean_run.execution, stamps, &why);
-    std::ofstream out(causal_path);
-    obs::write_causal_otlp(out, trace);
-    std::printf("causal trace (%zu spans, consistency %s) -> %s\n",
-                trace.spans.size(), consistent ? "verified" : why.c_str(),
-                causal_path);
-  }
   const bool identical =
       !clean_run.definite_verdicts.empty() &&
       faulty_run.definite_verdicts == clean_run.definite_verdicts;
@@ -201,61 +160,6 @@ int run() {
       .add_cell(std::string("verdict sequences bit-identical"))
       .add_cell(std::string(identical ? "yes" : "NO"));
   std::printf("%s\n", id_table.to_string().c_str());
-
-  // --- phase 3 (opt-in): multi-tenant service soak ---
-  bool service_ok = true;
-  if (const std::uint64_t tenants = env_u64("SYNCON_TENANTS", 0);
-      tenants > 0) {
-    service::DaemonOptions daemon_options;
-    daemon_options.shards =
-        static_cast<std::size_t>(env_u64("SYNCON_SERVICE_SHARDS", 8));
-    daemon_options.memory_budget_events =
-        static_cast<std::size_t>(env_u64("SYNCON_SERVICE_BUDGET", 4096));
-    service::MonitorDaemon daemon(daemon_options, ThreadPool::shared());
-
-    service::ServiceLoadConfig load;
-    load.tenants = static_cast<std::size_t>(tenants);
-    load.seed = cfg.workload.seed;
-    load.release_finished = true;
-    load.workload.report_link = cfg.workload.report_link;
-    const auto s0 = std::chrono::steady_clock::now();
-    const service::ServiceLoadResult svc = run_service_load(load, daemon);
-    const double svc_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - s0)
-            .count();
-    daemon.publish_metrics();
-    service_ok = svc.identity_ok && svc.daemon.frames_quarantined == 0 &&
-                 (daemon_options.memory_budget_events == 0 ||
-                  svc.daemon.reclaimed_events > 0);
-
-    TextTable svc_table({"service phase", "value"});
-    svc_table.new_row().add_cell(std::string("tenants")).add_cell(tenants);
-    svc_table.new_row()
-        .add_cell(std::string("events / frames"))
-        .add_cell(with_thousands(svc.total_events) + " / " +
-                  with_thousands(svc.total_frames));
-    svc_table.new_row()
-        .add_cell(std::string("verdicts (all bit-identical)"))
-        .add_cell(std::to_string(svc.verdicts_total) + " / " +
-                  std::string(svc.identity_ok ? "yes" : "NO"));
-    svc_table.new_row()
-        .add_cell(std::string("live-log peak / reclaimed"))
-        .add_cell(std::to_string(svc.daemon.live_log_peak) + " / " +
-                  with_thousands(svc.daemon.reclaimed_events));
-    svc_table.new_row()
-        .add_cell(std::string("frames/s"))
-        .add_cell(with_thousands(static_cast<std::uint64_t>(
-            svc_secs > 0 ? static_cast<double>(svc.total_frames) / svc_secs
-                         : 0)));
-    std::printf("%s\n", svc_table.to_string().c_str());
-
-    registry.gauge("syncon_longrun_service_identity")
-        .set(svc.identity_ok ? 1 : 0);
-    registry.gauge("syncon_longrun_service_tenants")
-        .set(static_cast<std::int64_t>(svc.tenants_run));
-    registry.gauge("syncon_longrun_service_reclaimed")
-        .set(static_cast<std::int64_t>(svc.daemon.reclaimed_events));
-  }
 
   registry.gauge("syncon_longrun_executed_events")
       .set(static_cast<std::int64_t>(soak.executed_events));
@@ -275,7 +179,7 @@ int run() {
       .set(static_cast<std::int64_t>(soak.resync_rounds));
 
   const bool ok = plateau_ok && identical && soak.late_joiner_converged &&
-                  soak.reclaimed_events > 0 && service_ok;
+                  soak.reclaimed_events > 0;
   if (!ok) std::printf("bench_longrun: FAILED retention guarantees\n");
   return ok ? 0 : 1;
 }

@@ -56,7 +56,7 @@ void print_summary() {
   TextTable table({"relation", "offline bound", "online bound",
                    "offline mean cmps", "online mean cmps", "agree"});
   for (const Relation r : kAllRelations) {
-    ComparisonCounter off_c, on_c;
+    QueryCost off_c, on_c;
     bool agree = true;
     int pairs = 0;
     for (std::size_t x = 0; x < f.intervals.size(); x += 2) {
@@ -84,7 +84,7 @@ void print_summary() {
 void BM_OnlineEvaluate(benchmark::State& state) {
   OnlineFixture& f = fixture();
   const auto r = static_cast<Relation>(state.range(0));
-  ComparisonCounter counter;
+  QueryCost counter;
   std::size_t i = 0;
   for (auto _ : state) {
     const bool v = evaluate_online(r, f.summaries[i], f.summaries[i + 1],
@@ -97,7 +97,7 @@ void BM_OnlineEvaluate(benchmark::State& state) {
 void BM_OfflineEvaluate(benchmark::State& state) {
   OnlineFixture& f = fixture();
   const auto r = static_cast<Relation>(state.range(0));
-  ComparisonCounter counter;
+  QueryCost counter;
   std::size_t i = 0;
   for (auto _ : state) {
     const bool v = evaluate_fast(r, *f.cuts[i], *f.cuts[i + 1], counter);

@@ -6,9 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "model/execution_metrics.hpp"
 #include "relations/fast.hpp"
 #include "relations/naive.hpp"
-#include "sim/metrics.hpp"
 
 namespace {
 
@@ -25,7 +25,7 @@ void print_scaling() {
                 standard_spec(2, 2), 2, 1);
     const std::size_t span = processes / 2;
     Xoshiro256StarStar rng(17);
-    ComparisonCounter naive_c, proxy_c, fast_c;
+    QueryCost naive_c, proxy_c, fast_c;
     std::size_t x_events = 0;
     const int kTrials = 100;
     for (int t = 0; t < kTrials; ++t) {
@@ -97,7 +97,7 @@ void BM_QueryAtScale(benchmark::State& state) {
   const NonatomicEvent& x = sub->intervals[0];
   const NonatomicEvent& y = sub->intervals[1];
   const EventCuts xc(*sub->ts, x), yc(*sub->ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   int r = 0;
   for (auto _ : state) {
     const auto rel = static_cast<Relation>(r);

@@ -156,7 +156,7 @@ void print_table2() {
   const NonatomicEvent& x = s.intervals[0];
   const NonatomicEvent& y = s.intervals[1];
   const EventCuts xc(*s.ts, x), yc(*s.ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   for (const Relation r : kAllRelations) {
     (void)evaluate_fast(r, xc, yc, counter);
   }
@@ -173,7 +173,7 @@ void print_table2() {
   TextTable ablation({"relation", "dense cmps", "sparse cmps",
                       "sparse/dense"});
   for (const Relation r : kAllRelations) {
-    ComparisonCounter dense_c, sparse_c;
+    QueryCost dense_c, sparse_c;
     (void)evaluate_fast(r, xc, yc, dense_c);
     (void)evaluate_fast_sparse(r, sx, sy, sparse_c);
     ablation.new_row()

@@ -52,7 +52,7 @@ void print_theorem20() {
       const NonatomicEvent y =
           random_interval(s.exec, rng, standard_spec(kNY, 3), "Y");
       const EventCuts xc(*s.ts, x), yc(*s.ts, y);
-      ComparisonCounter fast_c, proxy_c;
+      QueryCost fast_c, proxy_c;
       const bool v_fast = evaluate_fast(r, xc, yc, fast_c);
       const bool v_proxy =
           evaluate_proxy_naive(r, x, y, *s.ts, Semantics::Weak, &proxy_c);
@@ -107,7 +107,7 @@ void print_probe_side_error_rate() {
       const NonatomicEvent y =
           random_interval(s.exec, rng, standard_spec(span_y, 3), "Y");
       const EventCuts xc(*s.ts, x), yc(*s.ts, y);
-      ComparisonCounter c;
+      QueryCost c;
       const bool truth = evaluate_fast(r, xc, yc, c);
       // The paper's min() probing: choose the smaller node set regardless
       // of soundness.
@@ -142,7 +142,7 @@ void BM_FastRelation(benchmark::State& state) {
   const NonatomicEvent y =
       random_interval(s.exec, rng, standard_spec(kNY, 3), "Y");
   const EventCuts xc(*s.ts, x), yc(*s.ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   for (auto _ : state) {
     const bool v = evaluate_fast(r, xc, yc, counter);
     benchmark::DoNotOptimize(v);

@@ -55,7 +55,7 @@ int main() {
   const EventCuts xc(ts, x), yc(ts, y);
   int i = 0;
   for (const Relation r : kAllRelations) {
-    ComparisonCounter counter;
+    QueryCost counter;
     const bool holds = evaluate_fast(r, xc, yc, counter);
     table.new_row()
         .add_cell(std::string(to_string(r)))

@@ -19,9 +19,9 @@
 #include <unordered_map>
 
 #include "cuts/watermark.hpp"
+#include "monitor/causal_trace.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/report.hpp"
-#include "obs/causal_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -387,7 +387,7 @@ int run(int argc, char** argv) {
         }
         const EventCuts yc(monitor.timestamps(),
                            monitor.interval(monitor.handle_at(y)));
-        ComparisonCounter counter;
+        QueryCost counter;
         matrix.add_cell(std::string(
             to_string(classify(relation_profile(xc, yc, counter)))));
       }

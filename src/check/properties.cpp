@@ -191,7 +191,7 @@ PropertyResult timestamp_ll_forms(const CheckCase& c) {
   for (const Probe& probe : probes) {
     const bool expected =
         !ll(Cut(exec, *probe.down), Cut(exec, *probe.up));
-    ComparisonCounter counter;
+    QueryCost counter;
     const bool probed =
         theorem19_violated(*probe.down, *probe.up, *probe.nodes, counter);
     if (probed != expected) {
@@ -824,33 +824,35 @@ CrashLegResult crash_hosted_monitor(const OnlineSystem& sys,
   const std::size_t n = sys.process_count();
   const std::vector<WireMessage> reports = explore::reports_of(sys, order);
 
+  using service::FrameKind;
+  using service::TenantOp;
   std::vector<TenantOp> ops;
-  const auto push = [&ops](TenantOp::Kind kind,
+  const auto push = [&ops](FrameKind kind,
                            const char* label = "") -> TenantOp& {
     TenantOp& op = ops.emplace_back();
     op.kind = kind;
     op.label = label;
     return op;
   };
-  push(TenantOp::Kind::kBegin, "X");
-  push(TenantOp::Kind::kBegin, "Y");
+  push(FrameKind::kBegin, "X");
+  push(FrameKind::kBegin, "Y");
   for (const EventId& e : order) {
     const char* label = actions.x.count(e) ? "X" : "";
     if (actions.y.count(e)) label = "Y";
-    TenantOp& op = push(TenantOp::Kind::kEvent, label);
+    TenantOp& op = push(FrameKind::kEvent, label);
     op.message = sys.wire_of(e);
     const std::span<const EventId> sources = sys.sources_of(e);
     op.sources.assign(sources.begin(), sources.end());
     op.time = sys.time_of(e);
   }
   for (const Arrival& a : explore::ship(feed, reports).drain()) {
-    push(TenantOp::Kind::kReport).message = a.message;
+    push(FrameKind::kReport).message = a.message;
   }
-  push(TenantOp::Kind::kCheckpoint).message.clock = sys.snapshot();
-  push(TenantOp::Kind::kComplete, "X");
-  push(TenantOp::Kind::kComplete, "Y");
+  push(FrameKind::kCheckpoint).message.clock = sys.snapshot();
+  push(FrameKind::kComplete, "X");
+  push(FrameKind::kComplete, "Y");
   for (const RelationId& id : all_relation_ids()) {
-    TenantOp& op = push(TenantOp::Kind::kWatch, "X");
+    TenantOp& op = push(FrameKind::kWatch, "X");
     op.label2 = "Y";
     op.relation = id;
   }

@@ -53,9 +53,6 @@ struct QueryCost {
   friend bool operator==(const QueryCost&, const QueryCost&) = default;
 };
 
-/// Legacy name for QueryCost, kept for the pre-batch-engine call sites.
-using ComparisonCounter = QueryCost;
-
 /// Canonical test for <<(C, C'); scans all |P| components.
 bool ll(const Cut& c, const Cut& c_prime);
 
@@ -83,7 +80,7 @@ bool not_ll_form4(const Cut& c, const Cut& c_prime);
 inline bool theorem19_violated(const VectorClock& down_counts,
                                const VectorClock& up_counts,
                                std::span<const ProcessId> probe_nodes,
-                               ComparisonCounter& counter) {
+                               QueryCost& counter) {
   SYNCON_REQUIRE(down_counts.size() == up_counts.size(),
                  "cut timestamps of different sizes");
   for (const ProcessId i : probe_nodes) {

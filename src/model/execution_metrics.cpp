@@ -1,4 +1,4 @@
-#include "sim/metrics.hpp"
+#include "model/execution_metrics.hpp"
 
 #include "model/scalar_clock.hpp"
 #include "support/contracts.hpp"

@@ -86,6 +86,10 @@ class VectorClock {
 
   /// Size 0, storage kept — a reused decode target refills it in place.
   void clear() { components_.clear(); }
+  /// Overwrites every component with `values`, reusing the storage.
+  void assign(std::span<const ClockValue> values) {
+    components_.assign(values.begin(), values.end());
+  }
 
   friend bool operator==(const VectorClock&, const VectorClock&) = default;
 

@@ -1,4 +1,4 @@
-#include "obs/causal_trace.hpp"
+#include "monitor/causal_trace.hpp"
 
 #include <algorithm>
 #include <cstdio>

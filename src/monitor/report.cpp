@@ -4,9 +4,9 @@
 #include <sstream>
 #include <utility>
 
+#include "model/execution_metrics.hpp"
 #include "nonatomic/cut_timestamps.hpp"
 #include "relations/interaction_types.hpp"
-#include "sim/metrics.hpp"
 #include "support/table.hpp"
 
 namespace syncon {
@@ -71,7 +71,7 @@ void write_report(std::ostream& os, const SyncMonitor& monitor,
         }
         const EventCuts yc(monitor.timestamps(),
                            monitor.interval(monitor.handle_at(y)));
-        ComparisonCounter counter;
+        QueryCost counter;
         matrix.add_cell(
             std::string(to_string(classify(relation_profile(xc, yc, counter)))));
       }

@@ -9,7 +9,7 @@ namespace {
 // Does `clock` know X̂'s event on node slot t? Components count the dummy,
 // so event (p, i) is known iff clock[p] >= i + 1. One comparison.
 bool knows(const VectorClock& clock, const ProxyView& x, std::size_t t,
-           ComparisonCounter& counter) {
+           QueryCost& counter) {
   ++counter.integer_comparisons;
   return clock[x.nodes[t]] > x.index[t];
 }
@@ -17,7 +17,7 @@ bool knows(const VectorClock& clock, const ProxyView& x, std::size_t t,
 // Does `clock` know every / some event of X̂? Stops at the first slot that
 // decides, one comparison per slot visited.
 bool knows_all(const VectorClock& clock, const ProxyView& x,
-               ComparisonCounter& counter) {
+               QueryCost& counter) {
   for (std::size_t t = 0; t < x.nodes.size(); ++t) {
     if (!knows(clock, x, t, counter)) return false;
   }
@@ -25,7 +25,7 @@ bool knows_all(const VectorClock& clock, const ProxyView& x,
 }
 
 bool knows_any(const VectorClock& clock, const ProxyView& x,
-               ComparisonCounter& counter) {
+               QueryCost& counter) {
   for (std::size_t t = 0; t < x.nodes.size(); ++t) {
     if (knows(clock, x, t, counter)) return true;
   }
@@ -34,7 +34,7 @@ bool knows_any(const VectorClock& clock, const ProxyView& x,
 
 // R(X̂, Ŷ) on two proxies (one event per node each), from past timestamps.
 bool evaluate(Relation r, const ProxyView& x, const ProxyView& y,
-              ComparisonCounter& counter) {
+              QueryCost& counter) {
   switch (r) {
     case Relation::R1:
     case Relation::R1p:
@@ -71,7 +71,7 @@ bool evaluate(Relation r, const ProxyView& x, const ProxyView& y,
 
 RelationSet evaluate_online(RelationSet watched, const IntervalSummary& x,
                             const IntervalSummary& y,
-                            ComparisonCounter& counter) {
+                            QueryCost& counter) {
   SYNCON_REQUIRE(x.process_count == y.process_count,
                  "summaries from different systems");
   // A summary assembled from wire reports (degraded-mode feed) could in
@@ -96,12 +96,12 @@ RelationSet evaluate_online(RelationSet watched, const IntervalSummary& x,
 }
 
 bool evaluate_online(const RelationId& id, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter) {
+                     const IntervalSummary& y, QueryCost& counter) {
   return !evaluate_online(RelationSet::of(id), x, y, counter).empty();
 }
 
 bool evaluate_online(Relation r, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter) {
+                     const IntervalSummary& y, QueryCost& counter) {
   constexpr ProxyKind L = ProxyKind::Begin, U = ProxyKind::End;
   // Indexed by Relation: the proxies of X and Y whose events decide it.
   static constexpr ProxyKind kNatural[][2] = {

@@ -34,18 +34,18 @@ namespace syncon {
 /// Counts exactly the comparisons of one call per member.
 RelationSet evaluate_online(RelationSet watched, const IntervalSummary& x,
                             const IntervalSummary& y,
-                            ComparisonCounter& counter);
+                            QueryCost& counter);
 
 /// One member of R: evaluate_online({id}, x, y, counter).
 bool evaluate_online(const RelationId& id, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter);
+                     const IntervalSummary& y, QueryCost& counter);
 
 /// Table 1 applied to X and Y themselves. Each quantifier pair reads only
 /// the extreme events that decide it, so this is the member of R on those
 /// proxies: R1/R1' on (U_X, L_Y), R2/R2' on (U_X, U_Y), R3/R3' on
 /// (L_X, L_Y), R4/R4' on (L_X, U_Y).
 bool evaluate_online(Relation r, const IntervalSummary& x,
-                     const IntervalSummary& y, ComparisonCounter& counter);
+                     const IntervalSummary& y, QueryCost& counter);
 
 /// Worst-case comparison budget of evaluate_online for one relation.
 std::uint64_t online_cost_bound(Relation r, std::size_t n_x, std::size_t n_y);

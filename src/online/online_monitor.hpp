@@ -261,7 +261,7 @@ class OnlineMonitor {
 
   /// Comparison-cost accounting across all fired watches (a set watch
   /// counts what one watch per member would).
-  const ComparisonCounter& counter() const { return counter_; }
+  const QueryCost& counter() const { return counter_; }
 
   /// Watch firings so far, by confidence (re-firings count again; a set
   /// watch firing counts once).
@@ -407,7 +407,7 @@ class OnlineMonitor {
   std::list<DeadlineWatch> deadline_watches_;
   GapTracker gaps_;
   std::vector<bool> crashed_;
-  ComparisonCounter counter_;
+  QueryCost counter_;
   bool degraded_ = false;
   std::uint64_t duplicate_reports_ = 0;
   std::uint64_t quarantined_ = 0;

@@ -52,7 +52,7 @@ inline FastDebugHooks& fast_debug_hooks() {
 /// (Theorems 19 and 20). The counter gains one integer comparison per node
 /// probed. Both views must describe one execution (|P| values per cut).
 inline bool evaluate_fast(Relation r, const CutsView& x, const CutsView& y,
-                          ComparisonCounter& counter) {
+                          QueryCost& counter) {
   using NodeSpan = CutsView::NodeSpan;
   using Counts = std::span<const ClockValue>;
   // Per-node conjunctive tests via X's nodes (R1/R2): for every i ∈ N_X the
@@ -129,7 +129,7 @@ inline bool evaluate_fast(Relation r, const CutsView& x, const CutsView& y,
 
 /// The same over two events' cached cuts, which must share one Timestamps.
 inline bool evaluate_fast(Relation r, const EventCuts& x, const EventCuts& y,
-                          ComparisonCounter& counter) {
+                          QueryCost& counter) {
   SYNCON_REQUIRE(&x.timestamps() == &y.timestamps(),
                  "cut timestamps of different executions");
   return evaluate_fast(r, x.view(), y.view(), counter);

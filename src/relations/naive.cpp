@@ -73,7 +73,7 @@ bool quantify(Relation r, const Xs& xs, const Ys& ys, Prec&& prec) {
 // a ≺ b (Strict) or a ⪯ b (Weak) via timestamps, one counted causality
 // check per call.
 auto stamped_prec(const Timestamps& ts, Semantics sem,
-                  ComparisonCounter* counter) {
+                  QueryCost* counter) {
   return [&ts, sem, counter](EventId a, EventId b) {
     if (counter != nullptr) ++counter->causality_checks;
     return sem == Semantics::Strict ? ts.lt(a, b) : ts.leq(a, b);
@@ -145,7 +145,7 @@ bool evaluate_oracle(Relation r, const NonatomicEvent& x,
 
 bool evaluate_naive(Relation r, const NonatomicEvent& x,
                     const NonatomicEvent& y, const Timestamps& ts,
-                    Semantics sem, ComparisonCounter* counter) {
+                    Semantics sem, QueryCost* counter) {
   SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
                      &x.execution() == &y.execution(),
                  "events/timestamps of different executions");
@@ -155,7 +155,7 @@ bool evaluate_naive(Relation r, const NonatomicEvent& x,
 
 bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
                           const NonatomicEvent& y, const Timestamps& ts,
-                          Semantics sem, ComparisonCounter* counter) {
+                          Semantics sem, QueryCost* counter) {
   SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
                      &x.execution() == &y.execution(),
                  "events/timestamps of different executions");
@@ -168,7 +168,7 @@ bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
 bool evaluate_naive(Relation r, const NonatomicEvent& x, ProxyKind kx,
                     const NonatomicEvent& y, ProxyKind ky,
                     const Timestamps& ts, Semantics sem,
-                    ComparisonCounter* counter) {
+                    QueryCost* counter) {
   SYNCON_REQUIRE(&ts.execution() == &x.execution() &&
                      &x.execution() == &y.execution(),
                  "events/timestamps of different executions");

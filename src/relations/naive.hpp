@@ -26,11 +26,11 @@ bool evaluate_oracle(Relation r, const NonatomicEvent& x,
 
 bool evaluate_naive(Relation r, const NonatomicEvent& x,
                     const NonatomicEvent& y, const Timestamps& ts,
-                    Semantics sem, ComparisonCounter* counter = nullptr);
+                    Semantics sem, QueryCost* counter = nullptr);
 
 bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
                           const NonatomicEvent& y, const Timestamps& ts,
-                          Semantics sem, ComparisonCounter* counter = nullptr);
+                          Semantics sem, QueryCost* counter = nullptr);
 
 /// evaluate_naive(r, x.proxy_per_node(kx), y.proxy_per_node(ky), ts, sem,
 /// counter) without building either proxy: the quantifiers run over each
@@ -39,6 +39,6 @@ bool evaluate_proxy_naive(Relation r, const NonatomicEvent& x,
 bool evaluate_naive(Relation r, const NonatomicEvent& x, ProxyKind kx,
                     const NonatomicEvent& y, ProxyKind ky,
                     const Timestamps& ts, Semantics sem,
-                    ComparisonCounter* counter = nullptr);
+                    QueryCost* counter = nullptr);
 
 }  // namespace syncon

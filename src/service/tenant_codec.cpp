@@ -5,24 +5,6 @@
 
 namespace syncon::service {
 
-namespace {
-
-FrameKind frame_kind_of(TenantOp::Kind kind) {
-  switch (kind) {
-    case TenantOp::Kind::kBegin: return FrameKind::kBegin;
-    case TenantOp::Kind::kWatch: return FrameKind::kWatch;
-    case TenantOp::Kind::kComplete: return FrameKind::kComplete;
-    case TenantOp::Kind::kForget: return FrameKind::kForget;
-    case TenantOp::Kind::kEvent: return FrameKind::kEvent;
-    case TenantOp::Kind::kReport: return FrameKind::kReport;
-    case TenantOp::Kind::kCheckpoint: return FrameKind::kCheckpoint;
-  }
-  SYNCON_REQUIRE(false, "unknown tenant op kind");
-  return FrameKind::kHello;  // unreachable
-}
-
-}  // namespace
-
 PeekStatus peek_frame(std::span<const std::uint8_t> in, FrameView& out) {
   std::span<const std::uint8_t> payload;
   std::size_t frame_size = 0;
@@ -100,38 +82,42 @@ std::size_t TenantFrameEncoder::encode_op(std::uint64_t tenant,
                                           std::vector<std::uint8_t>& out) {
   Stream& stream = stream_of(tenant);
   std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(frame_kind_of(op.kind)));
+  payload.push_back(static_cast<std::uint8_t>(op.kind));
   encode_varint(tenant, payload);
-  encode_varint(stream.next_seq++, payload);
+  encode_varint(stream.next_seq, payload);
 
   switch (op.kind) {
-    case TenantOp::Kind::kBegin:
-    case TenantOp::Kind::kComplete:
-    case TenantOp::Kind::kForget:
+    case FrameKind::kHello:  // refused before it takes a seq
+      SYNCON_REQUIRE(false, "a hello opens a session; it is not an op");
+      break;
+    case FrameKind::kBegin:
+    case FrameKind::kComplete:
+    case FrameKind::kForget:
       encode_string(op.label, payload);
       break;
-    case TenantOp::Kind::kWatch:
+    case FrameKind::kWatch:
       payload.push_back(static_cast<std::uint8_t>(op.relation.relation));
       payload.push_back(static_cast<std::uint8_t>(op.relation.proxy_x));
       payload.push_back(static_cast<std::uint8_t>(op.relation.proxy_y));
       encode_string(op.label, payload);
       encode_string(op.label2, payload);
       break;
-    case TenantOp::Kind::kEvent:
+    case FrameKind::kEvent:
       encode_event_record(stream.journal, op.message, op.sources, op.time,
                           payload);
       encode_string(op.label, payload);
       break;
-    case TenantOp::Kind::kReport:
+    case FrameKind::kReport:
       stream.report.encode(op.message, payload);
       break;
-    case TenantOp::Kind::kCheckpoint:
+    case FrameKind::kCheckpoint:
       encode_varint(op.message.clock.size(), payload);
       for (const ClockValue value : op.message.clock.values()) {
         encode_varint(value, payload);
       }
       break;
   }
+  ++stream.next_seq;
   return append_frame(payload, out);
 }
 
@@ -149,35 +135,20 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
   if (frame.seq != expected_seq_) return false;
   ++expected_seq_;  // in sequence: the stream position is consumed
 
-  // Reset every field in place, keeping the strings', sources' and clock's
-  // storage: a shard decodes each frame into one reused op, so a clean
+  // A shard decodes each frame into one reused op: reset in place, a clean
   // event or report frame allocates nothing.
-  op.label.clear();
-  op.label2.clear();
-  op.relation = {};
-  op.message.source = {};
-  op.message.clock.clear();
-  op.sources.clear();
-  op.time = OnlineSystem::kNoTime;
+  op.reset(frame.kind);
   std::span<const std::uint8_t> in = frame.body;
   try {
     switch (frame.kind) {
       case FrameKind::kHello:
         return false;  // hellos open sessions; they are not ops
       case FrameKind::kBegin:
-        op.kind = TenantOp::Kind::kBegin;
-        decode_string(in, op.label);
-        break;
       case FrameKind::kComplete:
-        op.kind = TenantOp::Kind::kComplete;
-        decode_string(in, op.label);
-        break;
       case FrameKind::kForget:
-        op.kind = TenantOp::Kind::kForget;
         decode_string(in, op.label);
         break;
       case FrameKind::kWatch: {
-        op.kind = TenantOp::Kind::kWatch;
         SYNCON_REQUIRE(in.size() >= 3, "truncated watch frame");
         const std::uint8_t relation = in[0], px = in[1], py = in[2];
         in = in.subspan(3);
@@ -192,17 +163,13 @@ bool TenantStreamDecoder::decode(const FrameView& frame, TenantOp& op) {
         break;
       }
       case FrameKind::kEvent:
-        op.kind = TenantOp::Kind::kEvent;
         decode_event_record(journal_, in, op.message, op.sources, op.time);
         decode_string(in, op.label);
         break;
-      case FrameKind::kReport: {
-        op.kind = TenantOp::Kind::kReport;
+      case FrameKind::kReport:
         if (!report_.try_decode(in, op.message)) return false;
         break;
-      }
       case FrameKind::kCheckpoint: {
-        op.kind = TenantOp::Kind::kCheckpoint;
         const std::uint64_t size = decode_varint(in);
         SYNCON_REQUIRE(size <= in.size(), "impossible clock size");
         VectorClock clock(static_cast<std::size_t>(size), 0);

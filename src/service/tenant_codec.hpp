@@ -29,21 +29,10 @@
 #include <vector>
 
 #include "online/wire_codec.hpp"
-#include "sim/soak.hpp"
+#include "service/session.hpp"
 #include "store/wal.hpp"
 
 namespace syncon::service {
-
-enum class FrameKind : std::uint8_t {
-  kHello = 1,  ///< opens a tenant session: varint(processes) varint(chunk)
-  kBegin = 2,
-  kWatch = 3,
-  kComplete = 4,
-  kForget = 5,
-  kEvent = 6,
-  kReport = 7,
-  kCheckpoint = 8,
-};
 
 /// Parsed envelope + payload header; `body` aliases the input buffer.
 struct FrameView {
@@ -90,7 +79,8 @@ class TenantFrameEncoder {
   void encode_hello(std::uint64_t tenant, std::size_t processes,
                     std::size_t resync_chunk, std::vector<std::uint8_t>& out);
 
-  /// Appends one envelope for `op` on tenant's stream; returns its size.
+  /// Appends one envelope for `op` on tenant's stream, framed under the
+  /// op's kind; returns its size. A kHello op is a contract violation.
   std::size_t encode_op(std::uint64_t tenant, const TenantOp& op,
                         std::vector<std::uint8_t>& out);
 
@@ -121,10 +111,11 @@ class TenantStreamDecoder {
   /// (the guard expects hello_seq + 1 next).
   TenantStreamDecoder(std::size_t processes, std::uint64_t hello_seq);
 
-  /// Decodes a CRC-clean frame's body into `op`. Returns false — leaving
-  /// the link-codec state untouched — when the frame is out of sequence
-  /// (spliced / replayed / a gap where a corrupt frame was dropped) or its
-  /// body fails to parse; the caller quarantines it. A frame that passes
+  /// Decodes a CRC-clean frame's body into `op`, whose kind is the frame's.
+  /// Returns false — leaving the link-codec state untouched — when the
+  /// frame is out of sequence (spliced / replayed / a gap where a corrupt
+  /// frame was dropped), is a hello, or its body fails to parse; the
+  /// caller quarantines it. A frame that passes
   /// the sequence guard consumes its stream position either way.
   bool decode(const FrameView& frame, TenantOp& op);
 

@@ -1,4 +1,4 @@
-#include "service/load.hpp"
+#include "sim/service_load.hpp"
 
 #include <deque>
 #include <utility>

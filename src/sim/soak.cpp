@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <deque>
 
-#include "online/online_monitor.hpp"
 #include "support/contracts.hpp"
 
 namespace syncon {
+
+using service::FrameKind;
+using service::TenantSessionCore;
 
 namespace {
 
@@ -32,7 +34,7 @@ constexpr std::size_t kEventsPerAction = 2;
 /// when given; `on_cycle` (if set) runs at the end of every cycle. Fills
 /// the result's executed-event, compaction and channel counters.
 SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
-                    std::vector<TenantOp>* ops,
+                    std::vector<service::TenantOp>* ops,
                     const std::function<void(std::uint64_t)>& on_cycle) {
   const std::size_t n_proc = workload.processes;
   SYNCON_REQUIRE(n_proc >= 2, "the ring needs at least two processes");
@@ -75,44 +77,45 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
   std::uint64_t next_pair = 0;
   std::size_t forgotten = 0;  // pairs popped off the front of `pairs`
 
-  const auto emit = [&](TenantOp op) {
+  // Every op is built in this one op, reset in place: the soak, which keeps
+  // no ops, allocates for an op only when a field outgrows its storage.
+  service::TenantOp op;
+  const auto emit = [&] {
     core.apply(op);
-    if (ops != nullptr) ops->push_back(std::move(op));
+    if (ops != nullptr) ops->push_back(op);
   };
 
   // Journals an executed event and offers its report to the feed.
   const auto emit_event = [&](EventId e, const std::string& label) {
-    TenantOp op;
-    op.kind = TenantOp::Kind::kEvent;
+    op.reset(FrameKind::kEvent);
     op.label = label;
-    op.message = {e, sys.clock_of(e).dense()};
+    op.message.source = e;
+    const StampView clock = sys.clock_of(e);
+    op.message.clock.assign(clock.row());
+    op.message.clock.set(clock.owner(), clock.own());
     const std::span<const EventId> sources = sys.sources_of(e);
     op.sources.assign(sources.begin(), sources.end());
     op.time = sys.time_of(e);
-    emit(std::move(op));
+    emit();
     reports[e.process].push(sys.wire_of(e), now);
   };
 
   const auto emit_report = [&](const WireMessage& r) {
-    TenantOp op;
-    op.kind = TenantOp::Kind::kReport;
+    op.reset(FrameKind::kReport);
     op.message = r;
-    emit(std::move(op));
+    emit();
   };
 
-  const auto emit_label_op = [&](TenantOp::Kind kind,
-                                 const std::string& label) {
-    TenantOp op;
-    op.kind = kind;
+  const auto emit_label_op = [&](FrameKind kind, const std::string& label) {
+    op.reset(kind);
     op.label = label;
-    emit(std::move(op));
+    emit();
   };
 
   const auto emit_checkpoint = [&]() {
-    TenantOp op;
-    op.kind = TenantOp::Kind::kCheckpoint;
-    op.message.clock = sys.snapshot();
-    emit(std::move(op));
+    op.reset(FrameKind::kCheckpoint);
+    op.message.clock.assign(sys.snapshot().values());
+    emit();
   };
 
   // Head-of-line pair processing: complete the front pairs whose reports
@@ -127,15 +130,14 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
           monitor.recorded_events(pair.a) == kEventsPerAction &&
           monitor.recorded_events(pair.b) == kEventsPerAction;
       if (!ready) break;  // strictly in opening order — see PendingPair
-      emit_label_op(TenantOp::Kind::kComplete, pair.a);
-      emit_label_op(TenantOp::Kind::kComplete, pair.b);
+      emit_label_op(FrameKind::kComplete, pair.a);
+      emit_label_op(FrameKind::kComplete, pair.b);
       pair.completed = true;
-      TenantOp watch;
-      watch.kind = TenantOp::Kind::kWatch;
-      watch.relation = {Relation::R3, ProxyKind::Begin, ProxyKind::End};
-      watch.label = pair.a;
-      watch.label2 = pair.b;
-      emit(std::move(watch));
+      op.reset(FrameKind::kWatch);
+      op.relation = {Relation::R3, ProxyKind::Begin, ProxyKind::End};
+      op.label = pair.a;
+      op.label2 = pair.b;
+      emit();
     }
     // A pair's watch fires Definite exactly once (its reports are all
     // folded before it completes; later copies are duplicates), and
@@ -144,8 +146,8 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
     // once there are more Definite verdicts than forgotten pairs.
     while (!pairs.empty() && core.definite_verdicts().size() > forgotten) {
       const PendingPair& pair = pairs.front();
-      emit_label_op(TenantOp::Kind::kForget, pair.a);
-      emit_label_op(TenantOp::Kind::kForget, pair.b);
+      emit_label_op(FrameKind::kForget, pair.a);
+      emit_label_op(FrameKind::kForget, pair.b);
       pairs.pop_front();
       ++forgotten;
     }
@@ -160,8 +162,8 @@ SoakResult run_ring(const TenantWorkload& workload, TenantSessionCore& core,
       pair.n = next_pair++;
       pair.a = "A#" + std::to_string(pair.n);
       pair.b = "B#" + std::to_string(pair.n);
-      emit_label_op(TenantOp::Kind::kBegin, pair.a);
-      emit_label_op(TenantOp::Kind::kBegin, pair.b);
+      emit_label_op(FrameKind::kBegin, pair.a);
+      emit_label_op(FrameKind::kBegin, pair.b);
       const ProcessId pa = static_cast<ProcessId>(pair.n % n_proc);
       const ProcessId offsets[2][kEventsPerAction] = {{0, 1}, {2, 3}};
       const std::string* labels[2] = {&pair.a, &pair.b};
@@ -324,73 +326,6 @@ SoakResult run_soak(const SoakConfig& config) {
   }
 
   return result;
-}
-
-// --- multi-tenant tenant scripts ---------------------------------------------
-
-TenantSessionCore::TenantSessionCore(std::size_t processes,
-                                     std::size_t resync_chunk)
-    : sys_(processes), monitor_(processes), resync_chunk_(resync_chunk) {
-  SYNCON_REQUIRE(resync_chunk_ > 0, "resync chunk must be positive");
-}
-
-void TenantSessionCore::apply(const TenantOp& op) {
-  try {
-    apply_checked(op);
-  } catch (const ContractViolation&) {
-    // A corrupted or spliced stream must degrade this tenant only — count
-    // and carry on, exactly like the monitor's own wire quarantine.
-    ++quarantined_ops_;
-  }
-}
-
-void TenantSessionCore::apply_checked(const TenantOp& op) {
-  switch (op.kind) {
-    case TenantOp::Kind::kBegin:
-      monitor_.begin(op.label);
-      break;
-    case TenantOp::Kind::kWatch:
-      monitor_.watch(op.relation, op.label, op.label2,
-                     [this](const std::string& x, const std::string& y,
-                            bool holds, Confidence conf) {
-                       if (conf != Confidence::Definite) return;
-                       verdicts_.push_back(x + "|" + y + "|" +
-                                           (holds ? "holds" : "fails"));
-                     });
-      break;
-    case TenantOp::Kind::kComplete:
-      monitor_.complete(op.label);
-      break;
-    case TenantOp::Kind::kForget:
-      monitor_.forget(op.label);
-      break;
-    case TenantOp::Kind::kEvent:
-      // Restored first: an op whose label names no open action is
-      // quarantined, and its event stays in the replica.
-      sys_.restore_event(op.message.source, op.message.clock, op.sources,
-                         op.time);
-      if (!op.label.empty()) monitor_.record(op.label, op.message.source);
-      break;
-    case TenantOp::Kind::kReport:
-      monitor_.observe(op.message);
-      break;
-    case TenantOp::Kind::kCheckpoint: {
-      monitor_.checkpoint(op.message.clock);
-      // Served from the replica. On a degraded stream (quarantined journal
-      // frames) the replica cannot serve everything the checkpoint claims;
-      // resync requests only what it holds, and the rest stays open
-      // (PendingGap).
-      resync_rounds_ += monitor_.resync(
-          sys_, resync_chunk_,
-          [this](const WireMessage& reply) { monitor_.observe(reply); });
-      break;
-    }
-  }
-}
-
-std::size_t TenantSessionCore::compact_at_pin() {
-  monitor_.watermark_pin(pin_);
-  return sys_.compact(pin_);
 }
 
 TenantScript generate_tenant_script(const TenantWorkload& workload) {

@@ -29,48 +29,12 @@
 #include "model/execution.hpp"
 #include "obs/flight.hpp"
 #include "obs/latency.hpp"
-#include "online/online_monitor.hpp"
+#include "service/session.hpp"
 #include "sim/faulty_channel.hpp"
 
 namespace syncon {
 
-// --- multi-tenant tenant scripts (DESIGN.md §3.15) ---------------------------
-//
-// One *tenant* is one independently monitored execution. Its entire monitor-
-// side traffic — action lifecycle, journaled events, lossy event reports,
-// checkpoint broadcasts — is flattened into a deterministic op sequence
-// (TenantScript) that can be applied anywhere: directly (the standalone
-// offline baseline), or encoded through the service wire codec into a
-// sharded daemon. Verdict identity between those two consumers is the
-// service's headline guarantee: framing, sharding, backpressure and
-// memory-budget compaction must not perturb any tenant's verdict stream.
-
-/// One monitor-side operation of a tenant's feed. The op carries everything
-/// its application needs — ops are self-contained so a session can be fed
-/// from a wire decoder with no side channel.
-struct TenantOp {
-  enum class Kind : std::uint8_t {
-    kBegin,       ///< open action `label`
-    kWatch,       ///< watch `relation`(label, label2)
-    kComplete,    ///< complete action `label`
-    kForget,      ///< forget action `label` (and its members)
-    kEvent,       ///< journal replay: restore_event, then record(label)
-    kReport,      ///< lossy report `message`, observed
-    kCheckpoint,  ///< authoritative snapshot `message.clock` + resync
-  };
-
-  Kind kind = Kind::kEvent;
-  std::string label;              ///< see Kind
-  std::string label2;             ///< kWatch: the y action
-  RelationId relation{};          ///< kWatch
-  /// kEvent / kReport: the event and its clock, as the link codec decodes
-  /// them and the monitor observes them; kCheckpoint: the snapshot clock.
-  WireMessage message;
-  std::vector<EventId> sources;   ///< kEvent: journaled receive sources
-  std::int64_t time = OnlineSystem::kNoTime;  ///< kEvent
-
-  friend bool operator==(const TenantOp&, const TenantOp&) = default;
-};
+// --- tenant scripts (DESIGN.md §3.15) ----------------------------------------
 
 /// Knobs of one ring-and-pairs workload: a service tenant or a soak run.
 /// Deterministic in (fields, seed).
@@ -103,68 +67,11 @@ struct TenantWorkload {
 struct TenantScript {
   std::size_t processes = 0;
   std::size_t resync_chunk = 0;
-  std::vector<TenantOp> ops;
+  std::vector<service::TenantOp> ops;
   std::uint64_t executed_events = 0;
   /// Definite verdict log of the generation-time reference session — the
   /// bit-identity baseline every other consumer is compared against.
   std::vector<std::string> reference_verdicts;
-};
-
-/// The per-tenant session state machine: a replica OnlineSystem (rebuilt
-/// from kEvent ops, serves resyncs and retention) plus a feed-only
-/// OnlineMonitor, which learns each action's members from the labeled
-/// kEvent ops and routes every report itself. Ops are applied in stream
-/// order; any op whose contract fails (a corrupted or spliced wire stream,
-/// an event labeled with no open action) is quarantined — counted, never
-/// fatal, never visible to other sessions. Not movable: watch callbacks
-/// capture `this`.
-class TenantSessionCore {
- public:
-  explicit TenantSessionCore(std::size_t processes,
-                             std::size_t resync_chunk = 64);
-
-  TenantSessionCore(const TenantSessionCore&) = delete;
-  TenantSessionCore& operator=(const TenantSessionCore&) = delete;
-
-  /// Applies one op; a ContractViolation quarantines the op instead of
-  /// propagating.
-  void apply(const TenantOp& op);
-
-  /// "x|y|holds" per Definite watch firing, in firing order.
-  const std::vector<std::string>& definite_verdicts() const {
-    return verdicts_;
-  }
-
-  /// Ops + reports rejected so far (session-level contract catches plus the
-  /// monitor's own wire quarantine).
-  std::uint64_t quarantined() const {
-    return quarantined_ops_ + monitor_.quarantined();
-  }
-
-  /// Compacts the replica log at the monitor's retention pin; returns log
-  /// entries reclaimed. Safe at any op boundary: the pin keeps every event
-  /// a future resync or open action can still need (DESIGN.md §3.10).
-  std::size_t compact_at_pin();
-
-  /// Resync rounds the checkpoint ops have run.
-  std::uint64_t resync_rounds() const { return resync_rounds_; }
-
-  /// Turns the monitor's detection-latency waterfalls on or off.
-  void set_latency_tracking(bool on) { monitor_.set_latency_tracking(on); }
-
-  const OnlineSystem& system() const { return sys_; }
-  const OnlineMonitor& monitor() const { return monitor_; }
-
- private:
-  void apply_checked(const TenantOp& op);
-
-  OnlineSystem sys_;
-  OnlineMonitor monitor_;
-  VectorClock pin_;  // compact_at_pin's pin, reused: no allocation per call
-  std::size_t resync_chunk_;
-  std::vector<std::string> verdicts_;
-  std::uint64_t quarantined_ops_ = 0;
-  std::uint64_t resync_rounds_ = 0;
 };
 
 /// Generates one tenant's script: the ring-and-pairs workload flattened to

@@ -7,9 +7,9 @@
 //   cuts       — cuts, the << relation, special cuts, global-state lattice
 //   nonatomic  — nonatomic events, proxies, poset cut timestamps
 //   relations  — the paper's relation evaluators and implication lattice
-//   sim        — workload and scenario generators
-//   monitor    — offline monitoring: traces, conditions, mutex checking
 //   online     — runtime monitoring with piggybacked clocks
+//   monitor    — offline monitoring: traces, conditions, mutex checking
+//   sim        — workload and scenario generators
 //   check      — property-based conformance: generators, shrinker, fuzzer
 #pragma once
 
@@ -20,12 +20,13 @@
 #include "support/table.hpp"        // IWYU pragma: export
 #include "support/thread_pool.hpp"  // IWYU pragma: export
 
-#include "model/execution.hpp"     // IWYU pragma: export
-#include "model/reachability.hpp"  // IWYU pragma: export
-#include "model/scalar_clock.hpp"  // IWYU pragma: export
-#include "model/timestamps.hpp"    // IWYU pragma: export
-#include "model/types.hpp"         // IWYU pragma: export
-#include "model/vector_clock.hpp"  // IWYU pragma: export
+#include "model/execution.hpp"          // IWYU pragma: export
+#include "model/execution_metrics.hpp"  // IWYU pragma: export
+#include "model/reachability.hpp"       // IWYU pragma: export
+#include "model/scalar_clock.hpp"       // IWYU pragma: export
+#include "model/timestamps.hpp"         // IWYU pragma: export
+#include "model/types.hpp"              // IWYU pragma: export
+#include "model/vector_clock.hpp"       // IWYU pragma: export
 
 #include "cuts/cut.hpp"            // IWYU pragma: export
 #include "cuts/global_states.hpp"  // IWYU pragma: export
@@ -44,19 +45,6 @@
 #include "relations/relation.hpp"           // IWYU pragma: export
 #include "relations/sparse_cuts.hpp"        // IWYU pragma: export
 
-#include "sim/des.hpp"              // IWYU pragma: export
-#include "sim/interval_picker.hpp"  // IWYU pragma: export
-#include "sim/metrics.hpp"          // IWYU pragma: export
-#include "sim/scenarios.hpp"        // IWYU pragma: export
-#include "sim/workload.hpp"         // IWYU pragma: export
-
-#include "monitor/global_condition.hpp"  // IWYU pragma: export
-#include "monitor/monitor.hpp"        // IWYU pragma: export
-#include "monitor/mutex_checker.hpp"  // IWYU pragma: export
-#include "monitor/predicate.hpp"      // IWYU pragma: export
-#include "monitor/report.hpp"         // IWYU pragma: export
-#include "monitor/trace_io.hpp"       // IWYU pragma: export
-
 #include "online/interval_tracker.hpp"  // IWYU pragma: export
 #include "online/online_evaluator.hpp"  // IWYU pragma: export
 #include "online/online_monitor.hpp"   // IWYU pragma: export
@@ -65,6 +53,18 @@
 
 #include "timing/physical_time.hpp"       // IWYU pragma: export
 #include "timing/timing_constraints.hpp"  // IWYU pragma: export
+
+#include "monitor/global_condition.hpp"  // IWYU pragma: export
+#include "monitor/monitor.hpp"        // IWYU pragma: export
+#include "monitor/mutex_checker.hpp"  // IWYU pragma: export
+#include "monitor/predicate.hpp"      // IWYU pragma: export
+#include "monitor/report.hpp"         // IWYU pragma: export
+#include "monitor/trace_io.hpp"       // IWYU pragma: export
+
+#include "sim/des.hpp"              // IWYU pragma: export
+#include "sim/interval_picker.hpp"  // IWYU pragma: export
+#include "sim/scenarios.hpp"        // IWYU pragma: export
+#include "sim/workload.hpp"         // IWYU pragma: export
 
 #include "check/case.hpp"        // IWYU pragma: export
 #include "check/driver.hpp"      // IWYU pragma: export

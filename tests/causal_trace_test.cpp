@@ -8,7 +8,7 @@
 #include <string>
 
 #include "model/timestamps.hpp"
-#include "obs/causal_trace.hpp"
+#include "monitor/causal_trace.hpp"
 #include "sim/interval_picker.hpp"
 #include "sim/soak.hpp"
 #include "sim/workload.hpp"

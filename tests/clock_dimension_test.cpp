@@ -9,9 +9,9 @@
 
 #include <vector>
 
+#include "model/execution_metrics.hpp"
 #include "model/reachability.hpp"
 #include "model/timestamps.hpp"
-#include "sim/metrics.hpp"
 
 namespace syncon {
 namespace {

@@ -215,7 +215,7 @@ TEST(RelationEvaluatorTest, GlobalProxiesComputedOnDemand) {
         if (gx && !gy) ++y_missing;
         continue;
       }
-      ComparisonCounter want;
+      QueryCost want;
       const bool expected = evaluate_fast(id.relation, EventCuts(ts, *gx),
                                           EventCuts(ts, *gy), want);
       ASSERT_TRUE(got.has_value()) << to_string(id);

@@ -432,7 +432,7 @@ struct SetFiring {
 // relations of (X, Y) — as one set watch, or as 32 single watches whose
 // firings are folded back into masks — dropping the reports at positions
 // in `lost`, then resyncs every gap from the system's log.
-std::pair<std::vector<SetFiring>, ComparisonCounter> run_all_32(
+std::pair<std::vector<SetFiring>, QueryCost> run_all_32(
     const PairFeed& f, const std::set<std::size_t>& lost, bool as_set) {
   OnlineMonitor mon(3);
   std::vector<SetFiring> firings;
@@ -520,7 +520,7 @@ TEST(OnlineMonitorSetWatchTest, RegisteredAfterCompletionFiresAtOnce) {
   monitor.watch(watched, "a", "b", [&](RelationSet holding, Confidence conf) {
     fired.push_back({holding.mask(), conf});
   });
-  ComparisonCounter counter;
+  QueryCost counter;
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].holding,
             evaluate_online(watched, sa, sb, counter).mask());
@@ -628,12 +628,12 @@ TEST_P(OnlineMonitorPropertyTest, ProxyRelationsMatchOffline) {
     const IntervalSummary sx = tx.summary(), sy = ty.summary();
     // One pass over the whole set answers bit k as the k-th single call
     // does, for the same comparisons in total.
-    ComparisonCounter set_counter;
+    QueryCost set_counter;
     const RelationSet holding =
         evaluate_online(RelationSet::all(), sx, sy, set_counter);
-    ComparisonCounter single_total;
+    QueryCost single_total;
     for (const RelationId& id : all_relation_ids()) {
-      ComparisonCounter counter;
+      QueryCost counter;
       const bool online = evaluate_online(id, sx, sy, counter);
       single_total.integer_comparisons += counter.integer_comparisons;
       const bool offline =

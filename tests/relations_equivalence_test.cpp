@@ -21,7 +21,7 @@ TEST(RelationsBasicTest, FullyOrderedPairSatisfiesEverything) {
   const NonatomicEvent x(exec, {EventId{0, 1}, EventId{0, 2}});  // a1, a2
   const NonatomicEvent y(exec, {EventId{1, 2}, EventId{1, 3}});  // b2, b3
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   for (const Relation r : kAllRelations) {
     EXPECT_TRUE(evaluate_fast(r, xc, yc, counter)) << to_string(r);
     EXPECT_TRUE(evaluate_naive(r, x, y, ts, Semantics::Strict))
@@ -35,7 +35,7 @@ TEST(RelationsBasicTest, ConcurrentPairSatisfiesNothing) {
   const NonatomicEvent x(exec, {EventId{0, 3}});  // a3 (after the send)
   const NonatomicEvent y(exec, {EventId{1, 1}});  // b1 (before the receive)
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   for (const Relation r : kAllRelations) {
     EXPECT_FALSE(evaluate_fast(r, xc, yc, counter)) << to_string(r);
     EXPECT_FALSE(evaluate_naive(r, x, y, ts, Semantics::Strict))
@@ -50,7 +50,7 @@ TEST(RelationsBasicTest, MixedPairDistinguishesQuantifiers) {
   const NonatomicEvent x(exec, {EventId{0, 1}, EventId{0, 3}});
   const NonatomicEvent y(exec, {EventId{1, 2}, EventId{1, 3}});
   const EventCuts xc(ts, x), yc(ts, y);
-  ComparisonCounter counter;
+  QueryCost counter;
   EXPECT_FALSE(evaluate_fast(Relation::R1, xc, yc, counter));
   EXPECT_FALSE(evaluate_fast(Relation::R2, xc, yc, counter));   // a3 stuck
   EXPECT_FALSE(evaluate_fast(Relation::R2p, xc, yc, counter));  // no y ⪰ a3
@@ -66,7 +66,7 @@ TEST(RelationsBasicTest, WeakSemanticsDifferOnSharedEvents) {
   const Timestamps ts(exec);
   const NonatomicEvent x(exec, {EventId{0, 1}});
   const EventCuts xc(ts, x);
-  ComparisonCounter counter;
+  QueryCost counter;
   EXPECT_FALSE(evaluate_naive(Relation::R4, x, x, ts, Semantics::Strict));
   EXPECT_TRUE(evaluate_naive(Relation::R4, x, x, ts, Semantics::Weak));
   EXPECT_TRUE(evaluate_fast(Relation::R4, xc, xc, counter));
@@ -91,7 +91,7 @@ TEST_P(RelationEquivalenceTest, FastMatchesWeakNaive) {
     const NonatomicEvent x = random_interval(exec, rng, spec, "X");
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const EventCuts xc(ts, x), yc(ts, y);
-    ComparisonCounter counter;
+    QueryCost counter;
     for (const Relation r : kAllRelations) {
       ASSERT_EQ(evaluate_fast(r, xc, yc, counter),
                 evaluate_naive(r, x, y, ts, Semantics::Weak))
@@ -111,7 +111,7 @@ TEST_P(RelationEquivalenceTest, FastMatchesStrictNaiveOnDisjointPairs) {
   for (int trial = 0; trial < 60; ++trial) {
     const auto [x, y] = disjoint_pair(exec, rng, spec);
     const EventCuts xc(ts, x), yc(ts, y);
-    ComparisonCounter counter;
+    QueryCost counter;
     for (const Relation r : kAllRelations) {
       ASSERT_EQ(evaluate_fast(r, xc, yc, counter),
                 evaluate_naive(r, x, y, ts, Semantics::Strict))
@@ -177,7 +177,7 @@ TEST_P(RelationEquivalenceTest, PrimedTwinsCoincide) {
     const NonatomicEvent x = random_interval(exec, rng, spec, "X");
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const EventCuts xc(ts, x), yc(ts, y);
-    ComparisonCounter counter;
+    QueryCost counter;
     ASSERT_EQ(evaluate_fast(Relation::R1, xc, yc, counter),
               evaluate_fast(Relation::R1p, xc, yc, counter));
     ASSERT_EQ(evaluate_fast(Relation::R4, xc, yc, counter),

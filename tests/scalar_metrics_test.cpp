@@ -3,9 +3,9 @@
 #include <sstream>
 
 #include "helpers.hpp"
+#include "model/execution_metrics.hpp"
 #include "model/scalar_clock.hpp"
 #include "monitor/trace_io.hpp"
-#include "sim/metrics.hpp"
 #include "support/contracts.hpp"
 
 namespace syncon {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@ namespace {
 using service::FrameKind;
 using service::FrameView;
 using service::TenantFrameEncoder;
+using service::TenantOp;
+using service::TenantSessionCore;
 using service::TenantStreamDecoder;
 
 TenantWorkload faulty_workload(std::uint64_t seed) {
@@ -79,6 +83,7 @@ TEST(ServiceCodecTest, RoundTripReproducesOpsAndVerdicts) {
   TenantStreamDecoder decoder(script.processes, 0);  // hello is seq 0
   TenantSessionCore core(script.processes, script.resync_chunk);
   std::size_t op_index = 0;
+  std::set<FrameKind> kinds;
   for (std::size_t i = 1; i < frames.size(); ++i) {
     FrameView view;
     ASSERT_EQ(service::peek_frame(frames[i], view), PeekStatus::kOk);
@@ -86,10 +91,17 @@ TEST(ServiceCodecTest, RoundTripReproducesOpsAndVerdicts) {
     TenantOp op;
     ASSERT_TRUE(decoder.decode(view, op)) << "frame " << i;
     EXPECT_EQ(op, script.ops[op_index]) << "op " << op_index;
+    // An op's kind is the kind byte its frame carries on the wire.
+    std::span<const std::uint8_t> raw = frames[i];
+    decode_varint(raw);  // the envelope's length prefix
+    EXPECT_EQ(static_cast<std::uint8_t>(op.kind), raw.front()) << "op "
+                                                              << op_index;
+    kinds.insert(op.kind);
     core.apply(op);
     ++op_index;
   }
   EXPECT_EQ(op_index, script.ops.size());
+  EXPECT_EQ(kinds.size(), 7u);  // every kind but the hello
   EXPECT_EQ(core.definite_verdicts(), script.reference_verdicts);
   EXPECT_EQ(core.quarantined(), 0u);
 }
@@ -171,6 +183,40 @@ TEST(ServiceCodecTest, CompactAtPinDoesNotAllocateOnceWarm) {
   EXPECT_GE(calls, 100u);
   EXPECT_GT(reclaimed, 0u);
   EXPECT_EQ(allocations, 0u);
+}
+
+TEST(ServiceCodecTest, AHelloIsNeverAnOp) {
+  // A hello opens a session. As an op, a session quarantines it and the
+  // encoder refuses it before it takes a seq.
+  TenantOp hello;
+  hello.kind = FrameKind::kHello;
+  const TenantScript script = generate_tenant_script(faulty_workload(3));
+  TenantSessionCore core(script.processes, script.resync_chunk);
+  core.apply(hello);
+  EXPECT_EQ(core.quarantined(), 1u);
+  EXPECT_TRUE(core.definite_verdicts().empty());
+  EXPECT_EQ(core.system().live_log_events(), 0u);
+  EXPECT_EQ(core.resync_rounds(), 0u);
+  for (const TenantOp& op : script.ops) core.apply(op);
+  const std::size_t live = core.system().live_log_events();
+  const std::uint64_t rounds = core.resync_rounds();
+  core.apply(hello);
+  EXPECT_EQ(core.quarantined(), 2u);
+  EXPECT_EQ(core.definite_verdicts(), script.reference_verdicts);
+  EXPECT_EQ(core.system().live_log_events(), live);
+  EXPECT_EQ(core.resync_rounds(), rounds);
+
+  TenantFrameEncoder encoder;
+  std::vector<std::uint8_t> out;
+  encoder.encode_hello(1, script.processes, script.resync_chunk, out);
+  const std::size_t hello_bytes = out.size();
+  EXPECT_THROW(encoder.encode_op(1, hello, out), ContractViolation);
+  EXPECT_EQ(out.size(), hello_bytes);
+  encoder.encode_op(1, script.ops.front(), out);
+  FrameView view;
+  ASSERT_EQ(service::peek_frame(std::span(out).subspan(hello_bytes), view),
+            PeekStatus::kOk);
+  EXPECT_EQ(view.seq, 1u);  // the refused hello took no seq
 }
 
 TEST(ServiceCodecTest, TruncatedFramesAskForMoreBytes) {
@@ -355,7 +401,7 @@ TEST(ServiceCodecTest, LostJournalEventLeavesTheSessionDegraded) {
   // verdicts, no hang.
   const TenantScript script = generate_tenant_script(faulty_workload(7));
   std::size_t lost = script.ops.size() / 2;
-  while (script.ops[lost].kind != TenantOp::Kind::kEvent) ++lost;
+  while (script.ops[lost].kind != FrameKind::kEvent) ++lost;
   const ProcessId p = script.ops[lost].message.source.process;
 
   TenantSessionCore core(script.processes, script.resync_chunk);
@@ -365,7 +411,7 @@ TEST(ServiceCodecTest, LostJournalEventLeavesTheSessionDegraded) {
     const TenantOp& op = script.ops[i];
     const std::uint64_t before = core.quarantined();
     core.apply(op);
-    if (i > lost && op.kind == TenantOp::Kind::kEvent &&
+    if (i > lost && op.kind == FrameKind::kEvent &&
         op.message.source.process == p) {
       EXPECT_EQ(core.quarantined(), before + 1) << "op " << i;
       ++later;
@@ -382,7 +428,7 @@ TEST(ServiceCodecTest, MalformedEventSourceIsQuarantinedWithoutStateDamage) {
   // quarantined and leave the replica as it was.
   TenantSessionCore core(3);
   TenantOp op;
-  op.kind = TenantOp::Kind::kEvent;
+  op.kind = FrameKind::kEvent;
   op.message = {EventId{0, 1}, VectorClock({2, 1, 1})};
   op.sources = {EventId{1, 1}, EventId{7, 1}};
   core.apply(op);
@@ -460,7 +506,7 @@ TEST(ServiceCodecTest, HostedVerdictsMatchTheOfflineEvaluator) {
         std::map<std::string, std::vector<EventId>> events_of;
         for (const TenantOp& op : script.ops) {
           core.apply(op);
-          if (op.kind == TenantOp::Kind::kEvent && !op.label.empty()) {
+          if (op.kind == FrameKind::kEvent && !op.label.empty()) {
             events_of[op.label].push_back(op.message.source);
           }
         }

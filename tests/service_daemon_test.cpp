@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "service/load.hpp"
 #include "service/tenant_codec.hpp"
+#include "sim/service_load.hpp"
 #include "sim/soak.hpp"
 #include "store/storage.hpp"
 #include "store/wal.hpp"
@@ -33,6 +33,8 @@ using service::MonitorDaemon;
 using service::ServiceLoadConfig;
 using service::ServiceLoadResult;
 using service::TenantFrameEncoder;
+using service::TenantOp;
+using service::TenantSessionCore;
 using service::run_service_load;
 
 TenantWorkload faulty_workload() {
@@ -376,7 +378,7 @@ TEST(ServiceDaemonTest, HostileCheckpointClaimStaysInItsTenant) {
     encoder.encode_op(2, hostile.ops[i], frames_h.back());
   }
   TenantOp claim;
-  claim.kind = TenantOp::Kind::kCheckpoint;
+  claim.kind = service::FrameKind::kCheckpoint;
   claim.message.clock =
       VectorClock(hostile.processes, ClockValue{1} << 31);
   frames_h.emplace_back();

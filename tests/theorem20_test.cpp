@@ -34,7 +34,7 @@ TEST_P(Theorem20Test, ComparisonsNeverExceedBound) {
     const NonatomicEvent y = random_interval(exec, rng, spec, "Y");
     const EventCuts xc(ts, x), yc(ts, y);
     for (const Relation r : kAllRelations) {
-      ComparisonCounter counter;
+      QueryCost counter;
       (void)evaluate_fast(r, xc, yc, counter);
       const std::uint64_t bound =
           theorem20_bound(r, x.node_count(), y.node_count());
@@ -75,7 +75,7 @@ TEST(Theorem20TightnessTest, BoundsAttainedWhenRelationHolds) {
   const EventCuts xc(ts, x), yc(ts, y);
 
   for (const Relation r : kAllRelations) {
-    ComparisonCounter counter;
+    QueryCost counter;
     ASSERT_TRUE(evaluate_fast(r, xc, yc, counter)) << to_string(r);
     // Conjunctive relations (per-node ∀ tests) cannot exit early when they
     // hold, so they attain the bound exactly; the single-≪ relations exit
@@ -107,7 +107,7 @@ TEST(Theorem20TightnessTest, BoundsAttainedWhenRelationFails) {
 
   for (const Relation r :
        {Relation::R2p, Relation::R3, Relation::R4, Relation::R4p}) {
-    ComparisonCounter counter;
+    QueryCost counter;
     ASSERT_FALSE(evaluate_fast(r, xc, yc, counter)) << to_string(r);
     EXPECT_EQ(counter.integer_comparisons,
               theorem20_bound(r, x.node_count(), y.node_count()))
@@ -180,7 +180,7 @@ TEST(ProbeViewTest, ProbeViewMatchesEventCuts) {
           const RelationId& id = ids[k];
           const NonatomicEvent px = eval.proxy(x, id.proxy_x);
           const NonatomicEvent py = eval.proxy(y, id.proxy_y);
-          ComparisonCounter want;
+          QueryCost want;
           const bool expected = evaluate_fast(
               id.relation, EventCuts(ts, px), EventCuts(ts, py), want);
           const bool got = eval.holds(id, x, y, &each[k]);

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "model/timestamps.hpp"
-#include "obs/causal_trace.hpp"
+#include "monitor/causal_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/latency.hpp"

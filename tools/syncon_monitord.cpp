@@ -29,7 +29,7 @@
 #include "obs/serve.hpp"
 #include "obs/telemetry.hpp"
 #include "service/daemon.hpp"
-#include "service/load.hpp"
+#include "sim/service_load.hpp"
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
 #include "support/thread_pool.hpp"
